@@ -1,29 +1,20 @@
-//! Bench: `fleet::par::map_parallel` on the post-E18 sparse hot path.
+//! Bench: `fleet::par::map_parallel`, the across-run fan-out behind
+//! `PipelineRun::execute_many`, `FleetExperiment::build_many` and the fuzz
+//! campaign (a single simulation run is single-threaded). Two
+//! measurements:
 //!
-//! The carried-over work-stealing ROADMAP item says "re-profile first":
-//! the event clock (E18) made the per-epoch shard body so cheap on
-//! healthy-dominated fleets that fan-out overhead, not imbalance, is the
-//! question. Three measurements answer it:
-//!
-//! * the bare fan-out overhead — `map_parallel` over epoch-shaped item
+//! * the bare fan-out overhead — `map_parallel` over batch-sized item
 //!   counts with a trivial body, against the serial loop;
-//! * the real hot path — a sparse demo fleet simulation at 1/2/8
-//!   workers (the per-epoch closure `sim.rs` actually fans out);
 //! * a skew probe — items whose costs differ 100× tail-to-head, the
 //!   case a work-stealing deque would help (the atomic-cursor claim in
 //!   `map_parallel` already balances these dynamically).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mercurial::Scenario;
 use mercurial_fleet::par::map_parallel;
-use mercurial_fleet::topology::FleetTopology;
-use mercurial_fleet::{FleetSim, Population, SimEngine};
 use std::hint::black_box;
 
 fn bench_fanout_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("par-map-overhead");
-    // A sparse 18-month demo run steps 180 epochs in batches; each
-    // map_parallel call sees one batch of epoch ids.
     for items in [8usize, 32, 180] {
         let ids: Vec<u32> = (0..items as u32).collect();
         group.bench_with_input(BenchmarkId::new("serial", items), &ids, |b, ids| {
@@ -34,23 +25,6 @@ fn bench_fanout_overhead(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("fanout-8", items), &ids, |b, ids| {
             b.iter(|| black_box(map_parallel(ids, 8, |&i| black_box(i as u64 + 1))))
-        });
-    }
-    group.finish();
-}
-
-fn bench_sparse_hot_path(c: &mut Criterion) {
-    let mut scenario = Scenario::demo(0xacce55);
-    scenario.sim.engine = SimEngine::Sparse;
-    let topo = FleetTopology::build(scenario.fleet.clone());
-    let pop = Population::seed_from(&topo);
-    let mut group = c.benchmark_group("par-map-sparse-sim");
-    for workers in [1usize, 2, 8] {
-        let mut config = scenario.sim.clone();
-        config.parallelism = workers;
-        let sim = FleetSim::new(topo.clone(), pop.clone(), config);
-        group.bench_with_input(BenchmarkId::new("demo-18mo", workers), &sim, |b, sim| {
-            b.iter(|| black_box(sim.run().1.corruptions))
         });
     }
     group.finish();
@@ -81,10 +55,5 @@ fn bench_skewed_items(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_fanout_overhead,
-    bench_sparse_hot_path,
-    bench_skewed_items
-);
+criterion_group!(benches, bench_fanout_overhead, bench_skewed_items);
 criterion_main!(benches);

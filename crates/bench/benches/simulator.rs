@@ -1,7 +1,7 @@
 //! Bench: simulator speed — instructions per second on healthy vs
 //! mercurial cores, one full corpus screen, and one fleet-month.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mercurial_fault::{library, Injector};
 use mercurial_fleet::sim::SimConfig;
 use mercurial_fleet::topology::{FleetConfig, FleetTopology};
@@ -80,34 +80,6 @@ fn bench_fleet_month(c: &mut Criterion) {
     });
 }
 
-/// The deterministic parallel runner at 1, 2, and 8 worker threads on the
-/// same fleet: identical output by contract, wall-clock scaling with the
-/// host's CPU count (flat on a single-CPU host).
-fn bench_fleet_parallel(c: &mut Criterion) {
-    let mut cfg = FleetConfig::tiny(2000, 17);
-    cfg.rollout_months = 0;
-    let topo = FleetTopology::build(cfg);
-    let pop = Population::seed_from(&topo);
-    let mut group = c.benchmark_group("fleet-sim-threads");
-    for threads in [1usize, 2, 8] {
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            b.iter(|| {
-                let sim = FleetSim::new(
-                    topo.clone(),
-                    pop.clone(),
-                    SimConfig {
-                        months: 3,
-                        parallelism: t,
-                        ..SimConfig::default()
-                    },
-                );
-                black_box(sim.run().1)
-            })
-        });
-    }
-    group.finish();
-}
-
 /// A single-CPU-friendly Criterion config: fewer samples, shorter
 /// measurement windows (the ratios, not the absolute precision, are
 /// what the experiments report).
@@ -123,7 +95,6 @@ criterion_group!(
     config = quick();
     targets = bench_interpreter,
     bench_chip_screen,
-    bench_fleet_month,
-    bench_fleet_parallel
+    bench_fleet_month
 );
 criterion_main!(benches);

@@ -15,8 +15,8 @@
 //!
 //! `--smoke` skips the timing (meaningless on shared CI machines) and
 //! instead checks the tracing correctness contracts at demo scale:
-//! byte-identical JSONL across 1/2/8 workers, a Chrome export that parses
-//! as JSON with balanced B/E span pairs, and an incident timeline showing
+//! a non-empty JSONL trace, a Chrome export that parses as JSON with
+//! balanced B/E span pairs, and an incident timeline showing
 //! a full onset → signal → quarantine → confirm story (`make trace-smoke`).
 
 use std::time::Instant;
@@ -49,28 +49,12 @@ fn run_smoke() {
     mercurial_bench::header("E16 — tracing contracts (smoke)");
     let base = traced_demo(0x0e16);
 
-    // 1. Determinism parity: the trace is a pure function of the
-    //    scenario, not of the worker count.
-    let traces: Vec<String> = [1usize, 2, 8]
-        .iter()
-        .map(|&p| {
-            let mut s = base.clone();
-            s.sim.parallelism = p;
-            ClosedLoopDriver::execute(&s).trace.to_jsonl()
-        })
-        .collect();
-    assert!(!traces[0].is_empty(), "trace must record something");
-    assert!(
-        traces.iter().all(|t| *t == traces[0]),
-        "JSONL trace differs across 1/2/8 workers"
-    );
-    println!(
-        "parity: JSONL byte-identical at 1/2/8 workers ({} bytes): yes",
-        traces[0].len()
-    );
-
-    // 2. The Chrome export is valid trace-event JSON with paired spans.
+    // 1. The trace records, and the Chrome export is valid trace-event
+    //    JSON with paired spans.
     let out = ClosedLoopDriver::execute(&base);
+    let jsonl = out.trace.to_jsonl();
+    assert!(!jsonl.is_empty(), "trace must record something");
+    println!("trace: {} bytes of JSONL", jsonl.len());
     let chrome = out.trace.to_chrome_trace();
     let doc: serde::Value = serde_json::from_str(&chrome).expect("chrome export parses as JSON");
     let events = doc
@@ -131,15 +115,14 @@ fn run_full() {
     let prof = Prof::enabled();
 
     // Whole-window simulation, three ways. `FleetSim::run` is the
-    // untraced baseline (its serial path with a disabled recorder is the
-    // pre-instrumentation loop, byte for byte).
+    // untraced baseline (the same loop over a disabled recorder).
     let exp = FleetExperiment::build(&scenario);
     let sim = exp.sim();
     let step_all = |rec: &mut Recorder| {
         let mut state = sim.begin();
         let mut log = SignalLog::new();
         let mut summary = SimSummary::default();
-        sim.step_epochs_traced(&mut state, u32::MAX, &mut log, &mut summary, rec);
+        sim.step_epochs(&mut state, u32::MAX, &mut log, &mut summary, rec);
         log.sort_by_time();
         (log, summary)
     };

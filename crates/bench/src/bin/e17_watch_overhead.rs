@@ -15,8 +15,8 @@
 //!
 //! `--smoke` skips the timing (meaningless on shared CI machines) and
 //! instead checks the alerting correctness contracts at demo scale:
-//! identical alert reports and byte-identical traces across 1/2/8
-//! workers, one `alert.fired` instant per fired rule, a streaming sink
+//! the demo fleet tripping the default rules, one `alert.fired` instant
+//! per fired rule, a streaming sink
 //! that reproduces the buffered export byte for byte, offline replay
 //! agreeing with the in-loop engine, and a healthy fleet staying silent
 //! on hair-trigger rules (`make watch-smoke`).
@@ -52,32 +52,15 @@ fn run_smoke() {
     // corrupt-ops threshold, so the FIRED path is exercised end to end.
     let base = watched_demo(7);
 
-    // 1. Determinism parity: the alert report and the trace carrying the
-    //    alert.fired instants are pure functions of the scenario.
-    let runs: Vec<(String, String)> = [1usize, 2, 8]
-        .iter()
-        .map(|&p| {
-            let mut s = base.clone();
-            s.sim.parallelism = p;
-            let out = ClosedLoopDriver::execute(&s);
-            let report = out.watch.expect("watch enabled");
-            (report.render(), out.trace.to_jsonl())
-        })
-        .collect();
-    assert!(
-        runs[0].0.contains("FIRED"),
-        "demo fleet must trip the default rules:\n{}",
-        runs[0].0
-    );
-    assert!(
-        runs.iter().all(|r| *r == runs[0]),
-        "alerts/trace differ across 1/2/8 workers"
-    );
-    let fired = runs[0].0.matches("FIRED").count();
-    println!("parity: report ({fired} fired) and trace identical at 1/2/8 workers: yes");
-
-    // 2. Every fired rule leaves exactly one alert.fired instant.
+    // 1. The demo fleet trips the default rules, and every fired rule
+    //    leaves exactly one alert.fired instant.
     let out = ClosedLoopDriver::execute(&base);
+    let report = out.watch.as_ref().expect("watch enabled").render();
+    assert!(
+        report.contains("FIRED"),
+        "demo fleet must trip the default rules:\n{report}"
+    );
+    let fired = report.matches("FIRED").count();
     let instants = out
         .trace
         .events
@@ -87,7 +70,7 @@ fn run_smoke() {
     assert_eq!(instants, fired, "one alert.fired instant per fired rule");
     println!("instants: {instants} alert.fired instants for {fired} fired rules");
 
-    // 3. Streaming drains reproduce the buffered export byte for byte.
+    // 2. Streaming drains reproduce the buffered export byte for byte.
     let experiment = FleetExperiment::build(&base);
     let mut sink = JsonlStreamSink::new(Vec::new());
     let streamed_out = ClosedLoopDriver::execute_with(
@@ -107,14 +90,14 @@ fn run_smoke() {
         streamed.len()
     );
 
-    // 4. Offline replay of the export agrees with the in-loop engine.
-    let live = out.watch.expect("watch enabled").render();
+    // 3. Offline replay of the export agrees with the in-loop engine.
+    let live = report;
     let input = WatchInput::from_jsonl(&buffered).expect("export replays");
     let offline = base.watch.rule_set().evaluate(&input, None).render();
     assert_eq!(live, offline, "replay must reproduce the in-loop report");
     println!("replay: offline evaluation matches the in-loop report");
 
-    // 5. A fleet with no mercurial cores never fires, even on rules set
+    // 4. A fleet with no mercurial cores never fires, even on rules set
     //    to trip at the first corrupt op.
     let mut healthy = base.clone();
     for p in &mut healthy.fleet.products {

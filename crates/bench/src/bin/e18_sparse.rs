@@ -19,7 +19,7 @@
 //!
 //! `--smoke` skips absolute timings and checks the contracts instead:
 //! dense/sparse bit-parity through the closed-loop driver (traced and
-//! untraced, 1/2/8 workers), stepping-granularity invariance, and the
+//! untraced), stepping-granularity invariance, and the
 //! 1M-machine event accounting — zero per-epoch work on healthy machines,
 //! wall clock within a self-calibrated budget (`make sparse-smoke`).
 
@@ -27,6 +27,7 @@ use std::time::Instant;
 
 use mercurial::closedloop::ClosedLoopDriver;
 use mercurial::fleet::{SignalLog, SimEngine};
+use mercurial::trace::Recorder;
 use mercurial::{FleetExperiment, Scenario};
 
 /// The 20k-machine dense-path closed-loop time before this refactor
@@ -77,60 +78,51 @@ fn run_smoke() {
     mercurial_bench::header("E18 — sparse fleet core contracts (smoke)");
 
     // 1. Traced driver parity: watch report, trace JSONL, signal log, and
-    //    summary are bit-identical dense vs sparse at 1/2/8 workers.
+    //    summary are bit-identical dense vs sparse.
     let mut traced = Scenario::demo(7);
     traced.closed_loop.feedback = true;
     traced.trace.enabled = true;
     traced.watch.enabled = true;
     traced.sim.engine = SimEngine::Dense;
     let reference = ClosedLoopDriver::execute(&traced);
-    let ref_report = reference.watch.as_ref().expect("watch enabled").render();
-    let ref_trace = reference.trace.to_jsonl();
     assert!(!reference.pipeline.detections.is_empty());
-    for parallelism in [1usize, 2, 8] {
-        let mut s = traced.clone();
-        s.sim.engine = SimEngine::Sparse;
-        s.sim.parallelism = parallelism;
-        let out = ClosedLoopDriver::execute(&s);
-        assert_eq!(
-            out.watch.as_ref().expect("watch enabled").render(),
-            ref_report,
-            "watch report diverges at {parallelism} workers"
-        );
-        assert_eq!(out.trace.to_jsonl(), ref_trace);
-        assert_eq!(out.pipeline.signals.all(), reference.pipeline.signals.all());
-        assert_eq!(out.pipeline.sim_summary, reference.pipeline.sim_summary);
-    }
-    println!("parity: traced closed loop identical dense vs sparse at 1/2/8 workers");
+    traced.sim.engine = SimEngine::Sparse;
+    let out = ClosedLoopDriver::execute(&traced);
+    assert_eq!(
+        out.watch.as_ref().expect("watch enabled").render(),
+        reference.watch.as_ref().expect("watch enabled").render(),
+        "watch report diverges"
+    );
+    assert_eq!(out.trace.to_jsonl(), reference.trace.to_jsonl());
+    assert_eq!(out.pipeline.signals.all(), reference.pipeline.signals.all());
+    assert_eq!(out.pipeline.sim_summary, reference.pipeline.sim_summary);
+    println!("parity: traced closed loop identical dense vs sparse");
 
     // 2. Untraced driver parity — the screeners' closed-form fast plans.
-    let untraced_ref = ClosedLoopDriver::execute(&closed_loop_scenario(&Scenario::demo(11), {
-        SimEngine::Dense
-    }));
-    for parallelism in [1usize, 8] {
-        let mut s = closed_loop_scenario(&Scenario::demo(11), SimEngine::Sparse);
-        s.sim.parallelism = parallelism;
-        let out = ClosedLoopDriver::execute(&s);
-        assert_eq!(out.pipeline.detections, untraced_ref.pipeline.detections);
-        assert_eq!(out.pipeline.sim_summary, untraced_ref.pipeline.sim_summary);
-        assert_eq!(
-            out.pipeline.burnin_stats,
-            untraced_ref.pipeline.burnin_stats
-        );
-        assert_eq!(
-            out.pipeline.offline_stats,
-            untraced_ref.pipeline.offline_stats
-        );
-        assert_eq!(
-            out.pipeline.online_stats,
-            untraced_ref.pipeline.online_stats
-        );
-    }
-    println!("parity: untraced closed loop (screener fast plans) identical at 1/8 workers");
+    let untraced_ref =
+        ClosedLoopDriver::execute(&closed_loop_scenario(&Scenario::demo(11), SimEngine::Dense));
+    let out = ClosedLoopDriver::execute(&closed_loop_scenario(
+        &Scenario::demo(11),
+        SimEngine::Sparse,
+    ));
+    assert_eq!(out.pipeline.detections, untraced_ref.pipeline.detections);
+    assert_eq!(out.pipeline.sim_summary, untraced_ref.pipeline.sim_summary);
+    assert_eq!(
+        out.pipeline.burnin_stats,
+        untraced_ref.pipeline.burnin_stats
+    );
+    assert_eq!(
+        out.pipeline.offline_stats,
+        untraced_ref.pipeline.offline_stats
+    );
+    assert_eq!(
+        out.pipeline.online_stats,
+        untraced_ref.pipeline.online_stats
+    );
+    println!("parity: untraced closed loop (screener fast plans) identical dense vs sparse");
 
     // 3. Stepping-granularity invariance at the sim layer.
     let mut sim_s = Scenario::demo(21);
-    sim_s.sim.parallelism = 2;
     sim_s.sim.engine = SimEngine::Dense;
     let dense_exp = FleetExperiment::build(&sim_s);
     let (ref_log, ref_sum) = dense_exp.sim().run();
@@ -141,8 +133,9 @@ fn run_smoke() {
         let mut state = sim.begin();
         let mut log = SignalLog::new();
         let mut summary = Default::default();
+        let mut rec = Recorder::disabled();
         while !state.is_done() {
-            sim.step_epochs(&mut state, granularity, &mut log, &mut summary);
+            sim.step_epochs(&mut state, granularity, &mut log, &mut summary, &mut rec);
         }
         log.sort_by_time();
         assert_eq!(log.all(), ref_log.all(), "log diverges at {granularity}");
@@ -183,7 +176,13 @@ fn run_smoke() {
     let mut summary = Default::default();
     let t = Instant::now();
     while !state.is_done() {
-        sim.step_epochs(&mut state, u32::MAX, &mut log, &mut summary);
+        sim.step_epochs(
+            &mut state,
+            u32::MAX,
+            &mut log,
+            &mut summary,
+            &mut Recorder::disabled(),
+        );
     }
     let sim_secs = t.elapsed().as_secs_f64();
     let clock = state.clock_stats();
@@ -283,7 +282,13 @@ fn run_full() {
     {
         let _p = prof.span("study.sim_1m");
         while !state.is_done() {
-            sim.step_epochs(&mut state, u32::MAX, &mut log, &mut summary);
+            sim.step_epochs(
+                &mut state,
+                u32::MAX,
+                &mut log,
+                &mut summary,
+                &mut Recorder::disabled(),
+            );
         }
     }
     let sim_1m = t.elapsed().as_secs_f64();

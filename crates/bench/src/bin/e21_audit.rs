@@ -16,7 +16,7 @@
 //! run (<2% acceptance bar), and writes `BENCH_audit.json`. `--smoke`
 //! checks the contracts instead (`make audit-smoke`): audit off moves no
 //! pre-audit bit (the E20 pin digests), the offline replay reproduces the
-//! in-loop ledger byte-for-byte at parallelism 1/2/8, and attribution
+//! in-loop ledger byte-for-byte, and attribution
 //! conserves ground truth (TP + FN == mercurial cores; every FP is a
 //! quarantined healthy core).
 
@@ -109,26 +109,19 @@ fn run_smoke() {
     }
 
     // 2. The offline replay (exported JSONL → ledger) is byte-for-byte the
-    //    in-loop ledger, at any parallelism.
+    //    in-loop ledger.
     {
-        let mut reference: Option<String> = None;
-        for parallelism in [1usize, 2, 8] {
-            let mut s = audited_scenario(7);
-            s.sim.parallelism = parallelism;
-            let out = ClosedLoopDriver::execute(&s);
-            let in_loop = DecisionLedger::from_trace(&out.trace);
-            let replayed = DecisionLedger::from_trace_jsonl(&out.trace.to_jsonl())
-                .expect("exported trace replays");
-            assert_eq!(replayed, in_loop, "replay diverges at par {parallelism}");
-            let bytes = in_loop.to_jsonl();
-            assert!(!bytes.is_empty(), "audited run must ledger decisions");
-            if let Some(r) = &reference {
-                assert_eq!(r, &bytes, "ledger diverges at par {parallelism}");
-            } else {
-                reference = Some(bytes);
-            }
-        }
-        println!("replay: exported-JSONL ledger is byte-identical in-loop at par 1/2/8");
+        let out = ClosedLoopDriver::execute(&audited_scenario(7));
+        let in_loop = DecisionLedger::from_trace(&out.trace);
+        let replayed = DecisionLedger::from_trace_jsonl(&out.trace.to_jsonl())
+            .expect("exported trace replays");
+        assert_eq!(replayed, in_loop, "replay diverges from the in-loop ledger");
+        assert_eq!(replayed.to_jsonl(), in_loop.to_jsonl());
+        assert!(
+            !in_loop.to_jsonl().is_empty(),
+            "audited run must ledger decisions"
+        );
+        println!("replay: exported-JSONL ledger is byte-identical to the in-loop ledger");
     }
 
     // 3. Attribution conserves ground truth.

@@ -171,7 +171,7 @@ impl ClosedLoopDriver {
             };
             {
                 let _p = prof.span("fleet.step");
-                sim.step_epoch_traced(&mut state, &mut log, &mut summary, &mut rec);
+                sim.step_epoch(&mut state, &mut log, &mut summary, &mut rec);
             }
             // Open loop: nothing is ever quarantined mid-window, so
             // capacity is flat at 1.0 and every defect stays active.

@@ -81,7 +81,6 @@ impl FleetExperiment {
         let cfg = CampaignConfig {
             seed: knob.seed,
             budget: knob.budget as usize,
-            parallelism: self.scenario.sim.parallelism,
             ..CampaignConfig::default()
         };
         let out = run_campaign(&cfg);

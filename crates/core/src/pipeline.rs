@@ -94,12 +94,13 @@ impl PipelineRun {
         PipelineRun::execute_on(scenario, &experiment)
     }
 
-    /// Executes many independent scenarios, fanned out across worker
-    /// threads (`parallelism` as in [`mercurial_fleet::par`]: `0` = one
-    /// per CPU, `1` = serial). Outcomes come back in input order and are
-    /// identical to running [`PipelineRun::execute`] on each scenario
-    /// serially — each scenario's randomness is a pure function of its
-    /// own seed, so scheduling cannot leak between them.
+    /// Executes many independent scenarios, one single-threaded run per
+    /// scenario fanned out across worker threads (`parallelism` as in
+    /// [`mercurial_fleet::par`]: `0` = one per CPU, `1` = serial).
+    /// Outcomes come back in input order and are identical to running
+    /// [`PipelineRun::execute`] on each scenario serially — each
+    /// scenario's randomness is a pure function of its own seed, so
+    /// scheduling cannot leak between them.
     pub fn execute_many(scenarios: &[Scenario], parallelism: usize) -> Vec<PipelineOutcome> {
         mercurial_fleet::par::map_parallel(scenarios, parallelism, PipelineRun::execute)
     }
@@ -156,14 +157,11 @@ impl PipelineRun {
         //    and not rescreened).
         let mut detected: FastSet<CoreUid> = FastSet::default();
         // The scenario's fuzz_corpus knob decides whether this is the
-        // hand-written default history or the fuzz-augmented schedule; the
-        // screeners' machine fan-out reuses the sim parallelism knob.
+        // hand-written default history or the fuzz-augmented schedule.
         let schedule = experiment.screening_schedule();
-        let parallelism = scenario.sim.parallelism;
         let burnin = BurnIn {
             schedule: schedule.clone(),
             ops_multiplier: tuning.burnin_ops_multiplier,
-            parallelism,
         };
         let (mut detections, burnin_stats) = burnin.run(topo, pop, &mut detected, &mut signals);
         let offline = OfflineScreener {
@@ -171,7 +169,6 @@ impl PipelineRun {
             interval_hours: scenario.offline_interval_hours,
             fraction_per_sweep: scenario.offline_fraction,
             drain_hours_per_machine: tuning.offline_drain_hours_per_machine,
-            parallelism,
         };
         let (offline_detections, offline_stats) =
             offline.run(topo, pop, scenario.sim.months, &mut detected, &mut signals);
@@ -180,7 +177,6 @@ impl PipelineRun {
             schedule,
             interval_hours: scenario.online_interval_hours,
             ops_fraction: tuning.online_ops_fraction,
-            parallelism,
         };
         let (online_detections, online_stats) =
             online.run(topo, pop, scenario.sim.months, &mut detected, &mut signals);

@@ -624,13 +624,34 @@ impl Scenario {
         serde_json::to_string_pretty(self).expect("scenario serializes")
     }
 
-    /// Parses from JSON.
+    /// Parses from JSON and rejects values the simulation cannot run.
     ///
     /// # Errors
     ///
-    /// Returns the underlying serde error message.
+    /// Returns the underlying serde error message, or a message naming
+    /// the offending field: `fleet.machines` when it is 0, and
+    /// `sim.epoch_hours` when it is not positive and finite.
     pub fn from_json(json: &str) -> Result<Scenario, String> {
-        serde_json::from_str(json).map_err(|e| e.to_string())
+        let scenario: Scenario = serde_json::from_str(json).map_err(|e| e.to_string())?;
+        scenario.validate()?;
+        Ok(scenario)
+    }
+
+    /// Boundary checks for knobs later layers divide by or size buffers
+    /// from: an empty fleet (the offline sweep rotation takes a remainder
+    /// by the machine count) and a non-positive or non-finite epoch (the
+    /// epoch count would be unbounded).
+    fn validate(&self) -> Result<(), String> {
+        if self.fleet.machines == 0 {
+            return Err("fleet.machines must be at least 1, got 0".to_string());
+        }
+        let h = self.sim.epoch_hours;
+        if !(h.is_finite() && h > 0.0) {
+            return Err(format!(
+                "sim.epoch_hours must be positive and finite, got {h}"
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -649,6 +670,24 @@ mod tests {
     #[test]
     fn bad_json_is_an_error() {
         assert!(Scenario::from_json("{not json").is_err());
+    }
+
+    #[test]
+    fn zero_machines_is_rejected_naming_the_field() {
+        let mut s = Scenario::small(7);
+        s.fleet.machines = 0;
+        let err = Scenario::from_json(&s.to_json()).unwrap_err();
+        assert!(err.contains("fleet.machines"), "{err}");
+    }
+
+    #[test]
+    fn non_positive_epoch_hours_is_rejected_naming_the_field() {
+        for hours in [0.0, -73.0] {
+            let mut s = Scenario::small(7);
+            s.sim.epoch_hours = hours;
+            let err = Scenario::from_json(&s.to_json()).unwrap_err();
+            assert!(err.contains("sim.epoch_hours"), "{hours}: {err}");
+        }
     }
 
     #[test]

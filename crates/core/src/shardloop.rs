@@ -211,13 +211,11 @@ impl<'a> FleetShard<'a> {
         let sim = experiment.sim();
         let topo = experiment.topology();
         let tuning = &scenario.tuning;
-        let parallelism = scenario.sim.parallelism;
         let schedule = experiment.screening_schedule();
         let shard = Some((lo, hi));
         let burnin = BurnIn {
             schedule: schedule.clone(),
             ops_multiplier: tuning.burnin_ops_multiplier,
-            parallelism,
         }
         .campaign_shard(topo, shard);
         let offline = OfflineScreener {
@@ -225,14 +223,12 @@ impl<'a> FleetShard<'a> {
             interval_hours: scenario.offline_interval_hours,
             fraction_per_sweep: scenario.offline_fraction,
             drain_hours_per_machine: tuning.offline_drain_hours_per_machine,
-            parallelism,
         }
         .campaign_shard(scenario.sim.months, shard);
         let online = OnlineScreener {
             schedule,
             interval_hours: scenario.online_interval_hours,
             ops_fraction: tuning.online_ops_fraction,
-            parallelism,
         }
         .campaign_shard(scenario.sim.months, shard);
         let mut screen_q = EventQueue::new();
@@ -401,7 +397,7 @@ impl<'a> FleetShard<'a> {
         {
             let _p = prof.span("fleet.step");
             self.sim
-                .step_epoch_traced(&mut self.state, &mut evidence, &mut self.summary, rec);
+                .step_epoch(&mut self.state, &mut evidence, &mut self.summary, rec);
         }
         let class_deltas: Vec<ClassTally> = self
             .state

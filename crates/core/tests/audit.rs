@@ -1,7 +1,7 @@
 //! E21 acceptance: the decision-audit layer.
 //!
 //! * Replay parity — the ledger rebuilt offline from the exported trace
-//!   JSONL is byte-for-byte the in-loop ledger, at any `sim.parallelism`.
+//!   JSONL is byte-for-byte the in-loop ledger.
 //! * Conservation — every ground-truth mercurial core is exactly one of
 //!   TP or FN, and every FP is a quarantined healthy core.
 //! * The audit block forces tracing on, and works over both drivers
@@ -31,36 +31,20 @@ fn rule_names(s: &Scenario) -> Vec<String> {
 }
 
 #[test]
-fn replayed_ledger_is_byte_identical_at_any_parallelism() {
-    let reference = {
-        let s = audited(7, true);
-        let out = ClosedLoopDriver::execute(&s);
-        DecisionLedger::from_trace(&out.trace).to_jsonl()
-    };
+fn replayed_ledger_is_byte_identical_to_the_in_loop_ledger() {
+    let out = ClosedLoopDriver::execute(&audited(7, true));
+    let in_loop = DecisionLedger::from_trace(&out.trace);
+    let reference = in_loop.to_jsonl();
     assert!(!reference.is_empty(), "audited run must ledger decisions");
-    for parallelism in [1usize, 2, 8] {
-        let mut s = audited(7, true);
-        s.sim.parallelism = parallelism;
-        let out = ClosedLoopDriver::execute(&s);
-        let in_loop = DecisionLedger::from_trace(&out.trace);
-        assert_eq!(
-            in_loop.to_jsonl(),
-            reference,
-            "in-loop ledger diverges at parallelism {parallelism}"
-        );
-        // The offline replay path: parse the exported JSONL back.
-        let replayed = DecisionLedger::from_trace_jsonl(&out.trace.to_jsonl())
-            .expect("exported trace replays");
-        assert_eq!(
-            replayed, in_loop,
-            "replay diverges at parallelism {parallelism}"
-        );
-        assert_eq!(
-            replayed.to_jsonl(),
-            reference,
-            "replayed ledger bytes diverge at parallelism {parallelism}"
-        );
-    }
+    // The offline replay path: parse the exported JSONL back.
+    let replayed =
+        DecisionLedger::from_trace_jsonl(&out.trace.to_jsonl()).expect("exported trace replays");
+    assert_eq!(replayed, in_loop, "replay diverges from the in-loop ledger");
+    assert_eq!(
+        replayed.to_jsonl(),
+        reference,
+        "replayed ledger bytes diverge"
+    );
 }
 
 #[test]

@@ -38,7 +38,11 @@ struct Digest {
 }
 
 fn digest(seed: u64, feedback: bool, engine: SimEngine) -> Digest {
-    let out = ClosedLoopDriver::execute(&scenario(seed, feedback, engine));
+    digest_of(&scenario(seed, feedback, engine))
+}
+
+fn digest_of(scenario: &Scenario) -> Digest {
+    let out = ClosedLoopDriver::execute(scenario);
     Digest {
         corruptions: out.pipeline.sim_summary.corruptions,
         signals: out.pipeline.signals.all().len(),
@@ -83,6 +87,16 @@ fn legacy_closed_loop_is_bit_identical_to_pre_refactor() {
         got.corruptions, got.signals, got.detections, got.series_csv, got.trace_jsonl, got.watch_render
     );
     check("closed sparse", &got, &want);
+    // Scenario JSON written while runs still had a thread-count knob
+    // carries `sim.parallelism`; it must parse and replay the same pin.
+    let json = scenario(7, true, SimEngine::Sparse).to_json().replacen(
+        "\"sim\": {",
+        "\"sim\": {\"parallelism\": 8,",
+        1,
+    );
+    assert!(json.contains("\"parallelism\": 8"), "legacy key injected");
+    let legacy = Scenario::from_json(&json).expect("legacy sim.parallelism key parses");
+    check("closed sparse, legacy JSON", &digest_of(&legacy), &want);
 }
 
 #[test]

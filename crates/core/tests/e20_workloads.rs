@@ -29,38 +29,29 @@ fn workloads_scenario(seed: u64, feedback: bool, engine: SimEngine) -> Scenario 
 }
 
 #[test]
-fn enabled_runs_are_engine_and_parallelism_invariant() {
+fn enabled_runs_are_engine_invariant() {
     // The workload layer must obey the same §4.1 determinism contract as
     // everything else: identical series (including every per-class
-    // column), trace, and summary at any parallelism, dense or sparse.
-    let mut reference = workloads_scenario(7, true, SimEngine::Sparse);
-    reference.sim.parallelism = 1;
-    let ref_out = ClosedLoopDriver::execute(&reference);
+    // column), trace, and summary, dense or sparse.
+    let ref_out = ClosedLoopDriver::execute(&workloads_scenario(7, true, SimEngine::Sparse));
     assert!(
         !ref_out.series.class_names().is_empty(),
         "enabled workloads must register classes"
     );
-    let ref_jsonl = ref_out.trace.to_jsonl();
-    for engine in [SimEngine::Sparse, SimEngine::Dense] {
-        for parallelism in [1usize, 4] {
-            let mut s = workloads_scenario(7, true, engine);
-            s.sim.parallelism = parallelism;
-            let out = ClosedLoopDriver::execute(&s);
-            assert_eq!(
-                out.pipeline.sim_summary, ref_out.pipeline.sim_summary,
-                "summary diverges ({engine:?}, par {parallelism})"
-            );
-            assert_eq!(
-                out.series, ref_out.series,
-                "series (incl. class columns) diverges ({engine:?}, par {parallelism})"
-            );
-            assert_eq!(
-                out.trace.to_jsonl(),
-                ref_jsonl,
-                "trace diverges ({engine:?}, par {parallelism})"
-            );
-        }
-    }
+    let out = ClosedLoopDriver::execute(&workloads_scenario(7, true, SimEngine::Dense));
+    assert_eq!(
+        out.pipeline.sim_summary, ref_out.pipeline.sim_summary,
+        "summary diverges between engines"
+    );
+    assert_eq!(
+        out.series, ref_out.series,
+        "series (incl. class columns) diverges between engines"
+    );
+    assert_eq!(
+        out.trace.to_jsonl(),
+        ref_out.trace.to_jsonl(),
+        "trace diverges between engines"
+    );
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! tested against it without the simulator.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
 /// A test-and-set spinlock.
 #[derive(Debug, Default)]
@@ -162,16 +162,26 @@ impl LockLike for TicketLock {
     }
 }
 
-impl LockLike for parking_lot::Mutex<()> {
+/// The reference lock: a std [`Mutex`] guarding a `locked` flag, with a
+/// [`Condvar`] to park waiters. Unlike a raw mutex guard, the flag can be
+/// released by a separate call, which is the shape the harness drives.
+#[derive(Debug, Default)]
+pub struct StdLock {
+    locked: Mutex<bool>,
+    freed: Condvar,
+}
+
+impl LockLike for StdLock {
     fn acquire(&self) {
-        std::mem::forget(self.lock());
+        let mut locked = self.locked.lock().expect("lock flag poisoned");
+        while *locked {
+            locked = self.freed.wait(locked).expect("lock flag poisoned");
+        }
+        *locked = true;
     }
     fn release(&self) {
-        // SAFETY-free counterpart: parking_lot supports unlocking from the
-        // same thread that forgot the guard.
-        // `force_unlock` requires the mutex to be locked, which `acquire`
-        // guarantees in this harness.
-        unsafe { self.force_unlock() }
+        *self.locked.lock().expect("lock flag poisoned") = false;
+        self.freed.notify_one();
     }
 }
 
@@ -270,8 +280,8 @@ mod tests {
     }
 
     #[test]
-    fn parking_lot_mutex_provides_exclusion() {
-        let report = torture(Arc::new(parking_lot::Mutex::new(())), THREADS, ITERS);
+    fn std_lock_provides_exclusion() {
+        let report = torture(Arc::new(StdLock::default()), THREADS, ITERS);
         assert!(report.passed(), "{report:?}");
     }
 

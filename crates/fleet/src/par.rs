@@ -1,16 +1,15 @@
-//! Deterministic fan-out over independent work items.
+//! Deterministic fan-out over independent runs.
 //!
-//! The simulator's determinism contract (every random draw is a pure
-//! function of `(seed, stream, counter)` — see `mercurial-fault`'s
-//! `CounterRng`) means work items that share no mutable state can run on
-//! any thread in any order and still produce identical values. What
-//! thread-count independence requires is that *merging* ignore completion
-//! order. [`map_parallel`] guarantees that: results land in input order,
-//! so the output is bit-for-bit the same for any worker count, including
-//! one.
+//! A simulation run is single-threaded; parallelism lives *across* runs
+//! (many scenarios or seeds, fuzz programs). Each run's randomness is a
+//! pure function of its own `(seed, stream, counter)` draws — see
+//! `mercurial-fault`'s `CounterRng` — so runs can execute on any thread
+//! in any order. What thread-count independence requires is that
+//! *merging* ignore completion order. [`map_parallel`] guarantees that:
+//! results land in input order, so the output is bit-for-bit the same for
+//! any worker count, including one.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// Resolves a `parallelism` knob to a concrete worker count: `0` means
 /// "one worker per available CPU", any other value is taken literally.
@@ -21,72 +20,6 @@ pub fn resolve_parallelism(parallelism: usize) -> usize {
             .unwrap_or(1),
         n => n,
     }
-}
-
-/// Fallback fan-out threshold (abstract work units ≈ µs) when
-/// calibration is unavailable: spawning a scoped thread cost ~140 µs on
-/// the host the original bench ran on, so a batch cheaper than a few
-/// thread-spawns should run serially even when `parallelism > 1`. The
-/// live gate is [`fan_out_min_cost`], which measures the spawn cost on
-/// *this* host at first use instead of trusting this constant.
-pub const FAN_OUT_MIN_COST: u64 = 512;
-
-/// Floor and ceiling for the calibrated threshold: never gate away a
-/// batch cheaper than 64 µs of spawn budget, never demand more than
-/// 65 536 even on a pathologically slow-spawning host.
-const MIN_COST_CLAMP: (u64, u64) = (64, 65_536);
-
-/// Derives the fan-out threshold from an optional `MERCURIAL_FANOUT_MIN_COST`
-/// override and a measured per-spawn cost in µs. Pure, so tests can pin
-/// the policy without racing on process environment: the override wins
-/// when it parses, otherwise the threshold is ~4 thread-spawns (the point
-/// where parallel halving of the work can plausibly repay the spawns),
-/// clamped to [`MIN_COST_CLAMP`].
-fn min_cost_from(env_override: Option<&str>, spawn_cost_us: u64) -> u64 {
-    if let Some(v) = env_override {
-        if let Ok(n) = v.trim().parse::<u64>() {
-            return n;
-        }
-    }
-    (spawn_cost_us.saturating_mul(4)).clamp(MIN_COST_CLAMP.0, MIN_COST_CLAMP.1)
-}
-
-/// The fan-out threshold in use: calibrated once per process by timing
-/// scoped thread spawns through `mercurial-prof` (the satellite PR 7's
-/// re-profile asked for — the old hard-coded ~140 µs constant only held
-/// on the machine that measured it), overridable via the
-/// `MERCURIAL_FANOUT_MIN_COST` environment variable. Purely a scheduling
-/// knob: whichever side of the gate a batch lands on, results are
-/// bit-identical (pinned by `cost_gate_is_bit_identical_on_either_side`).
-pub fn fan_out_min_cost() -> u64 {
-    static CACHED: OnceLock<u64> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        let env = std::env::var("MERCURIAL_FANOUT_MIN_COST").ok();
-        min_cost_from(env.as_deref(), mercurial_prof::measured_spawn_cost_us(4))
-    })
-}
-
-/// [`map_parallel`] with a caller-supplied estimate of the whole batch's
-/// cost: batches estimated below [`fan_out_min_cost`] run on the calling
-/// thread, skipping thread-spawn overhead that would dwarf the work
-/// itself (a sparse fleet between fault onsets simulates a handful of
-/// live cores per epoch). The serial path is the `workers == 1` path of
-/// [`map_parallel`], so the gate never changes results, only scheduling.
-pub fn map_parallel_costed<T, R, F>(
-    items: &[T],
-    parallelism: usize,
-    estimated_cost: u64,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    if estimated_cost < fan_out_min_cost() {
-        return items.iter().map(&f).collect();
-    }
-    map_parallel(items, parallelism, f)
 }
 
 /// Applies `f` to every item, fanning out across up to `parallelism`
@@ -166,37 +99,5 @@ mod tests {
     fn zero_means_available_cpus() {
         assert!(resolve_parallelism(0) >= 1);
         assert_eq!(resolve_parallelism(3), 3);
-    }
-
-    #[test]
-    fn cost_gate_is_bit_identical_on_either_side() {
-        let items: Vec<u64> = (0..64).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x.wrapping_mul(0x9e37)).collect();
-        let gate = fan_out_min_cost();
-        for cost in [0, gate.saturating_sub(1), gate, gate + 1, u64::MAX] {
-            for parallelism in [1, 4] {
-                let got =
-                    map_parallel_costed(&items, parallelism, cost, |&x| x.wrapping_mul(0x9e37));
-                assert_eq!(got, expect, "cost {cost}, parallelism {parallelism}");
-            }
-        }
-    }
-
-    #[test]
-    fn calibrated_threshold_is_clamped_and_overridable() {
-        // Policy is pinned through the pure derivation, not the process
-        // environment (tests share one process; set_var would race).
-        assert_eq!(min_cost_from(Some("777"), 10), 777, "override wins");
-        assert_eq!(
-            min_cost_from(Some("garbage"), 10),
-            64,
-            "bad override ignored"
-        );
-        assert_eq!(min_cost_from(None, 1), 64, "floor");
-        assert_eq!(min_cost_from(None, 140), 560, "~4 spawns");
-        assert_eq!(min_cost_from(None, 1 << 40), 65_536, "ceiling");
-        let live = fan_out_min_cost();
-        assert!((1..=65_536).contains(&live), "live threshold {live}");
-        assert_eq!(live, fan_out_min_cost(), "calibration is cached");
     }
 }

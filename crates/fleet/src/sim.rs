@@ -64,10 +64,6 @@ pub struct SimConfig {
     /// Probability that a detected corruption's machine-check path fires
     /// (loud hardware) rather than a software-visible symptom.
     pub machine_check_share: f64,
-    /// Worker threads for the epoch loop: `0` = one per available CPU,
-    /// `1` = the serial legacy path. Output is bit-for-bit identical for
-    /// every value (see [`crate::par`]).
-    pub parallelism: usize,
     /// Core-iteration strategy; defaults to [`SimEngine::Sparse`]. Both
     /// values produce identical output.
     #[serde(default)]
@@ -83,7 +79,6 @@ impl Default for SimConfig {
             noise_report_rate: 4e-7,
             per_core_epoch_cap: 25,
             machine_check_share: 0.08,
-            parallelism: 0,
             engine: SimEngine::default(),
         }
     }
@@ -106,7 +101,7 @@ pub struct SimSummary {
 
 /// Per-workload-class accounting, kept cumulatively per class in
 /// [`SimState`] (snapshot before an epoch and diff after for per-epoch
-/// deltas). All fields are plain integer sums, so merging epoch shards
+/// deltas). All fields are plain integer sums, so merging machine shards
 /// in any grouping yields the same totals — the same contract as
 /// [`SimSummary::merge`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -173,7 +168,7 @@ impl SimSummary {
     }
 
     /// Adds another summary's counters into this one. All fields are
-    /// plain sums, so merging epoch shards in any grouping yields the
+    /// plain sums, so merging machine shards in any grouping yields the
     /// same totals.
     pub fn merge(&mut self, other: &SimSummary) {
         self.corruptions += other.corruptions;
@@ -216,6 +211,9 @@ pub struct SimState {
     /// (`false`) provably draw nothing and emit nothing, so the sparse
     /// epoch loop skips them (see [`FleetSim::advance_clock`]).
     live: Vec<bool>,
+    /// The indices where `live` is `true`, ascending — the sparse epoch
+    /// loop's scan list, rebuilt only when the clock changes liveness.
+    live_ix: Vec<u32>,
     /// The sparse engine's event clock. Payloads are indices into
     /// `mercurial`; events fire at machine-deploy and activation-onset
     /// edges and re-evaluate liveness.
@@ -529,6 +527,7 @@ impl FleetSim {
             active: vec![true; n],
             core_was_active: vec![false; n],
             live: vec![false; n],
+            live_ix: Vec::new(),
             wake,
             events_processed: 0,
             live_core_epochs: 0,
@@ -547,51 +546,25 @@ impl FleetSim {
         state: &mut SimState,
         log: &mut SignalLog,
         summary: &mut SimSummary,
-    ) -> bool {
-        self.step_epochs(state, 1, log, summary) == 1
-    }
-
-    /// Advances the simulation by up to `max_epochs` epochs and returns
-    /// how many actually ran.
-    ///
-    /// With `config.parallelism != 1` the batch is sharded across worker
-    /// threads under the §4.1 determinism contract: every random draw is
-    /// a pure function of `(seed, stream, counter)`, epochs share no
-    /// mutable state, the active mask is frozen for the whole batch, and
-    /// shards are merged in epoch order — so for any stepping granularity
-    /// the concatenated log equals the serial emission order exactly.
-    /// `summary.active_mercurial_cores` is refreshed after every step to
-    /// the cumulative count so far.
-    pub fn step_epochs(
-        &self,
-        state: &mut SimState,
-        max_epochs: u32,
-        log: &mut SignalLog,
-        summary: &mut SimSummary,
-    ) -> u32 {
-        self.step_epochs_traced(state, max_epochs, log, summary, &mut Recorder::disabled())
-    }
-
-    /// [`FleetSim::step_epoch`] with telemetry recording.
-    pub fn step_epoch_traced(
-        &self,
-        state: &mut SimState,
-        log: &mut SignalLog,
-        summary: &mut SimSummary,
         rec: &mut Recorder,
     ) -> bool {
-        self.step_epochs_traced(state, 1, log, summary, rec) == 1
+        self.step_epochs(state, 1, log, summary, rec) == 1
     }
 
-    /// [`FleetSim::step_epochs`] with telemetry recording.
+    /// Advances the simulation by up to `max_epochs` epochs, in epoch
+    /// order on the calling thread, and returns how many actually ran.
     ///
-    /// Each epoch records into its own shard [`Recorder`] — a `sim.epoch`
-    /// span, per-epoch counters/histograms, and a `sim.first_corruption`
-    /// instant the first time each mercurial core corrupts — and shards
-    /// are absorbed in epoch order, so the trace is identical for any
-    /// `parallelism` and any stepping granularity. With a disabled
-    /// recorder the serial path is the exact untraced loop.
-    pub fn step_epochs_traced(
+    /// Every random draw is a pure function of `(seed, stream, counter)`
+    /// and the active mask only changes between calls, so the
+    /// concatenated log is identical for any stepping granularity.
+    /// `summary.active_mercurial_cores` is refreshed after every step to
+    /// the cumulative count so far.
+    ///
+    /// An enabled `rec` gets, per epoch, a `sim.first_corruption` instant
+    /// the first time each mercurial core corrupts, then a `sim.epoch`
+    /// span with the epoch's counters and histograms; a disabled one makes
+    /// every recorder call a single branch.
+    pub fn step_epochs(
         &self,
         state: &mut SimState,
         max_epochs: u32,
@@ -603,178 +576,40 @@ impl FleetSim {
         let first = state.next_epoch;
         let epoch_hours = self.config.epoch_hours;
         let sparse = self.config.engine == SimEngine::Sparse;
-
-        // Sparse engine: advance the event clock through every epoch start
-        // of the batch up front (liveness depends only on topology ages and
-        // defect profiles, never on epoch outcomes, so this is safe to do
-        // before the fan-out) and snapshot the live index set at each
-        // change point. Epochs between events share one snapshot; healthy
-        // stretches cost one heap peek per epoch and nothing per core.
-        let mut snapshots: Vec<Vec<u32>> = Vec::new();
-        let mut snapshot_of: Vec<usize> = Vec::with_capacity(batch as usize);
-        // Estimated batch cost in live-core-epochs (dense: every core,
-        // every epoch), used to gate the thread fan-out below: a healthy
-        // sparse stretch simulates a handful of cores per epoch, and
-        // spawning workers for that costs more than the work itself.
-        let mut batch_cost: u64 = batch as u64;
-        if sparse {
-            for k in 0..batch {
-                let hour = (first + k) as f64 * epoch_hours;
-                let changed = self.advance_clock(state, hour);
-                if changed || snapshots.is_empty() {
-                    snapshots.push(
-                        state
-                            .live
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(i, &l)| l.then_some(i as u32))
-                            .collect(),
-                    );
-                }
-                snapshot_of.push(snapshots.len() - 1);
-                let live_now = snapshots.last().expect("snapshot pushed above").len() as u64;
-                state.live_core_epochs += live_now;
-                batch_cost += live_now;
-            }
-        } else {
-            batch_cost += batch as u64 * state.mercurial.len() as u64;
-        }
-
-        let shard = state.shard;
-        let SimState {
-            mercurial,
-            active,
-            core_was_active,
-            policies,
-            class_tallies,
-            class_cores,
-            ..
-        } = state;
-        let policies: &[MitigationPolicy] = policies;
-        let class_cores: &[u64] = class_cores;
-        let workers =
-            crate::par::resolve_parallelism(self.config.parallelism).min(batch.max(1) as usize);
-        let flags = rec.flags();
-        let live_of = |epoch: u32| -> Option<&[u32]> {
-            sparse.then(|| snapshots[snapshot_of[(epoch - first) as usize]].as_slice())
-        };
-
-        // One epoch = one shard. The closure is shared by the serial-traced
-        // and parallel paths so they emit bit-identical shards.
-        let run_shard = |epoch: u32| {
-            let mut shard_log = SignalLog::new();
-            let mut shard_summary = SimSummary::default();
-            let mut shard_active = vec![false; mercurial.len()];
-            let mut shard_classes = vec![ClassTally::default(); policies.len()];
-            let mut shard_rec = Recorder::with_flags(flags);
+        for epoch in first..first + batch {
             let hour = epoch as f64 * epoch_hours;
-            shard_rec.begin(hour, "sim.epoch");
-            self.run_epoch(
-                epoch,
-                mercurial,
-                active,
-                live_of(epoch),
-                shard,
-                policies,
-                class_cores,
-                &mut shard_log,
-                &mut shard_summary,
-                &mut shard_active,
-                &mut shard_classes,
-            );
-            shard_rec.counter_add("sim.corruptions", shard_summary.corruptions);
-            shard_rec.counter_add("sim.signals_emitted", shard_summary.signals_emitted);
-            shard_rec.counter_add("sim.noise_signals", shard_summary.noise_signals);
+            // Sparse engine: advance the event clock to this epoch's start;
+            // healthy stretches cost one heap peek and nothing per core.
+            if sparse {
+                if self.advance_clock(state, hour) {
+                    state.live_ix = (0..state.live.len() as u32)
+                        .filter(|&i| state.live[i as usize])
+                        .collect();
+                }
+                state.live_core_epochs += state.live_ix.len() as u64;
+            }
+            let before = *summary;
+            self.run_epoch(epoch, state, sparse, log, summary, rec);
+            let corruptions = summary.corruptions - before.corruptions;
+            let signals = summary.signals_emitted - before.signals_emitted;
+            let noise = summary.noise_signals - before.noise_signals;
+            rec.begin(hour, "sim.epoch");
+            rec.counter_add("sim.corruptions", corruptions);
+            rec.counter_add("sim.signals_emitted", signals);
+            rec.counter_add("sim.noise_signals", noise);
             // Per-epoch histograms describe the *fleet-wide* epoch; a
             // shard only sees its slice, so the serve aggregator observes
             // the cross-shard sums instead (counters above still sum
             // exactly across shards).
-            if shard.is_none() {
-                shard_rec.observe("sim.epoch_corruptions", shard_summary.corruptions as f64);
-                shard_rec.observe(
-                    "sim.epoch_signals",
-                    (shard_summary.signals_emitted + shard_summary.noise_signals) as f64,
-                );
+            if state.shard.is_none() {
+                rec.observe("sim.epoch_corruptions", corruptions as f64);
+                rec.observe("sim.epoch_signals", (signals + noise) as f64);
             }
-            shard_rec.end(hour + epoch_hours, "sim.epoch");
-            (
-                shard_log,
-                shard_summary,
-                shard_active,
-                shard_classes,
-                shard_rec,
-            )
-        };
-        // Shard merge, always in epoch order. First-corruption instants are
-        // derived here by diffing the shard's activity against the
-        // cumulative mask *before* or-ing it in: shards start from a blank
-        // mask, so deriving them inside `run_epoch` would re-fire on every
-        // later shard.
-        type EpochShard = (SignalLog, SimSummary, Vec<bool>, Vec<ClassTally>, Recorder);
-        let mut merge_shard = |epoch: u32, shard: EpochShard| {
-            let (shard_log, shard_summary, shard_active, shard_classes, shard_rec) = shard;
-            if flags.enabled {
-                let hour = epoch as f64 * epoch_hours;
-                for (i, &hit) in shard_active.iter().enumerate() {
-                    if hit && !core_was_active[i] {
-                        rec.instant(
-                            hour,
-                            "sim.first_corruption",
-                            Some(mercurial[i].as_u64()),
-                            0.0,
-                        );
-                    }
-                }
-            }
-            rec.absorb(shard_rec);
-            log.append(shard_log);
-            summary.merge(&shard_summary);
-            for (mine, theirs) in class_tallies.iter_mut().zip(&shard_classes) {
-                mine.merge(theirs);
-            }
-            for (mine, theirs) in core_was_active.iter_mut().zip(shard_active) {
-                *mine |= theirs;
-            }
-        };
-
-        if workers <= 1 {
-            if flags.enabled {
-                for epoch in first..first + batch {
-                    let shard = run_shard(epoch);
-                    merge_shard(epoch, shard);
-                }
-            } else {
-                // The zero-cost path: the exact untraced serial loop.
-                for epoch in first..first + batch {
-                    self.run_epoch(
-                        epoch,
-                        mercurial,
-                        active,
-                        live_of(epoch),
-                        shard,
-                        policies,
-                        class_cores,
-                        log,
-                        summary,
-                        core_was_active,
-                        class_tallies,
-                    );
-                }
-            }
-        } else {
-            let epoch_ids: Vec<u32> = (first..first + batch).collect();
-            let shards = crate::par::map_parallel_costed(
-                &epoch_ids,
-                self.config.parallelism,
-                batch_cost,
-                |&epoch| run_shard(epoch),
-            );
-            for (epoch, shard) in epoch_ids.into_iter().zip(shards) {
-                merge_shard(epoch, shard);
-            }
+            rec.end(hour + epoch_hours, "sim.epoch");
         }
         state.next_epoch += batch;
-        summary.active_mercurial_cores = core_was_active.iter().filter(|&&a| a).count() as u64;
+        summary.active_mercurial_cores =
+            state.core_was_active.iter().filter(|&&a| a).count() as u64;
         batch
     }
 
@@ -788,7 +623,13 @@ impl FleetSim {
         let mut state = self.begin();
         let mut log = SignalLog::new();
         let mut summary = SimSummary::default();
-        self.step_epochs(&mut state, u32::MAX, &mut log, &mut summary);
+        self.step_epochs(
+            &mut state,
+            u32::MAX,
+            &mut log,
+            &mut summary,
+            &mut Recorder::disabled(),
+        );
         log.sort_by_time();
         (log, summary)
     }
@@ -846,55 +687,62 @@ impl FleetSim {
     }
 
     /// Simulates one epoch: every deployed, in-service mercurial core,
-    /// then the background noise layer. `mask` and `was_active` are
-    /// indexed like `mercurial`; `live` (sparse engine) narrows the scan
-    /// to the event clock's live index set, in the same ascending order.
-    #[allow(clippy::too_many_arguments)]
+    /// then the background noise layer. Under the sparse engine the scan
+    /// narrows to the event clock's live index set, in the same ascending
+    /// order. A core's first corruption is recorded as a
+    /// `sim.first_corruption` instant.
     fn run_epoch(
         &self,
         epoch: u32,
-        mercurial: &[CoreUid],
-        mask: &[bool],
-        live: Option<&[u32]>,
-        shard: Option<(u32, u32)>,
-        policies: &[MitigationPolicy],
-        class_cores: &[u64],
+        state: &mut SimState,
+        sparse: bool,
         log: &mut SignalLog,
         summary: &mut SimSummary,
-        was_active: &mut [bool],
-        classes: &mut [ClassTally],
+        rec: &mut Recorder,
     ) {
         let hour = epoch as f64 * self.config.epoch_hours;
-        match live {
-            Some(live) => {
-                // Sparse: liveness implies the machine is deployed (wakes
-                // never fire before the deploy hour), and every skipped
-                // core provably draws and emits nothing (see
-                // `advance_clock`), so this equals the dense scan below
-                // bit for bit.
-                for &i in live {
-                    let i = i as usize;
-                    let uid = mercurial[i];
-                    debug_assert!(self.topo.is_deployed(uid.machine, hour));
-                    if !mask[i] {
-                        continue;
-                    }
-                    was_active[i] |=
-                        self.epoch_core(uid, hour, epoch, policies, classes, log, summary);
-                }
+        let SimState {
+            mercurial,
+            active,
+            core_was_active,
+            live_ix,
+            shard,
+            policies,
+            class_tallies,
+            class_cores,
+            ..
+        } = state;
+        let mercurial: &[CoreUid] = mercurial;
+        let mut visit = |i: usize| {
+            let uid = mercurial[i];
+            if !active[i] {
+                return;
             }
-            None => {
-                for (i, &uid) in mercurial.iter().enumerate() {
-                    if !mask[i] || !self.topo.is_deployed(uid.machine, hour) {
-                        continue;
-                    }
-                    was_active[i] |=
-                        self.epoch_core(uid, hour, epoch, policies, classes, log, summary);
+            if self.epoch_core(uid, hour, epoch, policies, class_tallies, log, summary)
+                && !core_was_active[i]
+            {
+                core_was_active[i] = true;
+                rec.instant(hour, "sim.first_corruption", Some(uid.as_u64()), 0.0);
+            }
+        };
+        if sparse {
+            // Liveness implies the machine is deployed (wakes never fire
+            // before the deploy hour), and every skipped core provably
+            // draws and emits nothing (see `advance_clock`), so this
+            // equals the dense scan below bit for bit.
+            for &i in live_ix.iter() {
+                debug_assert!(self.topo.is_deployed(mercurial[i as usize].machine, hour));
+                visit(i as usize);
+            }
+        } else {
+            for (i, uid) in mercurial.iter().enumerate() {
+                if self.topo.is_deployed(uid.machine, hour) {
+                    visit(i);
                 }
             }
         }
-        self.epoch_noise(hour, epoch, shard, log, summary);
-        self.epoch_overhead(hour, shard, policies, class_cores, classes);
+        self.epoch_noise(hour, epoch, *shard, log, summary);
+        self.epoch_overhead(hour, *shard, policies, class_cores, class_tallies);
     }
 
     /// Simulates one mercurial core for one epoch; returns whether it
@@ -1280,9 +1128,8 @@ impl FleetSim {
 
     /// Meters the epoch's mitigation overhead into the per-class cost
     /// tallies. RNG-free and built from u64 sums over the shard's owned
-    /// machines, so it is exact under any shard partition and any
-    /// parallelism; with every policy at `None` it is a no-op, keeping
-    /// legacy runs cost-free.
+    /// machines, so it is exact under any shard partition; with every
+    /// policy at `None` it is a no-op, keeping legacy runs cost-free.
     fn epoch_overhead(
         &self,
         hour: f64,
@@ -1512,68 +1359,30 @@ mod tests {
     }
 
     #[test]
-    fn parallel_run_matches_serial_bit_for_bit() {
+    fn traced_stepping_is_granularity_invariant() {
         let uid = CoreUid::new(3, 0, 1);
-        let build = |parallelism: usize| {
-            let topo = FleetTopology::build(FleetConfig::tiny(50, 21));
-            let pop = Population::with_explicit(21, vec![(uid, library::string_bitflip(9, 1e-4))]);
-            FleetSim::new(
-                topo,
-                pop,
-                SimConfig {
-                    months: 6,
-                    parallelism,
-                    ..SimConfig::default()
-                },
-            )
-        };
-        let (serial_log, serial_summary) = build(1).run();
-        assert!(serial_summary.signals_emitted > 0, "defect must fire");
-        for threads in [2usize, 3, 8] {
-            let (log, summary) = build(threads).run();
-            assert_eq!(summary, serial_summary, "{threads} threads");
-            assert_eq!(log.all(), serial_log.all(), "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn traced_stepping_is_parallelism_and_granularity_invariant() {
-        let uid = CoreUid::new(3, 0, 1);
-        let build = |parallelism: usize| {
-            let topo = FleetTopology::build(FleetConfig::tiny(50, 21));
-            let pop = Population::with_explicit(21, vec![(uid, library::string_bitflip(9, 1e-4))]);
-            FleetSim::new(
-                topo,
-                pop,
-                SimConfig {
-                    months: 6,
-                    parallelism,
-                    ..SimConfig::default()
-                },
-            )
-        };
-        let trace_of = |parallelism: usize, granularity: u32| {
-            let sim = build(parallelism);
+        let sim = tiny_sim(50, vec![(uid, library::string_bitflip(9, 1e-4))], 6);
+        let trace_of = |granularity: u32| {
             let mut state = sim.begin();
             let mut log = SignalLog::new();
             let mut summary = SimSummary::default();
             let mut rec = Recorder::with_flags(mercurial_trace::TraceFlags::enabled());
             while !state.is_done() {
-                sim.step_epochs_traced(&mut state, granularity, &mut log, &mut summary, &mut rec);
+                sim.step_epochs(&mut state, granularity, &mut log, &mut summary, &mut rec);
             }
             (rec.finish().to_jsonl(), log, summary)
         };
-        let (base_jsonl, base_log, base_summary) = trace_of(1, u32::MAX);
+        let (base_jsonl, base_log, base_summary) = trace_of(u32::MAX);
         assert!(base_jsonl.contains("sim.first_corruption"));
         assert!(base_jsonl.contains("\"k\":\"B\",\"n\":\"sim.epoch\""));
-        for (threads, granularity) in [(1usize, 1u32), (2, u32::MAX), (2, 5), (8, u32::MAX)] {
-            let (jsonl, log, summary) = trace_of(threads, granularity);
-            assert_eq!(jsonl, base_jsonl, "{threads} threads / batch {granularity}");
+        for granularity in [1u32, 5] {
+            let (jsonl, log, summary) = trace_of(granularity);
+            assert_eq!(jsonl, base_jsonl, "batch {granularity}");
             assert_eq!(log.all(), base_log.all());
             assert_eq!(summary, base_summary);
         }
         // The traced run perturbs nothing: untraced output is identical.
-        let (untraced_log, untraced_summary) = build(1).run();
+        let (untraced_log, untraced_summary) = sim.run();
         let mut sorted = base_log;
         sorted.sort_by_time();
         assert_eq!(sorted.all(), untraced_log.all());
@@ -1590,7 +1399,14 @@ mod tests {
             let mut state = sim.begin();
             let mut log = SignalLog::new();
             let mut summary = SimSummary::default();
-            while sim.step_epochs(&mut state, granularity, &mut log, &mut summary) > 0 {}
+            while sim.step_epochs(
+                &mut state,
+                granularity,
+                &mut log,
+                &mut summary,
+                &mut Recorder::disabled(),
+            ) > 0
+            {}
             assert!(state.is_done());
             log.sort_by_time();
             assert_eq!(summary, full_summary, "granularity {granularity}");
@@ -1607,15 +1423,32 @@ mod tests {
         let mut summary = SimSummary::default();
         // Run the first half in service, then pull the core.
         let half = state.total_epochs() / 2;
-        sim.step_epochs(&mut state, half, &mut log, &mut summary);
+        sim.step_epochs(
+            &mut state,
+            half,
+            &mut log,
+            &mut summary,
+            &mut Recorder::disabled(),
+        );
         let corruptions_before = summary.corruptions;
         assert!(corruptions_before > 0, "defect must fire in the first half");
-        assert!(sim.step_epoch(&mut state, &mut log, &mut summary));
+        assert!(sim.step_epoch(
+            &mut state,
+            &mut log,
+            &mut summary,
+            &mut Recorder::disabled()
+        ));
         let masked_hour = state.hour();
         assert!(state.set_active(uid, false), "core is mercurial");
         assert!(!state.is_active(uid));
         let corruptions_at_mask = summary.corruptions;
-        sim.step_epochs(&mut state, u32::MAX, &mut log, &mut summary);
+        sim.step_epochs(
+            &mut state,
+            u32::MAX,
+            &mut log,
+            &mut summary,
+            &mut Recorder::disabled(),
+        );
         assert_eq!(
             summary.corruptions, corruptions_at_mask,
             "a masked core draws no corruption"
@@ -1750,7 +1583,7 @@ mod tests {
     /// A rollout fleet carrying a from-birth defect, a mid-window latent
     /// defect, and a control-path defect — exercises deploy wakes, onset
     /// wakes, and permanently-live cores all at once.
-    fn parity_fleet(seed: u64, engine: SimEngine, parallelism: usize, months: u32) -> FleetSim {
+    fn parity_fleet(seed: u64, engine: SimEngine, months: u32) -> FleetSim {
         let topo = FleetTopology::build(FleetConfig {
             machines: 120,
             sockets_per_machine: 2,
@@ -1774,7 +1607,6 @@ mod tests {
             pop,
             SimConfig {
                 months,
-                parallelism,
                 engine,
                 ..SimConfig::default()
             },
@@ -1784,51 +1616,49 @@ mod tests {
     #[test]
     fn sparse_engine_matches_dense_bit_for_bit() {
         for seed in [21u64, 97, 4242] {
-            let (dense_log, dense_summary) = parity_fleet(seed, SimEngine::Dense, 1, 9).run();
+            let (dense_log, dense_summary) = parity_fleet(seed, SimEngine::Dense, 9).run();
             assert!(
                 dense_summary.signals_emitted > 0,
                 "seed {seed}: defects must fire"
             );
-            for parallelism in [1usize, 2, 8] {
-                for granularity in [1u32, 5, u32::MAX] {
-                    let sim = parity_fleet(seed, SimEngine::Sparse, parallelism, 9);
-                    let mut state = sim.begin();
-                    let mut log = SignalLog::new();
-                    let mut summary = SimSummary::default();
-                    while sim.step_epochs(&mut state, granularity, &mut log, &mut summary) > 0 {}
-                    log.sort_by_time();
-                    assert_eq!(
-                        summary, dense_summary,
-                        "seed {seed}, {parallelism} workers, batch {granularity}"
-                    );
-                    assert_eq!(
-                        log.all(),
-                        dense_log.all(),
-                        "seed {seed}, {parallelism} workers, batch {granularity}"
-                    );
+            let sim = parity_fleet(seed, SimEngine::Sparse, 9);
+            for granularity in [1u32, 5, u32::MAX] {
+                let mut state = sim.begin();
+                let mut log = SignalLog::new();
+                let mut summary = SimSummary::default();
+                let mut rec = Recorder::disabled();
+                while sim.step_epochs(&mut state, granularity, &mut log, &mut summary, &mut rec) > 0
+                {
                 }
+                log.sort_by_time();
+                assert_eq!(summary, dense_summary, "seed {seed}, batch {granularity}");
+                assert_eq!(
+                    log.all(),
+                    dense_log.all(),
+                    "seed {seed}, batch {granularity}"
+                );
             }
         }
     }
 
     #[test]
     fn sparse_trace_matches_dense_trace_bit_for_bit() {
-        let trace_of = |engine: SimEngine, parallelism: usize, granularity: u32| {
-            let sim = parity_fleet(33, engine, parallelism, 9);
+        let trace_of = |engine: SimEngine, granularity: u32| {
+            let sim = parity_fleet(33, engine, 9);
             let mut state = sim.begin();
             let mut log = SignalLog::new();
             let mut summary = SimSummary::default();
             let mut rec = Recorder::with_flags(mercurial_trace::TraceFlags::enabled());
             while !state.is_done() {
-                sim.step_epochs_traced(&mut state, granularity, &mut log, &mut summary, &mut rec);
+                sim.step_epochs(&mut state, granularity, &mut log, &mut summary, &mut rec);
             }
             (rec.finish().to_jsonl(), log, summary)
         };
-        let (dense_jsonl, dense_log, dense_summary) = trace_of(SimEngine::Dense, 1, u32::MAX);
+        let (dense_jsonl, dense_log, dense_summary) = trace_of(SimEngine::Dense, u32::MAX);
         assert!(dense_jsonl.contains("sim.first_corruption"));
-        for (parallelism, granularity) in [(1usize, 1u32), (2, 5), (8, u32::MAX)] {
-            let (jsonl, log, summary) = trace_of(SimEngine::Sparse, parallelism, granularity);
-            assert_eq!(jsonl, dense_jsonl, "{parallelism} workers / {granularity}");
+        for granularity in [1u32, 5, u32::MAX] {
+            let (jsonl, log, summary) = trace_of(SimEngine::Sparse, granularity);
+            assert_eq!(jsonl, dense_jsonl, "batch {granularity}");
             assert_eq!(log.all(), dense_log.all());
             assert_eq!(summary, dense_summary);
         }
@@ -1858,7 +1688,14 @@ mod tests {
         let mut state = sim.begin();
         let mut log = SignalLog::new();
         let mut summary = SimSummary::default();
-        while sim.step_epochs(&mut state, 7, &mut log, &mut summary) > 0 {}
+        while sim.step_epochs(
+            &mut state,
+            7,
+            &mut log,
+            &mut summary,
+            &mut Recorder::disabled(),
+        ) > 0
+        {}
         assert_eq!(summary.corruptions, 0);
         let stats = state.clock_stats();
         assert_eq!(stats.events_processed, 2, "one deploy wake per core");
@@ -1877,7 +1714,14 @@ mod tests {
             let mut state = sim.begin();
             let mut log = SignalLog::new();
             let mut summary = SimSummary::default();
-            while sim.step_epochs(&mut state, u32::MAX, &mut log, &mut summary) > 0 {}
+            while sim.step_epochs(
+                &mut state,
+                u32::MAX,
+                &mut log,
+                &mut summary,
+                &mut Recorder::disabled(),
+            ) > 0
+            {}
             (state.clock_stats(), state.total_epochs())
         };
         let (sparse, epochs) = run(SimEngine::Sparse);
@@ -1986,7 +1830,7 @@ mod tests {
             v
         };
         for seed in [21u64, 97] {
-            let sim = parity_fleet(seed, SimEngine::Sparse, 1, 9);
+            let sim = parity_fleet(seed, SimEngine::Sparse, 9);
             let (full_log, full_summary) = sim.run();
             assert!(full_summary.signals_emitted > 0, "defects must fire");
             assert!(full_summary.noise_signals > 0, "noise must flow");
@@ -2001,7 +1845,14 @@ mod tests {
                     assert_eq!(state.shard_range(), Some((lo, hi)));
                     let mut log = SignalLog::new();
                     let mut summary = SimSummary::default();
-                    while sim.step_epochs(&mut state, u32::MAX, &mut log, &mut summary) > 0 {}
+                    while sim.step_epochs(
+                        &mut state,
+                        u32::MAX,
+                        &mut log,
+                        &mut summary,
+                        &mut Recorder::disabled(),
+                    ) > 0
+                    {}
                     merged.append(log);
                     summed.merge(&summary);
                 }

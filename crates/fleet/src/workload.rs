@@ -15,8 +15,8 @@ use serde::{Deserialize, Serialize};
 /// A deterministic, periodic scaling of a class's traffic over simulated
 /// time: `intensity(hour) = 1 + amplitude · sin(2π(hour + phase)/period)`,
 /// clamped strictly positive. The shape is a pure function of the hour —
-/// no random draws — so it is bit-for-bit reproducible at any
-/// parallelism, stepping granularity, or shard partition. The default is
+/// no random draws — so it is bit-for-bit reproducible at any stepping
+/// granularity or shard partition. The default is
 /// flat (`amplitude = 0`), and a flat shape is guaranteed to leave every
 /// rate bit-identical to a shapeless build (its intensity is exactly
 /// `1.0` and is never even multiplied in).

@@ -9,10 +9,10 @@
 //! end-to-end argument [20]), verified on read and by a background
 //! scrubber.
 
-use bytes::Bytes;
 use mercurial_corpus::crc::{crc_bitwise, POLY_CRC32C};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Store errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,7 +62,7 @@ fn crc32c(data: &[u8]) -> u32 {
 }
 
 struct Entry {
-    data: Bytes,
+    data: Arc<[u8]>,
     crc: u32,
 }
 
@@ -118,7 +118,7 @@ impl ChecksummedStore {
         self.entries.insert(
             key.into(),
             Entry {
-                data: Bytes::from(persisted),
+                data: persisted.into(),
                 crc,
             },
         );
@@ -135,7 +135,7 @@ impl ChecksummedStore {
     /// # Errors
     ///
     /// [`StoreError::NotFound`] or [`StoreError::CorruptOnRead`].
-    pub fn get(&self, key: &str) -> Result<Bytes, StoreError> {
+    pub fn get(&self, key: &str) -> Result<Arc<[u8]>, StoreError> {
         let entry = self.entries.get(key).ok_or(StoreError::NotFound)?;
         let got = crc32c(&entry.data);
         if got != entry.crc {
@@ -157,7 +157,7 @@ impl ChecksummedStore {
             let mut data = entry.data.to_vec();
             if byte < data.len() {
                 data[byte] ^= 1 << (bit & 7);
-                entry.data = Bytes::from(data);
+                entry.data = data.into();
                 return true;
             }
         }

@@ -19,12 +19,10 @@
 //! a prof-off run (`crates/core/tests/prof_parity.rs` pins this against
 //! the E20 digests).
 
-mod calibrate;
 mod meta;
 mod profiler;
 mod report;
 
-pub use calibrate::measured_spawn_cost_us;
 pub use meta::{BenchMeta, HostInfo, MetaPhase, BENCH_META_SCHEMA};
 pub use profiler::{peak_rss_bytes, PhaseGuard, Prof};
 pub use report::{PhaseNode, ProfileEntry, SelfProfile};

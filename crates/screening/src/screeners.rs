@@ -24,7 +24,6 @@
 
 use mercurial_fault::{CoreUid, FunctionalUnit, OperatingPoint};
 use mercurial_fault::{FastMap, FastSet};
-use mercurial_fleet::par::map_parallel;
 use mercurial_fleet::population::TestSpec;
 use mercurial_fleet::FleetTopology;
 use mercurial_fleet::{Population, Signal, SignalKind, SignalLog};
@@ -396,20 +395,16 @@ fn detect_event_name(method: DetectionMethod) -> &'static str {
     }
 }
 
-/// Fans a batch of per-machine screens through [`map_parallel`] and merges
-/// the results serially in machine order.
+/// Screens a batch of machines in task order and merges each result as
+/// it lands.
 ///
 /// Machines own disjoint core sets and `screen_machine` reads `detected`
-/// as a snapshot, so the merged outcome is bit-for-bit identical to the
-/// serial loop at any worker count — including the `ScreeningStats` f64
-/// drain accumulation, which is summed in the same order the serial loop
-/// would have. Telemetry is emitted only in the serial merge loop (task
-/// order), so the trace inherits the same determinism.
+/// as a per-batch snapshot (a batch visits each machine at most once), so
+/// a detection on one machine never changes what another sees.
 fn run_machine_tasks(
     topo: &FleetTopology,
     pop: &Population,
     tasks: &[MachineTask],
-    parallelism: usize,
     sinks: &mut ScreenSinks<'_>,
     rec: &mut Recorder,
 ) {
@@ -424,7 +419,13 @@ fn run_machine_tasks(
     for cores in by_machine.values_mut() {
         cores.sort_unstable();
     }
-    let results: Vec<(Vec<CoreUid>, ScreeningStats)> = map_parallel(tasks, parallelism, |task| {
+    // The three screen.* counters are bumped once per batch, not once per
+    // task: a campaign sweep runs millions of machine tasks, and a
+    // per-task `counter_add` turns the merge loop into millions of
+    // metric-map lookups that dwarf the screening work itself. u64 sums
+    // are exactly associative, so the batch totals are bit-identical.
+    let (mut core_screens, mut test_ops, mut detections) = (0u64, 0u64, 0u64);
+    for task in tasks {
         let mut local = ScreeningStats::default();
         let detected_on_machine = by_machine
             .get(&task.machine)
@@ -441,15 +442,6 @@ fn run_machine_tasks(
             detected_on_machine,
             &mut local,
         );
-        (newly, local)
-    });
-    // The three screen.* counters are bumped once per batch, not once per
-    // task: a campaign sweep runs millions of machine tasks, and a
-    // per-task `counter_add` turns the merge loop into millions of
-    // metric-map lookups that dwarf the screening work itself. u64 sums
-    // are exactly associative, so the batch totals are bit-identical.
-    let (mut core_screens, mut test_ops, mut detections) = (0u64, 0u64, 0u64);
-    for (task, (newly, local)) in tasks.iter().zip(results) {
         if machine_spans {
             rec.begin(task.hour, "screen.machine");
             rec.end(task.hour + task.drain_hours, "screen.machine");
@@ -497,9 +489,6 @@ pub struct BurnIn {
     pub schedule: EraSchedule,
     /// Multiplier on the era's op budget (burn-in can afford more).
     pub ops_multiplier: u64,
-    /// Worker threads for the per-machine fan-out (1 = serial; results
-    /// are identical at any value).
-    pub parallelism: usize,
 }
 
 impl BurnIn {
@@ -538,7 +527,6 @@ impl BurnIn {
             topo,
             pop,
             &tasks,
-            self.parallelism,
             &mut ScreenSinks {
                 detected: &mut *detected,
                 log: &mut *log,
@@ -676,7 +664,6 @@ impl BurnInCampaign {
             topo,
             pop,
             &tasks,
-            self.screener.parallelism,
             &mut ScreenSinks {
                 detected: &mut *detected,
                 log: &mut *log,
@@ -714,9 +701,6 @@ pub struct OfflineScreener {
     /// Machine-hours of drain charged per machine screened (migration +
     /// idle time; the §6 "draining a workload … can be expensive").
     pub drain_hours_per_machine: f64,
-    /// Worker threads for the per-machine fan-out within a sweep (1 =
-    /// serial; results are identical at any value).
-    pub parallelism: usize,
 }
 
 impl Default for OfflineScreener {
@@ -726,7 +710,6 @@ impl Default for OfflineScreener {
             interval_hours: 730.0 / 2.0, // twice a month
             fraction_per_sweep: 0.10,
             drain_hours_per_machine: 0.5,
-            parallelism: 1,
         }
     }
 }
@@ -745,7 +728,7 @@ impl OfflineScreener {
     ) -> Vec<MachineTask> {
         let n_machines = topo.machines().len() as u64;
         // Clamped so a sweep never visits a machine twice (a duplicate
-        // would see a stale detected-snapshot under the parallel fan-out).
+        // would see a stale per-batch detected-snapshot).
         let per_sweep = ((n_machines as f64 * self.fraction_per_sweep).ceil() as u64)
             .max(1)
             .min(n_machines);
@@ -895,7 +878,6 @@ impl OfflineCampaign {
                 topo,
                 pop,
                 &tasks,
-                self.screener.parallelism,
                 &mut ScreenSinks {
                     detected: &mut *detected,
                     log: &mut *log,
@@ -934,9 +916,6 @@ pub struct OnlineScreener {
     pub interval_hours: f64,
     /// Fraction of the era's op budget available from spare cycles.
     pub ops_fraction: f64,
-    /// Worker threads for the per-machine fan-out within a pass (1 =
-    /// serial; results are identical at any value).
-    pub parallelism: usize,
 }
 
 impl Default for OnlineScreener {
@@ -945,7 +924,6 @@ impl Default for OnlineScreener {
             schedule: EraSchedule::default_history(),
             interval_hours: 73.0,
             ops_fraction: 0.05,
-            parallelism: 1,
         }
     }
 }
@@ -1120,7 +1098,6 @@ impl OnlineCampaign {
                 topo,
                 pop,
                 &tasks,
-                self.screener.parallelism,
                 &mut ScreenSinks {
                     detected: &mut *detected,
                     log: &mut *log,
@@ -1194,7 +1171,6 @@ mod tests {
         let burnin = BurnIn {
             schedule: EraSchedule::default_history(),
             ops_multiplier: 10,
-            parallelism: 1,
         };
         let (records, stats) = burnin.run(&topo, &pop, &mut detected, &mut log);
         assert_eq!(records.len(), 1);
@@ -1218,7 +1194,6 @@ mod tests {
         let burnin = BurnIn {
             schedule: EraSchedule::default_history(),
             ops_multiplier: 100,
-            parallelism: 1,
         };
         let (records, _) = burnin.run(&topo, &pop, &mut detected, &mut log);
         assert!(records.is_empty(), "latent defect must escape burn-in");
@@ -1370,63 +1345,6 @@ mod tests {
     }
 
     #[test]
-    fn screening_verdicts_identical_across_thread_counts() {
-        // The determinism contract for the sharded screeners: records,
-        // stats (including the f64 drain accumulator), signal logs, and
-        // the detected set must be bit-for-bit identical at 1/2/8 workers.
-        let topo = topo(24, 39);
-        let defects = vec![
-            hot_core(2),
-            hot_core(9),
-            hot_core(17),
-            (
-                CoreUid::new(5, 0, 1),
-                library::late_onset_muldiv(1.5 * 730.0, 1e-3),
-            ),
-            (CoreUid::new(12, 0, 0), library::low_freq_worse_alu(0.9)),
-            (CoreUid::new(20, 0, 2), library::self_inverting_aes()),
-        ];
-        let pop = Population::with_explicit(39, defects);
-
-        let run_all = |parallelism: usize| {
-            let mut detected = FastSet::default();
-            let mut log = SignalLog::new();
-            let burnin = BurnIn {
-                schedule: EraSchedule::default_history(),
-                ops_multiplier: 5,
-                parallelism,
-            };
-            let offline = OfflineScreener {
-                fraction_per_sweep: 0.5,
-                parallelism,
-                ..OfflineScreener::default()
-            };
-            let online = OnlineScreener {
-                parallelism,
-                ..OnlineScreener::default()
-            };
-            let (mut records, b_stats) = burnin.run(&topo, &pop, &mut detected, &mut log);
-            let (off_rec, off_stats) = offline.run(&topo, &pop, 30, &mut detected, &mut log);
-            let (on_rec, on_stats) = online.run(&topo, &pop, 30, &mut detected, &mut log);
-            records.extend(off_rec);
-            records.extend(on_rec);
-            let mut det: Vec<CoreUid> = detected.into_iter().collect();
-            det.sort_by_key(|c| c.as_u64());
-            (records, [b_stats, off_stats, on_stats], det, log)
-        };
-
-        let (rec1, stats1, det1, log1) = run_all(1);
-        assert!(!rec1.is_empty(), "test needs some detections to compare");
-        for threads in [2, 8] {
-            let (rec, stats, det, log) = run_all(threads);
-            assert_eq!(rec, rec1, "records diverge at {threads} threads");
-            assert_eq!(stats, stats1, "stats diverge at {threads} threads");
-            assert_eq!(det, det1, "detected set diverges at {threads} threads");
-            assert_eq!(log.all(), log1.all(), "logs diverge at {threads} threads");
-        }
-    }
-
-    #[test]
     fn stepped_campaigns_match_batch_runs() {
         // Offline/online: stepping in arbitrary hour increments must
         // reproduce the batch run bit-for-bit (same sweeps, same order).
@@ -1505,7 +1423,6 @@ mod tests {
         let burnin = BurnIn {
             schedule: EraSchedule::default_history(),
             ops_multiplier: 10,
-            parallelism: 1,
         };
         let mut batch_detected = FastSet::default();
         let mut batch_log = SignalLog::new();
@@ -1577,7 +1494,6 @@ mod tests {
             let burnin = BurnIn {
                 schedule: EraSchedule::default_history(),
                 ops_multiplier: 5,
-                parallelism: 1,
             };
             let offline = OfflineScreener {
                 fraction_per_sweep: 0.5,
@@ -1653,7 +1569,6 @@ mod tests {
         let burnin = BurnIn {
             schedule: EraSchedule::default_history(),
             ops_multiplier: 5,
-            parallelism: 1,
         };
         let offline = OfflineScreener {
             fraction_per_sweep: 0.5,

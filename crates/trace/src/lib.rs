@@ -12,13 +12,11 @@
 //!
 //! ## Determinism contract
 //!
-//! Events carry the simulation hour, never wall-clock time, and every
-//! parallel producer records into its own shard [`Recorder`] which the
-//! driver merges in shard order ([`Recorder::shard`] /
-//! [`Recorder::absorb`]) — the same contract as
-//! `fleet::par::map_parallel`. A trace is therefore a pure function of
-//! `(scenario, seed)`: byte-for-byte identical at 1, 2, or 8 worker
-//! threads.
+//! Events carry the simulation hour, never wall-clock time, and a run
+//! records on one thread in emission order. A trace is therefore a pure
+//! function of `(scenario, seed)`: byte-for-byte identical on every
+//! replay. Served runs split the fleet across worker processes; the
+//! server concatenates their event streams in worker order.
 //!
 //! ## Cost when disabled
 //!

@@ -1,10 +1,8 @@
 //! The [`Recorder`]: the single handle instrumented code writes through.
 //!
 //! Enabled recorders buffer events and metrics; disabled recorders are a
-//! `None` and every method is one branch with no allocation. Parallel
-//! producers record into [`Recorder::shard`] clones which the driver
-//! merges back in shard order with [`Recorder::absorb`] — the same
-//! determinism contract as `fleet::par::map_parallel`.
+//! `None` and every method is one branch with no allocation. A run
+//! records on one thread, so events land in emission order.
 
 use crate::event::{EventKind, TraceEvent};
 use crate::metric::MetricSet;
@@ -83,25 +81,6 @@ impl Recorder {
             .as_ref()
             .map(|i| i.flags)
             .unwrap_or_else(TraceFlags::disabled)
-    }
-
-    /// An empty recorder with the same flags, for a parallel worker to
-    /// fill. Shards of a disabled recorder are disabled, so parallel code
-    /// paths pay nothing when tracing is off.
-    pub fn shard(&self) -> Recorder {
-        Recorder::with_flags(self.flags())
-    }
-
-    /// Merge a worker shard back. Events append in call order — the caller
-    /// must absorb shards in deterministic (input-index) order, exactly as
-    /// `map_parallel` returns them. Counters sum; gauges take the shard's
-    /// value; histograms merge exactly.
-    pub fn absorb(&mut self, shard: Recorder) {
-        let (Some(inner), Some(other)) = (self.inner.as_deref_mut(), shard.inner) else {
-            return;
-        };
-        inner.events.extend_from_slice(&other.events);
-        inner.metrics.merge(&other.metrics);
     }
 
     /// Open a span at `hour`. Must be matched by [`Recorder::end`] with the
@@ -269,7 +248,6 @@ mod tests {
     fn with_flags_disabled_is_inert() {
         let r = Recorder::with_flags(TraceFlags::disabled());
         assert!(!r.enabled());
-        assert!(!r.shard().enabled());
     }
 
     #[test]
@@ -283,36 +261,6 @@ mod tests {
         assert_eq!(t.events[0].kind, EventKind::Begin);
         assert_eq!(t.events[1].core, Some(42));
         assert_eq!(t.events[2].kind, EventKind::End);
-    }
-
-    #[test]
-    fn shard_absorb_is_deterministic_in_absorb_order() {
-        let parent = Recorder::with_flags(TraceFlags::enabled());
-        let build = |tag: &'static str, hour: f64| {
-            let mut s = parent.shard();
-            s.instant(hour, tag, None, 0.0);
-            s.counter_add("n", 1);
-            s
-        };
-        let s1 = build("one", 1.0);
-        let s2 = build("two", 2.0);
-
-        let mut a = parent.clone();
-        a.absorb(s1.clone());
-        a.absorb(s2.clone());
-        let ta = a.finish();
-        assert_eq!(ta.events[0].name, "one");
-        assert_eq!(ta.events[1].name, "two");
-        assert_eq!(ta.metrics.counter("n"), 2);
-
-        // Absorbing in a different order changes the event stream —
-        // which is exactly why callers must absorb in input-index order.
-        let mut b = parent.clone();
-        b.absorb(s2);
-        b.absorb(s1);
-        let tb = b.finish();
-        assert_eq!(tb.events[0].name, "two");
-        assert_eq!(tb.metrics.counter("n"), 2);
     }
 
     #[test]
@@ -330,14 +278,5 @@ mod tests {
         assert_eq!(r.take_events().len(), 1);
         assert!(Recorder::disabled().take_events().is_empty());
         assert!(Recorder::disabled().metrics().is_none());
-    }
-
-    #[test]
-    fn absorb_into_disabled_is_noop() {
-        let mut parent = Recorder::disabled();
-        let mut s = Recorder::with_flags(TraceFlags::enabled());
-        s.instant(0.0, "x", None, 0.0);
-        parent.absorb(s);
-        assert!(parent.finish().is_empty());
     }
 }

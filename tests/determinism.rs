@@ -38,65 +38,6 @@ fn different_seeds_differ() {
     );
 }
 
-/// The determinism contract of the parallel runner: for the same seed,
-/// `FleetSim::run` is bit-for-bit identical for every thread count.
-#[test]
-fn fleet_sim_is_thread_count_invariant() {
-    use mercurial::fleet::FleetSim;
-    use mercurial::fleet::{FleetTopology, Population};
-
-    for seed in [101u64, 202, 303] {
-        let mut scenario = Scenario::demo(seed);
-        scenario.sim.months = 6;
-        let reference = {
-            let mut s = scenario.clone();
-            s.sim.parallelism = 1;
-            let topo = FleetTopology::build(s.fleet.clone());
-            let pop = Population::seed_from(&topo);
-            FleetSim::new(topo, pop, s.sim.clone()).run()
-        };
-        for parallelism in [2usize, 8] {
-            let mut s = scenario.clone();
-            s.sim.parallelism = parallelism;
-            let topo = FleetTopology::build(s.fleet.clone());
-            let pop = Population::seed_from(&topo);
-            let run = FleetSim::new(topo, pop, s.sim.clone()).run();
-            assert_eq!(
-                run.1, reference.1,
-                "summary differs: seed {seed}, {parallelism} threads"
-            );
-            assert_eq!(
-                run.0.all(),
-                reference.0.all(),
-                "signal log differs: seed {seed}, {parallelism} threads"
-            );
-        }
-    }
-}
-
-/// The same contract end to end: the full pipeline's outcome does not
-/// depend on the simulator's thread count.
-#[test]
-fn pipeline_is_thread_count_invariant() {
-    for seed in [11u64, 12, 13] {
-        let mut scenario = Scenario::small(seed);
-        scenario.sim.parallelism = 1;
-        let reference = PipelineRun::execute(&scenario);
-        for parallelism in [2usize, 8] {
-            scenario.sim.parallelism = parallelism;
-            let run = PipelineRun::execute(&scenario);
-            assert_eq!(
-                run.detections, reference.detections,
-                "seed {seed}, {parallelism} threads"
-            );
-            assert_eq!(run.sim_summary, reference.sim_summary);
-            assert_eq!(run.signals.all(), reference.signals.all());
-            assert_eq!(run.triage_stats, reference.triage_stats);
-            assert_eq!(run.capacity, reference.capacity);
-        }
-    }
-}
-
 /// Scenario-level fan-out returns outcomes in input order, identical to
 /// serial execution.
 #[test]

@@ -17,9 +17,8 @@
 //!
 //! `--smoke` checks the same contracts at demo scale (`make prof-smoke`):
 //! prof-on parity against the E20 legacy pin, the <2% enabled-overhead
-//! budget (priced as recorded spans × measured span cost on the demo
-//! fleet at 6,000 machines), and a `BenchMeta` envelope round-trip
-//! through its validator.
+//! budget (on the demo scenario widened to 20,000 machines), and a
+//! `BenchMeta` envelope round-trip through its validator.
 //!
 //! [`BenchMeta`]: mercurial_prof::BenchMeta
 
@@ -87,24 +86,6 @@ fn measure_overhead(s: &Scenario, reps: usize) -> (f64, f64, ClosedLoopOutcome, 
     (off_secs, on_secs, out, profile)
 }
 
-/// Seconds one span open and close costs on an enabled profiler, nested
-/// under a parent phase like the loop's spans: the best of five batches
-/// of 100,000, so host noise can only inflate it.
-fn span_cost_secs() -> f64 {
-    const BATCH: u32 = 100_000;
-    let prof = Prof::enabled();
-    let _outer = prof.span("outer");
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        let t = Instant::now();
-        for _ in 0..BATCH {
-            let _inner = prof.span("inner");
-        }
-        best = best.min(t.elapsed().as_secs_f64() / f64::from(BATCH));
-    }
-    best
-}
-
 // ------------------------------------------------------------- smoke mode
 
 fn run_smoke() {
@@ -134,27 +115,16 @@ fn run_smoke() {
         "parity: profiled run matches the E20 legacy pin (68 632 069 corruptions, 17 detections)"
     );
 
-    // 2. Enabled overhead under the 2% budget. The profiler costs a fixed
-    //    ~100 ns per span, about 1,400 spans per 180-epoch run, so it is
-    //    priced on the demo fleet at 4× the machines (a ~30 ms run; at
-    //    1,500 machines the run takes under 10 ms and the fixed cost alone
-    //    nears 2%). Host noise swings an on/off wall-clock difference by
-    //    several percent either way at this size, so the gate prices the
-    //    profiler's own work directly: the spans a profiled run records,
-    //    times the best-of cost of one span open and close, against the
-    //    best unprofiled wall time. The on/off wall clocks print beside
-    //    it, and every profiled rep must match its unprofiled twin.
+    // 2. Enabled overhead under the 2% budget, interleaved best-of-5, on
+    //    the demo scenario widened to the paper's 20,000 machines. The
+    //    profiler's cost is fixed per span (about 1,400 spans a run), so
+    //    on the 1,500-machine demo fleet, now a ~10 ms run, it alone
+    //    nears the budget; at 20,000 machines it is a small share.
     let mut wide = s.clone();
-    wide.fleet.machines = 6_000;
-    let (off_secs, on_secs, _, on_profile) = measure_overhead(&wide, 5);
-    let spans: u64 = on_profile.phases.iter().map(|p| p.calls).sum();
-    let span_secs = span_cost_secs();
-    let pct = 100.0 * spans as f64 * span_secs / off_secs;
-    println!(
-        "overhead: {spans} spans x {:.0} ns = {pct:.2}% of the {off_secs:.4} s unprofiled run \
-         (wall clock best of 5: prof on {on_secs:.4} s)",
-        span_secs * 1e9
-    );
+    wide.fleet.machines = 20_000;
+    let (off_secs, on_secs, _, _) = measure_overhead(&wide, 5);
+    let pct = 100.0 * (on_secs / off_secs - 1.0);
+    println!("overhead: prof off {off_secs:.4} s, prof on {on_secs:.4} s ({pct:+.2}%)");
     assert!(
         pct < 2.0,
         "acceptance: enabled profiler overhead {pct:.2}% must stay under 2%"

@@ -71,7 +71,8 @@ impl FleetExperiment {
     /// The augmentation runs a full `mercurial-fuzz` campaign (a pure
     /// function of the knob's seed and budget), then folds the distilled
     /// corpus's covered units, operand patterns, and healthy instruction
-    /// mix into every era.
+    /// mix into every era. The campaign runs serially on the calling
+    /// thread, like the rest of a run.
     pub fn screening_schedule(&self) -> EraSchedule {
         let base = EraSchedule::default_history();
         let knob = &self.scenario.fuzz_corpus;

@@ -206,13 +206,11 @@ pub struct SimState {
     active: Vec<bool>,
     /// Whether each mercurial core has produced at least one corruption.
     core_was_active: Vec<bool>,
-    /// Sparse-engine liveness, indexed like `mercurial`: whether the
-    /// core's effective rates can currently be non-zero. Dormant cores
-    /// (`false`) provably draw nothing and emit nothing, so the sparse
-    /// epoch loop skips them (see [`FleetSim::advance_clock`]).
-    live: Vec<bool>,
-    /// The indices where `live` is `true`, ascending — the sparse epoch
-    /// loop's scan list, rebuilt only when the clock changes liveness.
+    /// Sparse-engine liveness: the indices into `mercurial`, ascending,
+    /// of the cores whose effective rates can currently be non-zero — the
+    /// sparse epoch loop's scan list. Dormant cores (absent) provably draw
+    /// nothing and emit nothing, so the loop skips them (see
+    /// [`FleetSim::advance_clock`]).
     live_ix: Vec<u32>,
     /// The sparse engine's event clock. Payloads are indices into
     /// `mercurial`; events fire at machine-deploy and activation-onset
@@ -526,7 +524,6 @@ impl FleetSim {
             mercurial,
             active: vec![true; n],
             core_was_active: vec![false; n],
-            live: vec![false; n],
             live_ix: Vec::new(),
             wake,
             events_processed: 0,
@@ -581,11 +578,7 @@ impl FleetSim {
             // Sparse engine: advance the event clock to this epoch's start;
             // healthy stretches cost one heap peek and nothing per core.
             if sparse {
-                if self.advance_clock(state, hour) {
-                    state.live_ix = (0..state.live.len() as u32)
-                        .filter(|&i| state.live[i as usize])
-                        .collect();
-                }
+                self.advance_clock(state, hour);
                 state.live_core_epochs += state.live_ix.len() as u64;
             }
             let before = *summary;
@@ -635,8 +628,8 @@ impl FleetSim {
     }
 
     /// Advances the sparse event clock to `hour` (an epoch start): pops
-    /// every due wake and re-evaluates that core's liveness. Returns
-    /// whether the live set changed.
+    /// every due wake, re-evaluates that core's liveness, and inserts or
+    /// removes it in the sorted live index list.
     ///
     /// Soundness of the sparse skip: a core is marked dormant only when
     /// every per-unit `rate × ops_per_hour` product is exactly zero at
@@ -649,8 +642,7 @@ impl FleetSim {
     /// ([`mercurial_fault::CoreFaultProfile::next_transition_age`]), so a
     /// dormant core sleeps until its next onset, or forever when none
     /// remains.
-    fn advance_clock(&self, state: &mut SimState, hour: f64) -> bool {
-        let mut changed = false;
+    fn advance_clock(&self, state: &mut SimState, hour: f64) {
         while let Some((_, i)) = state.wake.pop_due(hour) {
             state.events_processed += 1;
             let ix = i as usize;
@@ -662,9 +654,12 @@ impl FleetSim {
             let live = FunctionalUnit::ALL
                 .iter()
                 .any(|u| rates[u.index()] * wl.ops_per_hour[u.index()] > 0.0);
-            if state.live[ix] != live {
-                state.live[ix] = live;
-                changed = true;
+            match (state.live_ix.binary_search(&i), live) {
+                (Err(at), true) => state.live_ix.insert(at, i),
+                (Ok(at), false) => {
+                    state.live_ix.remove(at);
+                }
+                _ => {}
             }
             if !live {
                 // Dormant: provably silent until the next onset edge (if
@@ -683,7 +678,6 @@ impl FleetSim {
                 }
             }
         }
-        changed
     }
 
     /// Simulates one epoch: every deployed, in-service mercurial core,

@@ -5,11 +5,6 @@
 //!
 //! * **Option-gated** — a disabled handle is a `None` and every method is
 //!   one branch with no allocation and no `Instant::now()` call;
-//! * **sharded** — parallel producers record into [`Prof::shard`] handles
-//!   the owner merges back with [`Prof::absorb`] in worker-index order,
-//!   so the *shape* of the phase tree is deterministic for any worker
-//!   count (the wall-clock values are not, and never feed anything
-//!   sim-visible);
 //! * **write-only** — readings flow out (tables, flamegraphs, status
 //!   gauges, bench envelopes) and never back into simulation state, which
 //!   is what keeps prof-on runs bit-for-bit identical to prof-off.
@@ -24,8 +19,7 @@ use std::time::Instant;
 use crate::report::{PhaseNode, ProfileEntry, SelfProfile};
 
 /// One phase in the live tree. `children` preserves first-seen order,
-/// which is what makes the merged tree shape deterministic when shards
-/// are absorbed in a fixed order.
+/// so the tree shape is deterministic for a deterministic call sequence.
 #[derive(Debug, Clone)]
 struct Node {
     name: &'static str,
@@ -95,17 +89,6 @@ impl Inner {
     fn exit(&mut self) {
         if let Some((ix, t0)) = self.stack.pop() {
             self.nodes[ix].wall_ns += t0.elapsed().as_nanos() as u64;
-        }
-    }
-
-    /// Merge `other`'s tree under this tree's node `at`, child subtrees
-    /// in `other`'s child order (find-or-create keeps shapes aligned).
-    fn merge_subtree(&mut self, at: usize, other: &Inner, other_ix: usize) {
-        for &c in other.nodes[other_ix].children.clone().iter() {
-            let mine = self.child(at, other.nodes[c].name);
-            self.nodes[mine].wall_ns += other.nodes[c].wall_ns;
-            self.nodes[mine].calls += other.nodes[c].calls;
-            self.merge_subtree(mine, other, c);
         }
     }
 
@@ -194,28 +177,6 @@ impl Prof {
     pub fn scope<R>(&self, name: &'static str, f: impl FnOnce() -> R) -> R {
         let _guard = self.span(name);
         f()
-    }
-
-    /// An empty profiler with the same enabled-ness, for a parallel
-    /// worker to fill. Shards of a disabled profiler are disabled, so
-    /// parallel code paths pay nothing when profiling is off.
-    pub fn shard(&self) -> Prof {
-        Prof::with_enabled(self.is_enabled())
-    }
-
-    /// Merge a worker shard's phases under the current phase. Subtrees
-    /// land find-or-create in the shard's child order, so absorbing
-    /// shards in deterministic (worker-index) order yields a
-    /// deterministic tree *shape* — the wall-clock values remain
-    /// measurements and differ run to run.
-    pub fn absorb(&self, shard: &Prof) {
-        let (Some(cell), Some(other)) = (&self.inner, &shard.inner) else {
-            return;
-        };
-        let other = other.borrow();
-        let mut inner = cell.borrow_mut();
-        let at = inner.current();
-        inner.merge_subtree(at, &other, 0);
     }
 
     /// Merge wire-shipped profile entries (e.g. a serve worker's `Bye`
@@ -346,47 +307,6 @@ mod tests {
         let prof = p.finish();
         assert!(prof.wall_ns("outer") >= prof.wall_ns("outer;inner"));
         assert!(prof.total_wall_ns >= prof.wall_ns("outer"));
-    }
-
-    #[test]
-    fn shard_absorb_tree_shape_is_deterministic() {
-        // Two shards record overlapping phase sets in different orders;
-        // absorbing them in a fixed order must always yield the same
-        // child order (shape), whatever the clock said.
-        let shape_of = || {
-            let p = Prof::enabled();
-            let a = p.shard();
-            a.scope("sim", || a.scope("rng", || ()));
-            a.scope("screen", || ());
-            let b = p.shard();
-            b.scope("screen", || ());
-            b.scope("sim", || b.scope("merge", || ()));
-            let _w = p.span("workers");
-            p.absorb(&a);
-            p.absorb(&b);
-            drop(_w);
-            let prof = p.finish();
-            prof.folded_stacks_with(|_| 1)
-        };
-        let first = shape_of();
-        assert_eq!(
-            first.join("\n"),
-            "workers 1\nworkers;sim 1\nworkers;sim;rng 1\nworkers;sim;merge 1\nworkers;screen 1"
-        );
-        for _ in 0..4 {
-            assert_eq!(shape_of(), first, "merged tree shape must not wobble");
-        }
-    }
-
-    #[test]
-    fn absorb_between_disabled_handles_is_a_noop() {
-        let off = Prof::disabled();
-        let on = Prof::enabled();
-        on.scope("x", || ());
-        off.absorb(&on);
-        assert!(off.snapshot().is_empty());
-        on.absorb(&off.shard());
-        assert_eq!(on.finish().calls("x"), 1);
     }
 
     #[test]

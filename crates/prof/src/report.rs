@@ -73,7 +73,7 @@ impl SelfProfile {
 
     /// Wall time attributed to a phase itself, i.e. total minus
     /// children (clamped at zero: child walls can exceed the parent's
-    /// when shards measured concurrent workers).
+    /// when absorbed served-worker profiles ran concurrently).
     fn self_ns(&self, ix: usize) -> u64 {
         let children: u64 = self.phases[ix]
             .children

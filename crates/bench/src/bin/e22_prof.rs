@@ -118,8 +118,8 @@ fn run_smoke() {
     // 2. Enabled overhead under the 2% budget, interleaved best-of-5, on
     //    the demo scenario widened to the paper's 20,000 machines. The
     //    profiler's cost is fixed per span (about 1,400 spans a run), so
-    //    on the 1,500-machine demo fleet, now a ~10 ms run, it alone
-    //    nears the budget; at 20,000 machines it is a small share.
+    //    on the 1,500-machine demo fleet, a ~10 ms run, it alone nears
+    //    the budget; at 20,000 machines it is a small share.
     let mut wide = s.clone();
     wide.fleet.machines = 20_000;
     let (off_secs, on_secs, _, _) = measure_overhead(&wide, 5);

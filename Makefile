@@ -2,9 +2,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test test-workspace fmt fmt-check clippy bench fuzz-smoke e15-smoke trace-smoke watch-smoke sparse-smoke serve-smoke frontier-smoke audit-smoke prof-smoke labbench-smoke
+.PHONY: ci build test test-workspace fmt fmt-check clippy bench fuzz-smoke e15-smoke trace-smoke watch-smoke study-smoke serve-smoke frontier-smoke audit-smoke prof-smoke labbench-smoke
 
-ci: build test-workspace fmt-check clippy fuzz-smoke e15-smoke trace-smoke watch-smoke sparse-smoke serve-smoke frontier-smoke audit-smoke prof-smoke labbench-smoke
+ci: build test-workspace fmt-check clippy fuzz-smoke e15-smoke trace-smoke watch-smoke study-smoke serve-smoke frontier-smoke audit-smoke prof-smoke labbench-smoke
 
 build:
 	$(CARGO) build --release
@@ -55,11 +55,10 @@ watch-smoke:
 	$(CARGO) run --release -- watch --rules scenarios/watch_rules.json --scenario scenarios/paper.json
 	! $(CARGO) run --release -- watch --rules scenarios/watch_rules.json --scenario scenarios/watch_regression.json
 
-# Sparse fleet-core contracts: dense/sparse bit-parity through the
-# closed-loop driver (traced and untraced), stepping-
-# granularity invariance, and the 1M-machine event accounting — zero
-# per-epoch work on healthy machines, wall clock within budget.
-sparse-smoke:
+# Fleet-study contracts: the sim's output does not depend on its
+# stepping granularity, and the 1M-machine x 36-month closed loop stays
+# within a self-calibrated wall-clock budget.
+study-smoke:
 	$(CARGO) run --release -p mercurial-bench --bin e18_sparse -- --smoke
 
 # Served-topology contracts: frame-codec round-trip, zero-impairment

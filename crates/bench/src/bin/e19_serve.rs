@@ -22,7 +22,6 @@
 use std::time::Instant;
 
 use mercurial::closedloop::ClosedLoopDriver;
-use mercurial::fleet::SimEngine;
 use mercurial::scenario::ImpairConfig;
 use mercurial::Scenario;
 use mercurial_serve::{alert_fidelity, p95, run_served, run_served_impaired, ServeOptions};
@@ -41,11 +40,10 @@ fn main() {
 }
 
 /// The served scenario: demo fleet, feedback on, tracing and watch on
-/// (the watch report is the fidelity measurand), sparse engine.
+/// (the watch report is the fidelity measurand).
 fn serve_scenario(seed: u64, workers: u32) -> Scenario {
     let mut s = Scenario::demo(seed);
     s.closed_loop.feedback = true;
-    s.sim.engine = SimEngine::Sparse;
     s.trace.enabled = true;
     s.watch.enabled = true;
     s.serve.workers = workers;

@@ -24,7 +24,6 @@
 use std::time::Instant;
 
 use mercurial::closedloop::ClosedLoopDriver;
-use mercurial::fleet::SimEngine;
 use mercurial::scenario::ClassPolicy;
 use mercurial::Scenario;
 use mercurial_mitigation::MitigationPolicy;
@@ -47,13 +46,12 @@ fn main() {
     }
 }
 
-/// The frontier scenario: demo fleet, sparse engine, workload layer on.
+/// The frontier scenario: demo fleet, workload layer on.
 /// `uniform` pins every class to one rung (adaptation off); `None` leaves
 /// the block's own policy/adaptation settings in place.
 fn frontier_scenario(seed: u64, feedback: bool, uniform: Option<MitigationPolicy>) -> Scenario {
     let mut s = Scenario::demo(seed);
     s.closed_loop.feedback = feedback;
-    s.sim.engine = SimEngine::Sparse;
     s.workloads.enabled = true;
     if let Some(policy) = uniform {
         s.workloads.adapt = false;

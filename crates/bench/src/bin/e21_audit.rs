@@ -24,7 +24,6 @@ use std::time::Instant;
 
 use mercurial::audit::{AuditReport, CaseLabel, DecisionLedger, GroundTruth};
 use mercurial::closedloop::ClosedLoopDriver;
-use mercurial::fleet::SimEngine;
 use mercurial::scenario::{ClassPolicy, ImpairConfig};
 use mercurial::Scenario;
 use mercurial_mitigation::MitigationPolicy;
@@ -38,12 +37,11 @@ fn main() {
     }
 }
 
-/// The audited scenario: demo fleet, sparse engine, closed loop, watch
-/// rules live, decision audit on.
+/// The audited scenario: demo fleet, closed loop, watch rules live,
+/// decision audit on.
 fn audited_scenario(seed: u64) -> Scenario {
     let mut s = Scenario::demo(seed);
     s.closed_loop.feedback = true;
-    s.sim.engine = SimEngine::Sparse;
     s.trace.enabled = true;
     s.watch.enabled = true;
     s.audit.enabled = true;
@@ -82,7 +80,7 @@ fn run_smoke() {
     mercurial_bench::header("E21 — decision-audit contracts (smoke)");
 
     // 1. Audit off is bit-for-bit the pre-audit tree: the E20 pin digests
-    //    (closed sparse, seed 7) must keep reproducing with the audit
+    //    (closed loop, seed 7) must keep reproducing with the audit
     //    block at its default.
     {
         let mut s = audited_scenario(7);

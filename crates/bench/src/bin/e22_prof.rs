@@ -25,7 +25,6 @@
 use std::time::Instant;
 
 use mercurial::closedloop::{ClosedLoopDriver, ClosedLoopOutcome, RunOptions};
-use mercurial::fleet::SimEngine;
 use mercurial::{FleetExperiment, Scenario};
 use mercurial_prof::{BenchMeta, Prof, SelfProfile};
 
@@ -41,7 +40,6 @@ fn main() {
 fn traced_scenario(base: &Scenario) -> Scenario {
     let mut s = base.clone();
     s.closed_loop.feedback = true;
-    s.sim.engine = SimEngine::Sparse;
     s.trace.enabled = true;
     s.watch.enabled = true;
     s
@@ -92,7 +90,7 @@ fn run_smoke() {
     mercurial_bench::header("E22 — self-observability contracts (smoke)");
 
     // 1. Parity against pre-prof history: the E20 legacy pin (closed
-    //    sparse, seed 7, demo scale) was captured long before the
+    //    loop, seed 7, demo scale) was captured long before the
     //    profiler existed; a profiled run must still land on it exactly.
     let s = traced_scenario(&Scenario::demo(7));
     let prof = Prof::enabled();

@@ -207,13 +207,9 @@ impl PipelineRun {
         let mut registry = QuarantineRegistry::new();
         for d in &detections {
             registry
-                .mark_suspect_traced(d.core, d.hour, "screener failure", rec)
-                .and_then(|()| {
-                    registry.quarantine_traced(d.core, d.hour, "controlled test failed", rec)
-                })
-                .and_then(|()| {
-                    registry.confirm_traced(d.core, d.hour, "screen reproduced defect", rec)
-                })
+                .mark_suspect(d.core, d.hour, "screener failure", rec)
+                .and_then(|()| registry.quarantine(d.core, d.hour, "controlled test failed", rec))
+                .and_then(|()| registry.confirm(d.core, d.hour, "screen reproduced defect", rec))
                 .expect("fresh core walks the legal path");
             rec.counter_add("audit.quarantines", 1);
             rec.counter_add("audit.confirms", 1);
@@ -225,20 +221,20 @@ impl PipelineRun {
             triage_detections.iter().map(|d| d.core).collect();
         for &(core, hour) in &suspects {
             registry
-                .mark_suspect_traced(core, hour, "signal concentration", rec)
-                .and_then(|()| registry.quarantine_traced(core, hour, "suspicion threshold", rec))
+                .mark_suspect(core, hour, "signal concentration", rec)
+                .and_then(|()| registry.quarantine(core, hour, "suspicion threshold", rec))
                 .expect("fresh core walks the legal path");
             rec.counter_add("audit.quarantines", 1);
             if confirmed_by_triage.contains(&core) {
                 let confirm_hour = hour + tuning.triage_latency_hours;
                 registry
-                    .confirm_traced(core, confirm_hour, "triage confession", rec)
+                    .confirm(core, confirm_hour, "triage confession", rec)
                     .expect("quarantined core can confirm");
                 rec.instant(confirm_hour, "detect.triage", Some(core.as_u64()), 0.0);
                 rec.counter_add("audit.confirms", 1);
             } else {
                 registry
-                    .exonerate_traced(
+                    .exonerate(
                         core,
                         hour + tuning.triage_latency_hours,
                         "nothing reproduced",
@@ -247,7 +243,7 @@ impl PipelineRun {
                     .expect("quarantined core can exonerate");
                 rec.counter_add("audit.exonerations", 1);
                 registry
-                    .restore_traced(
+                    .restore(
                         core,
                         hour + tuning.restore_latency_hours,
                         "returned to pool",
@@ -270,8 +266,10 @@ impl PipelineRun {
                 * topo.config().sockets_per_machine as u64;
             ledger.register_machine(m.machine, cores);
         }
+        //    The batch trace stops at the registry: capacity moves untraced.
         for core in registry.in_state(mercurial_isolation::CoreState::Confirmed) {
-            ledger.remove_core(core);
+            let hour = registry.history(core).last().map_or(0.0, |t| t.hour);
+            ledger.remove_core(core, hour, &mut Recorder::disabled());
         }
 
         // 7. Scoring against ground truth.

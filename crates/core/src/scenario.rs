@@ -629,27 +629,48 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns the underlying serde error message, or a message naming
-    /// the offending field: `fleet.machines` when it is 0, and
-    /// `sim.epoch_hours` when it is not positive and finite.
+    /// the offending field: `fleet.machines` or `fleet.sockets_per_machine`
+    /// when it is 0, `fleet.products` when the catalog is empty or its
+    /// weights do not sum to a positive number, and `sim.epoch_hours`,
+    /// `offline_interval_hours` or `online_interval_hours` when it is not
+    /// positive and finite.
     pub fn from_json(json: &str) -> Result<Scenario, String> {
         let scenario: Scenario = serde_json::from_str(json).map_err(|e| e.to_string())?;
         scenario.validate()?;
         Ok(scenario)
     }
 
-    /// Boundary checks for knobs later layers divide by or size buffers
-    /// from: an empty fleet (the offline sweep rotation takes a remainder
-    /// by the machine count) and a non-positive or non-finite epoch (the
-    /// epoch count would be unbounded).
+    /// Boundary checks for knobs later layers divide by, draw from or
+    /// step by: an empty fleet (the offline sweep rotation takes a
+    /// remainder by the machine count), zero sockets (the noise layer
+    /// draws a socket below the count), an empty or weightless product
+    /// catalog (the topology draws machines by weight), and a
+    /// non-positive or non-finite epoch or screening interval (the epoch
+    /// count would be unbounded; a campaign would never advance).
     fn validate(&self) -> Result<(), String> {
         if self.fleet.machines == 0 {
             return Err("fleet.machines must be at least 1, got 0".to_string());
         }
-        let h = self.sim.epoch_hours;
-        if !(h.is_finite() && h > 0.0) {
+        if self.fleet.sockets_per_machine == 0 {
+            return Err("fleet.sockets_per_machine must be at least 1, got 0".to_string());
+        }
+        if self.fleet.products.is_empty() {
+            return Err("fleet.products must list at least one product".to_string());
+        }
+        let weight: f64 = self.fleet.products.iter().map(|p| p.fleet_weight).sum();
+        if !(weight.is_finite() && weight > 0.0) {
             return Err(format!(
-                "sim.epoch_hours must be positive and finite, got {h}"
+                "fleet.products weights must sum to a positive finite number, got {weight}"
             ));
+        }
+        for (field, h) in [
+            ("sim.epoch_hours", self.sim.epoch_hours),
+            ("offline_interval_hours", self.offline_interval_hours),
+            ("online_interval_hours", self.online_interval_hours),
+        ] {
+            if !(h.is_finite() && h > 0.0) {
+                return Err(format!("{field} must be positive and finite, got {h}"));
+            }
         }
         Ok(())
     }
@@ -688,6 +709,48 @@ mod tests {
             let err = Scenario::from_json(&s.to_json()).unwrap_err();
             assert!(err.contains("sim.epoch_hours"), "{hours}: {err}");
         }
+    }
+
+    /// Non-finite values cannot travel through JSON (serde writes them as
+    /// `null`), so these checks call `validate` directly.
+    fn rejection(mutate: impl Fn(&mut Scenario)) -> String {
+        let mut s = Scenario::small(7);
+        mutate(&mut s);
+        s.validate().unwrap_err()
+    }
+
+    #[test]
+    fn bad_online_interval_is_rejected_naming_the_field() {
+        for hours in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = rejection(|s| s.online_interval_hours = hours);
+            assert!(err.contains("online_interval_hours"), "{hours}: {err}");
+        }
+    }
+
+    #[test]
+    fn bad_offline_interval_is_rejected_naming_the_field() {
+        for hours in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = rejection(|s| s.offline_interval_hours = hours);
+            assert!(err.contains("offline_interval_hours"), "{hours}: {err}");
+        }
+    }
+
+    #[test]
+    fn zero_sockets_is_rejected_naming_the_field() {
+        let err = rejection(|s| s.fleet.sockets_per_machine = 0);
+        assert!(err.contains("fleet.sockets_per_machine"), "{err}");
+    }
+
+    #[test]
+    fn empty_or_weightless_catalog_is_rejected_naming_the_field() {
+        let err = rejection(|s| s.fleet.products.clear());
+        assert!(err.contains("fleet.products"), "{err}");
+        let err = rejection(|s| {
+            for p in &mut s.fleet.products {
+                p.fleet_weight = 0.0;
+            }
+        });
+        assert!(err.contains("fleet.products"), "{err}");
     }
 
     #[test]

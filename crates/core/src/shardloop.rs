@@ -334,7 +334,7 @@ impl<'a> FleetShard<'a> {
         let mut screened = Vec::new();
         if campaign_due[0] {
             let _p = prof.span("screen.burnin");
-            screened.extend(self.burnin.step_until_traced(
+            screened.extend(self.burnin.step_until(
                 self.topo,
                 self.pop,
                 h1,
@@ -349,7 +349,7 @@ impl<'a> FleetShard<'a> {
         }
         if campaign_due[1] {
             let _p = prof.span("screen.offline");
-            screened.extend(self.offline.step_until_traced(
+            screened.extend(self.offline.step_until(
                 self.topo,
                 self.pop,
                 h1,
@@ -364,7 +364,7 @@ impl<'a> FleetShard<'a> {
         }
         if campaign_due[2] {
             let _p = prof.span("screen.online");
-            screened.extend(self.online.step_until_traced(
+            screened.extend(self.online.step_until(
                 self.topo,
                 self.pop,
                 h1,
@@ -614,9 +614,9 @@ impl<'a> FleetAggregator<'a> {
         let mut restores = Vec::new();
         while let Some((restore_hour, core)) = self.restore_q.pop_due(h0) {
             self.registry
-                .restore_traced(core, restore_hour, "repair latency elapsed", rec)
+                .restore(core, restore_hour, "repair latency elapsed", rec)
                 .expect("exonerated core can restore");
-            self.ledger.restore_core_traced(core, restore_hour, rec);
+            self.ledger.restore_core(core, restore_hour, rec);
             self.out_of_service.remove(&core);
             if self.audit_on {
                 rec.counter_add("audit.restores", 1);
@@ -643,7 +643,7 @@ impl<'a> FleetAggregator<'a> {
                         self.triage_stats.confirmed_true += 1;
                     }
                     self.registry
-                        .confirm_traced(core, verdict_hour, "deep check confession", rec)
+                        .confirm(core, verdict_hour, "deep check confession", rec)
                         .expect("quarantined core can confirm");
                     rec.instant(verdict_hour, "detect.triage", Some(core.as_u64()), 0.0);
                     if self.audit_on {
@@ -663,7 +663,7 @@ impl<'a> FleetAggregator<'a> {
                         self.triage_stats.missed_true += 1;
                     }
                     self.registry
-                        .exonerate_traced(core, verdict_hour, "nothing reproduced", rec)
+                        .exonerate(core, verdict_hour, "nothing reproduced", rec)
                         .expect("quarantined core can exonerate");
                     if self.audit_on {
                         rec.counter_add("audit.exonerations", 1);
@@ -716,17 +716,17 @@ impl<'a> FleetAggregator<'a> {
         screened.sort_by(|a, b| a.hour.total_cmp(&b.hour).then_with(|| a.core.cmp(&b.core)));
         for d in screened {
             self.registry
-                .mark_suspect_traced(d.core, d.hour, "screener failure", rec)
+                .mark_suspect(d.core, d.hour, "screener failure", rec)
                 .and_then(|()| {
                     self.registry
-                        .quarantine_traced(d.core, d.hour, "controlled test failed", rec)
+                        .quarantine(d.core, d.hour, "controlled test failed", rec)
                 })
                 .and_then(|()| {
                     self.registry
-                        .confirm_traced(d.core, d.hour, "screen reproduced defect", rec)
+                        .confirm(d.core, d.hour, "screen reproduced defect", rec)
                 })
                 .expect("in-service core walks the legal path");
-            self.ledger.remove_core_traced(d.core, d.hour, rec);
+            self.ledger.remove_core(d.core, d.hour, rec);
             if self.audit_on {
                 rec.counter_add("audit.quarantines", 1);
                 rec.counter_add("audit.confirms", 1);
@@ -777,8 +777,7 @@ impl<'a> FleetAggregator<'a> {
                 self.scoreboard
                     .ingest_all_provenance(r.evidence.all().iter(), rec);
             } else {
-                self.scoreboard
-                    .ingest_all_traced(r.evidence.all().iter(), rec);
+                self.scoreboard.ingest_all(r.evidence.all().iter(), rec);
             }
             self.log.append(r.evidence);
         }
@@ -797,13 +796,13 @@ impl<'a> FleetAggregator<'a> {
             .collect();
         for (core, hour) in crossings {
             self.registry
-                .mark_suspect_traced(core, hour, "signal concentration", rec)
+                .mark_suspect(core, hour, "signal concentration", rec)
                 .and_then(|()| {
                     self.registry
-                        .quarantine_traced(core, hour, "suspicion threshold", rec)
+                        .quarantine(core, hour, "suspicion threshold", rec)
                 })
                 .expect("in-service core walks the legal path");
-            self.ledger.remove_core_traced(core, hour, rec);
+            self.ledger.remove_core(core, hour, rec);
             if self.audit_on {
                 rec.counter_add("audit.quarantines", 1);
             }

@@ -9,12 +9,10 @@
 
 use mercurial::audit::{AuditReport, CaseBook, CaseLabel, DecisionLedger, GroundTruth};
 use mercurial::closedloop::ClosedLoopDriver;
-use mercurial::fleet::SimEngine;
 use mercurial::Scenario;
 
 fn audited(seed: u64, feedback: bool) -> Scenario {
     let mut s = Scenario::demo(seed);
-    s.sim.engine = SimEngine::Sparse;
     s.closed_loop.feedback = feedback;
     s.watch.enabled = true;
     s.audit.enabled = true;

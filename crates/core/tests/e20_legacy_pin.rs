@@ -2,11 +2,12 @@
 //! default), the workload-layer refactor must not move a single bit of
 //! any pre-existing output. The digests below were captured on the
 //! pre-refactor tree (PR 7 head) and the refactored code must keep
-//! reproducing them exactly — open loop, closed loop, traced and
-//! untraced, dense and sparse.
+//! reproducing them exactly — open loop and closed loop, at two seeds.
+//! The seed-23 closed loop was first pinned on the dense engine and the
+//! others on the retired sparse one; both engines produced these digests,
+//! and the single remaining engine must too.
 
 use mercurial::closedloop::ClosedLoopDriver;
-use mercurial::fleet::SimEngine;
 use mercurial::Scenario;
 
 /// FNV-1a over a byte string: stable, dependency-free content digest.
@@ -19,10 +20,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn scenario(seed: u64, feedback: bool, engine: SimEngine) -> Scenario {
+fn scenario(seed: u64, feedback: bool) -> Scenario {
     let mut s = Scenario::demo(seed);
     s.closed_loop.feedback = feedback;
-    s.sim.engine = engine;
     s.trace.enabled = true;
     s.watch.enabled = true;
     s
@@ -37,8 +37,8 @@ struct Digest {
     watch_render: u64,
 }
 
-fn digest(seed: u64, feedback: bool, engine: SimEngine) -> Digest {
-    digest_of(&scenario(seed, feedback, engine))
+fn digest(seed: u64, feedback: bool) -> Digest {
+    digest_of(&scenario(seed, feedback))
 }
 
 fn digest_of(scenario: &Scenario) -> Digest {
@@ -73,7 +73,7 @@ fn check(name: &str, got: &Digest, want: &Digest) {
 
 #[test]
 fn legacy_closed_loop_is_bit_identical_to_pre_refactor() {
-    let got = digest(7, true, SimEngine::Sparse);
+    let got = digest(7, true);
     let want = Digest {
         corruptions: 68_632_069,
         signals: 381,
@@ -83,25 +83,31 @@ fn legacy_closed_loop_is_bit_identical_to_pre_refactor() {
         watch_render: 0x8c7d_8a27_4984_3066,
     };
     eprintln!(
-        "closed sparse: corruptions={} signals={} detections={} series_csv=0x{:016x} trace_jsonl=0x{:016x} watch_render=0x{:016x}",
+        "closed: corruptions={} signals={} detections={} series_csv=0x{:016x} trace_jsonl=0x{:016x} watch_render=0x{:016x}",
         got.corruptions, got.signals, got.detections, got.series_csv, got.trace_jsonl, got.watch_render
     );
-    check("closed sparse", &got, &want);
+    check("closed", &got, &want);
     // Scenario JSON written while runs still had a thread-count knob
-    // carries `sim.parallelism`; it must parse and replay the same pin.
-    let json = scenario(7, true, SimEngine::Sparse).to_json().replacen(
-        "\"sim\": {",
-        "\"sim\": {\"parallelism\": 8,",
-        1,
-    );
-    assert!(json.contains("\"parallelism\": 8"), "legacy key injected");
-    let legacy = Scenario::from_json(&json).expect("legacy sim.parallelism key parses");
-    check("closed sparse, legacy JSON", &digest_of(&legacy), &want);
+    // carries `sim.parallelism`, and JSON written while there were two
+    // fleet engines carries `sim.engine`; each must parse and replay the
+    // same pin.
+    let json = scenario(7, true).to_json();
+    for key in [
+        "\"parallelism\": 8",
+        "\"engine\": \"Dense\"",
+        "\"engine\": \"Sparse\"",
+    ] {
+        let legacy_json = json.replacen("\"sim\": {", &format!("\"sim\": {{{key},"), 1);
+        assert!(legacy_json.contains(key), "legacy key {key} injected");
+        let legacy = Scenario::from_json(&legacy_json)
+            .unwrap_or_else(|e| panic!("legacy key {key} must parse: {e}"));
+        check(&format!("closed, legacy {key}"), &digest_of(&legacy), &want);
+    }
 }
 
 #[test]
 fn legacy_open_loop_is_bit_identical_to_pre_refactor() {
-    let got = digest(7, false, SimEngine::Sparse);
+    let got = digest(7, false);
     let want = Digest {
         corruptions: 458_834_565,
         signals: 30_430,
@@ -111,15 +117,15 @@ fn legacy_open_loop_is_bit_identical_to_pre_refactor() {
         watch_render: 0x12bd_a6f4_5a1e_e9d2,
     };
     eprintln!(
-        "open sparse: corruptions={} signals={} detections={} series_csv=0x{:016x} trace_jsonl=0x{:016x} watch_render=0x{:016x}",
+        "open: corruptions={} signals={} detections={} series_csv=0x{:016x} trace_jsonl=0x{:016x} watch_render=0x{:016x}",
         got.corruptions, got.signals, got.detections, got.series_csv, got.trace_jsonl, got.watch_render
     );
-    check("open sparse", &got, &want);
+    check("open", &got, &want);
 }
 
 #[test]
-fn legacy_dense_closed_loop_is_bit_identical_to_pre_refactor() {
-    let got = digest(23, true, SimEngine::Dense);
+fn legacy_seed_23_closed_loop_is_bit_identical_to_pre_refactor() {
+    let got = digest(23, true);
     let want = Digest {
         corruptions: 9_592,
         signals: 274,
@@ -129,8 +135,8 @@ fn legacy_dense_closed_loop_is_bit_identical_to_pre_refactor() {
         watch_render: 0x63bd_1bdd_32a9_9ac1,
     };
     eprintln!(
-        "closed dense: corruptions={} signals={} detections={} series_csv=0x{:016x} trace_jsonl=0x{:016x} watch_render=0x{:016x}",
+        "closed seed 23: corruptions={} signals={} detections={} series_csv=0x{:016x} trace_jsonl=0x{:016x} watch_render=0x{:016x}",
         got.corruptions, got.signals, got.detections, got.series_csv, got.trace_jsonl, got.watch_render
     );
-    check("closed dense", &got, &want);
+    check("closed seed 23", &got, &want);
 }

@@ -4,7 +4,6 @@
 //! frontier the bench sweeps.
 
 use mercurial::closedloop::ClosedLoopDriver;
-use mercurial::fleet::SimEngine;
 use mercurial::mitigation::MitigationPolicy;
 use mercurial::report::closed_loop_table;
 use mercurial::scenario::ClassPolicy;
@@ -13,10 +12,9 @@ use mercurial::Scenario;
 
 /// A demo scenario with the workload layer on: diurnal traffic, one
 /// starting policy, adaptation armed.
-fn workloads_scenario(seed: u64, feedback: bool, engine: SimEngine) -> Scenario {
+fn workloads_scenario(seed: u64, feedback: bool) -> Scenario {
     let mut s = Scenario::demo(seed);
     s.closed_loop.feedback = feedback;
-    s.sim.engine = engine;
     s.trace.enabled = true;
     s.watch.enabled = true;
     s.workloads.enabled = true;
@@ -29,37 +27,11 @@ fn workloads_scenario(seed: u64, feedback: bool, engine: SimEngine) -> Scenario 
 }
 
 #[test]
-fn enabled_runs_are_engine_invariant() {
-    // The workload layer must obey the same §4.1 determinism contract as
-    // everything else: identical series (including every per-class
-    // column), trace, and summary, dense or sparse.
-    let ref_out = ClosedLoopDriver::execute(&workloads_scenario(7, true, SimEngine::Sparse));
-    assert!(
-        !ref_out.series.class_names().is_empty(),
-        "enabled workloads must register classes"
-    );
-    let out = ClosedLoopDriver::execute(&workloads_scenario(7, true, SimEngine::Dense));
-    assert_eq!(
-        out.pipeline.sim_summary, ref_out.pipeline.sim_summary,
-        "summary diverges between engines"
-    );
-    assert_eq!(
-        out.series, ref_out.series,
-        "series (incl. class columns) diverges between engines"
-    );
-    assert_eq!(
-        out.trace.to_jsonl(),
-        ref_out.trace.to_jsonl(),
-        "trace diverges between engines"
-    );
-}
-
-#[test]
 fn class_attribution_conserves_fleet_corruption() {
     // Every corruption is drawn on a core running exactly one class, so
     // the per-class columns must sum to the fleet column — per epoch,
     // not just in aggregate.
-    let s = workloads_scenario(11, false, SimEngine::Sparse);
+    let s = workloads_scenario(11, false);
     let out = ClosedLoopDriver::execute(&s);
     let names = out.series.class_names();
     assert_eq!(names.len(), 4, "default mix has four classes");
@@ -82,7 +54,7 @@ fn adaptation_escalates_policies_in_the_closed_loop() {
     // every epoch, the closed loop must escalate — visible both as
     // `mitigation.escalated` trace instants and as mitigation catches
     // (and overhead) appearing in the per-class columns.
-    let mut s = workloads_scenario(7, true, SimEngine::Sparse);
+    let mut s = workloads_scenario(7, true);
     s.workloads.escalate_threshold = 1_000;
     let out = ClosedLoopDriver::execute(&s);
     let escalations = out
@@ -128,7 +100,6 @@ fn policy_ladder_trades_overhead_for_residual_corruption() {
     let mut overheads = Vec::new();
     for policy in ladder {
         let mut s = Scenario::demo(7);
-        s.sim.engine = SimEngine::Sparse;
         s.workloads.enabled = true;
         s.workloads.adapt = false;
         s.workloads.policies = vec![ClassPolicy {
@@ -172,7 +143,7 @@ fn policy_ladder_trades_overhead_for_residual_corruption() {
 
 #[test]
 fn per_class_columns_surface_in_csv_and_report() {
-    let s = workloads_scenario(7, true, SimEngine::Sparse);
+    let s = workloads_scenario(7, true);
     let out = ClosedLoopDriver::execute(&s);
     let csv = out.series.to_csv();
     let header = csv.lines().next().expect("csv has a header");
@@ -188,7 +159,6 @@ fn per_class_columns_surface_in_csv_and_report() {
     // Disabled runs keep the legacy surfaces byte-identical shapes.
     let mut legacy = Scenario::demo(7);
     legacy.closed_loop.feedback = true;
-    legacy.sim.engine = SimEngine::Sparse;
     let legacy_out = ClosedLoopDriver::execute(&legacy);
     assert!(!legacy_out.series.to_csv().contains(".corrupt_ops"));
     assert!(!closed_loop_table(&legacy_out).contains("Per-class attribution"));

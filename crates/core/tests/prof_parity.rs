@@ -3,11 +3,10 @@
 //! (captured on the PR 7 head tree, long before `mercurial-prof`
 //! existed), so this test simultaneously pins "prof-on == prof-off" and
 //! "prof-on == pre-prof history" — the profiler's write-only contract,
-//! enforced end to end: closed loop, open loop, dense and sparse
-//! engines, trace and watch surfaces.
+//! enforced end to end: closed loop and open loop at two seeds, trace
+//! and watch surfaces.
 
 use mercurial::closedloop::{ClosedLoopDriver, RunOptions};
-use mercurial::fleet::SimEngine;
 use mercurial::{FleetExperiment, Scenario};
 use mercurial_prof::Prof;
 
@@ -21,10 +20,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn scenario(seed: u64, feedback: bool, engine: SimEngine) -> Scenario {
+fn scenario(seed: u64, feedback: bool) -> Scenario {
     let mut s = Scenario::demo(seed);
     s.closed_loop.feedback = feedback;
-    s.sim.engine = engine;
     s.trace.enabled = true;
     s.watch.enabled = true;
     s
@@ -41,12 +39,8 @@ struct Digest {
 
 /// Run with an *enabled* profiler attached and return both the output
 /// digest and the resulting profile.
-fn digest_profiled(
-    seed: u64,
-    feedback: bool,
-    engine: SimEngine,
-) -> (Digest, mercurial_prof::SelfProfile) {
-    let s = scenario(seed, feedback, engine);
+fn digest_profiled(seed: u64, feedback: bool) -> (Digest, mercurial_prof::SelfProfile) {
+    let s = scenario(seed, feedback);
     let experiment = FleetExperiment::build(&s);
     let prof = Prof::enabled();
     let opts = RunOptions {
@@ -85,7 +79,7 @@ fn check(name: &str, got: &Digest, want: &Digest) {
 
 #[test]
 fn profiled_closed_loop_matches_the_legacy_pins() {
-    let (got, profile) = digest_profiled(7, true, SimEngine::Sparse);
+    let (got, profile) = digest_profiled(7, true);
     let want = Digest {
         corruptions: 68_632_069,
         signals: 381,
@@ -94,7 +88,7 @@ fn profiled_closed_loop_matches_the_legacy_pins() {
         trace_jsonl: 0xd7f3_ef09_599a_6f15,
         watch_render: 0x8c7d_8a27_4984_3066,
     };
-    check("profiled closed sparse", &got, &want);
+    check("profiled closed", &got, &want);
     // The profiler actually measured the loop it rode along with.
     assert!(profile.calls("loop.begin") > 0, "loop.begin recorded");
     assert_eq!(
@@ -118,7 +112,7 @@ fn profiled_closed_loop_matches_the_legacy_pins() {
 
 #[test]
 fn profiled_open_loop_matches_the_legacy_pins() {
-    let (got, profile) = digest_profiled(7, false, SimEngine::Sparse);
+    let (got, profile) = digest_profiled(7, false);
     let want = Digest {
         corruptions: 458_834_565,
         signals: 30_430,
@@ -127,14 +121,14 @@ fn profiled_open_loop_matches_the_legacy_pins() {
         trace_jsonl: 0xbab9_4b5d_c7cd_565f,
         watch_render: 0x12bd_a6f4_5a1e_e9d2,
     };
-    check("profiled open sparse", &got, &want);
+    check("profiled open", &got, &want);
     assert!(profile.calls("fleet.step") > 0, "open loop stepped the sim");
     assert!(profile.calls("pipeline.batch") == 1, "one batch back half");
 }
 
 #[test]
-fn profiled_dense_closed_loop_matches_the_legacy_pins() {
-    let (got, _) = digest_profiled(23, true, SimEngine::Dense);
+fn profiled_seed_23_closed_loop_matches_the_legacy_pins() {
+    let (got, _) = digest_profiled(23, true);
     let want = Digest {
         corruptions: 9_592,
         signals: 274,
@@ -143,5 +137,5 @@ fn profiled_dense_closed_loop_matches_the_legacy_pins() {
         trace_jsonl: 0x39ea_604b_8a1c_6b68,
         watch_render: 0x63bd_1bdd_32a9_9ac1,
     };
-    check("profiled closed dense", &got, &want);
+    check("profiled closed seed 23", &got, &want);
 }

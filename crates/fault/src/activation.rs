@@ -176,20 +176,6 @@ impl AgingModel {
     pub fn is_active(&self, age_hours: f64) -> bool {
         age_hours >= self.onset_hours
     }
-
-    /// The next age at which [`AgingModel::multiplier`] can change from
-    /// zero to non-zero, if any.
-    ///
-    /// The multiplier is zero strictly before `onset_hours` and driven by
-    /// smooth growth afterwards, so onset is the *only* zero-to-non-zero
-    /// edge: once a core has been evaluated at or past onset, its
-    /// multiplier never switches from zero to positive again (a
-    /// `growth_per_year` of zero decays to zero and stays there). The
-    /// sparse simulation clock relies on this to sleep dormant cores
-    /// until exactly this age.
-    pub fn next_transition_age(&self, age_hours: f64) -> Option<f64> {
-        (age_hours < self.onset_hours).then_some(self.onset_hours)
-    }
 }
 
 /// The full activation model for one lesion.
@@ -386,23 +372,9 @@ mod tests {
     }
 
     #[test]
-    fn next_transition_age_is_onset_then_none() {
-        let latent = AgingModel {
-            onset_hours: 1000.0,
-            growth_per_year: 2.0,
-        };
-        assert_eq!(latent.next_transition_age(0.0), Some(1000.0));
-        assert_eq!(latent.next_transition_age(999.9), Some(1000.0));
-        assert_eq!(latent.next_transition_age(1000.0), None);
-        assert_eq!(latent.next_transition_age(5000.0), None);
-        assert_eq!(AgingModel::FROM_BIRTH.next_transition_age(0.0), None);
-    }
-
-    #[test]
     fn zero_growth_never_returns_from_zero() {
-        // The soundness claim behind next_transition_age: with growth 0
-        // the multiplier is 1 exactly at onset and 0 strictly after, so
-        // there is no later zero-to-non-zero edge to wake up for.
+        // With growth 0 the multiplier is 1 exactly at onset and 0
+        // strictly after: onset is its only zero-to-non-zero edge.
         let a = AgingModel {
             onset_hours: 100.0,
             growth_per_year: 0.0,
@@ -411,7 +383,6 @@ mod tests {
         assert_eq!(a.multiplier(100.0), 1.0);
         assert_eq!(a.multiplier(100.1), 0.0);
         assert_eq!(a.multiplier(1e6), 0.0);
-        assert_eq!(a.next_transition_age(100.0), None);
     }
 
     #[test]

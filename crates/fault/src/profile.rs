@@ -139,20 +139,6 @@ impl CoreFaultProfile {
             .map(|l| l.activation.aging.onset_hours)
             .fold(f64::INFINITY, f64::min)
     }
-
-    /// The next age at which any lesion's aging multiplier can switch
-    /// from zero to non-zero, if any (see
-    /// [`AgingModel::next_transition_age`]).
-    ///
-    /// `None` means no future onset remains: a core whose effective rates
-    /// are all zero at `age_hours` will keep them zero forever, so the
-    /// sparse simulation clock never needs to wake it again.
-    pub fn next_transition_age(&self, age_hours: f64) -> Option<f64> {
-        self.lesions
-            .iter()
-            .filter_map(|l| l.activation.aging.next_transition_age(age_hours))
-            .fold(None, |acc, t| Some(acc.map_or(t, |best: f64| best.min(t))))
-    }
 }
 
 #[cfg(test)]
@@ -225,22 +211,6 @@ mod tests {
         assert!(p.is_latent(100.0));
         assert!(!p.is_latent(600.0));
         assert_eq!(p.earliest_onset_hours(), 500.0);
-    }
-
-    #[test]
-    fn next_transition_age_takes_the_earliest_pending_onset() {
-        let p = CoreFaultProfile::new(
-            "latent",
-            vec![
-                lesion(FunctionalUnit::Fma, 2000.0),
-                lesion(FunctionalUnit::MulDiv, 500.0),
-            ],
-        );
-        assert_eq!(p.next_transition_age(0.0), Some(500.0));
-        assert_eq!(p.next_transition_age(500.0), Some(2000.0));
-        assert_eq!(p.next_transition_age(2000.0), None);
-        let born = CoreFaultProfile::new("born", vec![lesion(FunctionalUnit::Fma, 0.0)]);
-        assert_eq!(born.next_transition_age(0.0), None);
     }
 
     #[test]

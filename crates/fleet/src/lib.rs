@@ -40,7 +40,7 @@ pub mod workload;
 pub use population::{MercurialCore, Population};
 pub use product::CpuProduct;
 pub use signals::{Signal, SignalKind, SignalLog};
-pub use sim::{ClockStats, FleetSim, SimConfig, SimEngine, SimState, SimSummary};
+pub use sim::{FleetSim, SimConfig, SimState, SimSummary};
 pub use time::{EventKind, EventQueue};
 pub use topology::{FleetConfig, FleetTopology, MachineInfo};
 pub use workload::{TrafficShape, WorkloadClass};

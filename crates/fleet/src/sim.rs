@@ -20,7 +20,6 @@
 
 use crate::population::Population;
 use crate::signals::{Signal, SignalKind, SignalLog};
-use crate::time::{EventKind, EventQueue};
 use crate::topology::FleetTopology;
 use crate::workload::WorkloadClass;
 use mercurial_fault::{CoreUid, CounterRng, FunctionalUnit, SymptomClass};
@@ -28,24 +27,6 @@ use mercurial_mitigation::redundancy::CostMeter;
 use mercurial_mitigation::MitigationPolicy;
 use mercurial_trace::Recorder;
 use serde::{Deserialize, Serialize};
-
-/// Which core-iteration strategy the epoch loop uses.
-///
-/// Both engines draw from the same `(seed, stream, counter)` random
-/// streams and are **bit-for-bit identical** in every output (signal log,
-/// summary, trace); the sparse engine merely skips work the dense engine
-/// provably would not do. Dense is kept as the reference implementation
-/// the parity pins compare against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum SimEngine {
-    /// Visit every mercurial core every epoch (the reference loop).
-    Dense,
-    /// Event-driven: an [`EventQueue`] clock wakes cores at their deploy
-    /// and activation-onset edges; epochs only visit cores whose rates
-    /// can be non-zero. Dormant cores cost zero between events.
-    #[default]
-    Sparse,
-}
 
 /// Simulation parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -64,10 +45,6 @@ pub struct SimConfig {
     /// Probability that a detected corruption's machine-check path fires
     /// (loud hardware) rather than a software-visible symptom.
     pub machine_check_share: f64,
-    /// Core-iteration strategy; defaults to [`SimEngine::Sparse`]. Both
-    /// values produce identical output.
-    #[serde(default)]
-    pub engine: SimEngine,
 }
 
 impl Default for SimConfig {
@@ -79,7 +56,6 @@ impl Default for SimConfig {
             noise_report_rate: 4e-7,
             per_core_epoch_cap: 25,
             machine_check_share: 0.08,
-            engine: SimEngine::default(),
         }
     }
 }
@@ -206,21 +182,6 @@ pub struct SimState {
     active: Vec<bool>,
     /// Whether each mercurial core has produced at least one corruption.
     core_was_active: Vec<bool>,
-    /// Sparse-engine liveness: the indices into `mercurial`, ascending,
-    /// of the cores whose effective rates can currently be non-zero — the
-    /// sparse epoch loop's scan list. Dormant cores (absent) provably draw
-    /// nothing and emit nothing, so the loop skips them (see
-    /// [`FleetSim::advance_clock`]).
-    live_ix: Vec<u32>,
-    /// The sparse engine's event clock. Payloads are indices into
-    /// `mercurial`; events fire at machine-deploy and activation-onset
-    /// edges and re-evaluate liveness.
-    wake: EventQueue<u32>,
-    /// Events popped off the clock so far.
-    events_processed: u64,
-    /// Sum over epochs of the live-set size — the sparse engine's total
-    /// per-core epoch work (dense would be `mercurial.len()` × epochs).
-    live_core_epochs: u64,
     /// When `Some((lo, hi))`, this state simulates only the machines in
     /// `[lo, hi)` (see [`FleetSim::begin_shard`]): the mercurial list is
     /// filtered to owned machines and the background-noise layer keeps
@@ -241,18 +202,6 @@ pub struct SimState {
     /// class. The mitigation-overhead meter uses this instead of an
     /// O(machines) scan outside the rollout window.
     class_cores: Vec<u64>,
-}
-
-/// Event-clock accounting, for asserting "zero per-epoch work on healthy
-/// state" (all zeros while the dense engine runs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ClockStats {
-    /// Events popped off the wake clock so far.
-    pub events_processed: u64,
-    /// Sum over simulated epochs of the live-core set size.
-    pub live_core_epochs: u64,
-    /// Events still pending on the clock.
-    pub pending_events: u64,
 }
 
 impl SimState {
@@ -336,15 +285,6 @@ impl SimState {
     /// contract is unaffected.
     pub fn set_policy(&mut self, class: usize, policy: MitigationPolicy) {
         self.policies[class] = policy;
-    }
-
-    /// Event-clock accounting (all zeros under [`SimEngine::Dense`]).
-    pub fn clock_stats(&self) -> ClockStats {
-        ClockStats {
-            events_processed: self.events_processed,
-            live_core_epochs: self.live_core_epochs,
-            pending_events: self.wake.len() as u64,
-        }
     }
 }
 
@@ -471,10 +411,6 @@ impl FleetSim {
 
     /// Starts a resumable simulation: every mercurial core in service,
     /// cursor at epoch 0. Step it with [`FleetSim::step_epochs`].
-    ///
-    /// The sparse event clock is armed here with one machine-deploy wake
-    /// per mercurial core; liveness is resolved lazily as epochs reach
-    /// those events (the dense engine simply never consults the clock).
     pub fn begin(&self) -> SimState {
         self.begin_with(None)
     }
@@ -504,11 +440,6 @@ impl FleetSim {
             "population iterates in sorted CoreUid order"
         );
         let n = mercurial.len();
-        let mut wake = EventQueue::new();
-        for (i, uid) in mercurial.iter().enumerate() {
-            let deploy = self.topo.machines()[uid.machine as usize].deploy_hour;
-            wake.schedule_ranked(deploy, EventKind::MachineDeploy.rank(), i as u32);
-        }
         let n_classes = self.workloads.len();
         let mut class_cores = vec![0u64; n_classes];
         let (lo, hi) = shard.unwrap_or((0, self.topo.machines().len() as u32));
@@ -524,10 +455,6 @@ impl FleetSim {
             mercurial,
             active: vec![true; n],
             core_was_active: vec![false; n],
-            live_ix: Vec::new(),
-            wake,
-            events_processed: 0,
-            live_core_epochs: 0,
             shard,
             policies: vec![MitigationPolicy::None; n_classes],
             class_tallies: vec![ClassTally::default(); n_classes],
@@ -572,17 +499,10 @@ impl FleetSim {
         let batch = (state.epochs - state.next_epoch.min(state.epochs)).min(max_epochs);
         let first = state.next_epoch;
         let epoch_hours = self.config.epoch_hours;
-        let sparse = self.config.engine == SimEngine::Sparse;
         for epoch in first..first + batch {
             let hour = epoch as f64 * epoch_hours;
-            // Sparse engine: advance the event clock to this epoch's start;
-            // healthy stretches cost one heap peek and nothing per core.
-            if sparse {
-                self.advance_clock(state, hour);
-                state.live_core_epochs += state.live_ix.len() as u64;
-            }
             let before = *summary;
-            self.run_epoch(epoch, state, sparse, log, summary, rec);
+            self.run_epoch(epoch, state, log, summary, rec);
             let corruptions = summary.corruptions - before.corruptions;
             let signals = summary.signals_emitted - before.signals_emitted;
             let noise = summary.noise_signals - before.noise_signals;
@@ -627,69 +547,18 @@ impl FleetSim {
         (log, summary)
     }
 
-    /// Advances the sparse event clock to `hour` (an epoch start): pops
-    /// every due wake, re-evaluates that core's liveness, and inserts or
-    /// removes it in the sorted live index list.
+    /// Simulates one epoch: every deployed, in-service mercurial core in
+    /// ascending [`CoreUid`] order, then the background noise layer. A
+    /// core's first corruption is recorded as a `sim.first_corruption`
+    /// instant.
     ///
-    /// Soundness of the sparse skip: a core is marked dormant only when
-    /// every per-unit `rate × ops_per_hour` product is exactly zero at
-    /// `hour`. [`FleetSim::epoch_core`] tests `lambda <= 0.0` *before*
-    /// touching the RNG and [`poisson`] draws nothing for non-positive
-    /// lambda, so the dense engine would consume no randomness and emit
-    /// nothing for such a core — skipping it is bit-identical. The rates
-    /// are a static per-operand factor times the aging multiplier, and
-    /// the only zero-to-non-zero edge of the multiplier is an onset
-    /// ([`mercurial_fault::CoreFaultProfile::next_transition_age`]), so a
-    /// dormant core sleeps until its next onset, or forever when none
-    /// remains.
-    fn advance_clock(&self, state: &mut SimState, hour: f64) {
-        while let Some((_, i)) = state.wake.pop_due(hour) {
-            state.events_processed += 1;
-            let ix = i as usize;
-            let uid = state.mercurial[ix];
-            let wl = self.workload_of(uid.machine);
-            let age = self.topo.age_hours(uid.machine, hour);
-            let point = self.topo.product_of(uid.machine).dvfs.max_point(65);
-            let rates = self.pop.unit_rates(uid, &wl.operands, point, age);
-            let live = FunctionalUnit::ALL
-                .iter()
-                .any(|u| rates[u.index()] * wl.ops_per_hour[u.index()] > 0.0);
-            match (state.live_ix.binary_search(&i), live) {
-                (Err(at), true) => state.live_ix.insert(at, i),
-                (Ok(at), false) => {
-                    state.live_ix.remove(at);
-                }
-                _ => {}
-            }
-            if !live {
-                // Dormant: provably silent until the next onset edge (if
-                // any). Wakes are only processed at or past the deploy
-                // hour, so `deploy + next_age > hour` and the clock always
-                // makes progress.
-                if let Some(profile) = self.pop.profile_of(uid) {
-                    if let Some(next_age) = profile.next_transition_age(age) {
-                        let deploy = self.topo.machines()[uid.machine as usize].deploy_hour;
-                        state.wake.schedule_ranked(
-                            deploy + next_age,
-                            EventKind::ActivationEdge.rank(),
-                            i,
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Simulates one epoch: every deployed, in-service mercurial core,
-    /// then the background noise layer. Under the sparse engine the scan
-    /// narrows to the event clock's live index set, in the same ascending
-    /// order. A core's first corruption is recorded as a
-    /// `sim.first_corruption` instant.
+    /// A dormant core (latent defect before onset) costs one rate
+    /// evaluation here: [`FleetSim::epoch_core`] tests `lambda <= 0.0`
+    /// before touching its random stream, so it draws and emits nothing.
     fn run_epoch(
         &self,
         epoch: u32,
         state: &mut SimState,
-        sparse: bool,
         log: &mut SignalLog,
         summary: &mut SimSummary,
         rec: &mut Recorder,
@@ -699,40 +568,21 @@ impl FleetSim {
             mercurial,
             active,
             core_was_active,
-            live_ix,
             shard,
             policies,
             class_tallies,
             class_cores,
             ..
         } = state;
-        let mercurial: &[CoreUid] = mercurial;
-        let mut visit = |i: usize| {
-            let uid = mercurial[i];
-            if !active[i] {
-                return;
+        for (i, &uid) in mercurial.iter().enumerate() {
+            if !active[i] || !self.topo.is_deployed(uid.machine, hour) {
+                continue;
             }
             if self.epoch_core(uid, hour, epoch, policies, class_tallies, log, summary)
                 && !core_was_active[i]
             {
                 core_was_active[i] = true;
                 rec.instant(hour, "sim.first_corruption", Some(uid.as_u64()), 0.0);
-            }
-        };
-        if sparse {
-            // Liveness implies the machine is deployed (wakes never fire
-            // before the deploy hour), and every skipped core provably
-            // draws and emits nothing (see `advance_clock`), so this
-            // equals the dense scan below bit for bit.
-            for &i in live_ix.iter() {
-                debug_assert!(self.topo.is_deployed(mercurial[i as usize].machine, hour));
-                visit(i as usize);
-            }
-        } else {
-            for (i, uid) in mercurial.iter().enumerate() {
-                if self.topo.is_deployed(uid.machine, hour) {
-                    visit(i);
-                }
             }
         }
         self.epoch_noise(hour, epoch, *shard, log, summary);
@@ -774,7 +624,7 @@ impl FleetSim {
             // Time-varying traffic scales the op rate; the flat shape is
             // skipped entirely (not multiplied by 1.0) so legacy runs stay
             // bit-identical. Intensity is clamped strictly positive, so
-            // the `lambda <= 0.0` liveness predicate is unaffected.
+            // a dormant core (zero rates) stays at `lambda == 0.0`.
             if !wl.traffic.is_flat() {
                 lambda *= wl.traffic.intensity_at(hour);
             }
@@ -1575,9 +1425,8 @@ mod tests {
     }
 
     /// A rollout fleet carrying a from-birth defect, a mid-window latent
-    /// defect, and a control-path defect — exercises deploy wakes, onset
-    /// wakes, and permanently-live cores all at once.
-    fn parity_fleet(seed: u64, engine: SimEngine, months: u32) -> FleetSim {
+    /// defect, and a control-path defect.
+    fn rollout_fleet(seed: u64, months: u32) -> FleetSim {
         let topo = FleetTopology::build(FleetConfig {
             machines: 120,
             sockets_per_machine: 2,
@@ -1601,147 +1450,6 @@ mod tests {
             pop,
             SimConfig {
                 months,
-                engine,
-                ..SimConfig::default()
-            },
-        )
-    }
-
-    #[test]
-    fn sparse_engine_matches_dense_bit_for_bit() {
-        for seed in [21u64, 97, 4242] {
-            let (dense_log, dense_summary) = parity_fleet(seed, SimEngine::Dense, 9).run();
-            assert!(
-                dense_summary.signals_emitted > 0,
-                "seed {seed}: defects must fire"
-            );
-            let sim = parity_fleet(seed, SimEngine::Sparse, 9);
-            for granularity in [1u32, 5, u32::MAX] {
-                let mut state = sim.begin();
-                let mut log = SignalLog::new();
-                let mut summary = SimSummary::default();
-                let mut rec = Recorder::disabled();
-                while sim.step_epochs(&mut state, granularity, &mut log, &mut summary, &mut rec) > 0
-                {
-                }
-                log.sort_by_time();
-                assert_eq!(summary, dense_summary, "seed {seed}, batch {granularity}");
-                assert_eq!(
-                    log.all(),
-                    dense_log.all(),
-                    "seed {seed}, batch {granularity}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_trace_matches_dense_trace_bit_for_bit() {
-        let trace_of = |engine: SimEngine, granularity: u32| {
-            let sim = parity_fleet(33, engine, 9);
-            let mut state = sim.begin();
-            let mut log = SignalLog::new();
-            let mut summary = SimSummary::default();
-            let mut rec = Recorder::with_flags(mercurial_trace::TraceFlags::enabled());
-            while !state.is_done() {
-                sim.step_epochs(&mut state, granularity, &mut log, &mut summary, &mut rec);
-            }
-            (rec.finish().to_jsonl(), log, summary)
-        };
-        let (dense_jsonl, dense_log, dense_summary) = trace_of(SimEngine::Dense, u32::MAX);
-        assert!(dense_jsonl.contains("sim.first_corruption"));
-        for granularity in [1u32, 5, u32::MAX] {
-            let (jsonl, log, summary) = trace_of(SimEngine::Sparse, granularity);
-            assert_eq!(jsonl, dense_jsonl, "batch {granularity}");
-            assert_eq!(log.all(), dense_log.all());
-            assert_eq!(summary, dense_summary);
-        }
-    }
-
-    #[test]
-    fn dormant_cores_cost_zero_per_epoch_work() {
-        // Every defect's onset lies beyond the observation window: the
-        // sparse engine must do exactly one deploy wake per core and no
-        // per-epoch work at all, with both onset wakes still pending.
-        let far = 1.0e6;
-        let cores: Vec<(CoreUid, CoreFaultProfile)> = vec![
-            (CoreUid::new(2, 0, 0), library::late_onset_muldiv(far, 1e-3)),
-            (CoreUid::new(7, 0, 3), library::late_onset_muldiv(far, 1e-3)),
-        ];
-        let topo = FleetTopology::build(FleetConfig::tiny(50, 5));
-        let pop = Population::with_explicit(5, cores);
-        let sim = FleetSim::new(
-            topo,
-            pop,
-            SimConfig {
-                months: 6,
-                engine: SimEngine::Sparse,
-                ..SimConfig::default()
-            },
-        );
-        let mut state = sim.begin();
-        let mut log = SignalLog::new();
-        let mut summary = SimSummary::default();
-        while sim.step_epochs(
-            &mut state,
-            7,
-            &mut log,
-            &mut summary,
-            &mut Recorder::disabled(),
-        ) > 0
-        {}
-        assert_eq!(summary.corruptions, 0);
-        let stats = state.clock_stats();
-        assert_eq!(stats.events_processed, 2, "one deploy wake per core");
-        assert_eq!(stats.live_core_epochs, 0, "no core-epoch was simulated");
-        assert_eq!(stats.pending_events, 2, "onset wakes parked past window");
-    }
-
-    #[test]
-    fn live_cores_are_accounted_and_dense_never_uses_the_clock() {
-        let build = |engine: SimEngine| {
-            let uid = CoreUid::new(3, 0, 1);
-            tiny_sim_with_engine(50, vec![(uid, library::string_bitflip(9, 1e-4))], 6, engine)
-        };
-        let run = |engine: SimEngine| {
-            let sim = build(engine);
-            let mut state = sim.begin();
-            let mut log = SignalLog::new();
-            let mut summary = SimSummary::default();
-            while sim.step_epochs(
-                &mut state,
-                u32::MAX,
-                &mut log,
-                &mut summary,
-                &mut Recorder::disabled(),
-            ) > 0
-            {}
-            (state.clock_stats(), state.total_epochs())
-        };
-        let (sparse, epochs) = run(SimEngine::Sparse);
-        // One from-birth defect on a rollout-0 fleet: live from epoch 0.
-        assert_eq!(sparse.live_core_epochs, epochs as u64);
-        assert_eq!(sparse.events_processed, 1);
-        assert_eq!(sparse.pending_events, 0);
-        let (dense, _) = run(SimEngine::Dense);
-        assert_eq!(dense.events_processed, 0);
-        assert_eq!(dense.live_core_epochs, 0);
-    }
-
-    fn tiny_sim_with_engine(
-        machines: u32,
-        cores: Vec<(CoreUid, CoreFaultProfile)>,
-        months: u32,
-        engine: SimEngine,
-    ) -> FleetSim {
-        let topo = FleetTopology::build(FleetConfig::tiny(machines, 21));
-        let pop = Population::with_explicit(21, cores);
-        FleetSim::new(
-            topo,
-            pop,
-            SimConfig {
-                months,
-                engine,
                 ..SimConfig::default()
             },
         )
@@ -1824,7 +1532,7 @@ mod tests {
             v
         };
         for seed in [21u64, 97] {
-            let sim = parity_fleet(seed, SimEngine::Sparse, 9);
+            let sim = rollout_fleet(seed, 9);
             let (full_log, full_summary) = sim.run();
             assert!(full_summary.signals_emitted > 0, "defects must fire");
             assert!(full_summary.noise_signals > 0, "noise must flow");

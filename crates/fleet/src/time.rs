@@ -2,8 +2,8 @@
 //!
 //! Simulated time is `f64` hours from the start of the observation window.
 //! Same-timestamp ties are broken by an explicit *kind rank* first (see
-//! [`EventKind`]: restore before screening-due before onset, per the DES
-//! ordering contract) and by insertion order last, so the simulation is
+//! [`EventKind`]: restore before screening-due before deep-check, per the
+//! DES ordering contract) and by insertion order last, so the simulation is
 //! deterministic regardless of the order timers happened to be armed in.
 
 use std::cmp::Ordering;
@@ -13,9 +13,8 @@ use std::collections::BinaryHeap;
 ///
 /// When several events share a timestamp they are delivered in this
 /// order: a restored core re-enters service before the screening pass
-/// that would otherwise skip it, screens run before deep-check verdicts
-/// land, and infrastructure transitions (deploys) precede defect
-/// transitions (activation onsets). [`EventKind::rank`] is the tie key
+/// that would otherwise skip it, and screens run before deep-check
+/// verdicts land. [`EventKind::rank`] is the tie key
 /// [`EventQueue::schedule_ranked`] takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum EventKind {
@@ -25,10 +24,6 @@ pub enum EventKind {
     ScreeningDue,
     /// A deep-check (human triage) verdict lands.
     DeepCheck,
-    /// A machine enters service (sparse sim-clock wake).
-    MachineDeploy,
-    /// A defect's activation window opens or closes (aging onset).
-    ActivationEdge,
 }
 
 impl EventKind {
@@ -38,8 +33,6 @@ impl EventKind {
             EventKind::Restore => 0,
             EventKind::ScreeningDue => 1,
             EventKind::DeepCheck => 2,
-            EventKind::MachineDeploy => 3,
-            EventKind::ActivationEdge => 4,
         }
     }
 }
@@ -203,31 +196,27 @@ mod tests {
         // Scheduling order is deliberately adversarial: the highest rank
         // is armed first. Rank must win over seq.
         let mut q = EventQueue::new();
-        q.schedule_ranked(5.0, EventKind::ActivationEdge.rank(), "onset");
-        q.schedule_ranked(5.0, EventKind::MachineDeploy.rank(), "deploy");
+        q.schedule_ranked(5.0, EventKind::DeepCheck.rank(), "verdict");
         q.schedule_ranked(5.0, EventKind::ScreeningDue.rank(), "screen");
         q.schedule_ranked(5.0, EventKind::Restore.rank(), "restore");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
-        assert_eq!(order, vec!["restore", "screen", "deploy", "onset"]);
+        assert_eq!(order, vec!["restore", "screen", "verdict"]);
     }
 
     #[test]
     fn rank_only_matters_at_equal_times() {
         let mut q = EventQueue::new();
         q.schedule_ranked(2.0, EventKind::Restore.rank(), "late-restore");
-        q.schedule_ranked(1.0, EventKind::ActivationEdge.rank(), "early-onset");
-        assert_eq!(q.pop().unwrap().1, "early-onset");
+        q.schedule_ranked(1.0, EventKind::DeepCheck.rank(), "early-verdict");
+        assert_eq!(q.pop().unwrap().1, "early-verdict");
         assert_eq!(q.pop().unwrap().1, "late-restore");
     }
 
     #[test]
     fn kind_ranks_follow_the_des_contract() {
-        // Restore before screening-due before onset (ISSUE 6 / DES spec);
-        // deploys precede activation edges.
+        // Restore before screening-due before deep-check verdicts.
         assert!(EventKind::Restore.rank() < EventKind::ScreeningDue.rank());
         assert!(EventKind::ScreeningDue.rank() < EventKind::DeepCheck.rank());
-        assert!(EventKind::DeepCheck.rank() < EventKind::MachineDeploy.rank());
-        assert!(EventKind::MachineDeploy.rank() < EventKind::ActivationEdge.rank());
     }
 
     #[test]

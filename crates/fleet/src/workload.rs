@@ -56,8 +56,8 @@ impl TrafficShape {
     }
 
     /// The traffic multiplier at a simulation hour; strictly positive so
-    /// the sparse engine's liveness predicate (`rate × ops > 0`) is
-    /// unaffected by the shape.
+    /// a core's Poisson rate is zero exactly when its defect is dormant,
+    /// whatever the shape.
     pub fn intensity_at(&self, hour: f64) -> f64 {
         if self.is_flat() {
             return 1.0;

@@ -67,72 +67,51 @@ impl CapacityLedger {
         self.nominal_total += cores;
     }
 
-    /// Records a core as removed from service.
+    /// Records a core as removed from service at `hour`, with a
+    /// `capacity.core_removed` instant plus counter.
     ///
-    /// Idempotent: removing the same core twice counts once.
+    /// Idempotent: removing the same core twice counts (and is announced)
+    /// once.
     ///
     /// # Panics
     ///
     /// Panics if the machine was never registered or the loss would
     /// exceed its nominal count.
-    pub fn remove_core(&mut self, core: CoreUid) {
+    pub fn remove_core(&mut self, core: CoreUid, hour: f64, rec: &mut Recorder) {
         let nominal = *self
             .nominal
             .get(&core.machine)
             .unwrap_or_else(|| panic!("machine {} not registered", core.machine));
         let set = self.lost.entry(core.machine).or_default();
-        if set.insert(core) {
-            self.lost_total += 1;
-            if set.len() == 1 {
-                self.heterogeneous += 1;
-            }
-        }
+        let newly = set.insert(core);
         assert!(
             set.len() as u64 <= nominal,
             "machine {} lost more cores than it has",
             core.machine
         );
-    }
-
-    /// [`CapacityLedger::remove_core`] with telemetry: a
-    /// `capacity.core_removed` instant plus counter (first removal only —
-    /// idempotent repeats are not re-announced).
-    pub fn remove_core_traced(&mut self, core: CoreUid, hour: f64, rec: &mut Recorder) {
-        let already = self
-            .lost
-            .get(&core.machine)
-            .is_some_and(|s| s.contains(&core));
-        self.remove_core(core);
-        if !already {
+        if newly {
+            self.lost_total += 1;
+            if set.len() == 1 {
+                self.heterogeneous += 1;
+            }
             rec.instant(hour, "capacity.core_removed", Some(core.as_u64()), 0.0);
             rec.counter_add("capacity.cores_removed", 1);
         }
     }
 
-    /// Returns a core to service.
-    pub fn restore_core(&mut self, core: CoreUid) {
+    /// Returns a core to service at `hour`, with a
+    /// `capacity.core_restored` instant plus counter when the core was
+    /// actually out of service.
+    pub fn restore_core(&mut self, core: CoreUid, hour: f64, rec: &mut Recorder) {
         if let Some(set) = self.lost.get_mut(&core.machine) {
             if set.remove(&core) {
                 self.lost_total -= 1;
                 if set.is_empty() {
                     self.heterogeneous -= 1;
                 }
+                rec.instant(hour, "capacity.core_restored", Some(core.as_u64()), 0.0);
+                rec.counter_add("capacity.cores_restored", 1);
             }
-        }
-    }
-
-    /// [`CapacityLedger::restore_core`] with telemetry: a
-    /// `capacity.core_restored` instant plus counter (only when the core
-    /// was actually out of service).
-    pub fn restore_core_traced(&mut self, core: CoreUid, hour: f64, rec: &mut Recorder) {
-        let was_lost = self
-            .lost
-            .get(&core.machine)
-            .is_some_and(|s| s.contains(&core));
-        self.restore_core(core);
-        if was_lost {
-            rec.instant(hour, "capacity.core_restored", Some(core.as_u64()), 0.0);
-            rec.counter_add("capacity.cores_restored", 1);
         }
     }
 
@@ -161,12 +140,13 @@ mod tests {
     #[test]
     fn pool_aggregates() {
         let mut ledger = CapacityLedger::new();
+        let rec = &mut Recorder::disabled();
         for m in 0..10 {
             ledger.register_machine(m, 64);
         }
-        ledger.remove_core(CoreUid::new(3, 0, 5));
-        ledger.remove_core(CoreUid::new(3, 1, 9));
-        ledger.remove_core(CoreUid::new(7, 0, 0));
+        ledger.remove_core(CoreUid::new(3, 0, 5), 0.0, rec);
+        ledger.remove_core(CoreUid::new(3, 1, 9), 0.0, rec);
+        ledger.remove_core(CoreUid::new(7, 0, 0), 0.0, rec);
         let pool = ledger.pool();
         assert_eq!(pool.nominal_cores, 640);
         assert_eq!(pool.lost_cores, 3);
@@ -178,12 +158,13 @@ mod tests {
     #[test]
     fn removal_is_idempotent_and_restorable() {
         let mut ledger = CapacityLedger::new();
+        let rec = &mut Recorder::disabled();
         ledger.register_machine(1, 8);
         let core = CoreUid::new(1, 0, 2);
-        ledger.remove_core(core);
-        ledger.remove_core(core);
+        ledger.remove_core(core, 0.0, rec);
+        ledger.remove_core(core, 0.0, rec);
         assert_eq!(ledger.effective_of(1), 7);
-        ledger.restore_core(core);
+        ledger.restore_core(core, 0.0, rec);
         assert_eq!(ledger.effective_of(1), 8);
         assert_eq!(ledger.pool().heterogeneous_machines, 0);
     }
@@ -191,7 +172,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not registered")]
     fn unregistered_machine_panics() {
-        CapacityLedger::new().remove_core(CoreUid::new(9, 0, 0));
+        CapacityLedger::new().remove_core(CoreUid::new(9, 0, 0), 0.0, &mut Recorder::disabled());
     }
 
     #[test]

@@ -153,24 +153,8 @@ impl QuarantineRegistry {
         Ok(())
     }
 
-    /// Healthy → Suspect.
+    /// Healthy → Suspect. Records a `core.suspect` instant.
     pub fn mark_suspect(
-        &mut self,
-        core: CoreUid,
-        hour: f64,
-        reason: impl Into<String>,
-    ) -> Result<(), QuarantineError> {
-        self.transition(
-            core,
-            CoreState::Suspect,
-            hour,
-            reason,
-            &mut Recorder::disabled(),
-        )
-    }
-
-    /// [`QuarantineRegistry::mark_suspect`] with a `core.suspect` instant.
-    pub fn mark_suspect_traced(
         &mut self,
         core: CoreUid,
         hour: f64,
@@ -180,24 +164,8 @@ impl QuarantineRegistry {
         self.transition(core, CoreState::Suspect, hour, reason, rec)
     }
 
-    /// Suspect → Quarantined (removes the core from the pool).
+    /// Suspect → Quarantined (removes the core from the pool). Records a `core.quarantine` instant.
     pub fn quarantine(
-        &mut self,
-        core: CoreUid,
-        hour: f64,
-        reason: impl Into<String>,
-    ) -> Result<(), QuarantineError> {
-        self.transition(
-            core,
-            CoreState::Quarantined,
-            hour,
-            reason,
-            &mut Recorder::disabled(),
-        )
-    }
-
-    /// [`QuarantineRegistry::quarantine`] with a `core.quarantine` instant.
-    pub fn quarantine_traced(
         &mut self,
         core: CoreUid,
         hour: f64,
@@ -207,24 +175,8 @@ impl QuarantineRegistry {
         self.transition(core, CoreState::Quarantined, hour, reason, rec)
     }
 
-    /// Quarantined → Confirmed (deep checking reproduced the defect).
+    /// Quarantined → Confirmed (deep checking reproduced the defect). Records a `core.confirm` instant.
     pub fn confirm(
-        &mut self,
-        core: CoreUid,
-        hour: f64,
-        reason: impl Into<String>,
-    ) -> Result<(), QuarantineError> {
-        self.transition(
-            core,
-            CoreState::Confirmed,
-            hour,
-            reason,
-            &mut Recorder::disabled(),
-        )
-    }
-
-    /// [`QuarantineRegistry::confirm`] with a `core.confirm` instant.
-    pub fn confirm_traced(
         &mut self,
         core: CoreUid,
         hour: f64,
@@ -234,24 +186,8 @@ impl QuarantineRegistry {
         self.transition(core, CoreState::Confirmed, hour, reason, rec)
     }
 
-    /// Suspect/Quarantined → Exonerated (nothing reproduced).
+    /// Suspect/Quarantined → Exonerated (nothing reproduced). Records a `core.exonerate` instant.
     pub fn exonerate(
-        &mut self,
-        core: CoreUid,
-        hour: f64,
-        reason: impl Into<String>,
-    ) -> Result<(), QuarantineError> {
-        self.transition(
-            core,
-            CoreState::Exonerated,
-            hour,
-            reason,
-            &mut Recorder::disabled(),
-        )
-    }
-
-    /// [`QuarantineRegistry::exonerate`] with a `core.exonerate` instant.
-    pub fn exonerate_traced(
         &mut self,
         core: CoreUid,
         hour: f64,
@@ -261,24 +197,8 @@ impl QuarantineRegistry {
         self.transition(core, CoreState::Exonerated, hour, reason, rec)
     }
 
-    /// Exonerated → Healthy (returned to the pool).
+    /// Exonerated → Healthy (returned to the pool). Records a `core.restore` instant.
     pub fn restore(
-        &mut self,
-        core: CoreUid,
-        hour: f64,
-        reason: impl Into<String>,
-    ) -> Result<(), QuarantineError> {
-        self.transition(
-            core,
-            CoreState::Healthy,
-            hour,
-            reason,
-            &mut Recorder::disabled(),
-        )
-    }
-
-    /// [`QuarantineRegistry::restore`] with a `core.restore` instant.
-    pub fn restore_traced(
         &mut self,
         core: CoreUid,
         hour: f64,
@@ -288,24 +208,8 @@ impl QuarantineRegistry {
         self.transition(core, CoreState::Healthy, hour, reason, rec)
     }
 
-    /// Confirmed → Retired (permanent removal).
+    /// Confirmed → Retired (permanent removal). Records a `core.retire` instant.
     pub fn retire(
-        &mut self,
-        core: CoreUid,
-        hour: f64,
-        reason: impl Into<String>,
-    ) -> Result<(), QuarantineError> {
-        self.transition(
-            core,
-            CoreState::Retired,
-            hour,
-            reason,
-            &mut Recorder::disabled(),
-        )
-    }
-
-    /// [`QuarantineRegistry::retire`] with a `core.retire` instant.
-    pub fn retire_traced(
         &mut self,
         core: CoreUid,
         hour: f64,
@@ -352,19 +256,22 @@ mod tests {
     #[test]
     fn full_confirmation_path() {
         let mut reg = QuarantineRegistry::new();
+        let rec = &mut Recorder::disabled();
         let c = core(1);
         assert_eq!(reg.state(c), CoreState::Healthy);
         assert!(reg.is_schedulable(c));
-        reg.mark_suspect(c, 1.0, "concentrated reports").unwrap();
+        reg.mark_suspect(c, 1.0, "concentrated reports", rec)
+            .unwrap();
         assert!(
             reg.is_schedulable(c),
             "suspects keep running until quarantined"
         );
-        reg.quarantine(c, 2.0, "report service verdict").unwrap();
-        assert!(!reg.is_schedulable(c));
-        reg.confirm(c, 3.0, "deep screen failed on vector-lanes")
+        reg.quarantine(c, 2.0, "report service verdict", rec)
             .unwrap();
-        reg.retire(c, 4.0, "RMA").unwrap();
+        assert!(!reg.is_schedulable(c));
+        reg.confirm(c, 3.0, "deep screen failed on vector-lanes", rec)
+            .unwrap();
+        reg.retire(c, 4.0, "RMA", rec).unwrap();
         assert_eq!(reg.state(c), CoreState::Retired);
         assert_eq!(reg.history(c).len(), 4);
         assert_eq!(reg.history(c)[0].reason, "concentrated reports");
@@ -373,15 +280,16 @@ mod tests {
     #[test]
     fn exoneration_path_restores() {
         let mut reg = QuarantineRegistry::new();
+        let rec = &mut Recorder::disabled();
         let c = core(2);
-        reg.mark_suspect(c, 1.0, "crash").unwrap();
-        reg.quarantine(c, 2.0, "recidivism").unwrap();
-        reg.exonerate(c, 3.0, "nothing reproduced").unwrap();
+        reg.mark_suspect(c, 1.0, "crash", rec).unwrap();
+        reg.quarantine(c, 2.0, "recidivism", rec).unwrap();
+        reg.exonerate(c, 3.0, "nothing reproduced", rec).unwrap();
         assert!(
             !reg.is_schedulable(c),
             "exonerated cores need an explicit restore"
         );
-        reg.restore(c, 4.0, "returned to pool").unwrap();
+        reg.restore(c, 4.0, "returned to pool", rec).unwrap();
         assert_eq!(reg.state(c), CoreState::Healthy);
         assert!(reg.is_schedulable(c));
     }
@@ -389,52 +297,56 @@ mod tests {
     #[test]
     fn suspect_can_be_exonerated_without_quarantine() {
         let mut reg = QuarantineRegistry::new();
+        let rec = &mut Recorder::disabled();
         let c = core(3);
-        reg.mark_suspect(c, 1.0, "one crash").unwrap();
-        reg.exonerate(c, 2.0, "evidence aged out").unwrap();
-        reg.restore(c, 3.0, "ok").unwrap();
+        reg.mark_suspect(c, 1.0, "one crash", rec).unwrap();
+        reg.exonerate(c, 2.0, "evidence aged out", rec).unwrap();
+        reg.restore(c, 3.0, "ok", rec).unwrap();
         assert_eq!(reg.state(c), CoreState::Healthy);
     }
 
     #[test]
     fn illegal_transitions_rejected() {
         let mut reg = QuarantineRegistry::new();
+        let rec = &mut Recorder::disabled();
         let c = core(4);
         // Cannot quarantine a healthy core without suspicion first.
-        let err = reg.quarantine(c, 1.0, "hasty").unwrap_err();
+        let err = reg.quarantine(c, 1.0, "hasty", rec).unwrap_err();
         assert_eq!(err.current, CoreState::Healthy);
         assert_eq!(err.attempted, CoreState::Quarantined);
         // Cannot confirm without quarantine.
-        reg.mark_suspect(c, 1.0, "x").unwrap();
-        assert!(reg.confirm(c, 2.0, "y").is_err());
+        reg.mark_suspect(c, 1.0, "x", rec).unwrap();
+        assert!(reg.confirm(c, 2.0, "y", rec).is_err());
         // Cannot retire an unconfirmed core.
-        assert!(reg.retire(c, 3.0, "z").is_err());
+        assert!(reg.retire(c, 3.0, "z", rec).is_err());
         // Cannot re-suspect a suspect.
-        assert!(reg.mark_suspect(c, 4.0, "again").is_err());
+        assert!(reg.mark_suspect(c, 4.0, "again", rec).is_err());
     }
 
     #[test]
     fn retired_is_terminal() {
         let mut reg = QuarantineRegistry::new();
+        let rec = &mut Recorder::disabled();
         let c = core(5);
-        reg.mark_suspect(c, 1.0, "").unwrap();
-        reg.quarantine(c, 2.0, "").unwrap();
-        reg.confirm(c, 3.0, "").unwrap();
-        reg.retire(c, 4.0, "").unwrap();
-        assert!(reg.exonerate(c, 5.0, "").is_err());
-        assert!(reg.restore(c, 5.0, "").is_err());
-        assert!(reg.mark_suspect(c, 5.0, "").is_err());
+        reg.mark_suspect(c, 1.0, "", rec).unwrap();
+        reg.quarantine(c, 2.0, "", rec).unwrap();
+        reg.confirm(c, 3.0, "", rec).unwrap();
+        reg.retire(c, 4.0, "", rec).unwrap();
+        assert!(reg.exonerate(c, 5.0, "", rec).is_err());
+        assert!(reg.restore(c, 5.0, "", rec).is_err());
+        assert!(reg.mark_suspect(c, 5.0, "", rec).is_err());
     }
 
     #[test]
     fn queries_and_counts() {
         let mut reg = QuarantineRegistry::new();
+        let rec = &mut Recorder::disabled();
         for i in 0..4 {
-            reg.mark_suspect(core(i), 1.0, "").unwrap();
+            reg.mark_suspect(core(i), 1.0, "", rec).unwrap();
         }
-        reg.quarantine(core(0), 2.0, "").unwrap();
-        reg.quarantine(core(1), 2.0, "").unwrap();
-        reg.confirm(core(1), 3.0, "").unwrap();
+        reg.quarantine(core(0), 2.0, "", rec).unwrap();
+        reg.quarantine(core(1), 2.0, "", rec).unwrap();
+        reg.confirm(core(1), 3.0, "", rec).unwrap();
         assert_eq!(reg.in_state(CoreState::Quarantined), vec![core(0)]);
         assert_eq!(reg.in_state(CoreState::Confirmed), vec![core(1)]);
         assert_eq!(reg.in_state(CoreState::Suspect), vec![core(2), core(3)]);

@@ -3,6 +3,7 @@
 use mercurial_fault::CoreUid;
 use mercurial_isolation::csr::Task;
 use mercurial_isolation::{CoreState, CsrSimulator, QuarantineRegistry};
+use mercurial_trace::Recorder;
 use proptest::prelude::*;
 
 /// The operations a fuzzer can throw at the registry.
@@ -38,17 +39,18 @@ proptest! {
     fn quarantine_state_machine_is_sound(ops in proptest::collection::vec(arb_op(), 0..64)) {
         let core = CoreUid::new(1, 0, 0);
         let mut reg = QuarantineRegistry::new();
+        let rec = &mut Recorder::disabled();
         let mut accepted = 0usize;
         let mut was_retired = false;
         for (i, op) in ops.iter().enumerate() {
             let hour = i as f64;
             let result = match op {
-                Op::Suspect => reg.mark_suspect(core, hour, "fuzz"),
-                Op::Quarantine => reg.quarantine(core, hour, "fuzz"),
-                Op::Confirm => reg.confirm(core, hour, "fuzz"),
-                Op::Exonerate => reg.exonerate(core, hour, "fuzz"),
-                Op::Restore => reg.restore(core, hour, "fuzz"),
-                Op::Retire => reg.retire(core, hour, "fuzz"),
+                Op::Suspect => reg.mark_suspect(core, hour, "fuzz", rec),
+                Op::Quarantine => reg.quarantine(core, hour, "fuzz", rec),
+                Op::Confirm => reg.confirm(core, hour, "fuzz", rec),
+                Op::Exonerate => reg.exonerate(core, hour, "fuzz", rec),
+                Op::Restore => reg.restore(core, hour, "fuzz", rec),
+                Op::Retire => reg.retire(core, hour, "fuzz", rec),
             };
             if result.is_ok() {
                 accepted += 1;

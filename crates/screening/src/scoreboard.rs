@@ -112,15 +112,10 @@ impl Scoreboard {
         Scoreboard::default()
     }
 
-    /// Ingests one signal.
-    pub fn ingest(&mut self, signal: &Signal) {
-        self.ingest_traced(signal, &mut Recorder::disabled());
-    }
-
-    /// [`Scoreboard::ingest`] with telemetry: emits a `score.first_signal`
+    /// Ingests one signal. An enabled `rec` gets a `score.first_signal`
     /// instant the first time a core is accused and a `score.recidivist`
     /// instant when it crosses the recidivism predicate (second signal).
-    pub fn ingest_traced(&mut self, signal: &Signal, rec: &mut Recorder) {
+    pub fn ingest(&mut self, signal: &Signal, rec: &mut Recorder) {
         let mut is_new = false;
         let entry = self.scores.entry(signal.core).or_insert_with(|| {
             is_new = true;
@@ -159,29 +154,22 @@ impl Scoreboard {
         }
     }
 
-    /// Ingests a batch.
-    pub fn ingest_all<'a>(&mut self, signals: impl IntoIterator<Item = &'a Signal>) {
-        for s in signals {
-            self.ingest(s);
-        }
-    }
-
-    /// [`Scoreboard::ingest_all`] with telemetry; also bumps the
-    /// `score.signals_ingested` counter once for the whole batch.
-    pub fn ingest_all_traced<'a>(
+    /// Ingests a batch, then bumps the `score.signals_ingested` counter
+    /// once for the whole batch.
+    pub fn ingest_all<'a>(
         &mut self,
         signals: impl IntoIterator<Item = &'a Signal>,
         rec: &mut Recorder,
     ) {
         let mut n = 0u64;
         for s in signals {
-            self.ingest_traced(s, rec);
+            self.ingest(s, rec);
             n += 1;
         }
         rec.counter_add("score.signals_ingested", n);
     }
 
-    /// [`Scoreboard::ingest_all_traced`] with decision provenance: before
+    /// [`Scoreboard::ingest_all`] with decision provenance: before
     /// each signal is ingested, a `score.signal` instant is emitted whose
     /// value is the dense [`kind_index`] of the signal kind. The audit
     /// ledger decodes the index back into the canonical kind name, giving
@@ -201,7 +189,7 @@ impl Scoreboard {
                 Some(s.core.as_u64()),
                 kind_index(s.kind) as f64,
             );
-            self.ingest_traced(s, rec);
+            self.ingest(s, rec);
             n += 1;
         }
         rec.counter_add("score.signals_ingested", n);
@@ -300,8 +288,9 @@ mod tests {
     #[test]
     fn single_crash_is_weak_evidence() {
         let mut b = Scoreboard::new();
+        let rec = &mut Recorder::disabled();
         let core = CoreUid::new(1, 0, 0);
-        b.ingest(&sig(core, SignalKind::ProcessCrash, 10.0));
+        b.ingest(&sig(core, SignalKind::ProcessCrash, 10.0), rec);
         let s = b.score(core).unwrap();
         assert!(!s.is_recidivist());
         assert!(s.suspicion() < 0.2, "suspicion {}", s.suspicion());
@@ -310,17 +299,19 @@ mod tests {
     #[test]
     fn screener_failure_is_strong_evidence() {
         let mut b = Scoreboard::new();
+        let rec = &mut Recorder::disabled();
         let core = CoreUid::new(1, 0, 0);
-        b.ingest(&sig(core, SignalKind::ScreenerFailure, 10.0));
+        b.ingest(&sig(core, SignalKind::ScreenerFailure, 10.0), rec);
         assert!(b.score(core).unwrap().suspicion() > 0.7);
     }
 
     #[test]
     fn recidivism_accumulates() {
         let mut b = Scoreboard::new();
+        let rec = &mut Recorder::disabled();
         let core = CoreUid::new(2, 1, 5);
         for i in 0..5 {
-            b.ingest(&sig(core, SignalKind::AppChecksumMismatch, i as f64));
+            b.ingest(&sig(core, SignalKind::AppChecksumMismatch, i as f64), rec);
         }
         let s = b.score(core).unwrap();
         assert!(s.is_recidivist());
@@ -333,11 +324,12 @@ mod tests {
     #[test]
     fn suspects_sorted_by_suspicion() {
         let mut b = Scoreboard::new();
+        let rec = &mut Recorder::disabled();
         let weak = CoreUid::new(1, 0, 0);
         let strong = CoreUid::new(2, 0, 0);
-        b.ingest(&sig(weak, SignalKind::ProcessCrash, 0.0));
+        b.ingest(&sig(weak, SignalKind::ProcessCrash, 0.0), rec);
         for i in 0..4 {
-            b.ingest(&sig(strong, SignalKind::MachineCheckEvent, i as f64));
+            b.ingest(&sig(strong, SignalKind::MachineCheckEvent, i as f64), rec);
         }
         let suspects = b.suspects(0.0);
         assert_eq!(suspects[0].core, strong);
@@ -347,12 +339,13 @@ mod tests {
     #[test]
     fn suspects_excluding_preserves_order() {
         let mut b = Scoreboard::new();
+        let rec = &mut Recorder::disabled();
         let a = CoreUid::new(1, 0, 0);
         let c = CoreUid::new(2, 0, 0);
         let d = CoreUid::new(3, 0, 0);
         for core in [a, c, d] {
             for i in 0..4 {
-                b.ingest(&sig(core, SignalKind::MachineCheckEvent, i as f64));
+                b.ingest(&sig(core, SignalKind::MachineCheckEvent, i as f64), rec);
             }
         }
         let all = b.suspects(0.5);
@@ -369,6 +362,7 @@ mod tests {
         let mut armed = Scoreboard::new();
         armed.arm(0.5);
         let mut plain = Scoreboard::new();
+        let rec = &mut Recorder::disabled();
         // A spread of strengths: some cross 0.5, some never do, one is
         // excluded at query time.
         for (m, n, kind) in [
@@ -380,8 +374,8 @@ mod tests {
         ] {
             for i in 0..n {
                 let s = sig(CoreUid::new(m, 0, 0), kind, i as f64);
-                armed.ingest(&s);
-                plain.ingest(&s);
+                armed.ingest(&s, rec);
+                plain.ingest(&s, rec);
             }
         }
         let exclude = |core: CoreUid| core.machine == 4;
@@ -412,9 +406,19 @@ mod tests {
     #[test]
     fn cores_seen_counts_distinct() {
         let mut b = Scoreboard::new();
-        b.ingest(&sig(CoreUid::new(1, 0, 0), SignalKind::UserReport, 0.0));
-        b.ingest(&sig(CoreUid::new(1, 0, 0), SignalKind::UserReport, 1.0));
-        b.ingest(&sig(CoreUid::new(2, 0, 0), SignalKind::UserReport, 2.0));
+        let rec = &mut Recorder::disabled();
+        b.ingest(
+            &sig(CoreUid::new(1, 0, 0), SignalKind::UserReport, 0.0),
+            rec,
+        );
+        b.ingest(
+            &sig(CoreUid::new(1, 0, 0), SignalKind::UserReport, 1.0),
+            rec,
+        );
+        b.ingest(
+            &sig(CoreUid::new(2, 0, 0), SignalKind::UserReport, 2.0),
+            rec,
+        );
         assert_eq!(b.cores_seen(), 2);
     }
 }

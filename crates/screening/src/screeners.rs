@@ -593,27 +593,10 @@ impl BurnInCampaign {
     /// Screens every machine whose deploy hour lies before `until_hour`
     /// (exclusive) and has not been screened yet, skipping cores in
     /// `detected`; returns the new detections.
+    ///
+    /// An enabled `rec` gets a `screen.burnin` span over the due batch
+    /// plus per-detection `detect.burnin` instants.
     pub fn step_until(
-        &mut self,
-        topo: &FleetTopology,
-        pop: &Population,
-        until_hour: f64,
-        detected: &mut FastSet<CoreUid>,
-        log: &mut SignalLog,
-    ) -> Vec<DetectionRecord> {
-        self.step_until_traced(
-            topo,
-            pop,
-            until_hour,
-            detected,
-            log,
-            &mut Recorder::disabled(),
-        )
-    }
-
-    /// [`BurnInCampaign::step_until`] with telemetry: a `screen.burnin`
-    /// span over the due batch plus per-detection `detect.burnin` instants.
-    pub fn step_until_traced(
         &mut self,
         topo: &FleetTopology,
         pop: &Population,
@@ -779,7 +762,14 @@ impl OfflineScreener {
         log: &mut SignalLog,
     ) -> (Vec<DetectionRecord>, ScreeningStats) {
         let mut campaign = self.campaign(months);
-        let records = campaign.step_until(topo, pop, f64::INFINITY, detected, log);
+        let records = campaign.step_until(
+            topo,
+            pop,
+            f64::INFINITY,
+            detected,
+            log,
+            &mut Recorder::disabled(),
+        );
         (records, campaign.stats())
     }
 
@@ -819,28 +809,10 @@ impl OfflineCampaign {
     /// Runs every sweep scheduled before `until_hour` (exclusive, and
     /// never past the campaign window), skipping cores in `detected`;
     /// returns the new detections.
+    ///
+    /// An enabled `rec` gets a `screen.offline` span per sweep (spanning
+    /// its drain window) plus per-detection `detect.offline` instants.
     pub fn step_until(
-        &mut self,
-        topo: &FleetTopology,
-        pop: &Population,
-        until_hour: f64,
-        detected: &mut FastSet<CoreUid>,
-        log: &mut SignalLog,
-    ) -> Vec<DetectionRecord> {
-        self.step_until_traced(
-            topo,
-            pop,
-            until_hour,
-            detected,
-            log,
-            &mut Recorder::disabled(),
-        )
-    }
-
-    /// [`OfflineCampaign::step_until`] with telemetry: a `screen.offline`
-    /// span per sweep (spanning its drain window) plus per-detection
-    /// `detect.offline` instants.
-    pub fn step_until_traced(
         &mut self,
         topo: &FleetTopology,
         pop: &Population,
@@ -1004,7 +976,14 @@ impl OnlineScreener {
         log: &mut SignalLog,
     ) -> (Vec<DetectionRecord>, ScreeningStats) {
         let mut campaign = self.campaign(months);
-        let records = campaign.step_until(topo, pop, f64::INFINITY, detected, log);
+        let records = campaign.step_until(
+            topo,
+            pop,
+            f64::INFINITY,
+            detected,
+            log,
+            &mut Recorder::disabled(),
+        );
         (records, campaign.stats())
     }
 
@@ -1044,27 +1023,10 @@ impl OnlineCampaign {
     /// Runs every pass scheduled before `until_hour` (exclusive, and
     /// never past the campaign window), skipping cores in `detected`;
     /// returns the new detections.
+    ///
+    /// An enabled `rec` gets a `screen.online` span per pass plus
+    /// per-detection `detect.online` instants.
     pub fn step_until(
-        &mut self,
-        topo: &FleetTopology,
-        pop: &Population,
-        until_hour: f64,
-        detected: &mut FastSet<CoreUid>,
-        log: &mut SignalLog,
-    ) -> Vec<DetectionRecord> {
-        self.step_until_traced(
-            topo,
-            pop,
-            until_hour,
-            detected,
-            log,
-            &mut Recorder::disabled(),
-        )
-    }
-
-    /// [`OnlineCampaign::step_until`] with telemetry: a `screen.online`
-    /// span per pass plus per-detection `detect.online` instants.
-    pub fn step_until_traced(
         &mut self,
         topo: &FleetTopology,
         pop: &Population,
@@ -1388,6 +1350,7 @@ mod tests {
                     until,
                     &mut detected,
                     &mut log,
+                    &mut Recorder::disabled(),
                 ));
                 until += step_hours;
             }
@@ -1399,6 +1362,7 @@ mod tests {
                     until,
                     &mut detected,
                     &mut log,
+                    &mut Recorder::disabled(),
                 ));
                 until += step_hours;
             }
@@ -1436,7 +1400,14 @@ mod tests {
         let mut until = 100.0;
         let mut last_hour = f64::NEG_INFINITY;
         while campaign.next_hour().is_some() {
-            for r in campaign.step_until(&topo, &pop, until, &mut detected, &mut log) {
+            for r in campaign.step_until(
+                &topo,
+                &pop,
+                until,
+                &mut detected,
+                &mut log,
+                &mut Recorder::disabled(),
+            ) {
                 assert!(r.hour >= last_hour, "deploy-hour order violated");
                 last_hour = r.hour;
                 records.push(r);
@@ -1506,7 +1477,7 @@ mod tests {
             let mut records = Vec::new();
             let mut until = 73.0;
             while until <= months as f64 * 730.0 + 73.0 {
-                records.extend(bc.step_until_traced(
+                records.extend(bc.step_until(
                     &topo,
                     &pop,
                     until,
@@ -1514,7 +1485,7 @@ mod tests {
                     &mut log,
                     &mut rec,
                 ));
-                records.extend(off.step_until_traced(
+                records.extend(off.step_until(
                     &topo,
                     &pop,
                     until,
@@ -1522,7 +1493,7 @@ mod tests {
                     &mut log,
                     &mut rec,
                 ));
-                records.extend(on.step_until_traced(
+                records.extend(on.step_until(
                     &topo,
                     &pop,
                     until,
@@ -1582,12 +1553,13 @@ mod tests {
             let mut bc = burnin.campaign_shard(&topo, shard);
             let mut off = offline.campaign_shard(months, shard);
             let mut on = online.campaign_shard(months, shard);
+            let rec = &mut Recorder::disabled();
             let mut records = Vec::new();
             let mut until = 73.0;
             while until <= months as f64 * 730.0 + 73.0 {
-                records.extend(bc.step_until(&topo, &pop, until, &mut detected, &mut log));
-                records.extend(off.step_until(&topo, &pop, until, &mut detected, &mut log));
-                records.extend(on.step_until(&topo, &pop, until, &mut detected, &mut log));
+                records.extend(bc.step_until(&topo, &pop, until, &mut detected, &mut log, rec));
+                records.extend(off.step_until(&topo, &pop, until, &mut detected, &mut log, rec));
+                records.extend(on.step_until(&topo, &pop, until, &mut detected, &mut log, rec));
                 until += 73.0;
             }
             let mut det: Vec<CoreUid> = detected.into_iter().collect();

@@ -12,7 +12,6 @@
 
 use mercurial::audit::DecisionLedger;
 use mercurial::closedloop::ClosedLoopDriver;
-use mercurial::fleet::SimEngine;
 use mercurial::scenario::ImpairConfig;
 use mercurial::Scenario;
 use mercurial_serve::{run_served, run_served_impaired, ServeOptions};
@@ -21,7 +20,6 @@ use mercurial_trace::export::to_prometheus;
 fn scenario(seed: u64, workers: u32, traced: bool) -> Scenario {
     let mut s = Scenario::demo(seed);
     s.closed_loop.feedback = true;
-    s.sim.engine = SimEngine::Sparse;
     s.trace.enabled = traced;
     s.watch.enabled = traced;
     s.serve.workers = workers;

@@ -9,7 +9,6 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 
 use mercurial::closedloop::ClosedLoopDriver;
-use mercurial::fleet::SimEngine;
 use mercurial::Scenario;
 use mercurial_prof::Prof;
 use mercurial_serve::{run_served, ServeOptions};
@@ -18,7 +17,6 @@ use mercurial_trace::export::to_prometheus;
 fn scenario(seed: u64, workers: u32) -> Scenario {
     let mut s = Scenario::demo(seed);
     s.closed_loop.feedback = true;
-    s.sim.engine = SimEngine::Sparse;
     s.trace.enabled = true;
     s.watch.enabled = true;
     s.serve.workers = workers;

@@ -1,23 +1,90 @@
-//! The operator CLI rejects bad scenario files with an error, not a panic.
+//! The operator CLI rejects bad scenario files with an error, not a panic
+//! or a hang.
 
 use mercurial::Scenario;
-use std::process::Command;
+use std::fs::File;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
-#[test]
-fn zero_machine_scenario_exits_nonzero_without_panicking() {
+/// How long a rejected scenario may take to exit. Validation runs before
+/// any simulation, so this only trips when a bad value slips through and
+/// the pipeline spins or runs.
+const DEADLINE: Duration = Duration::from_secs(30);
+
+/// Runs `mercurial-lab pipeline --scenario` on the mutated demo scenario
+/// and asserts it exits 1 within [`DEADLINE`], naming `field` on stderr
+/// and not panicking. The child is killed at the deadline.
+fn assert_rejected(case: &str, field: &str, mutate: impl Fn(&mut Scenario)) {
     let mut scenario = Scenario::demo(7);
-    scenario.fleet.machines = 0;
-    let path = std::env::temp_dir().join(format!("mercurial-cli-{}.json", std::process::id()));
+    mutate(&mut scenario);
+    let stem = format!("mercurial-cli-{}-{case}", std::process::id());
+    let path = std::env::temp_dir().join(format!("{stem}.json"));
+    let err_path = std::env::temp_dir().join(format!("{stem}.stderr"));
     std::fs::write(&path, scenario.to_json()).expect("write scenario file");
-    let out = Command::new(env!("CARGO_BIN_EXE_mercurial-lab"))
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mercurial-lab"))
         .arg("pipeline")
         .arg("--scenario")
         .arg(&path)
-        .output()
+        .stdout(Stdio::null())
+        .stderr(File::create(&err_path).expect("create stderr file"))
+        .spawn()
         .expect("run the CLI");
+    let start = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll the CLI") {
+            break Some(status);
+        }
+        if start.elapsed() > DEADLINE {
+            child.kill().ok();
+            child.wait().ok();
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let stderr = std::fs::read_to_string(&err_path).unwrap_or_default();
     std::fs::remove_file(&path).ok();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
-    assert!(stderr.contains("fleet.machines"), "stderr: {stderr}");
-    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    std::fs::remove_file(&err_path).ok();
+    let status = status.unwrap_or_else(|| panic!("{case}: no exit within {DEADLINE:?}"));
+    assert_eq!(status.code(), Some(1), "{case}: stderr: {stderr}");
+    assert!(stderr.contains(field), "{case}: stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "{case}: stderr: {stderr}");
+}
+
+#[test]
+fn zero_machine_scenario_exits_nonzero_without_panicking() {
+    assert_rejected("machines", "fleet.machines", |s| s.fleet.machines = 0);
+}
+
+#[test]
+fn bad_scenario_fields_exit_nonzero_without_panicking() {
+    type Mutation = fn(&mut Scenario);
+    let cases: [(&str, &str, Mutation); 8] = [
+        ("epoch", "sim.epoch_hours", |s| s.sim.epoch_hours = 0.0),
+        ("online-zero", "online_interval_hours", |s| {
+            s.online_interval_hours = 0.0
+        }),
+        ("online-negative", "online_interval_hours", |s| {
+            s.online_interval_hours = -73.0
+        }),
+        ("offline-zero", "offline_interval_hours", |s| {
+            s.offline_interval_hours = 0.0
+        }),
+        ("offline-negative", "offline_interval_hours", |s| {
+            s.offline_interval_hours = -365.0
+        }),
+        ("sockets", "fleet.sockets_per_machine", |s| {
+            s.fleet.sockets_per_machine = 0
+        }),
+        ("no-products", "fleet.products", |s| {
+            s.fleet.products.clear()
+        }),
+        ("weightless-products", "fleet.products", |s| {
+            for p in &mut s.fleet.products {
+                p.fleet_weight = 0.0;
+            }
+        }),
+    ];
+    for (case, field, mutate) in cases {
+        assert_rejected(case, field, mutate);
+    }
 }

@@ -2,6 +2,7 @@
 //! story, end to end, spanning every crate in the workspace.
 
 use mercurial::prelude::*;
+use mercurial::trace::Recorder;
 use mercurial_fault::{library, Injector};
 use mercurial_isolation::csr::Task;
 use mercurial_isolation::{CapacityLedger, CsrSimulator, SafeTaskPolicy, TaskUnitProfile};
@@ -30,11 +31,14 @@ fn detect_quarantine_remove_account() {
 
     // 2. Quarantine (isolation).
     let mut registry = QuarantineRegistry::new();
-    registry.mark_suspect(uid, 100.0, report.summary()).unwrap();
+    let rec = &mut Recorder::disabled();
     registry
-        .quarantine(uid, 101.0, "corpus screen failed")
+        .mark_suspect(uid, 100.0, report.summary(), rec)
         .unwrap();
-    registry.confirm(uid, 102.0, "reproduced 3x").unwrap();
+    registry
+        .quarantine(uid, 101.0, "corpus screen failed", rec)
+        .unwrap();
+    registry.confirm(uid, 102.0, "reproduced 3x", rec).unwrap();
     assert!(!registry.is_schedulable(uid));
 
     // 3. Core surprise removal from the running machine.
@@ -50,7 +54,7 @@ fn detect_quarantine_remove_account() {
     // 4. Capacity accounting.
     let mut ledger = CapacityLedger::new();
     ledger.register_machine(12, 8);
-    ledger.remove_core(uid);
+    ledger.remove_core(uid, 102.0, rec);
     assert_eq!(ledger.effective_of(12), 7);
     assert_eq!(ledger.pool().heterogeneous_machines, 1);
 }

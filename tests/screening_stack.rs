@@ -4,6 +4,7 @@
 //! parts, with ground truth checked at each stage.
 
 use mercurial::prelude::*;
+use mercurial::trace::Recorder;
 use mercurial_fleet::SignalKind;
 use mercurial_screening::{ConcentrationConfig, ReportService, Scoreboard, SuspectVerdict};
 
@@ -62,7 +63,7 @@ fn scoreboard_ranks_real_defects_first() {
     }
     let (log, _) = experiment.run_signals();
     let mut board = Scoreboard::new();
-    board.ingest_all(log.all().iter());
+    board.ingest_all(log.all().iter(), &mut Recorder::disabled());
     let suspects = board.suspects(0.8);
     if suspects.is_empty() {
         return; // quiet seed: nothing crossed the threshold

@@ -13,20 +13,31 @@
 //! cargo run --release -p mercurial-bench --bin e16_trace_overhead [-- --smoke]
 //! ```
 //!
-//! `--smoke` skips the timing (meaningless on shared CI machines) and
-//! instead checks the tracing correctness contracts at demo scale:
-//! a non-empty JSONL trace, a Chrome export that parses as JSON with
-//! balanced B/E span pairs, and an incident timeline showing
-//! a full onset → signal → quarantine → confirm story (`make trace-smoke`).
+//! `--smoke` checks the tracing correctness contracts at demo scale: a
+//! non-empty JSONL trace, a Chrome export that parses as JSON with
+//! balanced B/E span pairs, and an incident timeline showing a full
+//! onset → signal → quarantine → confirm story. It then gates the cost of
+//! recording on the paper-scale closed loop as a ratio within one process
+//! (the median over interleaved untraced/traced pairs must stay within
+//! [`MAX_TRACED_RATIO`]), which host load moves far less than absolute
+//! wall clock (`make trace-smoke`).
 
 use std::time::Instant;
 
-use mercurial::closedloop::ClosedLoopDriver;
+use mercurial::closedloop::{ClosedLoopDriver, ClosedLoopOutcome};
 use mercurial::fault::CoreUid;
 use mercurial::trace::{incident_timeline, Recorder, TraceFlags};
 use mercurial::{FleetExperiment, Scenario};
 use mercurial_fleet::{SignalLog, SimSummary};
 use mercurial_prof::Prof;
+
+/// Interleaved untraced/traced closed-loop pairs per measurement.
+const PAIRS: usize = 5;
+
+/// The smoke gate on the median traced/untraced closed-loop wall-clock
+/// ratio. Recording buffers events and counters but must not change what
+/// the loop computes, so the two runs do the same work.
+const MAX_TRACED_RATIO: f64 = 1.5;
 
 fn main() {
     if std::env::args().any(|a| a == "--smoke") {
@@ -87,7 +98,57 @@ fn run_smoke() {
         "no full onset→signal→quarantine→confirm story:\n{timeline}"
     );
     println!("timeline: full onset → signal → quarantine → confirm story present");
+
+    // 4. Recording does not change the closed loop's cost class.
+    let paper = load_paper_scenario();
+    let (pairs, _) = closed_loop_pairs(&paper, &Prof::disabled());
+    let ratio = median(pairs.iter().map(|&(off, on)| on / off).collect());
+    println!(
+        "paper closed loop: median traced/untraced ratio {ratio:.3} over {PAIRS} interleaved pairs"
+    );
+    assert!(
+        ratio <= MAX_TRACED_RATIO,
+        "traced closed loop costs {ratio:.3}x the untraced one (gate {MAX_TRACED_RATIO}x)"
+    );
     println!("\nE16 smoke: all tracing contracts hold");
+}
+
+/// The closed loop on `scenario` with feedback on, timed untraced and
+/// traced in [`PAIRS`] interleaved pairs: `(untraced_secs, traced_secs)`
+/// per pair, plus the last traced outcome. The order inside a pair
+/// alternates, so neither side always runs second on a warm heap.
+fn closed_loop_pairs(scenario: &Scenario, prof: &Prof) -> (Vec<(f64, f64)>, ClosedLoopOutcome) {
+    let mut off = scenario.clone();
+    off.closed_loop.feedback = true;
+    off.trace.enabled = false;
+    let mut on = off.clone();
+    on.trace.enabled = true;
+    let timed = |s: &Scenario, phase| {
+        let t = Instant::now();
+        let out = prof.scope(phase, || ClosedLoopDriver::execute(s));
+        (t.elapsed().as_secs_f64(), out)
+    };
+    let mut pairs = Vec::with_capacity(PAIRS);
+    let mut traced = None;
+    for i in 0..PAIRS {
+        let ((off_secs, untraced), (on_secs, out)) = if i % 2 == 0 {
+            let a = timed(&off, "loop.untraced");
+            (a, timed(&on, "loop.traced"))
+        } else {
+            let b = timed(&on, "loop.traced");
+            (timed(&off, "loop.untraced"), b)
+        };
+        assert!(untraced.trace.is_empty());
+        pairs.push((off_secs, on_secs));
+        traced = Some(out);
+    }
+    (pairs, traced.expect("at least one pair"))
+}
+
+/// The median of `v` (the upper middle for an even count).
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
 }
 
 // -------------------------------------------------------------- full mode
@@ -155,22 +216,14 @@ fn run_full() {
         "sim, recorder enabled:    {enabled:>8.3} s   ({enabled_pct:+.2}%, {trace_events} events)"
     );
 
-    // The closed loop end to end, tracing off vs on (1 rep — the screeners
-    // dominate and the comparison is already conservative).
-    let mut s = scenario.clone();
-    s.closed_loop.feedback = true;
-    s.trace.enabled = false;
-    let t = Instant::now();
-    let off = prof.scope("loop.untraced", || ClosedLoopDriver::execute(&s));
-    let loop_off = t.elapsed().as_secs_f64();
-    assert!(off.trace.is_empty());
-    s.trace.enabled = true;
-    let t = Instant::now();
-    let on = prof.scope("loop.traced", || ClosedLoopDriver::execute(&s));
-    let loop_on = t.elapsed().as_secs_f64();
+    // The closed loop end to end, tracing off vs on: medians over
+    // interleaved pairs, the overhead from the median per-pair ratio.
+    let (pairs, on) = closed_loop_pairs(&scenario, &prof);
+    let loop_off = median(pairs.iter().map(|p| p.0).collect());
+    let loop_on = median(pairs.iter().map(|p| p.1).collect());
+    let loop_pct = 100.0 * (median(pairs.iter().map(|&(off, on)| on / off).collect()) - 1.0);
     let jsonl = on.trace.to_jsonl();
-    let loop_pct = 100.0 * (loop_on / loop_off - 1.0);
-    println!("closed loop, tracing off: {loop_off:>8.3} s");
+    println!("closed loop, tracing off: {loop_off:>8.3} s   (median of {PAIRS})");
     println!(
         "closed loop, tracing on:  {loop_on:>8.3} s   ({loop_pct:+.2}%, {} events, {} B JSONL)",
         on.trace.events.len(),

@@ -127,32 +127,13 @@ impl Default for ClosedLoopConfig {
 }
 
 /// Structured-tracing block: whether runs record telemetry through
-/// `mercurial-trace` and at what granularity. Off by default — a disabled
-/// recorder costs one branch per call site.
+/// `mercurial-trace`. Off by default — a disabled recorder costs one
+/// branch per call site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct TraceConfig {
     /// Master switch for span/event/metric recording.
     #[serde(default)]
     pub enabled: bool,
-    /// Also record a span per screened machine. Expensive at fleet scale
-    /// (millions of machine screens); intended for small scenarios.
-    #[serde(default)]
-    pub machine_spans: bool,
-}
-
-impl TraceConfig {
-    /// The recorder flags this configuration asks for.
-    pub fn flags(&self) -> mercurial_trace::TraceFlags {
-        mercurial_trace::TraceFlags {
-            enabled: self.enabled,
-            machine_spans: self.machine_spans,
-        }
-    }
-
-    /// A recorder honoring this configuration.
-    pub fn recorder(&self) -> mercurial_trace::Recorder {
-        mercurial_trace::Recorder::with_flags(self.flags())
-    }
 }
 
 /// Alert-rule block for `mercurial-watch` (off by default, like `trace`).
@@ -607,14 +588,13 @@ impl Scenario {
     /// derived from the trace, so auditing an untraced run would observe
     /// nothing).
     pub fn trace_flags(&self) -> mercurial_trace::TraceFlags {
-        let mut flags = self.trace.flags();
-        flags.enabled |= self.audit.enabled;
-        flags
+        mercurial_trace::TraceFlags {
+            enabled: self.trace.enabled || self.audit.enabled,
+        }
     }
 
-    /// A recorder honoring [`Scenario::trace_flags`]. Drivers use this
-    /// instead of `scenario.trace.recorder()` so the audit block can force
-    /// tracing on.
+    /// A recorder honoring [`Scenario::trace_flags`], so the audit block
+    /// can force tracing on.
     pub fn recorder(&self) -> mercurial_trace::Recorder {
         mercurial_trace::Recorder::with_flags(self.trace_flags())
     }
@@ -662,6 +642,24 @@ impl Scenario {
             return Err(format!(
                 "fleet.products weights must sum to a positive finite number, got {weight}"
             ));
+        }
+        for (i, p) in self.fleet.products.iter().enumerate() {
+            if p.cores_per_socket == 0 {
+                return Err(format!(
+                    "fleet.products[{i}].cores_per_socket must be at least 1, got 0"
+                ));
+            }
+            if p.dvfs.steps().is_empty() {
+                return Err(format!(
+                    "fleet.products[{i}].dvfs.steps must list at least one step"
+                ));
+            }
+            let rate = p.mercurial_rate_per_core;
+            if !(0.0..=1.0).contains(&rate) {
+                return Err(format!(
+                    "fleet.products[{i}].mercurial_rate_per_core must be in [0, 1], got {rate}"
+                ));
+            }
         }
         for (field, h) in [
             ("sim.epoch_hours", self.sim.epoch_hours),
@@ -751,6 +749,38 @@ mod tests {
             }
         });
         assert!(err.contains("fleet.products"), "{err}");
+    }
+
+    #[test]
+    fn zero_cores_per_socket_is_rejected_naming_the_field() {
+        let err = rejection(|s| s.fleet.products[1].cores_per_socket = 0);
+        assert!(err.contains("fleet.products[1].cores_per_socket"), "{err}");
+    }
+
+    #[test]
+    fn empty_dvfs_curve_is_rejected_naming_the_field() {
+        // `DvfsCurve::new` refuses an empty curve, so build it the way a
+        // scenario file does: through serde.
+        let mut s = Scenario::small(7);
+        s.fleet.products[0].dvfs = serde_json::from_str(r#"{"steps": []}"#).unwrap();
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("fleet.products[0].dvfs.steps"), "{err}");
+    }
+
+    #[test]
+    fn bad_mercurial_rate_is_rejected_naming_the_field() {
+        for rate in [-1e-6, 1.5, 2.0, f64::NAN, f64::INFINITY] {
+            let err = rejection(|s| s.fleet.products[2].mercurial_rate_per_core = rate);
+            assert!(
+                err.contains("fleet.products[2].mercurial_rate_per_core"),
+                "{rate}: {err}"
+            );
+        }
+        for rate in [0.0, 1.0] {
+            let mut s = Scenario::small(7);
+            s.fleet.products[2].mercurial_rate_per_core = rate;
+            assert_eq!(s.validate(), Ok(()), "{rate} is a probability");
+        }
     }
 
     #[test]

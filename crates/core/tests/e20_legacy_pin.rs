@@ -88,16 +88,22 @@ fn legacy_closed_loop_is_bit_identical_to_pre_refactor() {
     );
     check("closed", &got, &want);
     // Scenario JSON written while runs still had a thread-count knob
-    // carries `sim.parallelism`, and JSON written while there were two
-    // fleet engines carries `sim.engine`; each must parse and replay the
-    // same pin.
+    // carries `sim.parallelism`, JSON written while there were two fleet
+    // engines carries `sim.engine`, and JSON written while traces could
+    // hold a span per screened machine carries `trace.machine_spans`;
+    // each must parse and replay the same pin.
     let json = scenario(7, true).to_json();
-    for key in [
-        "\"parallelism\": 8",
-        "\"engine\": \"Dense\"",
-        "\"engine\": \"Sparse\"",
+    for (block, key) in [
+        ("sim", "\"parallelism\": 8"),
+        ("sim", "\"engine\": \"Dense\""),
+        ("sim", "\"engine\": \"Sparse\""),
+        ("trace", "\"machine_spans\": true"),
     ] {
-        let legacy_json = json.replacen("\"sim\": {", &format!("\"sim\": {{{key},"), 1);
+        let legacy_json = json.replacen(
+            &format!("\"{block}\": {{"),
+            &format!("\"{block}\": {{{key},"),
+            1,
+        );
         assert!(legacy_json.contains(key), "legacy key {key} injected");
         let legacy = Scenario::from_json(&legacy_json)
             .unwrap_or_else(|e| panic!("legacy key {key} must parse: {e}"));

@@ -263,9 +263,7 @@ fn sweep_points(topo: &FleetTopology, machine: u32, sweep: bool) -> Vec<Operatin
 ///
 /// `detected_on_machine` is a sorted read-only snapshot of this machine's
 /// already-detected cores: each core is visited at most once per call, so
-/// deferring the inserts to the caller changes nothing — and it is what
-/// lets machines of one sweep run on different threads (machines own
-/// disjoint core sets).
+/// deferring the inserts to the caller changes nothing.
 #[allow(clippy::too_many_arguments)]
 fn screen_machine(
     topo: &FleetTopology,
@@ -326,32 +324,30 @@ struct MachineTask {
     sweep: bool,
     hour: f64,
     test_id_base: u64,
-    drain_hours: f64,
     method: DetectionMethod,
 }
 
-/// How a campaign turns a sweep/pass into per-machine tasks.
+/// One planned sweep/pass: tasks for its "hot" machines — those hosting a
+/// mercurial or already-detected core, the only ones whose screening can
+/// deviate from closed-form accounting — and the closed-form screens of
+/// the all-healthy rest, which need no task.
 ///
-/// Whenever telemetry records (counters are charged per task, spans per
-/// machine), every machine needs a task. Untraced, only "hot" machines —
-/// those hosting a mercurial or already-detected core — can differ from
-/// the closed-form counter bump, so the all-healthy remainder is folded
-/// into [`ScreeningStats`] arithmetic without materializing tasks.
-/// Bit-for-bit equality with the per-machine walk holds because clean
+/// Bit-for-bit equality with a per-machine walk holds because clean
 /// machines never draw randomness, never detect, and charge
 /// order-independent counters (the f64 drain accumulator sums the same
 /// per-machine constant the same number of times, so reordering clean
 /// relative to hot machines cannot change the float result).
-enum ScreenPlan<'a> {
-    /// Materialize a task per machine (required while tracing).
-    EveryMachine,
-    /// Tasks only for this sorted machine set; the rest go to counters.
-    HotOnly(&'a [u32]),
-}
-
-/// Whether the recorder forces the fully materialized per-machine walk.
-fn per_task_trace(rec: &Recorder) -> bool {
-    rec.flags().enabled
+#[derive(Default)]
+struct Batch {
+    tasks: Vec<MachineTask>,
+    /// Core screens of the covered all-healthy machines.
+    clean_screens: u64,
+    /// Test ops of the covered all-healthy machines.
+    clean_ops: u64,
+    /// The pass span `(name, start, end)`: present exactly when the batch
+    /// covers at least one owned, deployed machine, which is also when its
+    /// `screen.*` counters are charged.
+    span: Option<(&'static str, f64, f64)>,
 }
 
 /// Whether `machine` belongs to the campaign's machine shard (`None`
@@ -395,8 +391,8 @@ fn detect_event_name(method: DetectionMethod) -> &'static str {
     }
 }
 
-/// Screens a batch of machines in task order and merges each result as
-/// it lands.
+/// Screens a batch's tasks in order, merging each result as it lands,
+/// and charges the batch's clean remainder.
 ///
 /// Machines own disjoint core sets and `screen_machine` reads `detected`
 /// as a per-batch snapshot (a batch visits each machine at most once), so
@@ -404,11 +400,13 @@ fn detect_event_name(method: DetectionMethod) -> &'static str {
 fn run_machine_tasks(
     topo: &FleetTopology,
     pop: &Population,
-    tasks: &[MachineTask],
+    batch: &Batch,
     sinks: &mut ScreenSinks<'_>,
     rec: &mut Recorder,
 ) {
-    let machine_spans = rec.flags().machine_spans;
+    if let Some((name, start, _)) = batch.span {
+        rec.begin(start, name);
+    }
     // Group the detected snapshot by machine once per batch: each task
     // then binary-searches a short sorted slice instead of hashing every
     // core of its machine.
@@ -420,13 +418,13 @@ fn run_machine_tasks(
         cores.sort_unstable();
     }
     // The three screen.* counters are bumped once per batch, not once per
-    // task: a campaign sweep runs millions of machine tasks, and a
-    // per-task `counter_add` turns the merge loop into millions of
-    // metric-map lookups that dwarf the screening work itself. u64 sums
-    // are exactly associative, so the batch totals are bit-identical.
-    let (mut core_screens, mut test_ops, mut detections) = (0u64, 0u64, 0u64);
-    for task in tasks {
-        let mut local = ScreeningStats::default();
+    // task: a per-task `counter_add` turns the merge loop into metric-map
+    // lookups that dwarf the screening work itself. u64 sums are exactly
+    // associative, so the batch totals are bit-identical.
+    let before = *sinks.stats;
+    sinks.stats.core_screens += batch.clean_screens;
+    sinks.stats.test_ops += batch.clean_ops;
+    for task in &batch.tasks {
         let detected_on_machine = by_machine
             .get(&task.machine)
             .map(|v| v.as_slice())
@@ -440,19 +438,8 @@ fn run_machine_tasks(
             task.hour,
             task.test_id_base,
             detected_on_machine,
-            &mut local,
+            sinks.stats,
         );
-        if machine_spans {
-            rec.begin(task.hour, "screen.machine");
-            rec.end(task.hour + task.drain_hours, "screen.machine");
-        }
-        core_screens += local.core_screens;
-        test_ops += local.test_ops;
-        detections += local.detections;
-        sinks.stats.drained_machine_hours += task.drain_hours;
-        sinks.stats.core_screens += local.core_screens;
-        sinks.stats.test_ops += local.test_ops;
-        sinks.stats.detections += local.detections;
         for core in newly {
             rec.instant(
                 task.hour,
@@ -474,10 +461,15 @@ fn run_machine_tasks(
             });
         }
     }
-    if !tasks.is_empty() {
-        rec.counter_add("screen.core_screens", core_screens);
-        rec.counter_add("screen.test_ops", test_ops);
-        rec.counter_add("screen.detections", detections);
+    if let Some((name, _, end)) = batch.span {
+        let after = *sinks.stats;
+        rec.counter_add(
+            "screen.core_screens",
+            after.core_screens - before.core_screens,
+        );
+        rec.counter_add("screen.test_ops", after.test_ops - before.test_ops);
+        rec.counter_add("screen.detections", after.detections - before.detections);
+        rec.end(end, name);
     }
 }
 
@@ -492,20 +484,33 @@ pub struct BurnIn {
 }
 
 impl BurnIn {
-    /// The burn-in screen for one machine at its deploy hour.
-    fn task_for(&self, machine: u32, deploy_hour: f64) -> MachineTask {
-        let month = (deploy_hour / 730.0) as u32;
-        let mut era = self.schedule.era_at(month).clone();
-        era.ops_per_unit *= self.ops_multiplier.max(1);
-        MachineTask {
-            machine,
-            era: Arc::new(era),
-            sweep: true,
-            hour: deploy_hour,
-            test_id_base: 0xb1b1 ^ machine as u64,
-            drain_hours: 0.0,
-            method: DetectionMethod::BurnIn,
+    /// Plans burn-in for `due` `(deploy_hour, machine)` pairs, in order:
+    /// a task per hot machine at its deploy hour, closed-form accounting
+    /// for the rest (every core, three sweep points, zero detections).
+    fn plan(&self, topo: &FleetTopology, due: &[(f64, u32)], hot: &[u32]) -> Batch {
+        let mut batch = Batch::default();
+        for &(hour, machine) in due {
+            let era = self.schedule.era_at((hour / 730.0) as u32);
+            let ops_per_unit = era.ops_per_unit * self.ops_multiplier.max(1);
+            if hot.binary_search(&machine).is_ok() {
+                batch.tasks.push(MachineTask {
+                    machine,
+                    era: Arc::new(ScreeningEra {
+                        ops_per_unit,
+                        ..era.clone()
+                    }),
+                    sweep: true,
+                    hour,
+                    test_id_base: 0xb1b1 ^ machine as u64,
+                    method: DetectionMethod::BurnIn,
+                });
+            } else {
+                let screens = topo.cores_on(machine) * 3;
+                batch.clean_screens += screens;
+                batch.clean_ops += screens * ops_per_unit * era.units.len() as u64;
+            }
         }
+        batch
     }
 
     /// Runs burn-in for every machine at its deploy hour (machine order).
@@ -518,15 +523,16 @@ impl BurnIn {
     ) -> (Vec<DetectionRecord>, ScreeningStats) {
         let mut stats = ScreeningStats::default();
         let mut records = Vec::new();
-        let tasks: Vec<MachineTask> = topo
+        let due: Vec<(f64, u32)> = topo
             .machines()
             .iter()
-            .map(|m| self.task_for(m.machine, m.deploy_hour))
+            .map(|m| (m.deploy_hour, m.machine))
             .collect();
+        let batch = self.plan(topo, &due, &hot_machines(pop, detected));
         run_machine_tasks(
             topo,
             pop,
-            &tasks,
+            &batch,
             &mut ScreenSinks {
                 detected: &mut *detected,
                 log: &mut *log,
@@ -610,43 +616,18 @@ impl BurnInCampaign {
             .take_while(|(h, _)| *h < until_hour)
             .count();
         let due_batch = &self.queue[self.cursor..self.cursor + due];
-        let hot;
-        let plan = if per_task_trace(rec) {
-            ScreenPlan::EveryMachine
-        } else {
-            hot = hot_machines(pop, detected);
-            ScreenPlan::HotOnly(&hot)
-        };
-        let mut tasks = Vec::new();
-        for &(hour, machine) in due_batch {
-            match &plan {
-                ScreenPlan::HotOnly(hot) if hot.binary_search(&machine).is_err() => {
-                    // An all-healthy machine's burn-in is pure accounting:
-                    // every core, three sweep points, zero detections.
-                    let month = (hour / 730.0) as u32;
-                    let era = self.screener.schedule.era_at(month);
-                    let ops_per_screen = era.ops_per_unit
-                        * self.screener.ops_multiplier.max(1)
-                        * era.units.len() as u64;
-                    let screens = topo.cores_on(machine) * 3;
-                    self.stats.core_screens += screens;
-                    self.stats.test_ops += screens * ops_per_screen;
-                }
-                _ => tasks.push(self.screener.task_for(machine, hour)),
-            }
+        let mut batch = self
+            .screener
+            .plan(topo, due_batch, &hot_machines(pop, detected));
+        if let (Some(&(start, _)), Some(&(end, _))) = (due_batch.first(), due_batch.last()) {
+            batch.span = Some(("screen.burnin", start, end));
         }
-        let span = due_batch
-            .first()
-            .map(|&(h, _)| (h, due_batch.last().unwrap().0));
         self.cursor += due;
         let mut records = Vec::new();
-        if let Some((start, _)) = span {
-            rec.begin(start, "screen.burnin");
-        }
         run_machine_tasks(
             topo,
             pop,
-            &tasks,
+            &batch,
             &mut ScreenSinks {
                 detected: &mut *detected,
                 log: &mut *log,
@@ -655,9 +636,6 @@ impl BurnInCampaign {
             },
             rec,
         );
-        if let Some((_, end)) = span {
-            rec.end(end, "screen.burnin");
-        }
         records
     }
 
@@ -698,17 +676,17 @@ impl Default for OfflineScreener {
 }
 
 impl OfflineScreener {
-    /// One sweep's per-machine tasks (the rotating fleet subset deployed
-    /// at `hour`), folding plan-skipped machines into `stats`.
-    fn sweep_tasks(
+    /// Plans one sweep over the rotating fleet subset deployed at `hour`,
+    /// charging every covered machine's drain to `stats`.
+    fn plan(
         &self,
         topo: &FleetTopology,
         hour: f64,
         sweep_idx: u64,
         shard: Option<(u32, u32)>,
-        plan: &ScreenPlan<'_>,
+        hot: &[u32],
         stats: &mut ScreeningStats,
-    ) -> Vec<MachineTask> {
+    ) -> Batch {
         let n_machines = topo.machines().len() as u64;
         // Clamped so a sweep never visits a machine twice (a duplicate
         // would see a stale per-batch detected-snapshot).
@@ -721,7 +699,7 @@ impl OfflineScreener {
         let ops_per_screen = era.ops_per_unit * era.units.len() as u64;
         // Rotate deterministically through the fleet.
         let start = (sweep_idx * per_sweep) % n_machines;
-        let mut tasks = Vec::new();
+        let mut batch = Batch::default();
         for k in 0..per_sweep {
             let machine = ((start + k) % n_machines) as u32;
             // The rotation arithmetic (`start`, `per_sweep`) is global so
@@ -730,25 +708,28 @@ impl OfflineScreener {
             if !shard_owns(shard, machine) || !topo.is_deployed(machine, hour) {
                 continue;
             }
-            match plan {
-                ScreenPlan::HotOnly(hot) if hot.binary_search(&machine).is_err() => {
-                    let screens = topo.cores_on(machine) * points;
-                    stats.core_screens += screens;
-                    stats.test_ops += screens * ops_per_screen;
-                    stats.drained_machine_hours += self.drain_hours_per_machine;
-                }
-                _ => tasks.push(MachineTask {
+            batch.span = Some((
+                "screen.offline",
+                hour,
+                hour + self.drain_hours_per_machine.max(0.0),
+            ));
+            stats.drained_machine_hours += self.drain_hours_per_machine;
+            if hot.binary_search(&machine).is_ok() {
+                batch.tasks.push(MachineTask {
                     machine,
                     era: Arc::clone(&era),
                     sweep: era.sweep_points,
                     hour,
                     test_id_base: 0x0ff1 ^ sweep_idx.wrapping_mul(65_537),
-                    drain_hours: self.drain_hours_per_machine,
                     method: DetectionMethod::Offline,
-                }),
+                });
+            } else {
+                let screens = topo.cores_on(machine) * points;
+                batch.clean_screens += screens;
+                batch.clean_ops += screens * ops_per_screen;
             }
         }
-        tasks
+        batch
     }
 
     /// Runs the campaign over `months`, skipping cores already in
@@ -810,8 +791,9 @@ impl OfflineCampaign {
     /// never past the campaign window), skipping cores in `detected`;
     /// returns the new detections.
     ///
-    /// An enabled `rec` gets a `screen.offline` span per sweep (spanning
-    /// its drain window) plus per-detection `detect.offline` instants.
+    /// An enabled `rec` gets a `screen.offline` span per sweep that
+    /// covers a machine (spanning its drain window) plus per-detection
+    /// `detect.offline` instants.
     pub fn step_until(
         &mut self,
         topo: &FleetTopology,
@@ -822,34 +804,23 @@ impl OfflineCampaign {
         rec: &mut Recorder,
     ) -> Vec<DetectionRecord> {
         let mut records = Vec::new();
-        let hot;
-        let plan = if per_task_trace(rec) {
-            ScreenPlan::EveryMachine
-        } else {
-            // `hot` stays a superset across this call's sweeps: new
-            // detections land on machines that host a mercurial core and
-            // are therefore already in it.
-            hot = hot_machines(pop, detected);
-            ScreenPlan::HotOnly(&hot)
-        };
+        // `hot` stays a superset across this call's sweeps: new detections
+        // land on machines that host a mercurial core and are therefore
+        // already in it.
+        let hot = hot_machines(pop, detected);
         while self.next_hour < self.total_hours && self.next_hour < until_hour {
-            let tasks = self.screener.sweep_tasks(
+            let batch = self.screener.plan(
                 topo,
                 self.next_hour,
                 self.sweep_idx,
                 self.shard,
-                &plan,
+                &hot,
                 &mut self.stats,
             );
-            let span_end =
-                self.next_hour + tasks.iter().map(|t| t.drain_hours).fold(0.0f64, f64::max);
-            if !tasks.is_empty() {
-                rec.begin(self.next_hour, "screen.offline");
-            }
             run_machine_tasks(
                 topo,
                 pop,
-                &tasks,
+                &batch,
                 &mut ScreenSinks {
                     detected: &mut *detected,
                     log: &mut *log,
@@ -858,9 +829,6 @@ impl OfflineCampaign {
                 },
                 rec,
             );
-            if !tasks.is_empty() {
-                rec.end(span_end, "screen.offline");
-            }
             self.sweep_idx += 1;
             self.next_hour += self.screener.interval_hours;
         }
@@ -901,24 +869,21 @@ impl Default for OnlineScreener {
 }
 
 impl OnlineScreener {
-    /// One pass's per-machine tasks (every machine deployed at `hour`,
-    /// with the era's op budget scaled to spare cycles), folding
-    /// plan-skipped machines into `stats`.
+    /// Plans one pass over every machine deployed at `hour`, with the
+    /// era's op budget scaled to spare cycles.
     ///
-    /// Under [`ScreenPlan::HotOnly`] the pass never walks the fleet:
-    /// tasks come from the hot set (ascending machine order, matching the
-    /// full walk) and the healthy remainder is a [`FleetTopology::
-    /// deployed_cores`] lookup — one screen per core at the nominal
-    /// point, zero detections, no randomness.
-    fn pass_tasks(
+    /// The pass never walks the fleet: tasks come from the hot set
+    /// (ascending machine order) and the healthy remainder is a
+    /// [`FleetTopology::deployed_cores`] lookup — one screen per core at
+    /// the nominal point, zero detections, no randomness.
+    fn plan(
         &self,
         topo: &FleetTopology,
         hour: f64,
         pass: u64,
         shard: Option<(u32, u32)>,
-        plan: &ScreenPlan<'_>,
-        stats: &mut ScreeningStats,
-    ) -> Vec<MachineTask> {
+        hot: &[u32],
+    ) -> Batch {
         let month = (hour / 730.0) as u32;
         let mut scaled = self.schedule.era_at(month).clone();
         scaled.ops_per_unit =
@@ -931,38 +896,32 @@ impl OnlineScreener {
             sweep: false,
             hour,
             test_id_base: 0x0a11 ^ pass.wrapping_mul(2_654_435_761),
-            drain_hours: 0.0,
             method: DetectionMethod::Online,
         };
-        match plan {
-            ScreenPlan::EveryMachine => topo
-                .machines()
-                .iter()
-                .filter(|m| shard_owns(shard, m.machine) && topo.is_deployed(m.machine, hour))
-                .map(|m| task(m.machine))
-                .collect(),
-            ScreenPlan::HotOnly(hot) => {
-                let mut hot_cores = 0u64;
-                let tasks: Vec<MachineTask> = hot
-                    .iter()
-                    .copied()
-                    .filter(|&machine| {
-                        shard_owns(shard, machine) && topo.is_deployed(machine, hour)
-                    })
-                    .inspect(|&machine| hot_cores += topo.cores_on(machine))
-                    .map(task)
-                    .collect();
-                // The closed-form remainder is shard-scoped too: ranged
-                // deployed-core sums over a machine partition add to the
-                // global prefix-sum lookup exactly (same integer cores).
-                let clean = match shard {
-                    None => topo.deployed_cores(hour) - hot_cores,
-                    Some((lo, hi)) => topo.deployed_cores_in_range(lo, hi, hour) - hot_cores,
-                };
-                stats.core_screens += clean;
-                stats.test_ops += clean * ops_per_screen;
-                tasks
-            }
+        let mut hot_cores = 0u64;
+        let tasks: Vec<MachineTask> = hot
+            .iter()
+            .copied()
+            .filter(|&machine| shard_owns(shard, machine) && topo.is_deployed(machine, hour))
+            .inspect(|&machine| hot_cores += topo.cores_on(machine))
+            .map(task)
+            .collect();
+        // The closed-form remainder is shard-scoped too: ranged
+        // deployed-core sums over a machine partition add to the global
+        // prefix-sum lookup exactly (same integer cores).
+        let deployed = match shard {
+            None => topo.deployed_cores(hour),
+            Some((lo, hi)) => topo.deployed_cores_in_range(lo, hi, hour),
+        };
+        let clean = deployed - hot_cores;
+        Batch {
+            tasks,
+            clean_screens: clean,
+            clean_ops: clean * ops_per_screen,
+            // Every machine has at least one core (scenario validation
+            // rejects zero sockets and zero cores per socket), so owned
+            // deployed cores > 0 exactly when the pass covers a machine.
+            span: (deployed > 0).then_some(("screen.online", hour, hour)),
         }
     }
 
@@ -1024,8 +983,8 @@ impl OnlineCampaign {
     /// never past the campaign window), skipping cores in `detected`;
     /// returns the new detections.
     ///
-    /// An enabled `rec` gets a `screen.online` span per pass plus
-    /// per-detection `detect.online` instants.
+    /// An enabled `rec` gets a `screen.online` span per pass that covers
+    /// a machine plus per-detection `detect.online` instants.
     pub fn step_until(
         &mut self,
         topo: &FleetTopology,
@@ -1036,30 +995,16 @@ impl OnlineCampaign {
         rec: &mut Recorder,
     ) -> Vec<DetectionRecord> {
         let mut records = Vec::new();
-        let hot;
-        let plan = if per_task_trace(rec) {
-            ScreenPlan::EveryMachine
-        } else {
-            // A superset across this call's passes, as for offline sweeps.
-            hot = hot_machines(pop, detected);
-            ScreenPlan::HotOnly(&hot)
-        };
+        // A superset across this call's passes, as for offline sweeps.
+        let hot = hot_machines(pop, detected);
         while self.next_hour < self.total_hours && self.next_hour < until_hour {
-            let tasks = self.screener.pass_tasks(
-                topo,
-                self.next_hour,
-                self.pass,
-                self.shard,
-                &plan,
-                &mut self.stats,
-            );
-            if !tasks.is_empty() {
-                rec.begin(self.next_hour, "screen.online");
-            }
+            let batch = self
+                .screener
+                .plan(topo, self.next_hour, self.pass, self.shard, &hot);
             run_machine_tasks(
                 topo,
                 pop,
-                &tasks,
+                &batch,
                 &mut ScreenSinks {
                     detected: &mut *detected,
                     log: &mut *log,
@@ -1068,9 +1013,6 @@ impl OnlineCampaign {
                 },
                 rec,
             );
-            if !tasks.is_empty() {
-                rec.end(self.next_hour, "screen.online");
-            }
             self.pass += 1;
             self.next_hour += self.screener.interval_hours;
         }
@@ -1434,12 +1376,14 @@ mod tests {
     }
 
     #[test]
-    fn untraced_fast_plans_match_the_traced_task_walk() {
-        // The untraced campaigns skip all-healthy machines via closed-form
-        // accounting; a recording recorder forces the per-machine walk.
-        // Records, stats (including the f64 drain accumulator), detected
-        // sets, and logs must be bit-for-bit identical either way.
-        use mercurial_trace::TraceFlags;
+    fn recording_changes_nothing_a_campaign_screens() {
+        // One plan whatever the recorder: a campaign stepped with an
+        // enabled recorder returns the same records, stats (including the
+        // f64 drain accumulator) and signal log as a disabled one, and the
+        // recorder's screen.* counters equal the campaign totals. Machines
+        // 20..24 host no mercurial core: that shard must still emit its
+        // pass spans and counters.
+        use mercurial_trace::{EventKind, TraceFlags};
         let mut cfg = FleetConfig::tiny(24, 39);
         cfg.rollout_months = 6;
         let topo = FleetTopology::build(cfg);
@@ -1454,66 +1398,72 @@ mod tests {
         ];
         let pop = Population::with_explicit(39, defects);
         let months = 18u32;
-        let run_all = |traced: bool| {
-            let mut rec = if traced {
-                Recorder::with_flags(TraceFlags::enabled())
-            } else {
-                Recorder::disabled()
-            };
+        let burnin = BurnIn {
+            schedule: EraSchedule::default_history(),
+            ops_multiplier: 5,
+        };
+        let offline = OfflineScreener {
+            fraction_per_sweep: 0.5,
+            ..OfflineScreener::default()
+        };
+        let online = OnlineScreener::default();
+        let cold = Some((20, 24));
+        let run = |screener: &str, shard: Option<(u32, u32)>, rec: &mut Recorder| {
             let mut detected = FastSet::default();
             let mut log = SignalLog::new();
-            let burnin = BurnIn {
-                schedule: EraSchedule::default_history(),
-                ops_multiplier: 5,
-            };
-            let offline = OfflineScreener {
-                fraction_per_sweep: 0.5,
-                ..OfflineScreener::default()
-            };
-            let online = OnlineScreener::default();
-            let mut bc = burnin.campaign(&topo);
-            let mut off = offline.campaign(months);
-            let mut on = online.campaign(months);
+            let mut bc = burnin.campaign_shard(&topo, shard);
+            let mut off = offline.campaign_shard(months, shard);
+            let mut on = online.campaign_shard(months, shard);
             let mut records = Vec::new();
             let mut until = 73.0;
             while until <= months as f64 * 730.0 + 73.0 {
-                records.extend(bc.step_until(
-                    &topo,
-                    &pop,
-                    until,
-                    &mut detected,
-                    &mut log,
-                    &mut rec,
-                ));
-                records.extend(off.step_until(
-                    &topo,
-                    &pop,
-                    until,
-                    &mut detected,
-                    &mut log,
-                    &mut rec,
-                ));
-                records.extend(on.step_until(
-                    &topo,
-                    &pop,
-                    until,
-                    &mut detected,
-                    &mut log,
-                    &mut rec,
-                ));
+                let (d, l) = (&mut detected, &mut log);
+                records.extend(match screener {
+                    "burnin" => bc.step_until(&topo, &pop, until, d, l, rec),
+                    "offline" => off.step_until(&topo, &pop, until, d, l, rec),
+                    _ => on.step_until(&topo, &pop, until, d, l, rec),
+                });
                 until += 73.0;
             }
-            let mut det: Vec<CoreUid> = detected.into_iter().collect();
-            det.sort_unstable();
-            (records, [bc.stats(), off.stats(), on.stats()], det, log)
+            let stats = match screener {
+                "burnin" => bc.stats(),
+                "offline" => off.stats(),
+                _ => on.stats(),
+            };
+            (records, stats, log)
         };
-        let (r_fast, s_fast, d_fast, l_fast) = run_all(false);
-        let (r_traced, s_traced, d_traced, l_traced) = run_all(true);
-        assert!(!r_fast.is_empty(), "test needs detections to compare");
-        assert_eq!(r_fast, r_traced, "records diverge between plans");
-        assert_eq!(s_fast, s_traced, "stats diverge between plans");
-        assert_eq!(d_fast, d_traced, "detected sets diverge between plans");
-        assert_eq!(l_fast.all(), l_traced.all(), "logs diverge between plans");
+        for (screener, span) in [
+            ("burnin", "screen.burnin"),
+            ("offline", "screen.offline"),
+            ("online", "screen.online"),
+        ] {
+            for shard in [None, cold] {
+                let case = format!("{screener} {shard:?}");
+                let (want_records, want_stats, want_log) =
+                    run(screener, shard, &mut Recorder::disabled());
+                let mut rec = Recorder::with_flags(TraceFlags::enabled());
+                let (records, stats, log) = run(screener, shard, &mut rec);
+                assert_eq!(records, want_records, "{case}: records");
+                assert_eq!(stats, want_stats, "{case}: stats");
+                assert_eq!(log.all(), want_log.all(), "{case}: signal log");
+                assert_eq!(records.is_empty(), shard == cold, "{case}: detections");
+                assert!(stats.core_screens > 0, "{case}: nothing screened");
+                let trace = rec.finish();
+                let counter = |name| trace.metrics.counter(name);
+                assert_eq!(counter("screen.core_screens"), stats.core_screens, "{case}");
+                assert_eq!(counter("screen.test_ops"), stats.test_ops, "{case}");
+                assert_eq!(counter("screen.detections"), stats.detections, "{case}");
+                let spans = |kind| {
+                    trace
+                        .events
+                        .iter()
+                        .filter(|e| e.name == span && e.kind == kind)
+                        .count()
+                };
+                assert!(spans(EventKind::Begin) > 0, "{case}: no pass span");
+                assert_eq!(spans(EventKind::Begin), spans(EventKind::End), "{case}");
+            }
+        }
     }
 
     #[test]

@@ -12,10 +12,6 @@ use crate::metric::MetricSet;
 pub struct TraceFlags {
     /// Master switch. When false the recorder is inert.
     pub enabled: bool,
-    /// Also emit a span per screened machine. Off by default: at paper
-    /// scale the online screener visits millions of machines and the
-    /// per-machine spans dominate the event buffer.
-    pub machine_spans: bool,
 }
 
 impl TraceFlags {
@@ -24,18 +20,14 @@ impl TraceFlags {
         TraceFlags::default()
     }
 
-    /// Flags with the master switch on (machine spans still off).
+    /// Flags with the master switch on.
     pub fn enabled() -> Self {
-        TraceFlags {
-            enabled: true,
-            machine_spans: false,
-        }
+        TraceFlags { enabled: true }
     }
 }
 
 #[derive(Debug, Clone, Default)]
 struct Inner {
-    flags: TraceFlags,
     events: Vec<TraceEvent>,
     metrics: MetricSet,
 }
@@ -58,29 +50,14 @@ impl Recorder {
     /// Build a recorder from scenario flags; `enabled: false` yields the
     /// same inert recorder as [`Recorder::disabled`].
     pub fn with_flags(flags: TraceFlags) -> Self {
-        if flags.enabled {
-            Recorder {
-                inner: Some(Box::new(Inner {
-                    flags,
-                    ..Inner::default()
-                })),
-            }
-        } else {
-            Recorder::disabled()
+        Recorder {
+            inner: flags.enabled.then(Box::default),
         }
     }
 
     /// Whether this recorder keeps anything.
     pub fn enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// The flags this recorder was built with (all-off when disabled).
-    pub fn flags(&self) -> TraceFlags {
-        self.inner
-            .as_ref()
-            .map(|i| i.flags)
-            .unwrap_or_else(TraceFlags::disabled)
     }
 
     /// Open a span at `hour`. Must be matched by [`Recorder::end`] with the
@@ -169,7 +146,7 @@ impl Recorder {
         self.inner.as_deref().map(|i| &i.metrics)
     }
 
-    /// Drain the buffered events, leaving metrics and flags in place — the
+    /// Drain the buffered events, leaving metrics in place — the
     /// hook a streaming [`crate::stream::TraceSink`] uses to flush merged
     /// events to disk incrementally instead of holding the whole run in
     /// memory. Returns an empty vec when disabled.

@@ -156,7 +156,6 @@ fn cmd_fig1(args: &Args) {
 fn cmd_trace(args: &Args) {
     let mut scenario = scenario_from_args(args);
     scenario.trace.enabled = true;
-    scenario.trace.machine_spans |= args.flag("machine-spans");
     scenario.closed_loop.feedback = true;
     let format = args.value("format").unwrap_or("summary");
     eprintln!(

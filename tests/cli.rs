@@ -58,7 +58,7 @@ fn zero_machine_scenario_exits_nonzero_without_panicking() {
 #[test]
 fn bad_scenario_fields_exit_nonzero_without_panicking() {
     type Mutation = fn(&mut Scenario);
-    let cases: [(&str, &str, Mutation); 8] = [
+    let cases: [(&str, &str, Mutation); 12] = [
         ("epoch", "sim.epoch_hours", |s| s.sim.epoch_hours = 0.0),
         ("online-zero", "online_interval_hours", |s| {
             s.online_interval_hours = 0.0
@@ -83,6 +83,22 @@ fn bad_scenario_fields_exit_nonzero_without_panicking() {
                 p.fleet_weight = 0.0;
             }
         }),
+        ("zero-cores", "fleet.products[0].cores_per_socket", |s| {
+            s.fleet.products[0].cores_per_socket = 0
+        }),
+        ("empty-dvfs", "fleet.products[1].dvfs.steps", |s| {
+            s.fleet.products[1].dvfs = serde_json::from_str(r#"{"steps": []}"#).unwrap()
+        }),
+        (
+            "rate-above-one",
+            "fleet.products[2].mercurial_rate_per_core",
+            |s| s.fleet.products[2].mercurial_rate_per_core = 2.0,
+        ),
+        (
+            "rate-negative",
+            "fleet.products[0].mercurial_rate_per_core",
+            |s| s.fleet.products[0].mercurial_rate_per_core = -1e-6,
+        ),
     ];
     for (case, field, mutate) in cases {
         assert_rejected(case, field, mutate);

@@ -670,6 +670,18 @@ impl Scenario {
                 return Err(format!("{field} must be positive and finite, got {h}"));
             }
         }
+        // Per-machine-hour noise rates and a probability: each lies in
+        // [0, 1] (and so is finite). A huge rate would make the noise
+        // layer's Poisson draw saturate and loop for ever.
+        for (field, p) in [
+            ("sim.noise_crash_rate", self.sim.noise_crash_rate),
+            ("sim.noise_report_rate", self.sim.noise_report_rate),
+            ("sim.machine_check_share", self.sim.machine_check_share),
+        ] {
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("{field} must be in [0, 1], got {p}"));
+            }
+        }
         Ok(())
     }
 }
@@ -780,6 +792,29 @@ mod tests {
             let mut s = Scenario::small(7);
             s.fleet.products[2].mercurial_rate_per_core = rate;
             assert_eq!(s.validate(), Ok(()), "{rate} is a probability");
+        }
+    }
+
+    #[test]
+    fn bad_noise_rates_and_machine_check_share_are_rejected_naming_the_field() {
+        type Field = fn(&mut Scenario) -> &mut f64;
+        let fields: [(&str, Field); 3] = [
+            ("sim.noise_crash_rate", |s| &mut s.sim.noise_crash_rate),
+            ("sim.noise_report_rate", |s| &mut s.sim.noise_report_rate),
+            ("sim.machine_check_share", |s| {
+                &mut s.sim.machine_check_share
+            }),
+        ];
+        for (name, field) in fields {
+            for bad in [-1e-6, 1.5, 1e300, f64::NAN, f64::INFINITY] {
+                let err = rejection(|s| *field(s) = bad);
+                assert!(err.contains(name), "{name} = {bad}: {err}");
+            }
+            for ok in [0.0, 1.0] {
+                let mut s = Scenario::small(7);
+                *field(&mut s) = ok;
+                assert_eq!(s.validate(), Ok(()), "{name} = {ok}");
+            }
         }
     }
 

@@ -110,6 +110,13 @@ impl SignalLog {
         SignalLog::default()
     }
 
+    /// Creates an empty log with room for `capacity` signals.
+    pub fn with_capacity(capacity: usize) -> SignalLog {
+        SignalLog {
+            signals: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Appends a signal.
     pub fn push(&mut self, signal: Signal) {
         self.signals.push(signal);

@@ -20,7 +20,7 @@
 
 use crate::population::Population;
 use crate::signals::{Signal, SignalKind, SignalLog};
-use crate::topology::FleetTopology;
+use crate::topology::{DeployCursor, FleetTopology};
 use crate::workload::WorkloadClass;
 use mercurial_fault::{CoreUid, CounterRng, FunctionalUnit, SymptomClass};
 use mercurial_mitigation::redundancy::CostMeter;
@@ -161,8 +161,8 @@ impl SimSummary {
 /// [`FleetSim::step_epochs`]).
 ///
 /// Holds everything the simulator mutates across epochs: the epoch
-/// cursor, the list of ground-truth mercurial cores, the *active-core
-/// mask* (cores a closed-loop policy has pulled from service stop
+/// cursor, the deployed set, the list of ground-truth mercurial cores,
+/// the *active-core mask* (cores a closed-loop policy has pulled from service stop
 /// producing corruption and signals), and the "ever corrupted" tracker
 /// behind [`SimSummary::active_mercurial_cores`]. The mask only changes
 /// through [`SimState::set_active`], i.e. between epochs, so every epoch
@@ -197,11 +197,68 @@ pub struct SimState {
     /// catches, user reports, mitigation cost), indexed like the
     /// workload list. Owned-shard scope under [`FleetSim::begin_shard`].
     class_tallies: Vec<ClassTally>,
-    /// Deployed-core capacity per class once rollout completes (owned
-    /// machines only): Σ sockets × cores over owned machines of the
-    /// class. The mitigation-overhead meter uses this instead of an
-    /// O(machines) scan outside the rollout window.
-    class_cores: Vec<u64>,
+    /// Walks the deploy order as epochs pass; each machine enters
+    /// `deployed` and `deployed_class_cores` exactly once per run.
+    deploy: DeployCursor,
+    /// Every deployed machine of the fleet (global even under a shard,
+    /// because the noise layer replays the global stream).
+    deployed: DeployedSet,
+    /// Deployed cores per class on owned machines (Σ sockets × cores),
+    /// the mitigation-overhead meter's capacity.
+    deployed_class_cores: Vec<u64>,
+}
+
+/// A set of machine ids as a bitmap with a per-word rank, so "the k-th
+/// deployed machine in ascending id order" is a binary search plus an
+/// in-word select rather than an O(machines) table rebuilt per epoch.
+#[derive(Debug, Clone)]
+struct DeployedSet {
+    words: Vec<u64>,
+    /// `rank[w]` = set bits in `words[..w]`.
+    rank: Vec<u32>,
+    len: u32,
+}
+
+impl DeployedSet {
+    fn new(machines: u32) -> DeployedSet {
+        let words = (machines as usize).div_ceil(64);
+        DeployedSet {
+            words: vec![0; words],
+            rank: vec![0; words],
+            len: 0,
+        }
+    }
+
+    /// Adds machines (each at most once per set) and refreshes the rank.
+    fn extend(&mut self, machines: &[u32]) {
+        if machines.is_empty() {
+            return;
+        }
+        for &m in machines {
+            self.words[m as usize / 64] |= 1 << (m % 64);
+        }
+        self.len += machines.len() as u32;
+        let mut running = 0u32;
+        for (rank, word) in self.rank.iter_mut().zip(&self.words) {
+            *rank = running;
+            running += word.count_ones();
+        }
+    }
+
+    fn len(&self) -> u64 {
+        self.len as u64
+    }
+
+    /// The `k`-th member in ascending order (`k < len`).
+    fn select(&self, k: u64) -> u32 {
+        let k = k as u32;
+        let w = self.rank.partition_point(|&r| r <= k) - 1;
+        let mut word = self.words[w];
+        for _ in 0..k - self.rank[w] {
+            word &= word - 1;
+        }
+        (w * 64) as u32 + word.trailing_zeros()
+    }
 }
 
 impl SimState {
@@ -298,12 +355,6 @@ pub struct FleetSim {
     /// (the weighted draw is per-machine invariant; resolving it in the
     /// epoch loop re-summed the weight vector for every core×epoch).
     workload_ix: Vec<usize>,
-    /// `0..machines` — the deployed set once rollout has completed. The
-    /// noise layer borrows this after `rollout_end_hour` instead of
-    /// rebuilding an O(machines) vector every epoch.
-    all_machines: Vec<u32>,
-    /// Hour at (and after) which every machine is in service.
-    rollout_end_hour: f64,
     /// End of the observation window in hours; lagged user-report
     /// escalations are clamped here so no signal is ever dated outside
     /// the last epoch.
@@ -316,8 +367,6 @@ impl FleetSim {
     pub fn new(topo: FleetTopology, pop: Population, config: SimConfig) -> FleetSim {
         let workloads = WorkloadClass::default_mix();
         let workload_ix = Self::assign_workloads(&workloads, &topo, &pop);
-        let all_machines: Vec<u32> = (0..topo.machines().len() as u32).collect();
-        let rollout_end_hour = topo.rollout_end_hour();
         let horizon_hours =
             (config.months as f64 * 730.0 / config.epoch_hours).ceil() * config.epoch_hours;
         FleetSim {
@@ -326,8 +375,6 @@ impl FleetSim {
             config,
             workloads,
             workload_ix,
-            all_machines,
-            rollout_end_hour,
             horizon_hours,
         }
     }
@@ -441,13 +488,6 @@ impl FleetSim {
         );
         let n = mercurial.len();
         let n_classes = self.workloads.len();
-        let mut class_cores = vec![0u64; n_classes];
-        let (lo, hi) = shard.unwrap_or((0, self.topo.machines().len() as u32));
-        let sockets = self.topo.config().sockets_per_machine as u64;
-        for m in lo..hi {
-            let cores = sockets * self.topo.product_of(m).cores_per_socket as u64;
-            class_cores[self.workload_ix[m as usize]] += cores;
-        }
         SimState {
             next_epoch: 0,
             epochs: self.epochs(),
@@ -458,7 +498,9 @@ impl FleetSim {
             shard,
             policies: vec![MitigationPolicy::None; n_classes],
             class_tallies: vec![ClassTally::default(); n_classes],
-            class_cores,
+            deploy: DeployCursor::default(),
+            deployed: DeployedSet::new(self.topo.machines().len() as u32),
+            deployed_class_cores: vec![0; n_classes],
         }
     }
 
@@ -547,10 +589,10 @@ impl FleetSim {
         (log, summary)
     }
 
-    /// Simulates one epoch: every deployed, in-service mercurial core in
-    /// ascending [`CoreUid`] order, then the background noise layer. A
-    /// core's first corruption is recorded as a `sim.first_corruption`
-    /// instant.
+    /// Simulates one epoch: brings the deployed set up to the epoch's
+    /// hour, then every deployed, in-service mercurial core in ascending
+    /// [`CoreUid`] order, then the background noise layer. A core's first
+    /// corruption is recorded as a `sim.first_corruption` instant.
     ///
     /// A dormant core (latent defect before onset) costs one rate
     /// evaluation here: [`FleetSim::epoch_core`] tests `lambda <= 0.0`
@@ -571,9 +613,18 @@ impl FleetSim {
             shard,
             policies,
             class_tallies,
-            class_cores,
+            deploy,
+            deployed,
+            deployed_class_cores,
             ..
         } = state;
+        let newly = deploy.advance(&self.topo, hour);
+        deployed.extend(newly);
+        for &m in newly {
+            if shard.is_none_or(|(lo, hi)| m >= lo && m < hi) {
+                deployed_class_cores[self.workload_ix[m as usize]] += self.topo.cores_on(m);
+            }
+        }
         for (i, &uid) in mercurial.iter().enumerate() {
             if !active[i] || !self.topo.is_deployed(uid.machine, hour) {
                 continue;
@@ -585,8 +636,8 @@ impl FleetSim {
                 rec.instant(hour, "sim.first_corruption", Some(uid.as_u64()), 0.0);
             }
         }
-        self.epoch_noise(hour, epoch, *shard, log, summary);
-        self.epoch_overhead(hour, *shard, policies, class_cores, class_tallies);
+        self.epoch_noise(hour, epoch, *shard, deployed, log, summary);
+        self.epoch_overhead(hour, policies, deployed_class_cores, class_tallies);
     }
 
     /// Simulates one mercurial core for one epoch; returns whether it
@@ -916,32 +967,20 @@ impl FleetSim {
         hour: f64,
         epoch: u32,
         shard: Option<(u32, u32)>,
+        deployed: &DeployedSet,
         log: &mut SignalLog,
         summary: &mut SimSummary,
     ) {
         // Sample from the *deployed* machines only. Drawing from the full
         // machine range and discarding undeployed picks would deflate the
         // realized noise rate by the deployed fraction during rollout.
-        // Deployment is monotone, so once rollout has ended the deployed
-        // set is the whole fleet — borrow the cached `0..machines` vector
-        // instead of rebuilding an O(machines) scratch every epoch. The
-        // scratch is only built while `hour` is inside the rollout window,
-        // in the same ascending machine order, so the indexing draws below
-        // see identical tables either way.
-        let scratch: Vec<u32>;
-        let deployed: &[u32] = if hour >= self.rollout_end_hour {
-            &self.all_machines
-        } else {
-            scratch = (0..self.topo.machines().len() as u32)
-                .filter(|&m| self.topo.is_deployed(m, hour))
-                .collect();
-            &scratch
-        };
-        if deployed.is_empty() {
+        // The pick is the k-th deployed machine in ascending id order.
+        let n_deployed = deployed.len();
+        if n_deployed == 0 {
             return;
         }
         let mut rng = CounterRng::from_parts(self.pop.seed(), 0xbadd, 0x6e6f, epoch as u64);
-        let machine_hours = deployed.len() as f64 * self.config.epoch_hours;
+        let machine_hours = n_deployed as f64 * self.config.epoch_hours;
         for (kind, rate) in [
             (SignalKind::ProcessCrash, self.config.noise_crash_rate),
             (SignalKind::UserReport, self.config.noise_report_rate),
@@ -951,7 +990,7 @@ impl FleetSim {
                 // Attribute to a uniformly random deployed machine/core.
                 // All four draws happen unconditionally so a shard stays
                 // aligned with the global stream; only the push is gated.
-                let midx = deployed[rng.next_below(deployed.len() as u64) as usize];
+                let midx = deployed.select(rng.next_below(n_deployed));
                 let product = self.topo.product_of(midx);
                 let socket = rng.next_below(self.topo.config().sockets_per_machine as u64) as u8;
                 let core = rng.next_below(product.cores_per_socket as u64) as u16;
@@ -972,38 +1011,19 @@ impl FleetSim {
 
     /// Meters the epoch's mitigation overhead into the per-class cost
     /// tallies. RNG-free and built from u64 sums over the shard's owned
-    /// machines, so it is exact under any shard partition; with every
-    /// policy at `None` it is a no-op, keeping legacy runs cost-free.
+    /// deployed cores (`cores`, per class), so it is exact under any
+    /// shard partition; with every policy at `None` it is a no-op,
+    /// keeping legacy runs cost-free.
     fn epoch_overhead(
         &self,
         hour: f64,
-        shard: Option<(u32, u32)>,
         policies: &[MitigationPolicy],
-        class_cores: &[u64],
+        cores: &[u64],
         classes: &mut [ClassTally],
     ) {
         if policies.iter().all(|&p| p == MitigationPolicy::None) {
             return;
         }
-        // Deployed core capacity per class: the cached post-rollout counts
-        // when the whole cohort is in service, else a scan of the owned
-        // machine range.
-        let scratch: Vec<u64>;
-        let cores: &[u64] = if hour >= self.rollout_end_hour {
-            class_cores
-        } else {
-            let mut counts = vec![0u64; classes.len()];
-            let (lo, hi) = shard.unwrap_or((0, self.topo.machines().len() as u32));
-            let sockets = self.topo.config().sockets_per_machine as u64;
-            for m in lo..hi {
-                if self.topo.is_deployed(m, hour) {
-                    let per = sockets * self.topo.product_of(m).cores_per_socket as u64;
-                    counts[self.workload_ix[m as usize]] += per;
-                }
-            }
-            scratch = counts;
-            &scratch
-        };
         for (ix, tally) in classes.iter_mut().enumerate() {
             let policy = policies[ix];
             if policy == MitigationPolicy::None || cores[ix] == 0 {
@@ -1456,37 +1476,65 @@ mod tests {
     }
 
     #[test]
-    fn noise_fast_path_is_bit_identical_to_the_scan() {
-        // Post-rollout epochs borrow the cached all-machines table; this
-        // pin forces the slow per-epoch scan on an identical twin and
-        // demands the same signal log bit for bit.
-        let build = || {
-            let topo = FleetTopology::build(FleetConfig {
-                machines: 300,
-                sockets_per_machine: 1,
-                products: crate::product::CpuProduct::default_catalog(),
-                rollout_months: 2,
-                seed: 77,
-            });
-            let pop = Population::with_explicit(77, vec![]);
-            FleetSim::new(
-                topo,
-                pop,
-                SimConfig {
-                    months: 6,
-                    noise_crash_rate: 1e-3,
-                    ..SimConfig::default()
-                },
-            )
-        };
-        let fast = build();
-        let mut slow = build();
-        slow.rollout_end_hour = f64::INFINITY; // force the per-epoch rebuild
-        let (fast_log, fast_summary) = fast.run();
-        let (slow_log, slow_summary) = slow.run();
-        assert!(fast_summary.noise_signals > 0, "noise must flow");
-        assert_eq!(fast_summary, slow_summary);
-        assert_eq!(fast_log.all(), slow_log.all());
+    fn deployed_set_matches_a_naive_scan_every_epoch() {
+        // The noise pick is a rank/select over the deployed bitmap; it
+        // must equal the table the noise layer used to rebuild every
+        // epoch — the k-th deployed machine in ascending id order — and
+        // the per-class core meter must equal an owned-range scan, in
+        // every epoch of a rollout, sharded or not.
+        let topo = FleetTopology::build(FleetConfig {
+            machines: 300,
+            sockets_per_machine: 2,
+            products: crate::product::CpuProduct::default_catalog(),
+            rollout_months: 4,
+            seed: 77,
+        });
+        let pop = Population::with_explicit(77, vec![]);
+        let sim = FleetSim::new(
+            topo,
+            pop,
+            SimConfig {
+                months: 6,
+                noise_crash_rate: 1e-3,
+                ..SimConfig::default()
+            },
+        );
+        let topo = sim.topology();
+        let machines = topo.machines().len() as u32;
+        for (lo, hi) in [(0, machines), (0, 100), (100, 300), (37, 38)] {
+            let mut state = if (lo, hi) == (0, machines) {
+                sim.begin()
+            } else {
+                sim.begin_shard(lo, hi)
+            };
+            let mut saw_partial = false;
+            while !state.is_done() {
+                let hour = state.hour();
+                sim.step_epoch(
+                    &mut state,
+                    &mut SignalLog::new(),
+                    &mut SimSummary::default(),
+                    &mut Recorder::disabled(),
+                );
+                let naive: Vec<u32> = (0..machines)
+                    .filter(|&m| topo.is_deployed(m, hour))
+                    .collect();
+                saw_partial |= !naive.is_empty() && naive.len() < machines as usize;
+                assert_eq!(state.deployed.len(), naive.len() as u64, "hour {hour}");
+                for (k, &m) in naive.iter().enumerate() {
+                    assert_eq!(state.deployed.select(k as u64), m, "hour {hour}, k {k}");
+                }
+                let mut cores = vec![0u64; sim.class_count()];
+                for m in (lo..hi).filter(|&m| topo.is_deployed(m, hour)) {
+                    cores[sim.class_of(m)] += topo.cores_on(m);
+                }
+                assert_eq!(
+                    state.deployed_class_cores, cores,
+                    "[{lo}, {hi}) hour {hour}"
+                );
+            }
+            assert!(saw_partial, "the window must cover a partial rollout");
+        }
     }
 
     #[test]

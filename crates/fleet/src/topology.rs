@@ -63,15 +63,37 @@ pub struct FleetTopology {
     config: FleetConfig,
     machines: Vec<MachineInfo>,
     total_cores: u64,
-    /// Deploy hours sorted ascending (ties by machine index). Deployment
-    /// is monotone — machines never undeploy — so "how many machines (or
-    /// cores) are in service at `hour`" is a binary search here instead
-    /// of a fleet scan.
-    deploy_hours_sorted: Vec<f64>,
-    /// Prefix sums of core counts in deploy order:
-    /// `cores_deploy_prefix[k]` = total cores on the `k` earliest-deployed
-    /// machines (length `machines + 1`).
-    cores_deploy_prefix: Vec<u64>,
+    /// Machine ids sorted by `(deploy_hour, machine)`. Deployment is
+    /// monotone — machines never undeploy — so "which machines are in
+    /// service at `hour`" is a prefix of this order: a binary search for
+    /// one-off lookups, a [`DeployCursor`] for time walking forward.
+    deploy_order: Vec<u32>,
+}
+
+/// A forward-only walk over [`FleetTopology::deploy_order`]: each
+/// [`DeployCursor::advance`] yields the machines whose deploy hour has
+/// been reached since the previous call, so a run that steps time
+/// forward visits every machine exactly once instead of rescanning the
+/// fleet per epoch.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DeployCursor {
+    /// Machines already yielded (a prefix length of the deploy order).
+    next: usize,
+}
+
+impl DeployCursor {
+    /// Advances to `hour` and returns the newly deployed machines
+    /// (`deploy_hour <= hour`, the [`FleetTopology::is_deployed`]
+    /// predicate) in deploy order. `hour` must not move backwards.
+    pub fn advance<'t>(&mut self, topo: &'t FleetTopology, hour: f64) -> &'t [u32] {
+        let start = self.next;
+        let due = topo.deploy_order[start..]
+            .iter()
+            .take_while(|&&m| topo.machines[m as usize].deploy_hour <= hour)
+            .count();
+        self.next = start + due;
+        &topo.deploy_order[start..self.next]
+    }
 }
 
 impl FleetTopology {
@@ -121,24 +143,11 @@ impl FleetTopology {
                 .expect("deploy hours are finite")
                 .then(a.cmp(&b))
         });
-        let deploy_hours_sorted: Vec<f64> = deploy_order
-            .iter()
-            .map(|&m| machines[m as usize].deploy_hour)
-            .collect();
-        let mut cores_deploy_prefix = Vec::with_capacity(deploy_order.len() + 1);
-        cores_deploy_prefix.push(0u64);
-        let mut running = 0u64;
-        for &m in &deploy_order {
-            running += config.products[machines[m as usize].product].cores_per_socket as u64
-                * config.sockets_per_machine as u64;
-            cores_deploy_prefix.push(running);
-        }
         FleetTopology {
             config,
             machines,
             total_cores,
-            deploy_hours_sorted,
-            cores_deploy_prefix,
+            deploy_order,
         }
     }
 
@@ -185,37 +194,24 @@ impl FleetTopology {
         self.product_of(machine).cores_per_socket as u64 * self.config.sockets_per_machine as u64
     }
 
+    /// Machine ids in `(deploy_hour, machine)` order.
+    pub fn deploy_order(&self) -> &[u32] {
+        &self.deploy_order
+    }
+
     /// Machines in service at fleet time `hour` (binary search over the
-    /// sorted deploy hours — O(log machines), not a fleet scan).
+    /// deploy order — O(log machines), not a fleet scan).
     pub fn deployed_count(&self, hour: f64) -> u64 {
-        self.deploy_hours_sorted.partition_point(|&d| d <= hour) as u64
-    }
-
-    /// Cores in service at fleet time `hour` (prefix sums in deploy
-    /// order — O(log machines)).
-    pub fn deployed_cores(&self, hour: f64) -> u64 {
-        self.cores_deploy_prefix[self.deploy_hours_sorted.partition_point(|&d| d <= hour)]
-    }
-
-    /// Cores in service at fleet time `hour` on machines in `[lo, hi)` —
-    /// the shard-scoped companion of [`FleetTopology::deployed_cores`].
-    /// Summed over a partition of the machine range this equals the
-    /// global closed form exactly (both count the same integer cores), so
-    /// shard-local screening accounting stays bit-identical in aggregate.
-    pub fn deployed_cores_in_range(&self, lo: u32, hi: u32, hour: f64) -> u64 {
-        let hi = (hi as usize).min(self.machines.len());
-        let lo = (lo as usize).min(hi);
-        self.machines[lo..hi]
-            .iter()
-            .filter(|m| m.deploy_hour <= hour)
-            .map(|m| self.cores_on(m.machine))
-            .sum()
+        self.deploy_order
+            .partition_point(|&m| self.machines[m as usize].deploy_hour <= hour) as u64
     }
 
     /// The hour at (and after) which every machine is in service; 0 for
     /// an empty fleet.
     pub fn rollout_end_hour(&self) -> f64 {
-        self.deploy_hours_sorted.last().copied().unwrap_or(0.0)
+        self.deploy_order
+            .last()
+            .map_or(0.0, |&m| self.machines[m as usize].deploy_hour)
     }
 }
 
@@ -271,24 +267,38 @@ mod tests {
     fn deployed_counts_match_naive_scans() {
         let mut cfg = FleetConfig::tiny(500, 9);
         cfg.rollout_months = 8;
-        cfg.sockets_per_machine = 2;
         let topo = FleetTopology::build(cfg);
         for hour in [0.0, 1.0, 365.0, 730.0, 2500.0, 5840.0, 1e6] {
-            let naive_machines = topo
+            let naive = topo
                 .machines()
                 .iter()
                 .filter(|m| m.deploy_hour <= hour)
                 .count() as u64;
-            let naive_cores: u64 = topo
-                .machines()
-                .iter()
-                .filter(|m| m.deploy_hour <= hour)
-                .map(|m| topo.cores_on(m.machine))
-                .sum();
-            assert_eq!(topo.deployed_count(hour), naive_machines, "hour {hour}");
-            assert_eq!(topo.deployed_cores(hour), naive_cores, "hour {hour}");
+            assert_eq!(topo.deployed_count(hour), naive, "hour {hour}");
         }
-        assert_eq!(topo.deployed_cores(1e9), topo.total_cores());
+    }
+
+    #[test]
+    fn deploy_cursor_yields_each_machine_once_as_it_deploys() {
+        let mut cfg = FleetConfig::tiny(500, 9);
+        cfg.rollout_months = 8;
+        let topo = FleetTopology::build(cfg);
+        let mut cursor = DeployCursor::default();
+        let mut seen = vec![false; 500];
+        for hour in [0.0, 0.0, 1.0, 365.0, 730.0, 2500.0, 5840.0, 1e6, 1e6] {
+            for &m in cursor.advance(&topo, hour) {
+                assert!(!seen[m as usize], "machine {m} yielded twice");
+                seen[m as usize] = true;
+            }
+            for m in 0..500u32 {
+                assert_eq!(seen[m as usize], topo.is_deployed(m, hour), "hour {hour}");
+            }
+        }
+        let key = |m: u32| (topo.machines()[m as usize].deploy_hour, m);
+        assert!(topo
+            .deploy_order()
+            .windows(2)
+            .all(|w| key(w[0]) < key(w[1])));
     }
 
     #[test]

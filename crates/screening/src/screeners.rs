@@ -25,7 +25,7 @@
 use mercurial_fault::{CoreUid, FunctionalUnit, OperatingPoint};
 use mercurial_fault::{FastMap, FastSet};
 use mercurial_fleet::population::TestSpec;
-use mercurial_fleet::FleetTopology;
+use mercurial_fleet::{DeployCursor, FleetTopology};
 use mercurial_fleet::{Population, Signal, SignalKind, SignalLog};
 use mercurial_trace::Recorder;
 use serde::{Deserialize, Serialize};
@@ -560,17 +560,13 @@ impl BurnIn {
         topo: &FleetTopology,
         shard: Option<(u32, u32)>,
     ) -> BurnInCampaign {
-        let mut queue: Vec<(f64, u32)> = topo
-            .machines()
+        // The deploy order is already sorted by `(deploy_hour, machine)`.
+        let queue: Vec<(f64, u32)> = topo
+            .deploy_order()
             .iter()
-            .filter(|m| shard_owns(shard, m.machine))
-            .map(|m| (m.deploy_hour, m.machine))
+            .filter(|&&m| shard_owns(shard, m))
+            .map(|&m| (topo.machines()[m as usize].deploy_hour, m))
             .collect();
-        queue.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("deploy hours are finite")
-                .then(a.1.cmp(&b.1))
-        });
         BurnInCampaign {
             screener: self.clone(),
             queue,
@@ -870,18 +866,20 @@ impl Default for OnlineScreener {
 
 impl OnlineScreener {
     /// Plans one pass over every machine deployed at `hour`, with the
-    /// era's op budget scaled to spare cycles.
+    /// era's op budget scaled to spare cycles; `deployed` is the owned
+    /// deployed-core count at `hour`.
     ///
     /// The pass never walks the fleet: tasks come from the hot set
-    /// (ascending machine order) and the healthy remainder is a
-    /// [`FleetTopology::deployed_cores`] lookup — one screen per core at
-    /// the nominal point, zero detections, no randomness.
+    /// (ascending machine order) and the healthy remainder is `deployed`
+    /// minus the hot machines' cores — one screen per core at the
+    /// nominal point, zero detections, no randomness.
     fn plan(
         &self,
         topo: &FleetTopology,
         hour: f64,
         pass: u64,
         shard: Option<(u32, u32)>,
+        deployed: u64,
         hot: &[u32],
     ) -> Batch {
         let month = (hour / 730.0) as u32;
@@ -906,13 +904,6 @@ impl OnlineScreener {
             .inspect(|&machine| hot_cores += topo.cores_on(machine))
             .map(task)
             .collect();
-        // The closed-form remainder is shard-scoped too: ranged
-        // deployed-core sums over a machine partition add to the global
-        // prefix-sum lookup exactly (same integer cores).
-        let deployed = match shard {
-            None => topo.deployed_cores(hour),
-            Some((lo, hi)) => topo.deployed_cores_in_range(lo, hi, hour),
-        };
         let clean = deployed - hot_cores;
         Batch {
             tasks,
@@ -962,6 +953,8 @@ impl OnlineScreener {
             pass: 0,
             next_hour: self.interval_hours,
             shard,
+            deploy: DeployCursor::default(),
+            deployed_cores: 0,
             stats: ScreeningStats::default(),
         }
     }
@@ -975,6 +968,11 @@ pub struct OnlineCampaign {
     pass: u64,
     next_hour: f64,
     shard: Option<(u32, u32)>,
+    /// Walks the deploy order as passes advance; each machine is added
+    /// to `deployed_cores` once per run.
+    deploy: DeployCursor,
+    /// Cores on owned machines deployed by the last pass's hour.
+    deployed_cores: u64,
     stats: ScreeningStats,
 }
 
@@ -998,9 +996,19 @@ impl OnlineCampaign {
         // A superset across this call's passes, as for offline sweeps.
         let hot = hot_machines(pop, detected);
         while self.next_hour < self.total_hours && self.next_hour < until_hour {
-            let batch = self
-                .screener
-                .plan(topo, self.next_hour, self.pass, self.shard, &hot);
+            for &m in self.deploy.advance(topo, self.next_hour) {
+                if shard_owns(self.shard, m) {
+                    self.deployed_cores += topo.cores_on(m);
+                }
+            }
+            let batch = self.screener.plan(
+                topo,
+                self.next_hour,
+                self.pass,
+                self.shard,
+                self.deployed_cores,
+                &hot,
+            );
             run_machine_tasks(
                 topo,
                 pop,
@@ -1558,6 +1566,56 @@ mod tests {
             assert_eq!(stats, full_stats, "{workers} shards");
             assert_eq!(det, full_det, "{workers} shards");
             assert_eq!(canon_log(&log), canon_log(&full_log), "{workers} shards");
+        }
+    }
+
+    #[test]
+    fn online_core_screens_match_a_naive_per_pass_scan_during_rollout() {
+        // The online campaign's deployed-core count is carried by a
+        // deploy cursor instead of a per-pass scan; each shard's screens
+        // must equal a per-pass walk over its owned deployed machines
+        // (a detected core is skipped, a dormant mercurial one screened).
+        let topo = FleetTopology::build(FleetConfig {
+            machines: 60,
+            sockets_per_machine: 2,
+            products: mercurial_fleet::CpuProduct::default_catalog(),
+            rollout_months: 6,
+            seed: 41,
+        });
+        let dormant = (CoreUid::new(7, 1, 0), library::late_onset_muldiv(1e9, 1e-3));
+        let pop = Population::with_explicit(41, vec![dormant]);
+        let pre_detected = CoreUid::new(31, 0, 2);
+        let months = 9u32;
+        let online = OnlineScreener::default();
+        let machines = topo.machines().len() as u32;
+        for workers in [1u32, 2, 3] {
+            for w in 0..workers {
+                let (lo, hi) = (machines * w / workers, machines * (w + 1) / workers);
+                let mut detected: FastSet<CoreUid> = [pre_detected].into_iter().collect();
+                let mut campaign = online.campaign_shard(months, Some((lo, hi)));
+                let mut until = 0.0;
+                while campaign.next_hour().is_some() {
+                    until += 100.0;
+                    let rec = &mut Recorder::disabled();
+                    let log = &mut SignalLog::new();
+                    let found = campaign.step_until(&topo, &pop, until, &mut detected, log, rec);
+                    assert!(found.is_empty(), "no core can be detected here");
+                }
+                let mut naive = 0u64;
+                let mut hour = online.interval_hours;
+                while hour < months as f64 * 730.0 {
+                    for m in (lo..hi).filter(|&m| topo.is_deployed(m, hour)) {
+                        naive += topo.cores_on(m) - u64::from(m == pre_detected.machine);
+                    }
+                    hour += online.interval_hours;
+                }
+                assert!(naive > 0);
+                assert_eq!(
+                    campaign.stats().core_screens,
+                    naive,
+                    "shard [{lo}, {hi}) of {workers}"
+                );
+            }
         }
     }
 

@@ -58,7 +58,7 @@ fn zero_machine_scenario_exits_nonzero_without_panicking() {
 #[test]
 fn bad_scenario_fields_exit_nonzero_without_panicking() {
     type Mutation = fn(&mut Scenario);
-    let cases: [(&str, &str, Mutation); 12] = [
+    let cases: [(&str, &str, Mutation); 17] = [
         ("epoch", "sim.epoch_hours", |s| s.sim.epoch_hours = 0.0),
         ("online-zero", "online_interval_hours", |s| {
             s.online_interval_hours = 0.0
@@ -99,6 +99,21 @@ fn bad_scenario_fields_exit_nonzero_without_panicking() {
             "fleet.products[0].mercurial_rate_per_core",
             |s| s.fleet.products[0].mercurial_rate_per_core = -1e-6,
         ),
+        ("noise-crash-huge", "sim.noise_crash_rate", |s| {
+            s.sim.noise_crash_rate = 1e300
+        }),
+        ("noise-crash-negative", "sim.noise_crash_rate", |s| {
+            s.sim.noise_crash_rate = -1e-5
+        }),
+        ("noise-report-above-one", "sim.noise_report_rate", |s| {
+            s.sim.noise_report_rate = 2.0
+        }),
+        ("machine-check-above-one", "sim.machine_check_share", |s| {
+            s.sim.machine_check_share = 1.5
+        }),
+        ("machine-check-negative", "sim.machine_check_share", |s| {
+            s.sim.machine_check_share = -0.1
+        }),
     ];
     for (case, field, mutate) in cases {
         assert_rejected(case, field, mutate);

@@ -59,7 +59,7 @@ watch-smoke:
 # stepping granularity, and the 1M-machine x 36-month closed loop stays
 # within a self-calibrated wall-clock budget.
 study-smoke:
-	$(CARGO) run --release -p mercurial-bench --bin e18_sparse -- --smoke
+	$(CARGO) run --release -p mercurial-bench --bin e18_study -- --smoke
 
 # Served-topology contracts: frame-codec round-trip, zero-impairment
 # bit-parity between the socket-split pipeline and the in-process driver

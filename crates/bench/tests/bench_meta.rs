@@ -11,7 +11,7 @@ use mercurial_prof::{BenchMeta, BENCH_META_SCHEMA};
 const BASELINES: [(&str, &str); 7] = [
     ("BENCH_trace.json", "e16_trace_overhead"),
     ("BENCH_watch.json", "e17_watch_overhead"),
-    ("BENCH_sparse.json", "e18_sparse"),
+    ("BENCH_study.json", "e18_study"),
     ("BENCH_serve.json", "e19_serve"),
     ("BENCH_frontier.json", "e20_frontier"),
     ("BENCH_audit.json", "e21_audit"),

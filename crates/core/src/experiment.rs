@@ -10,8 +10,9 @@ use mercurial_screening::EraSchedule;
 /// A materialized experiment: everything derived from a [`Scenario`].
 pub struct FleetExperiment {
     scenario: Scenario,
-    topo: FleetTopology,
-    pop: Population,
+    /// The one simulator over the experiment's topology and population;
+    /// every driver borrows it.
+    sim: FleetSim,
 }
 
 impl FleetExperiment {
@@ -19,11 +20,7 @@ impl FleetExperiment {
     pub fn build(scenario: &Scenario) -> FleetExperiment {
         let topo = FleetTopology::build(scenario.fleet.clone());
         let pop = Population::seed_from(&topo);
-        FleetExperiment {
-            scenario: scenario.clone(),
-            topo,
-            pop,
-        }
+        FleetExperiment::from_parts(scenario, topo, pop)
     }
 
     /// Builds many experiments (topology construction plus ground-truth
@@ -34,13 +31,33 @@ impl FleetExperiment {
         mercurial_fleet::par::map_parallel(scenarios, parallelism, FleetExperiment::build)
     }
 
-    /// Builds with an explicitly placed population (case studies).
-    pub fn with_population(scenario: &Scenario, pop: Population) -> FleetExperiment {
-        let topo = FleetTopology::build(scenario.fleet.clone());
+    /// Wraps a topology built from `scenario.fleet` and a population in
+    /// the scenario's simulator: [`FleetExperiment::build`] without its
+    /// two draws, for explicitly placed populations (case studies) and
+    /// for timing the draws apart.
+    ///
+    /// When the scenario's `workloads` block is enabled, each class in
+    /// the default mix gets its diurnal traffic shape
+    /// ([`WorkloadsConfig::shape_for`](crate::scenario::WorkloadsConfig::shape_for));
+    /// the class weights are untouched, so machine→class assignment (a
+    /// pure function of seed and weights) is identical either way.
+    pub fn from_parts(
+        scenario: &Scenario,
+        topo: FleetTopology,
+        pop: Population,
+    ) -> FleetExperiment {
+        let wk = &scenario.workloads;
+        let mut mix = mercurial_fleet::WorkloadClass::default_mix();
+        if wk.enabled && wk.traffic_amplitude != 0.0 {
+            mix = mix
+                .into_iter()
+                .enumerate()
+                .map(|(ix, (class, weight))| (class.with_traffic(wk.shape_for(ix)), weight))
+                .collect();
+        }
         FleetExperiment {
             scenario: scenario.clone(),
-            topo,
-            pop,
+            sim: FleetSim::with_workloads(topo, pop, scenario.sim.clone(), mix),
         }
     }
 
@@ -51,17 +68,17 @@ impl FleetExperiment {
 
     /// The materialized topology.
     pub fn topology(&self) -> &FleetTopology {
-        &self.topo
+        self.sim.topology()
     }
 
     /// The ground-truth population.
     pub fn population(&self) -> &Population {
-        &self.pop
+        self.sim.population()
     }
 
     /// Ground-truth incidence per thousand machines.
     pub fn incidence_per_kmachine(&self) -> f64 {
-        self.pop.count() as f64 / (self.scenario.fleet.machines as f64 / 1000.0)
+        self.population().count() as f64 / (self.scenario.fleet.machines as f64 / 1000.0)
     }
 
     /// The era schedule the screeners should run: the default coverage
@@ -92,39 +109,20 @@ impl FleetExperiment {
         base.with_fuzz_content(&distilled.covered_units(), &distilled.operands, extra_ops)
     }
 
-    /// A fresh simulator over this experiment's topology and population —
-    /// the closed-loop driver steps it epoch by epoch; [`run_signals`]
-    /// runs it to completion.
-    ///
-    /// When the scenario's `workloads` block is enabled, each class in
-    /// the default mix gets its diurnal traffic shape
-    /// ([`WorkloadsConfig::shape_for`](crate::scenario::WorkloadsConfig::shape_for));
-    /// the class weights are untouched, so machine→class assignment (a
-    /// pure function of seed and weights) is identical either way.
+    /// The experiment's simulator over its topology and population —
+    /// the closed-loop driver and every shard step it epoch by epoch;
+    /// [`run_signals`] runs it to completion. Built once with the
+    /// experiment, so borrowing it costs nothing.
     ///
     /// [`run_signals`]: FleetExperiment::run_signals
-    pub fn sim(&self) -> FleetSim {
-        let sim = FleetSim::new(
-            self.topo.clone(),
-            self.pop.clone(),
-            self.scenario.sim.clone(),
-        );
-        let wk = &self.scenario.workloads;
-        if !wk.enabled || wk.traffic_amplitude == 0.0 {
-            return sim;
-        }
-        let mix = mercurial_fleet::WorkloadClass::default_mix()
-            .into_iter()
-            .enumerate()
-            .map(|(ix, (class, weight))| (class.with_traffic(wk.shape_for(ix)), weight))
-            .collect();
-        sim.with_workloads(mix)
+    pub fn sim(&self) -> &FleetSim {
+        &self.sim
     }
 
     /// Runs the workload signal simulation (no screening) and returns the
     /// time-sorted log plus summary counters.
     pub fn run_signals(&self) -> (SignalLog, SimSummary) {
-        self.sim().run()
+        self.sim.run()
     }
 }
 

@@ -260,7 +260,7 @@ impl PipelineRun {
         detections.sort_by(|a, b| a.hour.partial_cmp(&b.hour).expect("hours are finite"));
 
         // 6. Capacity accounting: confirmed cores leave the pool.
-        let mut ledger = CapacityLedger::new();
+        let mut ledger = CapacityLedger::with_capacity(topo.machines().len());
         for m in topo.machines() {
             let cores = topo.product_of(m.machine).cores_per_socket as u64
                 * topo.config().sockets_per_machine as u64;

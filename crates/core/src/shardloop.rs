@@ -130,9 +130,9 @@ pub struct ShardEpochReport {
 /// own sim and screening campaigns under centrally broadcast mask
 /// changes.
 pub struct FleetShard<'a> {
-    sim: FleetSim,
-    topo: &'a FleetTopology,
-    pop: &'a Population,
+    /// The experiment's simulator (topology, population, workload mix),
+    /// shared with every other shard and the aggregator.
+    sim: &'a FleetSim,
     epoch_hours: f64,
     state: SimState,
     summary: SimSummary,
@@ -261,8 +261,6 @@ impl<'a> FleetShard<'a> {
         }
         FleetShard {
             sim,
-            topo,
-            pop: experiment.population(),
             epoch_hours: scenario.sim.epoch_hours,
             state,
             summary: SimSummary::default(),
@@ -335,8 +333,8 @@ impl<'a> FleetShard<'a> {
         if campaign_due[0] {
             let _p = prof.span("screen.burnin");
             screened.extend(self.burnin.step_until(
-                self.topo,
-                self.pop,
+                self.sim.topology(),
+                self.sim.population(),
                 h1,
                 &mut self.out_of_service,
                 &mut screen_log,
@@ -350,8 +348,8 @@ impl<'a> FleetShard<'a> {
         if campaign_due[1] {
             let _p = prof.span("screen.offline");
             screened.extend(self.offline.step_until(
-                self.topo,
-                self.pop,
+                self.sim.topology(),
+                self.sim.population(),
                 h1,
                 &mut self.out_of_service,
                 &mut screen_log,
@@ -365,8 +363,8 @@ impl<'a> FleetShard<'a> {
         if campaign_due[2] {
             let _p = prof.span("screen.online");
             screened.extend(self.online.step_until(
-                self.topo,
-                self.pop,
+                self.sim.topology(),
+                self.sim.population(),
                 h1,
                 &mut self.out_of_service,
                 &mut screen_log,
@@ -389,7 +387,9 @@ impl<'a> FleetShard<'a> {
         // Phase 4: one epoch of workload simulation. The worker's mask
         // snapshot *before* this epoch's crossings is what the telemetry
         // point needs, so the active count is taken here.
-        let active = self.state.active_deployed_mercurial(self.topo, h0);
+        let active = self
+            .state
+            .active_deployed_mercurial(self.sim.topology(), h0);
         let before_corruptions = self.summary.corruptions;
         let before_signals = self.summary.signals_emitted + self.summary.noise_signals;
         let class_before = self.state.class_tallies().to_vec();
@@ -519,7 +519,7 @@ impl<'a> FleetAggregator<'a> {
         engine: Option<WatchEngine>,
     ) -> Self {
         let topo = experiment.topology();
-        let mut ledger = CapacityLedger::new();
+        let mut ledger = CapacityLedger::with_capacity(topo.machines().len());
         for m in topo.machines() {
             ledger.register_machine(m.machine, topo.cores_on(m.machine));
         }

@@ -1,0 +1,75 @@
+//! A shard borrows the experiment's one simulator: building a worker
+//! must not copy the topology, re-seed the population or redraw the
+//! workload classes. This test pins that with a global allocator that
+//! records the largest single allocation made on the measuring thread:
+//! no allocation in `FleetShard::new` may reach the size of the
+//! topology's machine table. The shard's own per-machine state (the
+//! burn-in queue, 16 bytes a machine) stays below it.
+//!
+//! Counting is gated on a thread-local flag so only the measuring
+//! thread's allocations register: the test harness spawns threads and
+//! reports results concurrently.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use mercurial::fleet::MachineInfo;
+use mercurial::{FleetExperiment, FleetShard, Scenario};
+
+struct LargestAlloc;
+
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+unsafe impl GlobalAlloc for LargestAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if COUNTING.try_with(Cell::get).unwrap_or(false) {
+            LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
+        }
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if COUNTING.try_with(Cell::get).unwrap_or(false) {
+            LARGEST.fetch_max(new_size, Ordering::Relaxed);
+        }
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: LargestAlloc = LargestAlloc;
+
+/// Runs `f` and returns its result with the size in bytes of the largest
+/// allocation this thread made inside it.
+fn largest_allocation_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.store(0, Ordering::Relaxed);
+    COUNTING.with(|c| c.set(true));
+    let out = f();
+    COUNTING.with(|c| c.set(false));
+    (out, LARGEST.load(Ordering::Relaxed))
+}
+
+#[test]
+fn shard_new_borrows_the_simulator_instead_of_copying_the_fleet() {
+    let mut scenario = Scenario::small(5);
+    scenario.fleet.machines = 100_000;
+    let experiment = FleetExperiment::build(&scenario);
+    let machines = scenario.fleet.machines;
+    let table = machines as usize * std::mem::size_of::<MachineInfo>();
+    let (shard, largest) =
+        largest_allocation_during(|| FleetShard::new(&scenario, &experiment, 0, machines));
+    assert_eq!(shard.machine_range(), (0, machines));
+    assert!(
+        largest < table,
+        "FleetShard::new made a {largest}-byte allocation; the machine table is {table} bytes"
+    );
+}

@@ -28,13 +28,81 @@ pub fn mix64(mut z: u64) -> u64 {
 /// Combines a seed with up to three stream identifiers into one 64-bit key.
 #[inline]
 pub fn stream_key(seed: u64, a: u64, b: u64, c: u64) -> u64 {
-    // Each component is mixed before combination so that low-entropy ids
-    // (small integers) still decorrelate the streams.
-    mix64(seed)
-        ^ mix64(a.wrapping_mul(0xd6e8_feb8_6659_fd93))
-        ^ mix64(b.wrapping_mul(0xa076_1d64_78bd_642f))
-        ^ mix64(c.wrapping_mul(0xe703_7ed1_a0b4_28db))
+    StreamFamily::new(seed, b, c).key(a)
 }
+
+/// The streams `(seed, ·, b, c)`: every key [`stream_key`] derives with
+/// those three parts fixed, told apart by `a`.
+///
+/// A per-core or per-machine stream varies only `a` across a whole run,
+/// so the family mixes the three fixed parts once and each member costs
+/// one `mix64` for its key. The key is a plain XOR of the four mixed
+/// parts, so `StreamFamily::new(s, b, c).key(a) == stream_key(s, a, b, c)`
+/// for every input — [`stream_key`] is defined through this type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamFamily {
+    /// `mix64(seed) ^ mix64(b·K_b) ^ mix64(c·K_c)`.
+    base: u64,
+}
+
+impl StreamFamily {
+    /// The family of streams keyed on `(seed, ·, b, c)`.
+    #[inline]
+    pub fn new(seed: u64, b: u64, c: u64) -> StreamFamily {
+        // Each component is mixed before combination so that low-entropy
+        // ids (small integers) still decorrelate the streams.
+        StreamFamily {
+            base: mix64(seed)
+                ^ mix64(b.wrapping_mul(0xa076_1d64_78bd_642f))
+                ^ mix64(c.wrapping_mul(0xe703_7ed1_a0b4_28db)),
+        }
+    }
+
+    /// The key of member `a`.
+    #[inline]
+    pub fn key(&self, a: u64) -> u64 {
+        self.base ^ mix64(a.wrapping_mul(0xd6e8_feb8_6659_fd93))
+    }
+
+    /// The generator of member `a`, at counter zero.
+    #[inline]
+    pub fn rng(&self, a: u64) -> CounterRng {
+        CounterRng::new(self.key(a))
+    }
+}
+
+/// The Bernoulli test `uniform_at(counter) < p` on the raw 64-bit draw.
+///
+/// A uniform is `(raw >> 11)·2⁻⁵³`, and multiplying by a power of two is
+/// exact, so `u < p` holds exactly when the integer `raw >> 11` is below
+/// `p·2⁵³` — that is, below `ceil(p·2⁵³)`. The saturating float-to-int
+/// cast sends NaN and `p <= 0` to a threshold of 0 (never hits, as `u < p`
+/// never holds) and `p >= 1` to at least 2⁵³ (always hits), so the two
+/// tests agree for every `f64`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Coin {
+    /// Hits are the draws with `raw >> 11` below this.
+    threshold: u64,
+}
+
+impl Coin {
+    /// A coin that lands heads with probability `p`.
+    #[inline]
+    pub fn new(p: f64) -> Coin {
+        Coin {
+            threshold: (p * UNIT_STEPS).ceil() as u64,
+        }
+    }
+
+    /// Whether the raw draw `raw` (a [`CounterRng::at`] value) is a hit.
+    #[inline]
+    pub fn hits(self, raw: u64) -> bool {
+        (raw >> 11) < self.threshold
+    }
+}
+
+/// 2⁵³: the number of distinct uniforms in `[0, 1)` a draw can produce.
+const UNIT_STEPS: f64 = (1u64 << 53) as f64;
 
 /// A counter-based pseudorandom generator.
 ///
@@ -66,7 +134,7 @@ impl CounterRng {
 
     /// Creates a generator keyed on `(seed, a, b, c)` stream identifiers.
     pub fn from_parts(seed: u64, a: u64, b: u64, c: u64) -> CounterRng {
-        CounterRng::new(stream_key(seed, a, b, c))
+        StreamFamily::new(seed, b, c).rng(a)
     }
 
     /// The draw at an explicit counter value, without advancing state.
@@ -79,7 +147,7 @@ impl CounterRng {
     #[inline]
     pub fn uniform_at(&self, counter: u64) -> f64 {
         // 53 bits of mantissa.
-        (self.at(counter) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        (self.at(counter) >> 11) as f64 * (1.0 / UNIT_STEPS)
     }
 
     /// The current counter value.

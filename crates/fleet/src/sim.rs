@@ -22,7 +22,7 @@ use crate::population::Population;
 use crate::signals::{Signal, SignalKind, SignalLog};
 use crate::topology::{DeployCursor, FleetTopology};
 use crate::workload::WorkloadClass;
-use mercurial_fault::{CoreUid, CounterRng, FunctionalUnit, SymptomClass};
+use mercurial_fault::{CoreUid, CounterRng, FunctionalUnit, StreamFamily, SymptomClass};
 use mercurial_mitigation::redundancy::CostMeter;
 use mercurial_mitigation::MitigationPolicy;
 use mercurial_trace::Recorder;
@@ -365,7 +365,21 @@ impl FleetSim {
     /// Builds a simulator over a topology and ground-truth population with
     /// the default workload mix.
     pub fn new(topo: FleetTopology, pop: Population, config: SimConfig) -> FleetSim {
-        let workloads = WorkloadClass::default_mix();
+        FleetSim::with_workloads(topo, pop, config, WorkloadClass::default_mix())
+    }
+
+    /// Builds a simulator running the given weighted workload mix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mix is empty.
+    pub fn with_workloads(
+        topo: FleetTopology,
+        pop: Population,
+        config: SimConfig,
+        workloads: Vec<(WorkloadClass, f64)>,
+    ) -> FleetSim {
+        assert!(!workloads.is_empty(), "need at least one workload class");
         let workload_ix = Self::assign_workloads(&workloads, &topo, &pop);
         let horizon_hours =
             (config.months as f64 * 730.0 / config.epoch_hours).ceil() * config.epoch_hours;
@@ -379,14 +393,6 @@ impl FleetSim {
         }
     }
 
-    /// Replaces the workload mix.
-    pub fn with_workloads(mut self, workloads: Vec<(WorkloadClass, f64)>) -> FleetSim {
-        assert!(!workloads.is_empty(), "need at least one workload class");
-        self.workload_ix = Self::assign_workloads(&workloads, &self.topo, &self.pop);
-        self.workloads = workloads;
-        self
-    }
-
     /// Resolves every machine's workload class up front (deterministic
     /// weighted draw, same stream as always: `(seed, machine, 0x776f)`).
     fn assign_workloads(
@@ -395,11 +401,10 @@ impl FleetSim {
         pop: &Population,
     ) -> Vec<usize> {
         let total: f64 = workloads.iter().map(|(_, w)| w).sum();
+        let streams = StreamFamily::new(pop.seed(), 0x776f, 0);
         (0..topo.machines().len() as u32)
             .map(|machine| {
-                let mut pick = CounterRng::from_parts(pop.seed(), machine as u64, 0x776f, 0)
-                    .uniform_at(0)
-                    * total;
+                let mut pick = streams.rng(machine as u64).uniform_at(0) * total;
                 for (i, (_, w)) in workloads.iter().enumerate() {
                     if pick < *w {
                         return i;

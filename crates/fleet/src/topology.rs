@@ -1,7 +1,7 @@
 //! Fleet topology: machines, sockets, cores, deployment cohorts.
 
 use crate::product::CpuProduct;
-use mercurial_fault::{CoreUid, CounterRng};
+use mercurial_fault::{CoreUid, StreamFamily};
 use serde::{Deserialize, Serialize};
 
 /// Static fleet configuration.
@@ -107,10 +107,11 @@ impl FleetTopology {
         assert!(!config.products.is_empty(), "need at least one product");
         let total_weight: f64 = config.products.iter().map(|p| p.fleet_weight).sum();
         assert!(total_weight > 0.0, "product weights must not all be zero");
+        let streams = StreamFamily::new(config.seed, 0x746f, 0);
         let mut machines = Vec::with_capacity(config.machines as usize);
         let mut total_cores = 0u64;
         for m in 0..config.machines {
-            let mut rng = CounterRng::from_parts(config.seed, m as u64, 0x746f, 0);
+            let mut rng = streams.rng(m as u64);
             // Weighted product draw.
             let mut pick = rng.next_uniform() * total_weight;
             let mut product = 0;
@@ -135,14 +136,19 @@ impl FleetTopology {
                 deploy_hour,
             });
         }
-        let mut deploy_order: Vec<u32> = (0..config.machines).collect();
-        deploy_order.sort_by(|&a, &b| {
-            machines[a as usize]
-                .deploy_hour
-                .partial_cmp(&machines[b as usize].deploy_hour)
-                .expect("deploy hours are finite")
-                .then(a.cmp(&b))
-        });
+        // Deploy hours are finite and >= +0.0, and for such floats the bit
+        // patterns order like the values, so `(bits, machine)` packed into
+        // one integer sorts exactly as `(deploy_hour, machine)`. The keys
+        // are unique, so an unstable sort yields the one permutation.
+        let mut keys: Vec<u128> = machines
+            .iter()
+            .map(|m| {
+                debug_assert!(m.deploy_hour.is_finite() && m.deploy_hour.is_sign_positive());
+                (u128::from(m.deploy_hour.to_bits()) << 32) | u128::from(m.machine)
+            })
+            .collect();
+        keys.sort_unstable();
+        let deploy_order = keys.into_iter().map(|k| k as u32).collect();
         FleetTopology {
             config,
             machines,

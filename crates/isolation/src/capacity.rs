@@ -58,6 +58,15 @@ impl CapacityLedger {
         CapacityLedger::default()
     }
 
+    /// Creates an empty ledger with room for `machines` registrations, so
+    /// registering a whole fleet never rehashes.
+    pub fn with_capacity(machines: usize) -> CapacityLedger {
+        CapacityLedger {
+            nominal: FastMap::with_capacity_and_hasher(machines, Default::default()),
+            ..CapacityLedger::default()
+        }
+    }
+
     /// Registers a machine with its nominal core count. Re-registering
     /// replaces the previous count.
     pub fn register_machine(&mut self, machine: u32, cores: u64) {

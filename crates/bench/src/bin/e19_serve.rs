@@ -193,6 +193,10 @@ fn run_full() {
         "clean: {clean_secs:.2} s, {} detections, p95 latency {clean_p95:.0} h, {clean_fired} alerts fired",
         clean.outcome.pipeline.detections.len()
     );
+    println!(
+        "clean wire: {} bytes in over {} frames, {} of them in {} evidence frames",
+        clean.wire.bytes_in, clean.wire.frames_in, clean.wire.evidence_bytes_in, clean.link.frames
+    );
     assert!(
         clean_fired > 0,
         "fidelity needs the clean run to fire alerts"
@@ -247,12 +251,17 @@ fn run_full() {
     }
 
     let json_rows: Vec<String> = rows.iter().map(Row::to_json).collect();
+    // Wire bytes repeat exactly run to run (the workers here do not
+    // profile, so their `Bye` frames carry no wall-clock readings).
+    let wire = clean.wire;
     let body = format!(
-        "\"scenario\": \"{}\",\n  \"machines\": {},\n  \"months\": {},\n  \"workers\": {workers},\n  \"seed\": {seed},\n  \"rules\": {},\n  \"clean_secs\": {clean_secs:.4},\n  \"clean_alerts_fired\": {clean_fired},\n  \"clean_detect_latency_p95_hours\": {clean_p95:.1},\n  \"sweep\": [\n{}\n  ]",
+        "\"scenario\": \"{}\",\n  \"machines\": {},\n  \"months\": {},\n  \"workers\": {workers},\n  \"seed\": {seed},\n  \"rules\": {},\n  \"clean_secs\": {clean_secs:.4},\n  \"clean_wire_bytes_in\": {},\n  \"clean_evidence_bytes_in\": {},\n  \"clean_alerts_fired\": {clean_fired},\n  \"clean_detect_latency_p95_hours\": {clean_p95:.1},\n  \"sweep\": [\n{}\n  ]",
         base.name,
         base.fleet.machines,
         base.sim.months,
         opts.rules.as_ref().map_or(0, |r| r.rules.len()),
+        wire.bytes_in,
+        wire.evidence_bytes_in,
         json_rows.join(",\n"),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");

@@ -18,8 +18,22 @@ pub struct FleetExperiment {
 impl FleetExperiment {
     /// Builds the topology and seeds the ground-truth population.
     pub fn build(scenario: &Scenario) -> FleetExperiment {
+        FleetExperiment::build_shard(scenario, 0, scenario.fleet.machines)
+    }
+
+    /// [`FleetExperiment::build`] for a shard of machines `[lo, hi)`: the
+    /// whole topology, but ground truth seeded only on the range
+    /// ([`Population::seed_range`]), so the population holds exactly the
+    /// full build's cores in the range. A [`FleetShard`] over the same
+    /// range steps bit for bit as it does on the full build. Everything
+    /// that reads the whole population — the aggregator, ground-truth
+    /// scoring, [`FleetExperiment::incidence_per_kmachine`] — needs the
+    /// full build.
+    ///
+    /// [`FleetShard`]: crate::shardloop::FleetShard
+    pub fn build_shard(scenario: &Scenario, lo: u32, hi: u32) -> FleetExperiment {
         let topo = FleetTopology::build(scenario.fleet.clone());
-        let pop = Population::seed_from(&topo);
+        let pop = Population::seed_range(&topo, lo, hi);
         FleetExperiment::from_parts(scenario, topo, pop)
     }
 
@@ -136,6 +150,24 @@ mod tests {
         let a = FleetExperiment::build(&s);
         let b = FleetExperiment::build(&s);
         assert_eq!(a.population().count(), b.population().count());
+    }
+
+    #[test]
+    fn shard_build_holds_the_full_build_ground_truth_in_its_range() {
+        let s = Scenario::demo(5);
+        let full = FleetExperiment::build(&s);
+        let n = s.fleet.machines;
+        let (lo, hi) = (n / 3, 2 * n / 3);
+        let shard = FleetExperiment::build_shard(&s, lo, hi);
+        let in_range: Vec<_> = full
+            .population()
+            .mercurial_cores()
+            .filter(|c| (lo..hi).contains(&c.uid.machine))
+            .collect();
+        assert!(!in_range.is_empty(), "the middle third must hold defects");
+        assert!(in_range.len() < full.population().count());
+        assert!(shard.population().mercurial_cores().eq(in_range));
+        assert_eq!(shard.topology().machines(), full.topology().machines());
     }
 
     #[test]

@@ -53,17 +53,7 @@ use mercurial_watch::{Alert, Baseline, EpochRow, RuleSet, WatchEngine, WatchRepo
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
-/// Splits `machines` into `workers` contiguous, disjoint, exhaustive
-/// ranges `[lo, hi)` — the canonical shard partition used by the serve
-/// layer and the parity tests. Ranges differ in size by at most one
-/// machine.
-pub fn shard_ranges(machines: u32, workers: u32) -> Vec<(u32, u32)> {
-    assert!(workers > 0, "need at least one worker");
-    let (m, w) = (machines as u64, workers as u64);
-    (0..w)
-        .map(|i| (((m * i) / w) as u32, ((m * (i + 1)) / w) as u32))
-        .collect()
-}
+pub use mercurial_fleet::sim::shard_ranges;
 
 /// A centrally decided per-class mitigation-policy switch, broadcast to
 /// every worker and applied before the epoch steps (policies only change

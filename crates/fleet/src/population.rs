@@ -74,8 +74,25 @@ pub struct Population {
 
 impl Population {
     /// Samples the population for a topology (deterministic in the
-    /// topology's seed).
+    /// topology's seed): [`Population::seed_range`] over every machine.
     pub fn seed_from(topo: &FleetTopology) -> Population {
+        Population::seed_range(topo, 0, topo.machines().len() as u32)
+    }
+
+    /// Samples only the mercurial cores on machines `[lo, hi)`: exactly
+    /// the cores of [`Population::seed_from`] that lie in the range, with
+    /// the same profiles. A core's coin is keyed by its uid and its
+    /// profile by its `draw_id`, the core's index in the fleet's
+    /// machine/socket/core order, so the walk starts at the prefix sum of
+    /// cores below `lo` and draws nothing outside the range. A served
+    /// worker seeds its own shard this way.
+    pub fn seed_range(topo: &FleetTopology, lo: u32, hi: u32) -> Population {
+        let Some(range) = topo.machines().get(lo as usize..hi as usize) else {
+            panic!(
+                "machine range [{lo}, {hi}) outside a {}-machine fleet",
+                topo.machines().len()
+            );
+        };
         let seed = topo.config().seed;
         // One coin per core, `uniform_at(0) < rate` on the core's
         // `(seed, uid, 0x6d65, 0)` stream: the three fixed key parts are
@@ -85,8 +102,8 @@ impl Population {
         // core at 1M machines on a 2-vCPU x86-64 VM).
         let coins = StreamFamily::new(seed, 0x6d65, 0);
         let mut mercurial = BTreeMap::new();
-        let mut draw_id = 0u64;
-        for m in topo.machines() {
+        let mut draw_id: u64 = (0..lo).map(|m| topo.cores_on(m)).sum();
+        for m in range {
             let product = topo.product_of(m.machine);
             let coin = Coin::new(product.mercurial_rate_per_core);
             let cores = product.cores_per_socket;

@@ -1064,6 +1064,18 @@ fn mitigation_signal(policy: MitigationPolicy) -> SignalKind {
     }
 }
 
+/// Splits `machines` into `workers` contiguous, disjoint, exhaustive
+/// ranges `[lo, hi)` — the canonical shard partition used by the serve
+/// layer and the parity tests. Ranges differ in size by at most one
+/// machine.
+pub fn shard_ranges(machines: u32, workers: u32) -> Vec<(u32, u32)> {
+    assert!(workers > 0, "need at least one worker");
+    let (m, w) = (machines as u64, workers as u64);
+    (0..w)
+        .map(|i| (((m * i) / w) as u32, ((m * (i + 1)) / w) as u32))
+        .collect()
+}
+
 /// Draws a Poisson variate: Knuth's method for small `lambda`, a rounded
 /// normal approximation beyond.
 pub fn poisson(rng: &mut CounterRng, lambda: f64) -> u64 {

@@ -4,9 +4,11 @@
 //! integer threshold and sorts the deploy order on packed integer keys.
 //! Each test here replays the build as first written — a fresh
 //! `from_parts` stream per machine or core, the float coin, a comparator
-//! sort — and requires the same bits.
+//! sort — and requires the same bits. A shard's population, seeded over
+//! its machine range alone, must be exactly its slice of the fleet's.
 
 use mercurial_fault::{library, CoreFaultProfile, CoreUid, CounterRng};
+use mercurial_fleet::sim::shard_ranges;
 use mercurial_fleet::topology::{FleetConfig, FleetTopology, MachineInfo};
 use mercurial_fleet::{CpuProduct, FleetSim, Population, SimConfig, WorkloadClass};
 
@@ -147,5 +149,44 @@ fn workload_assignment_matches_the_reference_draw() {
             (0..sim.class_count()).all(|c| got.contains(&c)),
             "every class must be drawn"
         );
+    }
+}
+
+fn cores_and_profiles(pop: &Population) -> Vec<(CoreUid, CoreFaultProfile)> {
+    pop.mercurial_cores()
+        .map(|c| (c.uid, c.profile.clone()))
+        .collect()
+}
+
+#[test]
+fn shard_populations_union_to_the_fleet_population() {
+    let tiny = FleetConfig {
+        machines: 3,
+        ..rollout_fleet(0x5eed)
+    };
+    let fleets = SEEDS.iter().map(|&seed| rollout_fleet(seed)).chain([tiny]);
+    for config in fleets {
+        let topo = FleetTopology::build(config.clone());
+        let machines = config.machines;
+        let full = cores_and_profiles(&Population::seed_from(&topo));
+        for workers in [1, 2, 3, 4, 7] {
+            let mut union = Vec::new();
+            for (lo, hi) in shard_ranges(machines, workers) {
+                let shard = cores_and_profiles(&Population::seed_range(&topo, lo, hi));
+                assert!(
+                    shard.iter().all(|(uid, _)| (lo..hi).contains(&uid.machine)),
+                    "seed {}: shard [{lo}, {hi}) drew outside its range",
+                    config.seed
+                );
+                union.extend(shard);
+            }
+            // Equal profiles pin each shard's `draw_id` offset: the
+            // profile is drawn by the core's fleet-wide index.
+            assert_eq!(
+                union, full,
+                "seed {}, {machines} machines, {workers} workers",
+                config.seed
+            );
+        }
     }
 }

@@ -11,9 +11,10 @@
 //!
 //! * [`frame`] — the `u32`-length-prefixed frame codec, the unit of
 //!   atomicity and of impairment;
-//! * [`proto`] — the JSON message grammar: a reliable lockstep channel
+//! * [`proto`] — the message grammar: a reliable lockstep channel
 //!   (`Config`/`Cmd`/`Report`) and an impairable telemetry channel
-//!   (`Evidence`/`Trace`) sharing one socket;
+//!   (`Evidence`/`Trace`) sharing one socket; `Evidence` is a
+//!   fixed-width binary record, everything else JSON;
 //! * [`worker`] — a thin shell around `FleetShard`: apply commands,
 //!   step, ship evidence/report/trace frames;
 //! * [`server`] — the authority: `FleetAggregator` plus live watch-rule
@@ -41,5 +42,7 @@ pub mod worker;
 
 pub use fidelity::{alert_fidelity, p95, AlertFidelity};
 pub use impair::{ImpairedChannel, LinkStats};
-pub use server::{run_served, run_served_impaired, run_server, ServeOptions, ServedOutcome};
+pub use server::{
+    run_served, run_served_impaired, run_server, ServeOptions, ServedOutcome, WireStats,
+};
 pub use worker::{connect_and_serve, run_worker};

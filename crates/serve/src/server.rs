@@ -52,16 +52,24 @@ pub struct ServeOptions<'a> {
     pub prof: Option<&'a Prof>,
 }
 
-/// Wire throughput counters for the status page: every frame the server
-/// sends or receives across all worker links, with its size (4-byte
-/// header + payload). Wall-clock/operator domain — not part of any
-/// outcome digest.
-#[derive(Debug, Default, Clone, Copy)]
-struct WireStats {
-    frames_in: u64,
-    frames_out: u64,
-    bytes_in: u64,
-    bytes_out: u64,
+/// Wire throughput counters: every frame the server sends or receives
+/// across all worker links, with its size (4-byte header + payload). The
+/// status page shows them; the outcome carries the final counts. They
+/// are deterministic for a given scenario unless the workers profile
+/// (`MERCURIAL_PROF`), whose `Bye` frames then carry wall-clock
+/// readings. Operator domain — not part of any outcome digest.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct WireStats {
+    /// Frames received from workers.
+    pub frames_in: u64,
+    /// Frames sent to workers.
+    pub frames_out: u64,
+    /// Bytes received from workers.
+    pub bytes_in: u64,
+    /// Bytes sent to workers.
+    pub bytes_out: u64,
+    /// The part of `bytes_in` that arrived in `Evidence` frames.
+    pub evidence_bytes_in: u64,
 }
 
 /// Everything a served run produced: the ordinary closed-loop outcome
@@ -71,6 +79,8 @@ pub struct ServedOutcome {
     pub outcome: ClosedLoopOutcome,
     /// Link statistics across all workers' evidence frames.
     pub link: LinkStats,
+    /// What crossed the sockets, every frame of every link.
+    pub wire: WireStats,
     /// Each worker's streamed trace JSONL, in worker order (empty
     /// strings unless the scenario enables tracing).
     pub worker_traces: Vec<String>,
@@ -269,6 +279,7 @@ fn serve_run(
             watch: finished.watch,
         },
         link: channel.stats,
+        wire,
         worker_traces,
     })
 }
@@ -282,27 +293,32 @@ fn recv_epoch_frames(
     prof: &Prof,
     wire: &mut WireStats,
 ) -> io::Result<(SignalLog, ShardEpochReport, String)> {
-    let mut next = |wire: &mut WireStats| -> io::Result<Option<Message>> {
-        Ok(recv_sized(reader, prof)?.map(|(msg, n)| {
+    let mut next = |wire: &mut WireStats| -> io::Result<Option<(Message, u64)>> {
+        let got = recv_sized(reader, prof)?;
+        if let Some((_, n)) = &got {
             wire.frames_in += 1;
             wire.bytes_in += n;
-            msg
-        }))
+        }
+        Ok(got)
     };
-    let Some(Message::Evidence {
-        worker: w,
-        epoch: e,
-        log,
-    }) = next(wire)?
+    let Some((
+        Message::Evidence {
+            worker: w,
+            epoch: e,
+            log,
+        },
+        n,
+    )) = next(wire)?
     else {
         return Err(proto_err("expected Evidence"));
     };
+    wire.evidence_bytes_in += n;
     if w != worker || e != epoch {
         return Err(proto_err(&format!(
             "evidence stamped worker {w} epoch {e}, expected {worker}/{epoch}"
         )));
     }
-    let Some(Message::Report { report }) = next(wire)? else {
+    let Some((Message::Report { report }, _)) = next(wire)? else {
         return Err(proto_err("expected Report"));
     };
     if report.epoch != epoch {
@@ -311,7 +327,7 @@ fn recv_epoch_frames(
             report.epoch
         )));
     }
-    let Some(Message::Trace { jsonl, .. }) = next(wire)? else {
+    let Some((Message::Trace { jsonl, .. }, _)) = next(wire)? else {
         return Err(proto_err("expected Trace"));
     };
     Ok((log, *report, jsonl))

@@ -3,11 +3,18 @@
 //!
 //! A worker is a thin shell around [`FleetShard`]: receive the epoch's
 //! commands, apply them, step, and ship three frames back — the
-//! impairable evidence batch, the reliable report, and the drained trace
-//! events (streamed through the standard [`JsonlStreamSink`], whose
-//! writer here backs socket frames instead of a file). Determinism needs
-//! nothing beyond the scenario JSON in the config frame: every draw the
-//! shard makes is a pure function of `(seed, stream, counter)`.
+//! impairable evidence batch (the protocol's one binary frame), the
+//! reliable report, and the drained trace events (streamed through the
+//! standard [`JsonlStreamSink`], whose writer here backs socket frames
+//! instead of a file). Determinism needs nothing beyond the scenario JSON
+//! in the config frame: every draw the shard makes is a pure function of
+//! `(seed, stream, counter)`.
+//!
+//! A worker pays for its shard, not the fleet: it builds the whole
+//! topology (the noise layer picks machines in the global deploy order)
+//! but seeds ground truth only on its own range
+//! ([`FleetExperiment::build_shard`]), the same cores and profiles the
+//! server's full build holds there.
 
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
@@ -32,7 +39,7 @@ pub fn connect_and_serve(addr: &str) -> io::Result<()> {
 }
 
 /// Drive one worker over an established connection: handshake, build the
-/// assigned shard, then lockstep epochs until `Fin`.
+/// assigned shard's experiment, then lockstep epochs until `Fin`.
 ///
 /// # Errors
 ///
@@ -61,7 +68,13 @@ pub fn run_worker(stream: TcpStream) -> io::Result<()> {
     };
     let scenario =
         Scenario::from_json(&scenario).map_err(|e| proto_err(&format!("bad scenario: {e}")))?;
-    let experiment = FleetExperiment::build(&scenario);
+    if lo > hi || hi > scenario.fleet.machines {
+        return Err(proto_err(&format!(
+            "shard [{lo}, {hi}) outside a {}-machine fleet",
+            scenario.fleet.machines
+        )));
+    }
+    let experiment = FleetExperiment::build_shard(&scenario, lo, hi);
     let mut shard = FleetShard::new(&scenario, &experiment, lo, hi);
     let mut rec = scenario.recorder();
     // The trace channel: the shard's recorder drains through the standard
@@ -181,4 +194,43 @@ fn metric_entries(rec: &mercurial_trace::Recorder) -> (Vec<CounterEntry>, Vec<Ga
         })
         .collect();
     (counters, gauges)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn config_range_outside_the_fleet_is_a_protocol_error() {
+        let scenario = Scenario::demo(7);
+        let machines = scenario.fleet.machines;
+        for (lo, hi) in [(0, machines + 1), (10, 5)] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let worker = std::thread::spawn(move || run_worker(TcpStream::connect(addr)?));
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = BufWriter::new(stream);
+            assert!(matches!(recv(&mut reader), Ok(Some(Message::Hello { .. }))));
+            let config = Message::Config {
+                scenario: scenario.to_json(),
+                worker: 0,
+                lo,
+                hi,
+            };
+            send(&mut writer, &config).unwrap();
+            writer.flush().unwrap();
+            // Hang up, so a worker that accepted the range fails on EOF
+            // instead of waiting for a command.
+            drop((reader, writer));
+            let err = worker.join().unwrap().unwrap_err();
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::InvalidData,
+                "[{lo}, {hi}): {err}"
+            );
+            assert!(err.to_string().contains("outside"), "[{lo}, {hi}): {err}");
+        }
+    }
 }

@@ -14,6 +14,7 @@ use mercurial::audit::DecisionLedger;
 use mercurial::closedloop::ClosedLoopDriver;
 use mercurial::scenario::ImpairConfig;
 use mercurial::Scenario;
+use mercurial_fleet::SignalKind;
 use mercurial_serve::{run_served, run_served_impaired, ServeOptions};
 use mercurial_trace::export::to_prometheus;
 
@@ -71,6 +72,27 @@ fn served_zero_impairment_is_bit_identical_to_in_process() {
             );
             assert_eq!(out.epochs, reference.epochs);
             assert_eq!(out.epoch_hours, reference.epoch_hours);
+            // Every evidence frame is a 4-byte length, a 13-byte header
+            // and 18 bytes a signal. On a clean link each frame's signals
+            // reach the log, which holds them plus the screener-failure
+            // signals that ride the reports.
+            let evidence_signals = out
+                .pipeline
+                .signals
+                .all()
+                .iter()
+                .filter(|s| s.kind != SignalKind::ScreenerFailure)
+                .count() as u64;
+            assert_eq!(
+                served.wire.evidence_bytes_in,
+                served.link.frames * (4 + 13) + 18 * evidence_signals,
+                "evidence wire bytes (seed {seed}, {workers} workers)"
+            );
+            assert_eq!(
+                served.link.frames,
+                u64::from(workers * out.epochs),
+                "one evidence frame per worker and epoch"
+            );
         }
     }
 }
@@ -183,6 +205,7 @@ fn served_runs_are_deterministic_including_streamed_traces() {
     let a = run_served(&s, &ServeOptions::default()).expect("first run");
     let b = run_served(&s, &ServeOptions::default()).expect("second run");
     assert_eq!(a.link, b.link);
+    assert_eq!(a.wire, b.wire, "wire counts repeat exactly");
     assert_eq!(a.worker_traces, b.worker_traces);
     assert!(
         a.worker_traces.iter().all(|t| !t.is_empty()),

@@ -458,13 +458,20 @@ fn cmd_serve(args: &Args) {
             })
             .collect();
         let out = run_server(&listener, &scenario, &opts);
+        let mut workers_ok = true;
         for child in &mut children {
             let status = child.wait().expect("wait for worker");
             if !status.success() {
                 eprintln!("worker process exited with {status}");
+                workers_ok = false;
             }
         }
-        out
+        // A failed worker fails the run even when the server finished.
+        out.and_then(|served| {
+            workers_ok
+                .then_some(served)
+                .ok_or_else(|| std::io::Error::other("a worker process failed"))
+        })
     } else {
         run_served(&scenario, &opts)
     }

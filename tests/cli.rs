@@ -1,9 +1,10 @@
 //! The operator CLI rejects bad scenario files with an error, not a panic
-//! or a hang.
+//! or a hang, and serves the closed loop the same from worker processes
+//! as from worker threads.
 
 use mercurial::Scenario;
 use std::fs::File;
-use std::process::{Command, Stdio};
+use std::process::{Command, ExitStatus};
 use std::time::{Duration, Instant};
 
 /// How long a rejected scenario may take to exit. Validation runs before
@@ -11,21 +12,15 @@ use std::time::{Duration, Instant};
 /// the pipeline spins or runs.
 const DEADLINE: Duration = Duration::from_secs(30);
 
-/// Runs `mercurial-lab pipeline --scenario` on the mutated demo scenario
-/// and asserts it exits 1 within [`DEADLINE`], naming `field` on stderr
-/// and not panicking. The child is killed at the deadline.
-fn assert_rejected(case: &str, field: &str, mutate: impl Fn(&mut Scenario)) {
-    let mut scenario = Scenario::demo(7);
-    mutate(&mut scenario);
+/// Runs the CLI with `args`, killing it at [`DEADLINE`]. Returns its exit
+/// status (`None` if it was killed), stdout and stderr.
+fn run_cli(case: &str, args: &[&str]) -> (Option<ExitStatus>, String, String) {
     let stem = format!("mercurial-cli-{}-{case}", std::process::id());
-    let path = std::env::temp_dir().join(format!("{stem}.json"));
+    let out_path = std::env::temp_dir().join(format!("{stem}.stdout"));
     let err_path = std::env::temp_dir().join(format!("{stem}.stderr"));
-    std::fs::write(&path, scenario.to_json()).expect("write scenario file");
     let mut child = Command::new(env!("CARGO_BIN_EXE_mercurial-lab"))
-        .arg("pipeline")
-        .arg("--scenario")
-        .arg(&path)
-        .stdout(Stdio::null())
+        .args(args)
+        .stdout(File::create(&out_path).expect("create stdout file"))
         .stderr(File::create(&err_path).expect("create stderr file"))
         .spawn()
         .expect("run the CLI");
@@ -41,9 +36,25 @@ fn assert_rejected(case: &str, field: &str, mutate: impl Fn(&mut Scenario)) {
         }
         std::thread::sleep(Duration::from_millis(20));
     };
+    let stdout = std::fs::read_to_string(&out_path).unwrap_or_default();
     let stderr = std::fs::read_to_string(&err_path).unwrap_or_default();
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&out_path).ok();
     std::fs::remove_file(&err_path).ok();
+    (status, stdout, stderr)
+}
+
+/// Runs `mercurial-lab pipeline --scenario` on the mutated demo scenario
+/// and asserts it exits 1 within [`DEADLINE`], naming `field` on stderr
+/// and not panicking. The child is killed at the deadline.
+fn assert_rejected(case: &str, field: &str, mutate: impl Fn(&mut Scenario)) {
+    let mut scenario = Scenario::demo(7);
+    mutate(&mut scenario);
+    let path =
+        std::env::temp_dir().join(format!("mercurial-cli-{}-{case}.json", std::process::id()));
+    std::fs::write(&path, scenario.to_json()).expect("write scenario file");
+    let path_arg = path.to_str().expect("temp paths are UTF-8");
+    let (status, _, stderr) = run_cli(case, &["pipeline", "--scenario", path_arg]);
+    std::fs::remove_file(&path).ok();
     let status = status.unwrap_or_else(|| panic!("{case}: no exit within {DEADLINE:?}"));
     assert_eq!(status.code(), Some(1), "{case}: stderr: {stderr}");
     assert!(stderr.contains(field), "{case}: stderr: {stderr}");
@@ -118,4 +129,23 @@ fn bad_scenario_fields_exit_nonzero_without_panicking() {
     for (case, field, mutate) in cases {
         assert_rejected(case, field, mutate);
     }
+}
+
+#[test]
+fn served_demo_prints_the_same_from_processes_as_from_threads() {
+    // `--procs` is the one path where the binary evidence codec crosses a
+    // process boundary; the thread mode is the reference.
+    let (threads, threads_out, threads_err) =
+        run_cli("serve-threads", &["serve", "--workers", "2"]);
+    let (procs, procs_out, procs_err) =
+        run_cli("serve-procs", &["serve", "--workers", "2", "--procs"]);
+    let threads = threads.unwrap_or_else(|| panic!("threads: no exit within {DEADLINE:?}"));
+    let procs = procs.unwrap_or_else(|| panic!("procs: no exit within {DEADLINE:?}"));
+    assert!(
+        threads_out.contains("link: 360 evidence frames"),
+        "threads: stdout: {threads_out}\nstderr: {threads_err}"
+    );
+    assert_eq!(procs_out, threads_out, "procs stderr: {procs_err}");
+    assert_eq!(procs.code(), threads.code(), "procs stderr: {procs_err}");
+    assert!(!procs_err.contains("worker process exited"), "{procs_err}");
 }

@@ -26,6 +26,7 @@ use std::time::Instant;
 
 use mercurial::closedloop::{ClosedLoopDriver, ClosedLoopOutcome};
 use mercurial::fault::CoreUid;
+use mercurial::pipeline::median;
 use mercurial::trace::{incident_timeline, Recorder, TraceFlags};
 use mercurial::{FleetExperiment, Scenario};
 use mercurial_fleet::{SignalLog, SimSummary};
@@ -102,7 +103,8 @@ fn run_smoke() {
     // 4. Recording does not change the closed loop's cost class.
     let paper = load_paper_scenario();
     let (pairs, _) = closed_loop_pairs(&paper, &Prof::disabled());
-    let ratio = median(pairs.iter().map(|&(off, on)| on / off).collect());
+    let ratios: Vec<f64> = pairs.iter().map(|&(off, on)| on / off).collect();
+    let ratio = median(&ratios).expect("PAIRS > 0");
     println!(
         "paper closed loop: median traced/untraced ratio {ratio:.3} over {PAIRS} interleaved pairs"
     );
@@ -143,12 +145,6 @@ fn closed_loop_pairs(scenario: &Scenario, prof: &Prof) -> (Vec<(f64, f64)>, Clos
         traced = Some(out);
     }
     (pairs, traced.expect("at least one pair"))
-}
-
-/// The median of `v` (the upper middle for an even count).
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
 }
 
 // -------------------------------------------------------------- full mode
@@ -219,9 +215,11 @@ fn run_full() {
     // The closed loop end to end, tracing off vs on: medians over
     // interleaved pairs, the overhead from the median per-pair ratio.
     let (pairs, on) = closed_loop_pairs(&scenario, &prof);
-    let loop_off = median(pairs.iter().map(|p| p.0).collect());
-    let loop_on = median(pairs.iter().map(|p| p.1).collect());
-    let loop_pct = 100.0 * (median(pairs.iter().map(|&(off, on)| on / off).collect()) - 1.0);
+    let (offs, ons): (Vec<f64>, Vec<f64>) = pairs.iter().copied().unzip();
+    let ratios: Vec<f64> = pairs.iter().map(|&(off, on)| on / off).collect();
+    let loop_off = median(&offs).expect("PAIRS > 0");
+    let loop_on = median(&ons).expect("PAIRS > 0");
+    let loop_pct = 100.0 * (median(&ratios).expect("PAIRS > 0") - 1.0);
     let jsonl = on.trace.to_jsonl();
     println!("closed loop, tracing off: {loop_off:>8.3} s   (median of {PAIRS})");
     println!(

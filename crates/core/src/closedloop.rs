@@ -22,27 +22,33 @@
 //! the stranded capacity; exonerated cores return to service.
 //!
 //! With `scenario.closed_loop.feedback == false` the driver degrades to
-//! the open loop *bit for bit*: the simulation is stepped epoch by epoch
-//! (identical to [`mercurial_fleet::FleetSim::run`] under the §4.1
-//! determinism contract) and the batch back half
+//! the open loop *bit for bit*: the whole fleet is stepped epoch by epoch
+//! with nothing ever masked (identical to [`mercurial_fleet::FleetSim::run`]
+//! under the §4.1 determinism contract) and the batch back half
 //! ([`PipelineRun::complete_from_signals`]) runs on the finished log. The
 //! batch screeners are phase-major (each campaign scans the whole window
 //! before the next starts), which a time-major interleaving cannot
 //! reproduce — so equivalence is by construction, not by re-derivation.
+//!
+//! Both loop shapes share one run harness (recorder, ground-truth onsets,
+//! alert engine, streaming sink, profiler) and one epoch boundary — the
+//! histograms, gauges, series row and alert rules of the aggregator's
+//! phase 7 — and differ only in how they step an epoch and how they
+//! finish the window.
 
 use crate::experiment::FleetExperiment;
 use crate::pipeline::{PipelineOutcome, PipelineRun};
 use crate::scenario::Scenario;
 use crate::shardloop::{
-    record_alerts, record_ground_truth_onsets, watch_engine, ClassMetricNames, FleetAggregator,
-    FleetShard,
+    begin_sim, record_ground_truth_onsets, watch_engine, EpochPoint, EpochTelemetry, FinishedLoop,
+    FleetAggregator, FleetShard,
 };
-use mercurial_fleet::sim::SimSummary;
+use mercurial_fleet::sim::{ClassTally, SimState, SimSummary};
 use mercurial_fleet::SignalLog;
-use mercurial_metrics::{ClassPoint, EpochSeries};
+use mercurial_metrics::EpochSeries;
 use mercurial_prof::Prof;
-use mercurial_trace::{MetricSet, TraceSink};
-use mercurial_watch::{Baseline, EpochRow, RuleSet, WatchReport};
+use mercurial_trace::{Recorder, TraceSink};
+use mercurial_watch::{Baseline, RuleSet, WatchEngine, WatchReport};
 
 /// Everything a closed-loop run produced: the familiar end-of-window
 /// aggregates plus the per-epoch time series.
@@ -104,224 +110,163 @@ impl ClosedLoopDriver {
     /// Executes on a prebuilt experiment with run attachments: alert
     /// rules (evaluated at every epoch boundary), a regression baseline,
     /// and/or a streaming trace sink.
+    ///
+    /// With feedback on, the loop runs as one full-fleet [`FleetShard`]
+    /// in lockstep with a [`FleetAggregator`] sharing a single recorder.
+    /// This is exactly the service decomposition `mercurial-serve` runs
+    /// across processes; here the "wire" is a function call, which pins
+    /// the in-process loop and the zero-impairment served run to the same
+    /// code path.
     pub fn execute_with(
         scenario: &Scenario,
         experiment: &FleetExperiment,
-        opts: RunOptions<'_>,
-    ) -> ClosedLoopOutcome {
-        if scenario.closed_loop.feedback {
-            ClosedLoopDriver::run_with_feedback(scenario, experiment, opts)
-        } else {
-            ClosedLoopDriver::run_open_loop_stepped(scenario, experiment, opts)
-        }
-    }
-
-    /// Feedback disabled: step the simulation epoch by epoch (bit-for-bit
-    /// equal to the batch run under the determinism contract), record the
-    /// per-epoch series, then run the shared batch back half.
-    fn run_open_loop_stepped(
-        scenario: &Scenario,
-        experiment: &FleetExperiment,
         mut opts: RunOptions<'_>,
     ) -> ClosedLoopOutcome {
-        let sim = experiment.sim();
-        let topo = experiment.topology();
-        let mut state = sim.begin();
-        let epochs = state.total_epochs();
-        let epoch_hours = scenario.sim.epoch_hours;
-        let mut log = SignalLog::new();
-        let mut summary = SimSummary::default();
-        let mut series = EpochSeries::new(epoch_hours);
-        let mut engine = watch_engine(scenario, &opts.rules);
         let disabled_prof = Prof::disabled();
         let prof = opts.prof.unwrap_or(&disabled_prof);
         let mut rec = scenario.recorder();
         record_ground_truth_onsets(experiment, &mut rec);
-        // Workload classes: initial mitigation policies apply even open
-        // loop (there is no adaptation without feedback, but a static
-        // policy ladder still trades overhead for coverage); all class
-        // surfacing is gated so legacy runs stay bit-for-bit.
-        let classes_on = scenario.workloads.enabled;
-        let mut class_names: Vec<String> = Vec::new();
-        let mut class_gauges: Vec<ClassMetricNames> = Vec::new();
-        if classes_on {
-            class_names = sim.class_names();
-            for (ix, p) in scenario
-                .workloads
-                .initial_policies(&class_names)
-                .into_iter()
-                .enumerate()
-            {
-                state.set_policy(ix, p);
-            }
-            class_gauges = class_names
-                .iter()
-                .map(|n| ClassMetricNames::gauges(n))
-                .collect();
-            series.set_class_names(class_names.clone());
-        }
-        while !state.is_done() {
-            let h0 = state.hour();
-            let h1 = h0 + epoch_hours;
-            let before = summary.corruptions;
-            let class_before = if classes_on {
-                state.class_tallies().to_vec()
-            } else {
-                Vec::new()
-            };
-            {
-                let _p = prof.span("fleet.step");
-                sim.step_epoch(&mut state, &mut log, &mut summary, &mut rec);
-            }
-            // Open loop: nothing is ever quarantined mid-window, so
-            // capacity is flat at 1.0 and every defect stays active.
-            let active = state.active_deployed_mercurial(topo, h0);
-            let ops = summary.corruptions - before;
-            rec.gauge(h1, "fleet.active_mercurial", active as f64);
-            let class_points: Vec<ClassPoint> = if classes_on {
-                let deltas: Vec<_> = state
-                    .class_tallies()
-                    .iter()
-                    .zip(&class_before)
-                    .map(|(now, then)| now.delta_since(then))
-                    .collect();
-                // Per-class epoch gauges come before the boundary marker
-                // so the replay path snapshots them into this epoch row.
-                for (names, t) in class_gauges.iter().zip(&deltas) {
-                    rec.gauge(h1, names.corrupt_ops, t.corrupt_ops as f64);
-                    rec.gauge(
-                        h1,
-                        names.caught,
-                        (t.app_caught + t.mitigation_caught) as f64,
-                    );
-                    rec.gauge(h1, names.user_reports, t.user_reports as f64);
-                    rec.gauge(h1, names.overhead_ops, t.overhead_ops() as f64);
-                }
-                deltas
-                    .iter()
-                    .map(|t| ClassPoint {
-                        corrupt_ops: t.corrupt_ops,
-                        caught: t.app_caught + t.mitigation_caught,
-                        user_reports: t.user_reports,
-                        overhead_ops: t.overhead_ops(),
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            // Last gauge of every epoch boundary: the replay path
-            // (`WatchInput::from_jsonl`) closes the epoch row on it.
-            rec.gauge(h1, "epoch.corrupt_ops", ops as f64);
-            series.push(1.0, 1.0, ops, active);
-            if classes_on {
-                series.push_classes(class_points.clone());
-            }
-            if let Some(eng) = engine.as_mut() {
-                let _watch_span = prof.span("watch.eval");
-                let row = EpochRow {
-                    hour: h1,
-                    capacity: 1.0,
-                    capacity_with_safetask: 1.0,
-                    corrupt_ops: ops as f64,
-                    active_mercurial: active as f64,
-                };
-                let fired = if classes_on {
-                    let classes: Vec<(String, f64)> = class_names
-                        .iter()
-                        .cloned()
-                        .zip(class_points.iter().map(|p| p.corrupt_ops as f64))
-                        .collect();
-                    eng.push_epoch_classed(row, &classes)
-                } else {
-                    eng.push_epoch(row)
-                };
-                record_alerts(&mut rec, &fired, scenario.audit.enabled);
-            }
-            if let Some(s) = opts.sink.as_mut() {
-                s.drain(&mut rec).expect("stream sink drain");
-            }
-        }
-        log.sort_by_time();
-        // The batch back half runs untraced unless the audit layer wants
-        // decision provenance — the plain traced open loop stays
-        // bit-for-bit with its pre-audit exports.
-        let batch_span = prof.span("pipeline.batch");
-        let pipeline = if scenario.audit.enabled {
-            PipelineRun::complete_from_signals_traced(scenario, experiment, log, summary, &mut rec)
-        } else {
-            PipelineRun::complete_from_signals(scenario, experiment, log, summary)
-        };
-        drop(batch_span);
-        for latency in &pipeline.detection_latency_hours {
-            rec.observe("detect.latency_hours", *latency);
-        }
-        let watch = match engine {
-            Some(eng) => {
-                let _watch_span = prof.span("watch.eval");
-                let empty = MetricSet::new();
-                let (report, end_alerts) =
-                    eng.finish(rec.metrics().unwrap_or(&empty), opts.baseline);
-                record_alerts(&mut rec, &end_alerts, scenario.audit.enabled);
-                Some(report)
-            }
-            None => None,
-        };
-        if let Some(s) = opts.sink.as_mut() {
-            s.finish(&mut rec).expect("stream sink finish");
-        }
-        ClosedLoopOutcome {
-            pipeline,
-            series,
-            epochs,
-            epoch_hours,
-            trace: rec.finish(),
-            watch,
-        }
-    }
-
-    /// Feedback enabled: the full epoch-interleaved loop, run as one
-    /// full-fleet [`FleetShard`] in lockstep with a [`FleetAggregator`]
-    /// sharing a single recorder. This is exactly the service
-    /// decomposition `mercurial-serve` runs across processes; here the
-    /// "wire" is a function call, which pins the in-process loop and the
-    /// zero-impairment served run to the same code path.
-    fn run_with_feedback(
-        scenario: &Scenario,
-        experiment: &FleetExperiment,
-        mut opts: RunOptions<'_>,
-    ) -> ClosedLoopOutcome {
-        let machines = experiment.topology().config().machines;
         let engine = watch_engine(scenario, &opts.rules);
-        let disabled_prof = Prof::disabled();
-        let prof = opts.prof.unwrap_or(&disabled_prof);
-        let mut rec = scenario.recorder();
-        record_ground_truth_onsets(experiment, &mut rec);
-        let mut agg = FleetAggregator::new(scenario, experiment, engine);
-        let mut shard = FleetShard::new(scenario, experiment, 0, machines);
-        let epochs = agg.total_epochs();
-        let epoch_hours = agg.epoch_hours();
-        while !agg.is_done() {
-            let cmds = agg.begin_epoch(&mut rec, prof);
-            shard.apply_commands(&cmds);
-            let report = shard.step_epoch(&mut rec, prof);
-            agg.ingest_reports(vec![report], &mut rec, prof);
-            if let Some(s) = opts.sink.as_mut() {
-                let _p = prof.span("trace.drain");
-                s.drain(&mut rec).expect("stream sink drain");
+        let finished = if scenario.closed_loop.feedback {
+            let machines = experiment.topology().config().machines;
+            let mut agg = FleetAggregator::new(scenario, experiment, engine);
+            let mut shard = FleetShard::new(scenario, experiment, 0, machines);
+            while !agg.is_done() {
+                let cmds = agg.begin_epoch(&mut rec, prof);
+                shard.apply_commands(&cmds);
+                let report = shard.step_epoch(&mut rec, prof);
+                agg.ingest_reports(vec![report], &mut rec, prof);
+                drain(&mut opts.sink, &mut rec, prof);
             }
-        }
-        let finished = agg.finish(&mut rec, &[], opts.baseline, prof);
+            agg.finish(&mut rec, &[], opts.baseline, prof)
+        } else {
+            let mut open = OpenLoop::new(scenario, experiment, engine);
+            while !open.state.is_done() {
+                open.step_epoch(&mut rec, prof);
+                drain(&mut opts.sink, &mut rec, prof);
+            }
+            open.finish(scenario, &mut rec, opts.baseline, prof)
+        };
         if let Some(s) = opts.sink.as_mut() {
             s.finish(&mut rec).expect("stream sink finish");
         }
         ClosedLoopOutcome {
             pipeline: finished.pipeline,
             series: finished.series,
-            epochs,
-            epoch_hours,
+            epochs: experiment.sim().epochs(),
+            epoch_hours: scenario.sim.epoch_hours,
             trace: rec.finish(),
             watch: finished.watch,
         }
+    }
+}
+
+/// Drains the epoch's trace events into the streaming sink, if any.
+fn drain(sink: &mut Option<&mut dyn TraceSink>, rec: &mut Recorder, prof: &Prof) {
+    if let Some(s) = sink.as_mut() {
+        let _p = prof.span("trace.drain");
+        s.drain(rec).expect("stream sink drain");
+    }
+}
+
+/// Feedback off: the whole fleet stepped epoch by epoch with nothing ever
+/// quarantined mid-window — capacity stays flat at 1.0 and every defect
+/// stays active — then the batch back half on the finished log.
+struct OpenLoop<'a> {
+    experiment: &'a FleetExperiment,
+    epoch_hours: f64,
+    state: SimState,
+    log: SignalLog,
+    summary: SimSummary,
+    telemetry: EpochTelemetry,
+}
+
+impl<'a> OpenLoop<'a> {
+    fn new(
+        scenario: &Scenario,
+        experiment: &'a FleetExperiment,
+        engine: Option<WatchEngine>,
+    ) -> Self {
+        let sim = experiment.sim();
+        let machines = experiment.topology().config().machines;
+        OpenLoop {
+            experiment,
+            epoch_hours: scenario.sim.epoch_hours,
+            state: begin_sim(scenario, sim, 0, machines),
+            log: SignalLog::new(),
+            summary: SimSummary::default(),
+            telemetry: EpochTelemetry::new(scenario, sim, engine),
+        }
+    }
+
+    /// Steps the whole fleet one epoch and records the boundary.
+    fn step_epoch(&mut self, rec: &mut Recorder, prof: &Prof) {
+        let sim = self.experiment.sim();
+        let h0 = self.state.hour();
+        let before = self.summary;
+        let class_before = self.state.class_tallies().to_vec();
+        {
+            let _p = prof.span("fleet.step");
+            sim.step_epoch(&mut self.state, &mut self.log, &mut self.summary, rec);
+        }
+        let classes: Vec<ClassTally> = self
+            .state
+            .class_tallies()
+            .iter()
+            .zip(&class_before)
+            .map(|(now, then)| now.delta_since(then))
+            .collect();
+        let now = self.summary;
+        self.telemetry.record(
+            EpochPoint {
+                hour: h0 + self.epoch_hours,
+                capacity: 1.0,
+                capacity_with_safetask: 1.0,
+                corrupt_ops: now.corruptions - before.corruptions,
+                raw_signals: now.signals_emitted + now.noise_signals
+                    - before.signals_emitted
+                    - before.noise_signals,
+                active_mercurial: self.state.active_deployed_mercurial(sim.topology(), h0),
+                classes: &classes,
+            },
+            rec,
+            prof,
+        );
+    }
+
+    /// Runs the batch back half on the finished log. It runs untraced
+    /// unless the audit layer wants decision provenance — the plain traced
+    /// open loop stays bit-for-bit with its pre-audit exports.
+    fn finish(
+        self,
+        scenario: &Scenario,
+        rec: &mut Recorder,
+        baseline: Option<&Baseline>,
+        prof: &Prof,
+    ) -> FinishedLoop {
+        let OpenLoop {
+            experiment,
+            mut log,
+            summary,
+            telemetry,
+            ..
+        } = self;
+        log.sort_by_time();
+        let batch_span = prof.span("pipeline.batch");
+        let mut untraced = Recorder::disabled();
+        let batch_rec = if scenario.audit.enabled {
+            &mut *rec
+        } else {
+            &mut untraced
+        };
+        let pipeline = PipelineRun::complete_from_signals_traced(
+            scenario, experiment, log, summary, batch_rec,
+        );
+        drop(batch_span);
+        for latency in &pipeline.detection_latency_hours {
+            rec.observe("detect.latency_hours", *latency);
+        }
+        telemetry.finish(pipeline, rec, &[], baseline, prof)
     }
 }
 

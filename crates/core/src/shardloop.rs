@@ -27,6 +27,10 @@
 //! | 6 | aggregator | new threshold crossings quarantined; broadcast next epoch in [`EpochCommands::quarantines`] |
 //! | 7 | aggregator | capacity/corruption telemetry point + live alert rules |
 //!
+//! Phase 7 minus the capacity gauges is the epoch boundary the open loop
+//! (feedback off) shares, so both loop shapes emit their histograms,
+//! gauges, series rows and alerts from one place.
+//!
 //! Quarantine and restore decisions are central; workers only apply the
 //! resulting mask changes ([`FleetShard::apply_commands`]) before
 //! stepping. Broadcasting a command for a core a worker does not own is
@@ -99,8 +103,9 @@ pub struct ShardEpochReport {
     /// Corruption events this epoch (shard-local).
     pub corruptions_delta: u64,
     /// Signals the sim emitted this epoch *before* the out-of-service
-    /// withdrawal (the in-process loop's `sim.epoch_signals` histogram
-    /// observes pre-withdrawal counts).
+    /// withdrawal. The aggregator's fleet-wide `sim.epoch_signals`
+    /// histogram observes the sum over shards of these pre-withdrawal
+    /// counts.
     pub raw_signals_delta: u64,
     /// Mercurial cores in service and deployed at the epoch start, per
     /// the worker's mask *before* this epoch's crossings are applied.
@@ -179,6 +184,20 @@ impl ClassMetricNames {
     }
 }
 
+/// Starts the simulation of machines `[lo, hi)` under the scenario's
+/// initial per-class mitigation policies (all off unless its `workloads`
+/// block is on). The open loop applies them too: without feedback there
+/// is no adaptation, but a static policy ladder still trades overhead for
+/// coverage.
+pub(crate) fn begin_sim(scenario: &Scenario, sim: &FleetSim, lo: u32, hi: u32) -> SimState {
+    let mut state = sim.begin_shard(lo, hi);
+    let policies = scenario.workloads.initial_policies(&sim.class_names());
+    for (ix, p) in policies.into_iter().enumerate() {
+        state.set_policy(ix, p);
+    }
+    state
+}
+
 /// Leak-once interner: metric names must be `&'static str` for the
 /// recorder, and class names are dynamic. Deduplicates so repeated runs
 /// in one process never grow the leak past one entry per distinct name.
@@ -202,7 +221,7 @@ impl<'a> FleetShard<'a> {
         let topo = experiment.topology();
         let tuning = &scenario.tuning;
         let schedule = experiment.screening_schedule();
-        let shard = Some((lo, hi));
+        let shard = (lo, hi);
         let burnin = BurnIn {
             schedule: schedule.clone(),
             ops_multiplier: tuning.burnin_ops_multiplier,
@@ -231,28 +250,20 @@ impl<'a> FleetShard<'a> {
         if let Some(h) = online.next_hour() {
             screen_q.schedule_ranked(h, EventKind::ScreeningDue.rank(), 2);
         }
-        let mut state = sim.begin_shard(lo, hi);
         let classes_on = scenario.workloads.enabled;
-        let mut class_counters = Vec::new();
-        if classes_on {
+        let class_counters = if classes_on {
             let names = sim.class_names();
-            for (ix, p) in scenario
-                .workloads
-                .initial_policies(&names)
-                .into_iter()
-                .enumerate()
-            {
-                state.set_policy(ix, p);
-            }
-            class_counters = names
+            names
                 .iter()
                 .map(|n| ClassMetricNames::counters(n))
-                .collect();
-        }
+                .collect()
+        } else {
+            Vec::new()
+        };
         FleetShard {
             sim,
             epoch_hours: scenario.sim.epoch_hours,
-            state,
+            state: begin_sim(scenario, sim, lo, hi),
             summary: SimSummary::default(),
             out_of_service: FastSet::default(),
             burnin,
@@ -267,7 +278,7 @@ impl<'a> FleetShard<'a> {
 
     /// The machine range this shard owns.
     pub fn machine_range(&self) -> (u32, u32) {
-        self.state.shard_range().expect("shard state has a range")
+        self.state.shard_range()
     }
 
     /// Whether the observation window has been fully simulated.
@@ -468,7 +479,6 @@ pub struct FleetAggregator<'a> {
     case_id: u64,
     scoreboard: Scoreboard,
     log: SignalLog,
-    series: EpochSeries,
     detections: Vec<DetectionRecord>,
     out_of_service: FastSet<CoreUid>,
     handled: FastSet<CoreUid>,
@@ -476,19 +486,17 @@ pub struct FleetAggregator<'a> {
     restore_q: EventQueue<CoreUid>,
     pending_quarantines: Vec<CoreUid>,
     exonerated_innocents: usize,
-    engine: Option<WatchEngine>,
+    /// Histograms, epoch gauges, the series, and the alert rules.
+    telemetry: EpochTelemetry,
     /// Latest per-worker running summaries / campaign stats, replaced on
     /// every ingest (reports carry running totals, not deltas).
     worker_summaries: Vec<SimSummary>,
     worker_stats: Vec<[mercurial_screening::ScreeningStats; 3]>,
-    /// The scenario's `workloads` block (per-class surfacing and the
-    /// adaptive escalation loop are active only when it is enabled).
+    /// The scenario's `workloads` block (the adaptive escalation loop is
+    /// active only when it is enabled).
     workloads: WorkloadsConfig,
-    /// Workload class names in tally/policy order (empty when disabled).
-    class_names: Vec<String>,
-    /// Interned per-class epoch-gauge names, parallel to `class_names`.
-    class_gauges: Vec<ClassMetricNames>,
-    /// The aggregator's view of each class's current policy.
+    /// The aggregator's view of each class's current policy, in
+    /// tally/policy order (empty when the workloads block is off).
     policies: Vec<MitigationPolicy>,
     /// Escalations decided this boundary, broadcast with the next epoch's
     /// commands (workers switch policies one epoch after the decision,
@@ -516,19 +524,9 @@ impl<'a> FleetAggregator<'a> {
         let mut scoreboard = Scoreboard::new();
         scoreboard.arm(scenario.suspicion_threshold);
         let sim = experiment.sim();
+        let telemetry = EpochTelemetry::new(scenario, sim, engine);
         let workloads = scenario.workloads.clone();
-        let (class_names, class_gauges, policies) = if workloads.enabled {
-            let names = sim.class_names();
-            let gauges = names.iter().map(|n| ClassMetricNames::gauges(n)).collect();
-            let policies = workloads.initial_policies(&names);
-            (names, gauges, policies)
-        } else {
-            (Vec::new(), Vec::new(), Vec::new())
-        };
-        let mut series = EpochSeries::new(scenario.sim.epoch_hours);
-        if workloads.enabled {
-            series.set_class_names(class_names.clone());
-        }
+        let policies = workloads.initial_policies(telemetry.class_names());
         FleetAggregator {
             topo,
             pop: experiment.population(),
@@ -548,7 +546,6 @@ impl<'a> FleetAggregator<'a> {
             case_id: 0,
             scoreboard,
             log: SignalLog::new(),
-            series,
             detections: Vec::new(),
             out_of_service: FastSet::default(),
             handled: FastSet::default(),
@@ -556,12 +553,10 @@ impl<'a> FleetAggregator<'a> {
             restore_q: EventQueue::new(),
             pending_quarantines: Vec::new(),
             exonerated_innocents: 0,
-            engine,
+            telemetry,
             worker_summaries: Vec::new(),
             worker_stats: Vec::new(),
             workloads,
-            class_names,
-            class_gauges,
             policies,
             pending_policy_changes: Vec::new(),
             audit_on: scenario.audit.enabled,
@@ -727,17 +722,13 @@ impl<'a> FleetAggregator<'a> {
             self.detections.push(d);
         }
 
-        // The in-process loop observes these inside the sim step; worker
-        // sims suppress them (shard states do not observe fleet-wide
-        // histograms) and the aggregator observes the fleet-wide sums.
+        // Fleet-wide epoch sums: each shard reports its own slice.
         let corrupt_ops: u64 = reports.iter().map(|r| r.corruptions_delta).sum();
         let raw_signals: u64 = reports.iter().map(|r| r.raw_signals_delta).sum();
-        rec.observe("sim.epoch_corruptions", corrupt_ops as f64);
-        rec.observe("sim.epoch_signals", raw_signals as f64);
 
         // Per-class epoch deltas: an element-wise integer merge across
         // shards, so every partition sums to the single-shard totals.
-        let mut epoch_classes = vec![ClassTally::default(); self.class_names.len()];
+        let mut epoch_classes = vec![ClassTally::default(); self.policies.len()];
         for r in &reports {
             for (mine, theirs) in epoch_classes.iter_mut().zip(&r.class_deltas) {
                 mine.merge(theirs);
@@ -844,60 +835,19 @@ impl<'a> FleetAggregator<'a> {
         };
         rec.gauge(h1, "capacity.availability", base);
         rec.gauge(h1, "capacity.with_safetask", with_safetask);
-        rec.gauge(h1, "fleet.active_mercurial", active as f64);
-        // Per-class epoch gauges come before the boundary marker so the
-        // replay path snapshots them into the same epoch row.
-        if self.workloads.enabled {
-            for (names, t) in self.class_gauges.iter().zip(&epoch_classes) {
-                rec.gauge(h1, names.corrupt_ops, t.corrupt_ops as f64);
-                rec.gauge(
-                    h1,
-                    names.caught,
-                    (t.app_caught + t.mitigation_caught) as f64,
-                );
-                rec.gauge(h1, names.user_reports, t.user_reports as f64);
-                rec.gauge(h1, names.overhead_ops, t.overhead_ops() as f64);
-            }
-        }
-        // Last gauge of every epoch boundary: the replay path
-        // (`WatchInput::from_jsonl`) closes the epoch row on it.
-        rec.gauge(h1, "epoch.corrupt_ops", corrupt_ops as f64);
-        self.series.push(base, with_safetask, corrupt_ops, active);
-        if self.workloads.enabled {
-            self.series.push_classes(
-                epoch_classes
-                    .iter()
-                    .map(|t| ClassPoint {
-                        corrupt_ops: t.corrupt_ops,
-                        caught: t.app_caught + t.mitigation_caught,
-                        user_reports: t.user_reports,
-                        overhead_ops: t.overhead_ops(),
-                    })
-                    .collect(),
-            );
-        }
-        if let Some(eng) = self.engine.as_mut() {
-            let _watch_span = prof.span("watch.eval");
-            let row = EpochRow {
+        self.telemetry.record(
+            EpochPoint {
                 hour: h1,
                 capacity: base,
                 capacity_with_safetask: with_safetask,
-                corrupt_ops: corrupt_ops as f64,
-                active_mercurial: active as f64,
-            };
-            let fired = if self.workloads.enabled {
-                let classes: Vec<(String, f64)> = self
-                    .class_names
-                    .iter()
-                    .cloned()
-                    .zip(epoch_classes.iter().map(|t| t.corrupt_ops as f64))
-                    .collect();
-                eng.push_epoch_classed(row, &classes)
-            } else {
-                eng.push_epoch(row)
-            };
-            record_alerts(rec, &fired, self.audit_on);
-        }
+                corrupt_ops,
+                raw_signals,
+                active_mercurial: active,
+                classes: &epoch_classes,
+            },
+            rec,
+            prof,
+        );
         rec.end(h1, "loop.epoch");
         self.epoch += 1;
     }
@@ -922,13 +872,11 @@ impl<'a> FleetAggregator<'a> {
             ledger,
             triage_stats,
             mut log,
-            series,
             mut detections,
             exonerated_innocents,
-            engine,
+            telemetry,
             worker_summaries,
             worker_stats,
-            audit_on,
             ..
         } = self;
 
@@ -1007,22 +955,171 @@ impl<'a> FleetAggregator<'a> {
             exonerated_innocents,
             detection_latency_hours,
         };
-        let watch = match engine {
-            Some(eng) => {
-                let _watch_span = prof.span("watch.eval");
-                let mut merged = rec.metrics().cloned().unwrap_or_default();
-                for m in worker_metrics {
-                    merged.merge(m);
-                }
-                let (report, end_alerts) = eng.finish(&merged, baseline);
-                record_alerts(rec, &end_alerts, audit_on);
-                Some(report)
-            }
-            None => None,
+        telemetry.finish(pipeline, rec, worker_metrics, baseline, prof)
+    }
+}
+
+/// One epoch's fleet-wide telemetry point, as either loop shape measured
+/// it.
+pub(crate) struct EpochPoint<'a> {
+    /// The hour the epoch ends.
+    pub(crate) hour: f64,
+    /// Base capacity availability (1.0 in the open loop).
+    pub(crate) capacity: f64,
+    /// Capacity with safe-task recovery (1.0 in the open loop).
+    pub(crate) capacity_with_safetask: f64,
+    /// Corruption events this epoch.
+    pub(crate) corrupt_ops: u64,
+    /// Signals emitted this epoch, before any out-of-service withdrawal.
+    pub(crate) raw_signals: u64,
+    /// Mercurial cores in service and deployed at the epoch start.
+    pub(crate) active_mercurial: u64,
+    /// Per-class deltas in workload-list order (ignored when the
+    /// scenario's `workloads` block is off).
+    pub(crate) classes: &'a [ClassTally],
+}
+
+/// The epoch boundary both loop shapes share: the fleet-wide per-epoch
+/// histograms, the epoch gauges, the series row and the live alert rules
+/// every epoch, then the end-of-run rules once.
+pub(crate) struct EpochTelemetry {
+    /// Whether the scenario's `workloads` block is on: per-class gauges,
+    /// series columns and classed alert rows appear only then, so legacy
+    /// runs stay bit-for-bit.
+    classes_on: bool,
+    /// Workload class names in tally/policy order (empty when disabled).
+    class_names: Vec<String>,
+    /// Interned per-class epoch-gauge names, parallel to `class_names`.
+    class_gauges: Vec<ClassMetricNames>,
+    series: EpochSeries,
+    engine: Option<WatchEngine>,
+    /// Whether fired alerts also bump the `audit.*` counters.
+    audit_on: bool,
+}
+
+impl EpochTelemetry {
+    /// The boundary for a scenario; `engine` is the in-loop alert engine,
+    /// if any (see [`watch_engine`]).
+    pub(crate) fn new(scenario: &Scenario, sim: &FleetSim, engine: Option<WatchEngine>) -> Self {
+        let classes_on = scenario.workloads.enabled;
+        let class_names = if classes_on {
+            sim.class_names()
+        } else {
+            Vec::new()
         };
+        let class_gauges = class_names
+            .iter()
+            .map(|n| ClassMetricNames::gauges(n))
+            .collect();
+        let mut series = EpochSeries::new(scenario.sim.epoch_hours);
+        if classes_on {
+            series.set_class_names(class_names.clone());
+        }
+        EpochTelemetry {
+            classes_on,
+            class_names,
+            class_gauges,
+            series,
+            engine,
+            audit_on: scenario.audit.enabled,
+        }
+    }
+
+    /// Workload class names in tally/policy order (empty when the
+    /// scenario's `workloads` block is off).
+    pub(crate) fn class_names(&self) -> &[String] {
+        &self.class_names
+    }
+
+    /// Records one epoch boundary: the histograms, then the
+    /// `fleet.active_mercurial` gauge, the per-class gauges and the
+    /// `epoch.corrupt_ops` gauge, then the series row and the live rules.
+    pub(crate) fn record(&mut self, p: EpochPoint<'_>, rec: &mut Recorder, prof: &Prof) {
+        rec.observe("sim.epoch_corruptions", p.corrupt_ops as f64);
+        rec.observe("sim.epoch_signals", p.raw_signals as f64);
+        rec.gauge(p.hour, "fleet.active_mercurial", p.active_mercurial as f64);
+        // Per-class epoch gauges come before the boundary marker so the
+        // replay path snapshots them into the same epoch row.
+        for (names, t) in self.class_gauges.iter().zip(p.classes) {
+            rec.gauge(p.hour, names.corrupt_ops, t.corrupt_ops as f64);
+            rec.gauge(
+                p.hour,
+                names.caught,
+                (t.app_caught + t.mitigation_caught) as f64,
+            );
+            rec.gauge(p.hour, names.user_reports, t.user_reports as f64);
+            rec.gauge(p.hour, names.overhead_ops, t.overhead_ops() as f64);
+        }
+        // Last gauge of every epoch boundary: the replay path
+        // (`WatchInput::from_jsonl`) closes the epoch row on it.
+        rec.gauge(p.hour, "epoch.corrupt_ops", p.corrupt_ops as f64);
+        self.series.push(
+            p.capacity,
+            p.capacity_with_safetask,
+            p.corrupt_ops,
+            p.active_mercurial,
+        );
+        if self.classes_on {
+            self.series.push_classes(
+                p.classes
+                    .iter()
+                    .map(|t| ClassPoint {
+                        corrupt_ops: t.corrupt_ops,
+                        caught: t.app_caught + t.mitigation_caught,
+                        user_reports: t.user_reports,
+                        overhead_ops: t.overhead_ops(),
+                    })
+                    .collect(),
+            );
+        }
+        if let Some(eng) = self.engine.as_mut() {
+            let _watch_span = prof.span("watch.eval");
+            let row = EpochRow {
+                hour: p.hour,
+                capacity: p.capacity,
+                capacity_with_safetask: p.capacity_with_safetask,
+                corrupt_ops: p.corrupt_ops as f64,
+                active_mercurial: p.active_mercurial as f64,
+            };
+            let fired = if self.classes_on {
+                let classes: Vec<(String, f64)> = self
+                    .class_names
+                    .iter()
+                    .cloned()
+                    .zip(p.classes.iter().map(|t| t.corrupt_ops as f64))
+                    .collect();
+                eng.push_epoch_classed(row, &classes)
+            } else {
+                eng.push_epoch(row)
+            };
+            record_alerts(rec, &fired, self.audit_on);
+        }
+    }
+
+    /// Closes the run on its finished `pipeline`: the end-of-run rules
+    /// evaluated over the recorder's metrics merged with `worker_metrics`
+    /// (worker order; empty when one recorder saw the whole run).
+    pub(crate) fn finish(
+        self,
+        pipeline: PipelineOutcome,
+        rec: &mut Recorder,
+        worker_metrics: &[MetricSet],
+        baseline: Option<&Baseline>,
+        prof: &Prof,
+    ) -> FinishedLoop {
+        let watch = self.engine.map(|eng| {
+            let _watch_span = prof.span("watch.eval");
+            let mut merged = rec.metrics().cloned().unwrap_or_default();
+            for m in worker_metrics {
+                merged.merge(m);
+            }
+            let (report, end_alerts) = eng.finish(&merged, baseline);
+            record_alerts(rec, &end_alerts, self.audit_on);
+            report
+        });
         FinishedLoop {
             pipeline,
-            series,
+            series: self.series,
             watch,
         }
     }

@@ -5,9 +5,13 @@
 //! reproducing them exactly — open loop and closed loop, at two seeds.
 //! The seed-23 closed loop was first pinned on the dense engine and the
 //! others on the retired sparse one; both engines produced these digests,
-//! and the single remaining engine must too.
+//! and the single remaining engine must too. The open loop with workloads
+//! and audit on was pinned before it moved onto the closed loop's shared
+//! epoch boundary.
 
 use mercurial::closedloop::ClosedLoopDriver;
+use mercurial::mitigation::MitigationPolicy;
+use mercurial::scenario::ClassPolicy;
 use mercurial::Scenario;
 
 /// FNV-1a over a byte string: stable, dependency-free content digest.
@@ -145,4 +149,33 @@ fn legacy_seed_23_closed_loop_is_bit_identical_to_pre_refactor() {
         got.corruptions, got.signals, got.detections, got.series_csv, got.trace_jsonl, got.watch_render
     );
     check("closed seed 23", &got, &want);
+}
+
+#[test]
+fn open_loop_with_workloads_and_audit_is_bit_identical() {
+    // The open loop's per-class gauges and its audited batch back half:
+    // the workload block of `e20_workloads.rs` (feedback off, so no
+    // adaptation) with the decision-audit layer on.
+    let mut s = scenario(7, false);
+    s.workloads.enabled = true;
+    s.workloads.policies = vec![ClassPolicy {
+        class: "database".to_string(),
+        policy: MitigationPolicy::E2eChecksum,
+    }];
+    s.workloads.adapt = false;
+    s.audit.enabled = true;
+    let got = digest_of(&s);
+    let want = Digest {
+        corruptions: 482_071_100,
+        signals: 30_371,
+        detections: 18,
+        series_csv: 0x1b38_3d27_3f45_c552,
+        trace_jsonl: 0xaf3c_3e5c_2d6e_fdc9,
+        watch_render: 0xaa56_afe4_7b5f_ac32,
+    };
+    eprintln!(
+        "open workloads+audit: corruptions={} signals={} detections={} series_csv=0x{:016x} trace_jsonl=0x{:016x} watch_render=0x{:016x}",
+        got.corruptions, got.signals, got.detections, got.series_csv, got.trace_jsonl, got.watch_render
+    );
+    check("open workloads+audit", &got, &want);
 }

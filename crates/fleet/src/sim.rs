@@ -182,13 +182,13 @@ pub struct SimState {
     active: Vec<bool>,
     /// Whether each mercurial core has produced at least one corruption.
     core_was_active: Vec<bool>,
-    /// When `Some((lo, hi))`, this state simulates only the machines in
-    /// `[lo, hi)` (see [`FleetSim::begin_shard`]): the mercurial list is
-    /// filtered to owned machines and the background-noise layer keeps
-    /// only signals attributed to owned machines while replaying the
-    /// *global* random stream, so a partition of shards unions to the
-    /// full-fleet run bit for bit.
-    shard: Option<(u32, u32)>,
+    /// The machines `[lo, hi)` this state simulates (see
+    /// [`FleetSim::begin_shard`]; the full fleet is `(0, machines)`): the
+    /// mercurial list is filtered to owned machines and the
+    /// background-noise layer keeps only signals attributed to owned
+    /// machines while replaying the *global* random stream, so a
+    /// partition of shards unions to the full-fleet run bit for bit.
+    shard: (u32, u32),
     /// Per-class mitigation policy, indexed like the simulator's
     /// workload list. All `None` by default; the closed loop switches
     /// them between epochs via [`SimState::set_policy`].
@@ -313,9 +313,8 @@ impl SimState {
             .count() as u64
     }
 
-    /// The machine range this state owns, when sharded via
-    /// [`FleetSim::begin_shard`].
-    pub fn shard_range(&self) -> Option<(u32, u32)> {
+    /// The machine range `[lo, hi)` this state owns.
+    pub fn shard_range(&self) -> (u32, u32) {
         self.shard
     }
 
@@ -461,10 +460,11 @@ impl FleetSim {
         (self.config.months as f64 * 730.0 / self.config.epoch_hours).ceil() as u32
     }
 
-    /// Starts a resumable simulation: every mercurial core in service,
+    /// Starts a resumable simulation of the whole fleet — the shard
+    /// `(0, machines)` — with every mercurial core in service and the
     /// cursor at epoch 0. Step it with [`FleetSim::step_epochs`].
     pub fn begin(&self) -> SimState {
-        self.begin_with(None)
+        self.begin_shard(0, self.topo.machines().len() as u32)
     }
 
     /// Starts a *shard* of the simulation owning only machines in
@@ -474,18 +474,15 @@ impl FleetSim {
     /// partition of shards over the same window and merging each epoch's
     /// logs (in any per-epoch order) and summing the summaries reproduces
     /// the unsharded run bit for bit — the distribution contract the
-    /// `mercurial-serve` workers rely on.
+    /// `mercurial-serve` workers rely on. The range `(0, machines)` is the
+    /// whole fleet ([`FleetSim::begin`]).
     pub fn begin_shard(&self, lo: u32, hi: u32) -> SimState {
         assert!(lo <= hi, "shard range must be ordered: [{lo}, {hi})");
-        self.begin_with(Some((lo, hi)))
-    }
-
-    fn begin_with(&self, shard: Option<(u32, u32)>) -> SimState {
         let mercurial: Vec<CoreUid> = self
             .pop
             .mercurial_cores()
             .map(|c| c.uid)
-            .filter(|uid| shard.is_none_or(|(lo, hi)| uid.machine >= lo && uid.machine < hi))
+            .filter(|uid| (lo..hi).contains(&uid.machine))
             .collect();
         debug_assert!(
             mercurial.windows(2).all(|w| w[0] < w[1]),
@@ -500,7 +497,7 @@ impl FleetSim {
             mercurial,
             active: vec![true; n],
             core_was_active: vec![false; n],
-            shard,
+            shard: (lo, hi),
             policies: vec![MitigationPolicy::None; n_classes],
             class_tallies: vec![ClassTally::default(); n_classes],
             deploy: DeployCursor::default(),
@@ -533,8 +530,10 @@ impl FleetSim {
     ///
     /// An enabled `rec` gets, per epoch, a `sim.first_corruption` instant
     /// the first time each mercurial core corrupts, then a `sim.epoch`
-    /// span with the epoch's counters and histograms; a disabled one makes
-    /// every recorder call a single branch.
+    /// span with the epoch's counters; a disabled one makes every recorder
+    /// call a single branch. The per-epoch histograms describe the
+    /// fleet-wide epoch, so the loop that merges its shards' steps
+    /// observes them, not the shard.
     pub fn step_epochs(
         &self,
         state: &mut SimState,
@@ -557,14 +556,6 @@ impl FleetSim {
             rec.counter_add("sim.corruptions", corruptions);
             rec.counter_add("sim.signals_emitted", signals);
             rec.counter_add("sim.noise_signals", noise);
-            // Per-epoch histograms describe the *fleet-wide* epoch; a
-            // shard only sees its slice, so the serve aggregator observes
-            // the cross-shard sums instead (counters above still sum
-            // exactly across shards).
-            if state.shard.is_none() {
-                rec.observe("sim.epoch_corruptions", corruptions as f64);
-                rec.observe("sim.epoch_signals", (signals + noise) as f64);
-            }
             rec.end(hour + epoch_hours, "sim.epoch");
         }
         state.next_epoch += batch;
@@ -623,10 +614,11 @@ impl FleetSim {
             deployed_class_cores,
             ..
         } = state;
+        let (lo, hi) = *shard;
         let newly = deploy.advance(&self.topo, hour);
         deployed.extend(newly);
         for &m in newly {
-            if shard.is_none_or(|(lo, hi)| m >= lo && m < hi) {
+            if (lo..hi).contains(&m) {
                 deployed_class_cores[self.workload_ix[m as usize]] += self.topo.cores_on(m);
             }
         }
@@ -641,7 +633,7 @@ impl FleetSim {
                 rec.instant(hour, "sim.first_corruption", Some(uid.as_u64()), 0.0);
             }
         }
-        self.epoch_noise(hour, epoch, *shard, deployed, log, summary);
+        self.epoch_noise(hour, epoch, (lo, hi), deployed, log, summary);
         self.epoch_overhead(hour, policies, deployed_class_cores, class_tallies);
     }
 
@@ -961,17 +953,17 @@ impl FleetSim {
 
     /// Emits background noise for one epoch.
     ///
-    /// Under a shard (`Some((lo, hi))`) every random draw still happens —
-    /// the noise stream is a *global* `(seed, 0xbadd, 0x6e6f, epoch)`
-    /// sequence over the full deployed fleet — but only signals landing
-    /// on owned machines are pushed and counted. Each noise signal is
+    /// Every random draw happens — the noise stream is a *global*
+    /// `(seed, 0xbadd, 0x6e6f, epoch)` sequence over the full deployed
+    /// fleet — but only signals landing on the owned machines `[lo, hi)`
+    /// are pushed and counted. Each noise signal is
     /// attributed to exactly one machine, so a partition of shards emits
     /// every signal exactly once and the union equals the unsharded log.
     fn epoch_noise(
         &self,
         hour: f64,
         epoch: u32,
-        shard: Option<(u32, u32)>,
+        (lo, hi): (u32, u32),
         deployed: &DeployedSet,
         log: &mut SignalLog,
         summary: &mut SimSummary,
@@ -1000,7 +992,7 @@ impl FleetSim {
                 let socket = rng.next_below(self.topo.config().sockets_per_machine as u64) as u8;
                 let core = rng.next_below(product.cores_per_socket as u64) as u16;
                 let signal_hour = hour + rng.next_uniform() * self.config.epoch_hours;
-                if shard.is_none_or(|(lo, hi)| midx >= lo && midx < hi) {
+                if (lo..hi).contains(&midx) {
                     log.push(Signal {
                         hour: signal_hour,
                         core: CoreUid::new(midx, socket, core),
@@ -1519,11 +1511,7 @@ mod tests {
         let topo = sim.topology();
         let machines = topo.machines().len() as u32;
         for (lo, hi) in [(0, machines), (0, 100), (100, 300), (37, 38)] {
-            let mut state = if (lo, hi) == (0, machines) {
-                sim.begin()
-            } else {
-                sim.begin_shard(lo, hi)
-            };
+            let mut state = sim.begin_shard(lo, hi);
             let mut saw_partial = false;
             while !state.is_done() {
                 let hour = state.hour();
@@ -1609,7 +1597,7 @@ mod tests {
                     let lo = machines * w / workers;
                     let hi = machines * (w + 1) / workers;
                     let mut state = sim.begin_shard(lo, hi);
-                    assert_eq!(state.shard_range(), Some((lo, hi)));
+                    assert_eq!(state.shard_range(), (lo, hi));
                     let mut log = SignalLog::new();
                     let mut summary = SimSummary::default();
                     while sim.step_epochs(

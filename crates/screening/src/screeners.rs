@@ -350,14 +350,12 @@ struct Batch {
     span: Option<(&'static str, f64, f64)>,
 }
 
-/// Whether `machine` belongs to the campaign's machine shard (`None`
-/// means the whole fleet). Sharded campaigns skip non-owned machines
+/// The machine range `[lo, hi)` covering every machine id — the shard a
+/// whole-fleet campaign owns. A campaign skips machines outside its shard
 /// entirely — tasks, closed-form accounting, and drain charges — so a
-/// partition of shards sums to the unsharded campaign exactly (every
+/// partition of shards sums to the whole-fleet campaign exactly (every
 /// machine is owned by exactly one shard and machines are independent).
-fn shard_owns(shard: Option<(u32, u32)>, machine: u32) -> bool {
-    shard.is_none_or(|(lo, hi)| machine >= lo && machine < hi)
-}
+const ALL_MACHINES: (u32, u32) = (0, u32::MAX);
 
 /// The sorted set of machines hosting a mercurial or detected core — the
 /// only machines whose screening can deviate from closed-form accounting.
@@ -548,23 +546,19 @@ impl BurnIn {
     /// screened as their deploy hour is reached, in `(deploy_hour,
     /// machine)` order, via [`BurnInCampaign::step_until`].
     pub fn campaign(&self, topo: &FleetTopology) -> BurnInCampaign {
-        self.campaign_shard(topo, None)
+        self.campaign_shard(topo, ALL_MACHINES)
     }
 
-    /// [`BurnIn::campaign`] restricted to machines in `shard` (`[lo, hi)`)
-    /// — the per-worker half of the serve split. A partition of shard
+    /// [`BurnIn::campaign`] restricted to machines `[lo, hi)` — the
+    /// per-worker half of the serve split. A partition of shard
     /// campaigns screens every machine exactly once, in the same
     /// per-machine order and with the same test ids as the full campaign.
-    pub fn campaign_shard(
-        &self,
-        topo: &FleetTopology,
-        shard: Option<(u32, u32)>,
-    ) -> BurnInCampaign {
+    pub fn campaign_shard(&self, topo: &FleetTopology, (lo, hi): (u32, u32)) -> BurnInCampaign {
         // The deploy order is already sorted by `(deploy_hour, machine)`.
         let queue: Vec<(f64, u32)> = topo
             .deploy_order()
             .iter()
-            .filter(|&&m| shard_owns(shard, m))
+            .filter(|&&m| (lo..hi).contains(&m))
             .map(|&m| (topo.machines()[m as usize].deploy_hour, m))
             .collect();
         BurnInCampaign {
@@ -679,7 +673,7 @@ impl OfflineScreener {
         topo: &FleetTopology,
         hour: f64,
         sweep_idx: u64,
-        shard: Option<(u32, u32)>,
+        (lo, hi): (u32, u32),
         hot: &[u32],
         stats: &mut ScreeningStats,
     ) -> Batch {
@@ -701,7 +695,7 @@ impl OfflineScreener {
             // The rotation arithmetic (`start`, `per_sweep`) is global so
             // every shard agrees on which machines this sweep visits; a
             // shard then keeps only its own.
-            if !shard_owns(shard, machine) || !topo.is_deployed(machine, hour) {
+            if !(lo..hi).contains(&machine) || !topo.is_deployed(machine, hour) {
                 continue;
             }
             batch.span = Some((
@@ -753,13 +747,13 @@ impl OfflineScreener {
     /// Starts an incremental campaign over `months`; sweeps fire as
     /// simulated time passes them via [`OfflineCampaign::step_until`].
     pub fn campaign(&self, months: u32) -> OfflineCampaign {
-        self.campaign_shard(months, None)
+        self.campaign_shard(months, ALL_MACHINES)
     }
 
     /// [`OfflineScreener::campaign`] restricted to machines in `shard`:
     /// the sweep rotation stays globally synchronized (same `sweep_idx`,
     /// same test ids) while each shard screens only its own machines.
-    pub fn campaign_shard(&self, months: u32, shard: Option<(u32, u32)>) -> OfflineCampaign {
+    pub fn campaign_shard(&self, months: u32, shard: (u32, u32)) -> OfflineCampaign {
         OfflineCampaign {
             screener: self.clone(),
             total_hours: months as f64 * 730.0,
@@ -778,7 +772,7 @@ pub struct OfflineCampaign {
     total_hours: f64,
     sweep_idx: u64,
     next_hour: f64,
-    shard: Option<(u32, u32)>,
+    shard: (u32, u32),
     stats: ScreeningStats,
 }
 
@@ -878,7 +872,7 @@ impl OnlineScreener {
         topo: &FleetTopology,
         hour: f64,
         pass: u64,
-        shard: Option<(u32, u32)>,
+        (lo, hi): (u32, u32),
         deployed: u64,
         hot: &[u32],
     ) -> Batch {
@@ -900,7 +894,7 @@ impl OnlineScreener {
         let tasks: Vec<MachineTask> = hot
             .iter()
             .copied()
-            .filter(|&machine| shard_owns(shard, machine) && topo.is_deployed(machine, hour))
+            .filter(|&machine| (lo..hi).contains(&machine) && topo.is_deployed(machine, hour))
             .inspect(|&machine| hot_cores += topo.cores_on(machine))
             .map(task)
             .collect();
@@ -940,13 +934,13 @@ impl OnlineScreener {
     /// Starts an incremental campaign over `months`; passes fire as
     /// simulated time passes them via [`OnlineCampaign::step_until`].
     pub fn campaign(&self, months: u32) -> OnlineCampaign {
-        self.campaign_shard(months, None)
+        self.campaign_shard(months, ALL_MACHINES)
     }
 
     /// [`OnlineScreener::campaign`] restricted to machines in `shard`:
     /// the pass cadence and test ids stay globally synchronized while
     /// each shard screens only its own machines.
-    pub fn campaign_shard(&self, months: u32, shard: Option<(u32, u32)>) -> OnlineCampaign {
+    pub fn campaign_shard(&self, months: u32, shard: (u32, u32)) -> OnlineCampaign {
         OnlineCampaign {
             screener: self.clone(),
             total_hours: months as f64 * 730.0,
@@ -967,7 +961,7 @@ pub struct OnlineCampaign {
     total_hours: f64,
     pass: u64,
     next_hour: f64,
-    shard: Option<(u32, u32)>,
+    shard: (u32, u32),
     /// Walks the deploy order as passes advance; each machine is added
     /// to `deployed_cores` once per run.
     deploy: DeployCursor,
@@ -995,9 +989,10 @@ impl OnlineCampaign {
         let mut records = Vec::new();
         // A superset across this call's passes, as for offline sweeps.
         let hot = hot_machines(pop, detected);
+        let (lo, hi) = self.shard;
         while self.next_hour < self.total_hours && self.next_hour < until_hour {
             for &m in self.deploy.advance(topo, self.next_hour) {
-                if shard_owns(self.shard, m) {
+                if (lo..hi).contains(&m) {
                     self.deployed_cores += topo.cores_on(m);
                 }
             }
@@ -1415,8 +1410,8 @@ mod tests {
             ..OfflineScreener::default()
         };
         let online = OnlineScreener::default();
-        let cold = Some((20, 24));
-        let run = |screener: &str, shard: Option<(u32, u32)>, rec: &mut Recorder| {
+        let cold = (20, 24);
+        let run = |screener: &str, shard: (u32, u32), rec: &mut Recorder| {
             let mut detected = FastSet::default();
             let mut log = SignalLog::new();
             let mut bc = burnin.campaign_shard(&topo, shard);
@@ -1445,7 +1440,7 @@ mod tests {
             ("offline", "screen.offline"),
             ("online", "screen.online"),
         ] {
-            for shard in [None, cold] {
+            for shard in [ALL_MACHINES, cold] {
                 let case = format!("{screener} {shard:?}");
                 let (want_records, want_stats, want_log) =
                     run(screener, shard, &mut Recorder::disabled());
@@ -1505,7 +1500,7 @@ mod tests {
         };
         let online = OnlineScreener::default();
 
-        let run_shard = |shard: Option<(u32, u32)>| {
+        let run_shard = |shard: (u32, u32)| {
             let mut detected = FastSet::default();
             let mut log = SignalLog::new();
             let mut bc = burnin.campaign_shard(&topo, shard);
@@ -1535,7 +1530,7 @@ mod tests {
             v
         };
 
-        let (full_rec, full_stats, full_det, full_log) = run_shard(None);
+        let (full_rec, full_stats, full_det, full_log) = run_shard(ALL_MACHINES);
         assert!(full_rec.len() >= 3, "test needs detections to compare");
         let machines = topo.machines().len() as u32;
         for workers in [1u32, 2, 4] {
@@ -1546,7 +1541,7 @@ mod tests {
             for w in 0..workers {
                 let lo = machines * w / workers;
                 let hi = machines * (w + 1) / workers;
-                let (r, s, d, l) = run_shard(Some((lo, hi)));
+                let (r, s, d, l) = run_shard((lo, hi));
                 records.extend(r);
                 for (sum, part) in stats.iter_mut().zip(s) {
                     sum.core_screens += part.core_screens;
@@ -1592,7 +1587,7 @@ mod tests {
             for w in 0..workers {
                 let (lo, hi) = (machines * w / workers, machines * (w + 1) / workers);
                 let mut detected: FastSet<CoreUid> = [pre_detected].into_iter().collect();
-                let mut campaign = online.campaign_shard(months, Some((lo, hi)));
+                let mut campaign = online.campaign_shard(months, (lo, hi));
                 let mut until = 0.0;
                 while campaign.next_hour().is_some() {
                     until += 100.0;

@@ -110,6 +110,18 @@ fn serve_epochs(
         match recv(reader)? {
             Some(Message::Cmd { cmds }) => {
                 let epoch = cmds.epoch;
+                // Wire data never reaches the shard's own epoch assert.
+                if shard.is_done() {
+                    return Err(proto_err(&format!(
+                        "command for epoch {epoch} after the window ended"
+                    )));
+                }
+                if epoch != shard.next_epoch() {
+                    return Err(proto_err(&format!(
+                        "command for epoch {epoch} while epoch {} is due",
+                        shard.next_epoch()
+                    )));
+                }
                 shard.apply_commands(&cmds);
                 let mut report = shard.step_epoch(rec, prof);
                 let evidence = std::mem::take(&mut report.evidence);
@@ -167,9 +179,10 @@ fn serve_epochs(
 }
 
 /// Snapshot the worker recorder's metric set for the `Bye` frame.
-/// Histograms are asserted empty: every per-run histogram (epoch
-/// aggregates, detection latency) is observed aggregator-side precisely
-/// so shard workers never need to ship one.
+/// Histograms are asserted empty: the shard's sim step observes none, and
+/// every per-run histogram (epoch aggregates, detection latency) belongs
+/// to the aggregator's epoch boundary and finish, so shard workers never
+/// need to ship one.
 fn metric_entries(rec: &mercurial_trace::Recorder) -> (Vec<CounterEntry>, Vec<GaugeEntry>) {
     let Some(metrics) = rec.metrics() else {
         return (Vec::new(), Vec::new());
@@ -199,28 +212,54 @@ fn metric_entries(rec: &mercurial_trace::Recorder) -> (Vec<CounterEntry>, Vec<Ga
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mercurial::shardloop::EpochCommands;
     use std::net::TcpListener;
+
+    type Worker = std::thread::JoinHandle<io::Result<()>>;
+
+    /// Starts a worker on a loopback connection and sends it the config
+    /// for `scenario` over machines `[lo, hi)`; returns the worker thread
+    /// and the server's ends of the connection.
+    fn configured_worker(
+        scenario: &Scenario,
+        lo: u32,
+        hi: u32,
+    ) -> (Worker, BufReader<TcpStream>, BufWriter<TcpStream>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let worker = std::thread::spawn(move || run_worker(TcpStream::connect(addr)?));
+        let (stream, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = BufWriter::new(stream);
+        assert!(matches!(recv(&mut reader), Ok(Some(Message::Hello { .. }))));
+        let config = Message::Config {
+            scenario: scenario.to_json(),
+            worker: 0,
+            lo,
+            hi,
+        };
+        send(&mut writer, &config).unwrap();
+        writer.flush().unwrap();
+        (worker, reader, writer)
+    }
+
+    fn cmd(epoch: u32) -> Message {
+        Message::Cmd {
+            cmds: EpochCommands {
+                epoch,
+                restores: Vec::new(),
+                quarantines: Vec::new(),
+                policy_changes: Vec::new(),
+            },
+        }
+    }
 
     #[test]
     fn config_range_outside_the_fleet_is_a_protocol_error() {
         let scenario = Scenario::demo(7);
         let machines = scenario.fleet.machines;
         for (lo, hi) in [(0, machines + 1), (10, 5)] {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
-            let worker = std::thread::spawn(move || run_worker(TcpStream::connect(addr)?));
-            let (stream, _) = listener.accept().unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut writer = BufWriter::new(stream);
-            assert!(matches!(recv(&mut reader), Ok(Some(Message::Hello { .. }))));
-            let config = Message::Config {
-                scenario: scenario.to_json(),
-                worker: 0,
-                lo,
-                hi,
-            };
-            send(&mut writer, &config).unwrap();
-            writer.flush().unwrap();
+            let (worker, reader, writer) = configured_worker(&scenario, lo, hi);
             // Hang up, so a worker that accepted the range fails on EOF
             // instead of waiting for a command.
             drop((reader, writer));
@@ -231,6 +270,51 @@ mod tests {
                 "[{lo}, {hi}): {err}"
             );
             assert!(err.to_string().contains("outside"), "[{lo}, {hi}): {err}");
+        }
+    }
+
+    #[test]
+    fn out_of_order_command_is_a_protocol_error() {
+        // A one-epoch window: the command for epoch 0 is legal, and every
+        // later one arrives after the window ended.
+        let mut scenario = Scenario::demo(7);
+        scenario.sim.months = 1;
+        scenario.sim.epoch_hours = 730.0;
+        let machines = scenario.fleet.machines;
+        for (late, epoch) in [(false, 1), (false, 5), (true, 1)] {
+            let case = format!("late {late}, epoch {epoch}");
+            let (worker, mut reader, mut writer) = configured_worker(&scenario, 0, machines);
+            if late {
+                send(&mut writer, &cmd(0)).unwrap();
+                writer.flush().unwrap();
+                for _ in 0..3 {
+                    let frame = recv(&mut reader).unwrap();
+                    assert!(
+                        matches!(
+                            frame,
+                            Some(
+                                Message::Evidence { .. }
+                                    | Message::Report { .. }
+                                    | Message::Trace { .. }
+                            )
+                        ),
+                        "{case}: epoch 0 frames"
+                    );
+                }
+            }
+            send(&mut writer, &cmd(epoch)).unwrap();
+            writer.flush().unwrap();
+            // Hang up, so a worker that accepted the command fails on EOF
+            // (or a broken pipe) instead of waiting for the next one.
+            drop((reader, writer));
+            let err = worker.join().unwrap().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{case}: {err}");
+            let want = if late {
+                "after the window"
+            } else {
+                "while epoch 0"
+            };
+            assert!(err.to_string().contains(want), "{case}: {err}");
         }
     }
 }

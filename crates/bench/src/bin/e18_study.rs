@@ -8,7 +8,12 @@
 //! screeners fold all-healthy machines into closed-form accounting, and
 //! the driver's scans are O(1) (`CapacityLedger` totals, the armed
 //! scoreboard watchlist, `EventQueue` timers), so per-epoch work scales
-//! with *defective* state. This experiment prices the claim: 1M machines
+//! with *defective* state. What fleet-sized work is left runs in memory
+//! order with no per-machine search: burn-in walks the topology's deploy
+//! arrays once per run, an offline sweep walks its rotation segments
+//! beside the sorted hot list, and the capacity ledger registers the
+//! fleet as a sequential fill of a dense table. This experiment prices
+//! the claim: 1M machines
 //! × 36 months against the acceptance budget — the time the 20k-machine
 //! paper scenario took before any of this (BENCH_watch.json). It also
 //! splits the one-time build into its two draws: the topology (one

@@ -262,9 +262,7 @@ impl PipelineRun {
         // 6. Capacity accounting: confirmed cores leave the pool.
         let mut ledger = CapacityLedger::with_capacity(topo.machines().len());
         for m in topo.machines() {
-            let cores = topo.product_of(m.machine).cores_per_socket as u64
-                * topo.config().sockets_per_machine as u64;
-            ledger.register_machine(m.machine, cores);
+            ledger.register_machine(m.machine, topo.cores_on(m.machine));
         }
         //    The batch trace stops at the registry: capacity moves untraced.
         for core in registry.in_state(mercurial_isolation::CoreState::Confirmed) {

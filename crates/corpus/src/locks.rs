@@ -263,6 +263,7 @@ impl LockLike for FaultySpinLock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
 
     const THREADS: usize = 3;
     const ITERS: u64 = 3_000;
@@ -287,13 +288,54 @@ mod tests {
 
     #[test]
     fn faulty_cas_loses_updates_or_violates_exclusion() {
-        // The §2 lock-semantics CEE, natively: a lying CAS lets two threads
-        // into the critical section and the racy counter drops increments.
-        let report = torture(Arc::new(FaultySpinLock::new(50)), THREADS, ITERS);
+        // The §2 lock-semantics CEE, natively: a lying CAS lets a second
+        // thread into the critical section while the first really holds
+        // the lock, and the racy counter drops an increment. Barriers force
+        // that overlap rather than hoping the scheduler produces it. With
+        // a lie every 2nd attempt, whichever attempt the holder's CAS
+        // wins on, the intruder's next or next-but-one attempt lies.
+        let lock = FaultySpinLock::new(2);
+        let counter = RacyCounter::default();
+        let inside = AtomicU64::new(0);
+        let violations = AtomicU64::new(0);
+        let (held, intruded) = (Barrier::new(2), Barrier::new(2));
+        let enter = || {
+            if inside.fetch_add(1, Ordering::SeqCst) != 0 {
+                violations.fetch_add(1, Ordering::Relaxed);
+            }
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                lock.acquire();
+                enter();
+                // `racy_increment`, split open around the intruder's turn.
+                let v = counter.value.load(Ordering::Relaxed);
+                held.wait();
+                intruded.wait();
+                counter.value.store(v + 1, Ordering::Relaxed);
+                inside.fetch_sub(1, Ordering::SeqCst);
+                lock.release();
+            });
+            s.spawn(|| {
+                held.wait();
+                lock.acquire();
+                enter();
+                counter.racy_increment();
+                inside.fetch_sub(1, Ordering::SeqCst);
+                lock.release();
+                intruded.wait();
+            });
+        });
+        let report = TortureReport {
+            expected: 2,
+            observed: counter.load(),
+            exclusion_violations: violations.load(Ordering::Relaxed),
+        };
         assert!(
             !report.passed(),
-            "a lock that lies every 50th acquire must corrupt: {report:?}"
+            "a lock whose CAS lies must corrupt: {report:?}"
         );
+        assert_eq!((report.observed, report.exclusion_violations), (1, 1));
     }
 
     #[test]

@@ -69,6 +69,8 @@ impl TestSpec {
 #[derive(Debug, Clone)]
 pub struct Population {
     mercurial: BTreeMap<CoreUid, MercurialCore>,
+    /// The distinct machines hosting a mercurial core, ascending.
+    machines: Vec<u32>,
     seed: u64,
 }
 
@@ -118,17 +120,25 @@ impl Population {
                 }
             }
         }
-        Population { mercurial, seed }
+        Population::new(mercurial, seed)
     }
 
     /// A population with explicitly placed defects (for tests and the
     /// case-study experiments).
     pub fn with_explicit(seed: u64, cores: Vec<(CoreUid, CoreFaultProfile)>) -> Population {
+        let mercurial = cores
+            .into_iter()
+            .map(|(uid, profile)| (uid, MercurialCore { uid, profile }))
+            .collect();
+        Population::new(mercurial, seed)
+    }
+
+    fn new(mercurial: BTreeMap<CoreUid, MercurialCore>, seed: u64) -> Population {
+        let mut machines: Vec<u32> = mercurial.keys().map(|uid| uid.machine).collect();
+        machines.dedup();
         Population {
-            mercurial: cores
-                .into_iter()
-                .map(|(uid, profile)| (uid, MercurialCore { uid, profile }))
-                .collect(),
+            mercurial,
+            machines,
             seed,
         }
     }
@@ -141,6 +151,12 @@ impl Population {
     /// Iterates the mercurial cores (ground truth).
     pub fn mercurial_cores(&self) -> impl Iterator<Item = &MercurialCore> {
         self.mercurial.values()
+    }
+
+    /// The distinct machines hosting at least one mercurial core, in
+    /// ascending order (computed once, when the population is seeded).
+    pub fn mercurial_machines(&self) -> &[u32] {
+        &self.machines
     }
 
     /// The mercurial cores on one machine, in ascending [`CoreUid`] order
@@ -293,6 +309,7 @@ mod tests {
         // Every machine's slice unions back to the full population.
         let total: usize = (0..=10).map(|m| pop.mercurial_on(m).count()).sum();
         assert_eq!(total, pop.count());
+        assert_eq!(pop.mercurial_machines(), &[2, 9, 10]);
     }
 
     #[test]

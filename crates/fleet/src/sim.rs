@@ -615,11 +615,11 @@ impl FleetSim {
             ..
         } = state;
         let (lo, hi) = *shard;
-        let newly = deploy.advance(&self.topo, hour);
+        let (newly, cores) = deploy.advance(&self.topo, hour);
         deployed.extend(newly);
-        for &m in newly {
+        for (&m, &c) in newly.iter().zip(cores) {
             if (lo..hi).contains(&m) {
-                deployed_class_cores[self.workload_ix[m as usize]] += self.topo.cores_on(m);
+                deployed_class_cores[self.workload_ix[m as usize]] += u64::from(c);
             }
         }
         for (i, &uid) in mercurial.iter().enumerate() {

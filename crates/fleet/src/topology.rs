@@ -68,6 +68,11 @@ pub struct FleetTopology {
     /// service at `hour`" is a prefix of this order: a binary search for
     /// one-off lookups, a [`DeployCursor`] for time walking forward.
     deploy_order: Vec<u32>,
+    /// `deploy_hours[i]` is the deploy hour of `deploy_order[i]`, so
+    /// walks along the deploy order read memory sequentially.
+    deploy_hours: Vec<f64>,
+    /// `deploy_cores[i]` is the core count of `deploy_order[i]`.
+    deploy_cores: Vec<u32>,
 }
 
 /// A forward-only walk over [`FleetTopology::deploy_order`]: each
@@ -84,15 +89,19 @@ pub struct DeployCursor {
 impl DeployCursor {
     /// Advances to `hour` and returns the newly deployed machines
     /// (`deploy_hour <= hour`, the [`FleetTopology::is_deployed`]
-    /// predicate) in deploy order. `hour` must not move backwards.
-    pub fn advance<'t>(&mut self, topo: &'t FleetTopology, hour: f64) -> &'t [u32] {
+    /// predicate) in deploy order, with their core counts beside them.
+    /// `hour` must not move backwards.
+    pub fn advance<'t>(&mut self, topo: &'t FleetTopology, hour: f64) -> (&'t [u32], &'t [u32]) {
         let start = self.next;
-        let due = topo.deploy_order[start..]
+        let due = topo.deploy_hours[start..]
             .iter()
-            .take_while(|&&m| topo.machines[m as usize].deploy_hour <= hour)
+            .take_while(|&&h| h <= hour)
             .count();
         self.next = start + due;
-        &topo.deploy_order[start..self.next]
+        (
+            &topo.deploy_order[start..self.next],
+            &topo.deploy_cores[start..self.next],
+        )
     }
 }
 
@@ -139,21 +148,33 @@ impl FleetTopology {
         // Deploy hours are finite and >= +0.0, and for such floats the bit
         // patterns order like the values, so `(bits, machine)` packed into
         // one integer sorts exactly as `(deploy_hour, machine)`. The keys
-        // are unique, so an unstable sort yields the one permutation.
+        // are unique, so an unstable sort yields the one permutation, and
+        // the core count riding in the low 32 bits never decides an order.
+        let sockets = u32::from(config.sockets_per_machine);
         let mut keys: Vec<u128> = machines
             .iter()
             .map(|m| {
                 debug_assert!(m.deploy_hour.is_finite() && m.deploy_hour.is_sign_positive());
-                (u128::from(m.deploy_hour.to_bits()) << 32) | u128::from(m.machine)
+                let cores = u32::from(config.products[m.product].cores_per_socket) * sockets;
+                (u128::from(m.deploy_hour.to_bits()) << 64)
+                    | (u128::from(m.machine) << 32)
+                    | u128::from(cores)
             })
             .collect();
         keys.sort_unstable();
-        let deploy_order = keys.into_iter().map(|k| k as u32).collect();
+        let deploy_order = keys.iter().map(|&k| (k >> 32) as u32).collect();
+        let deploy_hours = keys
+            .iter()
+            .map(|&k| f64::from_bits((k >> 64) as u64))
+            .collect();
+        let deploy_cores = keys.iter().map(|&k| k as u32).collect();
         FleetTopology {
             config,
             machines,
             total_cores,
             deploy_order,
+            deploy_hours,
+            deploy_cores,
         }
     }
 
@@ -205,19 +226,28 @@ impl FleetTopology {
         &self.deploy_order
     }
 
+    /// Deploy hours in deploy order: `deploy_hours()[i]` belongs to
+    /// `deploy_order()[i]` (ascending).
+    pub fn deploy_hours(&self) -> &[f64] {
+        &self.deploy_hours
+    }
+
+    /// Core counts in deploy order: `deploy_cores()[i]` is
+    /// [`FleetTopology::cores_on`] of `deploy_order()[i]`.
+    pub fn deploy_cores(&self) -> &[u32] {
+        &self.deploy_cores
+    }
+
     /// Machines in service at fleet time `hour` (binary search over the
     /// deploy order — O(log machines), not a fleet scan).
     pub fn deployed_count(&self, hour: f64) -> u64 {
-        self.deploy_order
-            .partition_point(|&m| self.machines[m as usize].deploy_hour <= hour) as u64
+        self.deploy_hours.partition_point(|&h| h <= hour) as u64
     }
 
     /// The hour at (and after) which every machine is in service; 0 for
     /// an empty fleet.
     pub fn rollout_end_hour(&self) -> f64 {
-        self.deploy_order
-            .last()
-            .map_or(0.0, |&m| self.machines[m as usize].deploy_hour)
+        self.deploy_hours.last().copied().unwrap_or(0.0)
     }
 }
 
@@ -292,7 +322,7 @@ mod tests {
         let mut cursor = DeployCursor::default();
         let mut seen = vec![false; 500];
         for hour in [0.0, 0.0, 1.0, 365.0, 730.0, 2500.0, 5840.0, 1e6, 1e6] {
-            for &m in cursor.advance(&topo, hour) {
+            for &m in cursor.advance(&topo, hour).0 {
                 assert!(!seen[m as usize], "machine {m} yielded twice");
                 seen[m as usize] = true;
             }
@@ -305,6 +335,32 @@ mod tests {
             .deploy_order()
             .windows(2)
             .all(|w| key(w[0]) < key(w[1])));
+    }
+
+    #[test]
+    fn deploy_arrays_match_the_machine_table() {
+        let mut cfg = FleetConfig::default_fleet();
+        cfg.machines = 2_000;
+        cfg.seed = 17;
+        let topo = FleetTopology::build(cfg);
+        assert_eq!(topo.deploy_hours().len(), 2_000);
+        assert_eq!(topo.deploy_cores().len(), 2_000);
+        for (i, &m) in topo.deploy_order().iter().enumerate() {
+            let hour = topo.deploy_hours()[i];
+            assert_eq!(
+                hour.to_bits(),
+                topo.machines()[m as usize].deploy_hour.to_bits()
+            );
+            assert_eq!(
+                u64::from(topo.deploy_cores()[i]),
+                topo.cores_on(m),
+                "machine {m}"
+            );
+        }
+        assert!(topo.deploy_hours()[0] < topo.rollout_end_hour());
+        let core_counts: std::collections::BTreeSet<u32> =
+            topo.deploy_cores().iter().copied().collect();
+        assert!(core_counts.len() > 1, "the fleet must mix core counts");
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! few times per year." [`EraSchedule`] encodes that growth — it is the
 //! mechanism behind Figure 1's gradually rising automatic-detection rate.
 
+use mercurial_fault::FastSet;
 use mercurial_fault::{CoreUid, FunctionalUnit, OperatingPoint};
-use mercurial_fault::{FastMap, FastSet};
 use mercurial_fleet::population::TestSpec;
 use mercurial_fleet::{DeployCursor, FleetTopology};
 use mercurial_fleet::{Population, Signal, SignalKind, SignalLog};
@@ -359,15 +359,55 @@ const ALL_MACHINES: (u32, u32) = (0, u32::MAX);
 
 /// The sorted set of machines hosting a mercurial or detected core — the
 /// only machines whose screening can deviate from closed-form accounting.
+/// The population's machines are sorted once at seeding, so this sorts
+/// only the detected machines and merges the two lists.
 fn hot_machines(pop: &Population, detected: &FastSet<CoreUid>) -> Vec<u32> {
-    let mut hot: Vec<u32> = pop
-        .mercurial_cores()
-        .map(|c| c.uid.machine)
-        .chain(detected.iter().map(|c| c.machine))
-        .collect();
-    hot.sort_unstable();
-    hot.dedup();
+    let mercurial = pop.mercurial_machines();
+    let mut flagged: Vec<u32> = detected.iter().map(|c| c.machine).collect();
+    flagged.sort_unstable();
+    flagged.dedup();
+    let mut hot = Vec::with_capacity(mercurial.len() + flagged.len());
+    let (mut i, mut j) = (0, 0);
+    while let (Some(&a), Some(&b)) = (mercurial.get(i), flagged.get(j)) {
+        hot.push(a.min(b));
+        i += usize::from(a <= b);
+        j += usize::from(b <= a);
+    }
+    hot.extend_from_slice(&mercurial[i..]);
+    hot.extend_from_slice(&flagged[j..]);
     hot
+}
+
+/// The hot set as a machine-id bitmap, for O(1) membership while burn-in
+/// walks machines in deploy order rather than id order. A plan sets the
+/// bits of its hot list and clears the same bits afterwards, so the
+/// bitmap costs O(hot machines) a plan, never a fleet-sized clear.
+#[derive(Debug, Clone)]
+struct HotMask {
+    words: Vec<u64>,
+}
+
+impl HotMask {
+    fn new(machines: usize) -> HotMask {
+        HotMask {
+            words: vec![0; machines.div_ceil(64)],
+        }
+    }
+
+    /// Sets (`on`) or clears the bits of `hot`. Ids outside the fleet are
+    /// skipped: no planner ever asks about them.
+    fn set(&mut self, hot: &[u32], on: bool) {
+        for &m in hot {
+            if let Some(word) = self.words.get_mut(m as usize / 64) {
+                let bit = 1u64 << (m % 64);
+                *word = if on { *word | bit } else { *word & !bit };
+            }
+        }
+    }
+
+    fn contains(&self, machine: u32) -> bool {
+        self.words[machine as usize / 64] >> (machine % 64) & 1 == 1
+    }
 }
 
 /// The mutable outputs a screener accumulates into: the cross-screener
@@ -405,15 +445,13 @@ fn run_machine_tasks(
     if let Some((name, start, _)) = batch.span {
         rec.begin(start, name);
     }
-    // Group the detected snapshot by machine once per batch: each task
-    // then binary-searches a short sorted slice instead of hashing every
-    // core of its machine.
-    let mut by_machine: FastMap<u32, Vec<CoreUid>> = FastMap::default();
-    for &core in sinks.detected.iter() {
-        by_machine.entry(core.machine).or_default().push(core);
-    }
-    for cores in by_machine.values_mut() {
-        cores.sort_unstable();
+    // Sort the detected snapshot once per batch (and only for a batch
+    // with tasks): each task then slices out its machine's run with two
+    // binary searches instead of hashing every core of its machine.
+    let mut snapshot: Vec<CoreUid> = Vec::new();
+    if !batch.tasks.is_empty() {
+        snapshot.extend(sinks.detected.iter().copied());
+        snapshot.sort_unstable();
     }
     // The three screen.* counters are bumped once per batch, not once per
     // task: a per-task `counter_add` turns the merge loop into metric-map
@@ -423,10 +461,9 @@ fn run_machine_tasks(
     sinks.stats.core_screens += batch.clean_screens;
     sinks.stats.test_ops += batch.clean_ops;
     for task in &batch.tasks {
-        let detected_on_machine = by_machine
-            .get(&task.machine)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[]);
+        let from = snapshot.partition_point(|c| c.machine < task.machine);
+        let to = from + snapshot[from..].partition_point(|c| c.machine == task.machine);
+        let detected_on_machine = &snapshot[from..to];
         let newly = screen_machine(
             topo,
             pop,
@@ -482,15 +519,18 @@ pub struct BurnIn {
 }
 
 impl BurnIn {
-    /// Plans burn-in for `due` `(deploy_hour, machine)` pairs, in order:
-    /// a task per hot machine at its deploy hour, closed-form accounting
-    /// for the rest (every core, three sweep points, zero detections).
-    fn plan(&self, topo: &FleetTopology, due: &[(f64, u32)], hot: &[u32]) -> Batch {
+    /// Plans burn-in for `due` `(deploy_hour, machine, cores)` triples, in
+    /// order: a task per hot machine at its deploy hour, closed-form
+    /// accounting for the rest (every core, three sweep points, zero
+    /// detections). The span runs from the first due hour to the last.
+    fn plan(&self, due: impl IntoIterator<Item = (f64, u32, u64)>, hot: &HotMask) -> Batch {
         let mut batch = Batch::default();
-        for &(hour, machine) in due {
+        for (hour, machine, cores) in due {
+            let first = batch.span.map_or(hour, |(_, first, _)| first);
+            batch.span = Some(("screen.burnin", first, hour));
             let era = self.schedule.era_at((hour / 730.0) as u32);
             let ops_per_unit = era.ops_per_unit * self.ops_multiplier.max(1);
-            if hot.binary_search(&machine).is_ok() {
+            if hot.contains(machine) {
                 batch.tasks.push(MachineTask {
                     machine,
                     era: Arc::new(ScreeningEra {
@@ -503,7 +543,7 @@ impl BurnIn {
                     method: DetectionMethod::BurnIn,
                 });
             } else {
-                let screens = topo.cores_on(machine) * 3;
+                let screens = cores * 3;
                 batch.clean_screens += screens;
                 batch.clean_ops += screens * ops_per_unit * era.units.len() as u64;
             }
@@ -521,12 +561,13 @@ impl BurnIn {
     ) -> (Vec<DetectionRecord>, ScreeningStats) {
         let mut stats = ScreeningStats::default();
         let mut records = Vec::new();
-        let due: Vec<(f64, u32)> = topo
+        let mut hot = HotMask::new(topo.machines().len());
+        hot.set(&hot_machines(pop, detected), true);
+        let due = topo
             .machines()
             .iter()
-            .map(|m| (m.deploy_hour, m.machine))
-            .collect();
-        let batch = self.plan(topo, &due, &hot_machines(pop, detected));
+            .map(|m| (m.deploy_hour, m.machine, topo.cores_on(m.machine)));
+        let batch = self.plan(due, &hot);
         run_machine_tasks(
             topo,
             pop,
@@ -553,20 +594,17 @@ impl BurnIn {
     /// per-worker half of the serve split. A partition of shard
     /// campaigns screens every machine exactly once, in the same
     /// per-machine order and with the same test ids as the full campaign.
-    pub fn campaign_shard(&self, topo: &FleetTopology, (lo, hi): (u32, u32)) -> BurnInCampaign {
-        // The deploy order is already sorted by `(deploy_hour, machine)`.
-        let queue: Vec<(f64, u32)> = topo
-            .deploy_order()
-            .iter()
-            .filter(|&&m| (lo..hi).contains(&m))
-            .map(|&m| (topo.machines()[m as usize].deploy_hour, m))
-            .collect();
-        BurnInCampaign {
+    pub fn campaign_shard(&self, topo: &FleetTopology, shard: (u32, u32)) -> BurnInCampaign {
+        let mut campaign = BurnInCampaign {
             screener: self.clone(),
-            queue,
-            cursor: 0,
+            shard,
+            next: 0,
+            next_hour: None,
+            hot: HotMask::new(topo.machines().len()),
             stats: ScreeningStats::default(),
-        }
+        };
+        campaign.seek(topo, 0);
+        campaign
     }
 }
 
@@ -575,13 +613,20 @@ impl BurnIn {
 /// Unlike the batch [`BurnIn::run`] — which screens in machine order with
 /// one frozen `detected` snapshot — the campaign screens machines in
 /// deploy-hour order and refreshes the snapshot every step, so it
-/// interleaves correctly with an epoch-stepped simulation.
+/// interleaves correctly with an epoch-stepped simulation. It walks the
+/// topology's deploy arrays in place, skipping machines outside its
+/// shard, so every step must get the topology the campaign started on.
 #[derive(Debug, Clone)]
 pub struct BurnInCampaign {
     screener: BurnIn,
-    /// `(deploy_hour, machine)`, sorted ascending.
-    queue: Vec<(f64, u32)>,
-    cursor: usize,
+    shard: (u32, u32),
+    /// Deploy-order position of the next unscreened owned machine (the
+    /// order's length once every owned machine is screened).
+    next: usize,
+    /// The deploy hour at `next`, if any owned machine is left.
+    next_hour: Option<f64>,
+    /// Scratch membership bitmap, all clear between steps.
+    hot: HotMask,
     stats: ScreeningStats,
 }
 
@@ -601,18 +646,24 @@ impl BurnInCampaign {
         log: &mut SignalLog,
         rec: &mut Recorder,
     ) -> Vec<DetectionRecord> {
-        let due = self.queue[self.cursor..]
-            .iter()
-            .take_while(|(h, _)| *h < until_hour)
-            .count();
-        let due_batch = &self.queue[self.cursor..self.cursor + due];
-        let mut batch = self
-            .screener
-            .plan(topo, due_batch, &hot_machines(pop, detected));
-        if let (Some(&(start, _)), Some(&(end, _))) = (due_batch.first(), due_batch.last()) {
-            batch.span = Some(("screen.burnin", start, end));
+        if self.next_hour.is_none_or(|h| h >= until_hour) {
+            return Vec::new();
         }
-        self.cursor += due;
+        let (order, hours, cores) = (
+            topo.deploy_order(),
+            topo.deploy_hours(),
+            topo.deploy_cores(),
+        );
+        let end = self.next + hours[self.next..].partition_point(|&h| h < until_hour);
+        let (lo, hi) = self.shard;
+        let due = (self.next..end)
+            .filter(|&i| (lo..hi).contains(&order[i]))
+            .map(|i| (hours[i], order[i], u64::from(cores[i])));
+        let hot = hot_machines(pop, detected);
+        self.hot.set(&hot, true);
+        let batch = self.screener.plan(due, &self.hot);
+        self.hot.set(&hot, false);
+        self.seek(topo, end);
         let mut records = Vec::new();
         run_machine_tasks(
             topo,
@@ -631,7 +682,19 @@ impl BurnInCampaign {
 
     /// The deploy hour of the next unscreened machine, if any remain.
     pub fn next_hour(&self) -> Option<f64> {
-        self.queue.get(self.cursor).map(|&(h, _)| h)
+        self.next_hour
+    }
+
+    /// Moves `next` to the first owned machine at or after deploy-order
+    /// position `from`.
+    fn seek(&mut self, topo: &FleetTopology, from: usize) {
+        let (lo, hi) = self.shard;
+        let order = topo.deploy_order();
+        self.next = order[from..]
+            .iter()
+            .position(|m| (lo..hi).contains(m))
+            .map_or(order.len(), |k| from + k);
+        self.next_hour = topo.deploy_hours().get(self.next).copied();
     }
 
     /// Cumulative campaign accounting.
@@ -677,7 +740,11 @@ impl OfflineScreener {
         hot: &[u32],
         stats: &mut ScreeningStats,
     ) -> Batch {
+        let mut batch = Batch::default();
         let n_machines = topo.machines().len() as u64;
+        if n_machines == 0 {
+            return batch;
+        }
         // Clamped so a sweep never visits a machine twice (a duplicate
         // would see a stale per-batch detected-snapshot).
         let per_sweep = ((n_machines as f64 * self.fraction_per_sweep).ceil() as u64)
@@ -687,36 +754,54 @@ impl OfflineScreener {
         let era = Arc::new(self.schedule.era_at(month).clone());
         let points = if era.sweep_points { 3u64 } else { 1u64 };
         let ops_per_screen = era.ops_per_unit * era.units.len() as u64;
-        // Rotate deterministically through the fleet.
+        // Rotate deterministically through the fleet: the sweep covers ids
+        // `[start, start + per_sweep)` modulo the fleet, which is at most
+        // two ascending segments, visited in rotation order. The rotation
+        // arithmetic is global so every shard agrees on which machines
+        // this sweep visits; a shard then clips the segments to its own.
         let start = (sweep_idx * per_sweep) % n_machines;
-        let mut batch = Batch::default();
-        for k in 0..per_sweep {
-            let machine = ((start + k) % n_machines) as u32;
-            // The rotation arithmetic (`start`, `per_sweep`) is global so
-            // every shard agrees on which machines this sweep visits; a
-            // shard then keeps only its own.
-            if !(lo..hi).contains(&machine) || !topo.is_deployed(machine, hour) {
+        let end = start + per_sweep;
+        let segments = [
+            (start, end.min(n_machines)),
+            (0, end.saturating_sub(n_machines)),
+        ];
+        for (from, to) in segments {
+            let (from, to) = (from.max(lo.into()), to.min(hi.into()));
+            if from >= to {
                 continue;
             }
-            batch.span = Some((
-                "screen.offline",
-                hour,
-                hour + self.drain_hours_per_machine.max(0.0),
-            ));
-            stats.drained_machine_hours += self.drain_hours_per_machine;
-            if hot.binary_search(&machine).is_ok() {
-                batch.tasks.push(MachineTask {
-                    machine,
-                    era: Arc::clone(&era),
-                    sweep: era.sweep_points,
+            // Hot machines are sorted, so one pointer walks them beside
+            // the segment instead of a search per machine.
+            let mut h = hot.partition_point(|&m| u64::from(m) < from);
+            for info in &topo.machines()[from as usize..to as usize] {
+                if info.deploy_hour > hour {
+                    continue;
+                }
+                let machine = info.machine;
+                batch.span = Some((
+                    "screen.offline",
                     hour,
-                    test_id_base: 0x0ff1 ^ sweep_idx.wrapping_mul(65_537),
-                    method: DetectionMethod::Offline,
-                });
-            } else {
-                let screens = topo.cores_on(machine) * points;
-                batch.clean_screens += screens;
-                batch.clean_ops += screens * ops_per_screen;
+                    hour + self.drain_hours_per_machine.max(0.0),
+                ));
+                // One addition per machine: `k * d` can round differently.
+                stats.drained_machine_hours += self.drain_hours_per_machine;
+                while hot.get(h).is_some_and(|&m| m < machine) {
+                    h += 1;
+                }
+                if hot.get(h) == Some(&machine) {
+                    batch.tasks.push(MachineTask {
+                        machine,
+                        era: Arc::clone(&era),
+                        sweep: era.sweep_points,
+                        hour,
+                        test_id_base: 0x0ff1 ^ sweep_idx.wrapping_mul(65_537),
+                        method: DetectionMethod::Offline,
+                    });
+                } else {
+                    let screens = topo.cores_on(machine) * points;
+                    batch.clean_screens += screens;
+                    batch.clean_ops += screens * ops_per_screen;
+                }
             }
         }
         batch
@@ -991,9 +1076,10 @@ impl OnlineCampaign {
         let hot = hot_machines(pop, detected);
         let (lo, hi) = self.shard;
         while self.next_hour < self.total_hours && self.next_hour < until_hour {
-            for &m in self.deploy.advance(topo, self.next_hour) {
+            let (machines, cores) = self.deploy.advance(topo, self.next_hour);
+            for (&m, &c) in machines.iter().zip(cores) {
                 if (lo..hi).contains(&m) {
-                    self.deployed_cores += topo.cores_on(m);
+                    self.deployed_cores += u64::from(c);
                 }
             }
             let batch = self.screener.plan(
@@ -1612,6 +1698,109 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn offline_screens_match_a_naive_per_machine_walk() {
+        // The offline planner merge-walks at most two rotation segments
+        // clipped to the shard; each shard's screens, test ops and drain
+        // must equal a walk over every rotation slot (a detected core is
+        // skipped, a dormant mercurial one screened at every point). The
+        // pre-detected core sits on a machine with no mercurial core, so
+        // that machine is hot only through `detected`.
+        let topo = FleetTopology::build(FleetConfig {
+            machines: 60,
+            sockets_per_machine: 2,
+            products: mercurial_fleet::CpuProduct::default_catalog(),
+            rollout_months: 6,
+            seed: 43,
+        });
+        let dormant = (CoreUid::new(7, 1, 0), library::late_onset_muldiv(1e9, 1e-3));
+        let pop = Population::with_explicit(43, vec![dormant]);
+        let pre_detected = CoreUid::new(58, 0, 2);
+        assert_eq!(pop.mercurial_on(pre_detected.machine).count(), 0);
+        let months = 20u32;
+        // 9 machines a sweep: the rotation wraps past machine 59.
+        let offline = OfflineScreener {
+            fraction_per_sweep: 0.15,
+            ..OfflineScreener::default()
+        };
+        let machines = topo.machines().len() as u64;
+        let per_sweep = (machines as f64 * offline.fraction_per_sweep).ceil() as u64;
+        assert_eq!(per_sweep, 9);
+        let mut wrapped = false;
+        for workers in [1u32, 2, 3] {
+            for w in 0..workers {
+                let lo = machines as u32 * w / workers;
+                let hi = machines as u32 * (w + 1) / workers;
+                let mut detected: FastSet<CoreUid> = [pre_detected].into_iter().collect();
+                let mut campaign = offline.campaign_shard(months, (lo, hi));
+                let mut until = 0.0;
+                while campaign.next_hour().is_some() {
+                    until += 100.0;
+                    let rec = &mut Recorder::disabled();
+                    let log = &mut SignalLog::new();
+                    let found = campaign.step_until(&topo, &pop, until, &mut detected, log, rec);
+                    assert!(found.is_empty(), "no core can be detected here");
+                }
+                let mut naive = ScreeningStats::default();
+                let (mut hour, mut sweep) = (offline.interval_hours, 0u64);
+                while hour < months as f64 * 730.0 {
+                    let era = offline.schedule.era_at((hour / 730.0) as u32);
+                    let points = if era.sweep_points { 3 } else { 1 };
+                    let ops_per_screen = era.ops_per_unit * era.units.len() as u64;
+                    for k in 0..per_sweep {
+                        let slot = sweep * per_sweep + k;
+                        wrapped |= slot % machines < k;
+                        let m = (slot % machines) as u32;
+                        if !(lo..hi).contains(&m) || !topo.is_deployed(m, hour) {
+                            continue;
+                        }
+                        let screens =
+                            (topo.cores_on(m) - u64::from(m == pre_detected.machine)) * points;
+                        naive.core_screens += screens;
+                        naive.test_ops += screens * ops_per_screen;
+                        naive.drained_machine_hours += offline.drain_hours_per_machine;
+                    }
+                    hour += offline.interval_hours;
+                    sweep += 1;
+                }
+                assert!(naive.core_screens > 0);
+                assert_eq!(campaign.stats(), naive, "shard [{lo}, {hi}) of {workers}");
+            }
+        }
+        assert!(wrapped, "some sweep must wrap the rotation");
+    }
+
+    #[test]
+    fn an_empty_fleet_screens_nothing() {
+        let topo = topo(0, 1);
+        let pop = Population::seed_from(&topo);
+        let burnin = BurnIn {
+            schedule: EraSchedule::default_history(),
+            ops_multiplier: 10,
+        };
+        let mut detected = FastSet::default();
+        let mut log = SignalLog::new();
+        let rec = &mut Recorder::disabled();
+        let mut bc = burnin.campaign(&topo);
+        assert_eq!(bc.next_hour(), None);
+        assert!(bc
+            .step_until(&topo, &pop, f64::INFINITY, &mut detected, &mut log, rec)
+            .is_empty());
+        assert_eq!(bc.stats(), ScreeningStats::default());
+        let (records, stats) = burnin.run(&topo, &pop, &mut detected, &mut log);
+        assert!(records.is_empty());
+        assert_eq!(stats, ScreeningStats::default());
+        let offline = OfflineScreener::default();
+        let (records, stats) = offline.run(&topo, &pop, 12, &mut detected, &mut log);
+        assert!(records.is_empty());
+        assert_eq!(stats, ScreeningStats::default());
+        let online = OnlineScreener::default();
+        let (records, stats) = online.run(&topo, &pop, 12, &mut detected, &mut log);
+        assert!(records.is_empty());
+        assert_eq!(stats, ScreeningStats::default());
+        assert!(log.is_empty());
     }
 
     #[test]

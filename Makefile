@@ -4,7 +4,7 @@ CARGO ?= cargo
 
 .PHONY: ci build test test-workspace fmt fmt-check clippy bench fuzz-smoke e15-smoke trace-smoke watch-smoke study-smoke serve-smoke frontier-smoke audit-smoke prof-smoke labbench-smoke
 
-ci: build test-workspace fmt-check clippy fuzz-smoke e15-smoke trace-smoke watch-smoke study-smoke serve-smoke frontier-smoke audit-smoke prof-smoke labbench-smoke
+ci: build test-workspace fmt-check clippy fuzz-smoke e15-smoke trace-smoke watch-smoke study-smoke serve-smoke frontier-smoke audit-smoke labbench-smoke prof-smoke
 
 build:
 	$(CARGO) build --release

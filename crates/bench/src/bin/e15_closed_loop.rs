@@ -27,7 +27,7 @@ fn main() {
     let mut scenario = if smoke {
         Scenario::demo(0x0e15)
     } else {
-        load_paper_scenario()
+        mercurial_bench::paper_scenario(0x0e15)
     };
     mercurial_bench::header(&format!(
         "E15 — closed-loop detect → quarantine → reschedule   [{}: {} machines, {} months]{}",
@@ -78,14 +78,4 @@ fn main() {
         last.capacity_with_safetask >= last.capacity && last.capacity_with_safetask <= 1.0 + 1e-12,
         "acceptance: safe-task capacity must sit between base capacity and nominal"
     );
-}
-
-/// The committed paper scenario if present (runs from the repo), else the
-/// environment-selected scale.
-fn load_paper_scenario() -> Scenario {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/paper.json");
-    match std::fs::read_to_string(path) {
-        Ok(json) => Scenario::from_json(&json).expect("scenarios/paper.json parses"),
-        Err(_) => mercurial_bench::scenario_from_env(0x0e15),
-    }
 }

@@ -101,7 +101,7 @@ fn run_smoke() {
     println!("timeline: full onset → signal → quarantine → confirm story present");
 
     // 4. Recording does not change the closed loop's cost class.
-    let paper = load_paper_scenario();
+    let paper = mercurial_bench::paper_scenario(0x0e16);
     let (pairs, _) = closed_loop_pairs(&paper, &Prof::disabled());
     let ratios: Vec<f64> = pairs.iter().map(|&(off, on)| on / off).collect();
     let ratio = median(&ratios).expect("PAIRS > 0");
@@ -161,7 +161,7 @@ fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
 }
 
 fn run_full() {
-    let scenario = load_paper_scenario();
+    let scenario = mercurial_bench::paper_scenario(0x0e16);
     mercurial_bench::header(&format!(
         "E16 — tracing overhead   [{}: {} machines, {} months]",
         scenario.name, scenario.fleet.machines, scenario.sim.months
@@ -251,14 +251,4 @@ fn run_full() {
         &body,
     );
     println!("\nbaseline written to BENCH_trace.json");
-}
-
-/// The committed paper scenario if present (runs from the repo), else the
-/// environment-selected scale.
-fn load_paper_scenario() -> Scenario {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/paper.json");
-    match std::fs::read_to_string(path) {
-        Ok(json) => Scenario::from_json(&json).expect("scenarios/paper.json parses"),
-        Err(_) => mercurial_bench::scenario_from_env(0x0e16),
-    }
 }

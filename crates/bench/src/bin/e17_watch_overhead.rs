@@ -148,7 +148,7 @@ fn run_smoke() {
 // -------------------------------------------------------------- full mode
 
 fn run_full() {
-    let scenario = load_paper_scenario();
+    let scenario = mercurial_bench::paper_scenario(0x0e17);
     mercurial_bench::header(&format!(
         "E17 — alerting overhead   [{}: {} machines, {} months]",
         scenario.name, scenario.fleet.machines, scenario.sim.months
@@ -220,14 +220,4 @@ fn run_full() {
         &body,
     );
     println!("\nbaseline written to BENCH_watch.json");
-}
-
-/// The committed paper scenario if present (runs from the repo), else the
-/// environment-selected scale.
-fn load_paper_scenario() -> Scenario {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/paper.json");
-    match std::fs::read_to_string(path) {
-        Ok(json) => Scenario::from_json(&json).expect("scenarios/paper.json parses"),
-        Err(_) => mercurial_bench::scenario_from_env(0x0e17),
-    }
 }

@@ -48,16 +48,6 @@ fn main() {
     }
 }
 
-/// The committed paper scenario if present (runs from the repo), else the
-/// environment-selected scale.
-fn load_paper_scenario() -> Scenario {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/paper.json");
-    match std::fs::read_to_string(path) {
-        Ok(json) => Scenario::from_json(&json).expect("scenarios/paper.json parses"),
-        Err(_) => mercurial_bench::scenario_from_env(0x0e18),
-    }
-}
-
 /// Feedback on, tracing and watch off: the configuration the ~8 s
 /// BENCH_watch baseline was measured under.
 fn closed_loop_scenario(base: &Scenario) -> Scenario {
@@ -128,7 +118,7 @@ fn run_smoke() {
     //    must finish within the budget — the larger of the recorded
     //    pre-refactor 20k time and 4× the in-process 20k time (so a slow
     //    CI machine scales the budget with itself).
-    let paper = load_paper_scenario();
+    let paper = mercurial_bench::paper_scenario(0x0e18);
     let t = Instant::now();
     let out_20k = ClosedLoopDriver::execute(&closed_loop_scenario(&paper));
     let secs_20k = t.elapsed().as_secs_f64();
@@ -163,7 +153,7 @@ fn run_smoke() {
 // -------------------------------------------------------------- full mode
 
 fn run_full() {
-    let paper = load_paper_scenario();
+    let paper = mercurial_bench::paper_scenario(0x0e18);
     mercurial_bench::header(&format!(
         "E18 — fleet study   [{}: {} machines, {} months]",
         paper.name, paper.fleet.machines, paper.sim.months

@@ -24,7 +24,8 @@ use std::time::Instant;
 use mercurial::closedloop::ClosedLoopDriver;
 use mercurial::scenario::ImpairConfig;
 use mercurial::Scenario;
-use mercurial_serve::{alert_fidelity, p95, run_served, run_served_impaired, ServeOptions};
+use mercurial_metrics::nearest_rank;
+use mercurial_serve::{alert_fidelity, run_served, run_served_impaired, ServeOptions};
 use mercurial_trace::export::to_prometheus;
 use mercurial_watch::{Cmp, EpochField, Rule, RuleKind, RuleSet, Source};
 
@@ -188,7 +189,8 @@ fn run_full() {
     let clean_secs = t.elapsed().as_secs_f64();
     let clean_watch = clean.outcome.watch.clone().expect("watch enabled");
     let clean_fired = clean_watch.alerts().len();
-    let clean_p95 = p95(&clean.outcome.pipeline.detection_latency_hours).unwrap_or(0.0);
+    let clean_p95 =
+        nearest_rank(0.95, &clean.outcome.pipeline.detection_latency_hours).unwrap_or(0.0);
     println!(
         "clean: {clean_secs:.2} s, {} detections, p95 latency {clean_p95:.0} h, {clean_fired} alerts fired",
         clean.outcome.pipeline.detections.len()
@@ -296,7 +298,8 @@ fn measure(
 ) -> Row {
     let watch = served.outcome.watch.as_ref().expect("watch enabled");
     let f = alert_fidelity(clean_watch, watch);
-    let detect_p95 = p95(&served.outcome.pipeline.detection_latency_hours).unwrap_or(f64::NAN);
+    let detect_p95 =
+        nearest_rank(0.95, &served.outcome.pipeline.detection_latency_hours).unwrap_or(f64::NAN);
     let l = &served.link;
     println!(
         "{arm} {level:>4.2}: dropped {}/{} frames, {} detections, p95 {detect_p95:>6.0} h \

@@ -149,7 +149,7 @@ fn run_smoke() {
 // -------------------------------------------------------------- full mode
 
 fn run_full() {
-    let scenario = traced_scenario(&load_paper_scenario());
+    let scenario = traced_scenario(&mercurial_bench::paper_scenario(0x0e22));
     mercurial_bench::header(&format!(
         "E22 — self-observability   [{}: {} machines, {} months]",
         scenario.name, scenario.fleet.machines, scenario.sim.months
@@ -196,14 +196,4 @@ fn run_full() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_prof.json");
     mercurial_bench::write_bench_json(path, "e22_prof", reps as u64, &profile, &body);
     println!("\nbaseline written to BENCH_prof.json");
-}
-
-/// The committed paper scenario if present (runs from the repo), else the
-/// environment-selected scale.
-fn load_paper_scenario() -> Scenario {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/paper.json");
-    match std::fs::read_to_string(path) {
-        Ok(json) => Scenario::from_json(&json).expect("scenarios/paper.json parses"),
-        Err(_) => mercurial_bench::scenario_from_env(0x0e22),
-    }
 }

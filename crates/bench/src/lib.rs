@@ -21,6 +21,20 @@ pub fn scenario_from_env(seed: u64) -> mercurial::Scenario {
     }
 }
 
+/// The committed `scenarios/paper.json` when it is present (runs from the
+/// repo), else [`scenario_from_env`] at `fallback_seed`.
+///
+/// # Panics
+///
+/// If `scenarios/paper.json` exists but is not a valid scenario.
+pub fn paper_scenario(fallback_seed: u64) -> mercurial::Scenario {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/paper.json");
+    match std::fs::read_to_string(path) {
+        Ok(json) => mercurial::Scenario::from_json(&json).expect("scenarios/paper.json parses"),
+        Err(_) => scenario_from_env(fallback_seed),
+    }
+}
+
 /// Prints a section header.
 pub fn header(title: &str) {
     println!("\n{}", "=".repeat(72));

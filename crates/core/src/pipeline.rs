@@ -11,7 +11,7 @@ use crate::experiment::FleetExperiment;
 use crate::scenario::Scenario;
 use mercurial_fault::{CoreUid, FastSet};
 use mercurial_fleet::sim::SimSummary;
-use mercurial_fleet::SignalLog;
+use mercurial_fleet::{FleetTopology, Population, SignalLog};
 use mercurial_isolation::{CapacityLedger, PoolCapacity, QuarantineRegistry};
 use mercurial_screening::{
     BurnIn, DetectionRecord, HumanTriage, OfflineScreener, OnlineScreener, Scoreboard,
@@ -260,10 +260,7 @@ impl PipelineRun {
         detections.sort_by(|a, b| a.hour.partial_cmp(&b.hour).expect("hours are finite"));
 
         // 6. Capacity accounting: confirmed cores leave the pool.
-        let mut ledger = CapacityLedger::with_capacity(topo.machines().len());
-        for m in topo.machines() {
-            ledger.register_machine(m.machine, topo.cores_on(m.machine));
-        }
+        let mut ledger = topology_ledger(topo);
         //    The batch trace stops at the registry: capacity moves untraced.
         for core in registry.in_state(mercurial_isolation::CoreState::Confirmed) {
             let hour = registry.history(core).last().map_or(0.0, |t| t.hour);
@@ -271,21 +268,7 @@ impl PipelineRun {
         }
 
         // 7. Scoring against ground truth.
-        let detected_cores: HashSet<CoreUid> = detections.iter().map(|d| d.core).collect();
-        let detected_true = detected_cores
-            .iter()
-            .filter(|c| pop.is_mercurial(**c))
-            .count();
-        let mut detection_latency_hours = Vec::new();
-        for d in &detections {
-            if let Some(profile) = pop.profile_of(d.core) {
-                let deploy = topo.machines()[d.core.machine as usize].deploy_hour;
-                // The defect only threatens production once the machine is
-                // deployed AND the (possibly latent) defect has onset.
-                let active_from = deploy + profile.earliest_onset_hours().max(0.0);
-                detection_latency_hours.push((d.hour - active_from).max(0.0));
-            }
-        }
+        let (detected_true, detection_latency_hours) = score_detections(&detections, topo, pop);
 
         PipelineOutcome {
             detections,
@@ -303,6 +286,43 @@ impl PipelineRun {
             detection_latency_hours,
         }
     }
+}
+
+/// A capacity ledger with every machine of `topo` registered at its
+/// nominal core count.
+pub(crate) fn topology_ledger(topo: &FleetTopology) -> CapacityLedger {
+    let mut ledger = CapacityLedger::with_capacity(topo.machines().len());
+    for m in topo.machines() {
+        ledger.register_machine(m.machine, topo.cores_on(m.machine));
+    }
+    ledger
+}
+
+/// Scores `detections` against ground truth: the number of distinct
+/// detected cores that really are mercurial, and, in detection order,
+/// each mercurial detection's latency in hours.
+pub(crate) fn score_detections(
+    detections: &[DetectionRecord],
+    topo: &FleetTopology,
+    pop: &Population,
+) -> (usize, Vec<f64>) {
+    let detected_cores: HashSet<CoreUid> = detections.iter().map(|d| d.core).collect();
+    let detected_true = detected_cores
+        .iter()
+        .filter(|c| pop.is_mercurial(**c))
+        .count();
+    let latency_hours = detections
+        .iter()
+        .filter_map(|d| {
+            let profile = pop.profile_of(d.core)?;
+            let deploy = topo.machines()[d.core.machine as usize].deploy_hour;
+            // The defect only threatens production once the machine is
+            // deployed AND the (possibly latent) defect has onset.
+            let active_from = deploy + profile.earliest_onset_hours().max(0.0);
+            Some((d.hour - active_from).max(0.0))
+        })
+        .collect();
+    (detected_true, latency_hours)
 }
 
 #[cfg(test)]

@@ -623,7 +623,9 @@ impl Scenario {
     /// Boundary checks for knobs later layers divide by, draw from or
     /// step by: an empty fleet (the offline sweep rotation takes a
     /// remainder by the machine count), zero sockets (the noise layer
-    /// draws a socket below the count), an empty or weightless product
+    /// draws a socket below the count), zero serve workers (the served
+    /// topology splits the fleet into that many shards), an empty or
+    /// weightless product
     /// catalog (the topology draws machines by weight), and a
     /// non-positive or non-finite epoch or screening interval (the epoch
     /// count would be unbounded; a campaign would never advance).
@@ -633,6 +635,9 @@ impl Scenario {
         }
         if self.fleet.sockets_per_machine == 0 {
             return Err("fleet.sockets_per_machine must be at least 1, got 0".to_string());
+        }
+        if self.serve.workers == 0 {
+            return Err("serve.workers must be at least 1, got 0".to_string());
         }
         if self.fleet.products.is_empty() {
             return Err("fleet.products must list at least one product".to_string());

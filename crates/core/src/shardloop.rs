@@ -39,7 +39,7 @@
 //! routing.
 
 use crate::experiment::FleetExperiment;
-use crate::pipeline::PipelineOutcome;
+use crate::pipeline::{score_detections, topology_ledger, PipelineOutcome};
 use crate::scenario::{Scenario, WorkloadsConfig};
 use mercurial_fault::{CoreUid, FastSet, FunctionalUnit};
 use mercurial_fleet::sim::{ClassTally, SimState, SimSummary};
@@ -52,10 +52,10 @@ use mercurial_screening::{
     BurnIn, BurnInCampaign, DetectionMethod, DetectionRecord, HumanTriage, OfflineCampaign,
     OfflineScreener, OnlineCampaign, OnlineScreener, Scoreboard, TriageOutcome, TriageStats,
 };
-use mercurial_trace::{MetricSet, Recorder};
+use mercurial_trace::{intern, MetricSet, Recorder};
 use mercurial_watch::{Alert, Baseline, EpochRow, RuleSet, WatchEngine, WatchReport};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 pub use mercurial_fleet::sim::shard_ranges;
 
@@ -164,10 +164,10 @@ impl ClassMetricNames {
     /// Worker-side cumulative counter names for class `name`.
     fn counters(name: &str) -> ClassMetricNames {
         ClassMetricNames {
-            corrupt_ops: intern(format!("class.{name}.corrupt_ops_total")),
-            caught: intern(format!("class.{name}.caught_total")),
-            user_reports: intern(format!("class.{name}.user_reports_total")),
-            overhead_ops: intern(format!("class.{name}.overhead_ops_total")),
+            corrupt_ops: intern(&format!("class.{name}.corrupt_ops_total")),
+            caught: intern(&format!("class.{name}.caught_total")),
+            user_reports: intern(&format!("class.{name}.user_reports_total")),
+            overhead_ops: intern(&format!("class.{name}.overhead_ops_total")),
         }
     }
 
@@ -176,10 +176,10 @@ impl ClassMetricNames {
     /// from, so they must precede the `epoch.corrupt_ops` boundary gauge.
     pub(crate) fn gauges(name: &str) -> ClassMetricNames {
         ClassMetricNames {
-            corrupt_ops: intern(format!("class.{name}.corrupt_ops")),
-            caught: intern(format!("class.{name}.caught")),
-            user_reports: intern(format!("class.{name}.user_reports")),
-            overhead_ops: intern(format!("class.{name}.overhead_ops")),
+            corrupt_ops: intern(&format!("class.{name}.corrupt_ops")),
+            caught: intern(&format!("class.{name}.caught")),
+            user_reports: intern(&format!("class.{name}.user_reports")),
+            overhead_ops: intern(&format!("class.{name}.overhead_ops")),
         }
     }
 }
@@ -196,21 +196,6 @@ pub(crate) fn begin_sim(scenario: &Scenario, sim: &FleetSim, lo: u32, hi: u32) -
         state.set_policy(ix, p);
     }
     state
-}
-
-/// Leak-once interner: metric names must be `&'static str` for the
-/// recorder, and class names are dynamic. Deduplicates so repeated runs
-/// in one process never grow the leak past one entry per distinct name.
-fn intern(name: String) -> &'static str {
-    use std::sync::Mutex;
-    static POOL: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-    let mut pool = POOL.lock().expect("name pool poisoned");
-    if let Some(hit) = pool.iter().find(|&&p| p == name) {
-        return hit;
-    }
-    let leaked: &'static str = Box::leak(name.into_boxed_str());
-    pool.push(leaked);
-    leaked
 }
 
 impl<'a> FleetShard<'a> {
@@ -517,10 +502,7 @@ impl<'a> FleetAggregator<'a> {
         engine: Option<WatchEngine>,
     ) -> Self {
         let topo = experiment.topology();
-        let mut ledger = CapacityLedger::with_capacity(topo.machines().len());
-        for m in topo.machines() {
-            ledger.register_machine(m.machine, topo.cores_on(m.machine));
-        }
+        let ledger = topology_ledger(topo);
         let mut scoreboard = Scoreboard::new();
         scoreboard.arm(scenario.suspicion_threshold);
         let sim = experiment.sim();
@@ -924,20 +906,9 @@ impl<'a> FleetAggregator<'a> {
         log.sort_by_time();
 
         detections.sort_by(|a, b| a.hour.partial_cmp(&b.hour).expect("hours are finite"));
-        let detected_cores: HashSet<CoreUid> = detections.iter().map(|d| d.core).collect();
-        let detected_true = detected_cores
-            .iter()
-            .filter(|c| pop.is_mercurial(**c))
-            .count();
-        let mut detection_latency_hours = Vec::new();
-        for d in &detections {
-            if let Some(profile) = pop.profile_of(d.core) {
-                let deploy = topo.machines()[d.core.machine as usize].deploy_hour;
-                let active_from = deploy + profile.earliest_onset_hours().max(0.0);
-                let latency = (d.hour - active_from).max(0.0);
-                rec.observe("detect.latency_hours", latency);
-                detection_latency_hours.push(latency);
-            }
+        let (detected_true, detection_latency_hours) = score_detections(&detections, topo, pop);
+        for &latency in &detection_latency_hours {
+            rec.observe("detect.latency_hours", latency);
         }
 
         let pipeline = PipelineOutcome {
@@ -1145,7 +1116,7 @@ pub fn record_alerts(rec: &mut Recorder, alerts: &[(usize, Alert)], audit: bool)
         rec.instant(a.hour, "alert.fired", None, *idx as f64);
         if audit {
             rec.counter_add("audit.alerts", 1);
-            rec.counter_add(intern(format!("audit.rule.{}.fires", a.rule)), 1);
+            rec.counter_add(intern(&format!("audit.rule.{}.fires", a.rule)), 1);
         }
     }
 }

@@ -66,12 +66,6 @@ pub fn alert_fidelity(clean: &WatchReport, impaired: &WatchReport) -> AlertFidel
     f
 }
 
-/// The p95 of a latency sample set (exact nearest-rank, shared with the
-/// audit layer's time-to-root-cause percentiles); `None` when empty.
-pub fn p95(samples: &[f64]) -> Option<f64> {
-    mercurial_metrics::nearest_rank(0.95, samples)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,13 +132,5 @@ mod tests {
             }
         );
         assert_eq!(f.degradation(), 0.0);
-    }
-
-    #[test]
-    fn p95_is_nearest_rank() {
-        assert_eq!(p95(&[]), None);
-        assert_eq!(p95(&[5.0]), Some(5.0));
-        let v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(p95(&v), Some(95.0));
     }
 }

@@ -40,7 +40,7 @@ pub mod proto;
 pub mod server;
 pub mod worker;
 
-pub use fidelity::{alert_fidelity, p95, AlertFidelity};
+pub use fidelity::{alert_fidelity, AlertFidelity};
 pub use impair::{ImpairedChannel, LinkStats};
 pub use server::{
     run_served, run_served_impaired, run_server, ServeOptions, ServedOutcome, WireStats,

@@ -29,6 +29,7 @@ use mercurial::{FleetExperiment, Scenario};
 use mercurial_fleet::SignalLog;
 use mercurial_prof::Prof;
 use mercurial_trace::export::{metrics_to_prometheus, prom_label_escape};
+use mercurial_trace::intern;
 use mercurial_watch::{Baseline, RuleSet};
 
 use crate::impair::{ImpairedChannel, LinkStats};
@@ -98,13 +99,20 @@ struct Link {
 ///
 /// # Errors
 ///
-/// Propagates socket I/O errors and protocol violations.
+/// Propagates socket I/O errors and protocol violations, and returns
+/// an [`io::ErrorKind::InvalidInput`] error for `serve.workers: 0`.
 pub fn run_server(
     listener: &TcpListener,
     scenario: &Scenario,
     opts: &ServeOptions<'_>,
 ) -> io::Result<ServedOutcome> {
-    let workers = scenario.serve.workers.max(1);
+    let workers = scenario.serve.workers;
+    if workers == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "serve.workers must be at least 1, got 0",
+        ));
+    }
     let machines = scenario.fleet.machines;
     let ranges = shard_ranges(machines, workers);
 
@@ -250,10 +258,10 @@ fn serve_run(
                     profile,
                 } => {
                     for c in counters {
-                        rec.counter_add(intern(c.name), c.value);
+                        rec.counter_add(intern(&c.name), c.value);
                     }
                     for g in gauges {
-                        rec.gauge(0.0, intern(g.name), g.value);
+                        rec.gauge(0.0, intern(&g.name), g.value);
                     }
                     let _w = prof.span("serve.workers");
                     prof.absorb_entries(&profile);
@@ -331,13 +339,6 @@ fn recv_epoch_frames(
         return Err(proto_err("expected Trace"));
     };
     Ok((log, *report, jsonl))
-}
-
-/// Worker metric names arrive as owned strings but `MetricSet` interns
-/// `&'static str`. The names form a small fixed compile-time set, so
-/// leaking each distinct arrival is bounded and exact.
-fn intern(name: String) -> &'static str {
-    Box::leak(name.into_boxed_str())
 }
 
 /// The status page: build identity, run progress, runtime wall-clock
@@ -489,8 +490,7 @@ fn spawn_status_endpoint(addr: &str) -> io::Result<Arc<Mutex<String>>> {
 pub fn run_served(scenario: &Scenario, opts: &ServeOptions<'_>) -> io::Result<ServedOutcome> {
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
-    let workers = scenario.serve.workers.max(1);
-    let handles: Vec<_> = (0..workers)
+    let handles: Vec<_> = (0..scenario.serve.workers)
         .map(|_| {
             std::thread::spawn(move || -> io::Result<()> {
                 let stream = TcpStream::connect(addr)?;
@@ -520,4 +520,20 @@ pub fn run_served_impaired(
     let mut s = scenario.clone();
     s.serve.impair = impair;
     run_served(&s, opts)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zero_workers_is_invalid_input() {
+        let mut scenario = Scenario::small(7);
+        scenario.serve.workers = 0;
+        let err = run_served(&scenario, &ServeOptions::default())
+            .err()
+            .expect("zero workers is rejected");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("serve.workers"), "{err}");
+    }
 }

@@ -37,7 +37,7 @@ pub mod timeline;
 
 pub use event::{EventKind, TraceEvent};
 pub use export::prom_label_escape;
-pub use metric::{LogHistogram, MetricSet};
+pub use metric::{intern, LogHistogram, MetricSet};
 pub use recorder::{Recorder, Trace, TraceFlags};
 pub use stream::{JsonlStreamSink, TraceSink};
 pub use timeline::{incident_timeline, stage_label};

@@ -5,7 +5,8 @@
 //! Histograms use fixed log10 bucketing so two histograms built from the
 //! same samples in any grouping merge to identical state.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Mutex, PoisonError};
 
 /// Buckets per decade for [`LogHistogram`].
 const PER_DECADE: usize = 8;
@@ -202,6 +203,22 @@ impl LogHistogram {
     }
 }
 
+/// The `&'static str` for a metric name built at run time. Each distinct
+/// name is leaked once and shared by every later call, so repeated runs in
+/// one process never grow the leak past one copy per name.
+pub fn intern(name: &str) -> &'static str {
+    static POOL: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    // The pool only ever holds whole leaked names, so a panic elsewhere
+    // while it was locked leaves nothing half-written.
+    let mut pool = POOL.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&hit) = pool.get(name) {
+        return hit;
+    }
+    let leaked: &'static str = Box::leak(name.into());
+    pool.insert(leaked);
+    leaked
+}
+
 /// Deterministically ordered set of counters, gauges, and histograms.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricSet {
@@ -285,6 +302,15 @@ impl MetricSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn interning_equal_names_returns_one_copy() {
+        let a = intern(&format!("test.intern.{}", "name"));
+        let b = intern(&String::from("test.intern.name"));
+        assert!(std::ptr::eq(a, b));
+        assert_eq!(a, "test.intern.name");
+        assert!(!std::ptr::eq(a, intern("test.intern.other")));
+    }
 
     #[test]
     fn empty_histogram_has_no_quantiles() {

@@ -1,17 +1,9 @@
-//! `mercurial-lab` — the command-line front end of the laboratory.
+//! `mercurial-lab` — the command-line front end of the laboratory. Run
+//! it without arguments for the commands and their flags ([`USAGE`]).
 //!
-//! ```text
-//! mercurial-lab scenario                      # print a default scenario JSON
-//! mercurial-lab pipeline [--seed N] [--paper] [--scenario FILE]
-//! mercurial-lab fig1     [--seed N] [--paper] [--csv FILE]
-//! mercurial-lab screen   <archetype> [--age HOURS]
-//! mercurial-lab trace    [--seed N] [--paper] [--format FMT] [--out FILE]
-//! mercurial-lab watch    [--rules FILE] [--scenario FILE | --trace FILE]
-//! mercurial-lab audit    [--scenario FILE | --trace FILE] [--format FMT] [--out FILE]
-//! mercurial-lab serve    [--workers N] [--impair FILE] [--procs] [--status ADDR]
-//! mercurial-lab prof     [--seed N] [--paper] [--scenario FILE] [--format FMT]
-//! mercurial-lab archetypes                    # list the §2 defect archetypes
-//! ```
+//! Every command returns its failure as a [`CliError`]; `main` alone
+//! prints it and picks the exit code: 0 ok; 1 a run, file or
+//! invalid-input failure, or a watch/serve rule fired; 2 a usage error.
 
 use mercurial::closedloop::{ClosedLoopDriver, RunOptions};
 use mercurial::fault::{library, CoreUid, Injector};
@@ -21,46 +13,109 @@ use mercurial::screening::{Divergence, DivergenceFinder};
 use mercurial::simcpu::{CoreConfig, SimCore};
 use mercurial::trace::incident_timeline;
 use mercurial::{report, run_fig1, Scenario};
+use mercurial_serve::{ServeOptions, ServedOutcome};
+use std::fmt::Display;
+use std::num::NonZeroU32;
+use std::process::ExitCode;
+use std::str::FromStr;
 
-fn usage() -> ! {
+const USAGE: &str = "usage: mercurial-lab <command>\n\
+     \n\
+     commands:\n\
+     scenario                         print the default scenario as JSON\n\
+     pipeline [--seed N] [--paper] [--scenario FILE]\n\
+     .                                run the full detect/quarantine/triage pipeline\n\
+     fig1     [--seed N] [--paper] [--csv FILE]\n\
+     .                                regenerate Figure 1 (normalized report rates)\n\
+     screen <archetype> [--age H]     screen one defective core with the corpus\n\
+     trace    [--seed N] [--paper] [--scenario FILE]\n\
+     .        [--format jsonl|prom|chrome|timeline|summary] [--out FILE]\n\
+     .                                run the closed loop with tracing on and export telemetry\n\
+     watch    [--rules FILE] [--seed N] [--paper] [--scenario FILE | --trace FILE]\n\
+     .        [--baseline FILE] [--record-baseline] [--stream FILE]\n\
+     .        [--dump-rules [--format json|prom]]\n\
+     .                                evaluate alert rules over a run (or replay a JSONL\n\
+     .                                trace); exits 1 if any rule fires\n\
+     audit    [--seed N] [--paper] [--scenario FILE | --trace FILE]\n\
+     .        [--format report|cases|jsonl] [--out FILE]\n\
+     .                                score the loop's decisions against ground truth:\n\
+     .                                fleet postmortem, per-core case files, or the raw\n\
+     .                                decision ledger (replayable from an exported trace)\n\
+     serve    [--seed N] [--paper] [--scenario FILE] [--workers N]\n\
+     .        [--impair FILE] [--status ADDR] [--procs]\n\
+     .                                run the closed loop as a service: N fleet-shard\n\
+     .                                workers streaming to one scoreboard/watch server\n\
+     .                                (--procs forks real worker processes)\n\
+     serve-worker --connect HOST:PORT\n\
+     .                                connect to a serve server and run the assigned shard\n\
+     prof     [--seed N] [--paper] [--scenario FILE]\n\
+     .        [--format table|folded] [--out FILE]\n\
+     .                                run the closed loop with the wall-clock phase\n\
+     .                                profiler attached and print the phase tree, or\n\
+     .                                folded stacks for flamegraph.pl\n\
+     archetypes                       list the available defect archetypes\n\
+     \n\
+     exit codes:\n\
+     0  ok\n\
+     1  run, file or invalid-input failure, or a watch/serve rule fired\n\
+     2  usage error";
+
+/// Why a command did not finish with exit 0; `main` maps each to a code.
+enum CliError {
+    /// A bad invocation, found before anything runs (exit 2).
+    Usage(String),
+    /// A run, file or invalid-input failure (exit 1).
+    Failed(String),
+    /// A watch or serve rule fired; the report is on stdout (exit 1).
+    Fired,
+}
+
+type CmdResult = Result<(), CliError>;
+
+/// `map_err` adapter: the error `e` becomes `Failed("{context}: {e}")`.
+fn failed<C: Display, E: Display>(context: C) -> impl FnOnce(E) -> CliError {
+    move |e| CliError::Failed(format!("{context}: {e}"))
+}
+
+/// Reads the `what` file at `path` and parses it with `parse`.
+fn load<T, E: Display>(
+    path: &str,
+    what: &str,
+    parse: impl FnOnce(&str) -> Result<T, E>,
+) -> Result<T, CliError> {
+    let text =
+        std::fs::read_to_string(path).map_err(failed(format!("cannot read {what} file {path}")))?;
+    parse(&text).map_err(failed(format!("invalid {what} file {path}")))
+}
+
+/// Writes `text` to `path`, announcing `what` on stderr, or to stdout
+/// when there is no path.
+fn write_output(path: Option<&str>, text: &str, what: &str) -> CmdResult {
+    match path {
+        Some(path) => {
+            std::fs::write(path, text).map_err(failed(format!("cannot write {path}")))?;
+            eprintln!("{what} written to {path}");
+        }
+        None => print!("{text}"),
+    }
+    Ok(())
+}
+
+/// Announces on stderr the run about to start.
+fn announce(what: &str, s: &Scenario) {
     eprintln!(
-        "usage: mercurial-lab <command>\n\
-         \n\
-         commands:\n\
-         scenario                         print the default scenario as JSON\n\
-         pipeline [--seed N] [--paper] [--scenario FILE]\n\
-         .                                run the full detect/quarantine/triage pipeline\n\
-         fig1     [--seed N] [--paper] [--csv FILE]\n\
-         .                                regenerate Figure 1 (normalized report rates)\n\
-         screen <archetype> [--age H]     screen one defective core with the corpus\n\
-         trace    [--seed N] [--paper] [--scenario FILE]\n\
-         .        [--format jsonl|prom|chrome|timeline|summary] [--out FILE]\n\
-         .                                run the closed loop with tracing on and export telemetry\n\
-         watch    [--rules FILE] [--seed N] [--paper] [--scenario FILE | --trace FILE]\n\
-         .        [--baseline FILE] [--record-baseline] [--stream FILE]\n\
-         .        [--dump-rules [--format json|prom]]\n\
-         .                                evaluate alert rules over a run (or replay a JSONL\n\
-         .                                trace); exits 1 if any rule fires\n\
-         audit    [--seed N] [--paper] [--scenario FILE | --trace FILE]\n\
-         .        [--format report|cases|jsonl] [--out FILE]\n\
-         .                                score the loop's decisions against ground truth:\n\
-         .                                fleet postmortem, per-core case files, or the raw\n\
-         .                                decision ledger (replayable from an exported trace)\n\
-         serve    [--seed N] [--paper] [--scenario FILE] [--workers N]\n\
-         .        [--impair FILE] [--status ADDR] [--procs]\n\
-         .                                run the closed loop as a service: N fleet-shard\n\
-         .                                workers streaming to one scoreboard/watch server\n\
-         .                                (--procs forks real worker processes)\n\
-         serve-worker --connect HOST:PORT\n\
-         .                                connect to a serve server and run the assigned shard\n\
-         prof     [--seed N] [--paper] [--scenario FILE]\n\
-         .        [--format table|folded] [--out FILE]\n\
-         .                                run the closed loop with the wall-clock phase\n\
-         .                                profiler attached and print the phase tree, or\n\
-         .                                folded stacks for flamegraph.pl\n\
-         archetypes                       list the available defect archetypes"
+        "{what}: {} machines, {} months …",
+        s.fleet.machines, s.sim.months
     );
-    std::process::exit(2)
+}
+
+/// A finished watch or serve run exits 1 when any rule fired.
+fn verdict(fired: bool) -> CmdResult {
+    if fired {
+        Err(CliError::Fired)
+    } else {
+        Ok(())
+    }
 }
 
 struct Args {
@@ -69,21 +124,17 @@ struct Args {
 }
 
 impl Args {
-    fn parse(raw: &[String]) -> Args {
-        let mut flags = Vec::new();
-        let mut positional = Vec::new();
-        let mut i = 0;
-        while i < raw.len() {
-            if let Some(name) = raw[i].strip_prefix("--") {
-                let value = raw.get(i + 1).filter(|v| !v.starts_with("--")).cloned();
-                if value.is_some() {
-                    i += 1;
+    fn parse(raw: Vec<String>) -> Args {
+        let (mut flags, mut positional) = (Vec::new(), Vec::new());
+        let mut raw = raw.into_iter().peekable();
+        while let Some(arg) = raw.next() {
+            match arg.strip_prefix("--") {
+                Some(name) => {
+                    let value = raw.next_if(|v| !v.starts_with("--"));
+                    flags.push((name.to_string(), value));
                 }
-                flags.push((name.to_string(), value));
-            } else {
-                positional.push(raw[i].clone());
+                None => positional.push(arg),
             }
-            i += 1;
         }
         Args { flags, positional }
     }
@@ -92,76 +143,93 @@ impl Args {
         self.flags.iter().any(|(n, _)| n == name)
     }
 
-    fn value(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.as_deref())
+    /// The value of `--name`, `None` when the flag is absent. The flag
+    /// without a value is a usage error.
+    fn value(&self, name: &str) -> Result<Option<&str>, CliError> {
+        match self.flags.iter().find(|(n, _)| n == name) {
+            None => Ok(None),
+            Some((_, Some(v))) => Ok(Some(v)),
+            Some((_, None)) => Err(CliError::Usage(format!("--{name} needs a value"))),
+        }
+    }
+
+    /// The value of `--name` parsed as a `T`; a malformed value is a
+    /// usage error naming the flag.
+    fn parsed<T: FromStr<Err: Display>>(&self, name: &str) -> Result<Option<T>, CliError> {
+        let Some(v) = self.value(name)? else {
+            return Ok(None);
+        };
+        let usage = |e| CliError::Usage(format!("--{name}: invalid value `{v}`: {e}"));
+        v.parse().map(Some).map_err(usage)
+    }
+
+    /// The value of `--name` if it is one of `choices`; the first choice
+    /// is the default when the flag is absent.
+    fn choice(&self, name: &str, choices: &[&'static str]) -> Result<&'static str, CliError> {
+        let v = self.value(name)?.unwrap_or(choices[0]);
+        choices.iter().copied().find(|&c| c == v).ok_or_else(|| {
+            CliError::Usage(format!("unknown --{name} `{v}` ({})", choices.join("|")))
+        })
+    }
+
+    /// The `--trace FILE` that `watch` and `audit` replay instead of
+    /// running a scenario, so it excludes `--scenario`.
+    fn replay_trace(&self, command: &str) -> Result<Option<&str>, CliError> {
+        match (self.value("trace")?, self.value("scenario")?) {
+            (Some(_), Some(_)) => Err(CliError::Usage(format!(
+                "{command}: --scenario and --trace are mutually exclusive"
+            ))),
+            (trace, _) => Ok(trace),
+        }
     }
 }
 
-fn scenario_from_args(args: &Args) -> Scenario {
-    if let Some(path) = args.value("scenario") {
-        let json = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read scenario file {path}: {e}");
-            std::process::exit(1);
-        });
-        return Scenario::from_json(&json).unwrap_or_else(|e| {
-            eprintln!("invalid scenario JSON: {e}");
-            std::process::exit(1);
-        });
+fn scenario_from_args(args: &Args) -> Result<Scenario, CliError> {
+    if let Some(path) = args.value("scenario")? {
+        return load(path, "scenario", Scenario::from_json);
     }
-    let seed: u64 = args
-        .value("seed")
-        .map(|s| s.parse().expect("--seed takes an integer"))
-        .unwrap_or(0xacce55);
-    if args.flag("paper") {
+    let seed = args.parsed("seed")?.unwrap_or(0xacce55);
+    Ok(if args.flag("paper") {
         let mut s = Scenario::default_paper();
         s.fleet.seed = seed;
         s
     } else {
         Scenario::demo(seed)
-    }
+    })
 }
 
-fn cmd_pipeline(args: &Args) {
-    let scenario = scenario_from_args(args);
-    eprintln!(
-        "running pipeline: {} machines, {} months …",
-        scenario.fleet.machines, scenario.sim.months
-    );
+fn cmd_pipeline(args: &Args) -> CmdResult {
+    let scenario = scenario_from_args(args)?;
+    announce("running pipeline", &scenario);
     let outcome = PipelineRun::execute(&scenario);
     println!("{}", report::detection_table(&outcome));
     println!("{}", report::symptom_table(&outcome));
+    Ok(())
 }
 
-fn cmd_fig1(args: &Args) {
-    let scenario = scenario_from_args(args);
-    eprintln!(
-        "running Figure 1 pipeline: {} machines, {} months …",
-        scenario.fleet.machines, scenario.sim.months
-    );
+fn cmd_fig1(args: &Args) -> CmdResult {
+    let csv_path = args.value("csv")?;
+    let scenario = scenario_from_args(args)?;
+    announce("running Figure 1 pipeline", &scenario);
     let result = run_fig1(&scenario);
     println!("{}", result.render());
     println!("auto trend slope: {:+.4}/month", result.auto_trend_slope());
-    if let Some(path) = args.value("csv") {
-        std::fs::write(path, result.to_csv()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("normalized series written to {path}");
+    match csv_path {
+        Some(_) => write_output(csv_path, &result.to_csv(), "normalized series"),
+        None => Ok(()),
     }
 }
 
-fn cmd_trace(args: &Args) {
-    let mut scenario = scenario_from_args(args);
+fn cmd_trace(args: &Args) -> CmdResult {
+    let format = args.choice(
+        "format",
+        &["summary", "jsonl", "prom", "chrome", "timeline"],
+    )?;
+    let out_path = args.value("out")?;
+    let mut scenario = scenario_from_args(args)?;
     scenario.trace.enabled = true;
     scenario.closed_loop.feedback = true;
-    let format = args.value("format").unwrap_or("summary");
-    eprintln!(
-        "tracing closed loop: {} machines, {} months …",
-        scenario.fleet.machines, scenario.sim.months
-    );
+    announce("tracing closed loop", &scenario);
     let out = ClosedLoopDriver::execute(&scenario);
     let label = |id: u64| CoreUid::from_u64(id).to_string();
     let rendered = match format {
@@ -169,7 +237,7 @@ fn cmd_trace(args: &Args) {
         "prom" => out.trace.to_prometheus(),
         "chrome" => out.trace.to_chrome_trace(),
         "timeline" => incident_timeline(&out.trace, &label),
-        "summary" => {
+        _ => {
             let m = &out.trace.metrics;
             let mut s = format!(
                 "trace: {} events, {} counters, {} gauges, {} histograms\n",
@@ -190,95 +258,62 @@ fn cmd_trace(args: &Args) {
                     h.p99().unwrap_or(0.0)
                 ));
             }
-            s.push('\n');
-            s.push_str(&incident_timeline(&out.trace, &label));
-            s
-        }
-        other => {
-            eprintln!("unknown --format `{other}` (jsonl|prom|chrome|timeline|summary)");
-            std::process::exit(2);
+            s + "\n" + &incident_timeline(&out.trace, &label)
         }
     };
-    match args.value("out") {
-        Some(path) => {
-            std::fs::write(path, &rendered).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            eprintln!("trace ({format}) written to {path}");
-        }
-        None => print!("{rendered}"),
-    }
+    write_output(out_path, &rendered, &format!("trace ({format})"))
 }
 
-fn cmd_watch(args: &Args) {
+fn cmd_watch(args: &Args) -> CmdResult {
     use mercurial::trace::JsonlStreamSink;
     use mercurial::watch::{Baseline, RuleSet, WatchInput};
 
-    if args.value("scenario").is_some() && args.value("trace").is_some() {
-        eprintln!("watch: --scenario and --trace are mutually exclusive");
-        std::process::exit(2);
-    }
+    let replay = args.replay_trace("watch")?;
 
     // Rules: an explicit file wins; otherwise the scenario's `watch`
     // block (including its defaults) supplies them.
-    let explicit_rules = args.value("rules").map(|path| {
-        let json = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read rules file {path}: {e}");
-            std::process::exit(1);
-        });
-        RuleSet::from_json(&json).unwrap_or_else(|e| {
-            eprintln!("invalid rules file {path}: {e}");
-            std::process::exit(1);
-        })
-    });
+    let explicit_rules = args.value("rules")?;
+    let explicit_rules = explicit_rules
+        .map(|path| load(path, "rules", RuleSet::from_json))
+        .transpose()?;
 
-    let baseline_path = args.value("baseline").unwrap_or("BASELINE_watch.json");
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(json) => Some(Baseline::from_json(&json).unwrap_or_else(|e| {
-            eprintln!("invalid baseline file {baseline_path}: {e}");
-            std::process::exit(1);
-        })),
-        Err(_) => None,
-    };
+    let baseline_path = args.value("baseline")?.unwrap_or("BASELINE_watch.json");
+    // A baseline file that cannot be read is no baseline.
+    let baseline = std::fs::read_to_string(baseline_path).ok();
+    let baseline = baseline.map(|json| Baseline::from_json(&json)).transpose();
+    let baseline = baseline.map_err(failed(format!("invalid baseline file {baseline_path}")))?;
 
     // Replay mode: evaluate the rules over an exported JSONL trace.
-    if let Some(path) = args.value("trace") {
-        let jsonl = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read trace file {path}: {e}");
-            std::process::exit(1);
-        });
-        let input = WatchInput::from_jsonl(&jsonl).unwrap_or_else(|e| {
-            eprintln!("cannot replay trace {path}: {e}");
-            std::process::exit(1);
-        });
+    if let Some(path) = replay {
+        let input = load(path, "trace", WatchInput::from_jsonl)?;
         let rules = explicit_rules.unwrap_or_else(|| Scenario::default_paper().watch.rule_set());
         let report = rules.evaluate(&input, baseline.as_ref());
         print!("{}", report.render());
-        std::process::exit(if report.any_fired() { 1 } else { 0 });
+        return verdict(report.any_fired());
     }
 
     // Scenario mode: run the closed loop with tracing forced on so the
     // in-loop engine sees the full metric surface.
-    let mut scenario = scenario_from_args(args);
+    let dump_format = args
+        .flag("dump-rules")
+        .then(|| args.choice("format", &["json", "prom"]))
+        .transpose()?;
+    let stream_path = args.value("stream")?;
+    let mut scenario = scenario_from_args(args)?;
     scenario.trace.enabled = true;
     scenario.closed_loop.feedback = true;
     let rules = explicit_rules.unwrap_or_else(|| scenario.watch.rule_set());
-    if args.flag("dump-rules") {
-        match args.value("format").unwrap_or("json") {
-            "json" => println!("{}", rules.to_json()),
+    if let Some(format) = dump_format {
+        match format {
             // The in-loop epoch is one simulation step; Prometheus
             // durations and lookbacks are derived from its length.
             "prom" => print!(
                 "{}",
                 rules.to_prometheus_rules("mercurial-watch", scenario.sim.epoch_hours)
             ),
-            other => {
-                eprintln!("unknown --format `{other}` for --dump-rules (json|prom)");
-                std::process::exit(2);
-            }
+            _ => println!("{}", rules.to_json()),
         }
-        return;
+        return Ok(());
     }
     eprintln!(
         "watching closed loop: {} machines, {} months, {} rules …",
@@ -287,14 +322,12 @@ fn cmd_watch(args: &Args) {
         rules.rules.len()
     );
 
+    let create = |path| {
+        std::fs::File::create(path).map_err(failed(format!("cannot create stream file {path}")))
+    };
+    let stream = stream_path.map(create).transpose()?;
+    let mut stream = stream.map(|file| JsonlStreamSink::new(std::io::BufWriter::new(file)));
     let experiment = mercurial::FleetExperiment::build(&scenario);
-    let mut stream = args.value("stream").map(|path| {
-        let file = std::fs::File::create(path).unwrap_or_else(|e| {
-            eprintln!("cannot create stream file {path}: {e}");
-            std::process::exit(1);
-        });
-        JsonlStreamSink::new(std::io::BufWriter::new(file))
-    });
     let opts = RunOptions {
         rules: Some(rules.clone()),
         baseline: baseline.as_ref(),
@@ -310,30 +343,25 @@ fn cmd_watch(args: &Args) {
         let snap = Baseline::record(
             &rules,
             &input,
-            args.value("scenario").unwrap_or("(builtin)"),
+            args.value("scenario")?.unwrap_or("(builtin)"),
             scenario.fleet.seed,
         );
-        std::fs::write(baseline_path, snap.to_json()).unwrap_or_else(|e| {
-            eprintln!("cannot write baseline {baseline_path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("baseline recorded to {baseline_path}");
-        return;
+        return write_output(Some(baseline_path), &snap.to_json(), "baseline");
     }
 
-    let report = out.watch.expect("rules were supplied");
+    let report = out
+        .watch
+        .ok_or_else(|| CliError::Failed("watch: the run returned no report".to_string()))?;
     print!("{}", report.render());
-    std::process::exit(if report.any_fired() { 1 } else { 0 });
+    verdict(report.any_fired())
 }
 
-fn cmd_audit(args: &Args) {
+fn cmd_audit(args: &Args) -> CmdResult {
     use mercurial::audit::{AuditReport, CaseBook, DecisionLedger, GroundTruth};
 
-    if args.value("scenario").is_some() && args.value("trace").is_some() {
-        eprintln!("audit: --scenario and --trace are mutually exclusive");
-        std::process::exit(2);
-    }
-    let format = args.value("format").unwrap_or("report");
+    let replay = args.replay_trace("audit")?;
+    let format = args.choice("format", &["report", "cases", "jsonl"])?;
+    let out_path = args.value("out")?;
     let rule_names = |s: &Scenario| -> Vec<String> {
         s.watch
             .rule_set()
@@ -346,15 +374,8 @@ fn cmd_audit(args: &Args) {
     // Replay mode: rebuild the ledger from an exported JSONL trace. Rule
     // names fall back to the paper scenario's rule set (same fallback the
     // watch replay uses); out-of-range indices render as `rule-<n>`.
-    let (ledger, truth, rules, max_cases) = if let Some(path) = args.value("trace") {
-        let jsonl = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read trace file {path}: {e}");
-            std::process::exit(1);
-        });
-        let ledger = DecisionLedger::from_trace_jsonl(&jsonl).unwrap_or_else(|e| {
-            eprintln!("cannot replay trace {path}: {e}");
-            std::process::exit(1);
-        });
+    let (ledger, truth, rules, max_cases) = if let Some(path) = replay {
+        let ledger = load(path, "trace", DecisionLedger::from_trace_jsonl)?;
         let truth = GroundTruth::from_ledger(&ledger);
         let paper = Scenario::default_paper();
         let max_cases = paper.audit.max_cases;
@@ -363,13 +384,10 @@ fn cmd_audit(args: &Args) {
         // In-run mode: the audit block is forced on (which forces tracing
         // on), and ground truth is annotated with fault-profile names —
         // an enrichment the replay path cannot reconstruct.
-        let mut scenario = scenario_from_args(args);
+        let mut scenario = scenario_from_args(args)?;
         scenario.audit.enabled = true;
         scenario.closed_loop.feedback = true;
-        eprintln!(
-            "auditing closed loop: {} machines, {} months …",
-            scenario.fleet.machines, scenario.sim.months
-        );
+        announce("auditing closed loop", &scenario);
         let experiment = mercurial::FleetExperiment::build(&scenario);
         let out = ClosedLoopDriver::execute_on(&scenario, &experiment);
         let ledger = DecisionLedger::from_trace(&out.trace);
@@ -382,103 +400,48 @@ fn cmd_audit(args: &Args) {
     };
 
     let rendered = match format {
-        "report" => AuditReport::build(&ledger, &truth, &rules).render(),
         "cases" => CaseBook::build(&ledger, &truth, max_cases)
             .render(&|id| CoreUid::from_u64(id).to_string()),
         "jsonl" => ledger.to_jsonl(),
-        other => {
-            eprintln!("unknown --format `{other}` (report|cases|jsonl)");
-            std::process::exit(2);
-        }
+        _ => AuditReport::build(&ledger, &truth, &rules).render(),
     };
-    match args.value("out") {
-        Some(path) => {
-            std::fs::write(path, &rendered).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            eprintln!("audit ({format}) written to {path}");
-        }
-        None => print!("{rendered}"),
-    }
+    write_output(out_path, &rendered, &format!("audit ({format})"))
 }
 
-fn cmd_serve(args: &Args) {
-    use mercurial_serve::{run_served, run_server, ServeOptions};
-    use std::net::TcpListener;
-
-    let mut scenario = scenario_from_args(args);
-    scenario.closed_loop.feedback = true;
-    if let Some(w) = args.value("workers") {
-        scenario.serve.workers = w.parse().expect("--workers takes an integer");
-    }
-    if let Some(path) = args.value("impair") {
-        let json = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read impairment file {path}: {e}");
-            std::process::exit(1);
-        });
-        scenario.serve.impair = serde_json::from_str(&json).unwrap_or_else(|e| {
-            eprintln!("invalid impairment JSON {path}: {e}");
-            std::process::exit(1);
-        });
-    }
-    let workers = scenario.serve.workers.max(1);
+fn cmd_serve(args: &Args) -> CmdResult {
+    let workers = args.parsed::<NonZeroU32>("workers")?;
+    let impair_path = args.value("impair")?;
     let opts = ServeOptions {
-        status_addr: args.value("status").map(str::to_string),
+        status_addr: args.value("status")?.map(str::to_string),
         ..ServeOptions::default()
     };
+    let mut scenario = scenario_from_args(args)?;
+    scenario.closed_loop.feedback = true;
+    scenario.serve.workers = workers.map_or(scenario.serve.workers, NonZeroU32::get);
+    if let Some(path) = impair_path {
+        scenario.serve.impair = load(path, "impairment", serde_json::from_str)?;
+    }
+    let workers = scenario.serve.workers;
+    let mode = if args.flag("procs") {
+        "processes"
+    } else {
+        "threads"
+    };
     eprintln!(
-        "serving closed loop: {} machines, {} months, {} worker{} ({}) …",
+        "serving closed loop: {} machines, {} months, {} worker{} ({mode}) …",
         scenario.fleet.machines,
         scenario.sim.months,
         workers,
         if workers == 1 { "" } else { "s" },
-        if args.flag("procs") {
-            "processes"
-        } else {
-            "threads"
-        }
     );
 
     // Demo mode with --procs: real child processes speaking the protocol
     // over loopback TCP; otherwise worker threads over the same sockets.
     let served = if args.flag("procs") {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().expect("local addr").to_string();
-        let exe = std::env::current_exe().expect("current exe");
-        let mut children: Vec<std::process::Child> = (0..workers)
-            .map(|_| {
-                std::process::Command::new(&exe)
-                    .args(["serve-worker", "--connect", &addr])
-                    .spawn()
-                    .unwrap_or_else(|e| {
-                        eprintln!("cannot spawn worker process: {e}");
-                        std::process::exit(1);
-                    })
-            })
-            .collect();
-        let out = run_server(&listener, &scenario, &opts);
-        let mut workers_ok = true;
-        for child in &mut children {
-            let status = child.wait().expect("wait for worker");
-            if !status.success() {
-                eprintln!("worker process exited with {status}");
-                workers_ok = false;
-            }
-        }
-        // A failed worker fails the run even when the server finished.
-        out.and_then(|served| {
-            workers_ok
-                .then_some(served)
-                .ok_or_else(|| std::io::Error::other("a worker process failed"))
-        })
+        serve_procs(&scenario, &opts)?
     } else {
-        run_served(&scenario, &opts)
-    }
-    .unwrap_or_else(|e| {
-        eprintln!("serve failed: {e}");
-        std::process::exit(1);
-    });
+        mercurial_serve::run_served(&scenario, &opts).map_err(failed("serve failed"))?
+    };
 
     println!("{}", report::detection_table(&served.outcome.pipeline));
     let l = &served.link;
@@ -486,30 +449,67 @@ fn cmd_serve(args: &Args) {
         "link: {} evidence frames, {} dropped, {} delayed, {} duplicated, {} reordered",
         l.frames, l.dropped, l.delayed, l.duplicated, l.reordered
     );
-    if let Some(watch) = &served.outcome.watch {
-        print!("{}", watch.render());
-        std::process::exit(if watch.any_fired() { 1 } else { 0 });
+    match &served.outcome.watch {
+        Some(watch) => {
+            print!("{}", watch.render());
+            verdict(watch.any_fired())
+        }
+        None => Ok(()),
     }
 }
 
-fn cmd_prof(args: &Args) {
+/// Serves `scenario` with every worker a `serve-worker` child process of
+/// this executable, connected over loopback TCP. A failed worker fails
+/// the run even when the server finished.
+fn serve_procs(scenario: &Scenario, opts: &ServeOptions) -> Result<ServedOutcome, CliError> {
+    let listener =
+        std::net::TcpListener::bind("127.0.0.1:0").map_err(failed("cannot bind loopback"))?;
+    let addr = listener
+        .local_addr()
+        .map_err(failed("cannot read the loopback address"))?
+        .to_string();
+    let exe = std::env::current_exe().map_err(failed("cannot locate this executable"))?;
+    let mut children = (0..scenario.serve.workers)
+        .map(|_| {
+            std::process::Command::new(&exe)
+                .args(["serve-worker", "--connect", &addr])
+                .spawn()
+        })
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(failed("cannot spawn worker process"))?;
+    let served = mercurial_serve::run_server(&listener, scenario, opts);
+    let mut failed_worker = None;
+    for child in &mut children {
+        let status = child.wait().map_err(failed("worker process"))?;
+        if !status.success() {
+            failed_worker.get_or_insert(status);
+        }
+    }
+    let served = served.map_err(failed("serve failed"))?;
+    match failed_worker {
+        Some(status) => Err(CliError::Failed(format!(
+            "serve failed: a worker process exited with {status}"
+        ))),
+        None => Ok(served),
+    }
+}
+
+fn cmd_prof(args: &Args) -> CmdResult {
     use mercurial::audit::DecisionLedger;
     use mercurial_prof::Prof;
 
+    let format = args.choice("format", &["table", "folded"])?;
+    let out_path = args.value("out")?;
     // Every observability surface on: tracing, watch, audit. The profile
     // should show what a fully instrumented production loop costs, and the
     // profiler itself is write-only — `prof_parity` pins that attaching it
     // moves no output bit.
-    let mut scenario = scenario_from_args(args);
+    let mut scenario = scenario_from_args(args)?;
     scenario.trace.enabled = true;
     scenario.watch.enabled = true;
     scenario.audit.enabled = true;
     scenario.closed_loop.feedback = true;
-    let format = args.value("format").unwrap_or("table");
-    eprintln!(
-        "profiling closed loop: {} machines, {} months …",
-        scenario.fleet.machines, scenario.sim.months
-    );
+    announce("profiling closed loop", &scenario);
 
     let experiment = mercurial::FleetExperiment::build(&scenario);
     let prof = Prof::enabled();
@@ -538,38 +538,17 @@ fn cmd_prof(args: &Args) {
 
     let profile = prof.finish();
     let rendered = match format {
-        "table" => profile.render_table(),
-        "folded" => {
-            let mut s = profile.folded_stacks().join("\n");
-            s.push('\n');
-            s
-        }
-        other => {
-            eprintln!("unknown --format `{other}` (table|folded)");
-            std::process::exit(2);
-        }
+        "folded" => profile.folded_stacks().join("\n") + "\n",
+        _ => profile.render_table(),
     };
-    match args.value("out") {
-        Some(path) => {
-            std::fs::write(path, &rendered).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            eprintln!("profile ({format}) written to {path}");
-        }
-        None => print!("{rendered}"),
-    }
+    write_output(out_path, &rendered, &format!("profile ({format})"))
 }
 
-fn cmd_serve_worker(args: &Args) {
-    let Some(addr) = args.value("connect") else {
-        eprintln!("serve-worker: --connect HOST:PORT is required");
-        std::process::exit(2);
-    };
-    if let Err(e) = mercurial_serve::connect_and_serve(addr) {
-        eprintln!("serve-worker: {e}");
-        std::process::exit(1);
-    }
+fn cmd_serve_worker(args: &Args) -> CmdResult {
+    let addr = args.value("connect")?.ok_or_else(|| {
+        CliError::Usage("serve-worker: --connect HOST:PORT is required".to_string())
+    })?;
+    mercurial_serve::connect_and_serve(addr).map_err(failed("serve-worker"))
 }
 
 fn archetype_by_name(name: &str) -> Option<mercurial::fault::CoreFaultProfile> {
@@ -588,19 +567,16 @@ fn archetype_by_name(name: &str) -> Option<mercurial::fault::CoreFaultProfile> {
     })
 }
 
-fn cmd_screen(args: &Args) {
-    let Some(name) = args.positional.get(1) else {
-        eprintln!("screen: which archetype? (try `mercurial-lab archetypes`)");
-        std::process::exit(2);
-    };
-    let Some(profile) = archetype_by_name(name) else {
-        eprintln!("unknown archetype `{name}` (try `mercurial-lab archetypes`)");
-        std::process::exit(2);
-    };
-    let age: f64 = args
-        .value("age")
-        .map(|s| s.parse().expect("--age takes hours"))
-        .unwrap_or(0.0);
+fn cmd_screen(args: &Args) -> CmdResult {
+    let name = args.positional.get(1).ok_or_else(|| {
+        CliError::Usage("screen: which archetype? (try `mercurial-lab archetypes`)".to_string())
+    })?;
+    let profile = archetype_by_name(name).ok_or_else(|| {
+        CliError::Usage(format!(
+            "unknown archetype `{name}` (try `mercurial-lab archetypes`)"
+        ))
+    })?;
+    let age: f64 = args.parsed("age")?.unwrap_or(0.0);
     let mut core = SimCore::new(
         CoreConfig::default(),
         Some(Injector::new(1, profile.clone())),
@@ -639,13 +615,23 @@ fn cmd_screen(args: &Args) {
             }
         }
     }
+    Ok(())
 }
 
-fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = Args::parse(&raw);
+fn run() -> CmdResult {
+    let raw = std::env::args_os()
+        .skip(1)
+        .map(|a| {
+            a.into_string()
+                .map_err(|a| CliError::Usage(format!("argument {a:?} is not valid UTF-8")))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let args = Args::parse(raw);
     match args.positional.first().map(String::as_str) {
-        Some("scenario") => println!("{}", Scenario::default_paper().to_json()),
+        Some("scenario") => {
+            println!("{}", Scenario::default_paper().to_json());
+            Ok(())
+        }
         Some("pipeline") => cmd_pipeline(&args),
         Some("fig1") => cmd_fig1(&args),
         Some("screen") => cmd_screen(&args),
@@ -656,10 +642,21 @@ fn main() {
         Some("serve-worker") => cmd_serve_worker(&args),
         Some("prof") => cmd_prof(&args),
         Some("archetypes") => {
-            for a in library::ARCHETYPES {
-                println!("{a}");
-            }
+            println!("{}", library::ARCHETYPES.join("\n"));
+            Ok(())
         }
-        _ => usage(),
+        _ => Err(CliError::Usage(USAGE.to_string())),
     }
+}
+
+/// The one place the CLI turns an error into a message and an exit code.
+fn main() -> ExitCode {
+    let (code, message) = match run() {
+        Ok(()) => return ExitCode::SUCCESS,
+        Err(CliError::Usage(message)) => (2, message),
+        Err(CliError::Failed(message)) => (1, message),
+        Err(CliError::Fired) => return ExitCode::from(1),
+    };
+    eprintln!("{message}");
+    ExitCode::from(code)
 }

@@ -1,5 +1,6 @@
 //! The operator CLI rejects bad scenario files with an error, not a panic
-//! or a hang, and serves the closed loop the same from worker processes
+//! or a hang, rejects bad flag values as usage errors before it runs
+//! anything, and serves the closed loop the same from worker processes
 //! as from worker threads.
 
 use mercurial::Scenario;
@@ -69,7 +70,7 @@ fn zero_machine_scenario_exits_nonzero_without_panicking() {
 #[test]
 fn bad_scenario_fields_exit_nonzero_without_panicking() {
     type Mutation = fn(&mut Scenario);
-    let cases: [(&str, &str, Mutation); 17] = [
+    let cases: [(&str, &str, Mutation); 18] = [
         ("epoch", "sim.epoch_hours", |s| s.sim.epoch_hours = 0.0),
         ("online-zero", "online_interval_hours", |s| {
             s.online_interval_hours = 0.0
@@ -82,6 +83,9 @@ fn bad_scenario_fields_exit_nonzero_without_panicking() {
         }),
         ("offline-negative", "offline_interval_hours", |s| {
             s.offline_interval_hours = -365.0
+        }),
+        ("serve-workers-zero", "serve.workers", |s| {
+            s.serve.workers = 0
         }),
         ("sockets", "fleet.sockets_per_machine", |s| {
             s.fleet.sockets_per_machine = 0
@@ -128,6 +132,47 @@ fn bad_scenario_fields_exit_nonzero_without_panicking() {
     ];
     for (case, field, mutate) in cases {
         assert_rejected(case, field, mutate);
+    }
+}
+
+/// Runs the CLI with `args` and asserts it exits 2 within [`DEADLINE`],
+/// naming `flag` on stderr and not panicking. Returns stderr.
+fn assert_usage_error(case: &str, args: &[&str], flag: &str) -> String {
+    let (status, _, stderr) = run_cli(case, args);
+    let status = status.unwrap_or_else(|| panic!("{case}: no exit within {DEADLINE:?}"));
+    assert_eq!(status.code(), Some(2), "{case}: stderr: {stderr}");
+    assert!(stderr.contains(flag), "{case}: stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "{case}: stderr: {stderr}");
+    stderr
+}
+
+#[test]
+fn malformed_or_missing_flag_values_are_usage_errors() {
+    let cases: [(&str, &[&str], &str); 4] = [
+        ("seed-abc", &["pipeline", "--seed", "abc"], "--seed"),
+        ("seed-missing", &["pipeline", "--seed"], "--seed"),
+        ("workers-x", &["serve", "--workers", "x"], "--workers"),
+        (
+            "age-zz",
+            &["screen", "self-inverting-aes", "--age", "zz"],
+            "--age",
+        ),
+    ];
+    for (case, args, flag) in cases {
+        assert_usage_error(case, args, flag);
+    }
+}
+
+#[test]
+fn unknown_format_is_rejected_before_anything_runs() {
+    // Each of these commands prints a "… closed loop: N machines" banner
+    // before it builds an experiment; no banner means nothing ran.
+    for command in ["trace", "audit", "prof"] {
+        let stderr = assert_usage_error(command, &[command, "--format", "nope"], "--format");
+        assert!(
+            !stderr.contains("closed loop"),
+            "{command}: stderr: {stderr}"
+        );
     }
 }
 

@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test test-workspace fmt fmt-check clippy bench fuzz-smoke e15-smoke trace-smoke watch-smoke study-smoke serve-smoke frontier-smoke audit-smoke prof-smoke labbench-smoke
+.PHONY: ci build test test-workspace fmt fmt-check clippy fuzz-smoke e15-smoke trace-smoke watch-smoke study-smoke serve-smoke frontier-smoke audit-smoke prof-smoke labbench-smoke
 
 ci: build test-workspace fmt-check clippy fuzz-smoke e15-smoke trace-smoke watch-smoke study-smoke serve-smoke frontier-smoke audit-smoke labbench-smoke prof-smoke
 
@@ -23,9 +23,6 @@ fmt-check:
 
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
-
-bench:
-	$(CARGO) bench -p mercurial-bench
 
 # Bounded fuzz campaign (fixed seed, small budget): asserts every lesion
 # kind gets a witness, the distilled corpus stays <= 25% of the budget,

@@ -6,30 +6,144 @@
 //! and networking tolerate low-level errors cheaply because they checksum
 //! *large chunks*, which "seems harder to do at a per-instruction scale".
 //!
-//! This binary reports measured wall-clock ratios (the Criterion benches
-//! report the same quantities with rigorous statistics).
+//! Each group's arms are timed as [`SAMPLES`] interleaved rounds (every
+//! round times each arm once, in order), so host drift lands on all arms
+//! alike. Each arm prints its median, min and max per iteration and its
+//! median's ratio to the group's first arm; the medians and ratios are
+//! written to `BENCH_overheads.json`.
 //!
 //! ```text
 //! cargo run --release -p mercurial-bench --bin e7_overheads
 //! ```
 
+use mercurial::pipeline::median;
 use mercurial_corpus::aes::{Aes, KeySize};
+use mercurial_corpus::crc::{CrcTable, POLY_CRC32C};
+use mercurial_corpus::hash::SipHash24;
 use mercurial_corpus::lz;
-use mercurial_mitigation::{checked_compress, dmr, tmr, CostMeter};
+use mercurial_mitigation::{
+    checked_compress, checked_copy, cross_checked_encrypt, dmr, tmr, CostMeter,
+};
+use mercurial_prof::Prof;
+use std::hint::black_box;
 use std::time::Instant;
 
-fn time<F: FnMut()>(iters: u32, mut f: F) -> f64 {
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
+/// Timed samples per arm.
+const SAMPLES: usize = 21;
+
+/// Microseconds per call.
+const US: (&str, f64) = ("us/call", 1e6);
+
+/// Nanoseconds per KiB, for arms that each process 1 MiB.
+const NS_PER_KIB: (&str, f64) = ("ns/KiB", 1e9 / 1024.0);
+
+/// One arm's per-call times over the samples, in the group's unit.
+struct Arm {
+    name: String,
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+/// A measured group. An arm's ratio is its median over the first arm's.
+struct Group {
+    name: &'static str,
+    unit: &'static str,
+    arms: Vec<Arm>,
+}
+
+type Routine<'a> = Box<dyn FnMut() + 'a>;
+
+/// A named arm whose result is passed through [`black_box`].
+fn arm<'a, T>(name: impl Into<String>, mut f: impl FnMut() -> T + 'a) -> (String, Routine<'a>) {
+    (
+        name.into(),
+        Box::new(move || {
+            black_box(f());
+        }),
+    )
+}
+
+/// Times `arms` as [`SAMPLES`] interleaved rounds of `iters` calls each
+/// and prints the group. Seconds per call are multiplied by the unit's
+/// scale.
+fn measure(
+    prof: &Prof,
+    name: &'static str,
+    (unit, scale): (&'static str, f64),
+    iters: u32,
+    mut arms: Vec<(String, Routine<'_>)>,
+) -> Group {
+    let _phase = prof.span(name);
+    let mut samples = vec![Vec::with_capacity(SAMPLES); arms.len()];
+    for _ in 0..SAMPLES {
+        for ((_, routine), times) in arms.iter_mut().zip(&mut samples) {
+            let start = Instant::now();
+            for _ in 0..iters {
+                routine();
+            }
+            times.push(start.elapsed().as_secs_f64() * scale / f64::from(iters));
+        }
     }
-    start.elapsed().as_secs_f64() / iters as f64
+    let arms: Vec<Arm> = arms
+        .into_iter()
+        .zip(samples)
+        .map(|((name, _), mut times)| {
+            times.sort_by(f64::total_cmp);
+            Arm {
+                name,
+                median: median(&times).expect("SAMPLES > 0"),
+                min: times[0],
+                max: times[SAMPLES - 1],
+            }
+        })
+        .collect();
+    println!("\n{name} ({unit}, median [min max] of {SAMPLES} samples):");
+    let base = arms[0].median;
+    for a in &arms {
+        println!(
+            "  {:<28} {:>10.2}  [{:>10.2} {:>10.2}]   {:.2}x",
+            a.name,
+            a.median,
+            a.min,
+            a.max,
+            a.median / base
+        );
+    }
+    Group { name, unit, arms }
+}
+
+/// The group as one `"name": {…}` member of the bench body.
+fn group_json(g: &Group) -> String {
+    let base = g.arms[0].median;
+    let arms: Vec<String> = g
+        .arms
+        .iter()
+        .map(|a| {
+            format!(
+                "\"{}\": {{\"median\": {:.4}, \"min\": {:.4}, \"max\": {:.4}, \"ratio\": {:.4}}}",
+                a.name,
+                a.median,
+                a.min,
+                a.max,
+                a.median / base
+            )
+        })
+        .collect();
+    format!(
+        "\"{}\": {{\n    \"unit\": \"{}\",\n    {}\n  }}",
+        g.name,
+        g.unit,
+        arms.join(",\n    ")
+    )
 }
 
 fn main() {
     mercurial_bench::header("E7 — mitigation overheads: ≈2x detect, ≈3x correct, amortization");
+    let prof = Prof::enabled();
+    let mut groups = Vec::new();
 
-    // The guarded computation: a healthy compute-heavy kernel.
+    // Redundant execution of a healthy compute-heavy kernel.
     let work = |_core: usize| -> u64 {
         let mut acc = 0xabcdefu64;
         for i in 0..40_000u64 {
@@ -38,110 +152,119 @@ fn main() {
         }
         acc
     };
+    let healthy = "a healthy kernel agrees with itself";
+    groups.push(measure(
+        &prof,
+        "redundancy",
+        US,
+        10,
+        vec![
+            arm("raw", || work(black_box(0))),
+            arm("dmr", || {
+                dmr(work, 1, &mut CostMeter::default()).expect(healthy)
+            }),
+            arm("tmr", || {
+                tmr(work, &mut CostMeter::default()).expect(healthy)
+            }),
+        ],
+    ));
+    println!("  (paper: detection 'a factor of two of extra work', correction 'triple work')");
 
-    let iters = 200;
-    let t_raw = time(iters, || {
-        std::hint::black_box(work(0));
-    });
-    let t_dmr = time(iters, || {
-        let mut m = CostMeter::default();
-        std::hint::black_box(dmr(work, 1, &mut m).unwrap());
-    });
-    let t_tmr = time(iters, || {
-        let mut m = CostMeter::default();
-        std::hint::black_box(tmr(work, &mut m).unwrap());
-    });
-    println!("redundant execution (40k-op integer kernel):");
-    println!("  raw: {:>9.1} µs   1.00x", t_raw * 1e6);
-    println!(
-        "  DMR: {:>9.1} µs   {:.2}x   (paper: 'a factor of two of extra work')",
-        t_dmr * 1e6,
-        t_dmr / t_raw
-    );
-    println!(
-        "  TMR: {:>9.1} µs   {:.2}x   (paper: 'triple work … via TMR')",
-        t_tmr * 1e6,
-        t_tmr / t_raw
-    );
-
-    // Self-checking libraries.
+    // Self-checking libraries (§7).
     let key = [7u8; 16];
-    let aes = Aes::new(KeySize::Aes128, &key).unwrap();
+    let aes = Aes::new(KeySize::Aes128, &key).expect("16-byte key");
     let block = *b"0123456789abcdef";
-    let t_enc = time(2000, || {
-        std::hint::black_box(aes.encrypt_block(block));
-    });
-    let t_enc_rt = time(2000, || {
-        let ct = aes.encrypt_block(block);
-        std::hint::black_box(aes.decrypt_block(ct));
-    });
-    println!("\nself-checking AES (one block):");
-    println!("  encrypt:                {:>9.2} µs   1.00x", t_enc * 1e6);
-    println!(
-        "  encrypt+decrypt-verify: {:>9.2} µs   {:.2}x",
-        t_enc_rt * 1e6,
-        t_enc_rt / t_enc
-    );
+    let reference = |b| mercurial_simcpu::crypto::aes128_encrypt_block(key, b);
+    groups.push(measure(
+        &prof,
+        "selfcheck-aes",
+        US,
+        5000,
+        vec![
+            arm("encrypt-raw", || aes.encrypt_block(black_box(block))),
+            arm("encrypt-roundtrip-checked", || {
+                aes.decrypt_block(aes.encrypt_block(black_box(block)))
+            }),
+            arm("encrypt-cross-checked", || {
+                cross_checked_encrypt(black_box(block), |b| aes.encrypt_block(b), reference)
+                    .expect(healthy)
+            }),
+        ],
+    ));
 
     let data: Vec<u8> = (0..64 * 1024u32).map(|i| (i % 251) as u8).collect();
-    let t_comp = time(50, || {
-        std::hint::black_box(lz::compress(&data));
-    });
-    let t_comp_checked = time(50, || {
-        std::hint::black_box(checked_compress(&data).unwrap());
-    });
-    println!("\nself-checking compression (64 KiB):");
-    println!("  compress:            {:>9.1} µs   1.00x", t_comp * 1e6);
-    println!(
-        "  compress+verify+crc: {:>9.1} µs   {:.2}x",
-        t_comp_checked * 1e6,
-        t_comp_checked / t_comp
-    );
+    groups.push(measure(
+        &prof,
+        "selfcheck-compress",
+        US,
+        2,
+        vec![
+            arm("compress-raw", || lz::compress(black_box(&data))),
+            arm("compress-checked", || {
+                checked_compress(black_box(&data)).expect(healthy)
+            }),
+        ],
+    ));
+
+    let src: Vec<u8> = (0..256 * 1024u32).map(|i| i as u8).collect();
+    let (mut raw_dst, mut checked_dst) = (vec![0u8; src.len()], vec![0u8; src.len()]);
+    let copy = |d: &mut [u8], s: &[u8]| d.copy_from_slice(s);
+    groups.push(measure(
+        &prof,
+        "selfcheck-copy",
+        US,
+        10,
+        vec![
+            arm("copy-raw", || {
+                copy(&mut raw_dst, black_box(&src));
+                black_box(&raw_dst);
+            }),
+            arm("copy-checked", || {
+                checked_copy(&mut checked_dst, black_box(&src), copy).expect(healthy)
+            }),
+        ],
+    ));
 
     // §3 amortization: a *protocol* check costs a fixed part per chunk
     // (header digest, metadata update, comparison, bookkeeping) plus a
     // marginal part per byte (the CRC itself). Larger chunks spread the
     // fixed part — that is the storage/network advantage the paper
     // contrasts with per-instruction checking, which has no chunk to grow.
-    println!("\nend-to-end check protocol cost per KiB of payload");
-    println!("(fixed per-chunk header digest + per-byte CRC-32C, slicing-by-8):");
-    println!("  chunk-size   ns/KiB   relative");
-    let mut header = [0x5au8; 64];
-    let sip = mercurial_corpus::hash::SipHash24::new(0x1234, 0x5678);
-    let table = mercurial_corpus::crc::CrcTable::new(mercurial_corpus::crc::POLY_CRC32C);
-    let mut baseline = 0.0;
-    for &chunk in &[64usize, 512, 4096, 65536] {
+    // Each arm checks 1 MiB of payload in chunks of its size.
+    let sip = SipHash24::new(0x1234, 0x5678);
+    let table = CrcTable::new(POLY_CRC32C);
+    let chunk_arms = [64usize, 512, 4096, 65536].map(|chunk| {
         let mut buf: Vec<u8> = (0..chunk as u32).map(|i| i as u8).collect();
-        let chunks_per_mib = (1 << 20) / chunk;
-        let t = time(20, || {
+        let mut header = [0x5au8; 64];
+        let (sip, table) = (&sip, &table);
+        arm(chunk.to_string(), move || {
             let mut acc = 0u64;
-            for i in 0..chunks_per_mib {
-                // Touch the inputs each iteration so the pure functions
+            for i in 0..(1 << 20) / chunk {
+                // Touch the inputs each chunk so the pure functions
                 // cannot be hoisted out of the timing loop.
                 buf[0] = i as u8;
                 header[0] = i as u8;
-                // Fixed per-chunk work: digest the header/metadata record
-                // and fold in the stored checksum comparison.
-                let tag = sip.hash(&header);
-                let crc = table.crc_slice8(&buf);
-                acc ^= tag ^ crc as u64;
+                acc ^= sip.hash(&header) ^ u64::from(table.crc_slice8(&buf));
             }
-            std::hint::black_box(acc);
-        });
-        let ns_per_kib = t * 1e9 / 1024.0;
-        if baseline == 0.0 {
-            baseline = ns_per_kib;
-        }
-        println!(
-            "  {:>9}   {:>6.0}   {:.2}x",
-            chunk,
-            ns_per_kib,
-            ns_per_kib / baseline
-        );
-    }
+            acc
+        })
+    });
+    groups.push(measure(
+        &prof,
+        "checked-chunk-protocol",
+        NS_PER_KIB,
+        2,
+        chunk_arms.into(),
+    ));
     println!("\npaper §3: 'storage and networking … typically operate on relatively large");
     println!("chunks of data … this allows corruption-checking costs to be amortized, which");
     println!("seems harder to do at a per-instruction scale' — the fixed per-chunk cost");
     println!("washes out as chunks grow, while DMR/TMR (the per-instruction analogue)");
     println!("stay pinned at 2x/3x no matter the granularity.");
+
+    let body: Vec<String> = groups.iter().map(group_json).collect();
+    let body = format!("\"samples\": {SAMPLES},\n  {}", body.join(",\n  "));
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_overheads.json");
+    mercurial_bench::write_bench_json(path, "e7_overheads", SAMPLES as u64, &prof.finish(), &body);
+    println!("\nbaseline written to BENCH_overheads.json");
 }

@@ -1,10 +1,9 @@
 //! # mercurial-bench
 //!
-//! Experiment binaries and Criterion benches regenerating the paper's
-//! figure and quantitative claims. One binary per experiment in
-//! EXPERIMENTS.md (`cargo run --release -p mercurial-bench --bin <id>`),
-//! one Criterion bench per overhead claim (`cargo bench -p
-//! mercurial-bench`).
+//! Experiment binaries regenerating the paper's figure and quantitative
+//! claims, one per experiment in EXPERIMENTS.md (`cargo run --release -p
+//! mercurial-bench --bin <id>`). The ones that measure cost commit their
+//! numbers as `BENCH_*.json` through [`write_bench_json`].
 #![warn(missing_docs)]
 
 /// Chooses experiment scale from the `MERCURIAL_SCALE` environment

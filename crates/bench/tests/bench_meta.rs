@@ -1,5 +1,5 @@
 //! Every committed `BENCH_*.json` baseline must carry the shared
-//! [`BenchMeta`] envelope: one schema across all seven experiments, so
+//! [`BenchMeta`] envelope: one schema across all eight experiments, so
 //! any tool that compares baselines can trust the provenance fields
 //! (commit, host, timestamp, reps, phase breakdown) to be present and
 //! uniformly shaped.
@@ -8,7 +8,8 @@
 
 use mercurial_prof::{BenchMeta, BENCH_META_SCHEMA};
 
-const BASELINES: [(&str, &str); 7] = [
+const BASELINES: [(&str, &str); 8] = [
+    ("BENCH_overheads.json", "e7_overheads"),
     ("BENCH_trace.json", "e16_trace_overhead"),
     ("BENCH_watch.json", "e17_watch_overhead"),
     ("BENCH_study.json", "e18_study"),

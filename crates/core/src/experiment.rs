@@ -37,14 +37,6 @@ impl FleetExperiment {
         FleetExperiment::from_parts(scenario, topo, pop)
     }
 
-    /// Builds many experiments (topology construction plus ground-truth
-    /// population seeding) fanned out across worker threads, in input
-    /// order. Each build depends only on its scenario's seed, so results
-    /// match serial construction exactly.
-    pub fn build_many(scenarios: &[Scenario], parallelism: usize) -> Vec<FleetExperiment> {
-        mercurial_fleet::par::map_parallel(scenarios, parallelism, FleetExperiment::build)
-    }
-
     /// Wraps a topology built from `scenario.fleet` and a population in
     /// the scenario's simulator: [`FleetExperiment::build`] without its
     /// two draws, for explicitly placed populations (case studies) and

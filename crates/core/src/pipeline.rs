@@ -94,17 +94,6 @@ impl PipelineRun {
         PipelineRun::execute_on(scenario, &experiment)
     }
 
-    /// Executes many independent scenarios, one single-threaded run per
-    /// scenario fanned out across worker threads (`parallelism` as in
-    /// [`mercurial_fleet::par`]: `0` = one per CPU, `1` = serial).
-    /// Outcomes come back in input order and are identical to running
-    /// [`PipelineRun::execute`] on each scenario serially — each
-    /// scenario's randomness is a pure function of its own seed, so
-    /// scheduling cannot leak between them.
-    pub fn execute_many(scenarios: &[Scenario], parallelism: usize) -> Vec<PipelineOutcome> {
-        mercurial_fleet::par::map_parallel(scenarios, parallelism, PipelineRun::execute)
-    }
-
     /// Executes on a prebuilt experiment (case studies use explicit
     /// populations).
     pub fn execute_on(scenario: &Scenario, experiment: &FleetExperiment) -> PipelineOutcome {

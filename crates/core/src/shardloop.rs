@@ -545,12 +545,6 @@ impl<'a> FleetAggregator<'a> {
         }
     }
 
-    /// The aggregator's current per-class policy vector (empty when the
-    /// scenario's `workloads` block is disabled).
-    pub fn current_policies(&self) -> &[MitigationPolicy] {
-        &self.policies
-    }
-
     /// Total epochs in the observation window.
     pub fn total_epochs(&self) -> u32 {
         self.epochs

@@ -120,8 +120,8 @@ fn sboxes() -> &'static ([u8; 256], [u8; 256]) {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Aes {
+    /// One key per round plus the initial whitening key.
     round_keys: Vec<[u8; 16]>,
-    size: KeySize,
 }
 
 /// Errors from AES construction.
@@ -197,12 +197,7 @@ impl Aes {
                 k
             })
             .collect();
-        Ok(Aes { round_keys, size })
-    }
-
-    /// The key size this instance was built with.
-    pub fn key_size(&self) -> KeySize {
-        self.size
+        Ok(Aes { round_keys })
     }
 
     fn add_round_key(state: &mut [u8; 16], key: &[u8; 16]) {
@@ -278,7 +273,7 @@ impl Aes {
 
     /// Encrypts one 16-byte block.
     pub fn encrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
-        let nr = self.size.rounds();
+        let nr = self.round_keys.len() - 1;
         let mut state = block;
         Aes::add_round_key(&mut state, &self.round_keys[0]);
         for r in 1..nr {
@@ -295,7 +290,7 @@ impl Aes {
 
     /// Decrypts one 16-byte block.
     pub fn decrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
-        let nr = self.size.rounds();
+        let nr = self.round_keys.len() - 1;
         let mut state = block;
         Aes::add_round_key(&mut state, &self.round_keys[nr]);
         Aes::inv_shift_rows(&mut state);

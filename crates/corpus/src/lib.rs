@@ -18,8 +18,8 @@
 //!   [`memops`] (checksummed copies), [`float`] (compensated summation /
 //!   FMA stress) and [`locks`] (native-thread lock torture). These are the
 //!   "interesting libraries" whose self-checking variants live in
-//!   `mercurial-mitigation`, and they are what the Criterion benches
-//!   measure.
+//!   `mercurial-mitigation`; E7 (`e7_overheads`) times AES, the codec
+//!   and the CRCs against those variants.
 //! * **Simulated screening kernels** ([`simprogs`]): specially-written
 //!   assembly programs for `mercurial-simcpu`, one or more per functional
 //!   unit, each with golden outputs captured from a healthy core. These are

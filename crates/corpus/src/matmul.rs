@@ -70,11 +70,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Mutable raw data (used by fault-injection tests to corrupt entries).
-    pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Maximum absolute difference to another matrix.
     ///
     /// # Panics

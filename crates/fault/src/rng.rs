@@ -205,11 +205,6 @@ impl CounterRng {
         let r = (-2.0 * (1.0 - u1).ln()).sqrt();
         r * (std::f64::consts::TAU * u2).cos()
     }
-
-    /// A log-normal draw with the given parameters of the underlying normal.
-    pub fn next_lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
-        (mu + sigma * self.next_normal()).exp()
-    }
 }
 
 impl RngCore for CounterRng {

@@ -10,7 +10,7 @@
 
 use crate::gen::FuzzProgram;
 use mercurial_fault::rng::stream_key;
-use mercurial_fault::{CoreFaultProfile, CounterRng, Injector};
+use mercurial_fault::{CoreFaultProfile, Injector};
 use mercurial_fault::{CoreUid, OperatingPoint};
 use mercurial_screening::{Divergence, DivergenceFinder};
 use mercurial_simcpu::unitmap::unit_of;
@@ -138,12 +138,6 @@ pub fn healthy_run(fp: &FuzzProgram, cfg: &DiffConfig) -> Result<HealthyRun, Tra
         }
     }
     Err(Trap::FuelExhausted)
-}
-
-/// Convenience: seeds a [`CounterRng`] stream for ad-hoc draws tied to a
-/// `(seed, index)` pair without threading generator state around.
-pub fn draw_stream(seed: u64, index: u64, tag: u64) -> CounterRng {
-    CounterRng::from_parts(seed, index, tag, 1)
 }
 
 #[cfg(test)]

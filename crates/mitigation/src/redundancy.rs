@@ -9,8 +9,8 @@
 //!
 //! Computation sites are modeled as closures indexed by a core id; the
 //! caller decides what a "core" is (a simulated core, a thread, a fault
-//! closure in tests). [`CostMeter`] counts executions so the benches can
-//! report the ≈2×/≈3× overheads directly.
+//! closure in tests). [`CostMeter`] counts executions: the work-count
+//! form of the ≈2×/≈3× overheads E7 (`e7_overheads`) times.
 
 use serde::{Deserialize, Serialize};
 

@@ -143,16 +143,6 @@ impl Prof {
         }
     }
 
-    /// Build with an explicit switch (handy where the flag was already
-    /// resolved, e.g. from a CLI argument).
-    pub fn with_enabled(on: bool) -> Prof {
-        if on {
-            Prof::enabled()
-        } else {
-            Prof::disabled()
-        }
-    }
-
     /// Whether this handle keeps anything.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
@@ -181,8 +171,8 @@ impl Prof {
 
     /// Merge wire-shipped profile entries (e.g. a serve worker's `Bye`
     /// payload) under the current phase. Stack paths split on `;`; names
-    /// are interned once per distinct phase (the vocabulary is a small
-    /// fixed set).
+    /// go through [`mercurial_trace::intern`], so each distinct phase is
+    /// leaked once per process.
     pub fn absorb_entries(&self, entries: &[ProfileEntry]) {
         let Some(cell) = &self.inner else {
             return;
@@ -192,7 +182,7 @@ impl Prof {
         for e in entries {
             let mut ix = at;
             for frame in e.stack.split(';').filter(|s| !s.is_empty()) {
-                ix = inner.child(ix, intern(frame));
+                ix = inner.child(ix, mercurial_trace::intern(frame));
             }
             if ix != at {
                 inner.nodes[ix].wall_ns += e.wall_ns;
@@ -227,21 +217,6 @@ impl Drop for PhaseGuard<'_> {
             cell.borrow_mut().exit();
         }
     }
-}
-
-/// Leak-once interner for dynamic phase names arriving over the wire.
-/// Deduplicates so repeated runs in one process never grow the leak past
-/// one entry per distinct name.
-fn intern(name: &str) -> &'static str {
-    use std::sync::Mutex;
-    static POOL: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-    let mut pool = POOL.lock().expect("phase-name pool poisoned");
-    if let Some(hit) = pool.iter().find(|&&p| p == name) {
-        return hit;
-    }
-    let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-    pool.push(leaked);
-    leaked
 }
 
 /// Peak resident set size of this process in bytes (Linux `VmHWM`),

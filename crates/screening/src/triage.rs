@@ -14,7 +14,7 @@
 //! probability, and an innocent core is exonerated.
 
 use crate::screeners::{DetectionMethod, DetectionRecord};
-use mercurial_fault::{CoreUid, FunctionalUnit, OperatingPoint};
+use mercurial_fault::{CoreUid, FunctionalUnit};
 use mercurial_fleet::population::TestSpec;
 use mercurial_fleet::{FleetTopology, Population};
 use serde::{Deserialize, Serialize};
@@ -158,15 +158,6 @@ impl HumanTriage {
     pub fn sensitivity_floor(&self) -> f64 {
         let total_ops = self.deep_ops_per_unit as f64 * 9.0 * 3.0 * self.sessions as f64;
         -((1.0 - 0.95f64).ln()) / total_ops
-    }
-
-    /// A deep spec at one point (exposed for experiments).
-    pub fn deep_spec(&self, point: OperatingPoint) -> TestSpec {
-        TestSpec {
-            unit_ops: [self.deep_ops_per_unit; 9],
-            operands: TestSpec::default_operands(),
-            point,
-        }
     }
 }
 

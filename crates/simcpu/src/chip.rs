@@ -98,11 +98,6 @@ impl Chip {
         }
     }
 
-    /// Number of cores.
-    pub fn core_count(&self) -> usize {
-        self.cores.len()
-    }
-
     /// Shared memory (e.g. to stage program inputs).
     pub fn mem(&mut self) -> &mut Memory {
         &mut self.mem
@@ -111,12 +106,6 @@ impl Chip {
     /// Immutable view of a core.
     pub fn core(&self, idx: u16) -> &SimCore {
         &self.cores[idx as usize]
-    }
-
-    /// Mutable view of a core (e.g. to pass arguments in registers or
-    /// change its operating point).
-    pub fn core_mut(&mut self, idx: u16) -> &mut SimCore {
-        &mut self.cores[idx as usize]
     }
 
     /// Runs `prog` to completion on core `idx` against shared memory.

@@ -15,6 +15,7 @@ use mercurial::trace::incident_timeline;
 use mercurial::{report, run_fig1, Scenario};
 use mercurial_serve::{ServeOptions, ServedOutcome};
 use std::fmt::Display;
+use std::io::Write;
 use std::num::NonZeroU32;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -25,7 +26,7 @@ const USAGE: &str = "usage: mercurial-lab <command>\n\
      scenario                         print the default scenario as JSON\n\
      pipeline [--seed N] [--paper] [--scenario FILE]\n\
      .                                run the full detect/quarantine/triage pipeline\n\
-     fig1     [--seed N] [--paper] [--csv FILE]\n\
+     fig1     [--seed N] [--paper] [--scenario FILE] [--csv FILE]\n\
      .                                regenerate Figure 1 (normalized report rates)\n\
      screen <archetype> [--age H]     screen one defective core with the corpus\n\
      trace    [--seed N] [--paper] [--scenario FILE]\n\
@@ -72,6 +73,23 @@ enum CliError {
 
 type CmdResult = Result<(), CliError>;
 
+/// Stdout for command output, written with `write!`/`writeln!`. A failed
+/// write (such as a closed pipe) is a [`CliError::Failed`] the command
+/// returns, not a panic.
+struct Out(std::io::Stdout);
+
+impl Out {
+    fn write_fmt(&mut self, args: std::fmt::Arguments<'_>) -> CmdResult {
+        self.0
+            .write_fmt(args)
+            .map_err(failed("cannot write to stdout"))
+    }
+
+    fn flush(&mut self) -> CmdResult {
+        self.0.flush().map_err(failed("cannot write to stdout"))
+    }
+}
+
 /// `map_err` adapter: the error `e` becomes `Failed("{context}: {e}")`.
 fn failed<C: Display, E: Display>(context: C) -> impl FnOnce(E) -> CliError {
     move |e| CliError::Failed(format!("{context}: {e}"))
@@ -90,13 +108,13 @@ fn load<T, E: Display>(
 
 /// Writes `text` to `path`, announcing `what` on stderr, or to stdout
 /// when there is no path.
-fn write_output(path: Option<&str>, text: &str, what: &str) -> CmdResult {
+fn write_output(stdout: &mut Out, path: Option<&str>, text: &str, what: &str) -> CmdResult {
     match path {
         Some(path) => {
             std::fs::write(path, text).map_err(failed(format!("cannot write {path}")))?;
             eprintln!("{what} written to {path}");
         }
-        None => print!("{text}"),
+        None => write!(stdout, "{text}")?,
     }
     Ok(())
 }
@@ -198,29 +216,33 @@ fn scenario_from_args(args: &Args) -> Result<Scenario, CliError> {
     })
 }
 
-fn cmd_pipeline(args: &Args) -> CmdResult {
+fn cmd_pipeline(args: &Args, stdout: &mut Out) -> CmdResult {
     let scenario = scenario_from_args(args)?;
     announce("running pipeline", &scenario);
     let outcome = PipelineRun::execute(&scenario);
-    println!("{}", report::detection_table(&outcome));
-    println!("{}", report::symptom_table(&outcome));
+    writeln!(stdout, "{}", report::detection_table(&outcome))?;
+    writeln!(stdout, "{}", report::symptom_table(&outcome))?;
     Ok(())
 }
 
-fn cmd_fig1(args: &Args) -> CmdResult {
+fn cmd_fig1(args: &Args, stdout: &mut Out) -> CmdResult {
     let csv_path = args.value("csv")?;
     let scenario = scenario_from_args(args)?;
     announce("running Figure 1 pipeline", &scenario);
     let result = run_fig1(&scenario);
-    println!("{}", result.render());
-    println!("auto trend slope: {:+.4}/month", result.auto_trend_slope());
+    writeln!(stdout, "{}", result.render())?;
+    writeln!(
+        stdout,
+        "auto trend slope: {:+.4}/month",
+        result.auto_trend_slope()
+    )?;
     match csv_path {
-        Some(_) => write_output(csv_path, &result.to_csv(), "normalized series"),
+        Some(_) => write_output(stdout, csv_path, &result.to_csv(), "normalized series"),
         None => Ok(()),
     }
 }
 
-fn cmd_trace(args: &Args) -> CmdResult {
+fn cmd_trace(args: &Args, stdout: &mut Out) -> CmdResult {
     let format = args.choice(
         "format",
         &["summary", "jsonl", "prom", "chrome", "timeline"],
@@ -261,10 +283,10 @@ fn cmd_trace(args: &Args) -> CmdResult {
             s + "\n" + &incident_timeline(&out.trace, &label)
         }
     };
-    write_output(out_path, &rendered, &format!("trace ({format})"))
+    write_output(stdout, out_path, &rendered, &format!("trace ({format})"))
 }
 
-fn cmd_watch(args: &Args) -> CmdResult {
+fn cmd_watch(args: &Args, stdout: &mut Out) -> CmdResult {
     use mercurial::trace::JsonlStreamSink;
     use mercurial::watch::{Baseline, RuleSet, WatchInput};
 
@@ -288,7 +310,7 @@ fn cmd_watch(args: &Args) -> CmdResult {
         let input = load(path, "trace", WatchInput::from_jsonl)?;
         let rules = explicit_rules.unwrap_or_else(|| Scenario::default_paper().watch.rule_set());
         let report = rules.evaluate(&input, baseline.as_ref());
-        print!("{}", report.render());
+        write!(stdout, "{}", report.render())?;
         return verdict(report.any_fired());
     }
 
@@ -307,11 +329,12 @@ fn cmd_watch(args: &Args) -> CmdResult {
         match format {
             // The in-loop epoch is one simulation step; Prometheus
             // durations and lookbacks are derived from its length.
-            "prom" => print!(
+            "prom" => write!(
+                stdout,
                 "{}",
                 rules.to_prometheus_rules("mercurial-watch", scenario.sim.epoch_hours)
-            ),
-            _ => println!("{}", rules.to_json()),
+            )?,
+            _ => writeln!(stdout, "{}", rules.to_json())?,
         }
         return Ok(());
     }
@@ -346,17 +369,17 @@ fn cmd_watch(args: &Args) -> CmdResult {
             args.value("scenario")?.unwrap_or("(builtin)"),
             scenario.fleet.seed,
         );
-        return write_output(Some(baseline_path), &snap.to_json(), "baseline");
+        return write_output(stdout, Some(baseline_path), &snap.to_json(), "baseline");
     }
 
     let report = out
         .watch
         .ok_or_else(|| CliError::Failed("watch: the run returned no report".to_string()))?;
-    print!("{}", report.render());
+    write!(stdout, "{}", report.render())?;
     verdict(report.any_fired())
 }
 
-fn cmd_audit(args: &Args) -> CmdResult {
+fn cmd_audit(args: &Args, stdout: &mut Out) -> CmdResult {
     use mercurial::audit::{AuditReport, CaseBook, DecisionLedger, GroundTruth};
 
     let replay = args.replay_trace("audit")?;
@@ -405,10 +428,10 @@ fn cmd_audit(args: &Args) -> CmdResult {
         "jsonl" => ledger.to_jsonl(),
         _ => AuditReport::build(&ledger, &truth, &rules).render(),
     };
-    write_output(out_path, &rendered, &format!("audit ({format})"))
+    write_output(stdout, out_path, &rendered, &format!("audit ({format})"))
 }
 
-fn cmd_serve(args: &Args) -> CmdResult {
+fn cmd_serve(args: &Args, stdout: &mut Out) -> CmdResult {
     let workers = args.parsed::<NonZeroU32>("workers")?;
     let impair_path = args.value("impair")?;
     let opts = ServeOptions {
@@ -443,15 +466,20 @@ fn cmd_serve(args: &Args) -> CmdResult {
         mercurial_serve::run_served(&scenario, &opts).map_err(failed("serve failed"))?
     };
 
-    println!("{}", report::detection_table(&served.outcome.pipeline));
+    writeln!(
+        stdout,
+        "{}",
+        report::detection_table(&served.outcome.pipeline)
+    )?;
     let l = &served.link;
-    println!(
+    writeln!(
+        stdout,
         "link: {} evidence frames, {} dropped, {} delayed, {} duplicated, {} reordered",
         l.frames, l.dropped, l.delayed, l.duplicated, l.reordered
-    );
+    )?;
     match &served.outcome.watch {
         Some(watch) => {
-            print!("{}", watch.render());
+            write!(stdout, "{}", watch.render())?;
             verdict(watch.any_fired())
         }
         None => Ok(()),
@@ -494,7 +522,7 @@ fn serve_procs(scenario: &Scenario, opts: &ServeOptions) -> Result<ServedOutcome
     }
 }
 
-fn cmd_prof(args: &Args) -> CmdResult {
+fn cmd_prof(args: &Args, stdout: &mut Out) -> CmdResult {
     use mercurial::audit::DecisionLedger;
     use mercurial_prof::Prof;
 
@@ -541,10 +569,10 @@ fn cmd_prof(args: &Args) -> CmdResult {
         "folded" => profile.folded_stacks().join("\n") + "\n",
         _ => profile.render_table(),
     };
-    write_output(out_path, &rendered, &format!("profile ({format})"))
+    write_output(stdout, out_path, &rendered, &format!("profile ({format})"))
 }
 
-fn cmd_serve_worker(args: &Args) -> CmdResult {
+fn cmd_serve_worker(args: &Args, _: &mut Out) -> CmdResult {
     let addr = args.value("connect")?.ok_or_else(|| {
         CliError::Usage("serve-worker: --connect HOST:PORT is required".to_string())
     })?;
@@ -567,7 +595,7 @@ fn archetype_by_name(name: &str) -> Option<mercurial::fault::CoreFaultProfile> {
     })
 }
 
-fn cmd_screen(args: &Args) -> CmdResult {
+fn cmd_screen(args: &Args, stdout: &mut Out) -> CmdResult {
     let name = args.positional.get(1).ok_or_else(|| {
         CliError::Usage("screen: which archetype? (try `mercurial-lab archetypes`)".to_string())
     })?;
@@ -577,6 +605,11 @@ fn cmd_screen(args: &Args) -> CmdResult {
         ))
     })?;
     let age: f64 = args.parsed("age")?.unwrap_or(0.0);
+    if !(age.is_finite() && age >= 0.0) {
+        return Err(CliError::Usage(format!(
+            "--age: invalid value `{age}`: hours must be finite and non-negative"
+        )));
+    }
     let mut core = SimCore::new(
         CoreConfig::default(),
         Some(Injector::new(1, profile.clone())),
@@ -584,10 +617,10 @@ fn cmd_screen(args: &Args) -> CmdResult {
     core.set_age_hours(age);
     let screen = ChipScreen::new(3);
     let report = screen.screen(&mut core);
-    println!("archetype: {name} (age {age} h)");
-    println!("corpus screen: {}", report.summary());
+    writeln!(stdout, "archetype: {name} (age {age} h)")?;
+    writeln!(stdout, "corpus screen: {}", report.summary())?;
     for (kernel, outcome) in &report.outcomes {
-        println!("  {kernel:<16} {outcome:?}");
+        writeln!(stdout, "  {kernel:<16} {outcome:?}")?;
     }
     // If indicted, localize with the divergence finder on the first
     // failing kernel's program.
@@ -603,20 +636,85 @@ fn cmd_screen(args: &Args) -> CmdResult {
             let mut reference = SimCore::new(CoreConfig::default(), None);
             match finder.compare(&mut suspect, &mut reference, &kernel.program, &kernel.init_mem)
             {
-                Divergence::At { pc, step, unit, inst } => println!(
+                Divergence::At { pc, step, unit, inst } => writeln!(
+                    stdout,
                     "forensics: first divergence in `{}` at pc {pc} (step {step}): {inst} on {unit}",
                     kernel.name
-                ),
-                Divergence::SuspectTrapped { trap, step } => println!(
+                )?,
+                Divergence::SuspectTrapped { trap, step } => writeln!(
+                    stdout,
                     "forensics: suspect trapped in `{}` at step {step}: {trap}",
                     kernel.name
-                ),
-                other => println!("forensics: {other:?}"),
+                )?,
+                other => writeln!(stdout, "forensics: {other:?}")?,
             }
         }
     }
     Ok(())
 }
+
+fn cmd_scenario(_: &Args, stdout: &mut Out) -> CmdResult {
+    writeln!(stdout, "{}", Scenario::default_paper().to_json())
+}
+
+fn cmd_archetypes(_: &Args, stdout: &mut Out) -> CmdResult {
+    writeln!(stdout, "{}", library::ARCHETYPES.join("\n"))
+}
+
+/// A command's name, the flags it accepts and its body.
+type Command = (
+    &'static str,
+    &'static [&'static str],
+    fn(&Args, &mut Out) -> CmdResult,
+);
+
+/// Every command. A flag its command does not accept is a usage error.
+const COMMANDS: [Command; 11] = [
+    ("scenario", &[], cmd_scenario),
+    ("pipeline", &["seed", "paper", "scenario"], cmd_pipeline),
+    ("fig1", &["seed", "paper", "scenario", "csv"], cmd_fig1),
+    ("screen", &["age"], cmd_screen),
+    (
+        "trace",
+        &["seed", "paper", "scenario", "format", "out"],
+        cmd_trace,
+    ),
+    (
+        "watch",
+        &[
+            "rules",
+            "seed",
+            "paper",
+            "scenario",
+            "trace",
+            "baseline",
+            "record-baseline",
+            "stream",
+            "dump-rules",
+            "format",
+        ],
+        cmd_watch,
+    ),
+    (
+        "audit",
+        &["seed", "paper", "scenario", "trace", "format", "out"],
+        cmd_audit,
+    ),
+    (
+        "serve",
+        &[
+            "seed", "paper", "scenario", "workers", "impair", "status", "procs",
+        ],
+        cmd_serve,
+    ),
+    ("serve-worker", &["connect"], cmd_serve_worker),
+    (
+        "prof",
+        &["seed", "paper", "scenario", "format", "out"],
+        cmd_prof,
+    ),
+    ("archetypes", &[], cmd_archetypes),
+];
 
 fn run() -> CmdResult {
     let raw = std::env::args_os()
@@ -627,26 +725,17 @@ fn run() -> CmdResult {
         })
         .collect::<Result<Vec<_>, _>>()?;
     let args = Args::parse(raw);
-    match args.positional.first().map(String::as_str) {
-        Some("scenario") => {
-            println!("{}", Scenario::default_paper().to_json());
-            Ok(())
-        }
-        Some("pipeline") => cmd_pipeline(&args),
-        Some("fig1") => cmd_fig1(&args),
-        Some("screen") => cmd_screen(&args),
-        Some("trace") => cmd_trace(&args),
-        Some("watch") => cmd_watch(&args),
-        Some("audit") => cmd_audit(&args),
-        Some("serve") => cmd_serve(&args),
-        Some("serve-worker") => cmd_serve_worker(&args),
-        Some("prof") => cmd_prof(&args),
-        Some("archetypes") => {
-            println!("{}", library::ARCHETYPES.join("\n"));
-            Ok(())
-        }
-        _ => Err(CliError::Usage(USAGE.to_string())),
+    let name = args.positional.first().map_or("", String::as_str);
+    let (_, accepted, command) = COMMANDS
+        .iter()
+        .find(|(n, ..)| *n == name)
+        .ok_or_else(|| CliError::Usage(USAGE.to_string()))?;
+    if let Some((flag, _)) = args.flags.iter().find(|(f, _)| !accepted.contains(&&**f)) {
+        return Err(CliError::Usage(format!("{name}: unknown flag --{flag}")));
     }
+    let mut stdout = Out(std::io::stdout());
+    let result = command(&args, &mut stdout);
+    result.and(stdout.flush())
 }
 
 /// The one place the CLI turns an error into a message and an exit code.

@@ -1,11 +1,12 @@
 //! The operator CLI rejects bad scenario files with an error, not a panic
-//! or a hang, rejects bad flag values as usage errors before it runs
-//! anything, and serves the closed loop the same from worker processes
-//! as from worker threads.
+//! or a hang, rejects bad or unknown flags as usage errors before it runs
+//! anything, fails cleanly when its stdout is closed, and serves the
+//! closed loop the same from worker processes as from worker threads.
 
 use mercurial::Scenario;
 use std::fs::File;
-use std::process::{Command, ExitStatus};
+use std::io::Read;
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
 /// How long a rejected scenario may take to exit. Validation runs before
@@ -25,23 +26,28 @@ fn run_cli(case: &str, args: &[&str]) -> (Option<ExitStatus>, String, String) {
         .stderr(File::create(&err_path).expect("create stderr file"))
         .spawn()
         .expect("run the CLI");
-    let start = Instant::now();
-    let status = loop {
-        if let Some(status) = child.try_wait().expect("poll the CLI") {
-            break Some(status);
-        }
-        if start.elapsed() > DEADLINE {
-            child.kill().ok();
-            child.wait().ok();
-            break None;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    };
+    let status = wait_for(&mut child);
     let stdout = std::fs::read_to_string(&out_path).unwrap_or_default();
     let stderr = std::fs::read_to_string(&err_path).unwrap_or_default();
     std::fs::remove_file(&out_path).ok();
     std::fs::remove_file(&err_path).ok();
     (status, stdout, stderr)
+}
+
+/// Waits for `child` to exit, killing it at [`DEADLINE`] (`None`).
+fn wait_for(child: &mut Child) -> Option<ExitStatus> {
+    let start = Instant::now();
+    loop {
+        if let Some(status) = child.try_wait().expect("poll the CLI") {
+            return Some(status);
+        }
+        if start.elapsed() > DEADLINE {
+            child.kill().ok();
+            child.wait().ok();
+            return None;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
 }
 
 /// Runs `mercurial-lab pipeline --scenario` on the mutated demo scenario
@@ -146,9 +152,10 @@ fn assert_usage_error(case: &str, args: &[&str], flag: &str) -> String {
     stderr
 }
 
+/// Malformed or missing flag values and flags the command does not take.
 #[test]
 fn malformed_or_missing_flag_values_are_usage_errors() {
-    let cases: [(&str, &[&str], &str); 4] = [
+    let cases: [(&str, &[&str], &str); 9] = [
         ("seed-abc", &["pipeline", "--seed", "abc"], "--seed"),
         ("seed-missing", &["pipeline", "--seed"], "--seed"),
         ("workers-x", &["serve", "--workers", "x"], "--workers"),
@@ -157,9 +164,29 @@ fn malformed_or_missing_flag_values_are_usage_errors() {
             &["screen", "self-inverting-aes", "--age", "zz"],
             "--age",
         ),
+        (
+            "age-nan",
+            &["screen", "self-inverting-aes", "--age", "nan"],
+            "--age",
+        ),
+        (
+            "age-inf",
+            &["screen", "self-inverting-aes", "--age", "inf"],
+            "--age",
+        ),
+        (
+            "age-negative",
+            &["screen", "self-inverting-aes", "--age", "-5"],
+            "--age",
+        ),
+        ("pipeline-sede", &["pipeline", "--sede", "7"], "--sede"),
+        ("trace-fromat", &["trace", "--fromat", "jsonl"], "--fromat"),
     ];
     for (case, args, flag) in cases {
-        assert_usage_error(case, args, flag);
+        // Commands that build a fleet announce "…: N machines, M months"
+        // first; no banner means nothing ran.
+        let stderr = assert_usage_error(case, args, flag);
+        assert!(!stderr.contains("machines"), "{case}: stderr: {stderr}");
     }
 }
 
@@ -174,6 +201,32 @@ fn unknown_format_is_rejected_before_anything_runs() {
             "{command}: stderr: {stderr}"
         );
     }
+}
+
+#[test]
+fn closed_stdout_is_an_error_not_a_panic() {
+    // The demo trace is ~120 KB of JSONL, more than a pipe buffers, so the
+    // CLI is still writing when the reader goes away.
+    let err_path = std::env::temp_dir().join(format!(
+        "mercurial-cli-{}-closed-pipe.stderr",
+        std::process::id()
+    ));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mercurial-lab"))
+        .args(["trace", "--format", "jsonl"])
+        .stdout(Stdio::piped())
+        .stderr(File::create(&err_path).expect("create stderr file"))
+        .spawn()
+        .expect("run the CLI");
+    let mut head = [0u8; 100];
+    let mut stdout = child.stdout.take().expect("piped stdout");
+    stdout.read_exact(&mut head).expect("read the first bytes");
+    drop(stdout);
+    let status = wait_for(&mut child);
+    let stderr = std::fs::read_to_string(&err_path).unwrap_or_default();
+    std::fs::remove_file(&err_path).ok();
+    let status = status.unwrap_or_else(|| panic!("no exit within {DEADLINE:?}"));
+    assert_eq!(status.code(), Some(1), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
 
 #[test]

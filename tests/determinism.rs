@@ -46,7 +46,7 @@ fn execute_many_matches_serial_execution() {
         .iter()
         .map(|&s| Scenario::small(s))
         .collect();
-    let fanned = PipelineRun::execute_many(&scenarios, 4);
+    let fanned = mercurial_fleet::par::map_parallel(&scenarios, 4, PipelineRun::execute);
     assert_eq!(fanned.len(), scenarios.len());
     for (scenario, outcome) in scenarios.iter().zip(&fanned) {
         let serial = PipelineRun::execute(scenario);

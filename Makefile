@@ -1,4 +1,6 @@
-# Development entry points. `make ci` is what the CI workflow runs.
+# Development entry points. `make ci` is what the CI workflow runs: the
+# workflow installs the toolchain and calls it, so the step list lives
+# here alone.
 
 CARGO ?= cargo
 
@@ -80,8 +82,10 @@ audit-smoke:
 
 # Self-observability contracts: a profiled run reproduces the E20 legacy
 # pin bit-for-bit (the profiler is write-only), the enabled profiler
-# stays under its 2% overhead budget, and the shared BenchMeta envelope
-# round-trips through its own validator.
+# stays under its 2% overhead budget (the median of 201 prof-off/prof-on
+# pair ratios from the shared bench sampler, on one 20,000-machine
+# experiment built once), and the shared BenchMeta envelope round-trips
+# through its own validator.
 prof-smoke:
 	$(CARGO) run --release -p mercurial-bench --bin e22_prof -- --smoke
 

@@ -7,7 +7,9 @@
 //! formatting. This experiment prices that deal at paper scale: the
 //! whole-window simulation untraced, with a disabled recorder, and with
 //! recording on, plus the closed loop off vs on, and writes the baseline
-//! to `BENCH_trace.json`.
+//! to `BENCH_trace.json`. The arms of each comparison are timed by the
+//! shared sampler ([`mercurial_bench::interleave`]), and each overhead is
+//! the median of the per-round ratios.
 //!
 //! ```text
 //! cargo run --release -p mercurial-bench --bin e16_trace_overhead [-- --smoke]
@@ -18,22 +20,23 @@
 //! balanced B/E span pairs, and an incident timeline showing a full
 //! onset → signal → quarantine → confirm story. It then gates the cost of
 //! recording on the paper-scale closed loop as a ratio within one process
-//! (the median over interleaved untraced/traced pairs must stay within
+//! (the median of the per-pair traced/untraced ratios must stay within
 //! [`MAX_TRACED_RATIO`]), which host load moves far less than absolute
 //! wall clock (`make trace-smoke`).
 
-use std::time::Instant;
-
 use mercurial::closedloop::{ClosedLoopDriver, ClosedLoopOutcome};
 use mercurial::fault::CoreUid;
-use mercurial::pipeline::median;
 use mercurial::trace::{incident_timeline, Recorder, TraceFlags};
 use mercurial::{FleetExperiment, Scenario};
+use mercurial_bench::{interleave, Rounds};
 use mercurial_fleet::{SignalLog, SimSummary};
 use mercurial_prof::Prof;
 
-/// Interleaved untraced/traced closed-loop pairs per measurement.
-const PAIRS: usize = 5;
+/// Untraced/traced closed-loop pairs per measurement.
+const PAIRS: usize = 21;
+
+/// Rounds of the three whole-window sim arms.
+const SIM_ROUNDS: usize = 101;
 
 /// The smoke gate on the median traced/untraced closed-loop wall-clock
 /// ratio. Recording buffers events and counters but must not change what
@@ -41,11 +44,7 @@ const PAIRS: usize = 5;
 const MAX_TRACED_RATIO: f64 = 1.5;
 
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        run_smoke();
-    } else {
-        run_full();
-    }
+    mercurial_bench::smoke_or_full(run_smoke, run_full);
 }
 
 // ------------------------------------------------------------- smoke mode
@@ -103,11 +102,8 @@ fn run_smoke() {
     // 4. Recording does not change the closed loop's cost class.
     let paper = mercurial_bench::paper_scenario(0x0e16);
     let (pairs, _) = closed_loop_pairs(&paper, &Prof::disabled());
-    let ratios: Vec<f64> = pairs.iter().map(|&(off, on)| on / off).collect();
-    let ratio = median(&ratios).expect("PAIRS > 0");
-    println!(
-        "paper closed loop: median traced/untraced ratio {ratio:.3} over {PAIRS} interleaved pairs"
-    );
+    let ratio = pairs.ratio(1, 0);
+    println!("paper closed loop: median traced/untraced ratio {ratio:.3} over {PAIRS} pairs");
     assert!(
         ratio <= MAX_TRACED_RATIO,
         "traced closed loop costs {ratio:.3}x the untraced one (gate {MAX_TRACED_RATIO}x)"
@@ -115,50 +111,32 @@ fn run_smoke() {
     println!("\nE16 smoke: all tracing contracts hold");
 }
 
-/// The closed loop on `scenario` with feedback on, timed untraced and
-/// traced in [`PAIRS`] interleaved pairs: `(untraced_secs, traced_secs)`
-/// per pair, plus the last traced outcome. The order inside a pair
-/// alternates, so neither side always runs second on a warm heap.
-fn closed_loop_pairs(scenario: &Scenario, prof: &Prof) -> (Vec<(f64, f64)>, ClosedLoopOutcome) {
+/// The closed loop on `scenario` with feedback on, untraced (arm 0) and
+/// traced (arm 1), sampled over [`PAIRS`] rounds; plus the last traced
+/// outcome.
+fn closed_loop_pairs(scenario: &Scenario, prof: &Prof) -> (Rounds, ClosedLoopOutcome) {
     let mut off = scenario.clone();
     off.closed_loop.feedback = true;
     off.trace.enabled = false;
     let mut on = off.clone();
     on.trace.enabled = true;
-    let timed = |s: &Scenario, phase| {
-        let t = Instant::now();
-        let out = prof.scope(phase, || ClosedLoopDriver::execute(s));
-        (t.elapsed().as_secs_f64(), out)
-    };
-    let mut pairs = Vec::with_capacity(PAIRS);
     let mut traced = None;
-    for i in 0..PAIRS {
-        let ((off_secs, untraced), (on_secs, out)) = if i % 2 == 0 {
-            let a = timed(&off, "loop.untraced");
-            (a, timed(&on, "loop.traced"))
-        } else {
-            let b = timed(&on, "loop.traced");
-            (timed(&off, "loop.untraced"), b)
-        };
-        assert!(untraced.trace.is_empty());
-        pairs.push((off_secs, on_secs));
-        traced = Some(out);
-    }
-    (pairs, traced.expect("at least one pair"))
+    let pairs = interleave(
+        prof,
+        PAIRS,
+        &mut [
+            ("loop.untraced", &mut || {
+                assert!(ClosedLoopDriver::execute(&off).trace.is_empty());
+            }),
+            ("loop.traced", &mut || {
+                traced = Some(ClosedLoopDriver::execute(&on));
+            }),
+        ],
+    );
+    (pairs, traced.expect("PAIRS > 0"))
 }
 
 // -------------------------------------------------------------- full mode
-
-/// Best-of-`reps` wall-clock seconds for `f`.
-fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
 
 fn run_full() {
     let scenario = mercurial_bench::paper_scenario(0x0e16);
@@ -166,7 +144,6 @@ fn run_full() {
         "E16 — tracing overhead   [{}: {} machines, {} months]",
         scenario.name, scenario.fleet.machines, scenario.sim.months
     ));
-    let reps = 3;
     // The bench's own phase breakdown, embedded in the BenchMeta
     // envelope: wall clock per measured section, write-only as always.
     let prof = Prof::enabled();
@@ -181,45 +158,35 @@ fn run_full() {
         let mut summary = SimSummary::default();
         sim.step_epochs(&mut state, u32::MAX, &mut log, &mut summary, rec);
         log.sort_by_time();
-        (log, summary)
+        assert!(!log.is_empty());
     };
-    let untraced = prof.scope("sim.untraced", || {
-        best_of(reps, || {
-            let (log, _) = sim.run();
-            assert!(!log.is_empty());
-        })
-    });
-    let disabled = prof.scope("sim.disabled", || {
-        best_of(reps, || {
-            let (log, _) = step_all(&mut Recorder::disabled());
-            assert!(!log.is_empty());
-        })
-    });
     let mut trace_events = 0usize;
-    let enabled = prof.scope("sim.enabled", || {
-        best_of(reps, || {
-            let mut rec = Recorder::with_flags(TraceFlags::enabled());
-            let (log, _) = step_all(&mut rec);
-            assert!(!log.is_empty());
-            trace_events = rec.event_count();
-        })
-    });
-    let disabled_pct = 100.0 * (disabled / untraced - 1.0);
-    let enabled_pct = 100.0 * (enabled / untraced - 1.0);
-    println!("sim, untraced baseline:   {untraced:>8.3} s   (best of {reps})");
+    let sims = interleave(
+        &prof,
+        SIM_ROUNDS,
+        &mut [
+            ("sim.untraced", &mut || assert!(!sim.run().0.is_empty())),
+            ("sim.disabled", &mut || step_all(&mut Recorder::disabled())),
+            ("sim.enabled", &mut || {
+                let mut rec = Recorder::with_flags(TraceFlags::enabled());
+                step_all(&mut rec);
+                trace_events = rec.event_count();
+            }),
+        ],
+    );
+    let [untraced, disabled, enabled] = [0, 1, 2].map(|arm| sims.spread(arm).median);
+    let disabled_pct = 100.0 * (sims.ratio(1, 0) - 1.0);
+    let enabled_pct = 100.0 * (sims.ratio(2, 0) - 1.0);
+    println!("sim, untraced baseline:   {untraced:>8.3} s   (median of {SIM_ROUNDS})");
     println!("sim, recorder disabled:   {disabled:>8.3} s   ({disabled_pct:+.2}%)");
     println!(
         "sim, recorder enabled:    {enabled:>8.3} s   ({enabled_pct:+.2}%, {trace_events} events)"
     );
 
-    // The closed loop end to end, tracing off vs on: medians over
-    // interleaved pairs, the overhead from the median per-pair ratio.
+    // The closed loop end to end, tracing off vs on.
     let (pairs, on) = closed_loop_pairs(&scenario, &prof);
-    let (offs, ons): (Vec<f64>, Vec<f64>) = pairs.iter().copied().unzip();
-    let ratios: Vec<f64> = pairs.iter().map(|&(off, on)| on / off).collect();
-    let loop_off = median(&offs).expect("PAIRS > 0");
-    let loop_on = median(&ons).expect("PAIRS > 0");
-    let loop_pct = 100.0 * (median(&ratios).expect("PAIRS > 0") - 1.0);
+    let (loop_off, loop_on) = (pairs.spread(0).median, pairs.spread(1).median);
+    let loop_pct = 100.0 * (pairs.ratio(1, 0) - 1.0);
     let jsonl = on.trace.to_jsonl();
     println!("closed loop, tracing off: {loop_off:>8.3} s   (median of {PAIRS})");
     println!(
@@ -228,14 +195,8 @@ fn run_full() {
         jsonl.len()
     );
 
-    // Acceptance: a disabled recorder costs < 2% of the untraced sim.
-    assert!(
-        disabled_pct < 2.0,
-        "acceptance: disabled tracing overhead {disabled_pct:.2}% must stay under 2%"
-    );
-
     let body = format!(
-        "\"scenario\": \"{}\",\n  \"machines\": {},\n  \"months\": {},\n  \"sim_untraced_secs\": {untraced:.4},\n  \"sim_disabled_secs\": {disabled:.4},\n  \"sim_enabled_secs\": {enabled:.4},\n  \"sim_disabled_overhead_pct\": {disabled_pct:.3},\n  \"sim_enabled_overhead_pct\": {enabled_pct:.3},\n  \"closed_loop_off_secs\": {loop_off:.4},\n  \"closed_loop_on_secs\": {loop_on:.4},\n  \"closed_loop_on_overhead_pct\": {loop_pct:.3},\n  \"sim_trace_events\": {trace_events},\n  \"closed_loop_trace_events\": {},\n  \"closed_loop_jsonl_bytes\": {}",
+        "\"scenario\": \"{}\",\n  \"machines\": {},\n  \"months\": {},\n  \"sim_rounds\": {SIM_ROUNDS},\n  \"closed_loop_pairs\": {PAIRS},\n  \"sim_untraced_secs\": {untraced:.4},\n  \"sim_disabled_secs\": {disabled:.4},\n  \"sim_enabled_secs\": {enabled:.4},\n  \"sim_disabled_overhead_pct\": {disabled_pct:.3},\n  \"sim_enabled_overhead_pct\": {enabled_pct:.3},\n  \"closed_loop_off_secs\": {loop_off:.4},\n  \"closed_loop_on_secs\": {loop_on:.4},\n  \"closed_loop_on_overhead_pct\": {loop_pct:.3},\n  \"sim_trace_events\": {trace_events},\n  \"closed_loop_trace_events\": {},\n  \"closed_loop_jsonl_bytes\": {}",
         scenario.name,
         scenario.fleet.machines,
         scenario.sim.months,
@@ -246,9 +207,15 @@ fn run_full() {
     mercurial_bench::write_bench_json(
         path,
         "e16_trace_overhead",
-        reps as u64,
+        SIM_ROUNDS as u64,
         &prof.finish(),
         &body,
     );
     println!("\nbaseline written to BENCH_trace.json");
+
+    // Acceptance: a disabled recorder costs < 2% of the untraced sim.
+    assert!(
+        disabled_pct < 2.0,
+        "acceptance: disabled tracing overhead {disabled_pct:.2}% must stay under 2%"
+    );
 }

@@ -6,8 +6,10 @@
 //! alerting acceptable is that rule evaluation is a handful of float
 //! comparisons per epoch — invisible next to the screeners and the
 //! workload simulation. This experiment prices that deal at paper scale:
-//! the closed loop with the watch block off vs on (default rule set), and
-//! writes the baseline to `BENCH_watch.json`.
+//! the closed loop with the watch block off vs on (default rule set),
+//! timed in [`PAIRS`] pairs by the shared sampler
+//! ([`mercurial_bench::interleave`]) and gated on the median of the
+//! per-pair ratios, and writes the baseline to `BENCH_watch.json`.
 //!
 //! ```text
 //! cargo run --release -p mercurial-bench --bin e17_watch_overhead [-- --smoke]
@@ -21,19 +23,16 @@
 //! agreeing with the in-loop engine, and a healthy fleet staying silent
 //! on hair-trigger rules (`make watch-smoke`).
 
-use std::time::Instant;
-
 use mercurial::closedloop::{ClosedLoopDriver, RunOptions};
 use mercurial::trace::{EventKind, JsonlStreamSink};
 use mercurial::watch::{Cmp, EpochField, Rule, RuleKind, RuleSet, Source, WatchInput};
 use mercurial::{FleetExperiment, Scenario};
 
+/// Watch-off/watch-on closed-loop pairs.
+const PAIRS: usize = 101;
+
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        run_smoke();
-    } else {
-        run_full();
-    }
+    mercurial_bench::smoke_or_full(run_smoke, run_full);
 }
 
 // ------------------------------------------------------------- smoke mode
@@ -156,36 +155,31 @@ fn run_full() {
 
     // The closed loop end to end: watch off vs watch on (default rule
     // set, tracing on in both arms so the comparison isolates the rule
-    // engine, not the recorder). Best of `reps` per arm — a single
-    // ~half-minute run carries a few percent of scheduler noise, more
-    // than the engine itself costs.
+    // engine, not the recorder).
     let mut off_s = scenario.clone();
     off_s.closed_loop.feedback = true;
     off_s.trace.enabled = true;
     off_s.watch.enabled = false;
     let mut on_s = off_s.clone();
     on_s.watch.enabled = true;
-    let reps = 3;
 
-    // Interleave the arms (off, on, off, on, …): a sequential A…A B…B
-    // layout lets thermal drift masquerade as rule-engine cost.
-    let mut watch_off = f64::INFINITY;
-    let mut watch_on = f64::INFINITY;
     let mut report = None;
     let mut epochs = 0u32;
     let prof = mercurial_prof::Prof::enabled();
-    for _ in 0..reps {
-        let t = Instant::now();
-        let off = prof.scope("loop.watch_off", || ClosedLoopDriver::execute(&off_s));
-        watch_off = watch_off.min(t.elapsed().as_secs_f64());
-        assert!(off.watch.is_none());
-
-        let t = Instant::now();
-        let on = prof.scope("loop.watch_on", || ClosedLoopDriver::execute(&on_s));
-        watch_on = watch_on.min(t.elapsed().as_secs_f64());
-        epochs = on.epochs;
-        report = on.watch;
-    }
+    let pairs = mercurial_bench::interleave(
+        &prof,
+        PAIRS,
+        &mut [
+            ("loop.watch_off", &mut || {
+                assert!(ClosedLoopDriver::execute(&off_s).watch.is_none());
+            }),
+            ("loop.watch_on", &mut || {
+                let on = ClosedLoopDriver::execute(&on_s);
+                epochs = on.epochs;
+                report = on.watch;
+            }),
+        ],
+    );
     let report = report.expect("watch enabled");
     let rules = on_s.watch.rule_set().rules.len();
     let fired = report
@@ -194,30 +188,31 @@ fn run_full() {
         .filter(|o| matches!(o.status, mercurial::watch::RuleStatus::Fired(_)))
         .count();
 
-    let pct = 100.0 * (watch_on / watch_off - 1.0);
-    println!("closed loop, watch off:   {watch_off:>8.3} s");
+    let (watch_off, watch_on) = (pairs.spread(0).median, pairs.spread(1).median);
+    let pct = 100.0 * (pairs.ratio(1, 0) - 1.0);
+    println!("closed loop, watch off:   {watch_off:>8.3} s   (median of {PAIRS})");
     println!(
         "closed loop, watch on:    {watch_on:>8.3} s   ({pct:+.2}%, {rules} rules, {fired} fired)"
     );
     print!("{}", report.render());
 
-    // Acceptance: in-loop rule evaluation costs < 2% of the run.
-    assert!(
-        pct < 2.0,
-        "acceptance: watch overhead {pct:.2}% must stay under 2%"
-    );
-
     let body = format!(
-        "\"scenario\": \"{}\",\n  \"machines\": {},\n  \"months\": {},\n  \"rules\": {rules},\n  \"fired\": {fired},\n  \"watch_off_secs\": {watch_off:.4},\n  \"watch_on_secs\": {watch_on:.4},\n  \"watch_overhead_pct\": {pct:.3},\n  \"epochs\": {epochs}",
+        "\"scenario\": \"{}\",\n  \"machines\": {},\n  \"months\": {},\n  \"pairs\": {PAIRS},\n  \"rules\": {rules},\n  \"fired\": {fired},\n  \"watch_off_secs\": {watch_off:.4},\n  \"watch_on_secs\": {watch_on:.4},\n  \"watch_overhead_pct\": {pct:.3},\n  \"epochs\": {epochs}",
         scenario.name, scenario.fleet.machines, scenario.sim.months
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_watch.json");
     mercurial_bench::write_bench_json(
         path,
         "e17_watch_overhead",
-        reps as u64,
+        PAIRS as u64,
         &prof.finish(),
         &body,
     );
     println!("\nbaseline written to BENCH_watch.json");
+
+    // Acceptance: in-loop rule evaluation costs < 2% of the run.
+    assert!(
+        pct < 2.0,
+        "acceptance: watch overhead {pct:.2}% must stay under 2%"
+    );
 }

@@ -28,24 +28,23 @@
 //! closed loop within a self-calibrated wall-clock budget
 //! (`make study-smoke`).
 
-use std::time::Instant;
-
 use mercurial::closedloop::ClosedLoopDriver;
 use mercurial::fleet::{FleetSim, FleetTopology, Population, SignalLog};
 use mercurial::trace::Recorder;
 use mercurial::{FleetExperiment, Scenario};
+use mercurial_bench::{interleave, timed};
+use mercurial_prof::Prof;
 
 /// The 20k-machine closed-loop time before the fleet-study refactor
 /// (BENCH_watch.json `watch_off_secs`, same machine class): the
 /// acceptance budget for the 1M-machine run.
 const BEFORE_20K_SECS: f64 = 7.8201;
 
+/// Samples of the paper-scale closed loop.
+const ROUNDS_20K: usize = 21;
+
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        run_smoke();
-    } else {
-        run_full();
-    }
+    mercurial_bench::smoke_or_full(run_smoke, run_full);
 }
 
 /// Feedback on, tracing and watch off: the configuration the ~8 s
@@ -119,9 +118,10 @@ fn run_smoke() {
     //    pre-refactor 20k time and 4× the in-process 20k time (so a slow
     //    CI machine scales the budget with itself).
     let paper = mercurial_bench::paper_scenario(0x0e18);
-    let t = Instant::now();
-    let out_20k = ClosedLoopDriver::execute(&closed_loop_scenario(&paper));
-    let secs_20k = t.elapsed().as_secs_f64();
+    let prof = Prof::disabled();
+    let (out_20k, secs_20k) = timed(&prof, "loop.closed_20k", || {
+        ClosedLoopDriver::execute(&closed_loop_scenario(&paper))
+    });
     assert!(!out_20k.pipeline.detections.is_empty());
     println!(
         "calibrate: 20k closed loop {secs_20k:.2} s ({} detections)",
@@ -129,12 +129,11 @@ fn run_smoke() {
     );
 
     let study = fleet_study_scenario(&paper);
-    let t = Instant::now();
-    let experiment = FleetExperiment::build(&study);
-    let build_secs = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let out_1m = ClosedLoopDriver::execute_on(&study, &experiment);
-    let secs_1m = t.elapsed().as_secs_f64();
+    let (experiment, build_secs) =
+        timed(&prof, "study.build_1m", || FleetExperiment::build(&study));
+    let (out_1m, secs_1m) = timed(&prof, "study.closed_loop_1m", || {
+        ClosedLoopDriver::execute_on(&study, &experiment)
+    });
     let budget = BEFORE_20K_SECS.max(4.0 * secs_20k);
     println!(
         "budget: 1M closed loop {secs_1m:.2} s (build {build_secs:.2} s, {} mercurial cores, \
@@ -159,22 +158,24 @@ fn run_full() {
         paper.name, paper.fleet.machines, paper.sim.months
     ));
 
-    // The paper-scale closed loop, best of `reps`.
-    let reps = 3;
-    let mut secs_20k = f64::INFINITY;
+    // The paper-scale closed loop, median of `ROUNDS_20K`.
+    let prof = Prof::enabled();
+    let scenario_20k = closed_loop_scenario(&paper);
     let mut detections_20k = 0;
-    let prof = mercurial_prof::Prof::enabled();
-    for _ in 0..reps {
-        let t = Instant::now();
-        let out = prof.scope("loop.closed_20k", || {
-            ClosedLoopDriver::execute(&closed_loop_scenario(&paper))
-        });
-        secs_20k = secs_20k.min(t.elapsed().as_secs_f64());
-        detections_20k = out.pipeline.detections.len();
-    }
+    let rounds = interleave(
+        &prof,
+        ROUNDS_20K,
+        &mut [("loop.closed_20k", &mut || {
+            detections_20k = ClosedLoopDriver::execute(&scenario_20k)
+                .pipeline
+                .detections
+                .len();
+        })],
+    );
+    let secs_20k = rounds.spread(0).median;
     println!(
-        "closed loop 20k: {secs_20k:>8.3} s   ({detections_20k} detections; \
-         was {BEFORE_20K_SECS:.2} s pre-refactor)"
+        "closed loop 20k: {secs_20k:>8.3} s   ({detections_20k} detections, median of \
+         {ROUNDS_20K}; was {BEFORE_20K_SECS:.2} s pre-refactor)"
     );
 
     // The fleet-study arm: 1M machines × 36 months, once. The build is
@@ -182,36 +183,27 @@ fn run_full() {
     // over it, then the simulator around both (the workload draw).
     let study = fleet_study_scenario(&paper);
     let build_span = prof.span("study.build_1m");
-    let t = Instant::now();
-    let topo = prof.scope("build.topology", || {
+    let (topo, topology_1m) = timed(&prof, "build.topology", || {
         FleetTopology::build(study.fleet.clone())
     });
-    let topology_1m = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let pop = prof.scope("build.population", || Population::seed_from(&topo));
-    let population_1m = t.elapsed().as_secs_f64();
+    let (pop, population_1m) = timed(&prof, "build.population", || Population::seed_from(&topo));
     let cores_drawn = topo.total_cores();
     let ns_per_core_draw = population_1m * 1e9 / cores_drawn as f64;
-    let t = Instant::now();
-    let experiment = prof.scope("build.simulator", || {
+    let (experiment, simulator_1m) = timed(&prof, "build.simulator", || {
         FleetExperiment::from_parts(&study, topo, pop)
     });
-    let build_1m = topology_1m + population_1m + t.elapsed().as_secs_f64();
+    let build_1m = topology_1m + population_1m + simulator_1m;
     drop(build_span);
     let mercurial_cores = experiment.population().count() as u64;
 
     let sim = experiment.sim();
-    let t = Instant::now();
-    prof.scope("study.sim_1m", || step_through(sim, u32::MAX));
-    let sim_1m = t.elapsed().as_secs_f64();
+    let (_, sim_1m) = timed(&prof, "study.sim_1m", || step_through(sim, u32::MAX));
     let visits = core_visits(sim);
     let epochs = sim.epochs();
 
-    let t = Instant::now();
-    let out_1m = prof.scope("study.closed_loop_1m", || {
+    let (out_1m, closed_1m) = timed(&prof, "study.closed_loop_1m", || {
         ClosedLoopDriver::execute_on(&study, &experiment)
     });
-    let closed_1m = t.elapsed().as_secs_f64();
     println!("fleet study 1M x {} months:", study.sim.months);
     println!("  build:       {build_1m:>8.3} s   ({mercurial_cores} mercurial cores)");
     println!(
@@ -235,10 +227,10 @@ fn run_full() {
     );
 
     let body = format!(
-        "\"scenario\": \"{}\",\n  \"machines\": {},\n  \"months\": {},\n  \"before_20k_secs\": {BEFORE_20K_SECS},\n  \"closed_loop_20k_secs\": {secs_20k:.4},\n  \"study_machines\": {},\n  \"build_1m_secs\": {build_1m:.4},\n  \"build_topology_1m_secs\": {topology_1m:.4},\n  \"build_population_1m_secs\": {population_1m:.4},\n  \"cores_drawn_1m\": {cores_drawn},\n  \"ns_per_core_draw\": {ns_per_core_draw:.2},\n  \"sim_1m_secs\": {sim_1m:.4},\n  \"closed_loop_1m_secs\": {closed_1m:.4},\n  \"mercurial_cores_1m\": {mercurial_cores},\n  \"core_visits_1m\": {visits},\n  \"epochs\": {epochs}",
+        "\"scenario\": \"{}\",\n  \"machines\": {},\n  \"months\": {},\n  \"before_20k_secs\": {BEFORE_20K_SECS},\n  \"rounds_20k\": {ROUNDS_20K},\n  \"closed_loop_20k_secs\": {secs_20k:.4},\n  \"study_machines\": {},\n  \"build_1m_secs\": {build_1m:.4},\n  \"build_topology_1m_secs\": {topology_1m:.4},\n  \"build_population_1m_secs\": {population_1m:.4},\n  \"cores_drawn_1m\": {cores_drawn},\n  \"ns_per_core_draw\": {ns_per_core_draw:.2},\n  \"sim_1m_secs\": {sim_1m:.4},\n  \"closed_loop_1m_secs\": {closed_1m:.4},\n  \"mercurial_cores_1m\": {mercurial_cores},\n  \"core_visits_1m\": {visits},\n  \"epochs\": {epochs}",
         paper.name, paper.fleet.machines, paper.sim.months, study.fleet.machines,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_study.json");
-    mercurial_bench::write_bench_json(path, "e18_study", reps as u64, &prof.finish(), &body);
+    mercurial_bench::write_bench_json(path, "e18_study", ROUNDS_20K as u64, &prof.finish(), &body);
     println!("\nbaseline written to BENCH_study.json");
 }

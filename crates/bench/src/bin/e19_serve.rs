@@ -19,8 +19,6 @@
 //! coupling guarantees a higher loss level drops a superset of frames
 //! (`make serve-smoke`).
 
-use std::time::Instant;
-
 use mercurial::closedloop::ClosedLoopDriver;
 use mercurial::scenario::ImpairConfig;
 use mercurial::Scenario;
@@ -33,11 +31,7 @@ use mercurial_watch::{Cmp, EpochField, Rule, RuleKind, RuleSet, Source};
 const LOSS_LEVELS: [f64; 5] = [0.0, 0.05, 0.1, 0.3, 0.6];
 
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        run_smoke();
-    } else {
-        run_full();
-    }
+    mercurial_bench::smoke_or_full(run_smoke, run_full);
 }
 
 /// The served scenario: demo fleet, feedback on, tracing and watch on
@@ -182,11 +176,9 @@ fn run_full() {
 
     // The clean served run is ground truth for fidelity and latency.
     let prof = mercurial_prof::Prof::enabled();
-    let t = Instant::now();
-    let clean = prof
-        .scope("serve.clean", || run_served(&base, &opts))
-        .expect("clean served run");
-    let clean_secs = t.elapsed().as_secs_f64();
+    let (clean, clean_secs) =
+        mercurial_bench::timed(&prof, "serve.clean", || run_served(&base, &opts));
+    let clean = clean.expect("clean served run");
     let clean_watch = clean.outcome.watch.clone().expect("watch enabled");
     let clean_fired = clean_watch.alerts().len();
     let clean_p95 =

@@ -21,29 +21,15 @@
 //!
 //! [`CostMeter`]: mercurial_mitigation::redundancy::CostMeter
 
-use std::time::Instant;
-
 use mercurial::closedloop::ClosedLoopDriver;
 use mercurial::scenario::ClassPolicy;
 use mercurial::Scenario;
+use mercurial_bench::timed;
 use mercurial_mitigation::MitigationPolicy;
 use mercurial_trace::EventKind;
 
-/// The policy ladder, weakest to strongest.
-const LADDER: [MitigationPolicy; 5] = [
-    MitigationPolicy::None,
-    MitigationPolicy::E2eChecksum,
-    MitigationPolicy::InstructionCheck,
-    MitigationPolicy::Dmr,
-    MitigationPolicy::Tmr,
-];
-
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        run_smoke();
-    } else {
-        run_full();
-    }
+    mercurial_bench::smoke_or_full(run_smoke, run_full);
 }
 
 /// The frontier scenario: demo fleet, workload layer on.
@@ -150,7 +136,7 @@ fn run_smoke() {
     //    corruption, more overhead — for the fleet and for every class.
     {
         let mut last: Option<(u64, u64)> = None;
-        for policy in LADDER {
+        for policy in MitigationPolicy::ALL {
             let out = ClosedLoopDriver::execute(&frontier_scenario(7, false, Some(policy)));
             let totals = class_totals(&out);
             let residual: u64 = totals.iter().map(ClassTotals::residual).sum();
@@ -190,12 +176,10 @@ fn run_full() {
 
     // Uniform rungs: every class pinned to one policy, closed loop.
     let prof = mercurial_prof::Prof::enabled();
-    for policy in LADDER {
-        let t0 = Instant::now();
-        let out = prof.scope("frontier.ladder", || {
+    for policy in MitigationPolicy::ALL {
+        let (out, secs) = timed(&prof, "frontier.ladder", || {
             ClosedLoopDriver::execute(&frontier_scenario(seed, true, Some(policy)))
         });
-        let secs = t0.elapsed().as_secs_f64();
         arms.push(arm_json(policy.label(), &out, 0, secs));
         print_arm(policy.label(), &out, 0, secs);
     }
@@ -215,9 +199,7 @@ fn run_full() {
         s.workloads.adapt = true;
         s.workloads.escalate_threshold = threshold;
         s.trace.enabled = true;
-        let t0 = Instant::now();
-        let out = prof.scope("frontier.adaptive", || ClosedLoopDriver::execute(&s));
-        let secs = t0.elapsed().as_secs_f64();
+        let (out, secs) = timed(&prof, "frontier.adaptive", || ClosedLoopDriver::execute(&s));
         let escalations = out
             .trace
             .events

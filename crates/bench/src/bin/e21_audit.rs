@@ -13,28 +13,25 @@
 //!
 //! Full mode audits the E20 policy-ladder arms and the E19 impairment
 //! arms, measures the in-loop overhead of auditing against an audit-off
-//! run (<2% acceptance bar), and writes `BENCH_audit.json`. `--smoke`
+//! run (the median of [`PAIRS`] per-pair ratios from the shared sampler,
+//! <2% acceptance bar), and writes `BENCH_audit.json`. `--smoke`
 //! checks the contracts instead (`make audit-smoke`): audit off moves no
 //! pre-audit bit (the E20 pin digests), the offline replay reproduces the
 //! in-loop ledger byte-for-byte, and attribution
 //! conserves ground truth (TP + FN == mercurial cores; every FP is a
 //! quarantined healthy core).
 
-use std::time::Instant;
-
 use mercurial::audit::{AuditReport, CaseLabel, DecisionLedger, GroundTruth};
 use mercurial::closedloop::ClosedLoopDriver;
 use mercurial::scenario::{ClassPolicy, ImpairConfig};
 use mercurial::Scenario;
+use mercurial_bench::{interleave, timed};
+use mercurial_corpus::hash::fnv1a64;
 use mercurial_mitigation::MitigationPolicy;
 use mercurial_serve::{run_served_impaired, ServeOptions};
 
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        run_smoke();
-    } else {
-        run_full();
-    }
+    mercurial_bench::smoke_or_full(run_smoke, run_full);
 }
 
 /// The audited scenario: demo fleet, closed loop, watch rules live,
@@ -64,16 +61,6 @@ fn report_of(s: &Scenario, trace: &mercurial_trace::Trace) -> (DecisionLedger, A
     (ledger, report)
 }
 
-/// FNV-1a over a byte string: stable, dependency-free content digest.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 // ------------------------------------------------------------- smoke mode
 
 fn run_smoke() {
@@ -89,17 +76,17 @@ fn run_smoke() {
         assert_eq!(out.pipeline.sim_summary.corruptions, 68_632_069);
         assert_eq!(out.pipeline.detections.len(), 17);
         assert_eq!(
-            fnv1a(out.series.to_csv().as_bytes()),
+            fnv1a64(out.series.to_csv().as_bytes()),
             0x9d12_71ac_ddd0_635f,
             "audit-off series CSV moved"
         );
         assert_eq!(
-            fnv1a(out.trace.to_jsonl().as_bytes()),
+            fnv1a64(out.trace.to_jsonl().as_bytes()),
             0xd7f3_ef09_599a_6f15,
             "audit-off trace JSONL moved"
         );
         assert_eq!(
-            fnv1a(out.watch.as_ref().expect("watch on").render().as_bytes()),
+            fnv1a64(out.watch.as_ref().expect("watch on").render().as_bytes()),
             0x8c7d_8a27_4984_3066,
             "audit-off watch render moved"
         );
@@ -159,14 +146,8 @@ fn run_smoke() {
 
 // -------------------------------------------------------------- full mode
 
-/// The E20 policy ladder, weakest to strongest.
-const LADDER: [MitigationPolicy; 5] = [
-    MitigationPolicy::None,
-    MitigationPolicy::E2eChecksum,
-    MitigationPolicy::InstructionCheck,
-    MitigationPolicy::Dmr,
-    MitigationPolicy::Tmr,
-];
+/// Audit-off/audit-on pairs of the overhead measurement.
+const PAIRS: usize = 101;
 
 fn run_full() {
     mercurial_bench::header("E21 — attribution quality and audit overhead");
@@ -182,7 +163,7 @@ fn run_full() {
     // E20 policy-ladder arms: stronger mitigation catches corruptions
     // in-line, which changes the evidence mix the loop decides on — the
     // audit shows what that does to attribution quality.
-    for policy in LADDER {
+    for policy in MitigationPolicy::ALL {
         let mut s = audited_scenario(seed);
         s.workloads.enabled = true;
         s.workloads.adapt = false;
@@ -198,9 +179,7 @@ fn run_full() {
             policy,
         })
         .collect();
-        let t0 = Instant::now();
-        let out = prof.scope("audit.ladder", || ClosedLoopDriver::execute(&s));
-        let secs = t0.elapsed().as_secs_f64();
+        let (out, secs) = timed(&prof, "audit.ladder", || ClosedLoopDriver::execute(&s));
         let (ledger, report) = report_of(&s, &out.trace);
         assert!(
             report.conserves(&ledger),
@@ -222,13 +201,10 @@ fn run_full() {
             loss,
             ..ImpairConfig::default()
         };
-        let t0 = Instant::now();
-        let served = prof
-            .scope("audit.impair", || {
-                run_served_impaired(&s, impair, &ServeOptions::default())
-            })
-            .expect("served run");
-        let secs = t0.elapsed().as_secs_f64();
+        let (served, secs) = timed(&prof, "audit.impair", || {
+            run_served_impaired(&s, impair, &ServeOptions::default())
+        });
+        let served = served.expect("served run");
         let (ledger, report) = report_of(&s, &served.outcome.trace);
         assert!(report.conserves(&ledger), "loss {loss}: must conserve");
         let label = format!("impair/loss-{loss}");
@@ -245,35 +221,28 @@ fn run_full() {
     on.sim.months = scale.sim.months;
     let mut off = on.clone();
     off.audit.enabled = false;
-    let reps = 3;
-    let once = |s: &Scenario| -> f64 {
-        let t = Instant::now();
-        std::hint::black_box(ClosedLoopDriver::execute(s));
-        t.elapsed().as_secs_f64()
-    };
-    // Warm both paths once (page cache, allocator), then interleave the
-    // timed reps so drift hits both arms alike; best-of is the estimator.
-    once(&off);
-    once(&on);
-    let (mut off_secs, mut on_secs) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
-        off_secs = off_secs.min(prof.scope("audit.overhead_off", || once(&off)));
-        on_secs = on_secs.min(prof.scope("audit.overhead_on", || once(&on)));
-    }
-    let overhead_pct = 100.0 * (on_secs / off_secs - 1.0);
+    let pairs = interleave(
+        &prof,
+        PAIRS,
+        &mut [
+            ("audit.overhead_off", &mut || {
+                drop(ClosedLoopDriver::execute(&off))
+            }),
+            ("audit.overhead_on", &mut || {
+                drop(ClosedLoopDriver::execute(&on))
+            }),
+        ],
+    );
+    let (off_secs, on_secs) = (pairs.spread(0).median, pairs.spread(1).median);
+    let overhead_pct = 100.0 * (pairs.ratio(1, 0) - 1.0);
     println!(
-        "\noverhead ({} machines, {} months, best of {reps}):",
+        "\noverhead ({} machines, {} months, median of {PAIRS} pairs):",
         on.fleet.machines, on.sim.months
     );
     println!("  audit off: {off_secs:>8.3} s");
     println!("  audit on:  {on_secs:>8.3} s   ({overhead_pct:+.2}%)");
-    assert!(
-        overhead_pct < 2.0,
-        "acceptance: audit overhead {overhead_pct:.2}% must stay under 2%"
-    );
-
     let body = format!(
-        "\"scenario\": \"{}\",\n  \"machines\": {},\n  \"months\": {},\n  \"seed\": {seed},\n  \"overhead_machines\": {},\n  \"overhead_off_secs\": {off_secs:.4},\n  \"overhead_on_secs\": {on_secs:.4},\n  \"overhead_pct\": {overhead_pct:.3},\n  \"arms\": [\n{}\n  ]",
+        "\"scenario\": \"{}\",\n  \"machines\": {},\n  \"months\": {},\n  \"seed\": {seed},\n  \"overhead_machines\": {},\n  \"overhead_pairs\": {PAIRS},\n  \"overhead_off_secs\": {off_secs:.4},\n  \"overhead_on_secs\": {on_secs:.4},\n  \"overhead_pct\": {overhead_pct:.3},\n  \"arms\": [\n{}\n  ]",
         base.name,
         base.fleet.machines,
         base.sim.months,
@@ -281,8 +250,14 @@ fn run_full() {
         arms.join(",\n"),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_audit.json");
-    mercurial_bench::write_bench_json(path, "e21_audit", reps as u64, &prof.finish(), &body);
+    mercurial_bench::write_bench_json(path, "e21_audit", PAIRS as u64, &prof.finish(), &body);
     println!("\naudit frontier written to BENCH_audit.json");
+
+    // Acceptance: auditing costs < 2% of the loop.
+    assert!(
+        overhead_pct < 2.0,
+        "acceptance: audit overhead {overhead_pct:.2}% must stay under 2%"
+    );
 }
 
 fn print_arm(label: &str, report: &AuditReport, secs: f64) {

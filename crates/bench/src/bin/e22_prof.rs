@@ -15,6 +15,10 @@
 //! cargo run --release -p mercurial-bench --bin e22_prof [-- --smoke]
 //! ```
 //!
+//! Both modes time the prof-off and prof-on arms over [`PAIRS`] pairs
+//! with the shared sampler ([`mercurial_bench::interleave`]) on one built
+//! experiment, and gate the median of the per-pair ratios.
+//!
 //! `--smoke` checks the same contracts at demo scale (`make prof-smoke`):
 //! prof-on parity against the E20 legacy pin, the <2% enabled-overhead
 //! budget (on the demo scenario widened to 20,000 machines), and a
@@ -22,18 +26,18 @@
 //!
 //! [`BenchMeta`]: mercurial_prof::BenchMeta
 
-use std::time::Instant;
-
 use mercurial::closedloop::{ClosedLoopDriver, ClosedLoopOutcome, RunOptions};
 use mercurial::{FleetExperiment, Scenario};
+use mercurial_bench::{interleave, Rounds};
 use mercurial_prof::{BenchMeta, Prof, SelfProfile};
 
+/// Prof-off/prof-on pairs per overhead measurement. Two 101-pair runs of
+/// one build can differ by a full point of overhead, so the 2% budget
+/// needs about twice that; at ~8 ms a run that is 3–4 s.
+const PAIRS: usize = 201;
+
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        run_smoke();
-    } else {
-        run_full();
-    }
+    mercurial_bench::smoke_or_full(run_smoke, run_full);
 }
 
 /// The fully instrumented closed loop: tracing and watch on, feedback on.
@@ -45,43 +49,44 @@ fn traced_scenario(base: &Scenario) -> Scenario {
     s
 }
 
-/// One run with a profiler attached; returns the outcome, the wall
-/// seconds, and the collected profile.
-fn profiled_run(s: &Scenario, prof: &Prof) -> (ClosedLoopOutcome, f64) {
-    let experiment = FleetExperiment::build(s);
+/// The closed loop on `experiment` with `prof` attached.
+fn run(s: &Scenario, experiment: &FleetExperiment, prof: &Prof) -> ClosedLoopOutcome {
     let opts = RunOptions {
         prof: Some(prof),
         ..RunOptions::default()
     };
-    let t = Instant::now();
-    let out = ClosedLoopDriver::execute_with(s, &experiment, opts);
-    (out, t.elapsed().as_secs_f64())
+    ClosedLoopDriver::execute_with(s, experiment, opts)
 }
 
-/// Interleaved best-of-`reps` for the unprofiled and profiled arms (off,
-/// on, off, on, …) so scheduler drift hits both alike; every profiled rep
-/// must reproduce its unprofiled twin's outcome. Returns `(off_secs,
-/// on_secs, last profiled outcome, last profile)`.
-fn measure_overhead(s: &Scenario, reps: usize) -> (f64, f64, ClosedLoopOutcome, SelfProfile) {
-    let (mut off_secs, mut on_secs) = (f64::INFINITY, f64::INFINITY);
+/// The closed loop on `s`, built once, sampled over [`PAIRS`] pairs of
+/// arm 0 (prof off) and arm 1 (prof on). Every profiled run must
+/// reproduce the unprofiled outcome, and each arm drops its outcome, so
+/// the arms differ only by the profiler. Returns the pairs, the
+/// unprofiled outcome and the last run's profile.
+fn overhead_pairs(s: &Scenario) -> (Rounds, ClosedLoopOutcome, SelfProfile) {
+    let experiment = FleetExperiment::build(s);
+    let twin = run(s, &experiment, &Prof::disabled());
     let mut last = None;
-    for _ in 0..reps {
-        let disabled = Prof::disabled();
-        let (off_out, t) = profiled_run(s, &disabled);
-        off_secs = off_secs.min(t);
-
-        let prof = Prof::enabled();
-        let (on_out, t) = profiled_run(s, &prof);
-        on_secs = on_secs.min(t);
-        assert_eq!(
-            on_out.pipeline.sim_summary, off_out.pipeline.sim_summary,
-            "the profiler is write-only: prof on must match prof off"
-        );
-        assert_eq!(on_out.pipeline.detections, off_out.pipeline.detections);
-        last = Some((on_out, prof.finish()));
-    }
-    let (out, profile) = last.expect("reps >= 1");
-    (off_secs, on_secs, out, profile)
+    let pairs = interleave(
+        &Prof::disabled(),
+        PAIRS,
+        &mut [
+            ("prof.off", &mut || {
+                drop(run(s, &experiment, &Prof::disabled()))
+            }),
+            ("prof.on", &mut || {
+                let prof = Prof::enabled();
+                let out = run(s, &experiment, &prof);
+                assert_eq!(
+                    out.pipeline.sim_summary, twin.pipeline.sim_summary,
+                    "the profiler is write-only: prof on must match prof off"
+                );
+                assert_eq!(out.pipeline.detections, twin.pipeline.detections);
+                last = Some(prof);
+            }),
+        ],
+    );
+    (pairs, twin, last.expect("PAIRS > 0").finish())
 }
 
 // ------------------------------------------------------------- smoke mode
@@ -94,7 +99,7 @@ fn run_smoke() {
     //    profiler existed; a profiled run must still land on it exactly.
     let s = traced_scenario(&Scenario::demo(7));
     let prof = Prof::enabled();
-    let (out, _) = profiled_run(&s, &prof);
+    let out = run(&s, &FleetExperiment::build(&s), &prof);
     assert_eq!(
         out.pipeline.sim_summary.corruptions, 68_632_069,
         "prof-on corruptions diverge from the E20 legacy pin"
@@ -113,23 +118,26 @@ fn run_smoke() {
         "parity: profiled run matches the E20 legacy pin (68 632 069 corruptions, 17 detections)"
     );
 
-    // 2. Enabled overhead under the 2% budget, interleaved best-of-5, on
-    //    the demo scenario widened to the paper's 20,000 machines. The
-    //    profiler's cost is fixed per span (about 1,400 spans a run), so
-    //    on the 1,500-machine demo fleet, a ~10 ms run, it alone nears
+    // 2. Enabled overhead under the 2% budget, on the demo scenario
+    //    widened to the paper's 20,000 machines. The profiler's cost is
+    //    fixed per span, so on the 1,500-machine demo fleet it alone nears
     //    the budget; at 20,000 machines it is a small share.
     let mut wide = s.clone();
     wide.fleet.machines = 20_000;
-    let (off_secs, on_secs, _, _) = measure_overhead(&wide, 5);
-    let pct = 100.0 * (on_secs / off_secs - 1.0);
-    println!("overhead: prof off {off_secs:.4} s, prof on {on_secs:.4} s ({pct:+.2}%)");
+    let (pairs, _, _) = overhead_pairs(&wide);
+    let (off_secs, on_secs) = (pairs.spread(0).median, pairs.spread(1).median);
+    let pct = 100.0 * (pairs.ratio(1, 0) - 1.0);
+    println!(
+        "overhead: prof off {off_secs:.4} s, prof on {on_secs:.4} s \
+         ({pct:+.2}%, median of {PAIRS} pair ratios)"
+    );
     assert!(
         pct < 2.0,
         "acceptance: enabled profiler overhead {pct:.2}% must stay under 2%"
     );
 
     // 3. The envelope round-trips through its own validator.
-    let meta = BenchMeta::capture("e22_prof", 5, &profile);
+    let meta = BenchMeta::capture("e22_prof", PAIRS as u64, &profile);
     let json = meta.envelope("\"machines\": 500");
     let parsed = BenchMeta::from_bench_json(&json).expect("envelope validates");
     assert_eq!(parsed, meta);
@@ -154,11 +162,10 @@ fn run_full() {
         "E22 — self-observability   [{}: {} machines, {} months]",
         scenario.name, scenario.fleet.machines, scenario.sim.months
     ));
-    let reps = 3;
-
-    let (off_secs, on_secs, out, profile) = measure_overhead(&scenario, reps);
-    let pct = 100.0 * (on_secs / off_secs - 1.0);
-    println!("closed loop, prof off:    {off_secs:>8.3} s   (best of {reps})");
+    let (pairs, out, profile) = overhead_pairs(&scenario);
+    let (off_secs, on_secs) = (pairs.spread(0).median, pairs.spread(1).median);
+    let pct = 100.0 * (pairs.ratio(1, 0) - 1.0);
+    println!("closed loop, prof off:    {off_secs:>8.3} s   (median of {PAIRS})");
     println!("closed loop, prof on:     {on_secs:>8.3} s   ({pct:+.2}%)");
     println!(
         "run: {} detections, {} trace events",
@@ -177,14 +184,8 @@ fn run_full() {
         println!("  {line}");
     }
 
-    // Acceptance: the enabled profiler stays under the 2% budget.
-    assert!(
-        pct < 2.0,
-        "acceptance: enabled profiler overhead {pct:.2}% must stay under 2%"
-    );
-
     let body = format!(
-        "\"scenario\": \"{}\",\n  \"machines\": {},\n  \"months\": {},\n  \"prof_off_secs\": {off_secs:.4},\n  \"prof_on_secs\": {on_secs:.4},\n  \"prof_overhead_pct\": {pct:.3},\n  \"total_wall_ms\": {:.3},\n  \"peak_rss_bytes\": {},\n  \"phase_count\": {},\n  \"detections\": {}",
+        "\"scenario\": \"{}\",\n  \"machines\": {},\n  \"months\": {},\n  \"pairs\": {PAIRS},\n  \"prof_off_secs\": {off_secs:.4},\n  \"prof_on_secs\": {on_secs:.4},\n  \"prof_overhead_pct\": {pct:.3},\n  \"total_wall_ms\": {:.3},\n  \"peak_rss_bytes\": {},\n  \"phase_count\": {},\n  \"detections\": {}",
         scenario.name,
         scenario.fleet.machines,
         scenario.sim.months,
@@ -194,6 +195,12 @@ fn run_full() {
         out.pipeline.detections.len(),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_prof.json");
-    mercurial_bench::write_bench_json(path, "e22_prof", reps as u64, &profile, &body);
+    mercurial_bench::write_bench_json(path, "e22_prof", PAIRS as u64, &profile, &body);
     println!("\nbaseline written to BENCH_prof.json");
+
+    // Acceptance: the enabled profiler stays under the 2% budget.
+    assert!(
+        pct < 2.0,
+        "acceptance: enabled profiler overhead {pct:.2}% must stay under 2%"
+    );
 }

@@ -6,17 +6,18 @@
 //! and networking tolerate low-level errors cheaply because they checksum
 //! *large chunks*, which "seems harder to do at a per-instruction scale".
 //!
-//! Each group's arms are timed as [`SAMPLES`] interleaved rounds (every
-//! round times each arm once, in order), so host drift lands on all arms
-//! alike. Each arm prints its median, min and max per iteration and its
-//! median's ratio to the group's first arm; the medians and ratios are
-//! written to `BENCH_overheads.json`.
+//! Each group's arms are timed by the shared sampler
+//! ([`mercurial_bench::interleave`]) over [`SAMPLES`] rounds, each round
+//! timing every arm once from a rotating first arm, so host drift lands
+//! on all arms alike. Each arm prints its median, min and max per
+//! iteration and the median over rounds of its ratio to the group's
+//! first arm; the medians and ratios are written to
+//! `BENCH_overheads.json`.
 //!
 //! ```text
 //! cargo run --release -p mercurial-bench --bin e7_overheads
 //! ```
 
-use mercurial::pipeline::median;
 use mercurial_corpus::aes::{Aes, KeySize};
 use mercurial_corpus::crc::{CrcTable, POLY_CRC32C};
 use mercurial_corpus::hash::SipHash24;
@@ -26,7 +27,6 @@ use mercurial_mitigation::{
 };
 use mercurial_prof::Prof;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Timed samples per arm.
 const SAMPLES: usize = 21;
@@ -37,104 +37,48 @@ const US: (&str, f64) = ("us/call", 1e6);
 /// Nanoseconds per KiB, for arms that each process 1 MiB.
 const NS_PER_KIB: (&str, f64) = ("ns/KiB", 1e9 / 1024.0);
 
-/// One arm's per-call times over the samples, in the group's unit.
-struct Arm {
-    name: String,
-    median: f64,
-    min: f64,
-    max: f64,
-}
-
-/// A measured group. An arm's ratio is its median over the first arm's.
-struct Group {
-    name: &'static str,
-    unit: &'static str,
-    arms: Vec<Arm>,
-}
-
 type Routine<'a> = Box<dyn FnMut() + 'a>;
 
 /// A named arm whose result is passed through [`black_box`].
-fn arm<'a, T>(name: impl Into<String>, mut f: impl FnMut() -> T + 'a) -> (String, Routine<'a>) {
-    (
-        name.into(),
-        Box::new(move || {
-            black_box(f());
-        }),
-    )
+fn arm<'a, T>(name: &'static str, mut f: impl FnMut() -> T + 'a) -> (&'static str, Routine<'a>) {
+    (name, Box::new(move || drop(black_box(f()))))
 }
 
-/// Times `arms` as [`SAMPLES`] interleaved rounds of `iters` calls each
-/// and prints the group. Seconds per call are multiplied by the unit's
-/// scale.
+/// Samples `arms` as rounds of `iters` calls each, prints the group and
+/// returns it as one `"name": {…}` member of the bench body. Seconds per
+/// call are multiplied by the unit's scale; an arm's ratio is to the
+/// group's first arm.
 fn measure(
     prof: &Prof,
     name: &'static str,
     (unit, scale): (&'static str, f64),
     iters: u32,
-    mut arms: Vec<(String, Routine<'_>)>,
-) -> Group {
+    mut arms: Vec<(&'static str, Routine<'_>)>,
+) -> String {
     let _phase = prof.span(name);
-    let mut samples = vec![Vec::with_capacity(SAMPLES); arms.len()];
-    for _ in 0..SAMPLES {
-        for ((_, routine), times) in arms.iter_mut().zip(&mut samples) {
-            let start = Instant::now();
-            for _ in 0..iters {
-                routine();
-            }
-            times.push(start.elapsed().as_secs_f64() * scale / f64::from(iters));
-        }
-    }
-    let arms: Vec<Arm> = arms
-        .into_iter()
-        .zip(samples)
-        .map(|((name, _), mut times)| {
-            times.sort_by(f64::total_cmp);
-            Arm {
-                name,
-                median: median(&times).expect("SAMPLES > 0"),
-                min: times[0],
-                max: times[SAMPLES - 1],
-            }
-        })
+    let mut looped: Vec<_> = (arms.iter_mut())
+        .map(|(arm, routine)| (*arm, move || (0..iters).for_each(|_| routine())))
         .collect();
+    let mut sampled: Vec<mercurial_bench::Arm> = (looped.iter_mut())
+        .map(|(arm, f)| (*arm, f as &mut dyn FnMut()))
+        .collect();
+    let rounds = mercurial_bench::interleave(prof, SAMPLES, &mut sampled);
     println!("\n{name} ({unit}, median [min max] of {SAMPLES} samples):");
-    let base = arms[0].median;
-    for a in &arms {
-        println!(
-            "  {:<28} {:>10.2}  [{:>10.2} {:>10.2}]   {:.2}x",
-            a.name,
-            a.median,
-            a.min,
-            a.max,
-            a.median / base
-        );
-    }
-    Group { name, unit, arms }
-}
-
-/// The group as one `"name": {…}` member of the bench body.
-fn group_json(g: &Group) -> String {
-    let base = g.arms[0].median;
-    let arms: Vec<String> = g
-        .arms
-        .iter()
-        .map(|a| {
+    let per_call = scale / f64::from(iters);
+    let members: Vec<String> = (looped.iter().enumerate())
+        .map(|(i, &(arm, _))| {
+            let s = rounds.spread(i);
+            let [median, min, max] = [s.median, s.min, s.max].map(|x| x * per_call);
+            let ratio = rounds.ratio(i, 0);
+            println!("  {arm:<28} {median:>10.2}  [{min:>10.2} {max:>10.2}]   {ratio:.2}x");
             format!(
-                "\"{}\": {{\"median\": {:.4}, \"min\": {:.4}, \"max\": {:.4}, \"ratio\": {:.4}}}",
-                a.name,
-                a.median,
-                a.min,
-                a.max,
-                a.median / base
+                "\"{arm}\": {{\"median\": {median:.4}, \"min\": {min:.4}, \"max\": {max:.4}, \"ratio\": {ratio:.4}}}"
             )
         })
         .collect();
     format!(
-        "\"{}\": {{\n    \"unit\": \"{}\",\n    {}\n  }}",
-        g.name,
-        g.unit,
-        arms.join(",\n    ")
+        "\"{name}\": {{\n    \"unit\": \"{unit}\",\n    {}\n  }}",
+        members.join(",\n    ")
     )
 }
 
@@ -233,11 +177,17 @@ fn main() {
     // Each arm checks 1 MiB of payload in chunks of its size.
     let sip = SipHash24::new(0x1234, 0x5678);
     let table = CrcTable::new(POLY_CRC32C);
-    let chunk_arms = [64usize, 512, 4096, 65536].map(|chunk| {
+    let chunk_arms = [
+        ("64", 64usize),
+        ("512", 512),
+        ("4096", 4096),
+        ("65536", 65536),
+    ]
+    .map(|(name, chunk)| {
         let mut buf: Vec<u8> = (0..chunk as u32).map(|i| i as u8).collect();
         let mut header = [0x5au8; 64];
         let (sip, table) = (&sip, &table);
-        arm(chunk.to_string(), move || {
+        arm(name, move || {
             let mut acc = 0u64;
             for i in 0..(1 << 20) / chunk {
                 // Touch the inputs each chunk so the pure functions
@@ -262,8 +212,7 @@ fn main() {
     println!("washes out as chunks grow, while DMR/TMR (the per-instruction analogue)");
     println!("stay pinned at 2x/3x no matter the granularity.");
 
-    let body: Vec<String> = groups.iter().map(group_json).collect();
-    let body = format!("\"samples\": {SAMPLES},\n  {}", body.join(",\n  "));
+    let body = format!("\"samples\": {SAMPLES},\n  {}", groups.join(",\n  "));
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_overheads.json");
     mercurial_bench::write_bench_json(path, "e7_overheads", SAMPLES as u64, &prof.finish(), &body);
     println!("\nbaseline written to BENCH_overheads.json");

@@ -6,6 +6,8 @@
 //! CEE detectors: a defective unit rarely corrupts two differently-shaped
 //! computations identically. The screening crate exploits this.
 
+use std::sync::OnceLock;
+
 /// The reflected IEEE 802.3 polynomial.
 pub const POLY_CRC32: u32 = 0xedb8_8320;
 /// The reflected Castagnoli polynomial (used by iSCSI, ext4, etc.).
@@ -99,14 +101,20 @@ impl CrcTable {
     }
 }
 
-/// Convenience: CRC-32 (IEEE) of `data`, bitwise implementation.
+/// CRC-32 (IEEE) of `data`: slicing-by-8 over tables built on first use.
 pub fn crc32(data: &[u8]) -> u32 {
-    crc_bitwise(POLY_CRC32, data)
+    static TABLE: OnceLock<CrcTable> = OnceLock::new();
+    TABLE
+        .get_or_init(|| CrcTable::new(POLY_CRC32))
+        .crc_slice8(data)
 }
 
-/// Convenience: CRC-32C (Castagnoli) of `data`, bitwise implementation.
+/// CRC-32C (Castagnoli) of `data`, like [`crc32`].
 pub fn crc32c(data: &[u8]) -> u32 {
-    crc_bitwise(POLY_CRC32C, data)
+    static TABLE: OnceLock<CrcTable> = OnceLock::new();
+    TABLE
+        .get_or_init(|| CrcTable::new(POLY_CRC32C))
+        .crc_slice8(data)
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! end-to-end argument [20]), verified on read and by a background
 //! scrubber.
 
-use mercurial_corpus::crc::{crc_bitwise, POLY_CRC32C};
+use mercurial_corpus::crc::crc32c;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -55,10 +55,6 @@ pub struct ScrubReport {
     pub scanned: u64,
     /// Blobs whose checksum failed.
     pub corrupt: u64,
-}
-
-fn crc32c(data: &[u8]) -> u32 {
-    crc_bitwise(POLY_CRC32C, data)
 }
 
 struct Entry {

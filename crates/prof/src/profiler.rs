@@ -29,6 +29,13 @@ struct Node {
     calls: u64,
 }
 
+/// The live phase tree and its clock.
+///
+/// A top-level phase reads the clock on entry, and every phase reads it
+/// on exit. A phase opened inside another starts at the latest reading —
+/// its parent's entry or its previous sibling's exit — so a nested
+/// phase costs one clock read, not two. Unprofiled time between two
+/// siblings is charged to the later one; a parent's wall stays exact.
 #[derive(Debug)]
 struct Inner {
     /// `nodes[0]` is the virtual root; phases hang off it.
@@ -37,10 +44,13 @@ struct Inner {
     /// the stack — its wall is the profiler's lifetime.
     stack: Vec<(usize, Instant)>,
     started: Instant,
+    /// The latest clock reading: a nested phase's entry instant.
+    last: Instant,
 }
 
 impl Inner {
     fn new() -> Inner {
+        let started = Instant::now();
         Inner {
             nodes: vec![Node {
                 name: "",
@@ -50,7 +60,8 @@ impl Inner {
                 calls: 0,
             }],
             stack: Vec::new(),
-            started: Instant::now(),
+            started,
+            last: started,
         }
     }
 
@@ -59,13 +70,13 @@ impl Inner {
     }
 
     /// Child of `parent` named `name`, created at the end of the child
-    /// list if absent.
+    /// list if absent. Call sites pass literals, so the pointer compare
+    /// usually settles it before the string compare.
     fn child(&mut self, parent: usize, name: &'static str) -> usize {
-        if let Some(&ix) = self.nodes[parent]
-            .children
-            .iter()
-            .find(|&&c| self.nodes[c].name == name)
-        {
+        if let Some(&ix) = self.nodes[parent].children.iter().find(|&&c| {
+            let n = self.nodes[c].name;
+            std::ptr::eq(n, name) || n == name
+        }) {
             return ix;
         }
         let ix = self.nodes.len();
@@ -83,12 +94,16 @@ impl Inner {
     fn enter(&mut self, name: &'static str) {
         let ix = self.child(self.current(), name);
         self.nodes[ix].calls += 1;
-        self.stack.push((ix, Instant::now()));
+        if self.stack.is_empty() {
+            self.last = Instant::now();
+        }
+        self.stack.push((ix, self.last));
     }
 
     fn exit(&mut self) {
         if let Some((ix, t0)) = self.stack.pop() {
-            self.nodes[ix].wall_ns += t0.elapsed().as_nanos() as u64;
+            self.last = Instant::now();
+            self.nodes[ix].wall_ns += (self.last - t0).as_nanos() as u64;
         }
     }
 
@@ -282,6 +297,22 @@ mod tests {
         let prof = p.finish();
         assert!(prof.wall_ns("outer") >= prof.wall_ns("outer;inner"));
         assert!(prof.total_wall_ns >= prof.wall_ns("outer"));
+    }
+
+    #[test]
+    fn time_between_siblings_lands_in_the_later_one() {
+        let gap = std::time::Duration::from_millis(20);
+        let p = Prof::enabled();
+        {
+            let _parent = p.span("parent");
+            drop(p.span("first"));
+            std::thread::sleep(gap);
+            drop(p.span("second"));
+        }
+        let prof = p.finish();
+        let (first, second) = (prof.wall_ns("parent;first"), prof.wall_ns("parent;second"));
+        assert!(first < gap.as_nanos() as u64 && second >= gap.as_nanos() as u64);
+        assert!(prof.wall_ns("parent") >= first + second);
     }
 
     #[test]

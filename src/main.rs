@@ -142,19 +142,33 @@ struct Args {
 }
 
 impl Args {
-    fn parse(raw: Vec<String>) -> Args {
+    /// Splits the arguments after the command name by `command`'s spec:
+    /// a switch takes no value, any other flag it accepts takes the next
+    /// token unless that is a flag, and at most as many tokens stand alone
+    /// as it takes positionals. Any other token is a usage error naming it.
+    fn parse(command: &Command, raw: Vec<String>) -> Result<Args, CliError> {
+        let &(name, positionals, spec, _) = command;
+        let usage = |what: String| CliError::Usage(format!("{name}: {what}"));
         let (mut flags, mut positional) = (Vec::new(), Vec::new());
         let mut raw = raw.into_iter().peekable();
         while let Some(arg) = raw.next() {
-            match arg.strip_prefix("--") {
-                Some(name) => {
-                    let value = raw.next_if(|v| !v.starts_with("--"));
-                    flags.push((name.to_string(), value));
+            let Some(flag) = arg.strip_prefix("--") else {
+                if positional.len() == positionals {
+                    return Err(usage(format!("unexpected argument `{arg}`")));
                 }
-                None => positional.push(arg),
-            }
+                positional.push(arg);
+                continue;
+            };
+            let named = |w: &&str| w.trim_end_matches('=') == flag;
+            let Some(word) = spec.split_whitespace().find(named) else {
+                return Err(usage(format!("unknown flag --{flag}")));
+            };
+            let value = word
+                .ends_with('=')
+                .then(|| raw.next_if(|v| !v.starts_with("--")));
+            flags.push((flag.to_string(), value.flatten()));
         }
-        Args { flags, positional }
+        Ok(Args { flags, positional })
     }
 
     fn flag(&self, name: &str) -> bool {
@@ -596,7 +610,7 @@ fn archetype_by_name(name: &str) -> Option<mercurial::fault::CoreFaultProfile> {
 }
 
 fn cmd_screen(args: &Args, stdout: &mut Out) -> CmdResult {
-    let name = args.positional.get(1).ok_or_else(|| {
+    let name = args.positional.first().ok_or_else(|| {
         CliError::Usage("screen: which archetype? (try `mercurial-lab archetypes`)".to_string())
     })?;
     let profile = archetype_by_name(name).ok_or_else(|| {
@@ -661,80 +675,63 @@ fn cmd_archetypes(_: &Args, stdout: &mut Out) -> CmdResult {
     writeln!(stdout, "{}", library::ARCHETYPES.join("\n"))
 }
 
-/// A command's name, the flags it accepts and its body.
+/// A command's name, how many positionals it takes, its flags and its
+/// body. The flags are space-separated names: one ending in `=` takes a
+/// value, the others are switches.
 type Command = (
     &'static str,
-    &'static [&'static str],
+    usize,
+    &'static str,
     fn(&Args, &mut Out) -> CmdResult,
 );
 
-/// Every command. A flag its command does not accept is a usage error.
+/// Every command. A token its command does not take is a usage error.
 const COMMANDS: [Command; 11] = [
-    ("scenario", &[], cmd_scenario),
-    ("pipeline", &["seed", "paper", "scenario"], cmd_pipeline),
-    ("fig1", &["seed", "paper", "scenario", "csv"], cmd_fig1),
-    ("screen", &["age"], cmd_screen),
-    (
-        "trace",
-        &["seed", "paper", "scenario", "format", "out"],
-        cmd_trace,
-    ),
+    ("scenario", 0, "", cmd_scenario),
+    ("pipeline", 0, "seed= paper scenario=", cmd_pipeline),
+    ("fig1", 0, "seed= paper scenario= csv=", cmd_fig1),
+    ("screen", 1, "age=", cmd_screen),
+    ("trace", 0, "seed= paper scenario= format= out=", cmd_trace),
     (
         "watch",
-        &[
-            "rules",
-            "seed",
-            "paper",
-            "scenario",
-            "trace",
-            "baseline",
-            "record-baseline",
-            "stream",
-            "dump-rules",
-            "format",
-        ],
+        0,
+        "rules= seed= paper scenario= trace= baseline= record-baseline stream= dump-rules format=",
         cmd_watch,
     ),
     (
         "audit",
-        &["seed", "paper", "scenario", "trace", "format", "out"],
+        0,
+        "seed= paper scenario= trace= format= out=",
         cmd_audit,
     ),
     (
         "serve",
-        &[
-            "seed", "paper", "scenario", "workers", "impair", "status", "procs",
-        ],
+        0,
+        "seed= paper scenario= workers= impair= status= procs",
         cmd_serve,
     ),
-    ("serve-worker", &["connect"], cmd_serve_worker),
-    (
-        "prof",
-        &["seed", "paper", "scenario", "format", "out"],
-        cmd_prof,
-    ),
-    ("archetypes", &[], cmd_archetypes),
+    ("serve-worker", 0, "connect=", cmd_serve_worker),
+    ("prof", 0, "seed= paper scenario= format= out=", cmd_prof),
+    ("archetypes", 0, "", cmd_archetypes),
 ];
 
 fn run() -> CmdResult {
-    let raw = std::env::args_os()
+    let mut raw = std::env::args_os()
         .skip(1)
         .map(|a| {
             a.into_string()
                 .map_err(|a| CliError::Usage(format!("argument {a:?} is not valid UTF-8")))
         })
-        .collect::<Result<Vec<_>, _>>()?;
-    let args = Args::parse(raw);
-    let name = args.positional.first().map_or("", String::as_str);
-    let (_, accepted, command) = COMMANDS
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter();
+    let name = raw.next().unwrap_or_default();
+    let command = COMMANDS
         .iter()
         .find(|(n, ..)| *n == name)
         .ok_or_else(|| CliError::Usage(USAGE.to_string()))?;
-    if let Some((flag, _)) = args.flags.iter().find(|(f, _)| !accepted.contains(&&**f)) {
-        return Err(CliError::Usage(format!("{name}: unknown flag --{flag}")));
-    }
+    let args = Args::parse(command, raw.collect())?;
     let mut stdout = Out(std::io::stdout());
-    let result = command(&args, &mut stdout);
+    let result = command.3(&args, &mut stdout);
     result.and(stdout.flush())
 }
 

@@ -152,10 +152,11 @@ fn assert_usage_error(case: &str, args: &[&str], flag: &str) -> String {
     stderr
 }
 
-/// Malformed or missing flag values and flags the command does not take.
+/// Malformed or missing flag values, and flags or stray tokens the
+/// command does not take.
 #[test]
 fn malformed_or_missing_flag_values_are_usage_errors() {
-    let cases: [(&str, &[&str], &str); 9] = [
+    let cases: [(&str, &[&str], &str); 14] = [
         ("seed-abc", &["pipeline", "--seed", "abc"], "--seed"),
         ("seed-missing", &["pipeline", "--seed"], "--seed"),
         ("workers-x", &["serve", "--workers", "x"], "--workers"),
@@ -181,6 +182,11 @@ fn malformed_or_missing_flag_values_are_usage_errors() {
         ),
         ("pipeline-sede", &["pipeline", "--sede", "7"], "--sede"),
         ("trace-fromat", &["trace", "--fromat", "jsonl"], "--fromat"),
+        ("archetypes-extra", &["archetypes", "extra"], "`extra`"),
+        ("scenario-bogus", &["scenario", "bogus"], "`bogus`"),
+        ("dump-rules-yes", &["watch", "--dump-rules", "yes"], "`yes`"),
+        ("paper-7", &["pipeline", "--paper", "7"], "`7`"),
+        ("procs-3", &["serve", "--procs", "3"], "`3`"),
     ];
     for (case, args, flag) in cases {
         // Commands that build a fleet announce "…: N machines, M months"

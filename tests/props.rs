@@ -57,14 +57,19 @@ proptest! {
         prop_assert_eq!(ours, theirs);
     }
 
-    /// The three CRC implementations agree on random data, both polynomials.
+    /// The three CRC implementations and the convenience functions agree
+    /// on random data, both polynomials.
     #[test]
     fn crc_implementations_agree(data in proptest::collection::vec(any::<u8>(), 0..1024)) {
-        for poly in [crc::POLY_CRC32, crc::POLY_CRC32C] {
+        for (poly, convenience) in [
+            (crc::POLY_CRC32, crc::crc32 as fn(&[u8]) -> u32),
+            (crc::POLY_CRC32C, crc::crc32c),
+        ] {
             let table = crc::CrcTable::new(poly);
             let bw = crc::crc_bitwise(poly, &data);
             prop_assert_eq!(table.crc_table(&data), bw);
             prop_assert_eq!(table.crc_slice8(&data), bw);
+            prop_assert_eq!(convenience(&data), bw);
         }
     }
 

@@ -4,9 +4,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test test-workspace fmt fmt-check clippy fuzz-smoke e15-smoke trace-smoke watch-smoke study-smoke serve-smoke frontier-smoke audit-smoke prof-smoke labbench-smoke
+.PHONY: ci build test test-workspace test-release fmt fmt-check clippy fuzz-smoke e15-smoke trace-smoke watch-smoke study-smoke serve-smoke frontier-smoke audit-smoke prof-smoke labbench-smoke
 
-ci: build test-workspace fmt-check clippy fuzz-smoke e15-smoke trace-smoke watch-smoke study-smoke serve-smoke frontier-smoke audit-smoke labbench-smoke prof-smoke
+ci: build test-workspace test-release fmt-check clippy fuzz-smoke e15-smoke trace-smoke watch-smoke study-smoke serve-smoke frontier-smoke audit-smoke labbench-smoke prof-smoke
 
 build:
 	$(CARGO) build --release
@@ -16,6 +16,13 @@ test:
 
 test-workspace:
 	$(CARGO) test --workspace -q
+
+# The population's lane walk (`mercurial-fault`, with its one `unsafe`
+# call, and `mercurial-fleet`) tested under release codegen: the dev
+# profile is `opt-level = 1`, so only this step tests the optimised
+# build of both its compilations.
+test-release:
+	$(CARGO) test --release -q -p mercurial-fault -p mercurial-fleet
 
 fmt:
 	$(CARGO) fmt

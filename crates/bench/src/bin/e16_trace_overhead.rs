@@ -113,23 +113,26 @@ fn run_smoke() {
 
 /// The closed loop on `scenario` with feedback on, untraced (arm 0) and
 /// traced (arm 1), sampled over [`PAIRS`] rounds; plus the last traced
-/// outcome.
+/// outcome. Each arm's experiment is built once, outside the timed arms,
+/// so the ratio is the loop's alone.
 fn closed_loop_pairs(scenario: &Scenario, prof: &Prof) -> (Rounds, ClosedLoopOutcome) {
     let mut off = scenario.clone();
     off.closed_loop.feedback = true;
     off.trace.enabled = false;
     let mut on = off.clone();
     on.trace.enabled = true;
+    let (off_exp, on_exp) = (FleetExperiment::build(&off), FleetExperiment::build(&on));
     let mut traced = None;
     let pairs = interleave(
         prof,
         PAIRS,
         &mut [
             ("loop.untraced", &mut || {
-                assert!(ClosedLoopDriver::execute(&off).trace.is_empty());
+                let out = ClosedLoopDriver::execute_on(&off, &off_exp);
+                assert!(out.trace.is_empty());
             }),
             ("loop.traced", &mut || {
-                traced = Some(ClosedLoopDriver::execute(&on));
+                traced = Some(ClosedLoopDriver::execute_on(&on, &on_exp));
             }),
         ],
     );

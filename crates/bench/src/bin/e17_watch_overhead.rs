@@ -162,6 +162,12 @@ fn run_full() {
     off_s.watch.enabled = false;
     let mut on_s = off_s.clone();
     on_s.watch.enabled = true;
+    // Each arm's experiment is built once, outside the timed arms, so the
+    // ratio is the loop's alone.
+    let (off_exp, on_exp) = (
+        FleetExperiment::build(&off_s),
+        FleetExperiment::build(&on_s),
+    );
 
     let mut report = None;
     let mut epochs = 0u32;
@@ -171,10 +177,11 @@ fn run_full() {
         PAIRS,
         &mut [
             ("loop.watch_off", &mut || {
-                assert!(ClosedLoopDriver::execute(&off_s).watch.is_none());
+                let off = ClosedLoopDriver::execute_on(&off_s, &off_exp);
+                assert!(off.watch.is_none());
             }),
             ("loop.watch_on", &mut || {
-                let on = ClosedLoopDriver::execute(&on_s);
+                let on = ClosedLoopDriver::execute_on(&on_s, &on_exp);
                 epochs = on.epochs;
                 report = on.watch;
             }),

@@ -24,7 +24,7 @@
 use mercurial::audit::{AuditReport, CaseLabel, DecisionLedger, GroundTruth};
 use mercurial::closedloop::ClosedLoopDriver;
 use mercurial::scenario::{ClassPolicy, ImpairConfig};
-use mercurial::Scenario;
+use mercurial::{FleetExperiment, Scenario};
 use mercurial_bench::{interleave, timed};
 use mercurial_corpus::hash::fnv1a64;
 use mercurial_mitigation::MitigationPolicy;
@@ -221,15 +221,18 @@ fn run_full() {
     on.sim.months = scale.sim.months;
     let mut off = on.clone();
     off.audit.enabled = false;
+    // Each arm's experiment is built once, outside the timed arms, so the
+    // ratio is the loop's alone.
+    let (off_exp, on_exp) = (FleetExperiment::build(&off), FleetExperiment::build(&on));
     let pairs = interleave(
         &prof,
         PAIRS,
         &mut [
             ("audit.overhead_off", &mut || {
-                drop(ClosedLoopDriver::execute(&off))
+                drop(ClosedLoopDriver::execute_on(&off, &off_exp))
             }),
             ("audit.overhead_on", &mut || {
-                drop(ClosedLoopDriver::execute(&on))
+                drop(ClosedLoopDriver::execute_on(&on, &on_exp))
             }),
         ],
     );

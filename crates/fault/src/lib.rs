@@ -54,6 +54,6 @@ pub use inject::{Injector, OpContext, OpOutcome};
 pub use lesion::{Lesion, LockFailureMode};
 pub use oppoint::{DvfsCurve, OperatingPoint};
 pub use profile::{CoreFaultProfile, CoreUid, FaultLesion};
-pub use rng::{Coin, CounterRng, StreamFamily};
+pub use rng::{coin_kernel, Coin, CounterRng, StreamFamily};
 pub use symptom::SymptomClass;
 pub use unit::FunctionalUnit;

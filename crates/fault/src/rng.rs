@@ -61,7 +61,7 @@ impl StreamFamily {
     /// The key of member `a`.
     #[inline]
     pub fn key(&self, a: u64) -> u64 {
-        self.base ^ mix64(a.wrapping_mul(0xd6e8_feb8_6659_fd93))
+        self.base ^ mix64(a.wrapping_mul(MEMBER_MUL))
     }
 
     /// The generator of member `a`, at counter zero.
@@ -69,6 +69,98 @@ impl StreamFamily {
     pub fn rng(&self, a: u64) -> CounterRng {
         CounterRng::new(self.key(a))
     }
+
+    /// Calls `hit(i)`, in ascending `i`, for each member `first + i`
+    /// (`i < n`) whose first draw lands `coin`: exactly the `i` with
+    /// `coin.hits(self.rng(first + i).at(0))`.
+    ///
+    /// A member's first draw is `mix64(base ^ mix64(a·K))`, and `a·K`
+    /// steps by the constant `K` from one member to the next, so the walk
+    /// runs eight members at a time as eight independent lanes of the
+    /// two `mix64` rounds and the threshold compare; only a hit leaves
+    /// the lanes. The body is compiled twice: plainly, and for AVX-512
+    /// (whose 64-bit lane multiply does the rounds in one vector), which
+    /// runs where the CPU has it ([`coin_kernel`] names the one chosen).
+    #[inline]
+    pub fn coin_hits(&self, first: u64, n: u64, coin: Coin, hit: impl FnMut(u64)) {
+        #[cfg(target_arch = "x86_64")]
+        if wide_lanes() {
+            // SAFETY: `wide_lanes` has just found every feature that
+            // `coin_hits_avx512` is compiled for on this CPU.
+            unsafe { coin_hits_avx512(self.base, first, n, coin, hit) };
+            return;
+        }
+        coin_hits_lanes(self.base, first, n, coin, hit);
+    }
+}
+
+/// The multiplier that spreads a member id `a` before its `mix64`.
+const MEMBER_MUL: u64 = 0xd6e8_feb8_6659_fd93;
+
+/// Members per step of [`StreamFamily::coin_hits`]'s lane walk.
+const LANES: u64 = 8;
+
+/// The body of [`StreamFamily::coin_hits`] over a family's `base`,
+/// written once and compiled into each caller.
+#[inline(always)]
+fn coin_hits_lanes(base: u64, first: u64, n: u64, coin: Coin, mut hit: impl FnMut(u64)) {
+    let draw = |spread: u64| mix64(base ^ mix64(spread)) >> 11;
+    let mut spread = first.wrapping_mul(MEMBER_MUL);
+    let mut i = 0;
+    while n - i >= LANES {
+        // All eight draws, then one any-hit test over them: the shape the
+        // vectoriser keeps in full-width lanes. A hit (one group in ~8,000
+        // at the catalog's rates) rescans the eight.
+        let mut draws = [0u64; LANES as usize];
+        for (l, d) in draws.iter_mut().enumerate() {
+            *d = draw(spread.wrapping_add((l as u64).wrapping_mul(MEMBER_MUL)));
+        }
+        if draws
+            .iter()
+            .fold(false, |any, &d| any | (d < coin.threshold))
+        {
+            for (l, &d) in draws.iter().enumerate() {
+                if d < coin.threshold {
+                    hit(i + l as u64);
+                }
+            }
+        }
+        spread = spread.wrapping_add(LANES.wrapping_mul(MEMBER_MUL));
+        i += LANES;
+    }
+    while i < n {
+        if draw(spread) < coin.threshold {
+            hit(i);
+        }
+        spread = spread.wrapping_add(MEMBER_MUL);
+        i += 1;
+    }
+}
+
+/// [`coin_hits_lanes`] compiled for AVX-512F and -DQ. Code not compiled
+/// for both calls it in an `unsafe` block, after [`wide_lanes`] has found
+/// them on the running CPU: on one without them it would fault.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn coin_hits_avx512(base: u64, first: u64, n: u64, coin: Coin, hit: impl FnMut(u64)) {
+    coin_hits_lanes(base, first, n, coin, hit);
+}
+
+/// Whether this CPU has every feature `coin_hits_avx512` is compiled for.
+#[cfg(target_arch = "x86_64")]
+fn wide_lanes() -> bool {
+    use std::arch::is_x86_feature_detected as cpu_has;
+    cpu_has!("avx512f") && cpu_has!("avx512dq")
+}
+
+/// The compilation [`StreamFamily::coin_hits`] runs on this CPU:
+/// `"avx512"` or `"plain"`.
+pub fn coin_kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if wide_lanes() {
+        return "avx512";
+    }
+    "plain"
 }
 
 /// The Bernoulli test `uniform_at(counter) < p` on the raw 64-bit draw.
@@ -324,6 +416,45 @@ mod tests {
         a.fill_bytes(&mut ba);
         b.fill_bytes(&mut bb);
         assert_eq!(ba, bb);
+    }
+
+    /// One way to run [`StreamFamily::coin_hits`]'s walk over a `base`.
+    type Walk = fn(u64, u64, u64, Coin, &mut dyn FnMut(u64));
+
+    #[test]
+    fn coin_hits_match_the_per_member_coin_in_both_compilations() {
+        let mut walks: Vec<(&str, Walk)> = vec![
+            ("plain", |b, f, n, c, hit| coin_hits_lanes(b, f, n, c, hit)),
+            ("dispatched", |b, f, n, c, hit| {
+                StreamFamily { base: b }.coin_hits(f, n, c, hit)
+            }),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if wide_lanes() {
+            // SAFETY: `wide_lanes` found every feature the wrapper needs.
+            walks.push(("avx512", |b, f, n, c, hit| unsafe {
+                coin_hits_avx512(b, f, n, c, hit)
+            }));
+        }
+        let family = StreamFamily::new(0x5eed, 0x6d65, 0);
+        // p = 0.3 makes most eight-lane groups hold a hit and some two.
+        let coins = [0.0, f64::NAN, 1e-4, 0.3, 1.0].map(Coin::new);
+        let firsts = [0, 1, 0x0000_0007_0001_0000, u64::MAX - 20];
+        for (name, walk) in walks {
+            for coin in coins {
+                for first in firsts {
+                    for n in 0..=17 {
+                        let expected: Vec<u64> = (0..n)
+                            .filter(|&i| coin.hits(family.rng(first.wrapping_add(i)).at(0)))
+                            .collect();
+                        let mut got = Vec::new();
+                        walk(family.base, first, n, coin, &mut |i| got.push(i));
+                        assert_eq!(got, expected, "{name}: first {first:#x}, n {n}, {coin:?}");
+                    }
+                }
+            }
+        }
+        assert!(["avx512", "plain"].contains(&coin_kernel()));
     }
 
     #[test]

@@ -190,3 +190,29 @@ fn shard_populations_union_to_the_fleet_population() {
         }
     }
 }
+
+#[test]
+fn odd_socket_widths_match_the_reference_coins() {
+    // The catalog's 24-, 32- and 48-core sockets fill whole eight-core
+    // lane groups; 7 and 13 cores a socket leave a tail of 7 and 5.
+    for seed in SEEDS {
+        let mut config = rollout_fleet(seed);
+        config.products.truncate(2);
+        for (product, cores) in config.products.iter_mut().zip([7, 13]) {
+            product.cores_per_socket = cores;
+            product.mercurial_rate_per_core *= 10.0;
+        }
+        let topo = FleetTopology::build(config.clone());
+        let expected = reference_population(&topo);
+        assert!(expected.len() > 100, "seed {seed}: {} hits", expected.len());
+        let full = cores_and_profiles(&Population::seed_from(&topo));
+        assert_eq!(full, expected, "seed {seed}");
+        for workers in [1, 2, 3, 4, 7] {
+            let union: Vec<_> = shard_ranges(config.machines, workers)
+                .into_iter()
+                .flat_map(|(lo, hi)| cores_and_profiles(&Population::seed_range(&topo, lo, hi)))
+                .collect();
+            assert_eq!(union, full, "seed {seed}, {workers} workers");
+        }
+    }
+}

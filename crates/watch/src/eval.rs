@@ -134,61 +134,80 @@ fn scoped_source(source: &Source, scope: &RuleScope) -> Source {
     }
 }
 
-/// The epoch rows a scope sees: the fleet series as-is, or (for a class
-/// scope) the same rows with `corrupt_ops` replaced by the class's
-/// per-epoch attribution. `None` when the class recorded no data.
-fn scoped_rows<'a>(
-    rows: &'a [EpochRow],
-    class_epochs: &BTreeMap<String, Vec<f64>>,
-    scope: &RuleScope,
-) -> Option<std::borrow::Cow<'a, [EpochRow]>> {
-    match scope {
-        RuleScope::FleetWide => Some(std::borrow::Cow::Borrowed(rows)),
-        RuleScope::Class(class) => {
-            let vals = class_epochs.get(class)?;
-            Some(std::borrow::Cow::Owned(
-                rows.iter()
-                    .enumerate()
-                    .map(|(i, r)| EpochRow {
-                        corrupt_ops: vals.get(i).copied().unwrap_or(0.0),
-                        ..*r
-                    })
-                    .collect(),
-            ))
-        }
-    }
+/// An epoch-scoped rule's violation: the row it completes at, the
+/// observed value, the limit and the message.
+type Violation = (usize, f64, f64, String);
+
+/// One epoch-scoped rule's walk over its scope's epoch rows, one row at
+/// a time: how many rows it has stepped and the running state of its
+/// condition over them. The offline evaluator walks a whole series at
+/// once and the in-loop engine one row an epoch, so both make the same
+/// decision at the same row.
+#[derive(Debug, Clone, Default)]
+struct EpochWalk {
+    /// Rows of the scope stepped so far.
+    stepped: usize,
+    /// Threshold: the aggregate over the rows stepped. Rate: the last
+    /// stepped row's value.
+    carry: Option<f64>,
+    /// Windowed: consecutive violating rows ending at the last one.
+    streak: u32,
 }
 
-/// First epoch index (with the violating value) at which an epoch-scoped
-/// rule's condition holds over the running prefix of `rows`.
-fn first_violation(rule: &Rule, rows: &[EpochRow]) -> Option<(usize, f64, f64, String)> {
-    match &rule.kind {
-        RuleKind::Threshold { source, op, limit } => {
-            use crate::rule::Source as S;
-            enum Agg {
-                Max,
-                Min,
-                Sum,
-            }
-            let (field, combine) = match source {
-                S::EpochMax(f) => (*f, Agg::Max),
-                S::EpochMin(f) => (*f, Agg::Min),
-                S::EpochSum(f) => (*f, Agg::Sum),
-                _ => return None,
+impl EpochWalk {
+    /// Steps `rule` over the rows of its scope not stepped yet and
+    /// returns the first violation among them. A class scope sees the
+    /// fleet rows with `corrupt_ops` replaced by the class's per-epoch
+    /// attribution (0 for an epoch the class recorded nothing). `None`
+    /// when the class has recorded no data at all; the walk then stays
+    /// where it is, and steps the class's zero-backfilled rows once the
+    /// class first appears.
+    fn advance(
+        &mut self,
+        rule: &Rule,
+        rows: &[EpochRow],
+        class_epochs: &BTreeMap<String, Vec<f64>>,
+    ) -> Option<Option<Violation>> {
+        let class = match &rule.scope {
+            RuleScope::FleetWide => None,
+            RuleScope::Class(name) => Some(class_epochs.get(name)?),
+        };
+        while let Some(row) = rows.get(self.stepped) {
+            let i = self.stepped;
+            self.stepped += 1;
+            let row = match class {
+                None => *row,
+                Some(vals) => EpochRow {
+                    corrupt_ops: vals.get(i).copied().unwrap_or(0.0),
+                    ..*row
+                },
             };
-            // Running-aggregate walk: the first row where the aggregate
-            // over rows[0..=i] violates is the firing epoch.
-            let mut agg: Option<f64> = None;
-            for (i, row) in rows.iter().enumerate() {
-                let v = field.of(row);
-                let next = match (agg, &combine) {
-                    (None, _) => v,
-                    (Some(a), Agg::Max) => a.max(v),
-                    (Some(a), Agg::Min) => a.min(v),
-                    (Some(a), Agg::Sum) => a + v,
+            if let Some((value, limit, message)) = self.step(rule, &row) {
+                return Some(Some((i, value, limit, message)));
+            }
+        }
+        Some(None)
+    }
+
+    /// Steps one row: the violation the rule's condition reaches there,
+    /// over the rows stepped so far, if any.
+    fn step(&mut self, rule: &Rule, row: &EpochRow) -> Option<(f64, f64, String)> {
+        match &rule.kind {
+            RuleKind::Threshold { source, op, limit } => {
+                // Running aggregate: the first row where the aggregate
+                // over the rows so far violates is the firing epoch.
+                let v = match source {
+                    Source::EpochMax(f) | Source::EpochMin(f) | Source::EpochSum(f) => f.of(row),
+                    _ => return None,
                 };
-                agg = Some(next);
-                if op.holds(next, *limit) {
+                let next = match (self.carry, source) {
+                    (None, _) => v,
+                    (Some(a), Source::EpochMax(_)) => a.max(v),
+                    (Some(a), Source::EpochMin(_)) => a.min(v),
+                    (Some(a), _) => a + v,
+                };
+                self.carry = Some(next);
+                op.holds(next, *limit).then(|| {
                     let msg = format!(
                         "{} = {} {} {}",
                         source.key(),
@@ -196,60 +215,53 @@ fn first_violation(rule: &Rule, rows: &[EpochRow]) -> Option<(usize, f64, f64, S
                         op.symbol(),
                         fmt_v(*limit)
                     );
-                    return Some((i, next, *limit, msg));
-                }
+                    (next, *limit, msg)
+                })
             }
-            None
-        }
-        RuleKind::Rate {
-            field,
-            max_drop_per_epoch,
-        } => {
-            for i in 1..rows.len() {
-                let drop = field.of(&rows[i - 1]) - field.of(&rows[i]);
-                if drop > *max_drop_per_epoch {
+            RuleKind::Rate {
+                field,
+                max_drop_per_epoch,
+            } => {
+                let v = field.of(row);
+                let drop = self.carry.replace(v)? - v;
+                (drop > *max_drop_per_epoch).then(|| {
                     let msg = format!(
                         "{} dropped {} in one epoch (budget {})",
                         field.key(),
                         fmt_v(drop),
                         fmt_v(*max_drop_per_epoch)
                     );
-                    return Some((i, drop, *max_drop_per_epoch, msg));
-                }
+                    (drop, *max_drop_per_epoch, msg)
+                })
             }
-            None
-        }
-        RuleKind::Windowed {
-            field,
-            op,
-            limit,
-            window,
-        } => {
-            // Consecutive-violation streak; the row completing the
-            // streak is the firing epoch.
-            let mut streak = 0u32;
-            for (i, row) in rows.iter().enumerate() {
+            RuleKind::Windowed {
+                field,
+                op,
+                limit,
+                window,
+            } => {
+                // Consecutive-violation streak; the row completing the
+                // streak is the firing epoch.
                 let v = field.of(row);
-                if op.holds(v, *limit) {
-                    streak += 1;
-                    if streak >= *window {
-                        let msg = format!(
-                            "{} {} {} for {} consecutive epochs (latest {})",
-                            field.key(),
-                            op.symbol(),
-                            fmt_v(*limit),
-                            window,
-                            fmt_v(v)
-                        );
-                        return Some((i, v, *limit, msg));
-                    }
-                } else {
-                    streak = 0;
+                if !op.holds(v, *limit) {
+                    self.streak = 0;
+                    return None;
                 }
+                self.streak += 1;
+                (self.streak >= *window).then(|| {
+                    let msg = format!(
+                        "{} {} {} for {} consecutive epochs (latest {})",
+                        field.key(),
+                        op.symbol(),
+                        fmt_v(*limit),
+                        window,
+                        fmt_v(v)
+                    );
+                    (v, *limit, msg)
+                })
             }
-            None
+            _ => None,
         }
-        _ => None,
     }
 }
 
@@ -353,19 +365,19 @@ impl RuleSet {
             .iter()
             .map(|rule| {
                 let status = if rule.is_epoch_scoped() {
-                    match scoped_rows(&input.epochs, &input.class_epochs, &rule.scope) {
+                    let walk =
+                        EpochWalk::default().advance(rule, &input.epochs, &input.class_epochs);
+                    match walk {
                         None => RuleStatus::NoData,
-                        Some(rows) => match first_violation(rule, &rows) {
-                            Some((idx, value, limit, message)) => RuleStatus::Fired(Alert {
-                                rule: rule.name.clone(),
-                                hour: rows[idx].hour,
-                                value,
-                                limit,
-                                message,
-                            }),
-                            None if rows.is_empty() => RuleStatus::NoData,
-                            None => RuleStatus::Ok,
-                        },
+                        Some(Some((idx, value, limit, message))) => RuleStatus::Fired(Alert {
+                            rule: rule.name.clone(),
+                            hour: input.epochs[idx].hour,
+                            value,
+                            limit,
+                            message,
+                        }),
+                        Some(None) if input.epochs.is_empty() => RuleStatus::NoData,
+                        Some(None) => RuleStatus::Ok,
                     }
                 } else {
                     eval_end_of_run(rule, input, baseline)
@@ -390,6 +402,9 @@ pub struct WatchEngine {
     /// Per-class per-epoch corrupt-ops, fed alongside the fleet rows by
     /// drivers with class attribution on; class-scoped rules read these.
     class_rows: BTreeMap<String, Vec<f64>>,
+    /// Per-rule walk over the epoch rows: each epoch steps a rule over
+    /// its new rows only, so evaluation is linear in the epoch count.
+    walks: Vec<EpochWalk>,
     /// Per-rule fired flag (epoch-scoped rules fire at most once).
     fired: Vec<bool>,
 }
@@ -402,6 +417,7 @@ impl WatchEngine {
             rules,
             rows: Vec::new(),
             class_rows: BTreeMap::new(),
+            walks: vec![EpochWalk::default(); n],
             fired: vec![false; n],
         }
     }
@@ -440,18 +456,17 @@ impl WatchEngine {
             if self.fired[i] || !rule.is_epoch_scoped() {
                 continue;
             }
-            let Some(rows) = scoped_rows(&self.rows, &self.class_rows, &rule.scope) else {
-                continue;
-            };
-            if let Some((idx, value, limit, message)) = first_violation(rule, &rows) {
-                // A violation can only first appear at the newest row.
-                debug_assert_eq!(idx, rows.len() - 1);
+            // Usually one new row; a class first seen this epoch steps
+            // its backfilled rows too, and may fire at an earlier row's
+            // hour, as a walk over the whole series would.
+            let walk = self.walks[i].advance(rule, &self.rows, &self.class_rows);
+            if let Some(Some((idx, value, limit, message))) = walk {
                 self.fired[i] = true;
                 fresh.push((
                     i,
                     Alert {
                         rule: rule.name.clone(),
-                        hour: rows[idx].hour,
+                        hour: self.rows[idx].hour,
                         value,
                         limit,
                         message,

@@ -4,7 +4,7 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test test-workspace test-release fmt fmt-check clippy fuzz-smoke e15-smoke trace-smoke watch-smoke study-smoke serve-smoke frontier-smoke audit-smoke prof-smoke labbench-smoke
+.PHONY: ci build test test-workspace test-release fmt fmt-check clippy fuzz-smoke e15-smoke trace-smoke watch-smoke study-smoke serve-smoke frontier-smoke audit-smoke prof-smoke labbench-smoke loc
 
 ci: build test-workspace test-release fmt-check clippy fuzz-smoke e15-smoke trace-smoke watch-smoke study-smoke serve-smoke frontier-smoke audit-smoke labbench-smoke prof-smoke
 
@@ -102,3 +102,10 @@ prof-smoke:
 # an API change that would break it.
 labbench-smoke:
 	$(CARGO) test --offline --manifest-path labbench/Cargo.toml
+
+# Non-test Rust lines: every `.rs` file outside `tests/` directories and
+# `labbench/` (shims included), build output excluded. The figure the
+# change log reports per change.
+loc:
+	@find . -path ./target -prune -o -path ./labbench -prune -o -path '*/tests' -prune \
+		-o -name '*.rs' -print0 | xargs -0 cat | wc -l

@@ -176,7 +176,9 @@ impl PipelineRun {
 
         // 3. Production-signal suspicion: the scoreboard accumulates every
         //    signal; cores crossing the threshold (and not already caught
-        //    by a screener) go to human triage.
+        //    by a screener) go to human triage. The scoreboard is dropped
+        //    as soon as the suspects are out, before the rest of the back
+        //    half allocates.
         let mut scoreboard = Scoreboard::new();
         scoreboard.ingest_all_provenance(signals.all().iter(), rec);
         let suspects: Vec<(CoreUid, f64)> = scoreboard
@@ -186,6 +188,7 @@ impl PipelineRun {
             .into_iter()
             .map(|s| (s.core, s.last_hour))
             .collect();
+        drop(scoreboard);
 
         // 4. Human triage extracts confessions.
         let triage = HumanTriage::default();

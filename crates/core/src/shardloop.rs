@@ -41,7 +41,7 @@
 use crate::experiment::FleetExperiment;
 use crate::pipeline::{score_detections, topology_ledger, PipelineOutcome};
 use crate::scenario::{Scenario, WorkloadsConfig};
-use mercurial_fault::{CoreUid, FastSet, FunctionalUnit};
+use mercurial_fault::{CoreUid, FastMap, FastSet, FunctionalUnit};
 use mercurial_fleet::sim::{ClassTally, SimState, SimSummary};
 use mercurial_fleet::{EventKind, EventQueue, FleetSim, FleetTopology, Population, SignalLog};
 use mercurial_isolation::{CapacityLedger, QuarantineRegistry, SafeTaskPolicy, TaskUnitProfile};
@@ -55,7 +55,6 @@ use mercurial_screening::{
 use mercurial_trace::{intern, MetricSet, Recorder};
 use mercurial_watch::{Alert, Baseline, EpochRow, RuleSet, WatchEngine, WatchReport};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 pub use mercurial_fleet::sim::shard_ranges;
 
@@ -873,8 +872,11 @@ impl<'a> FleetAggregator<'a> {
         // User-report escalations drawn while a core was still in
         // service can carry dates past its later confirmation hour;
         // withdraw them so no signal is attributed to a core after it
-        // was confirmed defective.
-        let confirm_hour: HashMap<CoreUid, f64> = registry
+        // was confirmed defective. Withdrawal and the log sort are their
+        // own phase, so the `watch.eval` phase after them times the
+        // watch engine alone.
+        let signals_span = prof.span("finish.signals");
+        let confirm_hour: FastMap<CoreUid, f64> = registry
             .in_state(mercurial_isolation::CoreState::Confirmed)
             .into_iter()
             .map(|core| {
@@ -898,6 +900,7 @@ impl<'a> FleetAggregator<'a> {
         summary.signals_emitted -= dropped as u64;
         summary.noise_signals -= dropped_noise;
         log.sort_by_time();
+        drop(signals_span);
 
         detections.sort_by(|a, b| a.hour.partial_cmp(&b.hour).expect("hours are finite"));
         let (detected_true, detection_latency_hours) = score_detections(&detections, topo, pop);

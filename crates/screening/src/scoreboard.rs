@@ -43,8 +43,9 @@ pub struct CoreScore {
     /// dense table instead of a map: the scoreboard ingests every signal
     /// the fleet emits, and at fleet-study scale the per-signal map
     /// overhead (hashing plus a heap allocation per accused core)
-    /// dominated the driver loop.
-    counts: [u64; SIGNAL_KINDS],
+    /// dominated the driver loop. `u32` keeps the row at 64 bytes; one
+    /// core would need 4.3e9 signals (~100 GB of signal log) to overflow.
+    counts: [u32; SIGNAL_KINDS],
     /// Hour of the first signal.
     pub first_hour: f64,
     /// Hour of the most recent signal.
@@ -57,12 +58,12 @@ pub struct CoreScore {
 impl CoreScore {
     /// Signals of one kind attributed to this core.
     pub fn count_of(&self, kind: SignalKind) -> u64 {
-        self.counts[kind_index(kind)]
+        u64::from(self.counts[kind_index(kind)])
     }
 
     /// Total signals against this core.
     pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
+        self.counts.iter().map(|&c| u64::from(c)).sum()
     }
 
     /// Whether the core has repeated signals (the recidivism predicate).
@@ -74,9 +75,24 @@ impl CoreScore {
     /// `1 - exp(-evidence / 3)` — 0 for no evidence, ≈0.6 at 3 weighted
     /// signals, ≈0.96 at 10.
     pub fn suspicion(&self) -> f64 {
-        1.0 - (-self.evidence / 3.0).exp()
+        suspicion_of(self.evidence)
     }
 }
+
+/// The saturating evidence transform behind [`CoreScore::suspicion`].
+fn suspicion_of(evidence: f64) -> f64 {
+    1.0 - (-evidence / 3.0).exp()
+}
+
+/// Rows per block of the score slab. A block is allocated once at its
+/// full capacity and never grown, so rows never move and growth never
+/// copies the slab (a flat `Vec`'s last doubling holds the old and new
+/// buffers live together). 1024 rows × 64 bytes = 64 KiB stays below
+/// glibc's default 128 KiB mmap threshold; 4096-row blocks measured a
+/// higher peak RSS on small runs.
+const BLOCK_ROWS: usize = 1024;
+// One row is 64 bytes: the per-core footprint the block size assumes.
+const _: () = assert!(std::mem::size_of::<CoreScore>() == 64);
 
 /// How much one signal of each kind moves the evidence.
 fn kind_weight(kind: SignalKind) -> f64 {
@@ -94,9 +110,17 @@ fn kind_weight(kind: SignalKind) -> f64 {
 }
 
 /// The fleet-wide per-core scoreboard.
+///
+/// Scores live in a slab of fixed 1024-row blocks in first-accusation
+/// order; a small map indexes each core's row. At fleet-study
+/// scale almost every accused core is seen once, so the slab is the
+/// scoreboard's bulk and the index its only hashed part.
 #[derive(Debug, Clone, Default)]
 pub struct Scoreboard {
-    scores: FastMap<CoreUid, CoreScore>,
+    /// Row number of each accused core.
+    index: FastMap<CoreUid, u32>,
+    /// Row `ix` is `rows[ix / BLOCK_ROWS][ix % BLOCK_ROWS]`.
+    rows: Vec<Vec<CoreScore>>,
     /// Armed suspicion threshold, if any (see [`Scoreboard::arm`]).
     armed: Option<f64>,
     /// Cores whose suspicion has ever reached the armed threshold.
@@ -116,26 +140,39 @@ impl Scoreboard {
     /// instant the first time a core is accused and a `score.recidivist`
     /// instant when it crosses the recidivism predicate (second signal).
     pub fn ingest(&mut self, signal: &Signal, rec: &mut Recorder) {
-        let mut is_new = false;
-        let entry = self.scores.entry(signal.core).or_insert_with(|| {
-            is_new = true;
-            CoreScore {
+        let next = u32::try_from(self.index.len()).expect("fewer than 2^32 accused cores");
+        let row = *self.index.entry(signal.core).or_insert(next);
+        let is_new = row == next;
+        let ix = row as usize;
+        if is_new {
+            if ix.is_multiple_of(BLOCK_ROWS) {
+                self.rows.push(Vec::with_capacity(BLOCK_ROWS));
+            }
+            let block = self.rows.last_mut().expect("the new row's block");
+            block.push(CoreScore {
                 core: signal.core,
                 counts: [0; SIGNAL_KINDS],
                 first_hour: signal.hour,
                 last_hour: signal.hour,
                 evidence: 0.0,
-            }
-        });
-        entry.counts[kind_index(signal.kind)] += 1;
+            });
+        }
+        let entry = &mut self.rows[ix / BLOCK_ROWS][ix % BLOCK_ROWS];
+        let count = &mut entry.counts[kind_index(signal.kind)];
+        *count = count
+            .checked_add(1)
+            .expect("per-kind signal count fits u32");
         entry.first_hour = entry.first_hour.min(signal.hour);
         entry.last_hour = entry.last_hour.max(signal.hour);
+        let before = entry.evidence;
         entry.evidence += kind_weight(signal.kind);
-        let crossed = self
-            .armed
-            .is_some_and(|threshold| entry.suspicion() >= threshold);
-        if crossed {
-            self.watchlist.insert(signal.core);
+        // Watch only the first crossing. "Crossed before" is read from
+        // the evidence before this signal, not recomputed by subtracting
+        // the weight back out: `(a + w) - w` need not equal `a`.
+        if let Some(threshold) = self.armed {
+            if entry.suspicion() >= threshold && (is_new || suspicion_of(before) < threshold) {
+                self.watchlist.insert(signal.core);
+            }
         }
         if is_new {
             rec.instant(
@@ -197,7 +234,18 @@ impl Scoreboard {
 
     /// The score for one core, if any signal has been seen.
     pub fn score(&self, core: CoreUid) -> Option<&CoreScore> {
-        self.scores.get(&core)
+        self.index.get(&core).map(|&ix| self.row(ix))
+    }
+
+    /// Row `ix` of the slab.
+    fn row(&self, ix: u32) -> &CoreScore {
+        let ix = ix as usize;
+        &self.rows[ix / BLOCK_ROWS][ix % BLOCK_ROWS]
+    }
+
+    /// Every score, in first-accusation order.
+    fn all(&self) -> impl Iterator<Item = &CoreScore> {
+        self.rows.iter().flatten()
     }
 
     /// Cores whose suspicion exceeds `threshold`, most suspicious first.
@@ -215,8 +263,7 @@ impl Scoreboard {
         exclude: impl Fn(CoreUid) -> bool,
     ) -> Vec<&CoreScore> {
         let mut out: Vec<&CoreScore> = self
-            .scores
-            .values()
+            .all()
             .filter(|s| s.suspicion() >= threshold && !exclude(s.core))
             .collect();
         out.sort_by(|a, b| {
@@ -235,8 +282,7 @@ impl Scoreboard {
     pub fn arm(&mut self, threshold: f64) {
         self.armed = Some(threshold);
         self.watchlist = self
-            .scores
-            .values()
+            .all()
             .filter(|s| s.suspicion() >= threshold)
             .map(|s| s.core)
             .collect();
@@ -254,7 +300,7 @@ impl Scoreboard {
         let mut out: Vec<&CoreScore> = self
             .watchlist
             .iter()
-            .map(|core| &self.scores[core])
+            .map(|core| self.row(self.index[core]))
             .filter(|s| s.suspicion() >= threshold && !exclude(s.core))
             .collect();
         out.sort_by(|a, b| {
@@ -268,7 +314,7 @@ impl Scoreboard {
 
     /// Number of cores with any signal.
     pub fn cores_seen(&self) -> usize {
-        self.scores.len()
+        self.index.len()
     }
 }
 

@@ -11,6 +11,7 @@
 use crate::ledger::{signal_kind_name, Decision, DecisionLedger};
 use crate::score::CaseLabel;
 use crate::truth::GroundTruth;
+use mercurial_trace::export::{push_json_str, push_num, push_u64};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -46,33 +47,6 @@ pub struct CaseBook {
     pub cases: Vec<CaseFile>,
     /// Verdict cores dropped by the `max_cases` cap.
     pub truncated: usize,
-}
-
-/// Minimal JSON string escape for stage labels and annotations.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn fmt_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
 }
 
 impl CaseBook {
@@ -178,26 +152,23 @@ impl CaseBook {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for case in &self.cases {
-            let _ = write!(
-                out,
-                "{{\"core\":{},\"label\":\"{}\"",
-                case.core,
-                case.label.tag()
-            );
+            out.push_str("{\"core\":");
+            push_u64(&mut out, case.core);
+            out.push_str(",\"label\":\"");
+            out.push_str(case.label.tag());
+            out.push('"');
             if let Some(profile) = &case.annotation {
-                let _ = write!(out, ",\"profile\":\"{}\"", json_escape(profile));
+                out.push_str(",\"profile\":\"");
+                push_json_str(&mut out, profile);
+                out.push('"');
             }
             out.push_str(",\"chain\":[");
             for (i, e) in case.chain.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"h\":{},\"s\":\"{}\"}}",
-                    fmt_num(e.hour),
-                    json_escape(&e.stage)
-                );
+                out.push_str(if i > 0 { ",{\"h\":" } else { "{\"h\":" });
+                push_num(&mut out, e.hour);
+                out.push_str(",\"s\":\"");
+                push_json_str(&mut out, &e.stage);
+                out.push_str("\"}");
             }
             out.push_str("]}\n");
         }

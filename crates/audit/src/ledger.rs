@@ -10,9 +10,9 @@
 //! shortest-roundtrip — the two ledgers are byte-for-byte identical by
 //! construction, at any worker count.
 
+use mercurial_trace::export::{push_num, push_u64, HourCache};
 use mercurial_trace::{EventKind, Trace, TraceEvent};
 use serde::Deserialize as _;
-use std::fmt::Write as _;
 
 /// Canonical names of the eight fleet signal kinds, indexed by the
 /// scoreboard's dense kind index (the payload of a `score.signal`
@@ -196,17 +196,6 @@ pub struct DecisionLedger {
     pub gt_count: u64,
 }
 
-/// `format!("{v}")` for finite floats — the same exact shortest-roundtrip
-/// formatting the trace JSONL exporter uses, which is what makes
-/// replayed-and-re-exported ledgers byte-identical to in-loop ones.
-fn fmt_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
-
 impl DecisionLedger {
     /// Build the ledger from a buffered in-loop trace.
     pub fn from_trace(trace: &Trace) -> DecisionLedger {
@@ -314,21 +303,26 @@ impl DecisionLedger {
     /// Canonical ledger JSONL — one decision per line:
     /// `{"h":<hour>,"d":"<code>"[,"core":<u64>][,"v":<value>]}` ("v"
     /// omitted when 0.0). This is the byte string the replay-parity
-    /// acceptance check compares.
+    /// acceptance check compares. Numbers go through the trace JSONL
+    /// exporter's writer, which is what makes replayed-and-re-exported
+    /// ledgers byte-identical to in-loop ones.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+        // A typical line is ~65 bytes.
+        let mut out = String::with_capacity(self.entries.len() * 66);
+        let mut hours = HourCache::default();
         for e in &self.entries {
-            let _ = write!(
-                out,
-                "{{\"h\":{},\"d\":\"{}\"",
-                fmt_num(e.hour),
-                e.decision.code()
-            );
+            out.push_str("{\"h\":");
+            hours.push(&mut out, e.hour);
+            out.push_str(",\"d\":\"");
+            out.push_str(e.decision.code());
+            out.push('"');
             if let Some(core) = e.core {
-                let _ = write!(out, ",\"core\":{core}");
+                out.push_str(",\"core\":");
+                push_u64(&mut out, core);
             }
             if e.value != 0.0 {
-                let _ = write!(out, ",\"v\":{}", fmt_num(e.value));
+                out.push_str(",\"v\":");
+                push_num(&mut out, e.value);
             }
             out.push_str("}\n");
         }

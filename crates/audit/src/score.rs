@@ -10,7 +10,7 @@
 //! report is a pure function of (ledger, truth, rule names), so in-loop
 //! and replayed audits agree exactly.
 
-use crate::ledger::{signal_kind_name, Decision, DecisionLedger};
+use crate::ledger::{signal_kind_name, Decision, DecisionLedger, SIGNAL_KIND_NAMES};
 use crate::truth::GroundTruth;
 use mercurial_metrics::nearest_rank;
 use std::collections::BTreeMap;
@@ -173,6 +173,8 @@ struct CoreAcc {
     signals: u64,
     exonerations: u32,
     reconfirmed: bool,
+    /// Bit `k` set: a signal of table kind `k` accused this core.
+    kinds: u8,
 }
 
 impl AuditReport {
@@ -186,7 +188,9 @@ impl AuditReport {
     ) -> AuditReport {
         let mut cores: BTreeMap<u64, CoreAcc> = BTreeMap::new();
         let mut kinds: BTreeMap<u64, KindStats> = BTreeMap::new();
-        let mut kind_cores: BTreeMap<u64, std::collections::BTreeSet<u64>> = BTreeMap::new();
+        // Cores accused by out-of-table kinds; table kinds live in the
+        // per-core `CoreAcc::kinds` mask.
+        let mut wide_kind_cores: BTreeMap<u64, std::collections::BTreeSet<u64>> = BTreeMap::new();
         let mut rules: BTreeMap<String, RuleStats> = BTreeMap::new();
         let mut exonerations = 0usize;
         let mut escalations = 0usize;
@@ -199,6 +203,11 @@ impl AuditReport {
                     acc.signals += 1;
                     acc.first_signal = Some(acc.first_signal.map_or(e.hour, |h| h.min(e.hour)));
                     let kind_ix = e.value as u64;
+                    if kind_ix < SIGNAL_KIND_NAMES.len() as u64 {
+                        acc.kinds |= 1 << kind_ix;
+                    } else {
+                        wide_kind_cores.entry(kind_ix).or_default().insert(core);
+                    }
                     let stats = kinds.entry(kind_ix).or_insert_with(|| KindStats {
                         kind: signal_kind_name(e.value),
                         signals: 0,
@@ -210,7 +219,6 @@ impl AuditReport {
                     if truth.is_mercurial(core) {
                         stats.mercurial_signals += 1;
                     }
-                    kind_cores.entry(kind_ix).or_default().insert(core);
                 }
                 Decision::FirstSignal => {
                     // Fallback when provenance instants are absent (plain
@@ -261,12 +269,23 @@ impl AuditReport {
             }
         }
 
-        for (kind_ix, accused) in &kind_cores {
-            if let Some(stats) = kinds.get_mut(kind_ix) {
-                stats.cores_accused = accused.len() as u64;
-                stats.mercurial_cores_hit =
-                    accused.iter().filter(|c| truth.is_mercurial(**c)).count() as u64;
+        let mut accused = [(0u64, 0u64); SIGNAL_KIND_NAMES.len()];
+        for (core, acc) in cores.iter().filter(|(_, acc)| acc.kinds != 0) {
+            let mercurial = u64::from(truth.is_mercurial(*core));
+            for (k, (cores_accused, hit)) in accused.iter_mut().enumerate() {
+                if acc.kinds >> k & 1 == 1 {
+                    *cores_accused += 1;
+                    *hit += mercurial;
+                }
             }
+        }
+        for (kind_ix, stats) in kinds.iter_mut() {
+            let counts = accused.get(*kind_ix as usize).copied().unwrap_or_else(|| {
+                let wide = &wide_kind_cores[kind_ix];
+                let hit = wide.iter().filter(|c| truth.is_mercurial(**c)).count();
+                (wide.len() as u64, hit as u64)
+            });
+            (stats.cores_accused, stats.mercurial_cores_hit) = counts;
         }
 
         // Verdicts: every mercurial core, plus every quarantined healthy

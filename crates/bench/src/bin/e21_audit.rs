@@ -14,12 +14,13 @@
 //! Full mode audits the E20 policy-ladder arms and the E19 impairment
 //! arms, measures the in-loop overhead of auditing against an audit-off
 //! run (the median of [`PAIRS`] per-pair ratios from the shared sampler,
-//! <2% acceptance bar), and writes `BENCH_audit.json`. `--smoke`
+//! <2% acceptance bar), times the audit path's exports once each on the
+//! 20k-machine paper scenario, and writes `BENCH_audit.json`. `--smoke`
 //! checks the contracts instead (`make audit-smoke`): audit off moves no
 //! pre-audit bit (the E20 pin digests), the offline replay reproduces the
 //! in-loop ledger byte-for-byte, and attribution
 //! conserves ground truth (TP + FN == mercurial cores; every FP is a
-//! quarantined healthy core).
+//! quarantined healthy core); then it prints the export costs.
 
 use mercurial::audit::{AuditReport, CaseLabel, DecisionLedger, GroundTruth};
 use mercurial::closedloop::ClosedLoopDriver;
@@ -59,6 +60,39 @@ fn report_of(s: &Scenario, trace: &mercurial_trace::Trace) -> (DecisionLedger, A
     let truth = GroundTruth::from_ledger(&ledger);
     let report = AuditReport::build(&ledger, &truth, &rule_names(s));
     (ledger, report)
+}
+
+/// The audit path after an audited 20k-machine paper run, each step timed
+/// once and printed as ns per line: a writer's lines are the lines it
+/// writes, the fold's the trace events it reads, the report's the ledger
+/// entries it scores. Returns the steps as `BENCH_audit.json` rows.
+fn export_costs(prof: &mercurial_prof::Prof) -> Vec<String> {
+    let mut s = mercurial_bench::paper_scenario(0x0e21);
+    s.closed_loop.feedback = true;
+    s.audit.enabled = true;
+    let out = ClosedLoopDriver::execute(&s);
+    let (jsonl, trace_s) = timed(prof, "audit.trace_jsonl", || out.trace.to_jsonl());
+    let (ledger, fold_s) = timed(prof, "audit.fold", || {
+        DecisionLedger::from_trace(&out.trace)
+    });
+    let (truth, rules) = (GroundTruth::from_ledger(&ledger), rule_names(&s));
+    let (_, report_s) = timed(prof, "audit.report", || {
+        AuditReport::build(&ledger, &truth, &rules)
+    });
+    let (ledger_jsonl, ledger_s) = timed(prof, "audit.ledger_jsonl", || ledger.to_jsonl());
+    println!("audit exports on the 20k paper scenario (one timing each):");
+    [
+        ("trace.to_jsonl", jsonl.lines().count(), trace_s),
+        ("ledger.from_trace", out.trace.events.len(), fold_s),
+        ("report.build", ledger.len(), report_s),
+        ("ledger.to_jsonl", ledger_jsonl.lines().count(), ledger_s),
+    ]
+    .map(|(step, lines, secs)| {
+        let ns = secs * 1e9 / lines.max(1) as f64;
+        println!("  {step:>18}: {lines:>6} lines  {ns:>7.1} ns/line");
+        format!("    {{\"step\": \"{step}\", \"lines\": {lines}, \"ns_per_line\": {ns:.1}}}")
+    })
+    .to_vec()
 }
 
 // ------------------------------------------------------------- smoke mode
@@ -140,6 +174,8 @@ fn run_smoke() {
             report.ground_truth
         );
     }
+
+    export_costs(&mercurial_prof::Prof::disabled());
 
     println!("\nE21 smoke: all decision-audit contracts hold");
 }
@@ -244,12 +280,14 @@ fn run_full() {
     );
     println!("  audit off: {off_secs:>8.3} s");
     println!("  audit on:  {on_secs:>8.3} s   ({overhead_pct:+.2}%)");
+    let exports = export_costs(&prof);
     let body = format!(
-        "\"scenario\": \"{}\",\n  \"machines\": {},\n  \"months\": {},\n  \"seed\": {seed},\n  \"overhead_machines\": {},\n  \"overhead_pairs\": {PAIRS},\n  \"overhead_off_secs\": {off_secs:.4},\n  \"overhead_on_secs\": {on_secs:.4},\n  \"overhead_pct\": {overhead_pct:.3},\n  \"arms\": [\n{}\n  ]",
+        "\"scenario\": \"{}\",\n  \"machines\": {},\n  \"months\": {},\n  \"seed\": {seed},\n  \"overhead_machines\": {},\n  \"overhead_pairs\": {PAIRS},\n  \"overhead_off_secs\": {off_secs:.4},\n  \"overhead_on_secs\": {on_secs:.4},\n  \"overhead_pct\": {overhead_pct:.3},\n  \"exports\": [\n{}\n  ],\n  \"arms\": [\n{}\n  ]",
         base.name,
         base.fleet.machines,
         base.sim.months,
         on.fleet.machines,
+        exports.join(",\n"),
         arms.join(",\n"),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_audit.json");

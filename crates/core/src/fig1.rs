@@ -29,9 +29,10 @@
 
 use crate::pipeline::{PipelineOutcome, PipelineRun};
 use crate::scenario::Scenario;
+use mercurial_fault::FastMap;
 use mercurial_fleet::SignalKind;
 use mercurial_metrics::MonthlySeries;
-use std::collections::HashMap;
+use std::fmt::Write as _;
 
 /// The two normalized series plus the raw materials.
 pub struct Fig1Result {
@@ -68,7 +69,7 @@ impl Fig1Result {
         let auto = self.auto.normalized(self.baseline);
         let mut out = String::from("month,user_normalized,auto_normalized\n");
         for (u, a) in user.iter().zip(&auto) {
-            out.push_str(&format!("{},{:.4},{:.4}\n", u.month, u.value, a.value));
+            let _ = writeln!(out, "{},{:.4},{:.4}", u.month, u.value, a.value);
         }
         out
     }
@@ -102,7 +103,7 @@ pub fn fig1_from_outcome(scenario: &Scenario, outcome: PipelineOutcome) -> Fig1R
     // the dedup cap for the whole window, which is not how a fleet that
     // actually quarantines behaves.
     const QUARANTINE_LAG_HOURS: f64 = 7.0 * 24.0;
-    let mut detected_at: HashMap<mercurial_fault::CoreUid, f64> = HashMap::new();
+    let mut detected_at: FastMap<mercurial_fault::CoreUid, f64> = FastMap::default();
     for d in &outcome.detections {
         detected_at
             .entry(d.core)
@@ -118,7 +119,7 @@ pub fn fig1_from_outcome(scenario: &Scenario, outcome: PipelineOutcome) -> Fig1R
     // The recidivism rule for automatic attribution: a prior signal on the
     // same core within the window.
     const RECIDIVISM_WINDOW_HOURS: f64 = 30.0 * 24.0;
-    let mut last_signal_hour: HashMap<mercurial_fault::CoreUid, f64> = HashMap::new();
+    let mut last_signal_hour: FastMap<mercurial_fault::CoreUid, f64> = FastMap::default();
 
     for s in outcome.signals.all() {
         if silenced(s.core, s.hour) {
@@ -128,12 +129,11 @@ pub fn fig1_from_outcome(scenario: &Scenario, outcome: PipelineOutcome) -> Fig1R
             SignalKind::UserReport => user.record_at_hour(s.hour, 1),
             SignalKind::ScreenerFailure => auto.record_at_hour(s.hour, 1),
             _ => {
-                if let Some(&prev) = last_signal_hour.get(&s.core) {
+                if let Some(prev) = last_signal_hour.insert(s.core, s.hour) {
                     if s.hour - prev <= RECIDIVISM_WINDOW_HOURS {
                         auto.record_at_hour(s.hour, 1);
                     }
                 }
-                last_signal_hour.insert(s.core, s.hour);
             }
         }
     }

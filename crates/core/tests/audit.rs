@@ -87,6 +87,47 @@ fn open_loop_audit_matches_conservation_too() {
     assert_eq!(replayed.to_jsonl(), ledger.to_jsonl());
 }
 
+/// FNV-1a over a byte string: stable, dependency-free content digest.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn audit_exports_are_pinned() {
+    // The audited demo run's ledger JSONL, case-book JSONL (profile
+    // annotations included) and postmortem text, as `mercurial-lab
+    // audit` derives them. Captured before the exporters shared the trace
+    // crate's JSON writer; any byte that moves fails here.
+    let s = audited(7, true);
+    let exp = mercurial::FleetExperiment::build(&s);
+    let out = ClosedLoopDriver::execute_on(&s, &exp);
+    let ledger = DecisionLedger::from_trace(&out.trace);
+    let mut truth = GroundTruth::from_ledger(&ledger);
+    for core in exp.population().mercurial_cores() {
+        truth.annotate(core.uid.as_u64(), core.profile.name.clone());
+    }
+    let report = AuditReport::build(&ledger, &truth, &rule_names(&s));
+    let book = CaseBook::build(&ledger, &truth, s.audit.max_cases);
+    let book_jsonl = book.to_jsonl();
+    assert!(book_jsonl.contains("\"profile\":"), "cases carry profiles");
+    let got = [
+        fnv1a(ledger.to_jsonl().as_bytes()),
+        fnv1a(book_jsonl.as_bytes()),
+        fnv1a(report.render().as_bytes()),
+    ];
+    let want = [
+        0x8637_f5c1_b78a_c949,
+        0xe90e_1d22_c5cf_7ae9,
+        0xa31e_3ded_843d_c80f,
+    ];
+    assert_eq!(got, want, "audit exports moved: {got:#018x?}");
+}
+
 #[test]
 fn audit_block_forces_tracing_on() {
     let mut s = audited(7, true);

@@ -3,6 +3,11 @@
 //! All three are hand-rolled (this crate is zero-dependency) and
 //! deterministic: floats go through Rust's shortest-roundtrip `Display`,
 //! events are written in merge order, and metrics in `BTreeMap` order.
+//!
+//! [`push_json_str`], [`push_u64`], [`push_num`] and [`HourCache`] are the
+//! one JSON text writer of the workspace's JSONL exports (trace, decision
+//! ledger, case book): each appends to the caller's `String` without a
+//! temporary and writes exactly the bytes `format!` would.
 
 use std::fmt::Write as _;
 
@@ -10,9 +15,13 @@ use crate::event::{EventKind, TraceEvent};
 use crate::metric::MetricSet;
 use crate::recorder::Trace;
 
-/// Escape a string for embedding inside a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Append `s` as the body of a JSON string literal: a name with no byte
+/// that needs escaping is pushed as it is.
+pub fn push_json_str(out: &mut String, s: &str) {
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -26,17 +35,65 @@ fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
+}
+
+/// Append `n` in decimal.
+pub fn push_u64(out: &mut String, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
+}
+
+/// Append `v` as a JSON number, byte for byte `format!("{v}")`: Rust's
+/// `Display` prints the shortest string that round-trips, which is
+/// deterministic. A whole value in `[0, 2^53)` with a positive sign is
+/// exactly its integer digits, so it skips the float formatter.
+/// Non-finite values (never produced by the recorder's clocked paths)
+/// degrade to `0`.
+pub fn push_num(out: &mut String, v: f64) {
+    if v.is_sign_positive() && v < 9_007_199_254_740_992.0 && v as u64 as f64 == v {
+        push_u64(out, v as u64);
+    } else if v.is_finite() {
+        let _ = write!(out, "{v}");
+    } else {
+        out.push('0');
+    }
+}
+
+/// [`push_num`] into a fresh `String`, for the Prometheus exposition.
+fn json_num(v: f64) -> String {
+    let mut out = String::new();
+    push_num(&mut out, v);
     out
 }
 
-/// Format an f64 as a JSON number. Rust's `Display` prints the shortest
-/// string that round-trips, which is deterministic; non-finite values
-/// (never produced by the recorder's clocked paths) degrade to 0.
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
+/// A one-entry cache of the last hour written and its JSON text. About
+/// half the lines of a trace or ledger export repeat the hour of the line
+/// before (a `score.signal` and its `score.first_signal`), so each run of
+/// equal hours is formatted once.
+#[derive(Debug, Default)]
+pub struct HourCache {
+    bits: u64,
+    text: String,
+}
+
+impl HourCache {
+    /// Append `hour` as [`push_num`] would.
+    pub fn push(&mut self, out: &mut String, hour: f64) {
+        if self.text.is_empty() || hour.to_bits() != self.bits {
+            self.bits = hour.to_bits();
+            self.text.clear();
+            push_num(&mut self.text, hour);
+        }
+        out.push_str(&self.text);
     }
 }
 
@@ -46,19 +103,21 @@ fn json_num(v: f64) -> String {
 /// Both [`to_jsonl`] and the incremental [`crate::stream::JsonlStreamSink`]
 /// format events through this one function, which is what makes the
 /// streamed file byte-identical to the buffered export by construction.
-pub fn write_jsonl_event(out: &mut String, e: &TraceEvent) {
-    let _ = write!(
-        out,
-        "{{\"h\":{},\"k\":\"{}\",\"n\":\"{}\"",
-        json_num(e.hour),
-        e.kind.code(),
-        json_escape(e.name)
-    );
+pub fn write_jsonl_event(out: &mut String, hours: &mut HourCache, e: &TraceEvent) {
+    out.push_str("{\"h\":");
+    hours.push(out, e.hour);
+    out.push_str(",\"k\":\"");
+    out.push(e.kind.code());
+    out.push_str("\",\"n\":\"");
+    push_json_str(out, e.name);
+    out.push('"');
     if let Some(core) = e.core {
-        let _ = write!(out, ",\"core\":{core}");
+        out.push_str(",\"core\":");
+        push_u64(out, core);
     }
     if e.value != 0.0 || e.kind == EventKind::Gauge {
-        let _ = write!(out, ",\"v\":{}", json_num(e.value));
+        out.push_str(",\"v\":");
+        push_num(out, e.value);
     }
     out.push_str("}\n");
 }
@@ -67,38 +126,38 @@ pub fn write_jsonl_event(out: &mut String, e: &TraceEvent) {
 /// counter, gauge, and histogram, in name order. Shared by [`to_jsonl`]
 /// and [`crate::stream::JsonlStreamSink::finish`].
 pub fn write_jsonl_metrics(out: &mut String, metrics: &MetricSet) {
+    let head = |out: &mut String, kind: &str, name: &str, field: &str| {
+        out.push_str("{\"metric\":\"");
+        out.push_str(kind);
+        out.push_str("\",\"n\":\"");
+        push_json_str(out, name);
+        out.push_str(field);
+    };
     for (name, v) in metrics.counters() {
-        let _ = writeln!(
-            out,
-            "{{\"metric\":\"counter\",\"n\":\"{}\",\"v\":{v}}}",
-            json_escape(name)
-        );
+        head(out, "counter", name, "\",\"v\":");
+        push_u64(out, v);
+        out.push_str("}\n");
     }
     for (name, v) in metrics.gauges() {
-        let _ = writeln!(
-            out,
-            "{{\"metric\":\"gauge\",\"n\":\"{}\",\"v\":{}}}",
-            json_escape(name),
-            json_num(v)
-        );
+        head(out, "gauge", name, "\",\"v\":");
+        push_num(out, v);
+        out.push_str("}\n");
     }
     for (name, h) in metrics.histograms() {
-        let _ = write!(
-            out,
-            "{{\"metric\":\"histogram\",\"n\":\"{}\",\"count\":{},\"sum\":{}",
-            json_escape(name),
-            h.count(),
-            json_num(h.sum())
-        );
+        head(out, "histogram", name, "\",\"count\":");
+        push_u64(out, h.count());
+        out.push_str(",\"sum\":");
+        push_num(out, h.sum());
         for (label, q) in [
-            ("min", h.min()),
-            ("p50", h.p50()),
-            ("p95", h.p95()),
-            ("p99", h.p99()),
-            ("max", h.max()),
+            (",\"min\":", h.min()),
+            (",\"p50\":", h.p50()),
+            (",\"p95\":", h.p95()),
+            (",\"p99\":", h.p99()),
+            (",\"max\":", h.max()),
         ] {
             if let Some(q) = q {
-                let _ = write!(out, ",\"{label}\":{}", json_num(q));
+                out.push_str(label);
+                push_num(out, q);
             }
         }
         out.push_str("}\n");
@@ -110,9 +169,11 @@ pub fn write_jsonl_metrics(out: &mut String, metrics: &MetricSet) {
 ///
 /// Event lines: `{"h":<hour>,"k":"B|E|I|G","n":"<name>"[,"core":<u64>][,"v":<value>]}`.
 pub fn to_jsonl(trace: &Trace) -> String {
-    let mut out = String::new();
+    // A typical event line is ~70 bytes; the metric tail is a few hundred.
+    let mut out = String::with_capacity(trace.events.len() * 72);
+    let mut hours = HourCache::default();
     for e in &trace.events {
-        write_jsonl_event(&mut out, e);
+        write_jsonl_event(&mut out, &mut hours, e);
     }
     write_jsonl_metrics(&mut out, &trace.metrics);
     out
@@ -194,53 +255,40 @@ pub fn metrics_to_prometheus(metrics: &MetricSet) -> String {
 /// `i` (process-scoped), gauges `C` counter samples.
 pub fn to_chrome_trace(trace: &Trace) -> String {
     let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    for e in &trace.events {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let ts = json_num(e.hour * 1000.0);
-        let name = json_escape(e.name);
+    for (i, e) in trace.events.iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        out.push_str("{\"name\":\"");
+        push_json_str(&mut out, e.name);
+        out.push_str(match e.kind {
+            EventKind::Begin => "\",\"ph\":\"B\",\"ts\":",
+            EventKind::End => "\",\"ph\":\"E\",\"ts\":",
+            EventKind::Instant => "\",\"ph\":\"i\",\"s\":\"p\",\"ts\":",
+            EventKind::Gauge => "\",\"ph\":\"C\",\"ts\":",
+        });
+        push_num(&mut out, e.hour * 1000.0);
+        out.push_str(",\"pid\":1,\"tid\":1");
         match e.kind {
-            EventKind::Begin => {
-                let _ = write!(
-                    out,
-                    "\n{{\"name\":\"{name}\",\"ph\":\"B\",\"ts\":{ts},\"pid\":1,\"tid\":1}}"
-                );
-            }
-            EventKind::End => {
-                let _ = write!(
-                    out,
-                    "\n{{\"name\":\"{name}\",\"ph\":\"E\",\"ts\":{ts},\"pid\":1,\"tid\":1}}"
-                );
-            }
+            EventKind::Begin | EventKind::End => {}
             EventKind::Instant => {
-                let _ = write!(
-                    out,
-                    "\n{{\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"p\",\"ts\":{ts},\"pid\":1,\"tid\":1,\"args\":{{"
-                );
-                let mut any = false;
+                out.push_str(",\"args\":{");
                 if let Some(core) = e.core {
-                    let _ = write!(out, "\"core\":{core}");
-                    any = true;
+                    out.push_str("\"core\":");
+                    push_u64(&mut out, core);
                 }
                 if e.value != 0.0 {
-                    if any {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "\"value\":{}", json_num(e.value));
+                    out.push_str(if e.core.is_some() { "," } else { "" });
+                    out.push_str("\"value\":");
+                    push_num(&mut out, e.value);
                 }
-                out.push_str("}}");
+                out.push('}');
             }
             EventKind::Gauge => {
-                let _ = write!(
-                    out,
-                    "\n{{\"name\":\"{name}\",\"ph\":\"C\",\"ts\":{ts},\"pid\":1,\"tid\":1,\"args\":{{\"value\":{}}}}}",
-                    json_num(e.value)
-                );
+                out.push_str(",\"args\":{\"value\":");
+                push_num(&mut out, e.value);
+                out.push('}');
             }
         }
+        out.push('}');
     }
     out.push_str("\n]}\n");
     out
@@ -276,8 +324,15 @@ mod tests {
         for line in &lines {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         }
-        assert!(lines[0].contains("\"k\":\"B\""));
-        assert!(lines[1].contains("\"core\":12884967426"));
+        assert_eq!(lines[0], "{\"h\":0,\"k\":\"B\",\"n\":\"sim.epoch\"}");
+        assert_eq!(
+            lines[1],
+            "{\"h\":10.5,\"k\":\"I\",\"n\":\"detect.online\",\"core\":12884967426}"
+        );
+        assert_eq!(
+            lines[2],
+            "{\"h\":73,\"k\":\"G\",\"n\":\"capacity.availability\",\"v\":0.9975}"
+        );
         assert!(jsonl.contains("\"metric\":\"counter\",\"n\":\"sim.corruptions\",\"v\":42"));
         assert!(jsonl.contains("\"metric\":\"histogram\""));
     }
@@ -317,8 +372,13 @@ mod tests {
 
     #[test]
     fn json_escape_handles_specials() {
-        assert_eq!(super::json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(super::json_escape("\u{1}"), "\\u0001");
+        let json_escape = |s: &str| {
+            let mut out = String::new();
+            super::push_json_str(&mut out, s);
+            out
+        };
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

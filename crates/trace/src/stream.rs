@@ -13,7 +13,7 @@
 
 use std::io::{self, Write};
 
-use crate::export::{write_jsonl_event, write_jsonl_metrics};
+use crate::export::{write_jsonl_event, write_jsonl_metrics, HourCache};
 use crate::recorder::Recorder;
 
 /// An incremental consumer of a [`Recorder`]'s event stream.
@@ -52,6 +52,8 @@ pub trait TraceSink {
 pub struct JsonlStreamSink<W: Write> {
     out: W,
     buf: String,
+    /// Kept across drains, as the buffered export keeps it across events.
+    hours: HourCache,
 }
 
 impl<W: Write> JsonlStreamSink<W> {
@@ -60,6 +62,7 @@ impl<W: Write> JsonlStreamSink<W> {
         JsonlStreamSink {
             out,
             buf: String::new(),
+            hours: HourCache::default(),
         }
     }
 
@@ -84,7 +87,7 @@ impl<W: Write> TraceSink for JsonlStreamSink<W> {
         }
         self.buf.clear();
         for e in &events {
-            write_jsonl_event(&mut self.buf, e);
+            write_jsonl_event(&mut self.buf, &mut self.hours, e);
         }
         self.out.write_all(self.buf.as_bytes())?;
         // One flush per drain: after every epoch the on-disk file ends on
@@ -123,14 +126,22 @@ mod tests {
         let mut buffered = Recorder::with_flags(TraceFlags::enabled());
         record_epoch(&mut buffered, 0.0);
         record_epoch(&mut buffered, 73.0);
+        buffered.instant(146.25, "score.signal", Some(7), 3.0);
+        buffered.instant(146.25, "score.first_signal", Some(7), 0.0);
+        record_epoch(&mut buffered, 146.5);
         let reference = buffered.finish().to_jsonl();
 
-        // Streamed run, drained mid-way.
+        // Streamed run, drained mid-way: the hours 73 and 146.25 straddle
+        // a drain, so the sink's hour cache spans drains.
         let mut rec = Recorder::with_flags(TraceFlags::enabled());
         let mut sink = JsonlStreamSink::new(Vec::new());
         record_epoch(&mut rec, 0.0);
         sink.drain(&mut rec).unwrap();
         record_epoch(&mut rec, 73.0);
+        rec.instant(146.25, "score.signal", Some(7), 3.0);
+        sink.drain(&mut rec).unwrap();
+        rec.instant(146.25, "score.first_signal", Some(7), 0.0);
+        record_epoch(&mut rec, 146.5);
         sink.finish(&mut rec).unwrap();
         let streamed = String::from_utf8(sink.into_inner()).unwrap();
         assert_eq!(streamed, reference);
@@ -138,7 +149,7 @@ mod tests {
         // metric set survives for in-process consumers.
         let t = rec.finish();
         assert!(t.events.is_empty());
-        assert_eq!(t.metrics.counter("sim.corruptions"), 4);
+        assert_eq!(t.metrics.counter("sim.corruptions"), 6);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! fleet as a sequential fill of a dense table. This experiment prices
 //! the claim: 1M machines
 //! × 36 months against the acceptance budget — the time the 20k-machine
-//! paper scenario took before any of this (BENCH_watch.json). It also
+//! paper scenario took before any of this (the E17 watch baseline of
+//! commit 0b64ce4). It also
 //! splits the one-time build into its two draws: the topology (one
 //! stream per machine) and the population (one coin per core).
 //!
@@ -36,8 +37,8 @@ use mercurial_bench::{interleave, timed};
 use mercurial_prof::Prof;
 
 /// The 20k-machine closed-loop time before the fleet-study refactor
-/// (BENCH_watch.json `watch_off_secs`, same machine class): the
-/// acceptance budget for the 1M-machine run.
+/// (`watch_off_secs` of `BENCH_watch.json` as committed in 0b64ce4, same
+/// machine class): the acceptance budget for the 1M-machine run.
 const BEFORE_20K_SECS: f64 = 7.8201;
 
 /// Samples of the paper-scale closed loop.
@@ -48,7 +49,7 @@ fn main() {
 }
 
 /// Feedback on, tracing and watch off: the configuration the ~8 s
-/// BENCH_watch baseline was measured under.
+/// budget was measured under.
 fn closed_loop_scenario(base: &Scenario) -> Scenario {
     let mut s = base.clone();
     s.closed_loop.feedback = true;

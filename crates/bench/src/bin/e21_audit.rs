@@ -8,32 +8,21 @@
 //! exoneration-error (test-escape) audit.
 //!
 //! ```text
-//! cargo run --release -p mercurial-bench --bin e21_audit [-- --smoke]
+//! cargo run --release -p mercurial-bench --bin e21_audit
 //! ```
 //!
-//! Full mode audits the E20 policy-ladder arms and the E19 impairment
-//! arms, measures the in-loop overhead of auditing against an audit-off
-//! run (the median of [`PAIRS`] per-pair ratios from the shared sampler,
-//! <2% acceptance bar), times the audit path's exports once each on the
-//! 20k-machine paper scenario, and writes `BENCH_audit.json`. `--smoke`
-//! checks the contracts instead (`make audit-smoke`): audit off moves no
-//! pre-audit bit (the E20 pin digests), the offline replay reproduces the
-//! in-loop ledger byte-for-byte, and attribution
-//! conserves ground truth (TP + FN == mercurial cores; every FP is a
-//! quarantined healthy core); then it prints the export costs.
+//! Audits the E20 policy-ladder arms and the E19 impairment arms, times
+//! the audit path's exports once each on the 20k-machine paper scenario,
+//! and writes `BENCH_audit.json`. The audit's in-loop cost is a row of
+//! `e16_observe`'s layer table.
 
-use mercurial::audit::{AuditReport, CaseLabel, DecisionLedger, GroundTruth};
+use mercurial::audit::{AuditReport, DecisionLedger, GroundTruth};
 use mercurial::closedloop::ClosedLoopDriver;
 use mercurial::scenario::{ClassPolicy, ImpairConfig};
-use mercurial::{FleetExperiment, Scenario};
-use mercurial_bench::{interleave, timed};
-use mercurial_corpus::hash::fnv1a64;
+use mercurial::Scenario;
+use mercurial_bench::timed;
 use mercurial_mitigation::MitigationPolicy;
 use mercurial_serve::{run_served_impaired, ServeOptions};
-
-fn main() {
-    mercurial_bench::smoke_or_full(run_smoke, run_full);
-}
 
 /// The audited scenario: demo fleet, closed loop, watch rules live,
 /// decision audit on.
@@ -95,98 +84,8 @@ fn export_costs(prof: &mercurial_prof::Prof) -> Vec<String> {
     .to_vec()
 }
 
-// ------------------------------------------------------------- smoke mode
-
-fn run_smoke() {
-    mercurial_bench::header("E21 — decision-audit contracts (smoke)");
-
-    // 1. Audit off is bit-for-bit the pre-audit tree: the E20 pin digests
-    //    (closed loop, seed 7) must keep reproducing with the audit
-    //    block at its default.
-    {
-        let mut s = audited_scenario(7);
-        s.audit.enabled = false;
-        let out = ClosedLoopDriver::execute(&s);
-        assert_eq!(out.pipeline.sim_summary.corruptions, 68_632_069);
-        assert_eq!(out.pipeline.detections.len(), 17);
-        assert_eq!(
-            fnv1a64(out.series.to_csv().as_bytes()),
-            0x9d12_71ac_ddd0_635f,
-            "audit-off series CSV moved"
-        );
-        assert_eq!(
-            fnv1a64(out.trace.to_jsonl().as_bytes()),
-            0xd7f3_ef09_599a_6f15,
-            "audit-off trace JSONL moved"
-        );
-        assert_eq!(
-            fnv1a64(out.watch.as_ref().expect("watch on").render().as_bytes()),
-            0x8c7d_8a27_4984_3066,
-            "audit-off watch render moved"
-        );
-        println!("gating: audit off reproduces the E20 pin digests bit-for-bit");
-    }
-
-    // 2. The offline replay (exported JSONL → ledger) is byte-for-byte the
-    //    in-loop ledger.
-    {
-        let out = ClosedLoopDriver::execute(&audited_scenario(7));
-        let in_loop = DecisionLedger::from_trace(&out.trace);
-        let replayed = DecisionLedger::from_trace_jsonl(&out.trace.to_jsonl())
-            .expect("exported trace replays");
-        assert_eq!(replayed, in_loop, "replay diverges from the in-loop ledger");
-        assert_eq!(replayed.to_jsonl(), in_loop.to_jsonl());
-        assert!(
-            !in_loop.to_jsonl().is_empty(),
-            "audited run must ledger decisions"
-        );
-        println!("replay: exported-JSONL ledger is byte-identical to the in-loop ledger");
-    }
-
-    // 3. Attribution conserves ground truth.
-    {
-        let s = audited_scenario(7);
-        let out = ClosedLoopDriver::execute(&s);
-        let (ledger, report) = report_of(&s, &out.trace);
-        assert!(report.ground_truth > 0, "demo fleet must seed defects");
-        assert!(
-            report.conserves(&ledger),
-            "TP {} + FN {} must equal ground truth {} (gt counter {})",
-            report.true_positives,
-            report.false_negatives,
-            report.ground_truth,
-            ledger.gt_count
-        );
-        let truth = GroundTruth::from_ledger(&ledger);
-        for v in &report.verdicts {
-            if v.label == CaseLabel::FalsePositive {
-                assert!(
-                    !truth.is_mercurial(v.core) && v.quarantine_hour.is_some(),
-                    "every FP is a quarantined healthy core"
-                );
-            }
-        }
-        println!(
-            "conservation: TP={} FP={} FN={} over {} ground-truth cores",
-            report.true_positives,
-            report.false_positives,
-            report.false_negatives,
-            report.ground_truth
-        );
-    }
-
-    export_costs(&mercurial_prof::Prof::disabled());
-
-    println!("\nE21 smoke: all decision-audit contracts hold");
-}
-
-// -------------------------------------------------------------- full mode
-
-/// Audit-off/audit-on pairs of the overhead measurement.
-const PAIRS: usize = 101;
-
-fn run_full() {
-    mercurial_bench::header("E21 — attribution quality and audit overhead");
+fn main() {
+    mercurial_bench::header("E21 — attribution quality");
     let seed = 7u64;
     let base = audited_scenario(seed);
     println!(
@@ -248,57 +147,18 @@ fn run_full() {
         arms.push(arm_json(&label, &report, secs));
     }
 
-    // Overhead: the audited loop against the identical loop with the
-    // audit block off (tracing stays on in both — the audit's own cost is
-    // the provenance instants and counters, not the trace machinery).
-    let scale = mercurial_bench::scenario_from_env(seed);
-    let mut on = audited_scenario(seed);
-    on.fleet = scale.fleet.clone();
-    on.sim.months = scale.sim.months;
-    let mut off = on.clone();
-    off.audit.enabled = false;
-    // Each arm's experiment is built once, outside the timed arms, so the
-    // ratio is the loop's alone.
-    let (off_exp, on_exp) = (FleetExperiment::build(&off), FleetExperiment::build(&on));
-    let pairs = interleave(
-        &prof,
-        PAIRS,
-        &mut [
-            ("audit.overhead_off", &mut || {
-                drop(ClosedLoopDriver::execute_on(&off, &off_exp))
-            }),
-            ("audit.overhead_on", &mut || {
-                drop(ClosedLoopDriver::execute_on(&on, &on_exp))
-            }),
-        ],
-    );
-    let (off_secs, on_secs) = (pairs.spread(0).median, pairs.spread(1).median);
-    let overhead_pct = 100.0 * (pairs.ratio(1, 0) - 1.0);
-    println!(
-        "\noverhead ({} machines, {} months, median of {PAIRS} pairs):",
-        on.fleet.machines, on.sim.months
-    );
-    println!("  audit off: {off_secs:>8.3} s");
-    println!("  audit on:  {on_secs:>8.3} s   ({overhead_pct:+.2}%)");
     let exports = export_costs(&prof);
     let body = format!(
-        "\"scenario\": \"{}\",\n  \"machines\": {},\n  \"months\": {},\n  \"seed\": {seed},\n  \"overhead_machines\": {},\n  \"overhead_pairs\": {PAIRS},\n  \"overhead_off_secs\": {off_secs:.4},\n  \"overhead_on_secs\": {on_secs:.4},\n  \"overhead_pct\": {overhead_pct:.3},\n  \"exports\": [\n{}\n  ],\n  \"arms\": [\n{}\n  ]",
+        "\"scenario\": \"{}\",\n  \"machines\": {},\n  \"months\": {},\n  \"seed\": {seed},\n  \"exports\": [\n{}\n  ],\n  \"arms\": [\n{}\n  ]",
         base.name,
         base.fleet.machines,
         base.sim.months,
-        on.fleet.machines,
         exports.join(",\n"),
         arms.join(",\n"),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_audit.json");
-    mercurial_bench::write_bench_json(path, "e21_audit", PAIRS as u64, &prof.finish(), &body);
+    mercurial_bench::write_bench_json(path, "e21_audit", 1, &prof.finish(), &body);
     println!("\naudit frontier written to BENCH_audit.json");
-
-    // Acceptance: auditing costs < 2% of the loop.
-    assert!(
-        overhead_pct < 2.0,
-        "acceptance: audit overhead {overhead_pct:.2}% must stay under 2%"
-    );
 }
 
 fn print_arm(label: &str, report: &AuditReport, secs: f64) {

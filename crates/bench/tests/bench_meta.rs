@@ -1,5 +1,5 @@
 //! Every committed `BENCH_*.json` baseline must carry the shared
-//! [`BenchMeta`] envelope: one schema across all eight experiments, so
+//! [`BenchMeta`] envelope: one schema across all six experiments, so
 //! any tool that compares baselines can trust the provenance fields
 //! (commit, host, timestamp, reps, phase breakdown) to be present and
 //! uniformly shaped.
@@ -8,15 +8,13 @@
 
 use mercurial_prof::{BenchMeta, BENCH_META_SCHEMA};
 
-const BASELINES: [(&str, &str); 8] = [
+const BASELINES: [(&str, &str); 6] = [
     ("BENCH_overheads.json", "e7_overheads"),
-    ("BENCH_trace.json", "e16_trace_overhead"),
-    ("BENCH_watch.json", "e17_watch_overhead"),
+    ("BENCH_observe.json", "e16_observe"),
     ("BENCH_study.json", "e18_study"),
     ("BENCH_serve.json", "e19_serve"),
     ("BENCH_frontier.json", "e20_frontier"),
     ("BENCH_audit.json", "e21_audit"),
-    ("BENCH_prof.json", "e22_prof"),
 ];
 
 #[test]

@@ -9,10 +9,11 @@
 //! and audit on was pinned before it moved onto the closed loop's shared
 //! epoch boundary.
 
-use mercurial::closedloop::ClosedLoopDriver;
+use mercurial::closedloop::{ClosedLoopDriver, RunOptions};
 use mercurial::mitigation::MitigationPolicy;
 use mercurial::scenario::ClassPolicy;
-use mercurial::Scenario;
+use mercurial::{FleetExperiment, Scenario};
+use mercurial_prof::Prof;
 
 /// FNV-1a over a byte string: stable, dependency-free content digest.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -178,4 +179,48 @@ fn open_loop_with_workloads_and_audit_is_bit_identical() {
         got.corruptions, got.signals, got.detections, got.series_csv, got.trace_jsonl, got.watch_render
     );
     check("open workloads+audit", &got, &want);
+}
+
+#[test]
+fn every_observability_layer_combination_is_write_only() {
+    // Tracing, watch, audit and the profiler observe the loop and never
+    // steer it: all 16 on/off combinations reproduce the seed-7 pins,
+    // closed and open loop.
+    let pins = [
+        (true, 68_632_069, 381, 17, 0x9d12_71ac_ddd0_635f),
+        (false, 458_834_565, 30_430, 18, 0xfc1a_1b5a_5f10_5c10),
+    ];
+    for (feedback, corruptions, signals, detections, series_csv) in pins {
+        let base = scenario(7, feedback);
+        let experiment = FleetExperiment::build(&base);
+        for layers in 0..16u8 {
+            let [trace, watch, audit, profiled] = [1, 2, 4, 8].map(|bit| layers & bit != 0);
+            let mut s = base.clone();
+            s.trace.enabled = trace;
+            s.watch.enabled = watch;
+            s.audit.enabled = audit;
+            let prof = if profiled {
+                Prof::enabled()
+            } else {
+                Prof::disabled()
+            };
+            let opts = RunOptions {
+                prof: Some(&prof),
+                ..RunOptions::default()
+            };
+            let out = ClosedLoopDriver::execute_with(&s, &experiment, opts);
+            let name = format!(
+                "feedback {feedback}, trace {trace}, watch {watch}, audit {audit}, prof {profiled}"
+            );
+            let p = &out.pipeline;
+            assert_eq!(
+                p.sim_summary.corruptions, corruptions,
+                "{name}: corruptions"
+            );
+            assert_eq!(p.signals.all().len(), signals, "{name}: signal count");
+            assert_eq!(p.detections.len(), detections, "{name}: detections");
+            let csv = fnv1a(out.series.to_csv().as_bytes());
+            assert_eq!(csv, series_csv, "{name}: series CSV bytes");
+        }
+    }
 }

@@ -22,7 +22,7 @@
 //!
 //! A disabled recorder is a `None`: every recording method is one branch
 //! and no allocation, so instrumented hot loops run at full speed when
-//! tracing is off (proven by the `e16_trace_overhead` bench).
+//! tracing is off.
 //!
 //! Zero-dependency by design: this crate sits below every other workspace
 //! crate and exporters hand-roll their formats.

@@ -161,10 +161,13 @@ fn main() {
     println!("\naudit frontier written to BENCH_audit.json");
 }
 
+/// One arm's printout line; the run time in milliseconds, since a
+/// demo-scale ladder run takes about 1.5 ms.
 fn print_arm(label: &str, report: &AuditReport, secs: f64) {
+    let ms = secs * 1e3;
     println!(
         "{label:>22}: TP={:<3} FP={:<3} FN={:<3} precision={:.3} recall={:.3} \
-         ttrc_p50={:.0}h ttrc_p95={:.0}h escapes={} ({secs:.2}s)",
+         ttrc_p50={:.0}h ttrc_p95={:.0}h escapes={} ({ms:.3} ms)",
         report.true_positives,
         report.false_positives,
         report.false_negatives,
@@ -177,11 +180,12 @@ fn print_arm(label: &str, report: &AuditReport, secs: f64) {
 }
 
 fn arm_json(label: &str, report: &AuditReport, secs: f64) -> String {
+    let ms = secs * 1e3;
     format!(
         "    {{\"arm\": \"{label}\", \"decisions\": {}, \"ground_truth\": {}, \
          \"tp\": {}, \"fp\": {}, \"fn\": {}, \"precision\": {:.4}, \"recall\": {:.4}, \
          \"ttrc_p50_hours\": {:.2}, \"ttrc_p95_hours\": {:.2}, \
-         \"false_exonerations\": {}, \"test_escapes\": {}, \"secs\": {secs:.3}}}",
+         \"false_exonerations\": {}, \"test_escapes\": {}, \"ms\": {ms:.3}}}",
         report.decisions,
         report.ground_truth,
         report.true_positives,

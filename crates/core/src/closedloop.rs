@@ -21,34 +21,37 @@
 //! unit-aware safe-task placement ([`SafeTaskPolicy`]) recovers part of
 //! the stranded capacity; exonerated cores return to service.
 //!
-//! With `scenario.closed_loop.feedback == false` the driver degrades to
-//! the open loop *bit for bit*: the whole fleet is stepped epoch by epoch
-//! with nothing ever masked (identical to [`mercurial_fleet::FleetSim::run`]
-//! under the §4.1 determinism contract) and the batch back half
-//! ([`PipelineRun::complete_from_signals`]) runs on the finished log. The
-//! batch screeners are phase-major (each campaign scans the whole window
-//! before the next starts), which a time-major interleaving cannot
-//! reproduce — so equivalence is by construction, not by re-derivation.
+//! Both loop shapes take one step: a full-range [`FleetShard`] steps the
+//! whole fleet one epoch, under one run harness (recorder, ground-truth
+//! onsets, alert engine, streaming sink, profiler) and one epoch boundary
+//! (the histograms, gauges, series row and alert rules of the
+//! aggregator's phase 7). They differ in how they finish the window:
 //!
-//! Both loop shapes share one run harness (recorder, ground-truth onsets,
-//! alert engine, streaming sink, profiler) and one epoch boundary — the
-//! histograms, gauges, series row and alert rules of the aggregator's
-//! phase 7 — and differ only in how they step an epoch and how they
-//! finish the window.
+//! * **Feedback on**: the shard runs the due screens and a
+//!   [`FleetAggregator`] closes the loop every epoch.
+//! * **Feedback off** (`scenario.closed_loop.feedback == false`): the
+//!   shard schedules no screens and nothing is ever masked, so the steps
+//!   are [`mercurial_fleet::FleetSim::run`] bit for bit under the §4.1
+//!   determinism contract, and the batch back half
+//!   ([`PipelineRun::complete_from_signals`]) screens the finished log.
+//!   The batch screeners are phase-major (each campaign scans the whole
+//!   window before the next starts), which a time-major interleaving
+//!   cannot reproduce — so the open loop equals the batch pipeline by
+//!   construction, not by re-derivation.
 
 use crate::experiment::FleetExperiment;
 use crate::pipeline::{PipelineOutcome, PipelineRun};
 use crate::scenario::Scenario;
 use crate::shardloop::{
-    begin_sim, record_ground_truth_onsets, watch_engine, EpochPoint, EpochTelemetry, FinishedLoop,
-    FleetAggregator, FleetShard,
+    record_ground_truth_onsets, watch_engine, EpochPoint, EpochTelemetry, FleetAggregator,
+    FleetShard,
 };
-use mercurial_fleet::sim::{ClassTally, SimState, SimSummary};
+use mercurial_fleet::sim::SimSummary;
 use mercurial_fleet::SignalLog;
 use mercurial_metrics::EpochSeries;
 use mercurial_prof::Prof;
 use mercurial_trace::{Recorder, TraceSink};
-use mercurial_watch::{Baseline, RuleSet, WatchEngine, WatchReport};
+use mercurial_watch::{Baseline, RuleSet, WatchReport};
 
 /// Everything a closed-loop run produced: the familiar end-of-window
 /// aggregates plus the per-epoch time series.
@@ -111,12 +114,12 @@ impl ClosedLoopDriver {
     /// rules (evaluated at every epoch boundary), a regression baseline,
     /// and/or a streaming trace sink.
     ///
-    /// With feedback on, the loop runs as one full-fleet [`FleetShard`]
-    /// in lockstep with a [`FleetAggregator`] sharing a single recorder.
-    /// This is exactly the service decomposition `mercurial-serve` runs
-    /// across processes; here the "wire" is a function call, which pins
-    /// the in-process loop and the zero-impairment served run to the same
-    /// code path.
+    /// Either way the fleet steps as one full-range [`FleetShard`]. With
+    /// feedback on, the shard runs in lockstep with a [`FleetAggregator`]
+    /// sharing a single recorder. This is exactly the service
+    /// decomposition `mercurial-serve` runs across processes; here the
+    /// "wire" is a function call, which pins the in-process loop and the
+    /// zero-impairment served run to the same code path.
     pub fn execute_with(
         scenario: &Scenario,
         experiment: &FleetExperiment,
@@ -127,10 +130,10 @@ impl ClosedLoopDriver {
         let mut rec = scenario.recorder();
         record_ground_truth_onsets(experiment, &mut rec);
         let engine = watch_engine(scenario, &opts.rules);
+        let machines = experiment.topology().config().machines;
+        let mut shard = FleetShard::new(scenario, experiment, 0, machines);
         let finished = if scenario.closed_loop.feedback {
-            let machines = experiment.topology().config().machines;
             let mut agg = FleetAggregator::new(scenario, experiment, engine);
-            let mut shard = FleetShard::new(scenario, experiment, 0, machines);
             while !agg.is_done() {
                 let cmds = agg.begin_epoch(&mut rec, prof);
                 shard.apply_commands(&cmds);
@@ -140,12 +143,50 @@ impl ClosedLoopDriver {
             }
             agg.finish(&mut rec, &[], opts.baseline, prof)
         } else {
-            let mut open = OpenLoop::new(scenario, experiment, engine);
-            while !open.state.is_done() {
-                open.step_epoch(&mut rec, prof);
+            // Nothing leaves service mid-window: capacity stays flat at
+            // 1.0 and every defect stays active.
+            let epoch_hours = scenario.sim.epoch_hours;
+            let mut telemetry = EpochTelemetry::new(scenario, experiment.sim(), engine);
+            let mut log = SignalLog::new();
+            let mut summary = SimSummary::default();
+            while !shard.is_done() {
+                let report = shard.step_epoch(&mut rec, prof);
+                telemetry.record(
+                    EpochPoint {
+                        hour: f64::from(report.epoch) * epoch_hours + epoch_hours,
+                        capacity: 1.0,
+                        capacity_with_safetask: 1.0,
+                        corrupt_ops: report.corruptions_delta,
+                        raw_signals: report.raw_signals_delta,
+                        active_mercurial: report.active_deployed_mercurial,
+                        classes: &report.class_deltas,
+                    },
+                    &mut rec,
+                    prof,
+                );
+                summary = report.summary;
+                log.append(report.evidence);
                 drain(&mut opts.sink, &mut rec, prof);
             }
-            open.finish(scenario, &mut rec, opts.baseline, prof)
+            log.sort_by_time();
+            // The batch back half runs untraced unless the audit layer
+            // wants decision provenance — the plain traced open loop stays
+            // bit-for-bit with its pre-audit exports.
+            let batch_span = prof.span("pipeline.batch");
+            let mut untraced = Recorder::disabled();
+            let batch_rec = if scenario.audit.enabled {
+                &mut rec
+            } else {
+                &mut untraced
+            };
+            let pipeline = PipelineRun::complete_from_signals_traced(
+                scenario, experiment, log, summary, batch_rec,
+            );
+            drop(batch_span);
+            for latency in &pipeline.detection_latency_hours {
+                rec.observe("detect.latency_hours", *latency);
+            }
+            telemetry.finish(pipeline, &mut rec, &[], opts.baseline, prof)
         };
         if let Some(s) = opts.sink.as_mut() {
             s.finish(&mut rec).expect("stream sink finish");
@@ -166,107 +207,6 @@ fn drain(sink: &mut Option<&mut dyn TraceSink>, rec: &mut Recorder, prof: &Prof)
     if let Some(s) = sink.as_mut() {
         let _p = prof.span("trace.drain");
         s.drain(rec).expect("stream sink drain");
-    }
-}
-
-/// Feedback off: the whole fleet stepped epoch by epoch with nothing ever
-/// quarantined mid-window — capacity stays flat at 1.0 and every defect
-/// stays active — then the batch back half on the finished log.
-struct OpenLoop<'a> {
-    experiment: &'a FleetExperiment,
-    epoch_hours: f64,
-    state: SimState,
-    log: SignalLog,
-    summary: SimSummary,
-    telemetry: EpochTelemetry,
-}
-
-impl<'a> OpenLoop<'a> {
-    fn new(
-        scenario: &Scenario,
-        experiment: &'a FleetExperiment,
-        engine: Option<WatchEngine>,
-    ) -> Self {
-        let sim = experiment.sim();
-        let machines = experiment.topology().config().machines;
-        OpenLoop {
-            experiment,
-            epoch_hours: scenario.sim.epoch_hours,
-            state: begin_sim(scenario, sim, 0, machines),
-            log: SignalLog::new(),
-            summary: SimSummary::default(),
-            telemetry: EpochTelemetry::new(scenario, sim, engine),
-        }
-    }
-
-    /// Steps the whole fleet one epoch and records the boundary.
-    fn step_epoch(&mut self, rec: &mut Recorder, prof: &Prof) {
-        let sim = self.experiment.sim();
-        let h0 = self.state.hour();
-        let before = self.summary;
-        let class_before = self.state.class_tallies().to_vec();
-        {
-            let _p = prof.span("fleet.step");
-            sim.step_epoch(&mut self.state, &mut self.log, &mut self.summary, rec);
-        }
-        let classes: Vec<ClassTally> = self
-            .state
-            .class_tallies()
-            .iter()
-            .zip(&class_before)
-            .map(|(now, then)| now.delta_since(then))
-            .collect();
-        let now = self.summary;
-        self.telemetry.record(
-            EpochPoint {
-                hour: h0 + self.epoch_hours,
-                capacity: 1.0,
-                capacity_with_safetask: 1.0,
-                corrupt_ops: now.corruptions - before.corruptions,
-                raw_signals: now.signals_emitted + now.noise_signals
-                    - before.signals_emitted
-                    - before.noise_signals,
-                active_mercurial: self.state.active_deployed_mercurial(sim.topology(), h0),
-                classes: &classes,
-            },
-            rec,
-            prof,
-        );
-    }
-
-    /// Runs the batch back half on the finished log. It runs untraced
-    /// unless the audit layer wants decision provenance — the plain traced
-    /// open loop stays bit-for-bit with its pre-audit exports.
-    fn finish(
-        self,
-        scenario: &Scenario,
-        rec: &mut Recorder,
-        baseline: Option<&Baseline>,
-        prof: &Prof,
-    ) -> FinishedLoop {
-        let OpenLoop {
-            experiment,
-            mut log,
-            summary,
-            telemetry,
-            ..
-        } = self;
-        log.sort_by_time();
-        let batch_span = prof.span("pipeline.batch");
-        let mut untraced = Recorder::disabled();
-        let batch_rec = if scenario.audit.enabled {
-            &mut *rec
-        } else {
-            &mut untraced
-        };
-        let pipeline = PipelineRun::complete_from_signals_traced(
-            scenario, experiment, log, summary, batch_rec,
-        );
-        drop(batch_span);
-        for latency in &pipeline.detection_latency_hours {
-            rec.observe("detect.latency_hours", *latency);
-        }
-        telemetry.finish(pipeline, rec, &[], baseline, prof)
     }
 }
 

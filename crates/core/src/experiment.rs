@@ -6,6 +6,7 @@ use mercurial_fleet::topology::FleetTopology;
 use mercurial_fleet::{FleetSim, Population, SignalLog};
 use mercurial_fuzz::{run_campaign, CampaignConfig};
 use mercurial_screening::EraSchedule;
+use std::sync::OnceLock;
 
 /// A materialized experiment: everything derived from a [`Scenario`].
 pub struct FleetExperiment {
@@ -13,6 +14,8 @@ pub struct FleetExperiment {
     /// The one simulator over the experiment's topology and population;
     /// every driver borrows it.
     sim: FleetSim,
+    /// The screeners' era schedule, derived on first use and kept.
+    schedule: OnceLock<EraSchedule>,
 }
 
 impl FleetExperiment {
@@ -64,6 +67,7 @@ impl FleetExperiment {
         FleetExperiment {
             scenario: scenario.clone(),
             sim: FleetSim::with_workloads(topo, pop, scenario.sim.clone(), mix),
+            schedule: OnceLock::new(),
         }
     }
 
@@ -95,24 +99,27 @@ impl FleetExperiment {
     /// function of the knob's seed and budget), then folds the distilled
     /// corpus's covered units, operand patterns, and healthy instruction
     /// mix into every era. The campaign runs serially on the calling
-    /// thread, like the rest of a run.
-    pub fn screening_schedule(&self) -> EraSchedule {
-        let base = EraSchedule::default_history();
-        let knob = &self.scenario.fuzz_corpus;
-        if !knob.enabled {
-            return base;
-        }
-        let cfg = CampaignConfig {
-            seed: knob.seed,
-            budget: knob.budget as usize,
-            ..CampaignConfig::default()
-        };
-        let out = run_campaign(&cfg);
-        let distilled = &out.report.distilled;
-        // The corpus's healthy instruction mix becomes extra per-unit op
-        // budget on top of each era's hand-written content.
-        let extra_ops = distilled.unit_ops.iter().sum::<u64>();
-        base.with_fuzz_content(&distilled.covered_units(), &distilled.operands, extra_ops)
+    /// thread, like the rest of a run, once per experiment: the first
+    /// call derives the schedule and every later one borrows it.
+    pub fn screening_schedule(&self) -> &EraSchedule {
+        self.schedule.get_or_init(|| {
+            let base = EraSchedule::default_history();
+            let knob = &self.scenario.fuzz_corpus;
+            if !knob.enabled {
+                return base;
+            }
+            let cfg = CampaignConfig {
+                seed: knob.seed,
+                budget: knob.budget as usize,
+                ..CampaignConfig::default()
+            };
+            let out = run_campaign(&cfg);
+            let distilled = &out.report.distilled;
+            // The corpus's healthy instruction mix becomes extra per-unit
+            // op budget on top of each era's hand-written content.
+            let extra_ops = distilled.unit_ops.iter().sum::<u64>();
+            base.with_fuzz_content(&distilled.covered_units(), &distilled.operands, extra_ops)
+        })
     }
 
     /// The experiment's simulator over its topology and population —
@@ -176,10 +183,13 @@ mod tests {
     #[test]
     fn fuzz_corpus_knob_augments_the_screening_schedule() {
         let mut s = Scenario::small(8);
-        let base = FleetExperiment::build(&s).screening_schedule();
+        let base = FleetExperiment::build(&s).screening_schedule().clone();
         s.fuzz_corpus.enabled = true;
         s.fuzz_corpus.budget = 16;
-        let augmented = FleetExperiment::build(&s).screening_schedule();
+        let experiment = FleetExperiment::build(&s);
+        let augmented = experiment.screening_schedule();
+        // The campaign runs once: later calls borrow the kept schedule.
+        assert!(std::ptr::eq(augmented, experiment.screening_schedule()));
         for (b, a) in base.eras().iter().zip(augmented.eras()) {
             assert!(a.units.len() >= b.units.len());
             assert!(a.operands.len() >= b.operands.len());

@@ -163,7 +163,7 @@ impl PipelineRun {
             offline.run(topo, pop, scenario.sim.months, &mut detected, &mut signals);
         detections.extend(offline_detections);
         let online = OnlineScreener {
-            schedule,
+            schedule: schedule.clone(),
             interval_hours: scenario.online_interval_hours,
             ops_fraction: tuning.online_ops_fraction,
         };

@@ -27,8 +27,12 @@
 //! | 6 | aggregator | new threshold crossings quarantined; broadcast next epoch in [`EpochCommands::quarantines`] |
 //! | 7 | aggregator | capacity/corruption telemetry point + live alert rules |
 //!
-//! Phase 7 minus the capacity gauges is the epoch boundary the open loop
-//! (feedback off) shares, so both loop shapes emit their histograms,
+//! Both loop shapes step the fleet through this one shard step and
+//! finish the window in one of two ways. With feedback the aggregator
+//! runs phases 5–7 every epoch. Without it (the open loop) the shard
+//! schedules no screens and nothing leaves service; the driver records
+//! phase 7 minus the capacity gauges each epoch and hands the finished
+//! log to the batch back half. So both shapes emit their histograms,
 //! gauges, series rows and alerts from one place.
 //!
 //! Quarantine and restore decisions are central; workers only apply the
@@ -138,20 +142,16 @@ pub struct FleetShard<'a> {
     offline: OfflineCampaign,
     online: OnlineCampaign,
     /// Campaign wake timers; payload 0 = burn-in, 1 = offline, 2 = online.
+    /// Empty without feedback: the batch back half screens the finished
+    /// window instead.
     screen_q: EventQueue<u8>,
-    /// Whether the scenario's `workloads` block is on: per-class trace
-    /// counters are emitted only then, so legacy runs stay bit-for-bit.
-    classes_on: bool,
-    /// Interned per-class counter names (worker-side cumulative totals —
-    /// these ride the serve layer's `Bye` frame unchanged).
-    class_counters: Vec<ClassMetricNames>,
     /// Whether the scenario's `audit` block is on: the worker contributes
     /// its cumulative `audit.screen_detections` counter only then, so
     /// legacy runs stay bit-for-bit.
     audit_on: bool,
 }
 
-/// Interned metric names for one workload class, built once per shard.
+/// Interned metric names for one workload class, built once per run.
 pub(crate) struct ClassMetricNames {
     pub(crate) corrupt_ops: &'static str,
     pub(crate) caught: &'static str,
@@ -160,7 +160,7 @@ pub(crate) struct ClassMetricNames {
 }
 
 impl ClassMetricNames {
-    /// Worker-side cumulative counter names for class `name`.
+    /// Cumulative counter names for class `name`.
     fn counters(name: &str) -> ClassMetricNames {
         ClassMetricNames {
             corrupt_ops: intern(&format!("class.{name}.corrupt_ops_total")),
@@ -183,23 +183,12 @@ impl ClassMetricNames {
     }
 }
 
-/// Starts the simulation of machines `[lo, hi)` under the scenario's
-/// initial per-class mitigation policies (all off unless its `workloads`
-/// block is on). The open loop applies them too: without feedback there
-/// is no adaptation, but a static policy ladder still trades overhead for
-/// coverage.
-pub(crate) fn begin_sim(scenario: &Scenario, sim: &FleetSim, lo: u32, hi: u32) -> SimState {
-    let mut state = sim.begin_shard(lo, hi);
-    let policies = scenario.workloads.initial_policies(&sim.class_names());
-    for (ix, p) in policies.into_iter().enumerate() {
-        state.set_policy(ix, p);
-    }
-    state
-}
-
 impl<'a> FleetShard<'a> {
     /// Builds the worker for machines `[lo, hi)` of the experiment's
     /// fleet. The full range `(0, machines)` yields the entire fleet.
+    /// The sim starts under the scenario's initial per-class mitigation
+    /// policies, also without feedback (a static policy ladder still
+    /// trades overhead for coverage); the screens run only with it.
     pub fn new(scenario: &Scenario, experiment: &'a FleetExperiment, lo: u32, hi: u32) -> Self {
         let sim = experiment.sim();
         let topo = experiment.topology();
@@ -219,43 +208,35 @@ impl<'a> FleetShard<'a> {
         }
         .campaign_shard(scenario.sim.months, shard);
         let online = OnlineScreener {
-            schedule,
+            schedule: schedule.clone(),
             interval_hours: scenario.online_interval_hours,
             ops_fraction: tuning.online_ops_fraction,
         }
         .campaign_shard(scenario.sim.months, shard);
         let mut screen_q = EventQueue::new();
-        if let Some(h) = burnin.next_hour() {
-            screen_q.schedule_ranked(h, EventKind::ScreeningDue.rank(), 0);
+        if scenario.closed_loop.feedback {
+            let next = [burnin.next_hour(), offline.next_hour(), online.next_hour()];
+            for (which, h) in (0u8..).zip(next) {
+                if let Some(h) = h {
+                    screen_q.schedule_ranked(h, EventKind::ScreeningDue.rank(), which);
+                }
+            }
         }
-        if let Some(h) = offline.next_hour() {
-            screen_q.schedule_ranked(h, EventKind::ScreeningDue.rank(), 1);
+        let mut state = sim.begin_shard(lo, hi);
+        let policies = scenario.workloads.initial_policies(&sim.class_names());
+        for (ix, p) in policies.into_iter().enumerate() {
+            state.set_policy(ix, p);
         }
-        if let Some(h) = online.next_hour() {
-            screen_q.schedule_ranked(h, EventKind::ScreeningDue.rank(), 2);
-        }
-        let classes_on = scenario.workloads.enabled;
-        let class_counters = if classes_on {
-            let names = sim.class_names();
-            names
-                .iter()
-                .map(|n| ClassMetricNames::counters(n))
-                .collect()
-        } else {
-            Vec::new()
-        };
         FleetShard {
             sim,
             epoch_hours: scenario.sim.epoch_hours,
-            state: begin_sim(scenario, sim, lo, hi),
+            state,
             summary: SimSummary::default(),
             out_of_service: FastSet::default(),
             burnin,
             offline,
             online,
             screen_q,
-            classes_on,
-            class_counters,
             audit_on: scenario.audit.enabled,
         }
     }
@@ -391,14 +372,6 @@ impl<'a> FleetShard<'a> {
             .zip(&class_before)
             .map(|(now, then)| now.delta_since(then))
             .collect();
-        if self.classes_on {
-            for (names, d) in self.class_counters.iter().zip(&class_deltas) {
-                rec.counter_add(names.corrupt_ops, d.corrupt_ops);
-                rec.counter_add(names.caught, d.app_caught + d.mitigation_caught);
-                rec.counter_add(names.user_reports, d.user_reports);
-                rec.counter_add(names.overhead_ops, d.overhead_ops());
-            }
-        }
         let raw_signals_delta =
             self.summary.signals_emitted + self.summary.noise_signals - before_signals;
         // Withdraw signals attributed to out-of-service cores. Masked
@@ -486,6 +459,9 @@ pub struct FleetAggregator<'a> {
     /// commands (workers switch policies one epoch after the decision,
     /// exactly like quarantine crossings).
     pending_policy_changes: Vec<PolicyChange>,
+    /// Interned per-class cumulative counter names, parallel to
+    /// `policies` (empty when the workloads block is off).
+    class_counters: Vec<ClassMetricNames>,
     /// Whether the scenario's `audit` block is on: decision provenance
     /// instants (`score.signal`) and cumulative `audit.*` counters are
     /// emitted only then, so legacy runs stay bit-for-bit.
@@ -508,6 +484,11 @@ impl<'a> FleetAggregator<'a> {
         let telemetry = EpochTelemetry::new(scenario, sim, engine);
         let workloads = scenario.workloads.clone();
         let policies = workloads.initial_policies(telemetry.class_names());
+        let class_counters = telemetry
+            .class_names()
+            .iter()
+            .map(|n| ClassMetricNames::counters(n))
+            .collect();
         FleetAggregator {
             topo,
             pop: experiment.population(),
@@ -540,6 +521,7 @@ impl<'a> FleetAggregator<'a> {
             workloads,
             policies,
             pending_policy_changes: Vec::new(),
+            class_counters,
             audit_on: scenario.audit.enabled,
         }
     }
@@ -702,12 +684,19 @@ impl<'a> FleetAggregator<'a> {
         let raw_signals: u64 = reports.iter().map(|r| r.raw_signals_delta).sum();
 
         // Per-class epoch deltas: an element-wise integer merge across
-        // shards, so every partition sums to the single-shard totals.
+        // shards, so every partition sums to the single-shard totals and
+        // so do the cumulative class counters.
         let mut epoch_classes = vec![ClassTally::default(); self.policies.len()];
         for r in &reports {
             for (mine, theirs) in epoch_classes.iter_mut().zip(&r.class_deltas) {
                 mine.merge(theirs);
             }
+        }
+        for (names, d) in self.class_counters.iter().zip(&epoch_classes) {
+            rec.counter_add(names.corrupt_ops, d.corrupt_ops);
+            rec.counter_add(names.caught, d.app_caught + d.mitigation_caught);
+            rec.counter_add(names.user_reports, d.user_reports);
+            rec.counter_add(names.overhead_ops, d.overhead_ops());
         }
 
         // Phase 5b: suspicion accumulates from the surviving evidence;

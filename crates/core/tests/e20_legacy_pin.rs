@@ -12,6 +12,7 @@
 use mercurial::closedloop::{ClosedLoopDriver, RunOptions};
 use mercurial::mitigation::MitigationPolicy;
 use mercurial::scenario::ClassPolicy;
+use mercurial::trace::export::to_prometheus;
 use mercurial::{FleetExperiment, Scenario};
 use mercurial_prof::Prof;
 
@@ -179,6 +180,43 @@ fn open_loop_with_workloads_and_audit_is_bit_identical() {
         got.corruptions, got.signals, got.detections, got.series_csv, got.trace_jsonl, got.watch_render
     );
     check("open workloads+audit", &got, &want);
+}
+
+#[test]
+fn closed_loop_with_workloads_metrics_are_bit_identical() {
+    // The per-class `class.*_total` counters of an adapting closed loop,
+    // pinned through the Prometheus rendering of the final metric set and
+    // the trace JSONL, with the audit layer off and on.
+    let pins = [
+        (false, 0xb1c5_094b_523a_e510u64, 0xe312_acb5_2854_9eacu64),
+        (true, 0x16e9_efc0_9462_3deb, 0xec24_5e97_8ba4_0606),
+    ];
+    for (audit, prometheus, trace_jsonl) in pins {
+        let mut s = scenario(7, true);
+        s.workloads.enabled = true;
+        s.workloads.policies = vec![ClassPolicy {
+            class: "database".to_string(),
+            policy: MitigationPolicy::E2eChecksum,
+        }];
+        s.workloads.adapt = true;
+        s.workloads.escalate_threshold = 1_000;
+        s.audit.enabled = audit;
+        let out = ClosedLoopDriver::execute(&s);
+        let prom = to_prometheus(&out.trace);
+        assert!(
+            prom.contains("corrupt_ops_total counter"),
+            "class counters present"
+        );
+        let got = (
+            fnv1a(prom.as_bytes()),
+            fnv1a(out.trace.to_jsonl().as_bytes()),
+        );
+        eprintln!(
+            "closed workloads, audit {audit}: prometheus=0x{:016x} trace_jsonl=0x{:016x}",
+            got.0, got.1
+        );
+        assert_eq!(got, (prometheus, trace_jsonl), "audit {audit}");
+    }
 }
 
 #[test]

@@ -122,7 +122,19 @@ fn profiled_open_loop_matches_the_legacy_pins() {
         watch_render: 0x12bd_a6f4_5a1e_e9d2,
     };
     check("profiled open", &got, &want);
-    assert!(profile.calls("fleet.step") > 0, "open loop stepped the sim");
+    // The open loop steps the fleet through the same shard as the closed
+    // loop, one shard step per epoch.
+    let epochs = u64::from(FleetExperiment::build(&scenario(7, false)).sim().epochs());
+    assert_eq!(
+        profile.calls("shard.epoch"),
+        epochs,
+        "one shard step per epoch"
+    );
+    assert_eq!(
+        profile.calls("shard.epoch;fleet.step"),
+        profile.calls("shard.epoch"),
+        "every epoch stepped the sim"
+    );
     assert!(profile.calls("pipeline.batch") == 1, "one batch back half");
 }
 

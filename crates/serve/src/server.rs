@@ -100,7 +100,9 @@ struct Link {
 /// # Errors
 ///
 /// Propagates socket I/O errors and protocol violations, and returns
-/// an [`io::ErrorKind::InvalidInput`] error for `serve.workers: 0`.
+/// an [`io::ErrorKind::InvalidInput`] error for `serve.workers: 0` or
+/// `closed_loop.feedback: false` (the served run is the closed loop; its
+/// workers only screen with feedback on).
 pub fn run_server(
     listener: &TcpListener,
     scenario: &Scenario,
@@ -111,6 +113,12 @@ pub fn run_server(
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             "serve.workers must be at least 1, got 0",
+        ));
+    }
+    if !scenario.closed_loop.feedback {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "closed_loop.feedback must be true to serve the closed loop, got false",
         ));
     }
     let machines = scenario.fleet.machines;
@@ -498,12 +506,20 @@ pub fn run_served(scenario: &Scenario, opts: &ServeOptions<'_>) -> io::Result<Se
             })
         })
         .collect();
-    let out = run_server(&listener, scenario, opts)?;
+    let out = run_server(&listener, scenario, opts);
+    // Closing the listener refuses or resets every connection the server
+    // never accepted, so every worker ends and is joined, also when the
+    // server failed (a rejected scenario fails before any accept).
+    drop(listener);
     for h in handles {
-        h.join()
-            .map_err(|_| io::Error::other("worker thread panicked"))??;
+        let worker = h
+            .join()
+            .map_err(|_| io::Error::other("worker thread panicked"))?;
+        if out.is_ok() {
+            worker?;
+        }
     }
-    Ok(out)
+    out
 }
 
 /// A convenience for impairment sweeps: run the same scenario served,
@@ -535,5 +551,16 @@ mod tests {
             .expect("zero workers is rejected");
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert!(err.to_string().contains("serve.workers"), "{err}");
+    }
+
+    #[test]
+    fn feedback_off_is_invalid_input() {
+        let mut scenario = Scenario::small(7);
+        scenario.closed_loop.feedback = false;
+        let err = run_served(&scenario, &ServeOptions::default())
+            .err()
+            .expect("an open loop is not served");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("closed_loop.feedback"), "{err}");
     }
 }

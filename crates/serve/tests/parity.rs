@@ -118,11 +118,11 @@ fn served_untraced_run_matches_in_process() {
 
 #[test]
 fn served_workload_layer_is_bit_identical_to_in_process() {
-    // E20: per-class deltas ride the Report frames, policy switches ride
-    // the Cmd frames, and worker class counters ride the Bye frames —
-    // none of which may move the outcome on a clean link. The per-class
-    // series columns and the Prometheus rendering (which carries the
-    // absorbed class counters) are the sensitive surfaces.
+    // E20: per-class deltas ride the Report frames and policy switches
+    // ride the Cmd frames — neither may move the outcome on a clean link.
+    // The per-class series columns and the Prometheus rendering (which
+    // carries the class counters the aggregator sums from those deltas)
+    // are the sensitive surfaces.
     let workloads = |workers: u32| {
         let mut s = scenario(7, workers, true);
         s.workloads.enabled = true;

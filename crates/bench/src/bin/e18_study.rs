@@ -189,6 +189,7 @@ fn run_full() {
     });
     let (pop, population_1m) = timed(&prof, "build.population", || Population::seed_from(&topo));
     let cores_drawn = topo.total_cores();
+    let topology_bytes_per_machine = topo.column_bytes() as f64 / f64::from(topo.machine_count());
     let ns_per_core_draw = population_1m * 1e9 / cores_drawn as f64;
     let coin_kernel = mercurial_fault::coin_kernel();
     let (experiment, simulator_1m) = timed(&prof, "build.simulator", || {
@@ -209,7 +210,8 @@ fn run_full() {
     println!("fleet study 1M x {} months:", study.sim.months);
     println!("  build:       {build_1m:>8.3} s   ({mercurial_cores} mercurial cores)");
     println!(
-        "    topology:  {topology_1m:>8.3} s   ({} machines)",
+        "    topology:  {topology_1m:>8.3} s   ({} machines, {topology_bytes_per_machine} \
+         column bytes a machine)",
         study.fleet.machines
     );
     println!(
@@ -229,7 +231,7 @@ fn run_full() {
     );
 
     let body = format!(
-        "\"scenario\": \"{}\",\n  \"machines\": {},\n  \"months\": {},\n  \"before_20k_secs\": {BEFORE_20K_SECS},\n  \"rounds_20k\": {ROUNDS_20K},\n  \"closed_loop_20k_secs\": {secs_20k:.4},\n  \"study_machines\": {},\n  \"build_1m_secs\": {build_1m:.4},\n  \"build_topology_1m_secs\": {topology_1m:.4},\n  \"build_population_1m_secs\": {population_1m:.4},\n  \"cores_drawn_1m\": {cores_drawn},\n  \"ns_per_core_draw\": {ns_per_core_draw:.2},\n  \"coin_kernel\": \"{coin_kernel}\",\n  \"sim_1m_secs\": {sim_1m:.4},\n  \"closed_loop_1m_secs\": {closed_1m:.4},\n  \"mercurial_cores_1m\": {mercurial_cores},\n  \"core_visits_1m\": {visits},\n  \"epochs\": {epochs}",
+        "\"scenario\": \"{}\",\n  \"machines\": {},\n  \"months\": {},\n  \"before_20k_secs\": {BEFORE_20K_SECS},\n  \"rounds_20k\": {ROUNDS_20K},\n  \"closed_loop_20k_secs\": {secs_20k:.4},\n  \"study_machines\": {},\n  \"build_1m_secs\": {build_1m:.4},\n  \"build_topology_1m_secs\": {topology_1m:.4},\n  \"build_population_1m_secs\": {population_1m:.4},\n  \"topology_bytes_per_machine\": {topology_bytes_per_machine:.2},\n  \"cores_drawn_1m\": {cores_drawn},\n  \"ns_per_core_draw\": {ns_per_core_draw:.2},\n  \"coin_kernel\": \"{coin_kernel}\",\n  \"sim_1m_secs\": {sim_1m:.4},\n  \"closed_loop_1m_secs\": {closed_1m:.4},\n  \"mercurial_cores_1m\": {mercurial_cores},\n  \"core_visits_1m\": {visits},\n  \"epochs\": {epochs}",
         paper.name, paper.fleet.machines, paper.sim.months, study.fleet.machines,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_study.json");

@@ -166,7 +166,7 @@ mod tests {
         assert!(!in_range.is_empty(), "the middle third must hold defects");
         assert!(in_range.len() < full.population().count());
         assert!(shard.population().mercurial_cores().eq(in_range));
-        assert_eq!(shard.topology().machines(), full.topology().machines());
+        assert_eq!(shard.topology(), full.topology());
     }
 
     #[test]

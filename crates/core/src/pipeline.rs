@@ -283,9 +283,9 @@ impl PipelineRun {
 /// A capacity ledger with every machine of `topo` registered at its
 /// nominal core count.
 pub(crate) fn topology_ledger(topo: &FleetTopology) -> CapacityLedger {
-    let mut ledger = CapacityLedger::with_capacity(topo.machines().len());
-    for m in topo.machines() {
-        ledger.register_machine(m.machine, topo.cores_on(m.machine));
+    let mut ledger = CapacityLedger::with_capacity(topo.machine_count() as usize);
+    for m in 0..topo.machine_count() {
+        ledger.register_machine(m, topo.cores_on(m));
     }
     ledger
 }
@@ -307,7 +307,7 @@ pub(crate) fn score_detections(
         .iter()
         .filter_map(|d| {
             let profile = pop.profile_of(d.core)?;
-            let deploy = topo.machines()[d.core.machine as usize].deploy_hour;
+            let deploy = topo.deploy_hour(d.core.machine);
             // The defect only threatens production once the machine is
             // deployed AND the (possibly latent) defect has onset.
             let active_from = deploy + profile.earliest_onset_hours().max(0.0);

@@ -625,8 +625,9 @@ impl Scenario {
     /// remainder by the machine count), zero sockets (the noise layer
     /// draws a socket below the count), zero serve workers (the served
     /// topology splits the fleet into that many shards), an empty or
-    /// weightless product
-    /// catalog (the topology draws machines by weight), and a
+    /// weightless product catalog (the topology draws machines by
+    /// weight), a catalog of more than 256 products (the topology keeps
+    /// a machine's product index in one byte), and a
     /// non-positive or non-finite epoch or screening interval (the epoch
     /// count would be unbounded; a campaign would never advance).
     fn validate(&self) -> Result<(), String> {
@@ -641,6 +642,13 @@ impl Scenario {
         }
         if self.fleet.products.is_empty() {
             return Err("fleet.products must list at least one product".to_string());
+        }
+        // A machine's product index is one byte.
+        if self.fleet.products.len() > 256 {
+            return Err(format!(
+                "fleet.products must list at most 256 products, got {}",
+                self.fleet.products.len()
+            ));
         }
         let weight: f64 = self.fleet.products.iter().map(|p| p.fleet_weight).sum();
         if !(weight.is_finite() && weight > 0.0) {
@@ -714,6 +722,17 @@ mod tests {
         s.fleet.machines = 0;
         let err = Scenario::from_json(&s.to_json()).unwrap_err();
         assert!(err.contains("fleet.machines"), "{err}");
+    }
+
+    #[test]
+    fn more_than_256_products_is_rejected_naming_the_field() {
+        let mut s = Scenario::small(7);
+        let product = s.fleet.products[0].clone();
+        s.fleet.products = vec![product; 256];
+        assert!(Scenario::from_json(&s.to_json()).is_ok());
+        s.fleet.products.push(s.fleet.products[0].clone());
+        let err = Scenario::from_json(&s.to_json()).unwrap_err();
+        assert!(err.contains("fleet.products"), "{err}");
     }
 
     #[test]

@@ -1116,7 +1116,7 @@ pub fn record_ground_truth_onsets(experiment: &FleetExperiment, rec: &mut Record
     }
     let topo = experiment.topology();
     for core in experiment.population().mercurial_cores() {
-        let deploy = topo.machines()[core.uid.machine as usize].deploy_hour;
+        let deploy = topo.deploy_hour(core.uid.machine);
         let onset = deploy + core.profile.earliest_onset_hours().max(0.0);
         rec.instant(onset, "gt.onset", Some(core.uid.as_u64()), 0.0);
     }

@@ -3,8 +3,10 @@
 //! workload classes. This test pins that with a global allocator that
 //! records the largest single allocation made on the measuring thread:
 //! no allocation in `FleetShard::new` may reach the size of the
-//! topology's machine table. The shard's own per-machine state (the
-//! burn-in queue, 16 bytes a machine) stays below it.
+//! topology's widest column, the deploy hours at 8 bytes a machine. The
+//! shard's own per-machine state (deployed-machine and hot-machine
+//! bitmaps, a bit a machine; the burn-in campaign walks the topology's
+//! deploy order in place) stays far below it.
 //!
 //! Counting is gated on a thread-local flag so only the measuring
 //! thread's allocations register: the test harness spawns threads and
@@ -14,7 +16,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mercurial::fleet::MachineInfo;
 use mercurial::{FleetExperiment, FleetShard, Scenario};
 
 struct LargestAlloc;
@@ -64,12 +65,13 @@ fn shard_new_borrows_the_simulator_instead_of_copying_the_fleet() {
     scenario.fleet.machines = 100_000;
     let experiment = FleetExperiment::build(&scenario);
     let machines = scenario.fleet.machines;
-    let table = machines as usize * std::mem::size_of::<MachineInfo>();
+    let table = std::mem::size_of_val(experiment.topology().deploy_hours_by_machine());
+    assert_eq!(table, machines as usize * 8);
     let (shard, largest) =
         largest_allocation_during(|| FleetShard::new(&scenario, &experiment, 0, machines));
     assert_eq!(shard.machine_range(), (0, machines));
     assert!(
         largest < table,
-        "FleetShard::new made a {largest}-byte allocation; the machine table is {table} bytes"
+        "FleetShard::new made a {largest}-byte allocation; the deploy-hour column is {table} bytes"
     );
 }

@@ -42,5 +42,5 @@ pub use product::CpuProduct;
 pub use signals::{Signal, SignalKind, SignalLog};
 pub use sim::{FleetSim, SimConfig, SimState, SimSummary};
 pub use time::{EventKind, EventQueue};
-pub use topology::{DeployCursor, FleetConfig, FleetTopology, MachineInfo};
+pub use topology::{DeployCursor, FleetConfig, FleetTopology};
 pub use workload::{TrafficShape, WorkloadClass};

@@ -78,7 +78,7 @@ impl Population {
     /// Samples the population for a topology (deterministic in the
     /// topology's seed): [`Population::seed_range`] over every machine.
     pub fn seed_from(topo: &FleetTopology) -> Population {
-        Population::seed_range(topo, 0, topo.machines().len() as u32)
+        Population::seed_range(topo, 0, topo.machine_count())
     }
 
     /// Samples only the mercurial cores on machines `[lo, hi)`: exactly
@@ -89,10 +89,10 @@ impl Population {
     /// cores below `lo` and draws nothing outside the range. A served
     /// worker seeds its own shard this way.
     pub fn seed_range(topo: &FleetTopology, lo: u32, hi: u32) -> Population {
-        let Some(range) = topo.machines().get(lo as usize..hi as usize) else {
+        let Some(products) = topo.product_indices().get(lo as usize..hi as usize) else {
             panic!(
                 "machine range [{lo}, {hi}) outside a {}-machine fleet",
-                topo.machines().len()
+                topo.machine_count()
             );
         };
         let config = topo.config();
@@ -110,13 +110,13 @@ impl Population {
             .collect();
         let mut hits = Vec::new();
         let mut draw_id: u64 = (0..lo).map(|m| topo.cores_on(m)).sum();
-        for m in range {
-            let coin = product_coins[m.product];
-            let cores = config.products[m.product].cores_per_socket;
+        for (machine, &product) in (lo..hi).zip(products) {
+            let coin = product_coins[usize::from(product)];
+            let cores = config.products[usize::from(product)].cores_per_socket;
             for s in 0..config.sockets_per_machine {
-                let first = CoreUid::new(m.machine, s, 0);
+                let first = CoreUid::new(machine, s, 0);
                 coins.coin_hits(first.as_u64(), cores as u64, coin, |i| {
-                    hits.push((CoreUid::new(m.machine, s, i as u16), draw_id + i));
+                    hits.push((CoreUid::new(machine, s, i as u16), draw_id + i));
                 });
                 draw_id += cores as u64;
             }

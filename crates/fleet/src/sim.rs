@@ -353,7 +353,8 @@ pub struct FleetSim {
     /// Machine → index into `workloads`, resolved once at construction
     /// (the weighted draw is per-machine invariant; resolving it in the
     /// epoch loop re-summed the weight vector for every core×epoch).
-    workload_ix: Vec<usize>,
+    /// One byte a machine: a mix holds at most 256 classes.
+    workload_ix: Vec<u8>,
     /// End of the observation window in hours; lagged user-report
     /// escalations are clamped here so no signal is ever dated outside
     /// the last epoch.
@@ -371,7 +372,8 @@ impl FleetSim {
     ///
     /// # Panics
     ///
-    /// Panics if the mix is empty.
+    /// Panics if the mix is empty or holds more than 256 classes (a
+    /// machine's class index is one byte).
     pub fn with_workloads(
         topo: FleetTopology,
         pop: Population,
@@ -379,6 +381,11 @@ impl FleetSim {
         workloads: Vec<(WorkloadClass, f64)>,
     ) -> FleetSim {
         assert!(!workloads.is_empty(), "need at least one workload class");
+        assert!(
+            workloads.len() <= 256,
+            "at most 256 workload classes, got {}",
+            workloads.len()
+        );
         let workload_ix = Self::assign_workloads(&workloads, &topo, &pop);
         let horizon_hours =
             (config.months as f64 * 730.0 / config.epoch_hours).ceil() * config.epoch_hours;
@@ -398,19 +405,19 @@ impl FleetSim {
         workloads: &[(WorkloadClass, f64)],
         topo: &FleetTopology,
         pop: &Population,
-    ) -> Vec<usize> {
+    ) -> Vec<u8> {
         let total: f64 = workloads.iter().map(|(_, w)| w).sum();
         let streams = StreamFamily::new(pop.seed(), 0x776f, 0);
-        (0..topo.machines().len() as u32)
+        (0..topo.machine_count())
             .map(|machine| {
                 let mut pick = streams.rng(machine as u64).uniform_at(0) * total;
                 for (i, (_, w)) in workloads.iter().enumerate() {
                     if pick < *w {
-                        return i;
+                        return i as u8;
                     }
                     pick -= w;
                 }
-                workloads.len() - 1
+                (workloads.len() - 1) as u8
             })
             .collect()
     }
@@ -432,12 +439,12 @@ impl FleetSim {
 
     /// The workload class a machine runs (resolved at construction).
     pub fn workload_of(&self, machine: u32) -> &WorkloadClass {
-        &self.workloads[self.workload_ix[machine as usize]].0
+        &self.workloads[self.class_of(machine)].0
     }
 
     /// Index into [`FleetSim::class_names`] of a machine's class.
     pub fn class_of(&self, machine: u32) -> usize {
-        self.workload_ix[machine as usize]
+        usize::from(self.workload_ix[machine as usize])
     }
 
     /// Number of workload classes in the mix.
@@ -464,7 +471,7 @@ impl FleetSim {
     /// `(0, machines)` — with every mercurial core in service and the
     /// cursor at epoch 0. Step it with [`FleetSim::step_epochs`].
     pub fn begin(&self) -> SimState {
-        self.begin_shard(0, self.topo.machines().len() as u32)
+        self.begin_shard(0, self.topo.machine_count())
     }
 
     /// Starts a *shard* of the simulation owning only machines in
@@ -501,7 +508,7 @@ impl FleetSim {
             policies: vec![MitigationPolicy::None; n_classes],
             class_tallies: vec![ClassTally::default(); n_classes],
             deploy: DeployCursor::default(),
-            deployed: DeployedSet::new(self.topo.machines().len() as u32),
+            deployed: DeployedSet::new(self.topo.machine_count()),
             deployed_class_cores: vec![0; n_classes],
         }
     }
@@ -615,11 +622,11 @@ impl FleetSim {
             ..
         } = state;
         let (lo, hi) = *shard;
-        let (newly, cores) = deploy.advance(&self.topo, hour);
+        let newly = deploy.advance(&self.topo, hour);
         deployed.extend(newly);
-        for (&m, &c) in newly.iter().zip(cores) {
+        for &m in newly {
             if (lo..hi).contains(&m) {
-                deployed_class_cores[self.workload_ix[m as usize]] += u64::from(c);
+                deployed_class_cores[self.class_of(m)] += self.topo.cores_on(m);
             }
         }
         for (i, &uid) in mercurial.iter().enumerate() {
@@ -654,7 +661,7 @@ impl FleetSim {
         log: &mut SignalLog,
         summary: &mut SimSummary,
     ) -> bool {
-        let class_ix = self.workload_ix[uid.machine as usize];
+        let class_ix = self.class_of(uid.machine);
         let policy = policies[class_ix];
         let wl = self.workload_of(uid.machine);
         let age = self.topo.age_hours(uid.machine, hour);
@@ -1509,7 +1516,7 @@ mod tests {
             },
         );
         let topo = sim.topology();
-        let machines = topo.machines().len() as u32;
+        let machines = topo.machine_count();
         for (lo, hi) in [(0, machines), (0, 100), (100, 300), (37, 38)] {
             let mut state = sim.begin_shard(lo, hi);
             let mut saw_partial = false;
@@ -1589,7 +1596,7 @@ mod tests {
             let (full_log, full_summary) = sim.run();
             assert!(full_summary.signals_emitted > 0, "defects must fire");
             assert!(full_summary.noise_signals > 0, "noise must flow");
-            let machines = sim.topology().machines().len() as u32;
+            let machines = sim.topology().machine_count();
             for workers in [1u32, 2, 4] {
                 let mut merged = SignalLog::new();
                 let mut summed = SimSummary::default();

@@ -46,33 +46,25 @@ impl FleetConfig {
     }
 }
 
-/// Resolved per-machine facts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MachineInfo {
-    /// Machine index.
-    pub machine: u32,
-    /// Index into the product catalog.
-    pub product: usize,
-    /// Hour (from window start) the machine entered service.
-    pub deploy_hour: f64,
-}
-
-/// The materialized fleet: every machine's product and deployment time.
-#[derive(Debug, Clone)]
+/// The materialized fleet: every machine's product and deployment time,
+/// one column per fact, indexed by machine id.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetTopology {
     config: FleetConfig,
-    machines: Vec<MachineInfo>,
-    total_cores: u64,
+    /// `product[m]` is machine `m`'s index into the catalog.
+    product: Vec<u8>,
+    /// `deploy_hour[m]` is the hour (from window start) machine `m`
+    /// entered service: the only copy of the hour.
+    deploy_hour: Vec<f64>,
     /// Machine ids sorted by `(deploy_hour, machine)`. Deployment is
     /// monotone — machines never undeploy — so "which machines are in
-    /// service at `hour`" is a prefix of this order: a binary search for
-    /// one-off lookups, a [`DeployCursor`] for time walking forward.
+    /// service at `hour`" is a prefix of this order, found by a binary
+    /// search that reads each probe's hour through the order.
     deploy_order: Vec<u32>,
-    /// `deploy_hours[i]` is the deploy hour of `deploy_order[i]`, so
-    /// walks along the deploy order read memory sequentially.
-    deploy_hours: Vec<f64>,
-    /// `deploy_cores[i]` is the core count of `deploy_order[i]`.
-    deploy_cores: Vec<u32>,
+    /// Cores on one machine of each catalog product (sockets × cores
+    /// per socket), indexed like the catalog.
+    product_cores: Vec<u64>,
+    total_cores: u64,
 }
 
 /// A forward-only walk over [`FleetTopology::deploy_order`]: each
@@ -89,19 +81,11 @@ pub struct DeployCursor {
 impl DeployCursor {
     /// Advances to `hour` and returns the newly deployed machines
     /// (`deploy_hour <= hour`, the [`FleetTopology::is_deployed`]
-    /// predicate) in deploy order, with their core counts beside them.
-    /// `hour` must not move backwards.
-    pub fn advance<'t>(&mut self, topo: &'t FleetTopology, hour: f64) -> (&'t [u32], &'t [u32]) {
+    /// predicate) in deploy order. `hour` must not move backwards.
+    pub fn advance<'t>(&mut self, topo: &'t FleetTopology, hour: f64) -> &'t [u32] {
         let start = self.next;
-        let due = topo.deploy_hours[start..]
-            .iter()
-            .take_while(|&&h| h <= hour)
-            .count();
-        self.next = start + due;
-        (
-            &topo.deploy_order[start..self.next],
-            &topo.deploy_cores[start..self.next],
-        )
+        self.next = topo.deployed_prefix(start, hour);
+        &topo.deploy_order[start..self.next]
     }
 }
 
@@ -111,13 +95,27 @@ impl FleetTopology {
     ///
     /// # Panics
     ///
-    /// Panics if the catalog is empty or all weights are zero.
+    /// Panics if the catalog is empty, lists more than 256 products (a
+    /// machine's product index is one byte), or all weights are zero.
     pub fn build(config: FleetConfig) -> FleetTopology {
         assert!(!config.products.is_empty(), "need at least one product");
+        assert!(
+            config.products.len() <= 256,
+            "at most 256 products, got {}",
+            config.products.len()
+        );
         let total_weight: f64 = config.products.iter().map(|p| p.fleet_weight).sum();
         assert!(total_weight > 0.0, "product weights must not all be zero");
+        let sockets = u64::from(config.sockets_per_machine);
+        let product_cores: Vec<u64> = config
+            .products
+            .iter()
+            .map(|p| u64::from(p.cores_per_socket) * sockets)
+            .collect();
         let streams = StreamFamily::new(config.seed, 0x746f, 0);
-        let mut machines = Vec::with_capacity(config.machines as usize);
+        let n = config.machines as usize;
+        let mut products = Vec::with_capacity(n);
+        let mut hours = Vec::with_capacity(n);
         let mut total_cores = 0u64;
         for m in 0..config.machines {
             let mut rng = streams.rng(m as u64);
@@ -137,44 +135,32 @@ impl FleetTopology {
             } else {
                 rng.next_uniform() * config.rollout_months as f64 * 730.0
             };
-            total_cores += config.products[product].cores_per_socket as u64
-                * config.sockets_per_machine as u64;
-            machines.push(MachineInfo {
-                machine: m,
-                product,
-                deploy_hour,
-            });
+            total_cores += product_cores[product];
+            products.push(product as u8);
+            hours.push(deploy_hour);
         }
         // Deploy hours are finite and >= +0.0, and for such floats the bit
         // patterns order like the values, so `(bits, machine)` packed into
         // one integer sorts exactly as `(deploy_hour, machine)`. The keys
-        // are unique, so an unstable sort yields the one permutation, and
-        // the core count riding in the low 32 bits never decides an order.
-        let sockets = u32::from(config.sockets_per_machine);
-        let mut keys: Vec<u128> = machines
+        // are unique, so an unstable sort yields the one permutation. The
+        // keys are dropped before `build` returns.
+        let mut keys: Vec<u128> = hours
             .iter()
-            .map(|m| {
-                debug_assert!(m.deploy_hour.is_finite() && m.deploy_hour.is_sign_positive());
-                let cores = u32::from(config.products[m.product].cores_per_socket) * sockets;
-                (u128::from(m.deploy_hour.to_bits()) << 64)
-                    | (u128::from(m.machine) << 32)
-                    | u128::from(cores)
+            .zip(0u32..)
+            .map(|(&h, m)| {
+                debug_assert!(h.is_finite() && h.is_sign_positive());
+                (u128::from(h.to_bits()) << 32) | u128::from(m)
             })
             .collect();
         keys.sort_unstable();
-        let deploy_order = keys.iter().map(|&k| (k >> 32) as u32).collect();
-        let deploy_hours = keys
-            .iter()
-            .map(|&k| f64::from_bits((k >> 64) as u64))
-            .collect();
-        let deploy_cores = keys.iter().map(|&k| k as u32).collect();
+        let deploy_order = keys.iter().map(|&k| k as u32).collect();
         FleetTopology {
             config,
-            machines,
-            total_cores,
+            product: products,
+            deploy_hour: hours,
             deploy_order,
-            deploy_hours,
-            deploy_cores,
+            product_cores,
+            total_cores,
         }
     }
 
@@ -183,19 +169,47 @@ impl FleetTopology {
         &self.config
     }
 
-    /// Per-machine facts.
-    pub fn machines(&self) -> &[MachineInfo] {
-        &self.machines
+    /// Number of machines.
+    pub fn machine_count(&self) -> u32 {
+        self.product.len() as u32
+    }
+
+    /// A machine's index into the product catalog.
+    pub fn product_index(&self, machine: u32) -> usize {
+        usize::from(self.product[machine as usize])
+    }
+
+    /// Every machine's catalog index, indexed by machine id.
+    pub fn product_indices(&self) -> &[u8] {
+        &self.product
     }
 
     /// A machine's product.
     pub fn product_of(&self, machine: u32) -> &CpuProduct {
-        &self.config.products[self.machines[machine as usize].product]
+        &self.config.products[self.product_index(machine)]
+    }
+
+    /// Hour (from window start) the machine entered service.
+    pub fn deploy_hour(&self, machine: u32) -> f64 {
+        self.deploy_hour[machine as usize]
+    }
+
+    /// Every machine's deploy hour, indexed by machine id.
+    pub fn deploy_hours_by_machine(&self) -> &[f64] {
+        &self.deploy_hour
     }
 
     /// Total cores across the fleet.
     pub fn total_cores(&self) -> u64 {
         self.total_cores
+    }
+
+    /// Heap bytes of the per-machine columns (product, deploy hour,
+    /// deploy order), from their lengths.
+    pub fn column_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.product[..])
+            + std::mem::size_of_val(&self.deploy_hour[..])
+            + std::mem::size_of_val(&self.deploy_order[..])
     }
 
     /// Iterates every core UID of a machine.
@@ -208,17 +222,17 @@ impl FleetTopology {
     /// A machine's age in hours at fleet time `hour` (0 if not yet
     /// deployed).
     pub fn age_hours(&self, machine: u32, hour: f64) -> f64 {
-        (hour - self.machines[machine as usize].deploy_hour).max(0.0)
+        (hour - self.deploy_hour(machine)).max(0.0)
     }
 
     /// Whether the machine is in service at fleet time `hour`.
     pub fn is_deployed(&self, machine: u32, hour: f64) -> bool {
-        hour >= self.machines[machine as usize].deploy_hour
+        hour >= self.deploy_hour(machine)
     }
 
     /// Number of cores on a machine.
     pub fn cores_on(&self, machine: u32) -> u64 {
-        self.product_of(machine).cores_per_socket as u64 * self.config.sockets_per_machine as u64
+        self.product_cores[self.product_index(machine)]
     }
 
     /// Machine ids in `(deploy_hour, machine)` order.
@@ -226,28 +240,25 @@ impl FleetTopology {
         &self.deploy_order
     }
 
-    /// Deploy hours in deploy order: `deploy_hours()[i]` belongs to
-    /// `deploy_order()[i]` (ascending).
-    pub fn deploy_hours(&self) -> &[f64] {
-        &self.deploy_hours
-    }
-
-    /// Core counts in deploy order: `deploy_cores()[i]` is
-    /// [`FleetTopology::cores_on`] of `deploy_order()[i]`.
-    pub fn deploy_cores(&self) -> &[u32] {
-        &self.deploy_cores
+    /// Length of the deploy-order prefix in service at `hour`, searched
+    /// from position `from` on (every machine before `from` must be in
+    /// service at `hour`).
+    fn deployed_prefix(&self, from: usize, hour: f64) -> usize {
+        from + self.deploy_order[from..].partition_point(|&m| self.deploy_hour(m) <= hour)
     }
 
     /// Machines in service at fleet time `hour` (binary search over the
     /// deploy order — O(log machines), not a fleet scan).
     pub fn deployed_count(&self, hour: f64) -> u64 {
-        self.deploy_hours.partition_point(|&h| h <= hour) as u64
+        self.deployed_prefix(0, hour) as u64
     }
 
     /// The hour at (and after) which every machine is in service; 0 for
     /// an empty fleet.
     pub fn rollout_end_hour(&self) -> f64 {
-        self.deploy_hours.last().copied().unwrap_or(0.0)
+        self.deploy_order
+            .last()
+            .map_or(0.0, |&m| self.deploy_hour(m))
     }
 }
 
@@ -259,17 +270,17 @@ mod tests {
     fn build_is_deterministic() {
         let a = FleetTopology::build(FleetConfig::tiny(100, 7));
         let b = FleetTopology::build(FleetConfig::tiny(100, 7));
-        assert_eq!(a.machines(), b.machines());
+        assert_eq!(a, b);
         let c = FleetTopology::build(FleetConfig::tiny(100, 8));
-        assert_ne!(a.machines(), c.machines());
+        assert_ne!(a.product_indices(), c.product_indices());
     }
 
     #[test]
     fn product_mix_roughly_matches_weights() {
         let topo = FleetTopology::build(FleetConfig::tiny(10_000, 3));
         let mut counts = vec![0u32; topo.config().products.len()];
-        for m in topo.machines() {
-            counts[m.product] += 1;
+        for &p in topo.product_indices() {
+            counts[usize::from(p)] += 1;
         }
         for (i, p) in topo.config().products.iter().enumerate() {
             let share = counts[i] as f64 / 10_000.0;
@@ -306,9 +317,9 @@ mod tests {
         let topo = FleetTopology::build(cfg);
         for hour in [0.0, 1.0, 365.0, 730.0, 2500.0, 5840.0, 1e6] {
             let naive = topo
-                .machines()
+                .deploy_hours_by_machine()
                 .iter()
-                .filter(|m| m.deploy_hour <= hour)
+                .filter(|&&h| h <= hour)
                 .count() as u64;
             assert_eq!(topo.deployed_count(hour), naive, "hour {hour}");
         }
@@ -322,7 +333,7 @@ mod tests {
         let mut cursor = DeployCursor::default();
         let mut seen = vec![false; 500];
         for hour in [0.0, 0.0, 1.0, 365.0, 730.0, 2500.0, 5840.0, 1e6, 1e6] {
-            for &m in cursor.advance(&topo, hour).0 {
+            for &m in cursor.advance(&topo, hour) {
                 assert!(!seen[m as usize], "machine {m} yielded twice");
                 seen[m as usize] = true;
             }
@@ -330,7 +341,7 @@ mod tests {
                 assert_eq!(seen[m as usize], topo.is_deployed(m, hour), "hour {hour}");
             }
         }
-        let key = |m: u32| (topo.machines()[m as usize].deploy_hour, m);
+        let key = |m: u32| (topo.deploy_hour(m), m);
         assert!(topo
             .deploy_order()
             .windows(2)
@@ -338,29 +349,26 @@ mod tests {
     }
 
     #[test]
-    fn deploy_arrays_match_the_machine_table() {
+    fn columns_hold_one_narrow_entry_per_machine() {
         let mut cfg = FleetConfig::default_fleet();
         cfg.machines = 2_000;
         cfg.seed = 17;
         let topo = FleetTopology::build(cfg);
-        assert_eq!(topo.deploy_hours().len(), 2_000);
-        assert_eq!(topo.deploy_cores().len(), 2_000);
-        for (i, &m) in topo.deploy_order().iter().enumerate() {
-            let hour = topo.deploy_hours()[i];
-            assert_eq!(
-                hour.to_bits(),
-                topo.machines()[m as usize].deploy_hour.to_bits()
-            );
-            assert_eq!(
-                u64::from(topo.deploy_cores()[i]),
-                topo.cores_on(m),
-                "machine {m}"
-            );
-        }
-        assert!(topo.deploy_hours()[0] < topo.rollout_end_hour());
-        let core_counts: std::collections::BTreeSet<u32> =
-            topo.deploy_cores().iter().copied().collect();
+        assert_eq!(topo.machine_count(), 2_000);
+        assert_eq!(topo.product_indices().len(), 2_000);
+        assert_eq!(topo.deploy_hours_by_machine().len(), 2_000);
+        assert_eq!(topo.deploy_order().len(), 2_000);
+        assert_eq!(topo.column_bytes(), 2_000 * (1 + 8 + 4));
+        let mut sorted = topo.deploy_order().to_vec();
+        sorted.sort_unstable();
+        assert!(sorted.iter().copied().eq(0..2_000), "a permutation");
+        let core_counts: std::collections::BTreeSet<u64> =
+            (0..2_000).map(|m| topo.cores_on(m)).collect();
         assert!(core_counts.len() > 1, "the fleet must mix core counts");
+        assert_eq!(
+            (0..2_000).map(|m| topo.cores_on(m)).sum::<u64>(),
+            topo.total_cores()
+        );
     }
 
     #[test]
@@ -369,9 +377,9 @@ mod tests {
         cfg.rollout_months = 6;
         let topo = FleetTopology::build(cfg);
         let max = topo
-            .machines()
+            .deploy_hours_by_machine()
             .iter()
-            .map(|m| m.deploy_hour)
+            .copied()
             .fold(0.0, f64::max);
         assert_eq!(topo.rollout_end_hour(), max);
         assert_eq!(topo.deployed_count(max), 200);
@@ -395,7 +403,7 @@ mod tests {
         let mut cfg = FleetConfig::tiny(10, 6);
         cfg.rollout_months = 12;
         let topo = FleetTopology::build(cfg);
-        let dh = topo.machines()[3].deploy_hour;
+        let dh = topo.deploy_hour(3);
         assert_eq!(topo.age_hours(3, dh - 1.0), 0.0);
         assert!((topo.age_hours(3, dh + 100.0) - 100.0).abs() < 1e-9);
     }

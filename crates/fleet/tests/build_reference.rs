@@ -6,10 +6,13 @@
 //! `from_parts` stream per machine or core, the float coin, a comparator
 //! sort — and requires the same bits. A shard's population, seeded over
 //! its machine range alone, must be exactly its slice of the fleet's.
+//! The topology keeps each fact in its own column and walks the deploy
+//! order by binary search; the reference keeps them per machine and
+//! walks linearly.
 
 use mercurial_fault::{library, CoreFaultProfile, CoreUid, CounterRng};
 use mercurial_fleet::sim::shard_ranges;
-use mercurial_fleet::topology::{FleetConfig, FleetTopology, MachineInfo};
+use mercurial_fleet::topology::{DeployCursor, FleetConfig, FleetTopology};
 use mercurial_fleet::{CpuProduct, FleetSim, Population, SimConfig, WorkloadClass};
 
 /// A rolling-out fleet whose products run 100× the catalog's defect
@@ -30,7 +33,13 @@ fn rollout_fleet(seed: u64) -> FleetConfig {
 
 const SEEDS: [u64; 2] = [0x5eed, 24_301];
 
-fn reference_topology(config: &FleetConfig) -> (Vec<MachineInfo>, Vec<u32>) {
+/// One machine as the reference build resolves it.
+struct RefMachine {
+    product: usize,
+    deploy_hour: f64,
+}
+
+fn reference_topology(config: &FleetConfig) -> (Vec<RefMachine>, Vec<u32>) {
     let total_weight: f64 = config.products.iter().map(|p| p.fleet_weight).sum();
     let mut machines = Vec::new();
     for m in 0..config.machines {
@@ -50,8 +59,7 @@ fn reference_topology(config: &FleetConfig) -> (Vec<MachineInfo>, Vec<u32>) {
         } else {
             rng.next_uniform() * config.rollout_months as f64 * 730.0
         };
-        machines.push(MachineInfo {
-            machine: m,
+        machines.push(RefMachine {
             product,
             deploy_hour,
         });
@@ -71,9 +79,9 @@ fn reference_population(topo: &FleetTopology) -> Vec<(CoreUid, CoreFaultProfile)
     let seed = topo.config().seed;
     let mut mercurial = Vec::new();
     let mut draw_id = 0u64;
-    for m in topo.machines() {
-        let rate = topo.product_of(m.machine).mercurial_rate_per_core;
-        for uid in topo.cores_of(m.machine) {
+    for m in 0..topo.machine_count() {
+        let rate = topo.product_of(m).mercurial_rate_per_core;
+        for uid in topo.cores_of(m) {
             let coin = CounterRng::from_parts(seed, uid.as_u64(), 0x6d65, 0).uniform_at(0);
             if coin < rate {
                 mercurial.push((uid, library::sample_profile(seed, draw_id)));
@@ -87,7 +95,7 @@ fn reference_population(topo: &FleetTopology) -> Vec<(CoreUid, CoreFaultProfile)
 fn reference_workloads(workloads: &[(WorkloadClass, f64)], topo: &FleetTopology) -> Vec<usize> {
     let seed = topo.config().seed;
     let total: f64 = workloads.iter().map(|(_, w)| w).sum();
-    (0..topo.machines().len() as u32)
+    (0..topo.machine_count())
         .map(|machine| {
             let mut pick =
                 CounterRng::from_parts(seed, machine as u64, 0x776f, 0).uniform_at(0) * total;
@@ -112,8 +120,57 @@ fn topology_matches_the_reference_build() {
         for config in [rollout_fleet(seed), flat] {
             let topo = FleetTopology::build(config.clone());
             let (machines, order) = reference_topology(&config);
-            assert_eq!(topo.machines(), &machines[..], "seed {seed}");
+            assert_eq!(topo.machine_count() as usize, machines.len(), "seed {seed}");
+            for (m, expected) in (0u32..).zip(&machines) {
+                let cores = u64::from(config.products[expected.product].cores_per_socket)
+                    * u64::from(config.sockets_per_machine);
+                assert_eq!(topo.product_index(m), expected.product, "seed {seed}, {m}");
+                assert_eq!(
+                    topo.deploy_hour(m).to_bits(),
+                    expected.deploy_hour.to_bits(),
+                    "seed {seed}, machine {m}"
+                );
+                assert_eq!(topo.cores_on(m), cores, "seed {seed}, machine {m}");
+            }
             assert_eq!(topo.deploy_order(), &order[..], "seed {seed}");
+        }
+    }
+}
+
+#[test]
+fn deploy_cursor_matches_the_linear_walk() {
+    // Every epoch hour of a 36-month run at the default 73-hour epoch,
+    // plus every 97th machine's own deploy hour, ascending with repeats:
+    // a deploy hour is in service at that hour.
+    let epoch_hours = SimConfig::default().epoch_hours;
+    for seed in SEEDS {
+        let flat = FleetConfig {
+            rollout_months: 0,
+            ..rollout_fleet(seed)
+        };
+        for config in [rollout_fleet(seed), flat] {
+            let topo = FleetTopology::build(config.clone());
+            let (machines, order) = reference_topology(&config);
+            let mut hours: Vec<f64> = (0u32..)
+                .map(|e| f64::from(e) * epoch_hours)
+                .take_while(|&h| h <= 36.0 * 730.0)
+                .chain(machines.iter().step_by(97).map(|m| m.deploy_hour))
+                .collect();
+            hours.sort_by(f64::total_cmp);
+            let (mut cursor, mut next) = (DeployCursor::default(), 0);
+            for hour in hours {
+                let start = next;
+                while order
+                    .get(next)
+                    .is_some_and(|&m| machines[m as usize].deploy_hour <= hour)
+                {
+                    next += 1;
+                }
+                let got = cursor.advance(&topo, hour);
+                assert_eq!(got, &order[start..next], "seed {seed}, hour {hour}");
+                assert_eq!(topo.deployed_count(hour), next as u64, "hour {hour}");
+            }
+            assert_eq!(next, order.len(), "seed {seed}: every machine deploys");
         }
     }
 }

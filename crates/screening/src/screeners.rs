@@ -561,12 +561,9 @@ impl BurnIn {
     ) -> (Vec<DetectionRecord>, ScreeningStats) {
         let mut stats = ScreeningStats::default();
         let mut records = Vec::new();
-        let mut hot = HotMask::new(topo.machines().len());
+        let mut hot = HotMask::new(topo.machine_count() as usize);
         hot.set(&hot_machines(pop, detected), true);
-        let due = topo
-            .machines()
-            .iter()
-            .map(|m| (m.deploy_hour, m.machine, topo.cores_on(m.machine)));
+        let due = (0..topo.machine_count()).map(|m| (topo.deploy_hour(m), m, topo.cores_on(m)));
         let batch = self.plan(due, &hot);
         run_machine_tasks(
             topo,
@@ -600,7 +597,7 @@ impl BurnIn {
             shard,
             next: 0,
             next_hour: None,
-            hot: HotMask::new(topo.machines().len()),
+            hot: HotMask::new(topo.machine_count() as usize),
             stats: ScreeningStats::default(),
         };
         campaign.seek(topo, 0);
@@ -614,8 +611,9 @@ impl BurnIn {
 /// one frozen `detected` snapshot — the campaign screens machines in
 /// deploy-hour order and refreshes the snapshot every step, so it
 /// interleaves correctly with an epoch-stepped simulation. It walks the
-/// topology's deploy arrays in place, skipping machines outside its
-/// shard, so every step must get the topology the campaign started on.
+/// topology's deploy order in place, reading each machine's hour through
+/// it and skipping machines outside its shard, so every step must get
+/// the topology the campaign started on.
 #[derive(Debug, Clone)]
 pub struct BurnInCampaign {
     screener: BurnIn,
@@ -649,16 +647,14 @@ impl BurnInCampaign {
         if self.next_hour.is_none_or(|h| h >= until_hour) {
             return Vec::new();
         }
-        let (order, hours, cores) = (
-            topo.deploy_order(),
-            topo.deploy_hours(),
-            topo.deploy_cores(),
-        );
-        let end = self.next + hours[self.next..].partition_point(|&h| h < until_hour);
+        let order = topo.deploy_order();
+        let end =
+            self.next + order[self.next..].partition_point(|&m| topo.deploy_hour(m) < until_hour);
         let (lo, hi) = self.shard;
-        let due = (self.next..end)
-            .filter(|&i| (lo..hi).contains(&order[i]))
-            .map(|i| (hours[i], order[i], u64::from(cores[i])));
+        let due = order[self.next..end]
+            .iter()
+            .filter(|&m| (lo..hi).contains(m))
+            .map(|&m| (topo.deploy_hour(m), m, topo.cores_on(m)));
         let hot = hot_machines(pop, detected);
         self.hot.set(&hot, true);
         let batch = self.screener.plan(due, &self.hot);
@@ -694,7 +690,7 @@ impl BurnInCampaign {
             .iter()
             .position(|m| (lo..hi).contains(m))
             .map_or(order.len(), |k| from + k);
-        self.next_hour = topo.deploy_hours().get(self.next).copied();
+        self.next_hour = order.get(self.next).map(|&m| topo.deploy_hour(m));
     }
 
     /// Cumulative campaign accounting.
@@ -741,7 +737,7 @@ impl OfflineScreener {
         stats: &mut ScreeningStats,
     ) -> Batch {
         let mut batch = Batch::default();
-        let n_machines = topo.machines().len() as u64;
+        let n_machines = u64::from(topo.machine_count());
         if n_machines == 0 {
             return batch;
         }
@@ -773,11 +769,11 @@ impl OfflineScreener {
             // Hot machines are sorted, so one pointer walks them beside
             // the segment instead of a search per machine.
             let mut h = hot.partition_point(|&m| u64::from(m) < from);
-            for info in &topo.machines()[from as usize..to as usize] {
-                if info.deploy_hour > hour {
+            let hours = &topo.deploy_hours_by_machine()[from as usize..to as usize];
+            for (machine, &deploy_hour) in (from as u32..).zip(hours) {
+                if deploy_hour > hour {
                     continue;
                 }
-                let machine = info.machine;
                 batch.span = Some((
                     "screen.offline",
                     hour,
@@ -1076,10 +1072,9 @@ impl OnlineCampaign {
         let hot = hot_machines(pop, detected);
         let (lo, hi) = self.shard;
         while self.next_hour < self.total_hours && self.next_hour < until_hour {
-            let (machines, cores) = self.deploy.advance(topo, self.next_hour);
-            for (&m, &c) in machines.iter().zip(cores) {
+            for &m in self.deploy.advance(topo, self.next_hour) {
                 if (lo..hi).contains(&m) {
-                    self.deployed_cores += u64::from(c);
+                    self.deployed_cores += topo.cores_on(m);
                 }
             }
             let batch = self.screener.plan(
@@ -1618,7 +1613,7 @@ mod tests {
 
         let (full_rec, full_stats, full_det, full_log) = run_shard(ALL_MACHINES);
         assert!(full_rec.len() >= 3, "test needs detections to compare");
-        let machines = topo.machines().len() as u32;
+        let machines = topo.machine_count();
         for workers in [1u32, 2, 4] {
             let mut records = Vec::new();
             let mut stats = [ScreeningStats::default(); 3];
@@ -1668,7 +1663,7 @@ mod tests {
         let pre_detected = CoreUid::new(31, 0, 2);
         let months = 9u32;
         let online = OnlineScreener::default();
-        let machines = topo.machines().len() as u32;
+        let machines = topo.machine_count();
         for workers in [1u32, 2, 3] {
             for w in 0..workers {
                 let (lo, hi) = (machines * w / workers, machines * (w + 1) / workers);
@@ -1725,7 +1720,7 @@ mod tests {
             fraction_per_sweep: 0.15,
             ..OfflineScreener::default()
         };
-        let machines = topo.machines().len() as u64;
+        let machines = u64::from(topo.machine_count());
         let per_sweep = (machines as f64 * offline.fraction_per_sweep).ceil() as u64;
         assert_eq!(per_sweep, 9);
         let mut wrapped = false;

@@ -4,9 +4,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test test-workspace test-release fmt fmt-check clippy fuzz-smoke e15-smoke watch-smoke study-smoke serve-smoke frontier-smoke observe-smoke labbench-smoke loc
+.PHONY: ci build test test-workspace test-release fmt fmt-check clippy fuzz-smoke watch-smoke study-smoke serve-smoke frontier-smoke observe-smoke labbench-smoke loc
 
-ci: build test-workspace test-release fmt-check clippy fuzz-smoke e15-smoke watch-smoke study-smoke serve-smoke frontier-smoke labbench-smoke observe-smoke
+ci: build test-workspace test-release fmt-check clippy fuzz-smoke watch-smoke study-smoke serve-smoke frontier-smoke labbench-smoke observe-smoke
 
 build:
 	$(CARGO) build --release
@@ -39,12 +39,6 @@ clippy:
 # independent programs out across threads; each program runs serially).
 fuzz-smoke:
 	$(CARGO) run --release -p mercurial-bench --bin e_fuzz -- --smoke
-
-# Bounded closed-loop run (demo scale, fixed seed): asserts the epoch-
-# interleaved pipeline strictly reduces residual corrupt-ops vs the open
-# loop and that safe-task capacity sits between base and nominal.
-e15-smoke:
-	$(CARGO) run --release -p mercurial-bench --bin e15_closed_loop -- --smoke
 
 # The paper-scale alert gate: the committed rule file must stay silent
 # on the healthy paper scenario (against the committed baseline) and must

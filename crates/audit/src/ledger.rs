@@ -10,9 +10,8 @@
 //! shortest-roundtrip — the two ledgers are byte-for-byte identical by
 //! construction, at any worker count.
 
-use mercurial_trace::export::{push_num, push_u64, HourCache};
-use mercurial_trace::{EventKind, Trace, TraceEvent};
-use serde::Deserialize as _;
+use mercurial_trace::export::{push_num, push_u64, read_jsonl, HourCache, JsonlLine, JsonlMetric};
+use mercurial_trace::{EventKind, Trace};
 
 /// Canonical names of the eight fleet signal kinds, indexed by the
 /// scoreboard's dense kind index (the payload of a `score.signal`
@@ -204,7 +203,7 @@ impl DecisionLedger {
             ..DecisionLedger::default()
         };
         for e in &trace.events {
-            ledger.ingest_event(e);
+            ledger.ingest_event(e.kind, e.name, e.hour, e.core, e.value);
         }
         ledger.canonicalize();
         ledger
@@ -219,81 +218,55 @@ impl DecisionLedger {
         self.active_mercurial.sort_by(|a, b| a.0.total_cmp(&b.0));
     }
 
-    fn ingest_event(&mut self, e: &TraceEvent) {
-        match e.kind {
+    /// Ledgers one event: a decision instant, or a
+    /// `fleet.active_mercurial` sample.
+    fn ingest_event(
+        &mut self,
+        kind: EventKind,
+        name: &str,
+        hour: f64,
+        core: Option<u64>,
+        value: f64,
+    ) {
+        match kind {
             EventKind::Instant => {
-                if let Some(decision) = Decision::from_event_name(e.name) {
+                if let Some(decision) = Decision::from_event_name(name) {
                     self.entries.push(LedgerEntry {
-                        hour: e.hour,
+                        hour,
                         decision,
-                        core: e.core,
-                        value: e.value,
+                        core,
+                        value,
                     });
                 }
             }
-            EventKind::Gauge if e.name == "fleet.active_mercurial" => {
-                self.active_mercurial.push((e.hour, e.value));
+            EventKind::Gauge if name == "fleet.active_mercurial" => {
+                self.active_mercurial.push((hour, value));
             }
             _ => {}
         }
     }
 
     /// Rebuild the ledger offline from an exported trace JSONL file — the
-    /// replay path of `mercurial-lab audit --trace`. Accepts the full
-    /// export (event lines then metric lines); unknown lines are skipped,
-    /// malformed lines are errors.
+    /// replay path of `mercurial-lab audit --trace`: a fold over
+    /// [`read_jsonl`]'s lines, the same events and counter
+    /// [`DecisionLedger::from_trace`] reads.
     ///
     /// # Errors
     ///
     /// Reports the first malformed line, 1-indexed.
     pub fn from_trace_jsonl(text: &str) -> Result<DecisionLedger, String> {
         let mut ledger = DecisionLedger::default();
-        for (ix, line) in text.lines().enumerate() {
-            let idx = ix + 1;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let v: serde::Value =
-                serde_json::from_str(line).map_err(|e| format!("line {idx}: {e}"))?;
-            let num =
-                |key: &str| -> Option<f64> { v.get(key).and_then(|x| f64::from_value(x).ok()) };
-            let name = v
-                .get("n")
-                .and_then(|n| n.as_str())
-                .ok_or_else(|| format!("line {idx}: missing \"n\""))?;
-            if let Some(metric) = v.get("metric").and_then(|m| m.as_str()) {
-                if metric == "counter" && name == "gt.mercurial_cores" {
-                    let count = num("v").ok_or_else(|| format!("line {idx}: missing \"v\""))?;
-                    ledger.gt_count = count as u64;
+        for line in read_jsonl(text) {
+            match line? {
+                JsonlLine::Event(e) => {
+                    ledger.ingest_event(e.kind, &e.name, e.hour, e.core, e.value)
                 }
-                continue;
-            }
-            let kind = v.get("k").and_then(|k| k.as_str());
-            let hour = num("h").ok_or_else(|| format!("line {idx}: missing \"h\""))?;
-            match kind {
-                Some("I") => {
-                    if let Some(decision) = Decision::from_event_name(name) {
-                        let core = v
-                            .get("core")
-                            .map(|c| {
-                                u64::from_value(c)
-                                    .map_err(|e| format!("line {idx}: bad \"core\": {e}"))
-                            })
-                            .transpose()?;
-                        ledger.entries.push(LedgerEntry {
-                            hour,
-                            decision,
-                            core,
-                            // Instants omit "v" when the payload is 0.0.
-                            value: num("v").unwrap_or(0.0),
-                        });
-                    }
+                JsonlLine::Metric(name, JsonlMetric::Counter(n))
+                    if name == "gt.mercurial_cores" =>
+                {
+                    ledger.gt_count = n;
                 }
-                Some("G") if name == "fleet.active_mercurial" => {
-                    let value = num("v").ok_or_else(|| format!("line {idx}: missing \"v\""))?;
-                    ledger.active_mercurial.push((hour, value));
-                }
-                _ => {}
+                JsonlLine::Metric(..) => {}
             }
         }
         ledger.canonicalize();
@@ -363,10 +336,10 @@ impl DecisionLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mercurial_trace::{Recorder, TraceFlags};
+    use mercurial_trace::{Recorder, TraceLevel};
 
     fn sample_trace() -> Trace {
-        let mut r = Recorder::with_flags(TraceFlags::enabled());
+        let mut r = Recorder::new(TraceLevel::Record);
         r.instant(10.0, "gt.onset", Some(7), 0.0);
         r.counter_add("gt.mercurial_cores", 1);
         r.instant(50.0, "score.signal", Some(7), 3.0);
@@ -447,7 +420,7 @@ mod tests {
     fn ledger_is_time_sorted_regardless_of_emission_order() {
         // A sharded fleet interleaves per-shard streams differently at
         // different worker counts; the canonical ledger must not care.
-        let mut r = Recorder::with_flags(TraceFlags::enabled());
+        let mut r = Recorder::new(TraceLevel::Record);
         r.instant(10.0, "gt.onset", Some(1), 0.0);
         r.instant(70.0, "score.signal", Some(2), 1.0); // shard B, late emission
         r.instant(40.0, "score.signal", Some(1), 1.0); // shard A, emitted after

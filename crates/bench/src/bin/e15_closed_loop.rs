@@ -11,30 +11,20 @@
 //! safe-task placement).
 //!
 //! ```text
-//! cargo run --release -p mercurial-bench --bin e15_closed_loop [-- --smoke]
-//! MERCURIAL_SCALE=paper cargo run --release -p mercurial-bench --bin e15_closed_loop
+//! cargo run --release -p mercurial-bench --bin e15_closed_loop
 //! ```
 //!
-//! `--smoke` keeps the demo scale and trims output for CI
-//! (`make e15-smoke`).
+//! Tier-1 tests check both acceptance assertions at demo scale
+//! (`crates/core/tests/closed_loop.rs`).
 
 use mercurial::closedloop::ClosedLoopDriver;
 use mercurial::report::closed_loop_table;
-use mercurial::Scenario;
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let mut scenario = if smoke {
-        Scenario::demo(0x0e15)
-    } else {
-        mercurial_bench::paper_scenario(0x0e15)
-    };
+    let mut scenario = mercurial_bench::paper_scenario(0x0e15);
     mercurial_bench::header(&format!(
-        "E15 — closed-loop detect → quarantine → reschedule   [{}: {} machines, {} months]{}",
-        scenario.name,
-        scenario.fleet.machines,
-        scenario.sim.months,
-        if smoke { " (smoke)" } else { "" }
+        "E15 — closed-loop detect → quarantine → reschedule   [{}: {} machines, {} months]",
+        scenario.name, scenario.fleet.machines, scenario.sim.months
     ));
 
     scenario.closed_loop.feedback = false;
@@ -61,10 +51,8 @@ fn main() {
     );
 
     println!("{}", closed_loop_table(&closed));
-    if !smoke {
-        println!("{}", closed.series.render(24));
-        println!("per-epoch series (CSV):\n{}", closed.series.to_csv());
-    }
+    println!("{}", closed.series.render(24));
+    println!("per-epoch series (CSV):\n{}", closed.series.to_csv());
 
     // Acceptance: feedback must strictly reduce residual corruption.
     assert!(

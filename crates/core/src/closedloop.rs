@@ -169,12 +169,12 @@ impl ClosedLoopDriver {
                 drain(&mut opts.sink, &mut rec, prof);
             }
             log.sort_by_time();
-            // The batch back half runs untraced unless the audit layer
-            // wants decision provenance — the plain traced open loop stays
-            // bit-for-bit with its pre-audit exports.
+            // The batch back half runs untraced unless the recorder
+            // audits — the plain traced open loop stays bit-for-bit with
+            // its pre-audit exports.
             let batch_span = prof.span("pipeline.batch");
             let mut untraced = Recorder::disabled();
-            let batch_rec = if scenario.audit.enabled {
+            let batch_rec = if rec.audits() {
                 &mut rec
             } else {
                 &mut untraced

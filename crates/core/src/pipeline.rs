@@ -126,10 +126,11 @@ impl PipelineRun {
         )
     }
 
-    /// [`PipelineRun::complete_from_signals`] with decision provenance:
-    /// every signal ingest, suspect flag, quarantine, triage verdict,
-    /// exoneration, and restore lands in the trace (and hence the audit
-    /// ledger) exactly as the closed-loop driver would record it.
+    /// [`PipelineRun::complete_from_signals`] into `rec`: every suspect
+    /// flag, quarantine, triage verdict, exoneration, and restore lands in
+    /// the trace exactly as the closed-loop driver would record it, and an
+    /// auditing recorder also gets the signal ingests and `audit.*`
+    /// counters the audit ledger needs.
     pub fn complete_from_signals_traced(
         scenario: &Scenario,
         experiment: &FleetExperiment,
@@ -171,7 +172,7 @@ impl PipelineRun {
             online.run(topo, pop, scenario.sim.months, &mut detected, &mut signals);
         detections.extend(online_detections);
         if !detections.is_empty() {
-            rec.counter_add("audit.screen_detections", detections.len() as u64);
+            rec.audit_add("audit.screen_detections", detections.len() as u64);
         }
 
         // 3. Production-signal suspicion: the scoreboard accumulates every
@@ -180,7 +181,7 @@ impl PipelineRun {
         //    as soon as the suspects are out, before the rest of the back
         //    half allocates.
         let mut scoreboard = Scoreboard::new();
-        scoreboard.ingest_all_provenance(signals.all().iter(), rec);
+        scoreboard.ingest_all(signals.all().iter(), rec);
         let suspects: Vec<(CoreUid, f64)> = scoreboard
             .suspects_excluding(scenario.suspicion_threshold, |core| {
                 detected.contains(&core)
@@ -203,8 +204,8 @@ impl PipelineRun {
                 .and_then(|()| registry.quarantine(d.core, d.hour, "controlled test failed", rec))
                 .and_then(|()| registry.confirm(d.core, d.hour, "screen reproduced defect", rec))
                 .expect("fresh core walks the legal path");
-            rec.counter_add("audit.quarantines", 1);
-            rec.counter_add("audit.confirms", 1);
+            rec.audit_add("audit.quarantines", 1);
+            rec.audit_add("audit.confirms", 1);
         }
         //    Triage suspects were quarantined on suspicion, then either
         //    confirmed or exonerated.
@@ -216,14 +217,14 @@ impl PipelineRun {
                 .mark_suspect(core, hour, "signal concentration", rec)
                 .and_then(|()| registry.quarantine(core, hour, "suspicion threshold", rec))
                 .expect("fresh core walks the legal path");
-            rec.counter_add("audit.quarantines", 1);
+            rec.audit_add("audit.quarantines", 1);
             if confirmed_by_triage.contains(&core) {
                 let confirm_hour = hour + tuning.triage_latency_hours;
                 registry
                     .confirm(core, confirm_hour, "triage confession", rec)
                     .expect("quarantined core can confirm");
                 rec.instant(confirm_hour, "detect.triage", Some(core.as_u64()), 0.0);
-                rec.counter_add("audit.confirms", 1);
+                rec.audit_add("audit.confirms", 1);
             } else {
                 registry
                     .exonerate(
@@ -233,7 +234,7 @@ impl PipelineRun {
                         rec,
                     )
                     .expect("quarantined core can exonerate");
-                rec.counter_add("audit.exonerations", 1);
+                rec.audit_add("audit.exonerations", 1);
                 registry
                     .restore(
                         core,
@@ -242,7 +243,7 @@ impl PipelineRun {
                         rec,
                     )
                     .expect("exonerated core can restore");
-                rec.counter_add("audit.restores", 1);
+                rec.audit_add("audit.restores", 1);
                 if !pop.is_mercurial(core) {
                     exonerated_innocents += 1;
                 }

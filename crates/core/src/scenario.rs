@@ -583,20 +583,20 @@ impl Scenario {
         self.sim.months as f64 * 730.0
     }
 
-    /// The effective recorder flags: the `trace` block, with recording
-    /// forced on when the audit layer is enabled (the decision ledger is
-    /// derived from the trace, so auditing an untraced run would observe
-    /// nothing).
-    pub fn trace_flags(&self) -> mercurial_trace::TraceFlags {
-        mercurial_trace::TraceFlags {
-            enabled: self.trace.enabled || self.audit.enabled,
-        }
-    }
-
-    /// A recorder honoring [`Scenario::trace_flags`], so the audit block
-    /// can force tracing on.
+    /// The run's recorder. The `audit` block makes it audit, which
+    /// implies recording (the decision ledger is derived from the trace,
+    /// so auditing an untraced run would observe nothing); else the
+    /// `trace` block decides whether it records. Every audit decision of
+    /// a run asks this recorder (`Recorder::audits`), not the scenario.
     pub fn recorder(&self) -> mercurial_trace::Recorder {
-        mercurial_trace::Recorder::with_flags(self.trace_flags())
+        use mercurial_trace::TraceLevel;
+        mercurial_trace::Recorder::new(if self.audit.enabled {
+            TraceLevel::Audit
+        } else if self.trace.enabled {
+            TraceLevel::Record
+        } else {
+            TraceLevel::Off
+        })
     }
 
     /// Serializes to pretty JSON.
@@ -627,9 +627,11 @@ impl Scenario {
     /// topology splits the fleet into that many shards), an empty or
     /// weightless product catalog (the topology draws machines by
     /// weight), a catalog of more than 256 products (the topology keeps
-    /// a machine's product index in one byte), and a
+    /// a machine's product index in one byte), a
     /// non-positive or non-finite epoch or screening interval (the epoch
-    /// count would be unbounded; a campaign would never advance).
+    /// count would be unbounded; a campaign would never advance), and a
+    /// negative or non-finite triage or restore latency (added to an
+    /// hour the loop schedules) or offline drain (machine-hours booked).
     fn validate(&self) -> Result<(), String> {
         if self.fleet.machines == 0 {
             return Err("fleet.machines must be at least 1, got 0".to_string());
@@ -681,6 +683,35 @@ impl Scenario {
         ] {
             if !(h.is_finite() && h > 0.0) {
                 return Err(format!("{field} must be positive and finite, got {h}"));
+            }
+        }
+        // Latencies the loop adds to an hour (a non-finite hour trips the
+        // event queue's finiteness assert; a negative one schedules into
+        // the past), and the machine-hours an offline sweep books.
+        for (field, h) in [
+            (
+                "closed_loop.triage_latency_hours",
+                self.closed_loop.triage_latency_hours,
+            ),
+            (
+                "closed_loop.restore_latency_hours",
+                self.closed_loop.restore_latency_hours,
+            ),
+            (
+                "tuning.triage_latency_hours",
+                self.tuning.triage_latency_hours,
+            ),
+            (
+                "tuning.restore_latency_hours",
+                self.tuning.restore_latency_hours,
+            ),
+            (
+                "tuning.offline_drain_hours_per_machine",
+                self.tuning.offline_drain_hours_per_machine,
+            ),
+        ] {
+            if !(h.is_finite() && h >= 0.0) {
+                return Err(format!("{field} must be non-negative and finite, got {h}"));
             }
         }
         // Per-machine-hour noise rates and a probability: each lies in
@@ -817,6 +848,45 @@ mod tests {
             s.fleet.products[2].mercurial_rate_per_core = rate;
             assert_eq!(s.validate(), Ok(()), "{rate} is a probability");
         }
+    }
+
+    #[test]
+    fn bad_latencies_and_drain_are_rejected_naming_the_field() {
+        type Field = fn(&mut Scenario) -> &mut f64;
+        let fields: [(&str, Field); 5] = [
+            ("closed_loop.triage_latency_hours", |s| {
+                &mut s.closed_loop.triage_latency_hours
+            }),
+            ("closed_loop.restore_latency_hours", |s| {
+                &mut s.closed_loop.restore_latency_hours
+            }),
+            ("tuning.triage_latency_hours", |s| {
+                &mut s.tuning.triage_latency_hours
+            }),
+            ("tuning.restore_latency_hours", |s| {
+                &mut s.tuning.restore_latency_hours
+            }),
+            ("tuning.offline_drain_hours_per_machine", |s| {
+                &mut s.tuning.offline_drain_hours_per_machine
+            }),
+        ];
+        for (name, field) in fields {
+            for bad in [-1e-6, -72.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let err = rejection(|s| *field(s) = bad);
+                assert!(err.contains(name), "{name} = {bad}: {err}");
+            }
+            for ok in [0.0, 1e6] {
+                let mut s = Scenario::small(7);
+                *field(&mut s) = ok;
+                assert_eq!(s.validate(), Ok(()), "{name} = {ok}");
+            }
+        }
+        // A scenario file can spell an infinite latency as `1e999`.
+        let mut s = Scenario::small(7);
+        s.closed_loop.triage_latency_hours = 12_345.5;
+        let json = s.to_json().replace("12345.5", "1e999");
+        let err = Scenario::from_json(&json).unwrap_err();
+        assert!(err.contains("closed_loop.triage_latency_hours"), "{err}");
     }
 
     #[test]

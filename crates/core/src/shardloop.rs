@@ -145,10 +145,6 @@ pub struct FleetShard<'a> {
     /// Empty without feedback: the batch back half screens the finished
     /// window instead.
     screen_q: EventQueue<u8>,
-    /// Whether the scenario's `audit` block is on: the worker contributes
-    /// its cumulative `audit.screen_detections` counter only then, so
-    /// legacy runs stay bit-for-bit.
-    audit_on: bool,
 }
 
 /// Interned metric names for one workload class, built once per run.
@@ -237,7 +233,6 @@ impl<'a> FleetShard<'a> {
             offline,
             online,
             screen_q,
-            audit_on: scenario.audit.enabled,
         }
     }
 
@@ -346,8 +341,8 @@ impl<'a> FleetShard<'a> {
         for d in &screened {
             self.state.set_active(d.core, false);
         }
-        if self.audit_on && !screened.is_empty() {
-            rec.counter_add("audit.screen_detections", screened.len() as u64);
+        if !screened.is_empty() {
+            rec.audit_add("audit.screen_detections", screened.len() as u64);
         }
 
         // Phase 4: one epoch of workload simulation. The worker's mask
@@ -462,10 +457,6 @@ pub struct FleetAggregator<'a> {
     /// Interned per-class cumulative counter names, parallel to
     /// `policies` (empty when the workloads block is off).
     class_counters: Vec<ClassMetricNames>,
-    /// Whether the scenario's `audit` block is on: decision provenance
-    /// instants (`score.signal`) and cumulative `audit.*` counters are
-    /// emitted only then, so legacy runs stay bit-for-bit.
-    audit_on: bool,
 }
 
 impl<'a> FleetAggregator<'a> {
@@ -522,7 +513,6 @@ impl<'a> FleetAggregator<'a> {
             policies,
             pending_policy_changes: Vec::new(),
             class_counters,
-            audit_on: scenario.audit.enabled,
         }
     }
 
@@ -560,9 +550,7 @@ impl<'a> FleetAggregator<'a> {
                 .expect("exonerated core can restore");
             self.ledger.restore_core(core, restore_hour, rec);
             self.out_of_service.remove(&core);
-            if self.audit_on {
-                rec.counter_add("audit.restores", 1);
-            }
+            rec.audit_add("audit.restores", 1);
             restores.push(core);
         }
 
@@ -588,9 +576,7 @@ impl<'a> FleetAggregator<'a> {
                         .confirm(core, verdict_hour, "deep check confession", rec)
                         .expect("quarantined core can confirm");
                     rec.instant(verdict_hour, "detect.triage", Some(core.as_u64()), 0.0);
-                    if self.audit_on {
-                        rec.counter_add("audit.confirms", 1);
-                    }
+                    rec.audit_add("audit.confirms", 1);
                     self.recovered_cores +=
                         safe_task_share(&self.safe_policy, &self.task_mix, self.pop, core);
                     self.detections.push(DetectionRecord {
@@ -607,9 +593,7 @@ impl<'a> FleetAggregator<'a> {
                     self.registry
                         .exonerate(core, verdict_hour, "nothing reproduced", rec)
                         .expect("quarantined core can exonerate");
-                    if self.audit_on {
-                        rec.counter_add("audit.exonerations", 1);
-                    }
+                    rec.audit_add("audit.exonerations", 1);
                     if !self.pop.is_mercurial(core) {
                         self.exonerated_innocents += 1;
                     }
@@ -669,10 +653,8 @@ impl<'a> FleetAggregator<'a> {
                 })
                 .expect("in-service core walks the legal path");
             self.ledger.remove_core(d.core, d.hour, rec);
-            if self.audit_on {
-                rec.counter_add("audit.quarantines", 1);
-                rec.counter_add("audit.confirms", 1);
-            }
+            rec.audit_add("audit.quarantines", 1);
+            rec.audit_add("audit.confirms", 1);
             self.recovered_cores +=
                 safe_task_share(&self.safe_policy, &self.task_mix, self.pop, d.core);
             self.out_of_service.insert(d.core);
@@ -715,15 +697,7 @@ impl<'a> FleetAggregator<'a> {
         }
         let score_span = prof.span("score.ingest");
         for r in reports {
-            if self.audit_on {
-                // Decision provenance: one `score.signal` instant per
-                // ingested signal (value = kind index) feeds the audit
-                // ledger's per-kind precision/recall.
-                self.scoreboard
-                    .ingest_all_provenance(r.evidence.all().iter(), rec);
-            } else {
-                self.scoreboard.ingest_all(r.evidence.all().iter(), rec);
-            }
+            self.scoreboard.ingest_all(r.evidence.all().iter(), rec);
             self.log.append(r.evidence);
         }
         drop(score_span);
@@ -748,9 +722,7 @@ impl<'a> FleetAggregator<'a> {
                 })
                 .expect("in-service core walks the legal path");
             self.ledger.remove_core(core, hour, rec);
-            if self.audit_on {
-                rec.counter_add("audit.quarantines", 1);
-            }
+            rec.audit_add("audit.quarantines", 1);
             self.out_of_service.insert(core);
             self.handled.insert(core);
             self.deep_q.schedule_ranked(
@@ -781,9 +753,7 @@ impl<'a> FleetAggregator<'a> {
                             policy: next,
                         });
                         rec.instant(h1, "mitigation.escalated", None, ix as f64);
-                        if self.audit_on {
-                            rec.counter_add("audit.escalations", 1);
-                        }
+                        rec.audit_add("audit.escalations", 1);
                     }
                 }
             }
@@ -950,8 +920,6 @@ pub(crate) struct EpochTelemetry {
     class_gauges: Vec<ClassMetricNames>,
     series: EpochSeries,
     engine: Option<WatchEngine>,
-    /// Whether fired alerts also bump the `audit.*` counters.
-    audit_on: bool,
 }
 
 impl EpochTelemetry {
@@ -978,7 +946,6 @@ impl EpochTelemetry {
             class_gauges,
             series,
             engine,
-            audit_on: scenario.audit.enabled,
         }
     }
 
@@ -1049,7 +1016,7 @@ impl EpochTelemetry {
             } else {
                 eng.push_epoch(row)
             };
-            record_alerts(rec, &fired, self.audit_on);
+            record_alerts(rec, &fired);
         }
     }
 
@@ -1071,7 +1038,7 @@ impl EpochTelemetry {
                 merged.merge(m);
             }
             let (report, end_alerts) = eng.finish(&merged, baseline);
-            record_alerts(rec, &end_alerts, self.audit_on);
+            record_alerts(rec, &end_alerts);
             report
         });
         FinishedLoop {
@@ -1093,14 +1060,14 @@ pub fn watch_engine(scenario: &Scenario, rules: &Option<RuleSet>) -> Option<Watc
 }
 
 /// Stamp freshly fired alerts into the trace as `alert.fired` instants
-/// (value = rule index, hour = the violation's hour). With `audit` on,
-/// also bump the cumulative `audit.alerts` counter and a per-rule
-/// `audit.rule.<name>.fires` counter (rule names are operator-supplied;
-/// the serve status page label-escapes them on render).
-pub fn record_alerts(rec: &mut Recorder, alerts: &[(usize, Alert)], audit: bool) {
+/// (value = rule index, hour = the violation's hour). An auditing
+/// recorder also bumps the cumulative `audit.alerts` counter and a
+/// per-rule `audit.rule.<name>.fires` counter (rule names are
+/// operator-supplied; the serve status page label-escapes them on render).
+pub fn record_alerts(rec: &mut Recorder, alerts: &[(usize, Alert)]) {
     for (idx, a) in alerts {
         rec.instant(a.hour, "alert.fired", None, *idx as f64);
-        if audit {
+        if rec.audits() {
             rec.counter_add("audit.alerts", 1);
             rec.counter_add(intern(&format!("audit.rule.{}.fires", a.rule)), 1);
         }

@@ -132,7 +132,11 @@ fn audit_exports_are_pinned() {
 fn audit_block_forces_tracing_on() {
     let mut s = audited(7, true);
     s.trace.enabled = false;
-    assert!(s.trace_flags().enabled, "audit.enabled must imply tracing");
+    let rec = s.recorder();
+    assert!(
+        rec.enabled() && rec.audits(),
+        "audit.enabled must imply tracing"
+    );
     let out = ClosedLoopDriver::execute(&s);
     assert!(
         !out.trace.events.is_empty(),

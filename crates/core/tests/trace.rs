@@ -14,7 +14,7 @@
 
 use mercurial::closedloop::ClosedLoopDriver;
 use mercurial::fault::CoreUid;
-use mercurial::trace::{incident_timeline, EventKind, Recorder, Trace, TraceFlags};
+use mercurial::trace::{incident_timeline, EventKind, Recorder, Trace, TraceLevel};
 use mercurial::Scenario;
 
 fn traced_demo(seed: u64) -> Scenario {
@@ -133,7 +133,7 @@ fn timeline_renders_a_pure_false_positive_core() {
     // A healthy core that draws signals and a quarantine but has no
     // gt.onset anchor — the audit layer's FP shape. The timeline must
     // still tell its story in causal order, without inventing an onset.
-    let mut r = Recorder::with_flags(TraceFlags::enabled());
+    let mut r = Recorder::new(TraceLevel::Record);
     r.instant(40.0, "score.first_signal", Some(11), 0.0);
     r.instant(55.0, "score.recidivist", Some(11), 0.3);
     r.instant(60.0, "core.suspect", Some(11), 0.0);
@@ -159,7 +159,7 @@ fn timeline_renders_false_exoneration_then_reconfirmation() {
     // check found nothing), returns to the pool, keeps corrupting, and is
     // re-quarantined and confirmed later. Both passes must render, in
     // causal order, on one line.
-    let mut r = Recorder::with_flags(TraceFlags::enabled());
+    let mut r = Recorder::new(TraceLevel::Record);
     r.instant(10.0, "gt.onset", Some(5), 0.0);
     r.instant(30.0, "score.first_signal", Some(5), 0.0);
     r.instant(50.0, "core.suspect", Some(5), 0.0);

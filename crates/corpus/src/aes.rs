@@ -411,7 +411,6 @@ mod tests {
         // Two independent implementations must agree on random blocks —
         // this is itself an example of CEE-style cross-checking.
         use mercurial_fault::CounterRng;
-        use rand::RngCore;
         let mut rng = CounterRng::new(1234);
         for _ in 0..20 {
             let mut key = [0u8; 16];

@@ -214,8 +214,8 @@ pub fn sample_profile(seed: u64, draw_id: u64) -> CoreFaultProfile {
         "self-inverting-aes" => {
             // Randomize the round mask so distinct cores have distinct
             // signatures; keep it deterministic (always fires) as in §2.
-            let hi = rng.next_u64_raw();
-            let lo = rng.next_u64_raw();
+            let hi = rng.next_u64();
+            let lo = rng.next_u64();
             CoreFaultProfile::single(
                 "self-inverting-aes",
                 FunctionalUnit::CryptoUnit,
@@ -253,15 +253,6 @@ pub fn sample_profile(seed: u64, draw_id: u64) -> CoreFaultProfile {
         }
     }
     profile
-}
-
-impl CounterRng {
-    /// A raw `u64` draw advancing the counter (local helper used by the
-    /// sampler; kept out of the public surface of `rng`).
-    fn next_u64_raw(&mut self) -> u64 {
-        use rand::RngCore;
-        self.next_u64()
-    }
 }
 
 #[cfg(test)]

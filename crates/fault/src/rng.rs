@@ -9,7 +9,6 @@
 //! SplitMix64. Two runs that perform the same logical operation get the same
 //! draw no matter what happened in between.
 
-use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
 /// SplitMix64's finalizer: a high-quality 64-bit mixing function.
@@ -199,14 +198,12 @@ const UNIT_STEPS: f64 = (1u64 << 53) as f64;
 /// A counter-based pseudorandom generator.
 ///
 /// `CounterRng` is `Copy`-cheap to construct, has no heap state, and every
-/// output is a pure function of `(key, counter)`. It implements
-/// [`rand::RngCore`] so it can drive the `rand` distribution machinery.
+/// output is a pure function of `(key, counter)`.
 ///
 /// # Examples
 ///
 /// ```
 /// use mercurial_fault::CounterRng;
-/// use rand::RngCore;
 ///
 /// let mut a = CounterRng::from_parts(42, 7, 3, 0);
 /// let mut b = CounterRng::from_parts(42, 7, 3, 0);
@@ -272,9 +269,7 @@ impl CounterRng {
     #[inline]
     pub fn next_below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "next_below(0) is meaningless");
-        let raw = self.at(self.counter);
-        self.counter = self.counter.wrapping_add(1);
-        ((raw as u128 * n as u128) >> 64) as u64
+        ((self.next_u64() as u128 * n as u128) >> 64) as u64
     }
 
     /// An exponentially distributed draw with the given rate (mean `1/rate`).
@@ -290,36 +285,29 @@ impl CounterRng {
         -(1.0 - u).ln() / rate
     }
 
-    /// A standard normal draw (Box–Muller, consuming two counter values).
-    pub fn next_normal(&mut self) -> f64 {
-        let u1 = self.next_uniform();
-        let u2 = self.next_uniform();
-        let r = (-2.0 * (1.0 - u1).ln()).sqrt();
-        r * (std::f64::consts::TAU * u2).cos()
-    }
-}
-
-impl RngCore for CounterRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
+    /// A raw 64-bit draw, advancing the counter.
+    #[inline]
+    pub fn next_u64(&mut self) -> u64 {
         let v = self.at(self.counter);
         self.counter = self.counter.wrapping_add(1);
         v
     }
 
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
+    /// Fills `dest` with little-endian draws, one counter value per 8
+    /// bytes (the last draw truncated).
+    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
         for chunk in dest.chunks_mut(8) {
             let v = self.next_u64().to_le_bytes();
             chunk.copy_from_slice(&v[..chunk.len()]);
         }
     }
 
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
+    /// A standard normal draw (Box–Muller, consuming two counter values).
+    pub fn next_normal(&mut self) -> f64 {
+        let u1 = self.next_uniform();
+        let u2 = self.next_uniform();
+        let r = (-2.0 * (1.0 - u1).ln()).sqrt();
+        r * (std::f64::consts::TAU * u2).cos()
     }
 }
 

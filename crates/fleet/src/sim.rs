@@ -1246,7 +1246,7 @@ mod tests {
             let mut state = sim.begin();
             let mut log = SignalLog::new();
             let mut summary = SimSummary::default();
-            let mut rec = Recorder::with_flags(mercurial_trace::TraceFlags::enabled());
+            let mut rec = Recorder::new(mercurial_trace::TraceLevel::Record);
             while !state.is_done() {
                 sim.step_epochs(&mut state, granularity, &mut log, &mut summary, &mut rec);
             }

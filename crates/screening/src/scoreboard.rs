@@ -193,39 +193,30 @@ impl Scoreboard {
 
     /// Ingests a batch, then bumps the `score.signals_ingested` counter
     /// once for the whole batch.
+    ///
+    /// An auditing recorder also gets decision provenance: before each
+    /// signal is ingested, a `score.signal` instant whose value is the
+    /// dense [`kind_index`] of the signal kind. The audit ledger decodes
+    /// the index back into the canonical kind name, giving per-kind
+    /// precision/recall without widening the trace schema. Only the audit
+    /// layer pays for this firehose; a recording recorder keeps just the
+    /// first-signal/recidivist milestones.
     pub fn ingest_all<'a>(
         &mut self,
         signals: impl IntoIterator<Item = &'a Signal>,
         rec: &mut Recorder,
     ) {
+        let provenance = rec.audits();
         let mut n = 0u64;
         for s in signals {
-            self.ingest(s, rec);
-            n += 1;
-        }
-        rec.counter_add("score.signals_ingested", n);
-    }
-
-    /// [`Scoreboard::ingest_all`] with decision provenance: before
-    /// each signal is ingested, a `score.signal` instant is emitted whose
-    /// value is the dense [`kind_index`] of the signal kind. The audit
-    /// ledger decodes the index back into the canonical kind name, giving
-    /// per-signal-kind precision/recall without widening the trace schema.
-    /// Only the audit layer pays for this firehose; the plain traced path
-    /// keeps emitting just the first-signal/recidivist milestones.
-    pub fn ingest_all_provenance<'a>(
-        &mut self,
-        signals: impl IntoIterator<Item = &'a Signal>,
-        rec: &mut Recorder,
-    ) {
-        let mut n = 0u64;
-        for s in signals {
-            rec.instant(
-                s.hour,
-                "score.signal",
-                Some(s.core.as_u64()),
-                kind_index(s.kind) as f64,
-            );
+            if provenance {
+                rec.instant(
+                    s.hour,
+                    "score.signal",
+                    Some(s.core.as_u64()),
+                    kind_index(s.kind) as f64,
+                );
+            }
             self.ingest(s, rec);
             n += 1;
         }

@@ -1467,7 +1467,7 @@ mod tests {
         // recorder's screen.* counters equal the campaign totals. Machines
         // 20..24 host no mercurial core: that shard must still emit its
         // pass spans and counters.
-        use mercurial_trace::{EventKind, TraceFlags};
+        use mercurial_trace::{EventKind, TraceLevel};
         let mut cfg = FleetConfig::tiny(24, 39);
         cfg.rollout_months = 6;
         let topo = FleetTopology::build(cfg);
@@ -1525,7 +1525,7 @@ mod tests {
                 let case = format!("{screener} {shard:?}");
                 let (want_records, want_stats, want_log) =
                     run(screener, shard, &mut Recorder::disabled());
-                let mut rec = Recorder::with_flags(TraceFlags::enabled());
+                let mut rec = Recorder::new(TraceLevel::Record);
                 let (records, stats, log) = run(screener, shard, &mut rec);
                 assert_eq!(records, want_records, "{case}: records");
                 assert_eq!(stats, want_stats, "{case}: stats");

@@ -262,8 +262,8 @@ fn slab_scoreboard_matches_the_map_reference() {
             (b, r)
         })
         .collect();
-    let mut rec = Recorder::with_flags(mercurial_trace::TraceFlags::enabled());
-    let mut reference_rec = Recorder::with_flags(mercurial_trace::TraceFlags::enabled());
+    let mut rec = Recorder::new(mercurial_trace::TraceLevel::Record);
+    let mut reference_rec = Recorder::new(mercurial_trace::TraceLevel::Record);
     let quiet = &mut Recorder::disabled();
     for (i, s) in signals.iter().enumerate() {
         board.ingest(s, &mut rec);

@@ -131,22 +131,14 @@ pub enum Message {
     },
 }
 
-/// Serialize and frame one message. The caller flushes.
+/// Serialize and frame one message, with phase attribution
+/// (`serve.encode` / `serve.io`); returns the frame's wire size (header +
+/// payload) for throughput accounting. The caller flushes.
 ///
 /// # Errors
 ///
 /// Propagates the writer's I/O error.
-pub fn send(w: &mut impl Write, msg: &Message) -> io::Result<()> {
-    send_sized(w, msg, &Prof::disabled()).map(|_| ())
-}
-
-/// [`send`] with phase attribution (`serve.encode` / `serve.io`) and the
-/// frame's wire size (header + payload) for throughput accounting.
-///
-/// # Errors
-///
-/// Propagates the writer's I/O error.
-pub fn send_sized(w: &mut impl Write, msg: &Message, prof: &Prof) -> io::Result<u64> {
+pub fn send(w: &mut impl Write, msg: &Message, prof: &Prof) -> io::Result<u64> {
     let body = {
         let _p = prof.span("serve.encode");
         match msg {
@@ -161,24 +153,15 @@ pub fn send_sized(w: &mut impl Write, msg: &Message, prof: &Prof) -> io::Result<
     Ok(4 + body.len() as u64)
 }
 
-/// Read and decode one message; `Ok(None)` on clean EOF.
+/// Read and decode one message with phase attribution (`serve.io` /
+/// `serve.decode`), and the frame's wire size (header + payload) for
+/// throughput accounting; `Ok(None)` on clean EOF.
 ///
 /// # Errors
 ///
 /// Propagates the reader's I/O error; malformed payloads are
 /// `InvalidData`.
-pub fn recv(r: &mut impl Read) -> io::Result<Option<Message>> {
-    Ok(recv_sized(r, &Prof::disabled())?.map(|(msg, _)| msg))
-}
-
-/// [`recv`] with phase attribution (`serve.io` / `serve.decode`) and the
-/// frame's wire size (header + payload) for throughput accounting.
-///
-/// # Errors
-///
-/// Propagates the reader's I/O error; malformed payloads are
-/// `InvalidData`.
-pub fn recv_sized(r: &mut impl Read, prof: &Prof) -> io::Result<Option<(Message, u64)>> {
+pub fn recv(r: &mut impl Read, prof: &Prof) -> io::Result<Option<(Message, u64)>> {
     let payload = {
         let _p = prof.span("serve.io");
         match read_frame(r)? {
@@ -365,11 +348,13 @@ mod tests {
         ];
         let mut buf = Vec::new();
         for m in &msgs {
-            send(&mut buf, m).unwrap();
+            send(&mut buf, m, &Prof::disabled()).unwrap();
         }
         let mut r = buf.as_slice();
         for m in &msgs {
-            let back = recv(&mut r).unwrap().expect("frame present");
+            let (back, _) = recv(&mut r, &Prof::disabled())
+                .unwrap()
+                .expect("frame present");
             // Message lacks PartialEq (SignalLog payloads are big); compare
             // through the serialized form, which is what the wire carries.
             assert_eq!(
@@ -377,7 +362,7 @@ mod tests {
                 serde_json::to_string(m).unwrap()
             );
         }
-        assert!(recv(&mut r).unwrap().is_none());
+        assert!(recv(&mut r, &Prof::disabled()).unwrap().is_none());
     }
 
     #[test]
@@ -408,7 +393,7 @@ mod tests {
         }
         for (worker, epoch, log) in [(3, 431, log), (u32::MAX, u32::MAX, SignalLog::new())] {
             let mut buf = Vec::new();
-            let size = send_sized(
+            let size = send(
                 &mut buf,
                 &Message::Evidence {
                     worker,
@@ -420,11 +405,14 @@ mod tests {
             .unwrap();
             assert_eq!(size, 4 + 13 + 18 * log.len() as u64);
             assert_eq!(size, buf.len() as u64);
-            let Some(Message::Evidence {
-                worker: w,
-                epoch: e,
-                log: back,
-            }) = recv(&mut buf.as_slice()).unwrap()
+            let Some((
+                Message::Evidence {
+                    worker: w,
+                    epoch: e,
+                    log: back,
+                },
+                _,
+            )) = recv(&mut buf.as_slice(), &Prof::disabled()).unwrap()
             else {
                 panic!("an Evidence frame decodes to Evidence");
             };
@@ -472,12 +460,14 @@ mod tests {
             ("non-canonical uid", bad_uid),
         ];
         for (case, bytes) in cases {
-            let err = recv(&mut framed(&bytes).as_slice()).unwrap_err();
+            let err = recv(&mut framed(&bytes).as_slice(), &Prof::disabled()).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{case}: {err}");
         }
         // The well-formed versions of the same bodies decode.
         for bytes in [body(0, &[]), body(1, &[record(7, 1)])] {
-            assert!(recv(&mut framed(&bytes).as_slice()).unwrap().is_some());
+            assert!(recv(&mut framed(&bytes).as_slice(), &Prof::disabled())
+                .unwrap()
+                .is_some());
         }
     }
 }

@@ -33,7 +33,7 @@ use mercurial_trace::intern;
 use mercurial_watch::{Baseline, RuleSet};
 
 use crate::impair::{ImpairedChannel, LinkStats};
-use crate::proto::{proto_err, recv_sized, send_sized, Message, PROTO_VERSION};
+use crate::proto::{proto_err, recv, send, Message, PROTO_VERSION};
 use crate::worker::run_worker;
 
 /// Attachments for a served run.
@@ -138,7 +138,7 @@ pub fn run_server(
             reader: BufReader::new(stream.try_clone()?),
             writer: BufWriter::new(stream),
         };
-        match recv_sized(&mut link.reader, prof)? {
+        match recv(&mut link.reader, prof)? {
             Some((Message::Hello { proto }, n)) if proto == PROTO_VERSION => {
                 wire.frames_in += 1;
                 wire.bytes_in += n;
@@ -150,7 +150,7 @@ pub fn run_server(
             }
             _ => return Err(proto_err("expected Hello")),
         }
-        let n = send_sized(
+        let n = send(
             &mut link.writer,
             &Message::Config {
                 scenario: scenario_json.clone(),
@@ -202,7 +202,7 @@ fn serve_run(
         // non-owned core's command is a no-op, so every worker gets the
         // same frame.
         for link in links.iter_mut() {
-            let n = send_sized(&mut link.writer, &Message::Cmd { cmds: cmds.clone() }, prof)?;
+            let n = send(&mut link.writer, &Message::Cmd { cmds: cmds.clone() }, prof)?;
             wire.frames_out += 1;
             wire.bytes_out += n;
             link.writer.flush()?;
@@ -248,12 +248,12 @@ fn serve_run(
     // metric set equals the in-process run's), and phase profiles —
     // worker-index order, the same discipline as every other merge.
     for (w, link) in links.iter_mut().enumerate() {
-        let n = send_sized(&mut link.writer, &Message::Fin, prof)?;
+        let n = send(&mut link.writer, &Message::Fin, prof)?;
         wire.frames_out += 1;
         wire.bytes_out += n;
         link.writer.flush()?;
         loop {
-            let Some((msg, n)) = recv_sized(&mut link.reader, prof)? else {
+            let Some((msg, n)) = recv(&mut link.reader, prof)? else {
                 return Err(proto_err("expected Trace/Bye after Fin"));
             };
             wire.frames_in += 1;
@@ -310,7 +310,7 @@ fn recv_epoch_frames(
     wire: &mut WireStats,
 ) -> io::Result<(SignalLog, ShardEpochReport, String)> {
     let mut next = |wire: &mut WireStats| -> io::Result<Option<(Message, u64)>> {
-        let got = recv_sized(reader, prof)?;
+        let got = recv(reader, prof)?;
         if let Some((_, n)) = &got {
             wire.frames_in += 1;
             wire.bytes_in += n;

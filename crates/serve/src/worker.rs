@@ -24,9 +24,7 @@ use mercurial::{FleetExperiment, Scenario};
 use mercurial_prof::Prof;
 use mercurial_trace::{JsonlStreamSink, TraceSink};
 
-use crate::proto::{
-    proto_err, recv, send, send_sized, CounterEntry, GaugeEntry, Message, PROTO_VERSION,
-};
+use crate::proto::{proto_err, recv, send, CounterEntry, GaugeEntry, Message, PROTO_VERSION};
 
 /// Connect to a server and run the shard it assigns until the run ends.
 ///
@@ -49,20 +47,27 @@ pub fn run_worker(stream: TcpStream) -> io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
 
+    // The handshake, like the wait for each command below, is not shard
+    // work: it goes unprofiled.
+    let unprofiled = Prof::disabled();
     send(
         &mut writer,
         &Message::Hello {
             proto: PROTO_VERSION,
         },
+        &unprofiled,
     )?;
     writer.flush()?;
 
-    let Some(Message::Config {
-        scenario,
-        worker,
-        lo,
-        hi,
-    }) = recv(&mut reader)?
+    let Some((
+        Message::Config {
+            scenario,
+            worker,
+            lo,
+            hi,
+        },
+        _,
+    )) = recv(&mut reader, &unprofiled)?
     else {
         return Err(proto_err("expected Config after Hello"));
     };
@@ -106,8 +111,9 @@ fn serve_epochs(
     worker: u32,
     prof: &Prof,
 ) -> io::Result<()> {
+    let unprofiled = Prof::disabled();
     loop {
-        match recv(reader)? {
+        match recv(reader, &unprofiled)?.map(|(msg, _)| msg) {
             Some(Message::Cmd { cmds }) => {
                 let epoch = cmds.epoch;
                 // Wire data never reaches the shard's own epoch assert.
@@ -125,7 +131,7 @@ fn serve_epochs(
                 shard.apply_commands(&cmds);
                 let mut report = shard.step_epoch(rec, prof);
                 let evidence = std::mem::take(&mut report.evidence);
-                send_sized(
+                send(
                     writer,
                     &Message::Evidence {
                         worker,
@@ -134,7 +140,7 @@ fn serve_epochs(
                     },
                     prof,
                 )?;
-                send_sized(
+                send(
                     writer,
                     &Message::Report {
                         report: Box::new(report),
@@ -147,7 +153,7 @@ fn serve_epochs(
                 }
                 let jsonl = String::from_utf8(std::mem::take(sink.get_mut()))
                     .expect("JSONL sink writes UTF-8");
-                send_sized(writer, &Message::Trace { worker, jsonl }, prof)?;
+                send(writer, &Message::Trace { worker, jsonl }, prof)?;
                 writer.flush()?;
             }
             Some(Message::Fin) => {
@@ -157,10 +163,10 @@ fn serve_epochs(
                 sink.drain(rec).expect("Vec sink cannot fail");
                 let jsonl = String::from_utf8(std::mem::take(sink.get_mut()))
                     .expect("JSONL sink writes UTF-8");
-                send_sized(writer, &Message::Trace { worker, jsonl }, prof)?;
+                send(writer, &Message::Trace { worker, jsonl }, prof)?;
                 let (counters, gauges) = metric_entries(rec);
                 let profile = prof.snapshot().entries();
-                send_sized(
+                send(
                     writer,
                     &Message::Bye {
                         counters,
@@ -231,14 +237,17 @@ mod tests {
         let (stream, _) = listener.accept().unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut writer = BufWriter::new(stream);
-        assert!(matches!(recv(&mut reader), Ok(Some(Message::Hello { .. }))));
+        assert!(matches!(
+            recv(&mut reader, &Prof::disabled()),
+            Ok(Some((Message::Hello { .. }, _)))
+        ));
         let config = Message::Config {
             scenario: scenario.to_json(),
             worker: 0,
             lo,
             hi,
         };
-        send(&mut writer, &config).unwrap();
+        send(&mut writer, &config, &Prof::disabled()).unwrap();
         writer.flush().unwrap();
         (worker, reader, writer)
     }
@@ -285,24 +294,25 @@ mod tests {
             let case = format!("late {late}, epoch {epoch}");
             let (worker, mut reader, mut writer) = configured_worker(&scenario, 0, machines);
             if late {
-                send(&mut writer, &cmd(0)).unwrap();
+                send(&mut writer, &cmd(0), &Prof::disabled()).unwrap();
                 writer.flush().unwrap();
                 for _ in 0..3 {
-                    let frame = recv(&mut reader).unwrap();
+                    let frame = recv(&mut reader, &Prof::disabled()).unwrap();
                     assert!(
                         matches!(
                             frame,
-                            Some(
+                            Some((
                                 Message::Evidence { .. }
                                     | Message::Report { .. }
-                                    | Message::Trace { .. }
-                            )
+                                    | Message::Trace { .. },
+                                _
+                            ))
                         ),
                         "{case}: epoch 0 frames"
                     );
                 }
             }
-            send(&mut writer, &cmd(epoch)).unwrap();
+            send(&mut writer, &cmd(epoch), &Prof::disabled()).unwrap();
             writer.flush().unwrap();
             // Hang up, so a worker that accepted the command fails on EOF
             // (or a broken pipe) instead of waiting for the next one.

@@ -1,8 +1,9 @@
-//! Exporters: JSONL, Prometheus text exposition, Chrome trace-event JSON.
+//! Exporters: JSONL, Prometheus text exposition, Chrome trace-event JSON,
+//! and [`read_jsonl`], the reader of the JSONL export.
 //!
-//! All three are hand-rolled (this crate is zero-dependency) and
-//! deterministic: floats go through Rust's shortest-roundtrip `Display`,
-//! events are written in merge order, and metrics in `BTreeMap` order.
+//! The exporters are hand-rolled and deterministic: floats go through
+//! Rust's shortest-roundtrip `Display`, events are written in merge order,
+//! and metrics in `BTreeMap` order.
 //!
 //! [`push_json_str`], [`push_u64`], [`push_num`] and [`HourCache`] are the
 //! one JSON text writer of the workspace's JSONL exports (trace, decision
@@ -179,6 +180,136 @@ pub fn to_jsonl(trace: &Trace) -> String {
     out
 }
 
+/// One line of a trace JSONL export, read back by [`read_jsonl`]: the
+/// inverse of [`write_jsonl_event`] and [`write_jsonl_metrics`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum JsonlLine {
+    /// An event line.
+    Event(JsonlEvent),
+    /// A `metric` line: the metric's name and value.
+    Metric(String, JsonlMetric),
+}
+
+/// An event line: a [`TraceEvent`] with an owned name.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JsonlEvent {
+    /// `h`: the simulation hour.
+    pub hour: f64,
+    /// `k`: the event kind.
+    pub kind: EventKind,
+    /// `n`: the event name.
+    pub name: String,
+    /// `core`: the packed `CoreUid`, when the line has one.
+    pub core: Option<u64>,
+    /// `v`: the payload, 0 when the line omits it (a gauge never does).
+    pub value: f64,
+}
+
+/// A metric line's value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum JsonlMetric {
+    /// `{"metric":"counter",…,"v":<u64>}`.
+    Counter(u64),
+    /// `{"metric":"gauge",…,"v":<f64>}`.
+    Gauge(f64),
+    /// `{"metric":"histogram",…}`.
+    Histogram(HistogramLine),
+}
+
+/// What a histogram line carries: the count and sum, and the quantiles a
+/// histogram with finite samples exports.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct HistogramLine {
+    /// `count`: samples observed.
+    pub count: u64,
+    /// `sum`: sum of the finite samples.
+    pub sum: f64,
+    /// `min`.
+    pub min: Option<f64>,
+    /// `p50`.
+    pub p50: Option<f64>,
+    /// `p95`.
+    pub p95: Option<f64>,
+    /// `p99`.
+    pub p99: Option<f64>,
+    /// `max`.
+    pub max: Option<f64>,
+}
+
+/// Read a trace JSONL export (buffered or streamed: they are
+/// byte-identical) one line at a time, skipping blank lines. Every number
+/// the writer wrote reads back bit for bit, except that `-0` reads as 0
+/// and a non-finite value, which the writer writes as `0`, stays 0.
+///
+/// # Errors
+///
+/// An item is `Err("line N: …")`, N counted from 1, for a line that is
+/// not JSON, lacks a field its kind needs (`n`; `k` and `h` on an event,
+/// `v` on a gauge event; `v`, or `count` and `sum`, on a metric), holds a
+/// field of the wrong type, or names an unknown event or metric kind.
+pub fn read_jsonl(text: &str) -> impl Iterator<Item = Result<JsonlLine, String>> + '_ {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(ix, line)| read_line(line).map_err(|e| format!("line {}: {e}", ix + 1)))
+}
+
+fn read_line(line: &str) -> Result<JsonlLine, String> {
+    let v: serde::Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
+    let name = required(&v, "n")?;
+    if let Some(metric) = v.get("metric") {
+        let metric = match metric.as_str() {
+            Some("counter") => JsonlMetric::Counter(required(&v, "v")?),
+            Some("gauge") => JsonlMetric::Gauge(required(&v, "v")?),
+            Some("histogram") => JsonlMetric::Histogram(HistogramLine {
+                count: required(&v, "count")?,
+                sum: required(&v, "sum")?,
+                min: optional(&v, "min")?,
+                p50: optional(&v, "p50")?,
+                p95: optional(&v, "p95")?,
+                p99: optional(&v, "p99")?,
+                max: optional(&v, "max")?,
+            }),
+            Some(other) => return Err(format!("unknown metric kind `{other}`")),
+            None => return Err("bad \"metric\": not a string".to_string()),
+        };
+        return Ok(JsonlLine::Metric(name, metric));
+    }
+    let kind = match required::<String>(&v, "k")?.as_str() {
+        "B" => EventKind::Begin,
+        "E" => EventKind::End,
+        "I" => EventKind::Instant,
+        "G" => EventKind::Gauge,
+        other => return Err(format!("unknown event kind `{other}`")),
+    };
+    let hour = required(&v, "h")?;
+    let core = optional(&v, "core")?;
+    let value = match optional(&v, "v")? {
+        Some(value) => value,
+        None if kind == EventKind::Gauge => return Err("missing \"v\"".to_string()),
+        None => 0.0,
+    };
+    Ok(JsonlLine::Event(JsonlEvent {
+        hour,
+        kind,
+        name,
+        core,
+        value,
+    }))
+}
+
+/// Field `key` of a line, `None` when absent.
+fn optional<T: serde::Deserialize>(v: &serde::Value, key: &str) -> Result<Option<T>, String> {
+    v.get(key)
+        .map(|x| T::from_value(x).map_err(|e| format!("bad \"{key}\": {e}")))
+        .transpose()
+}
+
+/// Field `key` of a line, an error when absent.
+fn required<T: serde::Deserialize>(v: &serde::Value, key: &str) -> Result<T, String> {
+    optional(v, key)?.ok_or_else(|| format!("missing \"{key}\""))
+}
+
 /// Escape a string for use as a Prometheus label *value* per the text
 /// exposition format: backslash, double-quote, and line-feed must be
 /// escaped (`\\`, `\"`, `\n`); everything else passes through verbatim.
@@ -296,10 +427,10 @@ pub fn to_chrome_trace(trace: &Trace) -> String {
 
 #[cfg(test)]
 mod tests {
-    use crate::recorder::{Recorder, TraceFlags};
+    use crate::recorder::{Recorder, TraceLevel};
 
     fn sample_trace() -> crate::recorder::Trace {
-        let mut r = Recorder::with_flags(TraceFlags::enabled());
+        let mut r = Recorder::new(TraceLevel::Record);
         r.begin(0.0, "sim.epoch");
         r.instant(
             10.5,

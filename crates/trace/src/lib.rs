@@ -24,8 +24,9 @@
 //! and no allocation, so instrumented hot loops run at full speed when
 //! tracing is off.
 //!
-//! Zero-dependency by design: this crate sits below every other workspace
-//! crate and exporters hand-roll their formats.
+//! This crate sits below every other workspace crate: exporters
+//! hand-roll their formats, and [`export::read_jsonl`], the one reader of
+//! the JSONL export, parses through the in-tree `serde_json`.
 #![warn(missing_docs)]
 
 pub mod event;
@@ -38,6 +39,6 @@ pub mod timeline;
 pub use event::{EventKind, TraceEvent};
 pub use export::prom_label_escape;
 pub use metric::{intern, LogHistogram, MetricSet};
-pub use recorder::{Recorder, Trace, TraceFlags};
+pub use recorder::{Recorder, Trace, TraceLevel};
 pub use stream::{JsonlStreamSink, TraceSink};
 pub use timeline::{incident_timeline, stage_label};

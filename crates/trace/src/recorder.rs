@@ -7,29 +7,27 @@
 use crate::event::{EventKind, TraceEvent};
 use crate::metric::MetricSet;
 
-/// Which recording features a scenario turned on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TraceFlags {
-    /// Master switch. When false the recorder is inert.
-    pub enabled: bool,
-}
-
-impl TraceFlags {
-    /// Flags with everything off.
-    pub fn disabled() -> Self {
-        TraceFlags::default()
-    }
-
-    /// Flags with the master switch on.
-    pub fn enabled() -> Self {
-        TraceFlags { enabled: true }
-    }
+/// How much a recorder keeps. Each level includes the one before it, so
+/// an audited run always records: the decision ledger is derived from the
+/// trace, and auditing a run that recorded nothing would observe nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+pub enum TraceLevel {
+    /// Inert: every recording method is one branch.
+    #[default]
+    Off,
+    /// Events and metrics are buffered.
+    Record,
+    /// As [`TraceLevel::Record`], plus decision provenance: the
+    /// `audit.*` counters and one `score.signal` instant per signal the
+    /// scoreboard ingests.
+    Audit,
 }
 
 #[derive(Debug, Clone, Default)]
 struct Inner {
     events: Vec<TraceEvent>,
     metrics: MetricSet,
+    audit: bool,
 }
 
 /// Buffering telemetry sink threaded through the simulator's hot layers.
@@ -47,17 +45,28 @@ impl Recorder {
         Recorder { inner: None }
     }
 
-    /// Build a recorder from scenario flags; `enabled: false` yields the
-    /// same inert recorder as [`Recorder::disabled`].
-    pub fn with_flags(flags: TraceFlags) -> Self {
+    /// A recorder at `level`; [`TraceLevel::Off`] yields the same inert
+    /// recorder as [`Recorder::disabled`].
+    pub fn new(level: TraceLevel) -> Self {
         Recorder {
-            inner: flags.enabled.then(Box::default),
+            inner: (level != TraceLevel::Off).then(|| {
+                Box::new(Inner {
+                    audit: level == TraceLevel::Audit,
+                    ..Inner::default()
+                })
+            }),
         }
     }
 
     /// Whether this recorder keeps anything.
     pub fn enabled(&self) -> bool {
         self.inner.is_some()
+    }
+
+    /// Whether this recorder keeps decision provenance
+    /// ([`TraceLevel::Audit`]).
+    pub fn audits(&self) -> bool {
+        self.inner.as_deref().is_some_and(|i| i.audit)
     }
 
     /// Open a span at `hour`. Must be matched by [`Recorder::end`] with the
@@ -126,6 +135,13 @@ impl Recorder {
             return;
         };
         inner.metrics.counter_add(name, delta);
+    }
+
+    /// Bump an `audit.*` counter: a no-op unless this recorder audits.
+    pub fn audit_add(&mut self, name: &'static str, delta: u64) {
+        if let Some(inner) = self.inner.as_deref_mut().filter(|i| i.audit) {
+            inner.metrics.counter_add(name, delta);
+        }
     }
 
     /// Record a histogram sample (metric only).
@@ -222,14 +238,22 @@ mod tests {
     }
 
     #[test]
-    fn with_flags_disabled_is_inert() {
-        let r = Recorder::with_flags(TraceFlags::disabled());
-        assert!(!r.enabled());
+    fn levels_nest() {
+        let off = Recorder::new(TraceLevel::Off);
+        assert!(!off.enabled() && !off.audits());
+        let mut traced = Recorder::new(TraceLevel::Record);
+        assert!(traced.enabled() && !traced.audits());
+        traced.audit_add("audit.confirms", 1);
+        assert!(traced.finish().is_empty());
+        let mut audited = Recorder::new(TraceLevel::Audit);
+        assert!(audited.enabled() && audited.audits());
+        audited.audit_add("audit.confirms", 2);
+        assert_eq!(audited.finish().metrics.counter("audit.confirms"), 2);
     }
 
     #[test]
     fn enabled_recorder_buffers_in_order() {
-        let mut r = Recorder::with_flags(TraceFlags::enabled());
+        let mut r = Recorder::new(TraceLevel::Record);
         r.begin(0.0, "a");
         r.instant(1.0, "b", Some(42), 2.0);
         r.end(3.0, "a");
@@ -242,7 +266,7 @@ mod tests {
 
     #[test]
     fn take_events_drains_but_keeps_metrics() {
-        let mut r = Recorder::with_flags(TraceFlags::enabled());
+        let mut r = Recorder::new(TraceLevel::Record);
         r.begin(0.0, "a");
         r.counter_add("n", 3);
         r.end(1.0, "a");

@@ -109,7 +109,7 @@ impl<W: Write> TraceSink for JsonlStreamSink<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::TraceFlags;
+    use crate::recorder::TraceLevel;
 
     fn record_epoch(rec: &mut Recorder, h0: f64) {
         rec.begin(h0, "loop.epoch");
@@ -123,7 +123,7 @@ mod tests {
     #[test]
     fn streamed_bytes_match_buffered_export() {
         // Buffered reference.
-        let mut buffered = Recorder::with_flags(TraceFlags::enabled());
+        let mut buffered = Recorder::new(TraceLevel::Record);
         record_epoch(&mut buffered, 0.0);
         record_epoch(&mut buffered, 73.0);
         buffered.instant(146.25, "score.signal", Some(7), 3.0);
@@ -133,7 +133,7 @@ mod tests {
 
         // Streamed run, drained mid-way: the hours 73 and 146.25 straddle
         // a drain, so the sink's hour cache spans drains.
-        let mut rec = Recorder::with_flags(TraceFlags::enabled());
+        let mut rec = Recorder::new(TraceLevel::Record);
         let mut sink = JsonlStreamSink::new(Vec::new());
         record_epoch(&mut rec, 0.0);
         sink.drain(&mut rec).unwrap();
@@ -154,12 +154,12 @@ mod tests {
 
     #[test]
     fn aborted_stream_is_a_complete_line_prefix() {
-        let mut buffered = Recorder::with_flags(TraceFlags::enabled());
+        let mut buffered = Recorder::new(TraceLevel::Record);
         record_epoch(&mut buffered, 0.0);
         record_epoch(&mut buffered, 73.0);
         let full = buffered.finish().to_jsonl();
 
-        let mut rec = Recorder::with_flags(TraceFlags::enabled());
+        let mut rec = Recorder::new(TraceLevel::Record);
         let mut sink = JsonlStreamSink::new(Vec::new());
         record_epoch(&mut rec, 0.0);
         sink.drain(&mut rec).unwrap();

@@ -111,7 +111,7 @@ pub fn incident_timeline(trace: &Trace, label: &dyn Fn(u64) -> String) -> String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{Recorder, TraceFlags};
+    use crate::recorder::{Recorder, TraceLevel};
 
     #[test]
     fn empty_trace_renders_placeholder() {
@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn lifecycle_renders_in_order() {
-        let mut r = Recorder::with_flags(TraceFlags::enabled());
+        let mut r = Recorder::new(TraceLevel::Record);
         r.instant(10.0, "gt.onset", Some(7), 0.0);
         r.instant(50.0, "score.first_signal", Some(7), 0.0);
         r.instant(90.0, "core.suspect", Some(7), 0.0);
@@ -154,7 +154,7 @@ mod tests {
 
     #[test]
     fn truncates_past_cap() {
-        let mut r = Recorder::with_flags(TraceFlags::enabled());
+        let mut r = Recorder::new(TraceLevel::Record);
         for i in 0..(MAX_CORES as u64 + 10) {
             r.instant(i as f64, "gt.onset", Some(i), 0.0);
         }

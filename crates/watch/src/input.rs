@@ -15,8 +15,8 @@
 use std::collections::BTreeMap;
 
 use mercurial_metrics::{percentiles_of, EpochSeries};
-use mercurial_trace::MetricSet;
-use serde::Deserialize as _;
+use mercurial_trace::export::{read_jsonl, JsonlLine, JsonlMetric};
+use mercurial_trace::{EventKind, MetricSet};
 
 use crate::rule::Source;
 
@@ -142,16 +142,78 @@ impl WatchInput {
     }
 
     /// Reconstruct the snapshot from an exported JSONL trace (buffered or
-    /// streamed — they are byte-identical). One-shot wrapper over
-    /// [`StreamIngest`].
+    /// streamed — they are byte-identical): a fold over
+    /// [`read_jsonl`]'s lines.
     ///
     /// # Errors
     ///
     /// Reports the first malformed line (with its 1-based line number).
     pub fn from_jsonl(text: &str) -> Result<WatchInput, String> {
-        let mut ingest = StreamIngest::new();
-        ingest.ingest(text)?;
-        Ok(ingest.finish())
+        let mut input = WatchInput::default();
+        // Latest gauge values seen in the event stream, snapshotted into a
+        // row whenever the epoch-boundary marker gauge goes by.
+        let mut live_gauges: BTreeMap<String, f64> = BTreeMap::new();
+        for line in read_jsonl(text) {
+            match line? {
+                JsonlLine::Metric(name, JsonlMetric::Counter(v)) => {
+                    input.counters.insert(name, v as f64);
+                }
+                JsonlLine::Metric(name, JsonlMetric::Gauge(v)) => {
+                    input.gauges.insert(name, v);
+                }
+                JsonlLine::Metric(name, JsonlMetric::Histogram(h)) => {
+                    let summary = HistoSummary {
+                        count: h.count,
+                        sum: h.sum,
+                        p50: h.p50,
+                        p95: h.p95,
+                        p99: h.p99,
+                    };
+                    input.histograms.insert(name, summary);
+                }
+                // Of the events, only gauges matter for the replayed series.
+                JsonlLine::Event(e) if e.kind == EventKind::Gauge => {
+                    if e.name == "epoch.corrupt_ops" {
+                        input.close_epoch(&live_gauges, e.hour, e.value);
+                    }
+                    live_gauges.insert(e.name, e.value);
+                }
+                JsonlLine::Event(_) => {}
+            }
+        }
+        Ok(input)
+    }
+
+    /// Appends the epoch row the boundary marker `epoch.corrupt_ops`
+    /// (`hour`, `corrupt_ops`) closes. The driver emits that gauge last at
+    /// each epoch boundary, so the other columns are the latest values in
+    /// `gauges`. Open-loop runs never sample the capacity gauges (capacity
+    /// is flat at nominal), hence the 1.0 defaults.
+    ///
+    /// Per-class attribution gauges precede the boundary marker, so the
+    /// latest `class.<name>.corrupt_ops` values belong to this row;
+    /// classes first seen mid-run are backfilled with zeros to stay
+    /// aligned.
+    fn close_epoch(&mut self, gauges: &BTreeMap<String, f64>, hour: f64, corrupt_ops: f64) {
+        let row_ix = self.epochs.len();
+        for (k, v) in gauges {
+            if let Some(class) = k
+                .strip_prefix("class.")
+                .and_then(|rest| rest.strip_suffix(".corrupt_ops"))
+            {
+                let series = self.class_epochs.entry(class.to_string()).or_default();
+                series.resize(row_ix, 0.0);
+                series.push(*v);
+            }
+        }
+        let gauge = |name: &str, default: f64| gauges.get(name).copied().unwrap_or(default);
+        self.epochs.push(EpochRow {
+            hour,
+            capacity: gauge("capacity.availability", 1.0),
+            capacity_with_safetask: gauge("capacity.with_safetask", 1.0),
+            corrupt_ops,
+            active_mercurial: gauge("fleet.active_mercurial", 0.0),
+        });
     }
 
     /// Resolve a rule source to its scalar value, `None` when the metric
@@ -182,158 +244,6 @@ impl WatchInput {
     }
 }
 
-/// Incremental JSONL trace ingester — the streaming form of
-/// [`WatchInput::from_jsonl`].
-///
-/// Feed whole lines (in any chunking, as long as chunk boundaries fall on
-/// line boundaries — which frames of a streamed trace guarantee) and the
-/// accumulated [`WatchInput`] is identical to a one-shot parse of the
-/// concatenated text. This is what lets a live server evaluate rules as
-/// worker frames arrive instead of buffering a whole run first.
-#[derive(Debug, Clone, Default)]
-pub struct StreamIngest {
-    input: WatchInput,
-    /// Latest gauge values seen in the event stream, snapshotted into a
-    /// row whenever the epoch-boundary marker gauge goes by.
-    live_gauges: BTreeMap<String, f64>,
-    /// Lines consumed so far, for 1-based error positions across chunks.
-    lines: usize,
-}
-
-impl StreamIngest {
-    /// A fresh ingester with nothing consumed.
-    pub fn new() -> StreamIngest {
-        StreamIngest::default()
-    }
-
-    /// Consume a chunk of one or more whole JSONL lines.
-    ///
-    /// # Errors
-    ///
-    /// Reports the first malformed line, numbered from the start of the
-    /// whole stream (not the chunk).
-    pub fn ingest(&mut self, text: &str) -> Result<(), String> {
-        for line in text.lines() {
-            self.lines += 1;
-            self.ingest_line(line)?;
-        }
-        Ok(())
-    }
-
-    /// The snapshot accumulated so far — rules can be evaluated against
-    /// it mid-stream.
-    pub fn snapshot(&self) -> &WatchInput {
-        &self.input
-    }
-
-    /// Epoch rows completed so far.
-    pub fn epochs_seen(&self) -> usize {
-        self.input.epochs.len()
-    }
-
-    /// Finish the stream and take the accumulated input.
-    pub fn finish(self) -> WatchInput {
-        self.input
-    }
-
-    fn ingest_line(&mut self, line: &str) -> Result<(), String> {
-        let idx = self.lines;
-        if line.trim().is_empty() {
-            return Ok(());
-        }
-        let v: serde::Value = serde_json::from_str(line).map_err(|e| format!("line {idx}: {e}"))?;
-        let field = |key: &str| -> Option<f64> { v.get(key).and_then(|x| f64::from_value(x).ok()) };
-        let name = v
-            .get("n")
-            .and_then(|n| n.as_str())
-            .ok_or_else(|| format!("line {idx}: missing \"n\""))?
-            .to_string();
-        if let Some(metric) = v.get("metric").and_then(|m| m.as_str()) {
-            match metric {
-                "counter" | "gauge" => {
-                    let value = field("v").ok_or_else(|| format!("line {idx}: missing \"v\""))?;
-                    if metric == "counter" {
-                        self.input.counters.insert(name, value);
-                    } else {
-                        self.input.gauges.insert(name, value);
-                    }
-                }
-                "histogram" => {
-                    let count =
-                        field("count").ok_or_else(|| format!("line {idx}: missing \"count\""))?;
-                    self.input.histograms.insert(
-                        name,
-                        HistoSummary {
-                            count: count as u64,
-                            sum: field("sum").unwrap_or(0.0),
-                            p50: field("p50"),
-                            p95: field("p95"),
-                            p99: field("p99"),
-                        },
-                    );
-                }
-                other => return Err(format!("line {idx}: unknown metric kind `{other}`")),
-            }
-            return Ok(());
-        }
-        // Event line: only gauges matter for the replayed series.
-        if v.get("k").and_then(|k| k.as_str()) != Some("G") {
-            return Ok(());
-        }
-        let hour = field("h").ok_or_else(|| format!("line {idx}: missing \"h\""))?;
-        let value = field("v").ok_or_else(|| format!("line {idx}: missing \"v\""))?;
-        if name == "epoch.corrupt_ops" {
-            // The driver emits this gauge last at each epoch boundary:
-            // snapshot the other columns from the latest gauge values.
-            // Open-loop runs never sample the capacity gauges (capacity
-            // is flat at nominal), hence the 1.0 defaults.
-            //
-            // Per-class attribution gauges precede the boundary marker,
-            // so the latest `class.<name>.corrupt_ops` values belong to
-            // this row; classes first seen mid-run are backfilled with
-            // zeros to stay aligned.
-            let row_ix = self.input.epochs.len();
-            for (k, v) in &self.live_gauges {
-                if let Some(class) = k
-                    .strip_prefix("class.")
-                    .and_then(|rest| rest.strip_suffix(".corrupt_ops"))
-                {
-                    let series = self
-                        .input
-                        .class_epochs
-                        .entry(class.to_string())
-                        .or_default();
-                    while series.len() < row_ix {
-                        series.push(0.0);
-                    }
-                    series.push(*v);
-                }
-            }
-            self.input.epochs.push(EpochRow {
-                hour,
-                capacity: self
-                    .live_gauges
-                    .get("capacity.availability")
-                    .copied()
-                    .unwrap_or(1.0),
-                capacity_with_safetask: self
-                    .live_gauges
-                    .get("capacity.with_safetask")
-                    .copied()
-                    .unwrap_or(1.0),
-                corrupt_ops: value,
-                active_mercurial: self
-                    .live_gauges
-                    .get("fleet.active_mercurial")
-                    .copied()
-                    .unwrap_or(0.0),
-            });
-        }
-        self.live_gauges.insert(name, value);
-        Ok(())
-    }
-}
-
 fn fold_rows(
     rows: &[EpochRow],
     field: crate::rule::EpochField,
@@ -346,10 +256,10 @@ fn fold_rows(
 mod tests {
     use super::*;
     use crate::rule::EpochField;
-    use mercurial_trace::{Recorder, TraceFlags};
+    use mercurial_trace::{Recorder, TraceLevel};
 
     fn sample_run() -> (MetricSet, EpochSeries) {
-        let mut rec = Recorder::with_flags(TraceFlags::enabled());
+        let mut rec = Recorder::new(TraceLevel::Record);
         let mut series = EpochSeries::new(73.0);
         for epoch in 0..3u64 {
             let h1 = (epoch + 1) as f64 * 73.0;
@@ -371,7 +281,7 @@ mod tests {
 
     #[test]
     fn from_run_and_from_jsonl_agree() {
-        let mut rec = Recorder::with_flags(TraceFlags::enabled());
+        let mut rec = Recorder::new(TraceLevel::Record);
         let mut series = EpochSeries::new(73.0);
         for epoch in 0..3u64 {
             let h1 = (epoch + 1) as f64 * 73.0;
@@ -455,40 +365,9 @@ mod tests {
     }
 
     #[test]
-    fn chunked_stream_ingest_matches_one_shot_parse() {
-        let mut rec = Recorder::with_flags(TraceFlags::enabled());
-        for epoch in 0..4u64 {
-            let h1 = (epoch + 1) as f64 * 73.0;
-            rec.counter_add("sim.corruptions", epoch + 1);
-            rec.gauge(h1, "capacity.availability", 1.0 - 0.02 * epoch as f64);
-            rec.gauge(h1, "fleet.active_mercurial", 8.0 - epoch as f64);
-            rec.gauge(h1, "epoch.corrupt_ops", (3 * epoch) as f64);
-        }
-        let text = rec.finish().to_jsonl();
-        let whole = WatchInput::from_jsonl(&text).unwrap();
-
-        // Feed the same text line by line, checking mid-stream progress.
-        let mut ingest = StreamIngest::new();
-        for line in text.lines() {
-            ingest.ingest(line).unwrap();
-        }
-        assert_eq!(ingest.epochs_seen(), 4);
-        assert_eq!(ingest.snapshot(), &whole);
-        assert_eq!(ingest.finish(), whole);
-
-        // And in uneven multi-line chunks.
-        let lines: Vec<&str> = text.lines().collect();
-        let mut ingest = StreamIngest::new();
-        for chunk in lines.chunks(3) {
-            ingest.ingest(&chunk.join("\n")).unwrap();
-        }
-        assert_eq!(ingest.finish(), whole);
-    }
-
-    #[test]
     fn class_gauges_replay_into_class_epochs() {
         use mercurial_metrics::ClassPoint;
-        let mut rec = Recorder::with_flags(TraceFlags::enabled());
+        let mut rec = Recorder::new(TraceLevel::Record);
         let mut series = EpochSeries::new(73.0);
         series.set_class_names(vec!["db".into(), "web".into()]);
         for epoch in 0..3u64 {
@@ -518,18 +397,13 @@ mod tests {
     }
 
     #[test]
-    fn stream_ingest_errors_carry_global_line_numbers() {
-        let mut ingest = StreamIngest::new();
-        ingest.ingest("\n\n").unwrap();
-        let err = ingest.ingest("not json").unwrap_err();
-        assert!(err.contains("line 3"), "{err}");
-    }
-
-    #[test]
     fn malformed_jsonl_reports_line() {
         let err = WatchInput::from_jsonl("{\"h\":1}\n").unwrap_err();
         assert!(err.contains("line 1"), "{err}");
         let err = WatchInput::from_jsonl("not json").unwrap_err();
         assert!(err.contains("line 1"), "{err}");
+        // Blank lines count toward the line number.
+        let err = WatchInput::from_jsonl("\n\nnot json").unwrap_err();
+        assert!(err.contains("line 3"), "{err}");
     }
 }

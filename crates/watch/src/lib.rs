@@ -32,5 +32,5 @@ pub mod rule;
 
 pub use baseline::Baseline;
 pub use eval::{Alert, RuleOutcome, RuleStatus, WatchEngine, WatchReport};
-pub use input::{EpochRow, HistoSummary, StreamIngest, WatchInput};
+pub use input::{EpochRow, HistoSummary, WatchInput};
 pub use rule::{Cmp, EpochField, Rule, RuleKind, RuleScope, RuleSet, Source};

@@ -56,9 +56,14 @@ fn wait_for(child: &mut Child) -> Option<ExitStatus> {
 fn assert_rejected(case: &str, field: &str, mutate: impl Fn(&mut Scenario)) {
     let mut scenario = Scenario::demo(7);
     mutate(&mut scenario);
+    assert_rejected_json(case, field, &scenario.to_json());
+}
+
+/// [`assert_rejected`] on a scenario file's text.
+fn assert_rejected_json(case: &str, field: &str, json: &str) {
     let path =
         std::env::temp_dir().join(format!("mercurial-cli-{}-{case}.json", std::process::id()));
-    std::fs::write(&path, scenario.to_json()).expect("write scenario file");
+    std::fs::write(&path, json).expect("write scenario file");
     let path_arg = path.to_str().expect("temp paths are UTF-8");
     let (status, _, stderr) = run_cli(case, &["pipeline", "--scenario", path_arg]);
     std::fs::remove_file(&path).ok();
@@ -76,7 +81,7 @@ fn zero_machine_scenario_exits_nonzero_without_panicking() {
 #[test]
 fn bad_scenario_fields_exit_nonzero_without_panicking() {
     type Mutation = fn(&mut Scenario);
-    let cases: [(&str, &str, Mutation); 18] = [
+    let cases: [(&str, &str, Mutation); 23] = [
         ("epoch", "sim.epoch_hours", |s| s.sim.epoch_hours = 0.0),
         ("online-zero", "online_interval_hours", |s| {
             s.online_interval_hours = 0.0
@@ -135,10 +140,72 @@ fn bad_scenario_fields_exit_nonzero_without_panicking() {
         ("machine-check-negative", "sim.machine_check_share", |s| {
             s.sim.machine_check_share = -0.1
         }),
+        (
+            "closed-loop-triage-negative",
+            "closed_loop.triage_latency_hours",
+            |s| s.closed_loop.triage_latency_hours = -1.0,
+        ),
+        (
+            "closed-loop-restore-negative",
+            "closed_loop.restore_latency_hours",
+            |s| s.closed_loop.restore_latency_hours = -24.0,
+        ),
+        (
+            "tuning-triage-negative",
+            "tuning.triage_latency_hours",
+            |s| s.tuning.triage_latency_hours = -72.0,
+        ),
+        (
+            "tuning-restore-negative",
+            "tuning.restore_latency_hours",
+            |s| s.tuning.restore_latency_hours = -0.5,
+        ),
+        (
+            "tuning-drain-negative",
+            "tuning.offline_drain_hours_per_machine",
+            |s| s.tuning.offline_drain_hours_per_machine = -0.5,
+        ),
     ];
     for (case, field, mutate) in cases {
         assert_rejected(case, field, mutate);
     }
+    // An infinite latency spelled as the JSON number `1e999`: it parses
+    // to infinity, which used to panic deep in the loop's event queue.
+    let mut scenario = Scenario::demo(7);
+    scenario.closed_loop.triage_latency_hours = 12_345.5;
+    let json = scenario.to_json().replace("12345.5", "1e999");
+    assert!(json.contains("\"triage_latency_hours\": 1e999"));
+    assert_rejected_json(
+        "closed-loop-triage-1e999",
+        "closed_loop.triage_latency_hours",
+        &json,
+    );
+}
+
+#[test]
+fn watch_and_audit_replays_reject_a_malformed_trace_alike() {
+    let path = std::env::temp_dir().join(format!(
+        "mercurial-cli-{}-malformed-trace.jsonl",
+        std::process::id()
+    ));
+    let trace = "{\"h\":73,\"k\":\"G\",\"n\":\"epoch.corrupt_ops\",\"v\":0}\n\
+                 {\"metric\":\"summary\",\"n\":\"x\",\"v\":1}\n";
+    std::fs::write(&path, trace).expect("write trace file");
+    let path_arg = path.to_str().expect("temp paths are UTF-8");
+    let mut messages = Vec::new();
+    for command in ["watch", "audit"] {
+        let (status, _, stderr) = run_cli(command, &[command, "--trace", path_arg]);
+        let status = status.unwrap_or_else(|| panic!("{command}: no exit within {DEADLINE:?}"));
+        assert_eq!(status.code(), Some(1), "{command}: stderr: {stderr}");
+        let message = stderr
+            .lines()
+            .find(|l| l.contains("line 2: unknown metric kind `summary`"))
+            .unwrap_or_else(|| panic!("{command}: stderr: {stderr}"))
+            .to_string();
+        messages.push(message);
+    }
+    std::fs::remove_file(&path).ok();
+    assert_eq!(messages[0], messages[1]);
 }
 
 /// Runs the CLI with `args` and asserts it exits 2 within [`DEADLINE`],

@@ -10,15 +10,16 @@
 //! scoreboard watchlist, `EventQueue` timers), so per-epoch work scales
 //! with *defective* state. What fleet-sized work is left runs in memory
 //! order with no per-machine search: burn-in walks the topology's deploy
-//! arrays once per run, an offline sweep walks its rotation segments
-//! beside the sorted hot list, and the capacity ledger registers the
-//! fleet as a sequential fill of a dense table. This experiment prices
-//! the claim: 1M machines
+//! arrays once per run, and an offline sweep walks its rotation segments
+//! beside the sorted hot list; the capacity ledger keeps no per-machine
+//! table at all. This experiment prices the claim: 1M machines
 //! × 36 months against the acceptance budget — the time the 20k-machine
 //! paper scenario took before any of this (the E17 watch baseline of
 //! commit 0b64ce4). It also
 //! splits the one-time build into its two draws: the topology (one
-//! stream per machine) and the population (one coin per core).
+//! stream per machine) and the population (one coin per core). Full
+//! mode ends with one 10M × 36-month closed loop, reported (build,
+//! loop, peak RSS) but not gated.
 //!
 //! ```text
 //! cargo run --release -p mercurial-bench --bin e18_study [-- --smoke]
@@ -58,11 +59,12 @@ fn closed_loop_scenario(base: &Scenario) -> Scenario {
     s
 }
 
-/// The fleet-study scenario: the paper config at 1,000,000 machines.
-fn fleet_study_scenario(base: &Scenario) -> Scenario {
+/// A fleet-study scenario: the paper config at `machines` machines,
+/// named `fleet-study-{label}`.
+fn fleet_study_scenario(base: &Scenario, machines: u32, label: &str) -> Scenario {
     let mut s = closed_loop_scenario(base);
-    s.name = "fleet-study-1m".into();
-    s.fleet.machines = 1_000_000;
+    s.name = format!("fleet-study-{label}");
+    s.fleet.machines = machines;
     s
 }
 
@@ -129,7 +131,7 @@ fn run_smoke() {
         out_20k.pipeline.detections.len()
     );
 
-    let study = fleet_study_scenario(&paper);
+    let study = fleet_study_scenario(&paper, 1_000_000, "1m");
     let (experiment, build_secs) =
         timed(&prof, "study.build_1m", || FleetExperiment::build(&study));
     let (out_1m, secs_1m) = timed(&prof, "study.closed_loop_1m", || {
@@ -182,7 +184,7 @@ fn run_full() {
     // The fleet-study arm: 1M machines × 36 months, once. The build is
     // timed in its parts: the topology, the population's coin per core
     // over it, then the simulator around both (the workload draw).
-    let study = fleet_study_scenario(&paper);
+    let study = fleet_study_scenario(&paper, 1_000_000, "1m");
     let build_span = prof.span("study.build_1m");
     let (topo, topology_1m) = timed(&prof, "build.topology", || {
         FleetTopology::build(study.fleet.clone())
@@ -229,9 +231,30 @@ fn run_full() {
         closed_1m <= BEFORE_20K_SECS,
         "acceptance: 1M x 36mo took {closed_1m:.2} s, budget {BEFORE_20K_SECS:.2} s"
     );
+    drop((out_1m, experiment));
+
+    // The 10M stretch, last, so the process's high-water mark is its
+    // own: the fleet scale of "Silent Data Corruptions at Scale"
+    // (Dixit et al.). A reading, not a gate.
+    let study_10m = fleet_study_scenario(&paper, 10_000_000, "10m");
+    let (experiment_10m, build_10m) = timed(&prof, "study.build_10m", || {
+        FleetExperiment::build(&study_10m)
+    });
+    let (out_10m, closed_10m) = timed(&prof, "study.closed_loop_10m", || {
+        ClosedLoopDriver::execute_on(&study_10m, &experiment_10m)
+    });
+    let peak_rss_10m_mib = mercurial_prof::peak_rss_bytes().map_or("null".to_string(), |b| {
+        format!("{:.1}", b as f64 / (1024.0 * 1024.0))
+    });
+    println!("fleet study 10M x {} months:", study_10m.sim.months);
+    println!("  build:       {build_10m:>8.3} s");
+    println!(
+        "  closed loop: {closed_10m:>8.3} s   ({} detections, peak RSS {peak_rss_10m_mib} MiB)",
+        out_10m.pipeline.detections.len()
+    );
 
     let body = format!(
-        "\"scenario\": \"{}\",\n  \"machines\": {},\n  \"months\": {},\n  \"before_20k_secs\": {BEFORE_20K_SECS},\n  \"rounds_20k\": {ROUNDS_20K},\n  \"closed_loop_20k_secs\": {secs_20k:.4},\n  \"study_machines\": {},\n  \"build_1m_secs\": {build_1m:.4},\n  \"build_topology_1m_secs\": {topology_1m:.4},\n  \"build_population_1m_secs\": {population_1m:.4},\n  \"topology_bytes_per_machine\": {topology_bytes_per_machine:.2},\n  \"cores_drawn_1m\": {cores_drawn},\n  \"ns_per_core_draw\": {ns_per_core_draw:.2},\n  \"coin_kernel\": \"{coin_kernel}\",\n  \"sim_1m_secs\": {sim_1m:.4},\n  \"closed_loop_1m_secs\": {closed_1m:.4},\n  \"mercurial_cores_1m\": {mercurial_cores},\n  \"core_visits_1m\": {visits},\n  \"epochs\": {epochs}",
+        "\"scenario\": \"{}\",\n  \"machines\": {},\n  \"months\": {},\n  \"before_20k_secs\": {BEFORE_20K_SECS},\n  \"rounds_20k\": {ROUNDS_20K},\n  \"closed_loop_20k_secs\": {secs_20k:.4},\n  \"study_machines\": {},\n  \"build_1m_secs\": {build_1m:.4},\n  \"build_topology_1m_secs\": {topology_1m:.4},\n  \"build_population_1m_secs\": {population_1m:.4},\n  \"topology_bytes_per_machine\": {topology_bytes_per_machine:.2},\n  \"cores_drawn_1m\": {cores_drawn},\n  \"ns_per_core_draw\": {ns_per_core_draw:.2},\n  \"coin_kernel\": \"{coin_kernel}\",\n  \"sim_1m_secs\": {sim_1m:.4},\n  \"closed_loop_1m_secs\": {closed_1m:.4},\n  \"mercurial_cores_1m\": {mercurial_cores},\n  \"core_visits_1m\": {visits},\n  \"epochs\": {epochs},\n  \"build_10m_secs\": {build_10m:.4},\n  \"closed_loop_10m_secs\": {closed_10m:.4},\n  \"peak_rss_10m_mib\": {peak_rss_10m_mib}",
         paper.name, paper.fleet.machines, paper.sim.months, study.fleet.machines,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_study.json");

@@ -253,11 +253,12 @@ impl PipelineRun {
         detections.sort_by(|a, b| a.hour.partial_cmp(&b.hour).expect("hours are finite"));
 
         // 6. Capacity accounting: confirmed cores leave the pool.
-        let mut ledger = topology_ledger(topo);
+        let mut ledger = CapacityLedger::new(topo.total_cores());
         //    The batch trace stops at the registry: capacity moves untraced.
         for core in registry.in_state(mercurial_isolation::CoreState::Confirmed) {
             let hour = registry.history(core).last().map_or(0.0, |t| t.hour);
-            ledger.remove_core(core, hour, &mut Recorder::disabled());
+            let nominal = topo.cores_on(core.machine);
+            ledger.remove_core(core, nominal, hour, &mut Recorder::disabled());
         }
 
         // 7. Scoring against ground truth.
@@ -279,16 +280,6 @@ impl PipelineRun {
             detection_latency_hours,
         }
     }
-}
-
-/// A capacity ledger with every machine of `topo` registered at its
-/// nominal core count.
-pub(crate) fn topology_ledger(topo: &FleetTopology) -> CapacityLedger {
-    let mut ledger = CapacityLedger::with_capacity(topo.machine_count() as usize);
-    for m in 0..topo.machine_count() {
-        ledger.register_machine(m, topo.cores_on(m));
-    }
-    ledger
 }
 
 /// Scores `detections` against ground truth: the number of distinct

@@ -628,10 +628,13 @@ impl Scenario {
     /// weightless product catalog (the topology draws machines by
     /// weight), a catalog of more than 256 products (the topology keeps
     /// a machine's product index in one byte), a
+    /// negative or non-finite product weight, a run of zero months, a
     /// non-positive or non-finite epoch or screening interval (the epoch
-    /// count would be unbounded; a campaign would never advance), and a
+    /// count would be unbounded; a campaign would never advance), a
     /// negative or non-finite triage or restore latency (added to an
-    /// hour the loop schedules) or offline drain (machine-hours booked).
+    /// hour the loop schedules) or offline drain (machine-hours booked),
+    /// and a rate, share, fraction, threshold or amplitude outside
+    /// [0, 1].
     fn validate(&self) -> Result<(), String> {
         if self.fleet.machines == 0 {
             return Err("fleet.machines must be at least 1, got 0".to_string());
@@ -652,13 +655,13 @@ impl Scenario {
                 self.fleet.products.len()
             ));
         }
-        let weight: f64 = self.fleet.products.iter().map(|p| p.fleet_weight).sum();
-        if !(weight.is_finite() && weight > 0.0) {
-            return Err(format!(
-                "fleet.products weights must sum to a positive finite number, got {weight}"
-            ));
-        }
         for (i, p) in self.fleet.products.iter().enumerate() {
+            let w = p.fleet_weight;
+            if !(w.is_finite() && w >= 0.0) {
+                return Err(format!(
+                    "fleet.products[{i}].fleet_weight must be non-negative and finite, got {w}"
+                ));
+            }
             if p.cores_per_socket == 0 {
                 return Err(format!(
                     "fleet.products[{i}].cores_per_socket must be at least 1, got 0"
@@ -675,6 +678,15 @@ impl Scenario {
                     "fleet.products[{i}].mercurial_rate_per_core must be in [0, 1], got {rate}"
                 ));
             }
+        }
+        let weight: f64 = self.fleet.products.iter().map(|p| p.fleet_weight).sum();
+        if !(weight.is_finite() && weight > 0.0) {
+            return Err(format!(
+                "fleet.products weights must sum to a positive finite number, got {weight}"
+            ));
+        }
+        if self.sim.months == 0 {
+            return Err("sim.months must be at least 1, got 0".to_string());
         }
         for (field, h) in [
             ("sim.epoch_hours", self.sim.epoch_hours),
@@ -714,13 +726,27 @@ impl Scenario {
                 return Err(format!("{field} must be non-negative and finite, got {h}"));
             }
         }
-        // Per-machine-hour noise rates and a probability: each lies in
-        // [0, 1] (and so is finite). A huge rate would make the noise
-        // layer's Poisson draw saturate and loop for ever.
+        // Per-machine-hour noise rates, probabilities, fractions and a
+        // suspicion level: each lies in [0, 1] (and so is finite). A huge
+        // rate would make the noise layer's Poisson draw saturate and
+        // loop for ever; a fraction outside [0, 1] screens a negative or
+        // more-than-whole share; a threshold above 1 is never reached
+        // (suspicion stays below 1); an amplitude above 1 swings the
+        // traffic intensity `1 + amplitude · sin` below zero.
         for (field, p) in [
             ("sim.noise_crash_rate", self.sim.noise_crash_rate),
             ("sim.noise_report_rate", self.sim.noise_report_rate),
             ("sim.machine_check_share", self.sim.machine_check_share),
+            (
+                "tuning.online_ops_fraction",
+                self.tuning.online_ops_fraction,
+            ),
+            ("offline_fraction", self.offline_fraction),
+            ("suspicion_threshold", self.suspicion_threshold),
+            (
+                "workloads.traffic_amplitude",
+                self.workloads.traffic_amplitude,
+            ),
         ] {
             if !(0.0..=1.0).contains(&p) {
                 return Err(format!("{field} must be in [0, 1], got {p}"));
@@ -890,17 +916,42 @@ mod tests {
     }
 
     #[test]
-    fn bad_noise_rates_and_machine_check_share_are_rejected_naming_the_field() {
+    fn bad_product_weight_and_zero_months_are_rejected_naming_the_field() {
+        // A negative weight is rejected even while the sum stays positive.
+        for bad in [-0.2, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = rejection(|s| s.fleet.products[1].fleet_weight = bad);
+            assert!(
+                err.contains("fleet.products[1].fleet_weight"),
+                "{bad}: {err}"
+            );
+        }
+        let mut s = Scenario::small(7);
+        s.fleet.products[1].fleet_weight = 0.0;
+        assert_eq!(s.validate(), Ok(()), "a zero weight leaves a product out");
+        let err = rejection(|s| s.sim.months = 0);
+        assert!(err.contains("sim.months"), "{err}");
+    }
+
+    #[test]
+    fn fields_outside_the_unit_interval_are_rejected_naming_the_field() {
         type Field = fn(&mut Scenario) -> &mut f64;
-        let fields: [(&str, Field); 3] = [
+        let fields: [(&str, Field); 7] = [
             ("sim.noise_crash_rate", |s| &mut s.sim.noise_crash_rate),
             ("sim.noise_report_rate", |s| &mut s.sim.noise_report_rate),
             ("sim.machine_check_share", |s| {
                 &mut s.sim.machine_check_share
             }),
+            ("tuning.online_ops_fraction", |s| {
+                &mut s.tuning.online_ops_fraction
+            }),
+            ("offline_fraction", |s| &mut s.offline_fraction),
+            ("suspicion_threshold", |s| &mut s.suspicion_threshold),
+            ("workloads.traffic_amplitude", |s| {
+                &mut s.workloads.traffic_amplitude
+            }),
         ];
         for (name, field) in fields {
-            for bad in [-1e-6, 1.5, 1e300, f64::NAN, f64::INFINITY] {
+            for bad in [-1.0, -1e-6, 1.5, 1e300, f64::NAN, f64::INFINITY] {
                 let err = rejection(|s| *field(s) = bad);
                 assert!(err.contains(name), "{name} = {bad}: {err}");
             }
@@ -910,6 +961,12 @@ mod tests {
                 assert_eq!(s.validate(), Ok(()), "{name} = {ok}");
             }
         }
+        // A scenario file can spell an infinite threshold as `1e999`.
+        let mut s = Scenario::small(7);
+        s.suspicion_threshold = 0.123_25;
+        let json = s.to_json().replace("0.12325", "1e999");
+        let err = Scenario::from_json(&json).unwrap_err();
+        assert!(err.contains("suspicion_threshold"), "{err}");
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //! routing.
 
 use crate::experiment::FleetExperiment;
-use crate::pipeline::{score_detections, topology_ledger, PipelineOutcome};
+use crate::pipeline::{score_detections, PipelineOutcome};
 use crate::scenario::{Scenario, WorkloadsConfig};
 use mercurial_fault::{CoreUid, FastMap, FastSet, FunctionalUnit};
 use mercurial_fleet::sim::{ClassTally, SimState, SimSummary};
@@ -468,7 +468,7 @@ impl<'a> FleetAggregator<'a> {
         engine: Option<WatchEngine>,
     ) -> Self {
         let topo = experiment.topology();
-        let ledger = topology_ledger(topo);
+        let ledger = CapacityLedger::new(topo.total_cores());
         let mut scoreboard = Scoreboard::new();
         scoreboard.arm(scenario.suspicion_threshold);
         let sim = experiment.sim();
@@ -652,7 +652,8 @@ impl<'a> FleetAggregator<'a> {
                         .confirm(d.core, d.hour, "screen reproduced defect", rec)
                 })
                 .expect("in-service core walks the legal path");
-            self.ledger.remove_core(d.core, d.hour, rec);
+            self.ledger
+                .remove_core(d.core, self.topo.cores_on(d.core.machine), d.hour, rec);
             rec.audit_add("audit.quarantines", 1);
             rec.audit_add("audit.confirms", 1);
             self.recovered_cores +=
@@ -721,7 +722,8 @@ impl<'a> FleetAggregator<'a> {
                         .quarantine(core, hour, "suspicion threshold", rec)
                 })
                 .expect("in-service core walks the legal path");
-            self.ledger.remove_core(core, hour, rec);
+            self.ledger
+                .remove_core(core, self.topo.cores_on(core.machine), hour, rec);
             rec.audit_add("audit.quarantines", 1);
             self.out_of_service.insert(core);
             self.handled.insert(core);

@@ -6,7 +6,10 @@
 //! topology's widest column, the deploy hours at 8 bytes a machine. The
 //! shard's own per-machine state (deployed-machine and hot-machine
 //! bitmaps, a bit a machine; the burn-in campaign walks the topology's
-//! deploy order in place) stays far below it.
+//! deploy order in place) stays far below it. The aggregator, the
+//! central half, keeps no per-machine table at all: no allocation in
+//! `FleetAggregator::new` reaches one byte a machine (the capacity
+//! ledger reads a machine's core count from the topology).
 //!
 //! Counting is gated on a thread-local flag so only the measuring
 //! thread's allocations register: the test harness spawns threads and
@@ -16,7 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mercurial::{FleetExperiment, FleetShard, Scenario};
+use mercurial::{FleetAggregator, FleetExperiment, FleetShard, Scenario};
 
 struct LargestAlloc;
 
@@ -73,5 +76,20 @@ fn shard_new_borrows_the_simulator_instead_of_copying_the_fleet() {
     assert!(
         largest < table,
         "FleetShard::new made a {largest}-byte allocation; the deploy-hour column is {table} bytes"
+    );
+}
+
+#[test]
+fn aggregator_new_keeps_no_per_machine_table() {
+    let mut scenario = Scenario::small(5);
+    scenario.fleet.machines = 100_000;
+    let experiment = FleetExperiment::build(&scenario);
+    let machines = scenario.fleet.machines as usize;
+    let (aggregator, largest) =
+        largest_allocation_during(|| FleetAggregator::new(&scenario, &experiment, None));
+    drop(aggregator);
+    assert!(
+        largest < machines,
+        "FleetAggregator::new made a {largest}-byte allocation for {machines} machines"
     );
 }

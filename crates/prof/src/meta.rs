@@ -36,6 +36,11 @@ pub struct BenchMeta {
     pub schema: String,
     pub experiment: String,
     pub git_commit: String,
+    /// Whether tracked files differed from `git_commit` when the numbers
+    /// were taken (`None` where git could not say). Envelopes written
+    /// before the field existed parse as `None`.
+    #[serde(default)]
+    pub git_dirty: Option<bool>,
     pub host: HostInfo,
     pub timestamp: String,
     pub reps: u64,
@@ -50,6 +55,7 @@ impl BenchMeta {
             schema: BENCH_META_SCHEMA.to_string(),
             experiment: experiment.to_string(),
             git_commit: git_commit().unwrap_or_else(|| "unknown".to_string()),
+            git_dirty: git_dirty(),
             host: HostInfo {
                 os: std::env::consts::OS.to_string(),
                 arch: std::env::consts::ARCH.to_string(),
@@ -137,6 +143,17 @@ fn git_commit() -> Option<String> {
         })
 }
 
+/// Whether a tracked file differs from `HEAD`, from `git status
+/// --porcelain --untracked-files=no` (any output line is a change).
+fn git_dirty() -> Option<bool> {
+    let out = std::process::Command::new("git")
+        .args(["status", "--porcelain", "--untracked-files=no"])
+        .stderr(std::process::Stdio::null())
+        .output()
+        .ok()?;
+    out.status.success().then_some(!out.stdout.is_empty())
+}
+
 fn hostname() -> Option<String> {
     std::fs::read_to_string("/proc/sys/kernel/hostname")
         .ok()
@@ -207,10 +224,26 @@ mod tests {
     }
 
     #[test]
+    fn validator_accepts_envelopes_without_the_dirty_stamp() {
+        let meta = BenchMeta::capture("x", 1, &Prof::disabled().finish());
+        let json = meta.envelope("\"a\": 1");
+        let old = json
+            .lines()
+            .filter(|l| !l.contains("\"git_dirty\""))
+            .collect::<Vec<_>>()
+            .join("\n");
+        assert_ne!(old, json.trim_end(), "the stamp was written");
+        let parsed = BenchMeta::from_bench_json(&old).expect("an older envelope");
+        assert_eq!(parsed.git_dirty, None);
+        assert_eq!(parsed.git_commit, meta.git_commit);
+    }
+
+    #[test]
     fn capture_stamps_commit_host_and_time() {
         let meta = BenchMeta::capture("e0", 1, &Prof::disabled().finish());
         // Inside this repo the commit must resolve to a 40-hex sha.
         assert_eq!(meta.git_commit.len(), 40, "commit: {}", meta.git_commit);
+        assert!(meta.git_dirty.is_some(), "git answers inside the repo");
         assert!(meta.git_commit.chars().all(|c| c.is_ascii_hexdigit()));
         assert!(meta.timestamp.ends_with('Z') && meta.timestamp.len() == 20);
         assert!(meta.host.cpus > 0);

@@ -34,7 +34,20 @@ fn kind_index(kind: SignalKind) -> usize {
     }
 }
 
-/// Evidence accumulated against one core.
+/// How much one signal of each kind moves the evidence, by
+/// [`kind_index`].
+const KIND_WEIGHTS: [f64; SIGNAL_KINDS] = [
+    1.5, // AppChecksumMismatch
+    0.4, // ProcessCrash: crashes are mostly software
+    0.7, // KernelCrash
+    2.0, // MachineCheckEvent
+    1.0, // SanitizerHit
+    2.0, // ReplicaDivergence: two replicas disagreeing is strong
+    1.0, // UserReport
+    4.0, // ScreenerFailure: a controlled test failed, near-proof
+];
+
+/// Evidence against one core.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CoreScore {
     /// The core.
@@ -56,6 +69,21 @@ pub struct CoreScore {
 }
 
 impl CoreScore {
+    /// The score after one signal of kind `kind` (a [`kind_index`]) at
+    /// `hour`: what any core's first signal leaves. The evidence is
+    /// `0.0 + weight`, which is `weight` exactly for a positive weight.
+    fn first(core: CoreUid, kind: usize, hour: f64) -> CoreScore {
+        let mut counts = [0; SIGNAL_KINDS];
+        counts[kind] = 1;
+        CoreScore {
+            core,
+            counts,
+            first_hour: hour,
+            last_hour: hour,
+            evidence: KIND_WEIGHTS[kind],
+        }
+    }
+
     /// Signals of one kind attributed to this core.
     pub fn count_of(&self, kind: SignalKind) -> u64 {
         u64::from(self.counts[kind_index(kind)])
@@ -94,33 +122,31 @@ const BLOCK_ROWS: usize = 1024;
 // One row is 64 bytes: the per-core footprint the block size assumes.
 const _: () = assert!(std::mem::size_of::<CoreScore>() == 64);
 
-/// How much one signal of each kind moves the evidence.
-fn kind_weight(kind: SignalKind) -> f64 {
-    match kind {
-        SignalKind::ScreenerFailure => 4.0, // a controlled test failed: near-proof
-        SignalKind::MachineCheckEvent => 2.0,
-        SignalKind::AppChecksumMismatch => 1.5,
-        SignalKind::ReplicaDivergence => 2.0, // two replicas disagreeing is strong
+/// Tag bit of an index value that names a first-sighting slot rather
+/// than a row.
+const SINGLETON: u32 = 1 << 31;
 
-        SignalKind::SanitizerHit => 1.0,
-        SignalKind::UserReport => 1.0,
-        SignalKind::KernelCrash => 0.7,
-        SignalKind::ProcessCrash => 0.4, // crashes are mostly software
-    }
-}
-
-/// The fleet-wide per-core scoreboard.
+/// The fleet-wide per-core scoreboard, in two tiers.
 ///
-/// Scores live in a slab of fixed 1024-row blocks in first-accusation
-/// order; a small map indexes each core's row. At fleet-study
-/// scale almost every accused core is seen once, so the slab is the
-/// scoreboard's bulk and the index its only hashed part.
+/// At fleet-study scale almost every accused core is accused once, so a
+/// core's first signal keeps only what its row would be built from: the
+/// hour and the kind, in two columns (9 bytes). Its second signal
+/// promotes it to a [`CoreScore`] row, built bit for bit as if the row
+/// had existed from the first; so does a first signal that alone reaches
+/// the armed threshold, so the watchlist names rows only. Rows live in a
+/// slab of fixed 1024-row blocks in promotion order; one map indexes
+/// both tiers. A promoted core's slot stays in the columns, unused.
 #[derive(Debug, Clone, Default)]
 pub struct Scoreboard {
-    /// Row number of each accused core.
+    /// Each accused core's row number, or its first-sighting slot tagged
+    /// with [`SINGLETON`].
     index: FastMap<CoreUid, u32>,
     /// Row `ix` is `rows[ix / BLOCK_ROWS][ix % BLOCK_ROWS]`.
     rows: Vec<Vec<CoreScore>>,
+    /// Hour of each first sighting, by slot.
+    first_hours: Vec<f64>,
+    /// [`kind_index`] of each first sighting, by slot.
+    first_kinds: Vec<u8>,
     /// Armed suspicion threshold, if any (see [`Scoreboard::arm`]).
     armed: Option<f64>,
     /// Cores whose suspicion has ever reached the armed threshold.
@@ -128,6 +154,32 @@ pub struct Scoreboard {
     /// of the cores currently at or above it — which lets
     /// [`Scoreboard::armed_suspects_excluding`] skip the fleet-wide scan.
     watchlist: BTreeSet<CoreUid>,
+}
+
+/// Appends `score` to the slab and returns its row number.
+fn push_row(rows: &mut Vec<Vec<CoreScore>>, score: CoreScore) -> u32 {
+    let ix = rows
+        .last()
+        .map_or(0, |b| (rows.len() - 1) * BLOCK_ROWS + b.len());
+    if ix.is_multiple_of(BLOCK_ROWS) {
+        rows.push(Vec::with_capacity(BLOCK_ROWS));
+    }
+    rows.last_mut().expect("the new row's block").push(score);
+    u32::try_from(ix)
+        .ok()
+        .filter(|&ix| ix < SINGLETON)
+        .expect("fewer than 2^31 rows")
+}
+
+/// Most suspicious first, ties by core.
+fn ranked(mut out: Vec<CoreScore>) -> Vec<CoreScore> {
+    out.sort_by(|a, b| {
+        b.suspicion()
+            .partial_cmp(&a.suspicion())
+            .expect("suspicion is finite")
+            .then(a.core.cmp(&b.core))
+    });
+    out
 }
 
 impl Scoreboard {
@@ -140,48 +192,61 @@ impl Scoreboard {
     /// instant the first time a core is accused and a `score.recidivist`
     /// instant when it crosses the recidivism predicate (second signal).
     pub fn ingest(&mut self, signal: &Signal, rec: &mut Recorder) {
-        let next = u32::try_from(self.index.len()).expect("fewer than 2^32 accused cores");
-        let row = *self.index.entry(signal.core).or_insert(next);
-        let is_new = row == next;
-        let ix = row as usize;
-        if is_new {
-            if ix.is_multiple_of(BLOCK_ROWS) {
-                self.rows.push(Vec::with_capacity(BLOCK_ROWS));
-            }
-            let block = self.rows.last_mut().expect("the new row's block");
-            block.push(CoreScore {
-                core: signal.core,
-                counts: [0; SIGNAL_KINDS],
-                first_hour: signal.hour,
-                last_hour: signal.hour,
-                evidence: 0.0,
-            });
-        }
-        let entry = &mut self.rows[ix / BLOCK_ROWS][ix % BLOCK_ROWS];
-        let count = &mut entry.counts[kind_index(signal.kind)];
-        *count = count
-            .checked_add(1)
-            .expect("per-kind signal count fits u32");
-        entry.first_hour = entry.first_hour.min(signal.hour);
-        entry.last_hour = entry.last_hour.max(signal.hour);
-        let before = entry.evidence;
-        entry.evidence += kind_weight(signal.kind);
-        // Watch only the first crossing. "Crossed before" is read from
-        // the evidence before this signal, not recomputed by subtracting
-        // the weight back out: `(a + w) - w` need not equal `a`.
-        if let Some(threshold) = self.armed {
-            if entry.suspicion() >= threshold && (is_new || suspicion_of(before) < threshold) {
-                self.watchlist.insert(signal.core);
-            }
-        }
-        if is_new {
+        let kind = kind_index(signal.kind);
+        let fresh = u32::try_from(self.first_hours.len())
+            .ok()
+            .filter(|&slot| slot < SINGLETON)
+            .expect("fewer than 2^31 first sightings")
+            | SINGLETON;
+        let value = self.index.entry(signal.core).or_insert(fresh);
+        if *value == fresh {
             rec.instant(
                 signal.hour,
                 "score.first_signal",
                 Some(signal.core.as_u64()),
                 0.0,
             );
-        } else if entry.total() == 2 {
+            match self.armed {
+                Some(threshold) if suspicion_of(KIND_WEIGHTS[kind]) >= threshold => {
+                    let first = CoreScore::first(signal.core, kind, signal.hour);
+                    *value = push_row(&mut self.rows, first);
+                    self.watchlist.insert(signal.core);
+                }
+                _ => {
+                    self.first_hours.push(signal.hour);
+                    self.first_kinds.push(kind as u8);
+                }
+            }
+            return;
+        }
+        if *value & SINGLETON != 0 {
+            let slot = (*value & !SINGLETON) as usize;
+            let first = CoreScore::first(
+                signal.core,
+                usize::from(self.first_kinds[slot]),
+                self.first_hours[slot],
+            );
+            *value = push_row(&mut self.rows, first);
+        }
+        let ix = *value as usize;
+        let entry = &mut self.rows[ix / BLOCK_ROWS][ix % BLOCK_ROWS];
+        let count = &mut entry.counts[kind];
+        *count = count
+            .checked_add(1)
+            .expect("per-kind signal count fits u32");
+        entry.first_hour = entry.first_hour.min(signal.hour);
+        entry.last_hour = entry.last_hour.max(signal.hour);
+        let before = entry.evidence;
+        entry.evidence += KIND_WEIGHTS[kind];
+        // Watch only the first crossing. "Crossed before" is read from
+        // the evidence before this signal, not recomputed by subtracting
+        // the weight back out: `(a + w) - w` need not equal `a`.
+        if let Some(threshold) = self.armed {
+            if entry.suspicion() >= threshold && suspicion_of(before) < threshold {
+                self.watchlist.insert(signal.core);
+            }
+        }
+        if entry.total() == 2 {
             rec.instant(
                 signal.hour,
                 "score.recidivist",
@@ -224,8 +289,22 @@ impl Scoreboard {
     }
 
     /// The score for one core, if any signal has been seen.
-    pub fn score(&self, core: CoreUid) -> Option<&CoreScore> {
-        self.index.get(&core).map(|&ix| self.row(ix))
+    pub fn score(&self, core: CoreUid) -> Option<CoreScore> {
+        self.index.get(&core).map(|&v| self.score_at(core, v))
+    }
+
+    /// The score behind index value `v` of `core`.
+    fn score_at(&self, core: CoreUid, v: u32) -> CoreScore {
+        if v & SINGLETON != 0 {
+            let slot = (v & !SINGLETON) as usize;
+            CoreScore::first(
+                core,
+                usize::from(self.first_kinds[slot]),
+                self.first_hours[slot],
+            )
+        } else {
+            self.row(v).clone()
+        }
     }
 
     /// Row `ix` of the slab.
@@ -234,13 +313,24 @@ impl Scoreboard {
         &self.rows[ix / BLOCK_ROWS][ix % BLOCK_ROWS]
     }
 
-    /// Every score, in first-accusation order.
-    fn all(&self) -> impl Iterator<Item = &CoreScore> {
+    /// Every row, in promotion order.
+    fn all_rows(&self) -> impl Iterator<Item = &CoreScore> {
         self.rows.iter().flatten()
     }
 
+    /// The cores still at their first sighting whose one signal alone
+    /// reaches `threshold`, with their index values.
+    fn singletons_reaching(&self, threshold: f64) -> impl Iterator<Item = (CoreUid, u32)> + '_ {
+        let reaches = KIND_WEIGHTS.map(|w| suspicion_of(w) >= threshold);
+        self.index.iter().filter_map(move |(&core, &v)| {
+            let slot = (v & !SINGLETON) as usize;
+            (v & SINGLETON != 0 && reaches[usize::from(self.first_kinds[slot])])
+                .then_some((core, v))
+        })
+    }
+
     /// Cores whose suspicion exceeds `threshold`, most suspicious first.
-    pub fn suspects(&self, threshold: f64) -> Vec<&CoreScore> {
+    pub fn suspects(&self, threshold: f64) -> Vec<CoreScore> {
         self.suspects_excluding(threshold, |_| false)
     }
 
@@ -252,55 +342,59 @@ impl Scoreboard {
         &self,
         threshold: f64,
         exclude: impl Fn(CoreUid) -> bool,
-    ) -> Vec<&CoreScore> {
-        let mut out: Vec<&CoreScore> = self
-            .all()
-            .filter(|s| s.suspicion() >= threshold && !exclude(s.core))
-            .collect();
-        out.sort_by(|a, b| {
-            b.suspicion()
-                .partial_cmp(&a.suspicion())
-                .expect("suspicion is finite")
-                .then(a.core.cmp(&b.core))
-        });
-        out
+    ) -> Vec<CoreScore> {
+        let rows = self
+            .all_rows()
+            .filter(|s| s.suspicion() >= threshold)
+            .cloned();
+        let singletons = self
+            .singletons_reaching(threshold)
+            .map(|(core, v)| self.score_at(core, v));
+        ranked(
+            rows.chain(singletons)
+                .filter(|s| !exclude(s.core))
+                .collect(),
+        )
     }
 
     /// Arms a suspicion threshold: from now on the scoreboard keeps a
     /// watchlist of every core whose suspicion has reached it, so
     /// [`Scoreboard::armed_suspects_excluding`] can answer without
-    /// scanning every accused core. Existing scores are backfilled.
+    /// scanning every accused core. Existing scores are backfilled, and
+    /// first sightings that already reach it are promoted to rows.
     pub fn arm(&mut self, threshold: f64) {
         self.armed = Some(threshold);
+        let crossing: Vec<(CoreUid, u32)> = self.singletons_reaching(threshold).collect();
+        for (core, v) in crossing {
+            let first = self.score_at(core, v);
+            let row = push_row(&mut self.rows, first);
+            self.index.insert(core, row);
+        }
         self.watchlist = self
-            .all()
+            .all_rows()
             .filter(|s| s.suspicion() >= threshold)
             .map(|s| s.core)
             .collect();
     }
 
     /// [`Scoreboard::suspects_excluding`] at the armed threshold, served
-    /// from the watchlist: identical output (same filter predicate, same
-    /// total sort order), but O(watchlist) instead of O(cores accused).
+    /// from the watchlist's rows: identical output (same filter
+    /// predicate, same total sort order), but O(watchlist) instead of
+    /// O(cores accused).
     ///
     /// # Panics
     ///
     /// Panics if [`Scoreboard::arm`] has not been called.
-    pub fn armed_suspects_excluding(&self, exclude: impl Fn(CoreUid) -> bool) -> Vec<&CoreScore> {
+    pub fn armed_suspects_excluding(&self, exclude: impl Fn(CoreUid) -> bool) -> Vec<CoreScore> {
         let threshold = self.armed.expect("scoreboard is armed");
-        let mut out: Vec<&CoreScore> = self
-            .watchlist
-            .iter()
-            .map(|core| self.row(self.index[core]))
-            .filter(|s| s.suspicion() >= threshold && !exclude(s.core))
-            .collect();
-        out.sort_by(|a, b| {
-            b.suspicion()
-                .partial_cmp(&a.suspicion())
-                .expect("suspicion is finite")
-                .then(a.core.cmp(&b.core))
-        });
-        out
+        ranked(
+            self.watchlist
+                .iter()
+                .map(|core| self.row(self.index[core]))
+                .filter(|s| s.suspicion() >= threshold && !exclude(s.core))
+                .cloned()
+                .collect(),
+        )
     }
 
     /// Number of cores with any signal.

@@ -518,35 +518,50 @@ pub struct BurnIn {
     pub ops_multiplier: u64,
 }
 
+/// The month whose era screens a machine deployed at `hour`.
+fn deploy_month(hour: f64) -> u32 {
+    (hour / 730.0) as u32
+}
+
 impl BurnIn {
-    /// Plans burn-in for `due` `(deploy_hour, machine, cores)` triples, in
-    /// order: a task per hot machine at its deploy hour, closed-form
-    /// accounting for the rest (every core, three sweep points, zero
-    /// detections). The span runs from the first due hour to the last.
-    fn plan(&self, due: impl IntoIterator<Item = (f64, u32, u64)>, hot: &HotMask) -> Batch {
+    /// Plans burn-in for due machines given as `(deploy month, machines)`
+    /// runs, in order: a task per hot machine at its deploy hour,
+    /// closed-form accounting for the rest (every core, three sweep
+    /// points, zero detections). The month picks the era, so a run's
+    /// clean cores are summed and charged once (exact: the sums are
+    /// `u64`), and a machine's deploy hour is read only when it is hot.
+    /// The caller sets the span.
+    fn plan<M: IntoIterator<Item = u32>>(
+        &self,
+        topo: &FleetTopology,
+        runs: impl IntoIterator<Item = (u32, M)>,
+        hot: &HotMask,
+    ) -> Batch {
         let mut batch = Batch::default();
-        for (hour, machine, cores) in due {
-            let first = batch.span.map_or(hour, |(_, first, _)| first);
-            batch.span = Some(("screen.burnin", first, hour));
-            let era = self.schedule.era_at((hour / 730.0) as u32);
+        for (month, machines) in runs {
+            let era = self.schedule.era_at(month);
             let ops_per_unit = era.ops_per_unit * self.ops_multiplier.max(1);
-            if hot.contains(machine) {
-                batch.tasks.push(MachineTask {
-                    machine,
-                    era: Arc::new(ScreeningEra {
-                        ops_per_unit,
-                        ..era.clone()
-                    }),
-                    sweep: true,
-                    hour,
-                    test_id_base: 0xb1b1 ^ machine as u64,
-                    method: DetectionMethod::BurnIn,
-                });
-            } else {
-                let screens = cores * 3;
-                batch.clean_screens += screens;
-                batch.clean_ops += screens * ops_per_unit * era.units.len() as u64;
+            let mut clean_cores = 0u64;
+            for machine in machines {
+                if hot.contains(machine) {
+                    batch.tasks.push(MachineTask {
+                        machine,
+                        era: Arc::new(ScreeningEra {
+                            ops_per_unit,
+                            ..era.clone()
+                        }),
+                        sweep: true,
+                        hour: topo.deploy_hour(machine),
+                        test_id_base: 0xb1b1 ^ machine as u64,
+                        method: DetectionMethod::BurnIn,
+                    });
+                } else {
+                    clean_cores += topo.cores_on(machine);
+                }
             }
+            let screens = clean_cores * 3;
+            batch.clean_screens += screens;
+            batch.clean_ops += screens * ops_per_unit * era.units.len() as u64;
         }
         batch
     }
@@ -563,8 +578,16 @@ impl BurnIn {
         let mut records = Vec::new();
         let mut hot = HotMask::new(topo.machine_count() as usize);
         hot.set(&hot_machines(pop, detected), true);
-        let due = (0..topo.machine_count()).map(|m| (topo.deploy_hour(m), m, topo.cores_on(m)));
-        let batch = self.plan(due, &hot);
+        let n = topo.machine_count();
+        let runs = (0..n).map(|m| (deploy_month(topo.deploy_hour(m)), [m]));
+        let mut batch = self.plan(topo, runs, &hot);
+        if n > 0 {
+            batch.span = Some((
+                "screen.burnin",
+                topo.deploy_hour(0),
+                topo.deploy_hour(n - 1),
+            ));
+        }
         run_machine_tasks(
             topo,
             pop,
@@ -611,9 +634,10 @@ impl BurnIn {
 /// one frozen `detected` snapshot — the campaign screens machines in
 /// deploy-hour order and refreshes the snapshot every step, so it
 /// interleaves correctly with an epoch-stepped simulation. It walks the
-/// topology's deploy order in place, reading each machine's hour through
-/// it and skipping machines outside its shard, so every step must get
-/// the topology the campaign started on.
+/// topology's deploy order in place, skipping machines outside its
+/// shard and reading a deploy hour only at deploy-month boundaries, for
+/// hot machines and for the span's ends, so every step must get the
+/// topology the campaign started on.
 #[derive(Debug, Clone)]
 pub struct BurnInCampaign {
     screener: BurnIn,
@@ -651,14 +675,32 @@ impl BurnInCampaign {
         let end =
             self.next + order[self.next..].partition_point(|&m| topo.deploy_hour(m) < until_hour);
         let (lo, hi) = self.shard;
-        let due = order[self.next..end]
-            .iter()
-            .filter(|&m| (lo..hi).contains(m))
-            .map(|&m| (topo.deploy_hour(m), m, topo.cores_on(m)));
+        let owned = move |m: &u32| (lo..hi).contains(m);
+        let due = &order[self.next..end];
+        // Split the due stretch into deploy-month runs by binary search:
+        // the order is sorted by deploy hour, so each run's end costs
+        // O(log n) hour reads and its machines none.
+        let mut at = 0;
+        let runs = std::iter::from_fn(|| {
+            let &first = due.get(at)?;
+            let month = deploy_month(topo.deploy_hour(first));
+            let len = due[at..].partition_point(|&m| deploy_month(topo.deploy_hour(m)) <= month);
+            let run = &due[at..at + len];
+            at += len;
+            Some((month, run.iter().copied().filter(owned)))
+        });
         let hot = hot_machines(pop, detected);
         self.hot.set(&hot, true);
-        let batch = self.screener.plan(due, &self.hot);
+        let mut batch = self.screener.plan(topo, runs, &self.hot);
         self.hot.set(&hot, false);
+        // `next` is owned and due, so the span's two ends exist.
+        let last = due
+            .iter()
+            .rev()
+            .find(|m| owned(m))
+            .expect("an owned due machine");
+        let first = self.next_hour.expect("an owned due machine");
+        batch.span = Some(("screen.burnin", first, topo.deploy_hour(*last)));
         self.seek(topo, end);
         let mut records = Vec::new();
         run_machine_tasks(

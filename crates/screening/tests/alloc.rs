@@ -75,7 +75,7 @@ fn peak_live_bytes_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
 }
 
 #[test]
-fn distinct_cores_cost_at_most_128_bytes_each_at_peak() {
+fn distinct_cores_cost_at_most_48_bytes_each_at_peak() {
     let cores = 300_000u32;
     // One noise signal per core, spread the way fleet noise is: a random
     // core of a random machine, never the same core twice.
@@ -100,7 +100,7 @@ fn distinct_cores_cost_at_most_128_bytes_each_at_peak() {
     assert_eq!(board.cores_seen(), cores as usize, "every core distinct");
     let per_core = peak as f64 / f64::from(cores);
     assert!(
-        per_core <= 128.0,
+        per_core <= 48.0,
         "ingesting {cores} distinct cores peaked at {peak} live bytes ({per_core:.1} per core)"
     );
 }

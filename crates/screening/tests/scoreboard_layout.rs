@@ -1,8 +1,10 @@
-//! The scoreboard's slab layout (fixed blocks of rows behind a core →
-//! row index) must answer every query exactly as a plain map from core
-//! to score does. `MapBoard` below is that map-of-rows scoreboard, kept
-//! here as the reference; one seeded stream drives both, and every score,
-//! suspect list, armed watchlist answer and trace instant is compared.
+//! The scoreboard's layout (a first-sighting tier of hour and kind
+//! columns, promoted to fixed blocks of rows behind one core → entry
+//! index) must answer every query exactly as a plain map from core to
+//! score does. `MapBoard` below is that map-of-rows scoreboard, kept here
+//! as the reference; seeded and hand-built streams drive both, and every
+//! score, suspect list, armed watchlist answer and trace instant is
+//! compared.
 
 use mercurial_fault::{CoreUid, CounterRng, FastMap};
 use mercurial_fleet::{Signal, SignalKind};
@@ -150,7 +152,7 @@ fn ranked(mut out: Vec<&MapScore>) -> Vec<CoreUid> {
     out.iter().map(|s| s.core).collect()
 }
 
-fn cores(list: Vec<&CoreScore>) -> Vec<CoreUid> {
+fn cores(list: Vec<CoreScore>) -> Vec<CoreUid> {
     list.iter().map(|s| s.core).collect()
 }
 
@@ -326,6 +328,167 @@ fn slab_scoreboard_matches_the_map_reference() {
         assert_eq!(cores(b.armed_suspects_excluding(exclude)), want, "t={t}");
         let mut late = board.clone();
         late.arm(t);
+        assert_same_scores(&late, &reference);
         assert_eq!(cores(late.armed_suspects_excluding(exclude)), want, "t={t}");
     }
+}
+
+fn sig(machine: u32, kind: SignalKind, hour: f64) -> Signal {
+    Signal {
+        hour,
+        core: CoreUid::new(machine, 0, 0),
+        kind,
+        caused_by_cee: false,
+    }
+}
+
+/// Every query of `board` against `reference` at `threshold`: scores
+/// bit for bit, suspect lists, and the armed answer if armed.
+fn assert_same_answers(board: &Scoreboard, reference: &MapBoard, threshold: f64) {
+    assert_same_scores(board, reference);
+    let exclude = |core: CoreUid| core.machine % 5 == 2;
+    for excluded in [false, true] {
+        let ex = |core| excluded && exclude(core);
+        assert_eq!(
+            cores(board.suspects_excluding(threshold, ex)),
+            reference.suspects_excluding(threshold, ex),
+            "suspects_excluding({threshold})"
+        );
+        if reference.armed.is_some() {
+            assert_eq!(
+                cores(board.armed_suspects_excluding(ex)),
+                reference.armed_suspects_excluding(ex),
+                "armed at {threshold}"
+            );
+        }
+    }
+}
+
+/// Every kind once on a core of its own, and every ordered pair of kinds
+/// on a core of its own, hours out of order in half the pairs: first
+/// sightings that stay single, and promotions at the second accusation
+/// whose first hour comes from either signal.
+fn singles_and_pairs() -> Vec<Signal> {
+    let mut out = Vec::new();
+    let mut machine = 0;
+    for (i, &a) in KINDS.iter().enumerate() {
+        out.push(sig(machine, a, 10.0 + i as f64));
+        machine += 1;
+        for (j, &b) in KINDS.iter().enumerate() {
+            let (h1, h2) = if (i + j) % 2 == 0 {
+                (5.0, 7.5)
+            } else {
+                (7.5, 5.0)
+            };
+            out.push(sig(machine, a, h1));
+            out.push(sig(machine, b, h2));
+            machine += 1;
+        }
+    }
+    out
+}
+
+#[test]
+fn first_sightings_promote_bit_for_bit_armed_early_late_or_never() {
+    // Thresholds a single signal of some kind reaches exactly, one only a
+    // `ScreenerFailure` (weight 4, suspicion 0.736) reaches alone, and
+    // ones nothing single reaches.
+    let heavy = suspicion(kind_weight(SignalKind::ScreenerFailure));
+    assert!(heavy > 0.73 && heavy < 0.74, "{heavy}");
+    let thresholds = [
+        0.0,
+        suspicion(kind_weight(SignalKind::ProcessCrash)),
+        suspicion(kind_weight(SignalKind::MachineCheckEvent)),
+        0.7,
+        heavy,
+        0.9,
+    ];
+    let signals = singles_and_pairs();
+    // A third signal on every core, after any late arm: a row promoted by
+    // `arm` must take it once.
+    let third: Vec<Signal> = signals
+        .iter()
+        .map(|s| sig(s.core.machine, SignalKind::KernelCrash, 20.0))
+        .collect();
+    for &t in &thresholds {
+        let mut unarmed = Scoreboard::new();
+        let mut unarmed_ref = MapBoard::default();
+        let mut armed = Scoreboard::new();
+        armed.arm(t);
+        let mut armed_ref = MapBoard::default();
+        armed_ref.arm(t);
+        let mut rec = Recorder::new(mercurial_trace::TraceLevel::Record);
+        let mut reference_rec = Recorder::new(mercurial_trace::TraceLevel::Record);
+        for s in &signals {
+            unarmed.ingest(s, &mut rec);
+            unarmed_ref.ingest(s, &mut reference_rec);
+            armed.ingest(s, &mut rec);
+            armed_ref.ingest(s, &mut reference_rec);
+            // An armed board serves a core that crosses on its first
+            // signal at once.
+            assert_eq!(
+                cores(armed.armed_suspects_excluding(|_| false)),
+                armed_ref.armed_suspects_excluding(|_| false),
+                "t={t}"
+            );
+        }
+        assert_eq!(rec.take_events(), reference_rec.take_events(), "t={t}");
+        assert_same_answers(&unarmed, &unarmed_ref, t);
+        assert_same_answers(&armed, &armed_ref, t);
+
+        let mut late = unarmed.clone();
+        late.arm(t);
+        let mut late_ref = unarmed_ref.clone();
+        late_ref.arm(t);
+        assert_same_answers(&late, &late_ref, t);
+        for s in &third {
+            late.ingest(s, &mut rec);
+            late_ref.ingest(s, &mut reference_rec);
+            armed.ingest(s, &mut rec);
+            armed_ref.ingest(s, &mut reference_rec);
+        }
+        assert_eq!(rec.take_events(), reference_rec.take_events(), "t={t}");
+        assert_same_answers(&late, &late_ref, t);
+        assert_same_answers(&armed, &armed_ref, t);
+    }
+}
+
+#[test]
+fn a_first_sighting_scores_and_ranks_like_a_row() {
+    let mut board = Scoreboard::new();
+    let rec = &mut Recorder::disabled();
+    let heavy = sig(1, SignalKind::ScreenerFailure, 3.5);
+    let light = sig(2, SignalKind::ProcessCrash, 1.25);
+    board.ingest(&heavy, rec);
+    board.ingest(&light, rec);
+
+    let score = board.score(heavy.core).expect("accused once");
+    assert_eq!(score.core, heavy.core);
+    assert_eq!(score.count_of(SignalKind::ScreenerFailure), 1);
+    assert_eq!(score.total(), 1);
+    assert!(!score.is_recidivist());
+    assert_eq!(score.first_hour, 3.5);
+    assert_eq!(score.last_hour, 3.5);
+    assert_eq!(score.evidence.to_bits(), (0.0 + 4.0f64).to_bits());
+    assert!(board.score(CoreUid::new(3, 0, 0)).is_none());
+
+    // The unarmed board's suspect lists include first sightings at or
+    // above the threshold, ranked with the rows.
+    let suspects = board.suspects(0.7);
+    assert_eq!(suspects, vec![score.clone()]);
+    assert_eq!(cores(board.suspects(0.0)), vec![heavy.core, light.core]);
+    assert!(board
+        .suspects_excluding(0.7, |c| c == heavy.core)
+        .is_empty());
+
+    // A recidivist outranks it once its evidence is higher.
+    for h in [0.0, 1.0] {
+        board.ingest(&sig(4, SignalKind::MachineCheckEvent, h), rec);
+        board.ingest(&sig(4, SignalKind::ReplicaDivergence, h), rec);
+    }
+    assert_eq!(
+        cores(board.suspects(0.7)),
+        vec![CoreUid::new(4, 0, 0), heavy.core]
+    );
+    assert_eq!(board.cores_seen(), 3);
 }

@@ -81,7 +81,7 @@ fn zero_machine_scenario_exits_nonzero_without_panicking() {
 #[test]
 fn bad_scenario_fields_exit_nonzero_without_panicking() {
     type Mutation = fn(&mut Scenario);
-    let cases: [(&str, &str, Mutation); 23] = [
+    let cases: [(&str, &str, Mutation); 29] = [
         ("epoch", "sim.epoch_hours", |s| s.sim.epoch_hours = 0.0),
         ("online-zero", "online_interval_hours", |s| {
             s.online_interval_hours = 0.0
@@ -165,6 +165,24 @@ fn bad_scenario_fields_exit_nonzero_without_panicking() {
             "tuning.offline_drain_hours_per_machine",
             |s| s.tuning.offline_drain_hours_per_machine = -0.5,
         ),
+        (
+            "product-weight-negative",
+            "fleet.products[1].fleet_weight",
+            |s| s.fleet.products[1].fleet_weight = -0.2,
+        ),
+        ("online-ops-negative", "tuning.online_ops_fraction", |s| {
+            s.tuning.online_ops_fraction = -1.0
+        }),
+        ("offline-fraction-above-one", "offline_fraction", |s| {
+            s.offline_fraction = 1.5
+        }),
+        ("threshold-above-one", "suspicion_threshold", |s| {
+            s.suspicion_threshold = 2.0
+        }),
+        ("amplitude-above-one", "workloads.traffic_amplitude", |s| {
+            s.workloads.traffic_amplitude = 1.5
+        }),
+        ("zero-months", "sim.months", |s| s.sim.months = 0),
     ];
     for (case, field, mutate) in cases {
         assert_rejected(case, field, mutate);
@@ -180,6 +198,11 @@ fn bad_scenario_fields_exit_nonzero_without_panicking() {
         "closed_loop.triage_latency_hours",
         &json,
     );
+    let mut scenario = Scenario::demo(7);
+    scenario.tuning.online_ops_fraction = 0.012_345;
+    let json = scenario.to_json().replace("0.012345", "1e999");
+    assert!(json.contains("\"online_ops_fraction\": 1e999"));
+    assert_rejected_json("online-ops-1e999", "tuning.online_ops_fraction", &json);
 }
 
 #[test]

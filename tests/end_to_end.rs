@@ -52,10 +52,10 @@ fn detect_quarantine_remove_account() {
     assert_eq!(os.online_cores(), 7);
 
     // 4. Capacity accounting.
-    let mut ledger = CapacityLedger::new();
-    ledger.register_machine(12, 8);
-    ledger.remove_core(uid, 102.0, rec);
-    assert_eq!(ledger.effective_of(12), 7);
+    let mut ledger = CapacityLedger::new(8);
+    ledger.remove_core(uid, 8, 102.0, rec);
+    assert_eq!(ledger.lost_on(12), 1);
+    assert_eq!(ledger.pool().effective_cores, 7);
     assert_eq!(ledger.pool().heterogeneous_machines, 1);
 }
 

@@ -18,11 +18,13 @@ test-workspace:
 	$(CARGO) test --workspace -q
 
 # The population's lane walk (`mercurial-fault`, with its one `unsafe`
-# call, and `mercurial-fleet`) tested under release codegen: the dev
-# profile is `opt-level = 1`, so only this step tests the optimised
-# build of both its compilations.
+# call, and `mercurial-fleet`), the exporters' shortest-float writer
+# (`mercurial-trace`, whose differential test pins it to `Display`) and
+# the audit fold (`mercurial-audit`) tested under release codegen: the
+# dev profile is `opt-level = 1`, so only this step tests the optimised
+# build.
 test-release:
-	$(CARGO) test --release -q -p mercurial-fault -p mercurial-fleet
+	$(CARGO) test --release -q -p mercurial-fault -p mercurial-fleet -p mercurial-trace -p mercurial-audit
 
 fmt:
 	$(CARGO) fmt

@@ -187,8 +187,8 @@ pub struct DecisionLedger {
     /// ledger is identical at any sharding because same-hour decisions are
     /// always produced by the (deterministic) aggregator in one order.
     pub entries: Vec<LedgerEntry>,
-    /// `(hour, value)` samples of the `fleet.active_mercurial` gauge, in
-    /// emission order.
+    /// `(hour, value)` samples of the `fleet.active_mercurial` gauge,
+    /// stable-sorted by hour like `entries`.
     pub active_mercurial: Vec<(f64, f64)>,
     /// Final `gt.mercurial_cores` counter (0 when ground truth was not
     /// recorded, e.g. tracing off).
@@ -214,7 +214,34 @@ impl DecisionLedger {
     /// ties). Both construction paths end here, and `to_jsonl` output is
     /// already canonical, so re-parsing is a no-op sort.
     fn canonicalize(&mut self) {
-        self.entries.sort_by(|a, b| a.hour.total_cmp(&b.hour));
+        // One `u128` key an entry, `(total-order hour, emission index)`:
+        // an unstable sort of distinct keys is the stable `total_cmp`
+        // sort, without moving whole entries while sorting.
+        let mut keys: Vec<u128> = (self.entries.iter().enumerate())
+            .map(|(ix, e)| u128::from(total_order_key(e.hour)) << 64 | ix as u128)
+            .collect();
+        keys.sort_unstable();
+        // Move each entry to its sorted slot in place, one cycle of
+        // the permutation at a time (a second entry list would be
+        // fresh pages to fault in); a placed slot's key becomes its
+        // own index.
+        for start in 0..keys.len() {
+            if keys[start] as u64 as usize == start {
+                continue;
+            }
+            let first = self.entries[start];
+            let mut slot = start;
+            loop {
+                let from = keys[slot] as u64 as usize;
+                keys[slot] = slot as u128;
+                if from == start {
+                    self.entries[slot] = first;
+                    break;
+                }
+                self.entries[slot] = self.entries[from];
+                slot = from;
+            }
+        }
         self.active_mercurial.sort_by(|a, b| a.0.total_cmp(&b.0));
     }
 
@@ -320,16 +347,28 @@ impl DecisionLedger {
             .count()
     }
 
-    /// Latest `fleet.active_mercurial` sample at or before `hour`, or 0
+    /// Latest `fleet.active_mercurial` sample at or before `hour` (the
+    /// last one in emission order when several share that hour), or 0
     /// before the first sample — "did the fleet still harbor known
-    /// mercurial cores when this alert fired?".
+    /// mercurial cores when this alert fired?". A binary search of the
+    /// hour-sorted samples.
     pub fn active_mercurial_at(&self, hour: f64) -> f64 {
-        self.active_mercurial
-            .iter()
-            .take_while(|(h, _)| *h <= hour)
-            .last()
-            .map(|(_, v)| *v)
-            .unwrap_or(0.0)
+        let after = self.active_mercurial.partition_point(|(h, _)| *h <= hour);
+        after
+            .checked_sub(1)
+            .map_or(0.0, |last| self.active_mercurial[last].1)
+    }
+}
+
+/// `hour`'s place in `f64::total_cmp` order, as an unsigned integer.
+fn total_order_key(hour: f64) -> u64 {
+    let bits = hour.to_bits();
+    // Negative values count down from the sign bit; positive ones sit
+    // above it.
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
     }
 }
 
@@ -400,6 +439,68 @@ mod tests {
         assert_eq!(ledger.active_mercurial_at(90.0), 1.0);
         assert_eq!(ledger.active_mercurial_at(119.0), 1.0);
         assert_eq!(ledger.active_mercurial_at(500.0), 0.0);
+    }
+
+    #[test]
+    fn active_mercurial_search_matches_the_linear_scan() {
+        let linear = |ledger: &DecisionLedger, hour: f64| {
+            ledger
+                .active_mercurial
+                .iter()
+                .take_while(|(h, _)| *h <= hour)
+                .last()
+                .map_or(0.0, |(_, v)| *v)
+        };
+        // Samples that share an hour, runs of one hour, gaps.
+        let hours = [
+            0.0, 73.0, 73.0, 146.0, 146.0, 146.0, 219.0, 8_760.5, 8_761.0,
+        ];
+        for n in 0..=hours.len() {
+            let ledger = DecisionLedger {
+                active_mercurial: (hours[..n].iter().enumerate())
+                    .map(|(i, &h)| (h, 1.0 + i as f64))
+                    .collect(),
+                ..DecisionLedger::default()
+            };
+            let mut probes = vec![-1.0, -0.0, 1e9];
+            for &h in &hours[..n] {
+                probes.extend([h, h - 0.5, h + 0.5, f64::from_bits(h.to_bits() + 1)]);
+            }
+            for hour in probes {
+                assert_eq!(
+                    ledger.active_mercurial_at(hour),
+                    linear(&ledger, hour),
+                    "{n} samples, hour {hour}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn canonical_order_is_the_stable_total_order_sort() {
+        // Signed zeros, ties and a shuffle long enough for many cycles.
+        let mut hours = vec![5.0, -0.0, 0.0, 5.0, -3.0, 0.0, -0.0, 1e-300, -3.0, 4.5, 5.0];
+        hours.extend((0..300).map(|i| (i * 7_919 % 53) as f64 / 2.0));
+        let mut ledger = DecisionLedger {
+            entries: (hours.iter().enumerate())
+                .map(|(i, &hour)| LedgerEntry {
+                    hour,
+                    decision: Decision::Signal,
+                    core: Some(i as u64),
+                    value: 0.0,
+                })
+                .collect(),
+            ..DecisionLedger::default()
+        };
+        let mut want = ledger.entries.clone();
+        want.sort_by(|a, b| a.hour.total_cmp(&b.hour));
+        ledger.canonicalize();
+        assert_eq!(ledger.entries, want);
+        assert!(ledger
+            .entries
+            .iter()
+            .zip(&want)
+            .all(|(a, b)| a.hour.to_bits() == b.hour.to_bits()));
     }
 
     #[test]

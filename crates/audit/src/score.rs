@@ -163,7 +163,7 @@ pub struct AuditReport {
     pub rules: Vec<RuleStats>,
 }
 
-/// Mutable per-core accumulator used while scanning the ledger.
+/// Mutable per-core accumulator used while folding one core's entries.
 #[derive(Debug, Default, Clone)]
 struct CoreAcc {
     first_signal: Option<f64>,
@@ -173,132 +173,104 @@ struct CoreAcc {
     signals: u64,
     exonerations: u32,
     reconfirmed: bool,
-    /// Bit `k` set: a signal of table kind `k` accused this core.
-    kinds: u8,
+}
+
+/// One signal kind's stats while folding, and the last core it counted:
+/// cores arrive in order, so a kind accuses a new core exactly when the
+/// core differs from the last one.
+#[derive(Debug)]
+struct KindAcc {
+    stats: KindStats,
+    last_core: Option<u64>,
+}
+
+impl KindAcc {
+    fn new(value: f64) -> KindAcc {
+        KindAcc {
+            stats: KindStats {
+                kind: signal_kind_name(value),
+                signals: 0,
+                mercurial_signals: 0,
+                cores_accused: 0,
+                mercurial_cores_hit: 0,
+            },
+            last_core: None,
+        }
+    }
+
+    fn count(&mut self, core: u64, mercurial: bool) {
+        self.stats.signals += 1;
+        self.stats.mercurial_signals += u64::from(mercurial);
+        if self.last_core != Some(core) {
+            self.last_core = Some(core);
+            self.stats.cores_accused += 1;
+            self.stats.mercurial_cores_hit += u64::from(mercurial);
+        }
+    }
 }
 
 impl AuditReport {
     /// Score a ledger against ground truth. `rule_names` resolves alert
     /// rule indices (pass the scenario's expanded rule set; empty slice on
     /// bare replay).
+    ///
+    /// One pass in ledger order takes the fleet-level counts and lists
+    /// the per-core entries as `(core, entry index)` keys; one sort of
+    /// those keys groups each core's entries in ledger order, and a fold
+    /// over the groups, merged with the ground-truth cores (also in core
+    /// order), yields the verdicts in core order with no map.
     pub fn build(
         ledger: &DecisionLedger,
         truth: &GroundTruth,
         rule_names: &[String],
     ) -> AuditReport {
-        let mut cores: BTreeMap<u64, CoreAcc> = BTreeMap::new();
-        let mut kinds: BTreeMap<u64, KindStats> = BTreeMap::new();
-        // Cores accused by out-of-table kinds; table kinds live in the
-        // per-core `CoreAcc::kinds` mask.
-        let mut wide_kind_cores: BTreeMap<u64, std::collections::BTreeSet<u64>> = BTreeMap::new();
-        let mut rules: BTreeMap<String, RuleStats> = BTreeMap::new();
+        // Table kinds by dense index; out-of-table kinds (`kind-<n>`, a
+        // forward-compatibility guard) by value. A kind's name comes
+        // from its first signal in ledger order.
+        let mut kinds: [Option<KindAcc>; SIGNAL_KIND_NAMES.len()] = Default::default();
+        let mut wide_kinds: BTreeMap<u64, KindAcc> = BTreeMap::new();
+        // `(fires, justified)` by rule index, and for indices out of range.
+        let mut fires = vec![(0u32, 0u32); rule_names.len()];
+        let mut wide_fires: BTreeMap<usize, (u32, u32)> = BTreeMap::new();
         let mut exonerations = 0usize;
         let mut escalations = 0usize;
+        let mut keys: Vec<(u64, usize)> = Vec::with_capacity(ledger.len());
 
-        for e in &ledger.entries {
+        for (ix, e) in ledger.entries.iter().enumerate() {
             match e.decision {
-                Decision::Signal => {
+                Decision::Signal
+                | Decision::FirstSignal
+                | Decision::Quarantine
+                | Decision::Confirm
+                | Decision::Exonerate => {
+                    exonerations += usize::from(e.decision == Decision::Exonerate);
                     let Some(core) = e.core else { continue };
-                    let acc = cores.entry(core).or_default();
-                    acc.signals += 1;
-                    acc.first_signal = Some(acc.first_signal.map_or(e.hour, |h| h.min(e.hour)));
-                    let kind_ix = e.value as u64;
-                    if kind_ix < SIGNAL_KIND_NAMES.len() as u64 {
-                        acc.kinds |= 1 << kind_ix;
-                    } else {
-                        wide_kind_cores.entry(kind_ix).or_default().insert(core);
+                    if e.decision == Decision::Signal {
+                        let kind_ix = e.value as u64;
+                        let new = || KindAcc::new(e.value);
+                        match kinds.get_mut(kind_ix as usize) {
+                            Some(slot) => slot.get_or_insert_with(new),
+                            None => wide_kinds.entry(kind_ix).or_insert_with(new),
+                        };
                     }
-                    let stats = kinds.entry(kind_ix).or_insert_with(|| KindStats {
-                        kind: signal_kind_name(e.value),
-                        signals: 0,
-                        mercurial_signals: 0,
-                        cores_accused: 0,
-                        mercurial_cores_hit: 0,
-                    });
-                    stats.signals += 1;
-                    if truth.is_mercurial(core) {
-                        stats.mercurial_signals += 1;
-                    }
-                }
-                Decision::FirstSignal => {
-                    // Fallback when provenance instants are absent (plain
-                    // traced run audited offline): at least the first
-                    // signal hour is known.
-                    let Some(core) = e.core else { continue };
-                    let acc = cores.entry(core).or_default();
-                    acc.first_signal = Some(acc.first_signal.map_or(e.hour, |h| h.min(e.hour)));
-                }
-                Decision::Quarantine => {
-                    let Some(core) = e.core else { continue };
-                    let acc = cores.entry(core).or_default();
-                    acc.quarantine_hour = acc.quarantine_hour.or(Some(e.hour));
-                }
-                Decision::Confirm => {
-                    let Some(core) = e.core else { continue };
-                    let acc = cores.entry(core).or_default();
-                    acc.confirm_hour = acc.confirm_hour.or(Some(e.hour));
-                    if acc.first_exoneration.is_some() {
-                        acc.reconfirmed = true;
-                    }
-                }
-                Decision::Exonerate => {
-                    exonerations += 1;
-                    let Some(core) = e.core else { continue };
-                    let acc = cores.entry(core).or_default();
-                    acc.exonerations += 1;
-                    acc.first_exoneration = acc.first_exoneration.or(Some(e.hour));
+                    keys.push((core, ix));
                 }
                 Decision::Alert => {
                     let ix = e.value as usize;
-                    let name = rule_names
-                        .get(ix)
-                        .cloned()
-                        .unwrap_or_else(|| format!("rule-{ix}"));
-                    let stats = rules.entry(name.clone()).or_insert(RuleStats {
-                        rule: name,
-                        fires: 0,
-                        justified: 0,
-                    });
-                    stats.fires += 1;
+                    let slot = match fires.get_mut(ix) {
+                        Some(slot) => slot,
+                        None => wide_fires.entry(ix).or_default(),
+                    };
+                    slot.0 += 1;
                     if ledger.active_mercurial_at(e.hour) > 0.0 {
-                        stats.justified += 1;
+                        slot.1 += 1;
                     }
                 }
                 Decision::Escalate => escalations += 1,
                 _ => {}
             }
         }
-
-        let mut accused = [(0u64, 0u64); SIGNAL_KIND_NAMES.len()];
-        for (core, acc) in cores.iter().filter(|(_, acc)| acc.kinds != 0) {
-            let mercurial = u64::from(truth.is_mercurial(*core));
-            for (k, (cores_accused, hit)) in accused.iter_mut().enumerate() {
-                if acc.kinds >> k & 1 == 1 {
-                    *cores_accused += 1;
-                    *hit += mercurial;
-                }
-            }
-        }
-        for (kind_ix, stats) in kinds.iter_mut() {
-            let counts = accused.get(*kind_ix as usize).copied().unwrap_or_else(|| {
-                let wide = &wide_kind_cores[kind_ix];
-                let hit = wide.iter().filter(|c| truth.is_mercurial(**c)).count();
-                (wide.len() as u64, hit as u64)
-            });
-            (stats.cores_accused, stats.mercurial_cores_hit) = counts;
-        }
-
-        // Verdicts: every mercurial core, plus every quarantined healthy
-        // core. Signal-only healthy cores carry no wrong decision and stay
-        // out of the attribution tally.
-        let mut verdict_cores: std::collections::BTreeSet<u64> =
-            truth.cores().map(|(c, _)| c).collect();
-        verdict_cores.extend(
-            cores
-                .iter()
-                .filter(|(_, acc)| acc.quarantine_hour.is_some())
-                .map(|(c, _)| *c),
-        );
+        keys.sort_unstable();
 
         let mut report = AuditReport {
             decisions: ledger.len(),
@@ -313,62 +285,142 @@ impl AuditReport {
             test_escapes: 0,
             escalations,
             verdicts: Vec::new(),
-            kinds: kinds.into_values().collect(),
-            rules: rules.into_values().collect(),
+            kinds: Vec::new(),
+            rules: Vec::new(),
         };
 
+        // Verdicts: every mercurial core, plus every quarantined healthy
+        // core. Signal-only healthy cores carry no wrong decision and stay
+        // out of the attribution tally.
+        let mut truth_cores = truth.cores().map(|(c, _)| c).peekable();
         let empty = CoreAcc::default();
-        for core in verdict_cores {
-            let acc = cores.get(&core).unwrap_or(&empty);
-            let mercurial = truth.is_mercurial(core);
-            let label = match (mercurial, acc.quarantine_hour.is_some()) {
-                (true, true) => CaseLabel::TruePositive,
-                (true, false) => CaseLabel::FalseNegative,
-                (false, true) => CaseLabel::FalsePositive,
-                (false, false) => continue,
-            };
-            let onset = truth.onset_of(core);
-            let false_exoneration = mercurial && acc.exonerations > 0;
-            let test_escape = false_exoneration && acc.confirm_hour.is_none();
-            let ttrc_hours = match (label, onset, acc.confirm_hour) {
-                (CaseLabel::TruePositive, Some(on), Some(confirm)) => Some(confirm - on),
-                _ => None,
-            };
-            match label {
-                CaseLabel::TruePositive => {
-                    report.true_positives += 1;
-                    if acc.confirm_hour.is_some() {
-                        report.confirmed_true += 1;
+        for group in keys.chunk_by(|a, b| a.0 == b.0) {
+            let core = group[0].0;
+            while let Some(t) = truth_cores.next_if(|&t| t < core) {
+                report.push_verdict(t, &empty, truth);
+            }
+            let mercurial = truth_cores.next_if_eq(&core).is_some();
+            let mut acc = CoreAcc::default();
+            for &(_, ix) in group {
+                let e = &ledger.entries[ix];
+                match e.decision {
+                    Decision::Signal => {
+                        acc.signals += 1;
+                        acc.first_signal = Some(acc.first_signal.map_or(e.hour, |h| h.min(e.hour)));
+                        let kind_ix = e.value as u64;
+                        let kind = match kinds.get_mut(kind_ix as usize) {
+                            Some(slot) => slot.as_mut(),
+                            None => wide_kinds.get_mut(&kind_ix),
+                        };
+                        kind.expect("made by the first pass").count(core, mercurial);
                     }
+                    Decision::FirstSignal => {
+                        // Fallback when provenance instants are absent
+                        // (plain traced run audited offline): at least the
+                        // first signal hour is known.
+                        acc.first_signal = Some(acc.first_signal.map_or(e.hour, |h| h.min(e.hour)));
+                    }
+                    Decision::Quarantine => {
+                        acc.quarantine_hour = acc.quarantine_hour.or(Some(e.hour));
+                    }
+                    Decision::Confirm => {
+                        acc.confirm_hour = acc.confirm_hour.or(Some(e.hour));
+                        acc.reconfirmed |= acc.first_exoneration.is_some();
+                    }
+                    Decision::Exonerate => {
+                        acc.exonerations += 1;
+                        acc.first_exoneration = acc.first_exoneration.or(Some(e.hour));
+                    }
+                    _ => unreachable!("only per-core decisions are keyed"),
                 }
-                CaseLabel::FalsePositive => report.false_positives += 1,
-                CaseLabel::FalseNegative => report.false_negatives += 1,
             }
-            if false_exoneration {
-                report.false_exonerations += 1;
+            if mercurial || acc.quarantine_hour.is_some() {
+                report.push_verdict(core, &acc, truth);
             }
-            if test_escape {
-                report.test_escapes += 1;
-            }
-            if let Some(t) = ttrc_hours {
-                report.ttrc_hours.push(t);
-            }
-            report.verdicts.push(CoreVerdict {
-                core,
-                label,
-                onset,
-                first_signal: acc.first_signal,
-                quarantine_hour: acc.quarantine_hour,
-                confirm_hour: acc.confirm_hour,
-                signals: acc.signals,
-                exonerations: acc.exonerations,
-                false_exoneration,
-                reconfirmed: acc.reconfirmed,
-                test_escape,
-                ttrc_hours,
-            });
         }
+        for t in truth_cores {
+            report.push_verdict(t, &empty, truth);
+        }
+
+        report.kinds = kinds
+            .into_iter()
+            .flatten()
+            .chain(wide_kinds.into_values())
+            .map(|k| k.stats)
+            .collect();
+        let named = |ix: usize, (fires, justified): (u32, u32)| RuleStats {
+            rule: rule_names
+                .get(ix)
+                .cloned()
+                .unwrap_or_else(|| format!("rule-{ix}")),
+            fires,
+            justified,
+        };
+        let mut rules: Vec<RuleStats> = (fires.into_iter().enumerate())
+            .filter(|(_, (fires, _))| *fires > 0)
+            .chain(wide_fires)
+            .map(|(ix, counts)| named(ix, counts))
+            .collect();
+        // In rule-name order, two indices of one name counted as one rule.
+        rules.sort_by(|a, b| a.rule.cmp(&b.rule));
+        rules.dedup_by(|later, kept| {
+            let same = later.rule == kept.rule;
+            if same {
+                kept.fires += later.fires;
+                kept.justified += later.justified;
+            }
+            same
+        });
+        report.rules = rules;
         report
+    }
+
+    /// Label one core from its folded entries and add it to the tallies;
+    /// a healthy core never quarantined is left out.
+    fn push_verdict(&mut self, core: u64, acc: &CoreAcc, truth: &GroundTruth) {
+        let onset = truth.onset_of(core);
+        let mercurial = onset.is_some();
+        let label = match (mercurial, acc.quarantine_hour.is_some()) {
+            (true, true) => CaseLabel::TruePositive,
+            (true, false) => CaseLabel::FalseNegative,
+            (false, true) => CaseLabel::FalsePositive,
+            (false, false) => return,
+        };
+        let false_exoneration = mercurial && acc.exonerations > 0;
+        let test_escape = false_exoneration && acc.confirm_hour.is_none();
+        let ttrc_hours = match (label, onset, acc.confirm_hour) {
+            (CaseLabel::TruePositive, Some(on), Some(confirm)) => Some(confirm - on),
+            _ => None,
+        };
+        match label {
+            CaseLabel::TruePositive => {
+                self.true_positives += 1;
+                if acc.confirm_hour.is_some() {
+                    self.confirmed_true += 1;
+                }
+            }
+            CaseLabel::FalsePositive => self.false_positives += 1,
+            CaseLabel::FalseNegative => self.false_negatives += 1,
+        }
+        self.false_exonerations += usize::from(false_exoneration);
+        self.test_escapes += usize::from(test_escape);
+        if let Some(t) = ttrc_hours {
+            self.ttrc_hours.push(t);
+        }
+        self.verdicts.push(CoreVerdict {
+            core,
+            label,
+            onset,
+            first_signal: acc.first_signal,
+            quarantine_hour: acc.quarantine_hour,
+            confirm_hour: acc.confirm_hour,
+            signals: acc.signals,
+            exonerations: acc.exonerations,
+            false_exoneration,
+            reconfirmed: acc.reconfirmed,
+            test_escape,
+            ttrc_hours,
+        });
     }
 
     /// Quarantine precision: TP / (TP + FP).

@@ -8,6 +8,8 @@
 //! recovery), the corruption drawn during the epoch, and how many
 //! ground-truth mercurial cores were still in service.
 
+use std::fmt::Write as _;
+
 use serde::{Deserialize, Serialize};
 
 /// One epoch's worth of closed-loop telemetry.
@@ -202,16 +204,20 @@ impl EpochSeries {
     /// with no classes registered the output is byte-for-byte the legacy
     /// format.
     pub fn to_csv(&self) -> String {
-        let mut out =
-            String::from("epoch,hour,capacity,capacity_with_safetask,corrupt_ops,active_mercurial");
+        // A row is ~50 bytes, plus ~12 a class cell.
+        let row_bytes = 50 + 12 * 4 * self.class_names.len();
+        let mut out = String::with_capacity(row_bytes * (self.points.len() + 1));
+        out.push_str("epoch,hour,capacity,capacity_with_safetask,corrupt_ops,active_mercurial");
         for name in &self.class_names {
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 ",{name}.corrupt_ops,{name}.caught,{name}.user_reports,{name}.overhead_ops"
-            ));
+            );
         }
         out.push('\n');
         for (i, p) in self.points.iter().enumerate() {
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 "{},{:.1},{:.8},{:.8},{},{}",
                 p.epoch,
                 p.hour,
@@ -219,16 +225,16 @@ impl EpochSeries {
                 p.capacity_with_safetask,
                 p.corrupt_ops,
                 p.active_mercurial
-            ));
+            );
             if !self.class_names.is_empty() {
-                let empty = Vec::new();
-                let row = self.class_points.get(i).unwrap_or(&empty);
+                let row = self.class_points.get(i).map_or(&[][..], Vec::as_slice);
                 for c in 0..self.class_names.len() {
                     let cp = row.get(c).copied().unwrap_or_default();
-                    out.push_str(&format!(
+                    let _ = write!(
+                        out,
                         ",{},{},{},{}",
                         cp.corrupt_ops, cp.caught, cp.user_reports, cp.overhead_ops
-                    ));
+                    );
                 }
             }
             out.push('\n');

@@ -1,9 +1,9 @@
 //! Exporters: JSONL, Prometheus text exposition, Chrome trace-event JSON,
 //! and [`read_jsonl`], the reader of the JSONL export.
 //!
-//! The exporters are hand-rolled and deterministic: floats go through
-//! Rust's shortest-roundtrip `Display`, events are written in merge order,
-//! and metrics in `BTreeMap` order.
+//! The exporters are hand-rolled and deterministic: floats are written
+//! as Rust's shortest-roundtrip `Display` writes them, events in merge
+//! order, and metrics in `BTreeMap` order.
 //!
 //! [`push_json_str`], [`push_u64`], [`push_num`] and [`HourCache`] are the
 //! one JSON text writer of the workspace's JSONL exports (trace, decision
@@ -17,9 +17,13 @@ use crate::metric::MetricSet;
 use crate::recorder::Trace;
 
 /// Append `s` as the body of a JSON string literal: a name with no byte
-/// that needs escaping is pushed as it is.
+/// that needs escaping is pushed as it is. The test folds over every
+/// byte without stopping early, which the compiler vectorises.
 pub fn push_json_str(out: &mut String, s: &str) {
-    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+    let tame = s.bytes().fold(true, |tame, b| {
+        tame & (b >= 0x20) & (b != b'"') & (b != b'\\')
+    });
+    if tame {
         out.push_str(s);
         return;
     }
@@ -39,34 +43,179 @@ pub fn push_json_str(out: &mut String, s: &str) {
 }
 
 /// Append `n` in decimal.
-pub fn push_u64(out: &mut String, mut n: u64) {
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
+pub fn push_u64(out: &mut String, n: u64) {
+    push_digits(out, n, 1);
+}
+
+/// `"00"`, `"01"`, …, `"99"`. Digits are appended as slices of this
+/// string, two at a time, so no digit buffer needs UTF-8 validation.
+const DIGIT_PAIRS: &str = {
+    const BYTES: [u8; 200] = {
+        let mut t = [0u8; 200];
+        let mut i = 0;
+        while i < 100 {
+            t[2 * i] = b'0' + (i / 10) as u8;
+            t[2 * i + 1] = b'0' + (i % 10) as u8;
+            i += 1;
         }
+        t
+    };
+    match std::str::from_utf8(&BYTES) {
+        Ok(s) => s,
+        Err(_) => panic!("ASCII digits"),
     }
-    out.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
+};
+
+/// Append `n`, zero-padded to at least `width` digits (at most 20).
+/// Inlined, so `push_u64`'s constant `width` folds away.
+#[inline(always)]
+fn push_digits(out: &mut String, mut n: u64, width: usize) {
+    // Four-digit chunks, least significant first, then the leading one
+    // with as many digits as it has or the padding asks for.
+    let mut chunks = [0usize; 5];
+    let mut k = 0;
+    while n >= 10_000 || 4 * (k + 1) < width {
+        chunks[k] = (n % 10_000) as usize;
+        n /= 10_000;
+        k += 1;
+    }
+    let lead = n as usize;
+    let lead_digits =
+        1 + usize::from(lead >= 10) + usize::from(lead >= 100) + usize::from(lead >= 1000);
+    push_chunk(out, lead, lead_digits.max(width.saturating_sub(4 * k)));
+    for &chunk in chunks[..k].iter().rev() {
+        push_chunk(out, chunk, 4);
+    }
+}
+
+/// Append the `width` (1 to 4) low digits of `n`, zero-padded.
+#[inline(always)]
+fn push_chunk(out: &mut String, n: usize, width: usize) {
+    let pair = |out: &mut String, p: usize| out.push_str(&DIGIT_PAIRS[2 * p..2 * p + 2]);
+    let digit = |out: &mut String, d: usize| out.push_str(&DIGIT_PAIRS[2 * d + 1..2 * d + 2]);
+    match width {
+        4 => {
+            pair(out, n / 100);
+            pair(out, n % 100);
+        }
+        3 => {
+            digit(out, n / 100);
+            pair(out, n % 100);
+        }
+        2 => pair(out, n),
+        _ => digit(out, n),
+    }
 }
 
 /// Append `v` as a JSON number, byte for byte `format!("{v}")`: Rust's
 /// `Display` prints the shortest string that round-trips, which is
-/// deterministic. A whole value in `[0, 2^53)` with a positive sign is
-/// exactly its integer digits, so it skips the float formatter.
-/// Non-finite values (never produced by the recorder's clocked paths)
-/// degrade to `0`.
+/// deterministic. A whole value below 2^53 is exactly its integer digits;
+/// a fraction in [`push_fraction`]'s range is written by exact integer
+/// arithmetic; anything else (subnormals, magnitudes below 2^-8 or from
+/// 2^53 up) goes through `Display` itself. Non-finite values (never
+/// produced by the recorder's clocked paths) degrade to `0`.
 pub fn push_num(out: &mut String, v: f64) {
-    if v.is_sign_positive() && v < 9_007_199_254_740_992.0 && v as u64 as f64 == v {
-        push_u64(out, v as u64);
-    } else if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
+    if !v.is_finite() {
         out.push('0');
+        return;
     }
+    if v.is_sign_negative() {
+        out.push('-');
+    }
+    let v = v.abs();
+    if v < 9_007_199_254_740_992.0 && v as u64 as f64 == v {
+        push_u64(out, v as u64);
+    } else if !push_fraction(out, v) {
+        let _ = write!(out, "{v}");
+    }
+}
+
+/// `10^i` for every `i` whose power fits a `u64`.
+const POW10: [u64; 20] = {
+    let mut p = [1u64; 20];
+    let mut i = 1;
+    while i < p.len() {
+        p[i] = p[i - 1] * 10;
+        i += 1;
+    }
+    p
+};
+
+/// The least `f` with `10^f >= 2^q`, for `1 <= q <= 63`: `1233 / 4096`
+/// is `log10(2)` to within `6e-6`, close enough for every such `q`.
+fn least_pow10_at_least_pow2(q: u32) -> usize {
+    ((q as usize * 1233) >> 12) + 1
+}
+
+/// Append a positive, non-integer `v = m·2^e` with `-60 <= e < 0` (that
+/// is, `2^-8 <= v < 2^52`) the way `Display` does, and return `true`; any
+/// other value is left to the caller.
+///
+/// `Display` prints the shortest decimal inside `v`'s rounding interval
+/// (half an ulp each side, a quarter below a power of two, ends included
+/// when `m` is even), and of two shortest candidates the closer one, an
+/// exact tie rounding *up* (`33962326888.5703125` prints
+/// `33962326888.570313`, not Ryu's half-even `…570312`). In units of
+/// `2^-q` the interval is `[mant - 1, mant + plus]` with `q <= 62`, so
+/// scaled by `10^f` (`f <= 19`) it is exact in a `u128`. At the least `f`
+/// with `10^f >= 2^q` it holds integers; the least `f` whose scaled
+/// interval still holds one is found by dividing its integer bounds by
+/// ten, which keeps them exact (`floor(floor(x)/10) = floor(x/10)`).
+fn push_fraction(out: &mut String, v: f64) -> bool {
+    let bits = v.to_bits();
+    let e = (bits >> 52) as i32 - 1075;
+    if bits >> 52 == 0 || !(-60..0).contains(&e) {
+        return false;
+    }
+    let stored = bits & ((1 << 52) - 1);
+    let m = stored | 1 << 52;
+    let inclusive = m.is_multiple_of(2);
+    // `v = mant·2^-q`; a power of two's lower neighbour is half as far.
+    let (mant, plus, q) = if stored == 0 {
+        (m << 2, 2, (2 - e) as u32)
+    } else {
+        (m << 1, 1, (1 - e) as u32)
+    };
+    let mask = (1u128 << q) - 1;
+    let mut f = least_pow10_at_least_pow2(q);
+    let scale = u128::from(POW10[f]);
+    let x = u128::from(mant) * scale;
+    let (lo_edge, hi_edge) = (x - scale, x + plus * scale);
+    // The least and greatest integers in the scaled interval.
+    let mut lo = ((lo_edge + mask) >> q) as u64;
+    let mut hi = (hi_edge >> q) as u64;
+    if !inclusive {
+        lo += u64::from(lo_edge & mask == 0);
+        hi -= u64::from(hi_edge & mask == 0);
+    }
+    while f > 0 && lo.div_ceil(10) <= hi / 10 {
+        lo = lo.div_ceil(10);
+        hi /= 10;
+        f -= 1;
+    }
+    // `v·10^f` is `down + rem/2^q`: round up when only the upper
+    // neighbour is in the interval, or both are and `rem` is at least
+    // half (ties up).
+    let x = u128::from(mant) * u128::from(POW10[f]);
+    let down = (x >> q) as u64;
+    let rem = x & mask;
+    let n = if down < hi && (down < lo || rem > mask >> 1) {
+        down + 1
+    } else {
+        down
+    };
+    // `n`'s integer digits are `v`'s, or one more when rounding carried
+    // into them.
+    let (mut int, unit) = (mant >> q, POW10[f]);
+    let mut fraction = n - int * unit;
+    if fraction >= unit {
+        int += 1;
+        fraction -= unit;
+    }
+    push_u64(out, int);
+    out.push('.');
+    push_digits(out, fraction, f);
+    true
 }
 
 /// [`push_num`] into a fresh `String`, for the Prometheus exposition.
@@ -428,6 +577,15 @@ pub fn to_chrome_trace(trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use crate::recorder::{Recorder, TraceLevel};
+
+    #[test]
+    fn scale_estimate_is_the_least_power_of_ten_past_each_power_of_two() {
+        for q in 1..=63 {
+            let f = super::least_pow10_at_least_pow2(q);
+            assert!(10u128.pow(f as u32) >= 1 << q, "q {q}");
+            assert!(10u128.pow(f as u32 - 1) < 1 << q, "q {q}");
+        }
+    }
 
     fn sample_trace() -> crate::recorder::Trace {
         let mut r = Recorder::new(TraceLevel::Record);

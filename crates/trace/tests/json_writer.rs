@@ -20,28 +20,93 @@ fn num(v: f64) -> String {
     out
 }
 
+/// splitmix64: the sweep's seeded source of bit patterns.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// An exact tie `i + odd/2^(f+1)`: `v·10^f` is a half-integer, and
+/// `f` is the least count of fractional digits whose `10^-f` fits in
+/// one ulp of `v`, so both neighbours of the half-integer may lie in
+/// the rounding interval. Returns the value, `f` and `2·v·10^f`.
+fn tie_candidate(z: u64) -> (f64, usize, u128) {
+    let bits = 1 + (z % 45) as u32; // integer part of 1..=45 bits
+    let i = (1u64 << (bits - 1)) | (z >> 20) & ((1u64 << (bits - 1)) - 1);
+    let ulp_exp = bits as i32 - 1 - 52;
+    let f = (0..)
+        .find(|&f| 10f64.powi(f) >= 2f64.powi(-ulp_exp))
+        .unwrap() as usize;
+    let odd = ((z >> 7) | 1) & ((1u64 << (f + 1)) - 1);
+    let v = i as f64 + odd as f64 / 2f64.powi(f as i32 + 1);
+    let twice_scaled =
+        2 * u128::from(i) * 10u128.pow(f as u32) + u128::from(odd) * 5u128.pow(f as u32);
+    (v, f, twice_scaled)
+}
+
+/// Whether `text` (a positive `f`-digit fraction) is a neighbour of the
+/// half-integer `twice_scaled / 2` at `f` digits, i.e. `Display` met a tie.
+fn is_tie(text: &str, f: usize, twice_scaled: u128) -> bool {
+    let Some((int, frac)) = text.split_once('.') else {
+        return false;
+    };
+    if frac.len() != f {
+        return false;
+    }
+    let digits: u128 = format!("{int}{frac}").parse().unwrap();
+    2 * digits == twice_scaled + 1 || 2 * digits + 1 == twice_scaled
+}
+
 #[test]
 fn push_num_is_display_on_a_seeded_sweep() {
-    // A million random bit patterns (almost all fractional or huge),
-    // plus the whole numbers and hour-like fractions each one yields:
-    // integers below and above the 2^53 cut-off of the integer path.
+    // Over 2.5 million seeded values in every class the exports meet or the
+    // writer treats apart: hours of a 36-month run, uniform bit patterns,
+    // subnormals, fractions below 1 with leading zeros (in and below the
+    // exact range), whole numbers below and above 2^53, exact ties, and
+    // each of those negated.
+    let hours_end = 26_280.0;
     let mut state = 24_301u64;
-    for _ in 0..1_000_000 {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        for v in [
-            f64::from_bits(z),
-            (z >> 11) as f64,
-            (z >> 9) as f64,
-            (z % 1_000_000) as f64 / 8.0,
-        ] {
+    let (mut checked, mut ties) = (0usize, 0usize);
+    let mut check = |v: f64| {
+        for v in [v, -v] {
             if v.is_finite() {
                 assert_eq!(num(v), format!("{v}"), "bits {:#x}", v.to_bits());
+                checked += 1;
             }
         }
+    };
+    for _ in 0..150_000 {
+        let z = next(&mut state);
+        let unit = (z >> 11) as f64 / 9_007_199_254_740_992.0;
+        check(unit * hours_end);
+        check((z % 2_102_400) as f64 / 80.0); // hours on a 45-second grid
+        check(f64::from_bits(z));
+        check(f64::from_bits(z & 0x000f_ffff_ffff_ffff)); // subnormal
+        check(unit * 0.1); // 0.0…: leading zeros, often below 2^-8
+        check(unit / 256.0); // below the exact range
+        check((z >> 11) as f64);
+        check((z >> (z % 40)) as f64); // integers at and above 2^53
+        let (v, f, twice_scaled) = tie_candidate(z);
+        check(v);
+        ties += usize::from(is_tie(&num(v), f, twice_scaled));
+    }
+    assert!(checked >= 2_500_000, "{checked} values");
+    assert!(ties >= 10_000, "only {ties} exact ties");
+}
+
+#[test]
+fn push_num_breaks_exact_ties_upward() {
+    // `Display` rounds a tie between two shortest candidates up, which
+    // is not Ryu's half-even rule.
+    // 33962326888.5703125 exactly: six decimals fit in its interval and
+    // the seventh is a 5.
+    let tie = 33_962_326_888.0 + 73.0 / 128.0;
+    for (v, text) in [(tie, "33962326888.570313"), (0.5, "0.5")] {
+        assert_eq!(format!("{v}"), text);
+        assert_eq!(num(v), text);
     }
 }
 
@@ -71,7 +136,13 @@ fn push_num_is_display_on_the_edges() {
         73.0,
         8760.5,
     ];
-    edges.extend((0..64).map(|i| 2f64.powi(i)));
+    // Powers of two, whose lower neighbour is half as far as the upper,
+    // and the values either side of each.
+    let powers = (0..52).map(|k| 1u64 << k).chain((1..2047).map(|e| e << 52));
+    for bits in powers {
+        edges.extend([bits - 1, bits, bits + 1].map(f64::from_bits));
+    }
+    edges.extend([1e-7, 1e21, -1e-7, -1e21, 2f64.powi(-8), 2f64.powi(52) - 0.5]);
     for v in edges {
         assert_eq!(num(v), format!("{v}"), "{v:e}");
     }

@@ -12,15 +12,15 @@
 //! ```
 //!
 //! Audits the E20 policy-ladder arms and the E19 impairment arms, times
-//! the audit path's exports once each on the 20k-machine paper scenario,
-//! and writes `BENCH_audit.json`. The audit's in-loop cost is a row of
-//! `e16_observe`'s layer table.
+//! the audit path's exports on the 20k-machine paper scenario (medians of
+//! in-process repeats after a warm-up), and writes `BENCH_audit.json`.
+//! The audit's in-loop cost is a row of `e16_observe`'s layer table.
 
 use mercurial::audit::{AuditReport, DecisionLedger, GroundTruth};
 use mercurial::closedloop::ClosedLoopDriver;
 use mercurial::scenario::{ClassPolicy, ImpairConfig};
 use mercurial::Scenario;
-use mercurial_bench::timed;
+use mercurial_bench::{interleave, timed};
 use mercurial_mitigation::MitigationPolicy;
 use mercurial_serve::{run_served_impaired, ServeOptions};
 
@@ -51,37 +51,58 @@ fn report_of(s: &Scenario, trace: &mercurial_trace::Trace) -> (DecisionLedger, A
     (ledger, report)
 }
 
-/// The audit path after an audited 20k-machine paper run, each step timed
-/// once and printed as ns per line: a writer's lines are the lines it
-/// writes, the fold's the trace events it reads, the report's the ledger
-/// entries it scores. Returns the steps as `BENCH_audit.json` rows.
+/// Timed repeats of each audit export, after one untimed warm-up.
+const EXPORT_REPEATS: usize = 11;
+
+/// The audit path after an audited 20k-machine paper run, each step run
+/// once to warm up (a first run also pays the page faults of a fresh
+/// output buffer) and then timed as the median of [`EXPORT_REPEATS`]
+/// interleaved repeats, printed as ns per line: a writer's lines are the
+/// lines it writes, the fold's the trace events it reads, the report's
+/// the ledger entries it scores. Returns the steps as `BENCH_audit.json`
+/// rows.
 fn export_costs(prof: &mercurial_prof::Prof) -> Vec<String> {
     let mut s = mercurial_bench::paper_scenario(0x0e21);
     s.closed_loop.feedback = true;
     s.audit.enabled = true;
     let out = ClosedLoopDriver::execute(&s);
-    let (jsonl, trace_s) = timed(prof, "audit.trace_jsonl", || out.trace.to_jsonl());
-    let (ledger, fold_s) = timed(prof, "audit.fold", || {
-        DecisionLedger::from_trace(&out.trace)
-    });
+    let jsonl = out.trace.to_jsonl();
+    let ledger = DecisionLedger::from_trace(&out.trace);
     let (truth, rules) = (GroundTruth::from_ledger(&ledger), rule_names(&s));
-    let (_, report_s) = timed(prof, "audit.report", || {
-        AuditReport::build(&ledger, &truth, &rules)
-    });
-    let (ledger_jsonl, ledger_s) = timed(prof, "audit.ledger_jsonl", || ledger.to_jsonl());
-    println!("audit exports on the 20k paper scenario (one timing each):");
+    AuditReport::build(&ledger, &truth, &rules);
+    let ledger_jsonl = ledger.to_jsonl();
+    let rounds = interleave(
+        prof,
+        EXPORT_REPEATS,
+        &mut [
+            ("audit.trace_jsonl", &mut || drop(out.trace.to_jsonl())),
+            ("audit.fold", &mut || {
+                drop(DecisionLedger::from_trace(&out.trace))
+            }),
+            ("audit.report", &mut || {
+                drop(AuditReport::build(&ledger, &truth, &rules))
+            }),
+            ("audit.ledger_jsonl", &mut || drop(ledger.to_jsonl())),
+        ],
+    );
+    println!(
+        "audit exports on the 20k paper scenario (median of {EXPORT_REPEATS} in-process \
+         repeats after one warm-up):"
+    );
     [
-        ("trace.to_jsonl", jsonl.lines().count(), trace_s),
-        ("ledger.from_trace", out.trace.events.len(), fold_s),
-        ("report.build", ledger.len(), report_s),
-        ("ledger.to_jsonl", ledger_jsonl.lines().count(), ledger_s),
+        ("trace.to_jsonl", jsonl.lines().count()),
+        ("ledger.from_trace", out.trace.events.len()),
+        ("report.build", ledger.len()),
+        ("ledger.to_jsonl", ledger_jsonl.lines().count()),
     ]
-    .map(|(step, lines, secs)| {
-        let ns = secs * 1e9 / lines.max(1) as f64;
+    .into_iter()
+    .enumerate()
+    .map(|(arm, (step, lines))| {
+        let ns = rounds.spread(arm).median * 1e9 / lines.max(1) as f64;
         println!("  {step:>18}: {lines:>6} lines  {ns:>7.1} ns/line");
         format!("    {{\"step\": \"{step}\", \"lines\": {lines}, \"ns_per_line\": {ns:.1}}}")
     })
-    .to_vec()
+    .collect()
 }
 
 fn main() {

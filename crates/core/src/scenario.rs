@@ -12,6 +12,7 @@ use serde::{Deserialize, Serialize};
 /// and operand patterns the distilled corpus exercises — the systematic
 /// screening-content development §3 of the paper says was missing.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FuzzCorpusConfig {
     /// Whether screeners run the distilled fuzz content at all.
     pub enabled: bool,
@@ -35,6 +36,7 @@ impl Default for FuzzCorpusConfig {
 /// hard-coded. Every field has a serde default matching the historical
 /// value, so existing scenario JSON parses unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct PipelineTuning {
     /// Hours from a suspect report to the human-triage verdict
     /// (confirm or exonerate).
@@ -89,6 +91,7 @@ impl Default for PipelineTuning {
 /// simulation, and the latencies/budgets of the in-loop isolation
 /// machinery.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ClosedLoopConfig {
     /// `true`: confirmed cores leave the workload mix mid-simulation
     /// (their signals and corruption stop) and exonerated cores return.
@@ -130,6 +133,7 @@ impl Default for ClosedLoopConfig {
 /// `mercurial-trace`. Off by default — a disabled recorder costs one
 /// branch per call site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TraceConfig {
     /// Master switch for span/event/metric recording.
     #[serde(default)]
@@ -144,6 +148,7 @@ pub struct TraceConfig {
 /// code changes. [`WatchConfig::rule_set`] expands the knobs into the
 /// default rule set and appends any custom `rules`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct WatchConfig {
     /// Whether the closed-loop driver evaluates rules in-loop (emitting
     /// `alert.fired` trace instants and a `WatchReport` on the outcome).
@@ -277,6 +282,7 @@ impl WatchConfig {
 /// shared-uniform coupling (`u < p`) so raising `loss` can only drop a
 /// superset of the frames a lower setting dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ImpairConfig {
     /// Seed of the impairment draws (independent of the fleet seed).
     #[serde(default = "default_impair_seed")]
@@ -330,6 +336,7 @@ impl ImpairConfig {
 /// how many shard workers the fleet splits across and what the links
 /// between them suffer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ServeConfig {
     /// Fleet-shard worker processes (machines are split into this many
     /// contiguous ranges).
@@ -355,6 +362,7 @@ impl Default for ServeConfig {
 
 /// One class's starting mitigation policy in the `workloads` block.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ClassPolicy {
     /// Workload-class name (one of the default mix's names, e.g.
     /// `"data-pipeline"`).
@@ -375,6 +383,7 @@ pub struct ClassPolicy {
 /// legacy scenario JSON parses to — means today's flat traffic and zero
 /// mitigation, bit-for-bit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct WorkloadsConfig {
     /// Master switch for the workload layer.
     #[serde(default)]
@@ -455,6 +464,7 @@ impl WorkloadsConfig {
 /// extra events are recorded and every output is bit-identical to the
 /// pre-audit tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct AuditConfig {
     /// Master switch for decision-provenance recording.
     #[serde(default)]
@@ -483,6 +493,7 @@ impl Default for AuditConfig {
 /// Scenarios serialize to JSON so experiment parameters live in files and
 /// reports can embed the exact configuration that produced them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Scenario {
     /// Human-readable name.
     pub name: String,
@@ -604,157 +615,178 @@ impl Scenario {
         serde_json::to_string_pretty(self).expect("scenario serializes")
     }
 
-    /// Parses from JSON and rejects values the simulation cannot run.
+    /// Parses from JSON and rejects a scenario that cannot run
+    /// ([`Scenario::validate`]). A key no block has is an error naming
+    /// it and its block, except the [`RETIRED_KEYS`], which are dropped.
     ///
     /// # Errors
     ///
-    /// Returns the underlying serde error message, or a message naming
-    /// the offending field: `fleet.machines` or `fleet.sockets_per_machine`
-    /// when it is 0, `fleet.products` when the catalog is empty or its
-    /// weights do not sum to a positive number, and `sim.epoch_hours`,
-    /// `offline_interval_hours` or `online_interval_hours` when it is not
-    /// positive and finite.
+    /// Returns the serde error message or the [`Scenario::validate`] one.
     pub fn from_json(json: &str) -> Result<Scenario, String> {
-        let scenario: Scenario = serde_json::from_str(json).map_err(|e| e.to_string())?;
+        let mut tree: serde_json::Value = serde_json::from_str(json).map_err(|e| e.to_string())?;
+        for (block, key) in RETIRED_KEYS {
+            if let Some(serde_json::Value::Object(entries)) = tree.pointer_mut(&format!("/{block}"))
+            {
+                entries.retain(|(k, _)| k != key);
+            }
+        }
+        let scenario = Scenario::from_value(&tree).map_err(|e| e.to_string())?;
         scenario.validate()?;
         Ok(scenario)
     }
 
-    /// Boundary checks for knobs later layers divide by, draw from or
-    /// step by: an empty fleet (the offline sweep rotation takes a
-    /// remainder by the machine count), zero sockets (the noise layer
-    /// draws a socket below the count), zero serve workers (the served
-    /// topology splits the fleet into that many shards), an empty or
-    /// weightless product catalog (the topology draws machines by
-    /// weight), a catalog of more than 256 products (the topology keeps
-    /// a machine's product index in one byte), a
-    /// negative or non-finite product weight, a run of zero months, a
-    /// non-positive or non-finite epoch or screening interval (the epoch
-    /// count would be unbounded; a campaign would never advance), a
-    /// negative or non-finite triage or restore latency (added to an
-    /// hour the loop schedules) or offline drain (machine-hours booked),
-    /// and a rate, share, fraction, threshold or amplitude outside
-    /// [0, 1].
-    fn validate(&self) -> Result<(), String> {
-        if self.fleet.machines == 0 {
-            return Err("fleet.machines must be at least 1, got 0".to_string());
-        }
-        if self.fleet.sockets_per_machine == 0 {
-            return Err("fleet.sockets_per_machine must be at least 1, got 0".to_string());
-        }
-        if self.serve.workers == 0 {
-            return Err("serve.workers must be at least 1, got 0".to_string());
-        }
-        if self.fleet.products.is_empty() {
+    /// Whether this scenario can run: every [`FIELDS`] row in bound, and
+    /// a catalog the topology can draw from (at least one product, at
+    /// most 256 since a machine's product index is one byte, each with a
+    /// DVFS curve, weights summing to a positive finite number).
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first field that fails, in table order.
+    pub fn validate(&self) -> Result<(), String> {
+        FIELDS.iter().try_for_each(|field| field.check(self))?;
+        let products = &self.fleet.products;
+        if products.is_empty() {
             return Err("fleet.products must list at least one product".to_string());
         }
-        // A machine's product index is one byte.
-        if self.fleet.products.len() > 256 {
+        if products.len() > 256 {
+            let n = products.len();
             return Err(format!(
-                "fleet.products must list at most 256 products, got {}",
-                self.fleet.products.len()
+                "fleet.products must list at most 256 products, got {n}"
             ));
         }
-        for (i, p) in self.fleet.products.iter().enumerate() {
-            let w = p.fleet_weight;
-            if !(w.is_finite() && w >= 0.0) {
-                return Err(format!(
-                    "fleet.products[{i}].fleet_weight must be non-negative and finite, got {w}"
-                ));
-            }
-            if p.cores_per_socket == 0 {
-                return Err(format!(
-                    "fleet.products[{i}].cores_per_socket must be at least 1, got 0"
-                ));
-            }
-            if p.dvfs.steps().is_empty() {
-                return Err(format!(
-                    "fleet.products[{i}].dvfs.steps must list at least one step"
-                ));
-            }
-            let rate = p.mercurial_rate_per_core;
-            if !(0.0..=1.0).contains(&rate) {
-                return Err(format!(
-                    "fleet.products[{i}].mercurial_rate_per_core must be in [0, 1], got {rate}"
-                ));
-            }
+        if let Some(i) = products.iter().position(|p| p.dvfs.steps().is_empty()) {
+            return Err(format!(
+                "fleet.products[{i}].dvfs.steps must list at least one step"
+            ));
         }
-        let weight: f64 = self.fleet.products.iter().map(|p| p.fleet_weight).sum();
+        let weight: f64 = products.iter().map(|p| p.fleet_weight).sum();
         if !(weight.is_finite() && weight > 0.0) {
             return Err(format!(
                 "fleet.products weights must sum to a positive finite number, got {weight}"
             ));
         }
-        if self.sim.months == 0 {
-            return Err("sim.months must be at least 1, got 0".to_string());
-        }
-        for (field, h) in [
-            ("sim.epoch_hours", self.sim.epoch_hours),
-            ("offline_interval_hours", self.offline_interval_hours),
-            ("online_interval_hours", self.online_interval_hours),
-        ] {
-            if !(h.is_finite() && h > 0.0) {
-                return Err(format!("{field} must be positive and finite, got {h}"));
-            }
-        }
-        // Latencies the loop adds to an hour (a non-finite hour trips the
-        // event queue's finiteness assert; a negative one schedules into
-        // the past), and the machine-hours an offline sweep books.
-        for (field, h) in [
-            (
-                "closed_loop.triage_latency_hours",
-                self.closed_loop.triage_latency_hours,
-            ),
-            (
-                "closed_loop.restore_latency_hours",
-                self.closed_loop.restore_latency_hours,
-            ),
-            (
-                "tuning.triage_latency_hours",
-                self.tuning.triage_latency_hours,
-            ),
-            (
-                "tuning.restore_latency_hours",
-                self.tuning.restore_latency_hours,
-            ),
-            (
-                "tuning.offline_drain_hours_per_machine",
-                self.tuning.offline_drain_hours_per_machine,
-            ),
-        ] {
-            if !(h.is_finite() && h >= 0.0) {
-                return Err(format!("{field} must be non-negative and finite, got {h}"));
-            }
-        }
-        // Per-machine-hour noise rates, probabilities, fractions and a
-        // suspicion level: each lies in [0, 1] (and so is finite). A huge
-        // rate would make the noise layer's Poisson draw saturate and
-        // loop for ever; a fraction outside [0, 1] screens a negative or
-        // more-than-whole share; a threshold above 1 is never reached
-        // (suspicion stays below 1); an amplitude above 1 swings the
-        // traffic intensity `1 + amplitude · sin` below zero.
-        for (field, p) in [
-            ("sim.noise_crash_rate", self.sim.noise_crash_rate),
-            ("sim.noise_report_rate", self.sim.noise_report_rate),
-            ("sim.machine_check_share", self.sim.machine_check_share),
-            (
-                "tuning.online_ops_fraction",
-                self.tuning.online_ops_fraction,
-            ),
-            ("offline_fraction", self.offline_fraction),
-            ("suspicion_threshold", self.suspicion_threshold),
-            (
-                "workloads.traffic_amplitude",
-                self.workloads.traffic_amplitude,
-            ),
-        ] {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!("{field} must be in [0, 1], got {p}"));
-            }
-        }
         Ok(())
     }
 }
+
+/// Keys of retired options, as `(block, key)`, that older scenario files
+/// carry: the thread-count knob, the second fleet engine, per-machine
+/// trace spans. [`Scenario::from_json`] drops them.
+pub const RETIRED_KEYS: [(&str, &str); 3] = [
+    ("sim", "parallelism"),
+    ("sim", "engine"),
+    ("trace", "machine_spans"),
+];
+
+/// What a bounded numeric field must be.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Bound {
+    /// A count the layers divide by, draw below or split by.
+    AtLeastOne,
+    /// A step or interval; a zero one never advances.
+    Positive,
+    /// A latency added to an hour or hours booked; not into the past.
+    NonNegative,
+    /// A rate, share, fraction, threshold or amplitude.
+    UnitInterval,
+}
+
+impl Bound {
+    /// Whether `v` is within the bound (NaN never is).
+    pub fn holds(self, v: f64) -> bool {
+        match self {
+            Bound::AtLeastOne => v >= 1.0,
+            Bound::Positive => v.is_finite() && v > 0.0,
+            Bound::NonNegative => v.is_finite() && v >= 0.0,
+            Bound::UnitInterval => (0.0..=1.0).contains(&v),
+        }
+    }
+
+    fn rule(self) -> &'static str {
+        match self {
+            Bound::AtLeastOne => "at least 1",
+            Bound::Positive => "positive and finite",
+            Bound::NonNegative => "non-negative and finite",
+            Bound::UnitInterval => "in [0, 1]",
+        }
+    }
+}
+
+/// One bounded numeric field of a scenario.
+#[derive(Debug, Clone, Copy)]
+pub struct Field {
+    /// JSON path, e.g. `sim.epoch_hours`; a field every catalog product
+    /// has reads `fleet.products[i].fleet_weight`.
+    pub path: &'static str,
+    /// Reads the field (of product `i`, on a per-product row).
+    pub read: fn(&Scenario, usize) -> f64,
+    /// What the field must be.
+    pub bound: Bound,
+}
+
+impl Field {
+    fn check(&self, s: &Scenario) -> Result<(), String> {
+        let n = if self.path.contains("[i]") {
+            s.fleet.products.len()
+        } else {
+            1
+        };
+        let mut values = (0..n).map(|i| (i, (self.read)(s, i)));
+        match values.find(|&(_, v)| !self.bound.holds(v)) {
+            None => Ok(()),
+            Some((i, v)) => {
+                let path = self.path.replace("[i]", &format!("[{i}]"));
+                Err(format!("{path} must be {}, got {v}", self.bound.rule()))
+            }
+        }
+    }
+}
+
+/// Every bounded numeric field of a scenario, in the order
+/// [`Scenario::validate`] checks them. `tests/scenario_fields.rs` fails
+/// when a numeric field is neither a row here nor on its list of
+/// unbounded fields.
+#[rustfmt::skip]
+pub static FIELDS: [Field; 22] = {
+    use Bound::{AtLeastOne, NonNegative, Positive, UnitInterval};
+    const fn field(path: &'static str, bound: Bound, read: fn(&Scenario, usize) -> f64) -> Field {
+        Field { path, read, bound }
+    }
+    [
+        field("fleet.machines", AtLeastOne, |s, _| f64::from(s.fleet.machines)),
+        field("fleet.sockets_per_machine", AtLeastOne, |s, _| f64::from(s.fleet.sockets_per_machine)),
+        field("serve.workers", AtLeastOne, |s, _| f64::from(s.serve.workers)),
+        field("fleet.products[i].fleet_weight", NonNegative, |s, i| s.fleet.products[i].fleet_weight),
+        field("fleet.products[i].cores_per_socket", AtLeastOne, |s, i| {
+            f64::from(s.fleet.products[i].cores_per_socket)
+        }),
+        field("fleet.products[i].mercurial_rate_per_core", UnitInterval, |s, i| {
+            s.fleet.products[i].mercurial_rate_per_core
+        }),
+        field("sim.months", AtLeastOne, |s, _| f64::from(s.sim.months)),
+        field("sim.epoch_hours", Positive, |s, _| s.sim.epoch_hours),
+        field("offline_interval_hours", Positive, |s, _| s.offline_interval_hours),
+        field("online_interval_hours", Positive, |s, _| s.online_interval_hours),
+        field("closed_loop.triage_latency_hours", NonNegative, |s, _| s.closed_loop.triage_latency_hours),
+        field("closed_loop.restore_latency_hours", NonNegative, |s, _| s.closed_loop.restore_latency_hours),
+        field("tuning.triage_latency_hours", NonNegative, |s, _| s.tuning.triage_latency_hours),
+        field("tuning.restore_latency_hours", NonNegative, |s, _| s.tuning.restore_latency_hours),
+        field("tuning.offline_drain_hours_per_machine", NonNegative, |s, _| {
+            s.tuning.offline_drain_hours_per_machine
+        }),
+        // A noise rate above 1 a machine-hour saturates the Poisson draw,
+        // suspicion never reaches a threshold above 1, and an amplitude
+        // above 1 swings traffic intensity below zero.
+        field("sim.noise_crash_rate", UnitInterval, |s, _| s.sim.noise_crash_rate),
+        field("sim.noise_report_rate", UnitInterval, |s, _| s.sim.noise_report_rate),
+        field("sim.machine_check_share", UnitInterval, |s, _| s.sim.machine_check_share),
+        field("tuning.online_ops_fraction", UnitInterval, |s, _| s.tuning.online_ops_fraction),
+        field("offline_fraction", UnitInterval, |s, _| s.offline_fraction),
+        field("suspicion_threshold", UnitInterval, |s, _| s.suspicion_threshold),
+        field("workloads.traffic_amplitude", UnitInterval, |s, _| s.workloads.traffic_amplitude),
+    ]
+};
 
 #[cfg(test)]
 mod tests {
@@ -771,202 +803,6 @@ mod tests {
     #[test]
     fn bad_json_is_an_error() {
         assert!(Scenario::from_json("{not json").is_err());
-    }
-
-    #[test]
-    fn zero_machines_is_rejected_naming_the_field() {
-        let mut s = Scenario::small(7);
-        s.fleet.machines = 0;
-        let err = Scenario::from_json(&s.to_json()).unwrap_err();
-        assert!(err.contains("fleet.machines"), "{err}");
-    }
-
-    #[test]
-    fn more_than_256_products_is_rejected_naming_the_field() {
-        let mut s = Scenario::small(7);
-        let product = s.fleet.products[0].clone();
-        s.fleet.products = vec![product; 256];
-        assert!(Scenario::from_json(&s.to_json()).is_ok());
-        s.fleet.products.push(s.fleet.products[0].clone());
-        let err = Scenario::from_json(&s.to_json()).unwrap_err();
-        assert!(err.contains("fleet.products"), "{err}");
-    }
-
-    #[test]
-    fn non_positive_epoch_hours_is_rejected_naming_the_field() {
-        for hours in [0.0, -73.0] {
-            let mut s = Scenario::small(7);
-            s.sim.epoch_hours = hours;
-            let err = Scenario::from_json(&s.to_json()).unwrap_err();
-            assert!(err.contains("sim.epoch_hours"), "{hours}: {err}");
-        }
-    }
-
-    /// Non-finite values cannot travel through JSON (serde writes them as
-    /// `null`), so these checks call `validate` directly.
-    fn rejection(mutate: impl Fn(&mut Scenario)) -> String {
-        let mut s = Scenario::small(7);
-        mutate(&mut s);
-        s.validate().unwrap_err()
-    }
-
-    #[test]
-    fn bad_online_interval_is_rejected_naming_the_field() {
-        for hours in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let err = rejection(|s| s.online_interval_hours = hours);
-            assert!(err.contains("online_interval_hours"), "{hours}: {err}");
-        }
-    }
-
-    #[test]
-    fn bad_offline_interval_is_rejected_naming_the_field() {
-        for hours in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let err = rejection(|s| s.offline_interval_hours = hours);
-            assert!(err.contains("offline_interval_hours"), "{hours}: {err}");
-        }
-    }
-
-    #[test]
-    fn zero_sockets_is_rejected_naming_the_field() {
-        let err = rejection(|s| s.fleet.sockets_per_machine = 0);
-        assert!(err.contains("fleet.sockets_per_machine"), "{err}");
-    }
-
-    #[test]
-    fn empty_or_weightless_catalog_is_rejected_naming_the_field() {
-        let err = rejection(|s| s.fleet.products.clear());
-        assert!(err.contains("fleet.products"), "{err}");
-        let err = rejection(|s| {
-            for p in &mut s.fleet.products {
-                p.fleet_weight = 0.0;
-            }
-        });
-        assert!(err.contains("fleet.products"), "{err}");
-    }
-
-    #[test]
-    fn zero_cores_per_socket_is_rejected_naming_the_field() {
-        let err = rejection(|s| s.fleet.products[1].cores_per_socket = 0);
-        assert!(err.contains("fleet.products[1].cores_per_socket"), "{err}");
-    }
-
-    #[test]
-    fn empty_dvfs_curve_is_rejected_naming_the_field() {
-        // `DvfsCurve::new` refuses an empty curve, so build it the way a
-        // scenario file does: through serde.
-        let mut s = Scenario::small(7);
-        s.fleet.products[0].dvfs = serde_json::from_str(r#"{"steps": []}"#).unwrap();
-        let err = s.validate().unwrap_err();
-        assert!(err.contains("fleet.products[0].dvfs.steps"), "{err}");
-    }
-
-    #[test]
-    fn bad_mercurial_rate_is_rejected_naming_the_field() {
-        for rate in [-1e-6, 1.5, 2.0, f64::NAN, f64::INFINITY] {
-            let err = rejection(|s| s.fleet.products[2].mercurial_rate_per_core = rate);
-            assert!(
-                err.contains("fleet.products[2].mercurial_rate_per_core"),
-                "{rate}: {err}"
-            );
-        }
-        for rate in [0.0, 1.0] {
-            let mut s = Scenario::small(7);
-            s.fleet.products[2].mercurial_rate_per_core = rate;
-            assert_eq!(s.validate(), Ok(()), "{rate} is a probability");
-        }
-    }
-
-    #[test]
-    fn bad_latencies_and_drain_are_rejected_naming_the_field() {
-        type Field = fn(&mut Scenario) -> &mut f64;
-        let fields: [(&str, Field); 5] = [
-            ("closed_loop.triage_latency_hours", |s| {
-                &mut s.closed_loop.triage_latency_hours
-            }),
-            ("closed_loop.restore_latency_hours", |s| {
-                &mut s.closed_loop.restore_latency_hours
-            }),
-            ("tuning.triage_latency_hours", |s| {
-                &mut s.tuning.triage_latency_hours
-            }),
-            ("tuning.restore_latency_hours", |s| {
-                &mut s.tuning.restore_latency_hours
-            }),
-            ("tuning.offline_drain_hours_per_machine", |s| {
-                &mut s.tuning.offline_drain_hours_per_machine
-            }),
-        ];
-        for (name, field) in fields {
-            for bad in [-1e-6, -72.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-                let err = rejection(|s| *field(s) = bad);
-                assert!(err.contains(name), "{name} = {bad}: {err}");
-            }
-            for ok in [0.0, 1e6] {
-                let mut s = Scenario::small(7);
-                *field(&mut s) = ok;
-                assert_eq!(s.validate(), Ok(()), "{name} = {ok}");
-            }
-        }
-        // A scenario file can spell an infinite latency as `1e999`.
-        let mut s = Scenario::small(7);
-        s.closed_loop.triage_latency_hours = 12_345.5;
-        let json = s.to_json().replace("12345.5", "1e999");
-        let err = Scenario::from_json(&json).unwrap_err();
-        assert!(err.contains("closed_loop.triage_latency_hours"), "{err}");
-    }
-
-    #[test]
-    fn bad_product_weight_and_zero_months_are_rejected_naming_the_field() {
-        // A negative weight is rejected even while the sum stays positive.
-        for bad in [-0.2, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let err = rejection(|s| s.fleet.products[1].fleet_weight = bad);
-            assert!(
-                err.contains("fleet.products[1].fleet_weight"),
-                "{bad}: {err}"
-            );
-        }
-        let mut s = Scenario::small(7);
-        s.fleet.products[1].fleet_weight = 0.0;
-        assert_eq!(s.validate(), Ok(()), "a zero weight leaves a product out");
-        let err = rejection(|s| s.sim.months = 0);
-        assert!(err.contains("sim.months"), "{err}");
-    }
-
-    #[test]
-    fn fields_outside_the_unit_interval_are_rejected_naming_the_field() {
-        type Field = fn(&mut Scenario) -> &mut f64;
-        let fields: [(&str, Field); 7] = [
-            ("sim.noise_crash_rate", |s| &mut s.sim.noise_crash_rate),
-            ("sim.noise_report_rate", |s| &mut s.sim.noise_report_rate),
-            ("sim.machine_check_share", |s| {
-                &mut s.sim.machine_check_share
-            }),
-            ("tuning.online_ops_fraction", |s| {
-                &mut s.tuning.online_ops_fraction
-            }),
-            ("offline_fraction", |s| &mut s.offline_fraction),
-            ("suspicion_threshold", |s| &mut s.suspicion_threshold),
-            ("workloads.traffic_amplitude", |s| {
-                &mut s.workloads.traffic_amplitude
-            }),
-        ];
-        for (name, field) in fields {
-            for bad in [-1.0, -1e-6, 1.5, 1e300, f64::NAN, f64::INFINITY] {
-                let err = rejection(|s| *field(s) = bad);
-                assert!(err.contains(name), "{name} = {bad}: {err}");
-            }
-            for ok in [0.0, 1.0] {
-                let mut s = Scenario::small(7);
-                *field(&mut s) = ok;
-                assert_eq!(s.validate(), Ok(()), "{name} = {ok}");
-            }
-        }
-        // A scenario file can spell an infinite threshold as `1e999`.
-        let mut s = Scenario::small(7);
-        s.suspicion_threshold = 0.123_25;
-        let json = s.to_json().replace("0.12325", "1e999");
-        let err = Scenario::from_json(&json).unwrap_err();
-        assert!(err.contains("suspicion_threshold"), "{err}");
     }
 
     #[test]
@@ -1028,7 +864,7 @@ mod tests {
     fn partial_tuning_block_fills_missing_knobs() {
         // Per-field serde defaults: specifying one knob leaves the rest
         // at their historical values.
-        let json = r#"{"enabled_unused": 0, "triage_latency_hours": 48.0}"#;
+        let json = r#"{"triage_latency_hours": 48.0}"#;
         let t: PipelineTuning = serde_json::from_str(json).unwrap();
         assert_eq!(t.triage_latency_hours, 48.0);
         assert_eq!(t.restore_latency_hours, 96.0);

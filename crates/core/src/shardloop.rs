@@ -1007,18 +1007,17 @@ impl EpochTelemetry {
                 corrupt_ops: p.corrupt_ops as f64,
                 active_mercurial: p.active_mercurial as f64,
             };
-            let fired = if self.classes_on {
-                let classes: Vec<(String, f64)> = self
-                    .class_names
+            // `Vec::new` does not allocate: with classes off this adds no work.
+            let classes: Vec<(String, f64)> = if self.classes_on {
+                self.class_names
                     .iter()
                     .cloned()
                     .zip(p.classes.iter().map(|t| t.corrupt_ops as f64))
-                    .collect();
-                eng.push_epoch_classed(row, &classes)
+                    .collect()
             } else {
-                eng.push_epoch(row)
+                Vec::new()
             };
-            record_alerts(rec, &fired);
+            record_alerts(rec, &eng.push_epoch(row, &classes));
         }
     }
 

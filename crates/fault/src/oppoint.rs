@@ -63,6 +63,7 @@ impl std::fmt::Display for OperatingPoint {
 /// increases the failure rate" — at a lower DVFS step the voltage also
 /// drops, shrinking timing margin for some defects.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct DvfsCurve {
     /// `(freq_mhz, voltage_mv)` pairs, sorted by ascending frequency.
     steps: Vec<(u32, u32)>,

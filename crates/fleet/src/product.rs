@@ -11,6 +11,7 @@ use serde::{Deserialize, Serialize};
 
 /// One CPU product (vendor + generation) deployed in the fleet.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct CpuProduct {
     /// Product name, e.g. "vendorA-gen3".
     pub name: String,

@@ -30,6 +30,7 @@ use serde::{Deserialize, Serialize};
 
 /// Simulation parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SimConfig {
     /// Observation window, months (730 h each).
     pub months: u32,

@@ -6,6 +6,7 @@ use serde::{Deserialize, Serialize};
 
 /// Static fleet configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FleetConfig {
     /// Number of machines.
     pub machines: u32,

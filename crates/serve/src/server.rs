@@ -100,21 +100,18 @@ struct Link {
 /// # Errors
 ///
 /// Propagates socket I/O errors and protocol violations, and returns
-/// an [`io::ErrorKind::InvalidInput`] error for `serve.workers: 0` or
-/// `closed_loop.feedback: false` (the served run is the closed loop; its
-/// workers only screen with feedback on).
+/// an [`io::ErrorKind::InvalidInput`] error for a scenario that fails
+/// [`Scenario::validate`] or has `closed_loop.feedback: false` (the served
+/// run is the closed loop; its workers only screen with feedback on).
 pub fn run_server(
     listener: &TcpListener,
     scenario: &Scenario,
     opts: &ServeOptions<'_>,
 ) -> io::Result<ServedOutcome> {
+    scenario
+        .validate()
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     let workers = scenario.serve.workers;
-    if workers == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "serve.workers must be at least 1, got 0",
-        ));
-    }
     if !scenario.closed_loop.feedback {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,

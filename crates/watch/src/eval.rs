@@ -427,22 +427,14 @@ impl WatchEngine {
         &self.rules
     }
 
-    /// Feed the epoch that just completed. Returns the **newly** fired
-    /// epoch-scoped alerts with their rule indices (for `alert.fired`
-    /// trace instants), in rule order.
-    pub fn push_epoch(&mut self, row: EpochRow) -> Vec<(usize, Alert)> {
-        self.push_epoch_classed(row, &[])
-    }
-
-    /// [`push_epoch`](WatchEngine::push_epoch) with the epoch's per-class
-    /// corrupt-ops attribution — what class-scoped rules evaluate
-    /// against. Classes absent from earlier epochs are backfilled with
-    /// zeros so every class series stays aligned with the fleet rows.
-    pub fn push_epoch_classed(
-        &mut self,
-        row: EpochRow,
-        classes: &[(String, f64)],
-    ) -> Vec<(usize, Alert)> {
+    /// Feed the epoch that just completed with its per-class corrupt-ops
+    /// attribution (empty when classes are off) — what class-scoped rules
+    /// evaluate against. Classes absent from earlier epochs are
+    /// backfilled with zeros so every class series stays aligned with the
+    /// fleet rows. Returns the **newly** fired epoch-scoped alerts with
+    /// their rule indices (for `alert.fired` trace instants), in rule
+    /// order.
+    pub fn push_epoch(&mut self, row: EpochRow, classes: &[(String, f64)]) -> Vec<(usize, Alert)> {
         for (name, v) in classes {
             let series = self.class_rows.entry(name.clone()).or_default();
             while series.len() < self.rows.len() {
@@ -568,7 +560,7 @@ mod tests {
         let mut engine = WatchEngine::new(rules.clone());
         let mut live_alerts = Vec::new();
         for r in &rows {
-            live_alerts.extend(engine.push_epoch(*r));
+            live_alerts.extend(engine.push_epoch(*r, &[]));
         }
         let metrics = MetricSet::new();
         let (live_report, end_alerts) = engine.finish(&metrics, None);
@@ -668,7 +660,7 @@ mod tests {
         let mut engine = WatchEngine::new(rules.clone());
         let mut live = Vec::new();
         for r in &rows {
-            live.extend(engine.push_epoch(*r));
+            live.extend(engine.push_epoch(*r, &[]));
         }
         let (live_report, end_alerts) = engine.finish(&MetricSet::new(), None);
         assert!(end_alerts.is_empty());
@@ -786,7 +778,7 @@ mod tests {
         let mut engine = WatchEngine::new(rules.clone());
         let mut live = Vec::new();
         for (r, v) in rows.iter().zip(class_vals) {
-            live.extend(engine.push_epoch_classed(*r, &[("db".to_string(), v)]));
+            live.extend(engine.push_epoch(*r, &[("db".to_string(), v)]));
         }
         assert_eq!(live.len(), 1);
         assert_eq!(live[0].1.hour, 219.0);

@@ -212,7 +212,7 @@ fn engine_steps_match_the_full_prefix_walk_at_every_epoch() {
                     expected.push((i, alert));
                 }
             }
-            let got = engine.push_epoch_classed(row, &classes);
+            let got = engine.push_epoch(row, &classes);
             assert_eq!(got, expected, "seed {seed}, epoch {epoch}");
         }
         let (report, _) = engine.finish(&MetricSet::new(), None);

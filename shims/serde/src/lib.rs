@@ -73,6 +73,25 @@ impl Value {
         self.as_object()
             .and_then(|entries| entries.iter().find(|(k, _)| k == key).map(|(_, v)| v))
     }
+
+    /// The value at a JSON Pointer such as `/fleet/products/0/fleet_weight`
+    /// (object keys and array indices, no `~` escapes; `""` is the whole
+    /// value), if present.
+    pub fn pointer_mut(&mut self, pointer: &str) -> Option<&mut Value> {
+        if !(pointer.is_empty() || pointer.starts_with('/')) {
+            return None;
+        }
+        pointer
+            .split('/')
+            .skip(1)
+            .try_fold(self, |at, token| match at {
+                Value::Object(entries) => {
+                    entries.iter_mut().find(|(k, _)| k == token).map(|(_, v)| v)
+                }
+                Value::Array(items) => items.get_mut(token.parse::<usize>().ok()?),
+                _ => None,
+            })
+    }
 }
 
 /// A deserialization error with a human-readable message.
@@ -146,6 +165,26 @@ pub fn field<T: Deserialize>(
         .map(|(_, v)| v)
         .ok_or_else(|| DeError(format!("missing field `{key}` in {context}")))?;
     T::from_value(value).map_err(|e| DeError(format!("field `{key}` of {context}: {}", e.0)))
+}
+
+/// Rejects an object key that is not one of `known` (used by derived
+/// `Deserialize` impls of `#[serde(deny_unknown_fields)]` structs).
+///
+/// # Errors
+///
+/// Names the first unknown key, the type it sits in and the keys it takes.
+pub fn deny_unknown_fields(
+    entries: &[(String, Value)],
+    known: &[&str],
+    context: &str,
+) -> Result<(), DeError> {
+    match entries.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+        None => Ok(()),
+        Some((key, _)) => Err(DeError(format!(
+            "unknown field `{key}` in {context}, expected one of `{}`",
+            known.join("`, `")
+        ))),
+    }
 }
 
 /// Fetches and deserializes an optional object field (used by derived

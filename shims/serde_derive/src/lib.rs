@@ -6,7 +6,9 @@
 //! the compiler-provided `proc_macro` API. Named-struct fields honour
 //! `#[serde(default)]` and `#[serde(default = "path")]`: a missing key
 //! falls back to `Default::default()` or the named constructor instead of
-//! erroring, matching real serde's behaviour. The generated code targets
+//! erroring, matching real serde's behaviour. A named struct marked
+//! `#[serde(deny_unknown_fields)]` rejects a key it has no field for,
+//! naming the key; unmarked structs ignore such keys. The generated code targets
 //! the value-tree model of the sibling `serde` shim and follows serde's
 //! standard data model, so JSON produced by the real serde_json (e.g.
 //! `scenarios/paper.json`) parses unchanged.
@@ -52,6 +54,8 @@ enum VariantKind {
 struct Item {
     name: String,
     shape: Shape,
+    /// `#[serde(deny_unknown_fields)]` on the type.
+    deny_unknown_fields: bool,
 }
 
 /// Derives the shim `serde::Serialize` trait.
@@ -86,7 +90,7 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut i = 0;
 
-    skip_attributes_and_visibility(&tokens, &mut i)?;
+    let deny_unknown_fields = skip_attributes_and_visibility(&tokens, &mut i)?;
 
     let keyword = match tokens.get(i) {
         Some(TokenTree::Ident(id)) => id.to_string(),
@@ -105,45 +109,52 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
         ));
     }
 
-    match keyword.as_str() {
+    let shape = match keyword.as_str() {
         "struct" => match tokens.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => Ok(Item {
-                name,
-                shape: Shape::NamedStruct(parse_named_fields(g.stream())?),
-            }),
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                let arity = count_tuple_fields(g.stream());
-                Ok(Item {
-                    name,
-                    shape: Shape::TupleStruct(arity),
-                })
+            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
+                Shape::NamedStruct(parse_named_fields(g.stream())?)
             }
-            Some(TokenTree::Punct(p)) if p.as_char() == ';' => Ok(Item {
-                name,
-                shape: Shape::UnitStruct,
-            }),
-            other => Err(format!("unsupported struct body: {other:?}")),
+            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
+                Shape::TupleStruct(count_tuple_fields(g.stream()))
+            }
+            Some(TokenTree::Punct(p)) if p.as_char() == ';' => Shape::UnitStruct,
+            other => return Err(format!("unsupported struct body: {other:?}")),
         },
         "enum" => match tokens.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => Ok(Item {
-                name,
-                shape: Shape::Enum(parse_variants(g.stream())?),
-            }),
-            other => Err(format!("expected enum body, got {other:?}")),
+            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
+                Shape::Enum(parse_variants(g.stream())?)
+            }
+            other => return Err(format!("expected enum body, got {other:?}")),
         },
-        other => Err(format!("expected `struct` or `enum`, got `{other}`")),
+        other => return Err(format!("expected `struct` or `enum`, got `{other}`")),
+    };
+    if deny_unknown_fields && !matches!(shape, Shape::NamedStruct(_)) {
+        return Err(format!(
+            "serde(deny_unknown_fields) needs a struct with named fields, not `{name}`"
+        ));
     }
+    Ok(Item {
+        name,
+        shape,
+        deny_unknown_fields,
+    })
 }
 
 /// Advances `i` past any `#[...]` attributes and `pub` / `pub(...)`
-/// visibility qualifiers.
-fn skip_attributes_and_visibility(tokens: &[TokenTree], i: &mut usize) -> Result<(), String> {
+/// visibility qualifiers; returns whether one of the attributes was
+/// `#[serde(deny_unknown_fields)]`.
+fn skip_attributes_and_visibility(tokens: &[TokenTree], i: &mut usize) -> Result<bool, String> {
+    let mut deny_unknown_fields = false;
     loop {
         match tokens.get(*i) {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
                 *i += 1; // `#`
                 match tokens.get(*i) {
-                    Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Bracket => *i += 1,
+                    Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Bracket => {
+                        let attr = g.stream().to_string().replace(' ', "");
+                        deny_unknown_fields |= attr == "serde(deny_unknown_fields)";
+                        *i += 1;
+                    }
                     other => return Err(format!("malformed attribute: {other:?}")),
                 }
             }
@@ -155,7 +166,7 @@ fn skip_attributes_and_visibility(tokens: &[TokenTree], i: &mut usize) -> Result
                     }
                 }
             }
-            _ => return Ok(()),
+            _ => return Ok(deny_unknown_fields),
         }
     }
 }
@@ -401,9 +412,19 @@ fn gen_deserialize(item: &Item) -> String {
                 .iter()
                 .map(|f| field_init(f, "entries", name))
                 .collect();
+            let deny = if item.deny_unknown_fields {
+                let known: Vec<String> = fields.iter().map(|f| format!("{:?}", f.name)).collect();
+                format!(
+                    "::serde::deny_unknown_fields(entries, &[{}], {name:?})?;\n",
+                    known.join(", ")
+                )
+            } else {
+                String::new()
+            };
             format!(
                 "let entries = v.as_object().ok_or_else(|| \
                    ::serde::DeError::expected(\"object\", {name:?}))?;\n\
+                 {deny}\
                  ::std::result::Result::Ok({name} {{ {inits} }})"
             )
         }

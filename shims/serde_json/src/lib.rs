@@ -5,7 +5,8 @@
 //! indentation, shortest-roundtrip float formatting), so files written by
 //! the real library — like `scenarios/paper.json` — parse unchanged.
 
-use serde::{DeError, Deserialize, Number, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize};
+pub use serde::{Number, Value};
 use std::fmt;
 
 /// A serialization or parse error.

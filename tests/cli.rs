@@ -203,6 +203,13 @@ fn bad_scenario_fields_exit_nonzero_without_panicking() {
     let json = scenario.to_json().replace("0.012345", "1e999");
     assert!(json.contains("\"online_ops_fraction\": 1e999"));
     assert_rejected_json("online-ops-1e999", "tuning.online_ops_fraction", &json);
+    // A misspelt key is an error naming it, not a run on the default.
+    let json =
+        Scenario::demo(7)
+            .to_json()
+            .replacen("\"fleet\": {", "\"fleet\": {\"machiness\": 0,", 1);
+    assert!(json.contains("\"machiness\": 0"));
+    assert_rejected_json("fleet-typo", "machiness", &json);
 }
 
 #[test]

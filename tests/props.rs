@@ -1,5 +1,7 @@
 //! Property-based tests on cross-crate invariants.
 
+use mercurial::scenario::{Bound, Field, FIELDS};
+use mercurial::{ClosedLoopDriver, PipelineRun, Scenario};
 use mercurial_corpus::aes::{Aes, KeySize};
 use mercurial_corpus::matmul::Matrix;
 use mercurial_corpus::{crc, huffman, lz};
@@ -153,5 +155,133 @@ proptest! {
     fn counter_rng_unit_interval(key in any::<u64>(), counter in any::<u64>()) {
         let u = CounterRng::new(key).uniform_at(counter);
         prop_assert!((0.0..1.0).contains(&u));
+    }
+}
+
+/// Every value a drawn scenario sets: each scenario row of [`FIELDS`]
+/// once, each product row once per product of the default catalog.
+fn slots() -> Vec<(&'static Field, usize)> {
+    let products = Scenario::small(0).fleet.products.len();
+    FIELDS
+        .iter()
+        .flat_map(|field| {
+            let n = if field.path.contains("[i]") {
+                products
+            } else {
+                1
+            };
+            (0..n).map(move |i| (field, i))
+        })
+        .collect()
+}
+
+/// The range each row draws from: inside its bound, and small enough
+/// (<= 200 machines, <= 6 months, screening passes at least a day apart,
+/// noise and defect rates at most 500x and 40x the paper's) that a case
+/// runs in milliseconds. A row without a range fails the property.
+fn in_bound(path: &str) -> (f64, f64) {
+    match path {
+        "fleet.machines" => (1.0, 200.0),
+        "fleet.sockets_per_machine" => (1.0, 4.0),
+        "serve.workers" => (1.0, 8.0),
+        "fleet.products[i].fleet_weight" => (0.0, 1.0),
+        "fleet.products[i].cores_per_socket" => (1.0, 64.0),
+        "fleet.products[i].mercurial_rate_per_core" => (0.0, 1e-3),
+        "sim.months" => (1.0, 6.0),
+        "sim.epoch_hours" => (1.0, 730.0),
+        "offline_interval_hours" | "online_interval_hours" => (24.0, 4380.0),
+        "closed_loop.triage_latency_hours"
+        | "closed_loop.restore_latency_hours"
+        | "tuning.triage_latency_hours"
+        | "tuning.restore_latency_hours" => (0.0, 4380.0),
+        "tuning.offline_drain_hours_per_machine" => (0.0, 24.0),
+        "sim.noise_crash_rate" | "sim.noise_report_rate" => (0.0, 1e-2),
+        "sim.machine_check_share"
+        | "tuning.online_ops_fraction"
+        | "offline_fraction"
+        | "suspicion_threshold"
+        | "workloads.traffic_amplitude" => (0.0, 1.0),
+        _ => panic!("{path} has no draw range"),
+    }
+}
+
+/// The small scenario (workload classes on, so the traffic amplitude
+/// shapes traffic) as a JSON tree with every slot drawn in bound: a unit
+/// draw below 0.1 takes the range's low edge, above 0.9 its high edge.
+fn drawn(units: &[f64], seed: u64) -> serde_json::Value {
+    let mut scenario = Scenario::small(seed);
+    scenario.workloads.enabled = true;
+    let mut tree: serde_json::Value = serde_json::from_str(&scenario.to_json()).unwrap();
+    for ((field, i), &u) in slots().iter().zip(units) {
+        let (lo, hi) = in_bound(field.path);
+        let v = lo + ((u - 0.1) / 0.8).clamp(0.0, 1.0) * (hi - lo);
+        let v = if field.bound == Bound::AtLeastOne {
+            v.round()
+        } else {
+            v
+        };
+        set(&mut tree, field, *i, v);
+    }
+    tree
+}
+
+/// Writes `v` at `field` (of product `i`, on a per-product row).
+fn set(tree: &mut serde_json::Value, field: &Field, i: usize, v: f64) {
+    let path = field.path.replace("[i]", &format!(".{i}"));
+    let leaf = tree.pointer_mut(&format!("/{}", path.replace('.', "/")));
+    *leaf.expect(field.path) = serde_json::Value::Number(serde_json::Number::F64(v));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A scenario with every table row in bound runs the closed loop,
+    /// feedback on and off, and the batch pipeline without panicking.
+    #[test]
+    fn in_bound_scenarios_run_without_panicking(
+        units in proptest::collection::vec(0.0f64..1.0, slots().len()),
+        seed in any::<u64>(),
+    ) {
+        let json = serde_json::to_string(&drawn(&units, seed)).unwrap();
+        let scenario = match Scenario::from_json(&json) {
+            Ok(scenario) => scenario,
+            // Each weight may be 0; all of them at once is the catalog's
+            // own list check.
+            Err(e) if e.starts_with("fleet.products weights") => return,
+            Err(e) => panic!("{e}"),
+        };
+        for feedback in [true, false] {
+            let mut s = scenario.clone();
+            s.closed_loop.feedback = feedback;
+            ClosedLoopDriver::execute(&s);
+        }
+        PipelineRun::execute(&scenario);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One table row out of bound in an otherwise drawn scenario is an
+    /// error naming that row's path.
+    #[test]
+    fn a_row_out_of_bound_is_an_error_naming_its_path(
+        units in proptest::collection::vec(0.0f64..1.0, slots().len()),
+        slot in 0..slots().len(),
+        u in 0.0f64..1.0,
+    ) {
+        let (field, i) = slots()[slot];
+        let v = match field.bound {
+            Bound::AtLeastOne => 0.0,
+            Bound::Positive => -u * 1e6,
+            Bound::NonNegative => -1e-9 - u * 1e6,
+            Bound::UnitInterval if u < 0.5 => -1e-9 - u * 2e6,
+            Bound::UnitInterval => 1.0 + 1e-9 + (u - 0.5) * 2e6,
+        };
+        let mut tree = drawn(&units, 7);
+        set(&mut tree, field, i, v);
+        let err = Scenario::from_json(&serde_json::to_string(&tree).unwrap()).unwrap_err();
+        let path = field.path.replace("[i]", &format!("[{i}]"));
+        prop_assert!(err.starts_with(&format!("{path} must be ")), "{v}: {err}");
     }
 }

@@ -4,7 +4,7 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test test-workspace test-release fmt fmt-check clippy fuzz-smoke watch-smoke study-smoke serve-smoke frontier-smoke observe-smoke labbench-smoke loc
+.PHONY: ci build test test-workspace test-release fmt fmt-check clippy fuzz-smoke watch-smoke study-smoke serve-smoke frontier-smoke observe-smoke labbench-smoke loc claims
 
 ci: build test-workspace test-release fmt-check clippy fuzz-smoke watch-smoke study-smoke serve-smoke frontier-smoke labbench-smoke observe-smoke
 
@@ -49,8 +49,7 @@ watch-smoke:
 	$(CARGO) run --release -- watch --rules scenarios/watch_rules.json --scenario scenarios/paper.json
 	! $(CARGO) run --release -- watch --rules scenarios/watch_rules.json --scenario scenarios/watch_regression.json
 
-# Fleet-study contracts: the sim's output does not depend on its
-# stepping granularity, and the 1M-machine x 36-month closed loop stays
+# Fleet-study contract: the 1M-machine x 36-month closed loop stays
 # within a self-calibrated wall-clock budget.
 study-smoke:
 	$(CARGO) run --release -p mercurial-bench --bin e18_study -- --smoke
@@ -90,3 +89,19 @@ observe-smoke:
 loc:
 	@find . -path ./target -prune -o -path ./labbench -prune -o -path '*/tests' -prune \
 		-o -name '*.rs' -print0 | xargs -0 cat | wc -l
+
+# How fresh each committed bench number is. A report, not a gate, and
+# not part of `ci`: per BENCH_*.json, the experiment, commit and dirty
+# flag its envelope stamps ("-" when it predates the flag), the commits
+# since that stamp and how many of them touched the experiment's bin
+# ("?" when the stamp is not a commit of this history).
+claims:
+	@printf '%-22s %-14s %-10s %-7s %-6s %s\n' file experiment commit dirty since touched-bin
+	@for f in BENCH_*.json; do \
+		exp=$$(sed -n 's/.*"experiment": "\([^"]*\)".*/\1/p' $$f | head -n 1); \
+		sha=$$(sed -n 's/.*"git_commit": "\([^"]*\)".*/\1/p' $$f | head -n 1); \
+		dirty=$$(sed -n 's/.*"git_dirty": \([a-z]*\).*/\1/p' $$f | head -n 1); \
+		since=$$(git rev-list --count "$$sha..HEAD" 2>/dev/null || echo '?'); \
+		bin=$$(git rev-list --count "$$sha..HEAD" -- "crates/bench/src/bin/$$exp.rs" 2>/dev/null || echo '?'); \
+		printf '%-22s %-14s %-10.10s %-7s %-6s %s\n' "$$f" "$$exp" "$$sha" "$${dirty:--}" "$$since" "$$bin"; \
+	done

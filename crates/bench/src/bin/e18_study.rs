@@ -7,12 +7,12 @@
 //! The simulator's epoch loop walks only the mercurial cores, the
 //! screeners fold all-healthy machines into closed-form accounting, and
 //! the driver's scans are O(1) (`CapacityLedger` totals, the armed
-//! scoreboard watchlist, `EventQueue` timers), so per-epoch work scales
-//! with *defective* state. What fleet-sized work is left runs in memory
-//! order with no per-machine search: burn-in walks the topology's deploy
-//! arrays once per run, and an offline sweep walks its rotation segments
-//! beside the sorted hot list; the capacity ledger keeps no per-machine
-//! table at all. This experiment prices the claim: 1M machines
+//! scoreboard watchlist, each campaign's own next hour), so per-epoch
+//! work scales with *defective* state. What fleet-sized work is left
+//! runs in memory order with no per-machine search: burn-in walks the
+//! topology's deploy arrays once per run, and an offline sweep walks its
+//! rotation segments beside the sorted hot list; the capacity ledger
+//! keeps no per-machine table at all. This experiment prices the claim: 1M machines
 //! × 36 months against the acceptance budget — the time the 20k-machine
 //! paper scenario took before any of this (the E17 watch baseline of
 //! commit 0b64ce4). It also
@@ -25,14 +25,12 @@
 //! cargo run --release -p mercurial-bench --bin e18_study [-- --smoke]
 //! ```
 //!
-//! `--smoke` skips absolute timings and checks the contracts instead:
-//! stepping-granularity invariance at the sim layer, and the 1M-machine
-//! closed loop within a self-calibrated wall-clock budget
+//! `--smoke` skips absolute timings and checks the contract instead: the
+//! 1M-machine closed loop within a self-calibrated wall-clock budget
 //! (`make study-smoke`).
 
 use mercurial::closedloop::ClosedLoopDriver;
-use mercurial::fleet::{FleetSim, FleetTopology, Population, SignalLog};
-use mercurial::trace::Recorder;
+use mercurial::fleet::{FleetSim, FleetTopology, Population};
 use mercurial::{FleetExperiment, Scenario};
 use mercurial_bench::{interleave, timed};
 use mercurial_prof::Prof;
@@ -86,40 +84,15 @@ fn core_visits(sim: &FleetSim) -> u64 {
         .sum()
 }
 
-/// Steps a fresh run to the end in batches of `granularity` epochs.
-fn step_through(sim: &FleetSim, granularity: u32) -> (SignalLog, mercurial::fleet::SimSummary) {
-    let mut state = sim.begin();
-    let mut log = SignalLog::new();
-    let mut summary = Default::default();
-    let mut rec = Recorder::disabled();
-    while !state.is_done() {
-        sim.step_epochs(&mut state, granularity, &mut log, &mut summary, &mut rec);
-    }
-    (log, summary)
-}
-
 // ------------------------------------------------------------- smoke mode
 
 fn run_smoke() {
     mercurial_bench::header("E18 — fleet-study contracts (smoke)");
 
-    // 1. Stepping-granularity invariance at the sim layer.
-    let demo = FleetExperiment::build(&Scenario::demo(21));
-    let sim = demo.sim();
-    let (ref_log, ref_sum) = sim.run();
-    assert!(ref_sum.corruptions > 0, "demo defects must fire");
-    for granularity in [1u32, 5, u32::MAX] {
-        let (mut log, summary) = step_through(sim, granularity);
-        log.sort_by_time();
-        assert_eq!(log.all(), ref_log.all(), "log diverges at {granularity}");
-        assert_eq!(summary, ref_sum, "summary diverges at {granularity}");
-    }
-    println!("invariance: stepping granularities 1/5/MAX give one log and summary");
-
-    // 2. The fleet-study smoke: 1M machines × 36 months. The closed loop
-    //    must finish within the budget — the larger of the recorded
-    //    pre-refactor 20k time and 4× the in-process 20k time (so a slow
-    //    CI machine scales the budget with itself).
+    // The fleet-study smoke: 1M machines × 36 months. The closed loop
+    // must finish within the budget — the larger of the recorded
+    // pre-refactor 20k time and 4× the in-process 20k time (so a slow CI
+    // machine scales the budget with itself).
     let paper = mercurial_bench::paper_scenario(0x0e18);
     let prof = Prof::disabled();
     let (out_20k, secs_20k) = timed(&prof, "loop.closed_20k", || {
@@ -202,7 +175,7 @@ fn run_full() {
     let mercurial_cores = experiment.population().count() as u64;
 
     let sim = experiment.sim();
-    let (_, sim_1m) = timed(&prof, "study.sim_1m", || step_through(sim, u32::MAX));
+    let (_, sim_1m) = timed(&prof, "study.sim_1m", || sim.run());
     let visits = core_visits(sim);
     let epochs = sim.epochs();
 

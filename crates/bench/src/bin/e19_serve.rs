@@ -23,7 +23,7 @@ use mercurial::closedloop::ClosedLoopDriver;
 use mercurial::scenario::ImpairConfig;
 use mercurial::Scenario;
 use mercurial_metrics::nearest_rank;
-use mercurial_serve::{alert_fidelity, run_served, run_served_impaired, ServeOptions};
+use mercurial_serve::{alert_fidelity, run_served, ServeOptions};
 use mercurial_trace::export::to_prometheus;
 use mercurial_watch::{Cmp, EpochField, Rule, RuleKind, RuleSet, Source};
 
@@ -139,12 +139,12 @@ fn run_smoke() {
     let mut last_dropped = 0u64;
     let mut frames = None;
     for loss in [0.0, 0.2, 0.5, 0.9] {
-        let s = serve_scenario(7, 2);
-        let impair = ImpairConfig {
+        let mut s = serve_scenario(7, 2);
+        s.serve.impair = ImpairConfig {
             loss,
             ..ImpairConfig::default()
         };
-        let served = run_served_impaired(&s, impair, &ServeOptions::default()).expect("served");
+        let served = run_served(&s, &ServeOptions::default()).expect("served");
         let f = *frames.get_or_insert(served.link.frames);
         assert_eq!(
             served.link.frames, f,
@@ -198,29 +198,29 @@ fn run_full() {
 
     let mut rows = Vec::new();
     for loss in LOSS_LEVELS {
-        let impair = ImpairConfig {
+        let mut s = base.clone();
+        s.serve.impair = ImpairConfig {
             loss,
             ..ImpairConfig::default()
         };
-        let served = prof
-            .scope("serve.loss_sweep", || {
-                run_served_impaired(&base, impair, &opts)
-            })
-            .expect("impaired run");
+        let phase = prof.span("serve.loss_sweep");
+        let served = run_served(&s, &opts).expect("impaired run");
+        drop(phase);
         rows.push(measure("loss", loss, &served, &clean_watch, clean_p95));
     }
     // One arm with everything on, stacked on a mid loss level: the
     // realistic degraded network rather than a single failure mode.
-    let chaos = ImpairConfig {
+    let mut chaos = base.clone();
+    chaos.serve.impair = ImpairConfig {
         loss: 0.3,
         max_delay_epochs: 4,
         duplicate: 0.2,
         reorder: 0.2,
         ..ImpairConfig::default()
     };
-    let served = prof
-        .scope("serve.chaos", || run_served_impaired(&base, chaos, &opts))
-        .expect("chaos run");
+    let chaos_phase = prof.span("serve.chaos");
+    let served = run_served(&chaos, &opts).expect("chaos run");
+    drop(chaos_phase);
     rows.push(measure("chaos", 0.3, &served, &clean_watch, clean_p95));
 
     // Acceptance: dropped frames strictly track the loss level, and the

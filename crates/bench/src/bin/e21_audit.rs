@@ -22,7 +22,7 @@ use mercurial::scenario::{ClassPolicy, ImpairConfig};
 use mercurial::Scenario;
 use mercurial_bench::{interleave, timed};
 use mercurial_mitigation::MitigationPolicy;
-use mercurial_serve::{run_served_impaired, ServeOptions};
+use mercurial_serve::{run_served, ServeOptions};
 
 /// The audited scenario: demo fleet, closed loop, watch rules live,
 /// decision audit on.
@@ -153,12 +153,12 @@ fn main() {
     for loss in [0.0, 0.2, 0.5, 0.9] {
         let mut s = audited_scenario(seed);
         s.serve.workers = 2;
-        let impair = ImpairConfig {
+        s.serve.impair = ImpairConfig {
             loss,
             ..ImpairConfig::default()
         };
         let (served, secs) = timed(&prof, "audit.impair", || {
-            run_served_impaired(&s, impair, &ServeOptions::default())
+            run_served(&s, &ServeOptions::default())
         });
         let served = served.expect("served run");
         let (ledger, report) = report_of(&s, &served.outcome.trace);

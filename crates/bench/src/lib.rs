@@ -21,7 +21,10 @@ pub type Arm<'a> = (&'static str, &'a mut dyn FnMut());
 /// its wall-clock seconds.
 pub fn timed<R>(prof: &Prof, phase: &'static str, f: impl FnOnce() -> R) -> (R, f64) {
     let start = Instant::now();
-    let out = prof.scope(phase, f);
+    let out = {
+        let _phase = prof.span(phase);
+        f()
+    };
     (out, start.elapsed().as_secs_f64())
 }
 

@@ -30,7 +30,7 @@
 //! * **Feedback on**: the shard runs the due screens and a
 //!   [`FleetAggregator`] closes the loop every epoch.
 //! * **Feedback off** (`scenario.closed_loop.feedback == false`): the
-//!   shard schedules no screens and nothing is ever masked, so the steps
+//!   shard runs no screens and nothing is ever masked, so the steps
 //!   are [`mercurial_fleet::FleetSim::run`] bit for bit under the §4.1
 //!   determinism contract, and the batch back half
 //!   ([`PipelineRun::complete_from_signals`]) screens the finished log.

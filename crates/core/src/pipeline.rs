@@ -204,8 +204,6 @@ impl PipelineRun {
                 .and_then(|()| registry.quarantine(d.core, d.hour, "controlled test failed", rec))
                 .and_then(|()| registry.confirm(d.core, d.hour, "screen reproduced defect", rec))
                 .expect("fresh core walks the legal path");
-            rec.audit_add("audit.quarantines", 1);
-            rec.audit_add("audit.confirms", 1);
         }
         //    Triage suspects were quarantined on suspicion, then either
         //    confirmed or exonerated.
@@ -217,14 +215,12 @@ impl PipelineRun {
                 .mark_suspect(core, hour, "signal concentration", rec)
                 .and_then(|()| registry.quarantine(core, hour, "suspicion threshold", rec))
                 .expect("fresh core walks the legal path");
-            rec.audit_add("audit.quarantines", 1);
             if confirmed_by_triage.contains(&core) {
                 let confirm_hour = hour + tuning.triage_latency_hours;
                 registry
                     .confirm(core, confirm_hour, "triage confession", rec)
                     .expect("quarantined core can confirm");
                 rec.instant(confirm_hour, "detect.triage", Some(core.as_u64()), 0.0);
-                rec.audit_add("audit.confirms", 1);
             } else {
                 registry
                     .exonerate(
@@ -234,7 +230,6 @@ impl PipelineRun {
                         rec,
                     )
                     .expect("quarantined core can exonerate");
-                rec.audit_add("audit.exonerations", 1);
                 registry
                     .restore(
                         core,
@@ -243,7 +238,6 @@ impl PipelineRun {
                         rec,
                     )
                     .expect("exonerated core can restore");
-                rec.audit_add("audit.restores", 1);
                 if !pop.is_mercurial(core) {
                     exonerated_innocents += 1;
                 }

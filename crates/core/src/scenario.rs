@@ -682,10 +682,11 @@ pub const RETIRED_KEYS: [(&str, &str); 3] = [
 /// What a bounded numeric field must be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bound {
-    /// A count the layers divide by, draw below or split by.
+    /// A count the layers divide by, draw below or split by, or an
+    /// epoch or screening interval in hours: one hour is the unit every
+    /// rate in the lab is quoted in, and a shorter step makes a run of
+    /// more epochs than a `u32` counts or a clock that stops advancing.
     AtLeastOne,
-    /// A step or interval; a zero one never advances.
-    Positive,
     /// A latency added to an hour or hours booked; not into the past.
     NonNegative,
     /// A rate, share, fraction, threshold or amplitude.
@@ -696,8 +697,7 @@ impl Bound {
     /// Whether `v` is within the bound (NaN never is).
     pub fn holds(self, v: f64) -> bool {
         match self {
-            Bound::AtLeastOne => v >= 1.0,
-            Bound::Positive => v.is_finite() && v > 0.0,
+            Bound::AtLeastOne => v.is_finite() && v >= 1.0,
             Bound::NonNegative => v.is_finite() && v >= 0.0,
             Bound::UnitInterval => (0.0..=1.0).contains(&v),
         }
@@ -706,7 +706,6 @@ impl Bound {
     fn rule(self) -> &'static str {
         match self {
             Bound::AtLeastOne => "at least 1",
-            Bound::Positive => "positive and finite",
             Bound::NonNegative => "non-negative and finite",
             Bound::UnitInterval => "in [0, 1]",
         }
@@ -749,7 +748,7 @@ impl Field {
 /// unbounded fields.
 #[rustfmt::skip]
 pub static FIELDS: [Field; 22] = {
-    use Bound::{AtLeastOne, NonNegative, Positive, UnitInterval};
+    use Bound::{AtLeastOne, NonNegative, UnitInterval};
     const fn field(path: &'static str, bound: Bound, read: fn(&Scenario, usize) -> f64) -> Field {
         Field { path, read, bound }
     }
@@ -765,9 +764,9 @@ pub static FIELDS: [Field; 22] = {
             s.fleet.products[i].mercurial_rate_per_core
         }),
         field("sim.months", AtLeastOne, |s, _| f64::from(s.sim.months)),
-        field("sim.epoch_hours", Positive, |s, _| s.sim.epoch_hours),
-        field("offline_interval_hours", Positive, |s, _| s.offline_interval_hours),
-        field("online_interval_hours", Positive, |s, _| s.online_interval_hours),
+        field("sim.epoch_hours", AtLeastOne, |s, _| s.sim.epoch_hours),
+        field("offline_interval_hours", AtLeastOne, |s, _| s.offline_interval_hours),
+        field("online_interval_hours", AtLeastOne, |s, _| s.online_interval_hours),
         field("closed_loop.triage_latency_hours", NonNegative, |s, _| s.closed_loop.triage_latency_hours),
         field("closed_loop.restore_latency_hours", NonNegative, |s, _| s.closed_loop.restore_latency_hours),
         field("tuning.triage_latency_hours", NonNegative, |s, _| s.tuning.triage_latency_hours),

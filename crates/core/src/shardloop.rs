@@ -21,7 +21,7 @@
 //! |-------|------|------|
 //! | 1 | aggregator | restorations due at the boundary (registry/ledger); cores broadcast to workers in [`EpochCommands::restores`] |
 //! | 2 | aggregator | deep-check verdicts under the per-epoch budget |
-//! | 3 | worker | due burn-in / offline / online screens on owned machines |
+//! | 3 | worker | burn-in / offline / online screens whose campaign's next hour falls in the epoch, on owned machines |
 //! | 4 | worker | one epoch of workload simulation, masked cores silent |
 //! | 5 | aggregator | screened-core effects, suspicion ingest from surviving evidence |
 //! | 6 | aggregator | new threshold crossings quarantined; broadcast next epoch in [`EpochCommands::quarantines`] |
@@ -30,7 +30,7 @@
 //! Both loop shapes step the fleet through this one shard step and
 //! finish the window in one of two ways. With feedback the aggregator
 //! runs phases 5–7 every epoch. Without it (the open loop) the shard
-//! schedules no screens and nothing leaves service; the driver records
+//! runs no screens and nothing leaves service; the driver records
 //! phase 7 minus the capacity gauges each epoch and hands the finished
 //! log to the batch back half. So both shapes emit their histograms,
 //! gauges, series rows and alerts from one place.
@@ -47,7 +47,7 @@ use crate::pipeline::{score_detections, PipelineOutcome};
 use crate::scenario::{Scenario, WorkloadsConfig};
 use mercurial_fault::{CoreUid, FastMap, FastSet, FunctionalUnit};
 use mercurial_fleet::sim::{ClassTally, SimState, SimSummary};
-use mercurial_fleet::{EventKind, EventQueue, FleetSim, FleetTopology, Population, SignalLog};
+use mercurial_fleet::{EventQueue, FleetSim, FleetTopology, Population, SignalLog};
 use mercurial_isolation::{CapacityLedger, QuarantineRegistry, SafeTaskPolicy, TaskUnitProfile};
 use mercurial_metrics::{ClassPoint, EpochSeries};
 use mercurial_mitigation::MitigationPolicy;
@@ -141,10 +141,9 @@ pub struct FleetShard<'a> {
     burnin: BurnInCampaign,
     offline: OfflineCampaign,
     online: OnlineCampaign,
-    /// Campaign wake timers; payload 0 = burn-in, 1 = offline, 2 = online.
-    /// Empty without feedback: the batch back half screens the finished
-    /// window instead.
-    screen_q: EventQueue<u8>,
+    /// Whether the campaigns run. Without feedback the batch back half
+    /// screens the finished window instead.
+    feedback: bool,
 }
 
 /// Interned metric names for one workload class, built once per run.
@@ -209,15 +208,6 @@ impl<'a> FleetShard<'a> {
             ops_fraction: tuning.online_ops_fraction,
         }
         .campaign_shard(scenario.sim.months, shard);
-        let mut screen_q = EventQueue::new();
-        if scenario.closed_loop.feedback {
-            let next = [burnin.next_hour(), offline.next_hour(), online.next_hour()];
-            for (which, h) in (0u8..).zip(next) {
-                if let Some(h) = h {
-                    screen_q.schedule_ranked(h, EventKind::ScreeningDue.rank(), which);
-                }
-            }
-        }
         let mut state = sim.begin_shard(lo, hi);
         let policies = scenario.workloads.initial_policies(&sim.class_names());
         for (ix, p) in policies.into_iter().enumerate() {
@@ -232,7 +222,7 @@ impl<'a> FleetShard<'a> {
             burnin,
             offline,
             online,
-            screen_q,
+            feedback: scenario.closed_loop.feedback,
         }
     }
 
@@ -282,16 +272,12 @@ impl<'a> FleetShard<'a> {
         let h0 = self.state.hour();
         let h1 = h0 + self.epoch_hours;
 
-        // Phase 3: screens due this epoch, fixed burn-in → offline →
-        // online phase order regardless of timer hours.
-        let mut campaign_due = [false; 3];
-        while self.screen_q.peek_time().is_some_and(|t| t < h1) {
-            let (_, which) = self.screen_q.pop().expect("peeked a due timer");
-            campaign_due[which as usize] = true;
-        }
+        // Phase 3: each campaign whose next pass starts before the epoch
+        // ends, in fixed burn-in → offline → online order.
+        let due = |next: Option<f64>| self.feedback && next.is_some_and(|h| h < h1);
         let mut screen_log = SignalLog::new();
         let mut screened = Vec::new();
-        if campaign_due[0] {
+        if due(self.burnin.next_hour()) {
             let _p = prof.span("screen.burnin");
             screened.extend(self.burnin.step_until(
                 self.sim.topology(),
@@ -301,12 +287,8 @@ impl<'a> FleetShard<'a> {
                 &mut screen_log,
                 rec,
             ));
-            if let Some(h) = self.burnin.next_hour() {
-                self.screen_q
-                    .schedule_ranked(h, EventKind::ScreeningDue.rank(), 0);
-            }
         }
-        if campaign_due[1] {
+        if due(self.offline.next_hour()) {
             let _p = prof.span("screen.offline");
             screened.extend(self.offline.step_until(
                 self.sim.topology(),
@@ -316,12 +298,8 @@ impl<'a> FleetShard<'a> {
                 &mut screen_log,
                 rec,
             ));
-            if let Some(h) = self.offline.next_hour() {
-                self.screen_q
-                    .schedule_ranked(h, EventKind::ScreeningDue.rank(), 1);
-            }
         }
-        if campaign_due[2] {
+        if due(self.online.next_hour()) {
             let _p = prof.span("screen.online");
             screened.extend(self.online.step_until(
                 self.sim.topology(),
@@ -331,10 +309,6 @@ impl<'a> FleetShard<'a> {
                 &mut screen_log,
                 rec,
             ));
-            if let Some(h) = self.online.next_hour() {
-                self.screen_q
-                    .schedule_ranked(h, EventKind::ScreeningDue.rank(), 2);
-            }
         }
         // A screener failure is proof; the core leaves service before the
         // epoch's workload runs (registry effects are the aggregator's).
@@ -550,7 +524,6 @@ impl<'a> FleetAggregator<'a> {
                 .expect("exonerated core can restore");
             self.ledger.restore_core(core, restore_hour, rec);
             self.out_of_service.remove(&core);
-            rec.audit_add("audit.restores", 1);
             restores.push(core);
         }
 
@@ -576,7 +549,6 @@ impl<'a> FleetAggregator<'a> {
                         .confirm(core, verdict_hour, "deep check confession", rec)
                         .expect("quarantined core can confirm");
                     rec.instant(verdict_hour, "detect.triage", Some(core.as_u64()), 0.0);
-                    rec.audit_add("audit.confirms", 1);
                     self.recovered_cores +=
                         safe_task_share(&self.safe_policy, &self.task_mix, self.pop, core);
                     self.detections.push(DetectionRecord {
@@ -593,15 +565,11 @@ impl<'a> FleetAggregator<'a> {
                     self.registry
                         .exonerate(core, verdict_hour, "nothing reproduced", rec)
                         .expect("quarantined core can exonerate");
-                    rec.audit_add("audit.exonerations", 1);
                     if !self.pop.is_mercurial(core) {
                         self.exonerated_innocents += 1;
                     }
-                    self.restore_q.schedule_ranked(
-                        verdict_hour + self.restore_latency_hours,
-                        EventKind::Restore.rank(),
-                        core,
-                    );
+                    self.restore_q
+                        .schedule(verdict_hour + self.restore_latency_hours, core);
                 }
             }
             self.case_id += 1;
@@ -654,8 +622,6 @@ impl<'a> FleetAggregator<'a> {
                 .expect("in-service core walks the legal path");
             self.ledger
                 .remove_core(d.core, self.topo.cores_on(d.core.machine), d.hour, rec);
-            rec.audit_add("audit.quarantines", 1);
-            rec.audit_add("audit.confirms", 1);
             self.recovered_cores +=
                 safe_task_share(&self.safe_policy, &self.task_mix, self.pop, d.core);
             self.out_of_service.insert(d.core);
@@ -724,14 +690,9 @@ impl<'a> FleetAggregator<'a> {
                 .expect("in-service core walks the legal path");
             self.ledger
                 .remove_core(core, self.topo.cores_on(core.machine), hour, rec);
-            rec.audit_add("audit.quarantines", 1);
             self.out_of_service.insert(core);
             self.handled.insert(core);
-            self.deep_q.schedule_ranked(
-                hour + self.triage_latency_hours,
-                EventKind::DeepCheck.rank(),
-                core,
-            );
+            self.deep_q.schedule(hour + self.triage_latency_hours, core);
             // Workers still count a crossing core as active (they mask
             // it next epoch); the in-process loop masks it before taking
             // the telemetry point, so mirror that here.

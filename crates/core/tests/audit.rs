@@ -6,9 +6,11 @@
 //!   TP or FN, and every FP is a quarantined healthy core.
 //! * The audit block forces tracing on, and works over both drivers
 //!   (closed loop and the open-loop batch back half).
+//! * The `audit.*` decision counters count the registry's transitions.
 
 use mercurial::audit::{AuditReport, CaseBook, CaseLabel, DecisionLedger, GroundTruth};
 use mercurial::closedloop::ClosedLoopDriver;
+use mercurial::trace::EventKind;
 use mercurial::Scenario;
 
 fn audited(seed: u64, feedback: bool) -> Scenario {
@@ -43,6 +45,34 @@ fn replayed_ledger_is_byte_identical_to_the_in_loop_ledger() {
         reference,
         "replayed ledger bytes diverge"
     );
+}
+
+#[test]
+fn audit_counters_equal_the_registry_transitions_in_the_trace() {
+    // Feedback on steps the aggregator; feedback off, the batch back half.
+    // Both seeds walk every one of the four transitions at least once.
+    for (seed, feedback) in [(22, true), (9, false)] {
+        let out = ClosedLoopDriver::execute(&audited(seed, feedback));
+        for (counter, instant) in [
+            ("audit.quarantines", "core.quarantine"),
+            ("audit.confirms", "core.confirm"),
+            ("audit.exonerations", "core.exonerate"),
+            ("audit.restores", "core.restore"),
+        ] {
+            let instants = out
+                .trace
+                .events
+                .iter()
+                .filter(|e| e.kind == EventKind::Instant && e.name == instant)
+                .count() as u64;
+            assert!(instants > 0, "{instant}, feedback {feedback}");
+            assert_eq!(
+                out.trace.metrics.counter(counter),
+                instants,
+                "{counter}, feedback {feedback}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -6,16 +6,23 @@
 
 use mercurial::scenario::{Bound, FIELDS, RETIRED_KEYS};
 use mercurial::Scenario;
-use serde_json::Value;
+use serde_json::{Number, Value};
 
-/// The small scenario's JSON with the field at table `path` (product `i`
-/// on a per-product row) written as the JSON text `literal`.
-fn json_with(path: &str, i: usize, literal: &str) -> String {
-    let mut tree: Value = serde_json::from_str(&Scenario::small(7).to_json()).unwrap();
+/// The small scenario's JSON tree and, in it, the field at table `path`
+/// (product `i` on a per-product row).
+fn small_leaf(path: &str, i: usize) -> (Value, String) {
+    let tree = serde_json::from_str(&Scenario::small(7).to_json()).unwrap();
     let pointer = format!(
         "/{}",
         path.replace("[i]", &format!(".{i}")).replace('.', "/")
     );
+    (tree, pointer)
+}
+
+/// The small scenario's JSON with the field at table `path` (product `i`
+/// on a per-product row) written as the JSON text `literal`.
+fn json_with(path: &str, i: usize, literal: &str) -> String {
+    let (mut tree, pointer) = small_leaf(path, i);
     *tree.pointer_mut(&pointer).expect(path) = Value::String("@".to_string());
     serde_json::to_string(&tree)
         .unwrap()
@@ -23,12 +30,16 @@ fn json_with(path: &str, i: usize, literal: &str) -> String {
 }
 
 /// JSON numbers outside `bound`, and the bound's edges. A count is an
-/// unsigned integer, so JSON cannot spell a negative or infinite one.
-fn samples(bound: Bound) -> (&'static [&'static str], &'static [&'static str]) {
+/// unsigned integer, so JSON cannot spell a negative, fractional or
+/// infinite one; an hour field of the same bound can be all three.
+fn samples(bound: Bound, count: bool) -> (&'static [&'static str], &'static [&'static str]) {
     const MAX: &str = "1.7976931348623157e308";
     match bound {
-        Bound::AtLeastOne => (&["0"], &["1"]),
-        Bound::Positive => (&["0", "-1", "1e999", "-1e999"], &["5e-324", MAX]),
+        Bound::AtLeastOne if count => (&["0"], &["1"]),
+        Bound::AtLeastOne => (
+            &["0", "5e-324", "0.999", "-1", "1e999", "-1e999"],
+            &["1", MAX],
+        ),
         Bound::NonNegative => (&["-5e-324", "-72", "1e999", "-1e999"], &["0", MAX]),
         Bound::UnitInterval => (&["-5e-324", "-1", "1.5", "1e300", "1e999"], &["0", "1"]),
     }
@@ -45,7 +56,12 @@ fn every_field_rejects_values_out_of_its_bound_naming_its_path() {
         };
         for i in 0..n {
             let path = field.path.replace("[i]", &format!("[{i}]"));
-            let (bad, edges) = samples(field.bound);
+            let (mut tree, pointer) = small_leaf(field.path, i);
+            let count = matches!(
+                tree.pointer_mut(&pointer),
+                Some(Value::Number(Number::U64(_)))
+            );
+            let (bad, edges) = samples(field.bound, count);
             for v in bad {
                 let err = Scenario::from_json(&json_with(field.path, i, v)).unwrap_err();
                 assert!(err.starts_with(&format!("{path} must be ")), "{v}: {err}");
@@ -61,18 +77,13 @@ fn every_field_rejects_values_out_of_its_bound_naming_its_path() {
 /// JSON cannot carry NaN, so the bounds are asked directly.
 #[test]
 fn no_bound_holds_nan() {
-    for bound in [
-        Bound::AtLeastOne,
-        Bound::Positive,
-        Bound::NonNegative,
-        Bound::UnitInterval,
-    ] {
+    for bound in [Bound::AtLeastOne, Bound::NonNegative, Bound::UnitInterval] {
         assert!(!bound.holds(f64::NAN), "{bound:?}");
     }
     let mut s = Scenario::small(7);
     s.sim.epoch_hours = f64::NAN;
     let err = s.validate().unwrap_err();
-    assert_eq!(err, "sim.epoch_hours must be positive and finite, got NaN");
+    assert_eq!(err, "sim.epoch_hours must be at least 1, got NaN");
 }
 
 #[test]

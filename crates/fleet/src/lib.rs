@@ -41,6 +41,6 @@ pub use population::{MercurialCore, Population};
 pub use product::CpuProduct;
 pub use signals::{Signal, SignalKind, SignalLog};
 pub use sim::{FleetSim, SimConfig, SimState, SimSummary};
-pub use time::{EventKind, EventQueue};
+pub use time::EventQueue;
 pub use topology::{DeployCursor, FleetConfig, FleetTopology};
 pub use workload::{TrafficShape, WorkloadClass};

@@ -159,7 +159,7 @@ impl SimSummary {
 }
 
 /// Resumable cursor for the epoch-stepping API ([`FleetSim::begin`] /
-/// [`FleetSim::step_epochs`]).
+/// [`FleetSim::step_epoch`]).
 ///
 /// Holds everything the simulator mutates across epochs: the epoch
 /// cursor, the deployed set, the list of ground-truth mercurial cores,
@@ -263,7 +263,7 @@ impl DeployedSet {
 }
 
 impl SimState {
-    /// The next epoch [`FleetSim::step_epochs`] will simulate.
+    /// The next epoch [`FleetSim::step_epoch`] will simulate.
     pub fn next_epoch(&self) -> u32 {
         self.next_epoch
     }
@@ -470,7 +470,7 @@ impl FleetSim {
 
     /// Starts a resumable simulation of the whole fleet — the shard
     /// `(0, machines)` — with every mercurial core in service and the
-    /// cursor at epoch 0. Step it with [`FleetSim::step_epochs`].
+    /// cursor at epoch 0. Step it with [`FleetSim::step_epoch`].
     pub fn begin(&self) -> SimState {
         self.begin_shard(0, self.topo.machine_count())
     }
@@ -516,7 +516,21 @@ impl FleetSim {
 
     /// Advances the simulation by one epoch, appending that epoch's
     /// signals to `log` (in emission order, unsorted) and accumulating
-    /// counters into `summary`. Returns `false` once the window is done.
+    /// counters into `summary`. Returns `false`, and simulates nothing,
+    /// once the window is done.
+    ///
+    /// Every random draw is a pure function of `(seed, stream, counter)`
+    /// and the active mask only changes between calls, so the
+    /// concatenated log of a stepped run is the log of [`FleetSim::run`].
+    /// `summary.active_mercurial_cores` is refreshed after every step to
+    /// the cumulative count so far.
+    ///
+    /// An enabled `rec` gets a `sim.first_corruption` instant the first
+    /// time each mercurial core corrupts, then a `sim.epoch` span with the
+    /// epoch's counters; a disabled one makes every recorder call a single
+    /// branch. The per-epoch histograms describe the fleet-wide epoch, so
+    /// the loop that merges its shards' steps observes them, not the
+    /// shard.
     pub fn step_epoch(
         &self,
         state: &mut SimState,
@@ -524,71 +538,37 @@ impl FleetSim {
         summary: &mut SimSummary,
         rec: &mut Recorder,
     ) -> bool {
-        self.step_epochs(state, 1, log, summary, rec) == 1
-    }
-
-    /// Advances the simulation by up to `max_epochs` epochs, in epoch
-    /// order on the calling thread, and returns how many actually ran.
-    ///
-    /// Every random draw is a pure function of `(seed, stream, counter)`
-    /// and the active mask only changes between calls, so the
-    /// concatenated log is identical for any stepping granularity.
-    /// `summary.active_mercurial_cores` is refreshed after every step to
-    /// the cumulative count so far.
-    ///
-    /// An enabled `rec` gets, per epoch, a `sim.first_corruption` instant
-    /// the first time each mercurial core corrupts, then a `sim.epoch`
-    /// span with the epoch's counters; a disabled one makes every recorder
-    /// call a single branch. The per-epoch histograms describe the
-    /// fleet-wide epoch, so the loop that merges its shards' steps
-    /// observes them, not the shard.
-    pub fn step_epochs(
-        &self,
-        state: &mut SimState,
-        max_epochs: u32,
-        log: &mut SignalLog,
-        summary: &mut SimSummary,
-        rec: &mut Recorder,
-    ) -> u32 {
-        let batch = (state.epochs - state.next_epoch.min(state.epochs)).min(max_epochs);
-        let first = state.next_epoch;
-        let epoch_hours = self.config.epoch_hours;
-        for epoch in first..first + batch {
-            let hour = epoch as f64 * epoch_hours;
-            let before = *summary;
-            self.run_epoch(epoch, state, log, summary, rec);
-            let corruptions = summary.corruptions - before.corruptions;
-            let signals = summary.signals_emitted - before.signals_emitted;
-            let noise = summary.noise_signals - before.noise_signals;
-            rec.begin(hour, "sim.epoch");
-            rec.counter_add("sim.corruptions", corruptions);
-            rec.counter_add("sim.signals_emitted", signals);
-            rec.counter_add("sim.noise_signals", noise);
-            rec.end(hour + epoch_hours, "sim.epoch");
+        if state.is_done() {
+            return false;
         }
-        state.next_epoch += batch;
+        let epoch = state.next_epoch;
+        let epoch_hours = self.config.epoch_hours;
+        let hour = epoch as f64 * epoch_hours;
+        let before = *summary;
+        self.run_epoch(epoch, state, log, summary, rec);
+        let corruptions = summary.corruptions - before.corruptions;
+        let signals = summary.signals_emitted - before.signals_emitted;
+        let noise = summary.noise_signals - before.noise_signals;
+        rec.begin(hour, "sim.epoch");
+        rec.counter_add("sim.corruptions", corruptions);
+        rec.counter_add("sim.signals_emitted", signals);
+        rec.counter_add("sim.noise_signals", noise);
+        rec.end(hour + epoch_hours, "sim.epoch");
+        state.next_epoch += 1;
         summary.active_mercurial_cores =
             state.core_was_active.iter().filter(|&&a| a).count() as u64;
-        batch
+        true
     }
 
     /// Runs the simulation to completion, returning the signal log
-    /// (sorted by time) and summary counters.
-    ///
-    /// Equivalent to stepping a fresh [`SimState`] through the whole
-    /// window with the full active mask; see [`FleetSim::step_epochs`]
-    /// for the determinism contract.
+    /// (sorted by time) and summary counters: a fresh [`SimState`]
+    /// stepped through the whole window with the full active mask.
     pub fn run(&self) -> (SignalLog, SimSummary) {
         let mut state = self.begin();
         let mut log = SignalLog::new();
         let mut summary = SimSummary::default();
-        self.step_epochs(
-            &mut state,
-            u32::MAX,
-            &mut log,
-            &mut summary,
-            &mut Recorder::disabled(),
-        );
+        let mut rec = Recorder::disabled();
+        while self.step_epoch(&mut state, &mut log, &mut summary, &mut rec) {}
         log.sort_by_time();
         (log, summary)
     }
@@ -1240,59 +1220,24 @@ mod tests {
     }
 
     #[test]
-    fn traced_stepping_is_granularity_invariant() {
+    fn traced_stepping_matches_the_untraced_run() {
         let uid = CoreUid::new(3, 0, 1);
         let sim = tiny_sim(50, vec![(uid, library::string_bitflip(9, 1e-4))], 6);
-        let trace_of = |granularity: u32| {
-            let mut state = sim.begin();
-            let mut log = SignalLog::new();
-            let mut summary = SimSummary::default();
-            let mut rec = Recorder::new(mercurial_trace::TraceLevel::Record);
-            while !state.is_done() {
-                sim.step_epochs(&mut state, granularity, &mut log, &mut summary, &mut rec);
-            }
-            (rec.finish().to_jsonl(), log, summary)
-        };
-        let (base_jsonl, base_log, base_summary) = trace_of(u32::MAX);
-        assert!(base_jsonl.contains("sim.first_corruption"));
-        assert!(base_jsonl.contains("\"k\":\"B\",\"n\":\"sim.epoch\""));
-        for granularity in [1u32, 5] {
-            let (jsonl, log, summary) = trace_of(granularity);
-            assert_eq!(jsonl, base_jsonl, "batch {granularity}");
-            assert_eq!(log.all(), base_log.all());
-            assert_eq!(summary, base_summary);
-        }
+        let mut state = sim.begin();
+        let mut log = SignalLog::new();
+        let mut summary = SimSummary::default();
+        let mut rec = Recorder::new(mercurial_trace::TraceLevel::Record);
+        while sim.step_epoch(&mut state, &mut log, &mut summary, &mut rec) {}
+        assert!(state.is_done());
+        let jsonl = rec.finish().to_jsonl();
+        assert!(jsonl.contains("sim.first_corruption"));
+        assert!(jsonl.contains("\"k\":\"B\",\"n\":\"sim.epoch\""));
         // The traced run perturbs nothing: untraced output is identical.
         let (untraced_log, untraced_summary) = sim.run();
-        let mut sorted = base_log;
-        sorted.sort_by_time();
-        assert_eq!(sorted.all(), untraced_log.all());
-        assert_eq!(base_summary, untraced_summary);
-    }
-
-    #[test]
-    fn stepping_matches_run_for_any_granularity() {
-        let uid = CoreUid::new(3, 0, 1);
-        let sim = tiny_sim(50, vec![(uid, library::string_bitflip(9, 1e-4))], 6);
-        let (full_log, full_summary) = sim.run();
-        assert!(full_summary.signals_emitted > 0, "defect must fire");
-        for granularity in [1u32, 3, 7, 1000] {
-            let mut state = sim.begin();
-            let mut log = SignalLog::new();
-            let mut summary = SimSummary::default();
-            while sim.step_epochs(
-                &mut state,
-                granularity,
-                &mut log,
-                &mut summary,
-                &mut Recorder::disabled(),
-            ) > 0
-            {}
-            assert!(state.is_done());
-            log.sort_by_time();
-            assert_eq!(summary, full_summary, "granularity {granularity}");
-            assert_eq!(log.all(), full_log.all(), "granularity {granularity}");
-        }
+        assert!(untraced_summary.signals_emitted > 0, "defect must fire");
+        log.sort_by_time();
+        assert_eq!(log.all(), untraced_log.all());
+        assert_eq!(summary, untraced_summary);
     }
 
     #[test]
@@ -1304,32 +1249,18 @@ mod tests {
         let mut summary = SimSummary::default();
         // Run the first half in service, then pull the core.
         let half = state.total_epochs() / 2;
-        sim.step_epochs(
-            &mut state,
-            half,
-            &mut log,
-            &mut summary,
-            &mut Recorder::disabled(),
-        );
+        let rec = &mut Recorder::disabled();
+        while state.next_epoch() < half {
+            sim.step_epoch(&mut state, &mut log, &mut summary, rec);
+        }
         let corruptions_before = summary.corruptions;
         assert!(corruptions_before > 0, "defect must fire in the first half");
-        assert!(sim.step_epoch(
-            &mut state,
-            &mut log,
-            &mut summary,
-            &mut Recorder::disabled()
-        ));
+        assert!(sim.step_epoch(&mut state, &mut log, &mut summary, rec));
         let masked_hour = state.hour();
         assert!(state.set_active(uid, false), "core is mercurial");
         assert!(!state.is_active(uid));
         let corruptions_at_mask = summary.corruptions;
-        sim.step_epochs(
-            &mut state,
-            u32::MAX,
-            &mut log,
-            &mut summary,
-            &mut Recorder::disabled(),
-        );
+        while sim.step_epoch(&mut state, &mut log, &mut summary, rec) {}
         assert_eq!(
             summary.corruptions, corruptions_at_mask,
             "a masked core draws no corruption"
@@ -1608,14 +1539,8 @@ mod tests {
                     assert_eq!(state.shard_range(), (lo, hi));
                     let mut log = SignalLog::new();
                     let mut summary = SimSummary::default();
-                    while sim.step_epochs(
-                        &mut state,
-                        u32::MAX,
-                        &mut log,
-                        &mut summary,
-                        &mut Recorder::disabled(),
-                    ) > 0
-                    {}
+                    let rec = &mut Recorder::disabled();
+                    while sim.step_epoch(&mut state, &mut log, &mut summary, rec) {}
                     merged.append(log);
                     summed.merge(&summary);
                 }

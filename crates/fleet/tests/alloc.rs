@@ -90,7 +90,9 @@ fn mid_rollout_epochs_allocate_nothing_fleet_sized() {
     let rec = &mut Recorder::disabled();
     // Half way through the rollout.
     let half = state.total_epochs() / 2;
-    sim.step_epochs(&mut state, half, &mut SignalLog::new(), &mut summary, rec);
+    while state.next_epoch() < half {
+        sim.step_epoch(&mut state, &mut SignalLog::new(), &mut summary, rec);
+    }
     let deployed = sim.topology().deployed_count(state.hour()) as usize;
     assert!(
         deployed > machines as usize / 4 && deployed < machines as usize * 3 / 4,

@@ -113,15 +113,16 @@ impl QuarantineRegistry {
         matches!(self.state(core), CoreState::Healthy | CoreState::Suspect)
     }
 
-    /// The `core.*` instant-event name announcing arrival in a state.
-    fn event_name(to: CoreState) -> &'static str {
+    /// The `core.*` instant-event name announcing arrival in a state, and
+    /// the `audit.*` decision counter the arrival bumps, if any.
+    fn names(to: CoreState) -> (&'static str, Option<&'static str>) {
         match to {
-            CoreState::Healthy => "core.restore",
-            CoreState::Suspect => "core.suspect",
-            CoreState::Quarantined => "core.quarantine",
-            CoreState::Confirmed => "core.confirm",
-            CoreState::Exonerated => "core.exonerate",
-            CoreState::Retired => "core.retire",
+            CoreState::Healthy => ("core.restore", Some("audit.restores")),
+            CoreState::Suspect => ("core.suspect", None),
+            CoreState::Quarantined => ("core.quarantine", Some("audit.quarantines")),
+            CoreState::Confirmed => ("core.confirm", Some("audit.confirms")),
+            CoreState::Exonerated => ("core.exonerate", Some("audit.exonerations")),
+            CoreState::Retired => ("core.retire", None),
         }
     }
 
@@ -148,8 +149,12 @@ impl QuarantineRegistry {
             to,
             reason: reason.into(),
         });
-        rec.instant(hour, Self::event_name(to), Some(core.as_u64()), 0.0);
+        let (event, audit) = Self::names(to);
+        rec.instant(hour, event, Some(core.as_u64()), 0.0);
         rec.counter_add("core.transitions", 1);
+        if let Some(name) = audit {
+            rec.audit_add(name, 1);
+        }
         Ok(())
     }
 

@@ -192,7 +192,10 @@ mod tests {
     #[test]
     fn envelope_round_trips_through_the_validator() {
         let p = Prof::enabled();
-        p.scope("run", || p.scope("sim", || ()));
+        {
+            let _run = p.span("run");
+            let _sim = p.span("sim");
+        }
         let meta = BenchMeta::capture("e99_test", 3, &p.finish());
         let json = meta.envelope("\"corruptions\": 42,\n  \"wall_ms\": 1.5");
         let parsed = BenchMeta::from_bench_json(&json).expect("validator accepts own output");

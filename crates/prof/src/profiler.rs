@@ -176,14 +176,6 @@ impl Prof {
         }
     }
 
-    /// Run `f` inside the phase `name` — the closure-shaped twin of
-    /// [`Prof::span`] for call sites where a guard binding would be
-    /// awkward.
-    pub fn scope<R>(&self, name: &'static str, f: impl FnOnce() -> R) -> R {
-        let _guard = self.span(name);
-        f()
-    }
-
     /// Merge wire-shipped profile entries (e.g. a serve worker's `Bye`
     /// payload) under the current phase. Stack paths split on `;`; names
     /// go through [`mercurial_trace::intern`], so each distinct phase is

@@ -42,7 +42,5 @@ pub mod worker;
 
 pub use fidelity::{alert_fidelity, AlertFidelity};
 pub use impair::{ImpairedChannel, LinkStats};
-pub use server::{
-    run_served, run_served_impaired, run_server, ServeOptions, ServedOutcome, WireStats,
-};
+pub use server::{run_served, run_server, ServeOptions, ServedOutcome, WireStats};
 pub use worker::{connect_and_serve, run_worker};

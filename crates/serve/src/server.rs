@@ -21,7 +21,6 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use mercurial::closedloop::ClosedLoopOutcome;
-use mercurial::scenario::ImpairConfig;
 use mercurial::shardloop::{
     record_ground_truth_onsets, shard_ranges, watch_engine, FleetAggregator, ShardEpochReport,
 };
@@ -517,22 +516,6 @@ pub fn run_served(scenario: &Scenario, opts: &ServeOptions<'_>) -> io::Result<Se
         }
     }
     out
-}
-
-/// A convenience for impairment sweeps: run the same scenario served,
-/// with `impair` overriding the scenario's `serve.impair` block.
-///
-/// # Errors
-///
-/// See [`run_served`].
-pub fn run_served_impaired(
-    scenario: &Scenario,
-    impair: ImpairConfig,
-    opts: &ServeOptions<'_>,
-) -> io::Result<ServedOutcome> {
-    let mut s = scenario.clone();
-    s.serve.impair = impair;
-    run_served(&s, opts)
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use mercurial::closedloop::ClosedLoopDriver;
 use mercurial::scenario::ImpairConfig;
 use mercurial::Scenario;
 use mercurial_fleet::SignalKind;
-use mercurial_serve::{run_served, run_served_impaired, ServeOptions};
+use mercurial_serve::{run_served, ServeOptions};
 use mercurial_trace::export::to_prometheus;
 
 fn scenario(seed: u64, workers: u32, traced: bool) -> Scenario {
@@ -221,11 +221,12 @@ fn served_runs_are_deterministic_including_streamed_traces() {
 fn fully_lossy_link_starves_the_scoreboard_of_evidence() {
     let s = scenario(7, 2, false);
     let reference = run_served(&s, &ServeOptions::default()).expect("clean run");
-    let impair = ImpairConfig {
+    let mut lossy = s.clone();
+    lossy.serve.impair = ImpairConfig {
         loss: 1.0,
         ..ImpairConfig::default()
     };
-    let lossy = run_served_impaired(&s, impair, &ServeOptions::default()).expect("lossy run");
+    let lossy = run_served(&lossy, &ServeOptions::default()).expect("lossy run");
     assert_eq!(
         lossy.link.dropped, lossy.link.frames,
         "loss=1.0 must drop every evidence frame"

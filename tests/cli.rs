@@ -203,6 +203,25 @@ fn bad_scenario_fields_exit_nonzero_without_panicking() {
     let json = scenario.to_json().replace("0.012345", "1e999");
     assert!(json.contains("\"online_ops_fraction\": 1e999"));
     assert_rejected_json("online-ops-1e999", "tuning.online_ops_fraction", &json);
+    // An hour field at the smallest positive double or at infinity: the
+    // former passed a positivity check and ran for ever.
+    let hours: [(&str, Mutation); 3] = [
+        ("sim.epoch_hours", |s| s.sim.epoch_hours = 12_345.5),
+        ("offline_interval_hours", |s| {
+            s.offline_interval_hours = 12_345.5
+        }),
+        ("online_interval_hours", |s| {
+            s.online_interval_hours = 12_345.5
+        }),
+    ];
+    for (field, mutate) in hours {
+        let mut scenario = Scenario::demo(7);
+        mutate(&mut scenario);
+        for literal in ["5e-324", "1e999"] {
+            let json = scenario.to_json().replace("12345.5", literal);
+            assert_rejected_json(&format!("{field}-{literal}"), field, &json);
+        }
+    }
     // A misspelt key is an error naming it, not a run on the default.
     let json =
         Scenario::demo(7)

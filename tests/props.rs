@@ -215,21 +215,24 @@ fn drawn(units: &[f64], seed: u64) -> serde_json::Value {
     for ((field, i), &u) in slots().iter().zip(units) {
         let (lo, hi) = in_bound(field.path);
         let v = lo + ((u - 0.1) / 0.8).clamp(0.0, 1.0) * (hi - lo);
-        let v = if field.bound == Bound::AtLeastOne {
-            v.round()
-        } else {
-            v
-        };
         set(&mut tree, field, *i, v);
     }
     tree
 }
 
-/// Writes `v` at `field` (of product `i`, on a per-product row).
+/// Writes `v` at `field` (of product `i`, on a per-product row),
+/// rounded where the field is a count.
 fn set(tree: &mut serde_json::Value, field: &Field, i: usize, v: f64) {
+    use serde_json::{Number, Value};
     let path = field.path.replace("[i]", &format!(".{i}"));
     let leaf = tree.pointer_mut(&format!("/{}", path.replace('.', "/")));
-    *leaf.expect(field.path) = serde_json::Value::Number(serde_json::Number::F64(v));
+    let leaf = leaf.expect(field.path);
+    let v = if matches!(leaf, Value::Number(Number::U64(_))) {
+        v.round()
+    } else {
+        v
+    };
+    *leaf = Value::Number(Number::F64(v));
 }
 
 proptest! {
@@ -273,7 +276,6 @@ proptest! {
         let (field, i) = slots()[slot];
         let v = match field.bound {
             Bound::AtLeastOne => 0.0,
-            Bound::Positive => -u * 1e6,
             Bound::NonNegative => -1e-9 - u * 1e6,
             Bound::UnitInterval if u < 0.5 => -1e-9 - u * 2e6,
             Bound::UnitInterval => 1.0 + 1e-9 + (u - 0.5) * 2e6,
